@@ -754,7 +754,7 @@ func runQueryLoad(cfg queryLoadConfig) error {
 	if g <= 0 {
 		g = cfg.Shards
 	}
-	// Warm the query pools (snapshots, merged table, scratch) so the
+	// Warm the query pools (snapshots, read-plane scratch) so the
 	// measured distribution reflects steady-state monitoring, not the
 	// first call's one-time sizing.
 	pt.begin("warm")

@@ -102,6 +102,14 @@ func topOnce(client *http.Client, addr string, nEvents int, asJSON bool) error {
 	for _, name := range names {
 		fmt.Fprintf(w, "%s\t%s\n", name, topValue(metrics[name]))
 	}
+	var swept, admitted float64
+	if json.Unmarshal(metrics["memento_shard_query_swept_keys_total"], &swept) == nil &&
+		json.Unmarshal(metrics["memento_shard_query_admitted_total"], &admitted) == nil && swept > 0 {
+		// The read plane's filter selectivity; near 1 the sweep rejects
+		// nothing (θ·W − compensation no longer clears the shards'
+		// summed absent-key defaults) and queries scan every tracked key.
+		fmt.Fprintf(w, "query admitted/swept\t%.4g\n", admitted/swept)
+	}
 	if err := w.Flush(); err != nil {
 		return err
 	}

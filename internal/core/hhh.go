@@ -286,19 +286,27 @@ func (hh *HHH) Reset() {
 }
 
 // HHHSnapshot is an immutable point-in-time copy of an H-Memento's
-// queryable state, plus the scratch the HHH-set computation needs, so
-// a pooled snapshot serves Output-style queries allocation-free. Take
-// it under the lock guarding the instance (SnapshotInto is a few slab
-// memmoves); everything afterwards is lock-free. Not safe for
-// concurrent use by multiple queries — pool snapshots instead.
+// queryable state. Take it under the lock guarding the instance
+// (SnapshotInto is a few slab memmoves); everything afterwards is
+// lock-free. A reused snapshot serves OutputTo allocation-free. Not
+// safe for concurrent use by multiple queries — pool snapshots
+// instead.
 type HHHSnapshot struct {
 	mem  Snapshot[hierarchy.Prefix]
 	hier hierarchy.Hierarchy
 	comp float64
 
-	cands   []hhhset.Candidate
-	sc      hhhset.Scratch
-	entries []hhhset.Entry
+	// solo is OutputTo's working state, allocated on its first call:
+	// snapshots that only feed someone else's SnapshotSet (the shard
+	// front-end's, the fleet controller's) never carry it.
+	solo *soloSet
+}
+
+// soloSet is a SnapshotSet over one snapshot at weight 1.
+type soloSet struct {
+	set     SnapshotSet
+	snaps   [1]*HHHSnapshot
+	weights [1]float64
 }
 
 // SnapshotInto captures the instance's queryable state into snap,
@@ -341,27 +349,15 @@ func (snap *HHHSnapshot) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 // scan, estimation, and HHH-set computation running lock-free. The
 // network-wide controller snapshots under its ingest lock and runs
 // OutputTo outside it, so absorbing reports never stalls on a query.
-// Candidates sweep the captured tables once with bounds attached
-// (ForEachEstimate); in one dimension prefixes that cannot reach the
-// threshold even before conditioning are skipped outright.
+// It is the merged read plane (SnapshotSet.Output) over this one
+// snapshot: the sweep hands on only the prefixes that reach θ·W −
+// compensation before conditioning.
 func (snap *HHHSnapshot) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefix {
-	threshold := theta * float64(snap.mem.window)
-	cut := math.Inf(-1)
-	if snap.hier.Dims() == 1 {
-		// 1D conditioning only subtracts from the estimate; 2D glb
-		// add-backs can raise it, so no cut there.
-		cut = threshold - snap.comp
+	if snap.solo == nil {
+		snap.solo = &soloSet{weights: [1]float64{1}}
 	}
-	snap.cands = snap.cands[:0]
-	snap.mem.ForEachEstimate(func(p hierarchy.Prefix, upper, lower float64) bool {
-		if upper >= cut {
-			snap.cands = append(snap.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
-		}
-		return true
-	})
-	snap.entries = hhhset.ComputeCandidates(snap.hier, snap, snap.cands, threshold, snap.comp, &snap.sc, snap.entries[:0])
-	for _, e := range snap.entries {
-		dst = append(dst, HeavyPrefix(e))
-	}
-	return dst
+	q := snap.solo
+	q.snaps[0] = snap
+	q.set.Reset(q.snaps[:], q.weights[:])
+	return q.set.Output(snap.hier, theta*float64(snap.mem.window), snap.comp, dst)
 }

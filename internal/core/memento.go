@@ -194,9 +194,11 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 	if err != nil {
 		return nil, err
 	}
-	// The B table typically holds O(k) keys (≈ one overflow per block
-	// in steady state); it grows transparently if a pathological
-	// update pattern exceeds that.
+	// A window sees up to τ·W/blockCounts = k·τ·scale overflows, which
+	// bounds B's population: k keys for plain Memento (scale = 1/τ),
+	// but H·k under H-Memento's Scale: V, where the threshold drops to
+	// W/(V·k) counts (DESIGN.md §4). The table starts sized for k and
+	// grows to whatever the stream needs.
 	overflow, err := keyidx.New[K](2*(k+1), hash)
 	if err != nil {
 		return nil, err

@@ -15,6 +15,8 @@
 package core
 
 import (
+	"math"
+
 	"memento/internal/keyidx"
 	"memento/internal/spacesaving"
 )
@@ -117,12 +119,10 @@ func (snap *Snapshot[K]) Query(x K) float64 {
 	if snap.hash != nil {
 		return queryEstimate(&snap.overflow, &snap.y, snap.blockCounts, snap.scale, x, snap.hash(x))
 	}
-	b, ok := snap.overflow.Get(x)
-	if ok {
-		rem := snap.y.Query(x) % snap.blockCounts
-		return snap.scale * (float64(snap.blockCounts)*float64(b+2) + float64(rem))
+	if b, ok := snap.overflow.Get(x); ok {
+		return snap.overflowUpper(b, snap.y.Query(x))
 	}
-	return snap.scale * (2*float64(snap.blockCounts) + float64(snap.y.Query(x)))
+	return snap.monitoredUpper(snap.y.Query(x))
 }
 
 // QueryBounds is Sketch.QueryBounds against the captured state.
@@ -142,34 +142,46 @@ func (snap *Snapshot[K]) Overflowed(fn func(key K, overflows int32) bool) {
 // ForEachEstimate calls fn once for every key the snapshot has state
 // for — the union of the overflow table and the monitored counters,
 // each key exactly once — with the same (upper, lower) bounds
-// QueryBounds would return for it. Sweeping present keys like this is
-// how the sharded front-end builds its merged estimate table: work is
-// proportional to where keys actually live, instead of probing every
-// shard for every candidate.
+// QueryBounds would return for it.
 func (snap *Snapshot[K]) ForEachEstimate(fn func(key K, upper, lower float64) bool) {
+	snap.ForEachAbove(math.Inf(-1), fn)
+}
+
+// ForEachAbove is ForEachEstimate restricted to the keys whose upper
+// bound is at least floor, and returns the number of keys it swept
+// (every key the snapshot has state for, unless fn stopped it). It
+// is phase 1 of the merged read plane: one linear pass per partition
+// that hands on only the keys heavy enough to matter. An overflow key
+// with b overflows has upper < scale·blockCounts·(b+3), so most keys
+// are rejected on the table entry alone, before the Space Saving
+// probe.
+func (snap *Snapshot[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float64) bool) (swept int) {
 	shared := snap.hash != nil
+	block := snap.scale * float64(snap.blockCounts)
 	stop := false
 	// Overflow keys first: their estimate combines b with the in-frame
 	// count. The stored hash doubles as the Space Saving probe when
 	// both indexes share one hasher.
 	snap.overflow.IterateH(func(key K, b int32, h uint64) bool {
+		swept++
+		if block*float64(b+3) < floor {
+			return true
+		}
 		var c uint64
 		if shared {
 			c = snap.y.QueryHashed(key, h)
 		} else {
 			c = snap.y.Query(key)
 		}
-		rem := c % snap.blockCounts
-		upper := snap.scale * (float64(snap.blockCounts)*float64(b+2) + float64(rem))
-		u, l := snap.boundsFrom(upper)
-		if !fn(key, u, l) {
+		u, l := snap.boundsFrom(snap.overflowUpper(b, c))
+		if u >= floor && !fn(key, u, l) {
 			stop = true
 			return false
 		}
 		return true
 	})
 	if stop {
-		return
+		return swept
 	}
 	// Monitored counters not already covered by the overflow pass.
 	snap.y.Iterate(func(c spacesaving.Counter[K]) bool {
@@ -183,15 +195,60 @@ func (snap *Snapshot[K]) ForEachEstimate(fn func(key K, upper, lower float64) bo
 		if inOverflow {
 			return true
 		}
-		upper := snap.scale * (2*float64(snap.blockCounts) + float64(c.Count))
-		u, l := snap.boundsFrom(upper)
-		return fn(c.Key, u, l)
+		swept++
+		u, l := snap.boundsFrom(snap.monitoredUpper(c.Count))
+		return u < floor || fn(c.Key, u, l)
 	})
+	return swept
+}
+
+// TrackedBounds returns QueryBounds(x) and true when the snapshot has
+// state for x (an overflow entry or a monitored counter) — the keys
+// ForEachEstimate visits, with the bounds it reports — and false
+// otherwise, when QueryBounds(x) would be AbsentBounds.
+func (snap *Snapshot[K]) TrackedBounds(x K) (upper, lower float64, ok bool) {
+	var b int32
+	var c spacesaving.Counter[K]
+	var overflowed, monitored bool
+	if snap.hash != nil {
+		h := snap.hash(x)
+		b, overflowed = snap.overflow.GetH(x, h)
+		c, monitored = snap.y.LookupHashed(x, h)
+	} else {
+		b, overflowed = snap.overflow.Get(x)
+		c, monitored = snap.y.Lookup(x)
+	}
+	count := snap.y.Min() // what Space Saving answers for an unmonitored key
+	if monitored {
+		count = c.Count
+	}
+	switch {
+	case overflowed:
+		upper = snap.overflowUpper(b, count)
+	case monitored:
+		upper = snap.monitoredUpper(count)
+	default:
+		return 0, 0, false
+	}
+	upper, lower = snap.boundsFrom(upper)
+	return upper, lower, true
+}
+
+// overflowUpper is the Algorithm 1 estimate of a key with b overflows
+// in the window and in-frame count c.
+func (snap *Snapshot[K]) overflowUpper(b int32, c uint64) float64 {
+	return snap.scale * (float64(snap.blockCounts)*float64(b+2) + float64(c%snap.blockCounts))
+}
+
+// monitoredUpper is the estimate of a key with no overflow entry and
+// in-frame count c (Min() for a key that is not monitored either).
+func (snap *Snapshot[K]) monitoredUpper(c uint64) float64 {
+	return snap.scale * (2*float64(snap.blockCounts) + float64(c))
 }
 
 // TrackedKeys returns an upper bound on the number of keys
 // ForEachEstimate visits (overflow table plus monitored counters,
-// before deduplication), for sizing merged tables.
+// before deduplication).
 func (snap *Snapshot[K]) TrackedKeys() int {
 	return snap.overflow.Len() + snap.y.Len()
 }
@@ -200,7 +257,7 @@ func (snap *Snapshot[K]) TrackedKeys() int {
 // snapshot has no state for (not in the overflow table, not
 // monitored): the Space Saving Min-based conservative default.
 func (snap *Snapshot[K]) AbsentBounds() (upper, lower float64) {
-	return snap.boundsFrom(snap.scale * (2*float64(snap.blockCounts) + float64(snap.y.Min())))
+	return snap.boundsFrom(snap.monitoredUpper(snap.y.Min()))
 }
 
 // boundsFrom derives the conservative bound pair from an upper

@@ -8,8 +8,9 @@
 // The algorithms differ only in how they estimate prefix frequencies
 // and which additive compensation accounts for their sampling; both are
 // abstracted behind the Estimator interface. Callers that already hold
-// per-candidate bounds (the snapshot query plane's merged estimate
-// table) skip the estimator on the scan entirely via ComputeCandidates.
+// per-candidate bounds (the snapshot query plane) skip the estimator on
+// the scan via ComputeCandidates, which also scans only the candidates
+// that can still be selected (see there).
 //
 //memento:deterministic
 package hhhset
@@ -48,16 +49,24 @@ type Candidate struct {
 // Scratch holds the working state of the HHH-set computation so
 // repeated queries reuse it instead of allocating per call: the
 // per-level candidate buckets, a flat dedup index, the per-candidate
-// bounds cache, and the selected-walk buffers. The zero value is
-// ready; each Estimator-owning algorithm keeps one and passes it to
-// ComputeInto/ComputeCandidates. A Scratch must not be shared between
-// concurrent queries.
+// bounds cache, the selected-walk buffers, and the ancestor counts of
+// the pre-filter. The zero value is ready; each Estimator-owning
+// algorithm keeps one and passes it to ComputeInto/ComputeCandidates.
+// A Scratch must not be shared between concurrent queries.
 type Scratch struct {
 	byLevel  [][]Candidate
 	seen     *keyidx.Index[hierarchy.Prefix]
 	bounds   []boundsPair
 	selected []hierarchy.Prefix
 	closest  []hierarchy.Prefix
+
+	// Pre-filter (see ComputeCandidates): below maps a prefix to the
+	// number of retained candidates it strictly generalizes, co lists
+	// the prefixes that reached two, ancestors is the enumeration
+	// buffer.
+	below     *keyidx.Index[hierarchy.Prefix]
+	co        []hierarchy.Prefix
+	ancestors []hierarchy.Prefix
 
 	// One-dimensional fast path (see calcPred1D): covered[j] records
 	// that selected[j] already has a selected strict ancestor,
@@ -110,9 +119,7 @@ func ComputeInto(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Pr
 		d := h.Depth(p)
 		if d >= 0 && d < levels {
 			upper, lower := est.Bounds(p)
-			sc.seen.Put(p, int32(len(sc.bounds)))
-			sc.bounds = append(sc.bounds, boundsPair{upper: upper, lower: lower})
-			sc.byLevel[d] = append(sc.byLevel[d], Candidate{Prefix: p, Upper: upper, Lower: lower})
+			sc.retain(Candidate{Prefix: p, Upper: upper, Lower: lower}, d, true)
 		} else {
 			sc.seen.Put(p, -1)
 		}
@@ -121,37 +128,138 @@ func ComputeInto(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Pr
 }
 
 // ComputeCandidates is the scan over candidates whose bounds the
-// caller already computed — the snapshot query plane's merged
-// estimate table feeds it directly. Candidates must be pairwise
-// distinct (the merged table dedups across shards); order does not
-// matter and the output matches ComputeInto over the same set. est is
+// caller already computed. Candidates must be pairwise distinct; order
+// does not matter and the output matches ComputeInto over the same
+// set. est must agree with the carried bounds on the candidates; it is
 // consulted only for the two-dimensional glb add-back, and only for
-// prefixes outside the candidate set.
+// prefixes the scan did not retain.
+//
+// Only candidates that can still be selected are bucketed and
+// scanned. A "low" candidate, Upper + compensation < threshold, needs
+// a positive calcPred to be selected. One-dimensional calcPred only
+// subtracts, so low candidates are dropped. Two-dimensional calcPred
+// is positive only through a glb add-back, which takes two selected
+// strict descendants; every selected prefix is high or, by induction
+// on depth, sits above two high ones, so a low candidate is retained
+// exactly when it strictly generalizes two high candidates. Dropped
+// candidates are never selected and so never influence another
+// prefix's conditioned frequency: the result equals the scan over the
+// full list.
 func ComputeCandidates(h hierarchy.Hierarchy, est Estimator, candidates []Candidate, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
-	levels := sc.resetLevels(h)
-	twoD := h.Dims() == 2
-	if twoD {
-		// The glb cache needs prefix→bounds resolution; 1D never
-		// consults it and skips the index maintenance entirely.
-		if sc.seen == nil || sc.seen.Cap() < len(candidates) {
-			sc.seen = keyidx.MustNew(max(len(candidates), 16), hierarchy.PrefixHasher(0))
-		} else {
-			sc.seen.Flush()
-		}
-		sc.bounds = sc.bounds[:0]
-	}
+	levels, twoD := sc.reset(h)
+	cut := threshold - compensation
+	low := 0
 	for _, c := range candidates {
 		d := h.Depth(c.Prefix)
 		if d < 0 || d >= levels {
 			continue
 		}
-		if twoD {
-			sc.seen.Put(c.Prefix, int32(len(sc.bounds)))
-			sc.bounds = append(sc.bounds, boundsPair{upper: c.Upper, lower: c.Lower})
+		if c.Upper >= cut {
+			sc.retain(c, d, twoD)
+		} else {
+			low++
 		}
-		sc.byLevel[d] = append(sc.byLevel[d], c)
+	}
+	if twoD && low > 0 && sc.coAncestors() > 0 {
+		for _, c := range candidates {
+			if c.Upper >= cut {
+				continue
+			}
+			if n, _ := sc.below.Get(c.Prefix); n >= 2 {
+				if d := h.Depth(c.Prefix); d >= 0 && d < levels {
+					sc.retain(c, d, twoD)
+				}
+			}
+		}
 	}
 	return scan(h, est, threshold, compensation, sc, dst)
+}
+
+// Tracker is an Estimator that also knows which prefixes are
+// candidates: the read plane's snapshots, which hold their candidates
+// in hash tables rather than a list.
+type Tracker interface {
+	Estimator
+	// Tracked returns p's bounds and whether p is a candidate.
+	Tracked(p hierarchy.Prefix) (upper, lower float64, ok bool)
+}
+
+// ComputeTracked is ComputeCandidates for a caller that cannot afford
+// to list its candidates: high holds at least every candidate with
+// Upper + compensation ≥ threshold, pairwise distinct, and the other
+// candidates the scan can select — the prefixes that strictly
+// generalize two members of high, a few dozen per member at most —
+// are looked up in t. The output matches ComputeCandidates over the
+// full candidate list.
+func ComputeTracked(h hierarchy.Hierarchy, t Tracker, high []Candidate, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
+	levels, twoD := sc.reset(h)
+	for _, c := range high {
+		if d := h.Depth(c.Prefix); d >= 0 && d < levels {
+			sc.retain(c, d, twoD)
+		}
+	}
+	if twoD && sc.coAncestors() > 0 {
+		for _, p := range sc.co {
+			if _, ok := sc.seen.Get(p); ok {
+				continue
+			}
+			if upper, lower, ok := t.Tracked(p); ok {
+				sc.retain(Candidate{Prefix: p, Upper: upper, Lower: lower}, h.Depth(p), twoD)
+			}
+		}
+	}
+	return scan(h, t, threshold, compensation, sc, dst)
+}
+
+// reset clears the per-level buckets and, in two dimensions, the
+// prefix→bounds index the glb cache resolves through (1D never
+// consults it and skips the index maintenance entirely).
+func (sc *Scratch) reset(h hierarchy.Hierarchy) (levels int, twoD bool) {
+	levels = sc.resetLevels(h)
+	twoD = h.Dims() == 2
+	if twoD {
+		if sc.seen == nil {
+			sc.seen = keyidx.MustNew(64, hierarchy.PrefixHasher(0))
+		} else {
+			sc.seen.Flush()
+		}
+		sc.bounds = sc.bounds[:0]
+	}
+	return levels, twoD
+}
+
+// coAncestors fills below with, for every strict ancestor of a
+// retained candidate, the number of retained candidates under it, and
+// co with the ancestors that have two or more (each once; they may be
+// retained themselves). It returns len(co).
+func (sc *Scratch) coAncestors() int {
+	if sc.below == nil {
+		sc.below = keyidx.MustNew(256, hierarchy.PrefixHasher(0))
+	} else {
+		sc.below.Flush()
+	}
+	sc.co = sc.co[:0]
+	for _, level := range sc.byLevel {
+		for _, c := range level {
+			sc.ancestors = c.Prefix.Ancestors(sc.ancestors[:0])
+			for _, a := range sc.ancestors {
+				if sc.below.Inc(a, 1) == 2 {
+					sc.co = append(sc.co, a)
+				}
+			}
+		}
+	}
+	return len(sc.co)
+}
+
+// retain buckets c, a candidate of depth d, for the scan; the
+// two-dimensional calcPred also resolves its bounds through seen.
+func (sc *Scratch) retain(c Candidate, d int, twoD bool) {
+	if twoD {
+		sc.seen.Put(c.Prefix, int32(len(sc.bounds)))
+		sc.bounds = append(sc.bounds, boundsPair{upper: c.Upper, lower: c.Lower})
+	}
+	sc.byLevel[d] = append(sc.byLevel[d], c)
 }
 
 // Trim drops any internal buffer whose capacity exceeds limit
@@ -166,6 +274,12 @@ func (sc *Scratch) Trim(limit int) {
 	}
 	if sc.seen != nil && sc.seen.Cap() > limit {
 		sc.seen = nil
+	}
+	if sc.below != nil && sc.below.Cap() > limit {
+		sc.below = nil
+	}
+	if cap(sc.co) > limit {
+		sc.co = nil
 	}
 	if cap(sc.bounds) > limit {
 		sc.bounds = nil

@@ -339,3 +339,104 @@ func TestCompute1DFastPathMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// boundsTable serves per-prefix bounds from a table; a prefix outside
+// it gets the table's default pair, like a sketch's absent-key bounds.
+type boundsTable struct {
+	m            map[hierarchy.Prefix][2]float64
+	upper, lower float64
+}
+
+func (b boundsTable) Bounds(p hierarchy.Prefix) (float64, float64) {
+	if v, ok := b.m[p]; ok {
+		return v[0], v[1]
+	}
+	return b.upper, b.lower
+}
+
+// Tracked makes the table a Tracker: its members are the candidates.
+func (b boundsTable) Tracked(p hierarchy.Prefix) (float64, float64, bool) {
+	v, ok := b.m[p]
+	return v[0], v[1], ok
+}
+
+// TestComputeCandidatesPrefilterMatchesFullScan is the soundness
+// property of the pre-filter: over random candidate sets with random
+// bounds — not monotone along the hierarchy, lower anywhere in
+// [0, upper] — ComputeCandidates over the full list, and
+// ComputeTracked over the high candidates alone, must return exactly
+// what the estimator-driven Compute, which scans every candidate,
+// returns. In two dimensions the fixture must exercise the case the
+// filter exists for: a candidate below threshold − compensation
+// selected through a glb add-back, in a trial where the filter did
+// drop candidates.
+func TestComputeCandidatesPrefilterMatchesFullScan(t *testing.T) {
+	src := rng.New(17)
+	var sc Scratch // one scratch across all trials: reuse must not leak state
+	for _, h := range []hierarchy.Hierarchy{hierarchy.OneD{}, hierarchy.TwoD{}} {
+		twoD := h.Dims() == 2
+		liftedWhileFiltering := 0
+		for trial := 0; trial < 400; trial++ {
+			// A small address pool makes ancestors, descendants and glbs
+			// of candidates likely to be candidates themselves.
+			addr := func() uint32 {
+				return hierarchy.IPv4(byte(1+src.Intn(2)), byte(src.Intn(2)), byte(src.Intn(2)), byte(src.Intn(2)))
+			}
+			est := boundsTable{m: map[hierarchy.Prefix][2]float64{}, upper: float64(src.Intn(300))}
+			var prefixes []hierarchy.Prefix
+			var cands []Candidate
+			for i, n := 0, 5+src.Intn(120); i < n; i++ {
+				p := hierarchy.Prefix{SrcLen: uint8(src.Intn(5))}
+				p.Src = hierarchy.MaskBytes(addr(), p.SrcLen)
+				if twoD {
+					p.DstLen = uint8(src.Intn(5))
+					p.Dst = hierarchy.MaskBytes(addr(), p.DstLen)
+				}
+				if _, dup := est.m[p]; dup {
+					continue
+				}
+				upper := float64(src.Intn(2000))
+				lower := upper * float64(src.Intn(5)) / 4
+				est.m[p] = [2]float64{upper, lower}
+				prefixes = append(prefixes, p)
+				cands = append(cands, Candidate{Prefix: p, Upper: upper, Lower: lower})
+			}
+			threshold := float64(src.Intn(2500))
+			comp := float64(src.Intn(400))
+
+			want := Compute(h, est, prefixes, threshold, comp)
+			var high []Candidate
+			for _, c := range cands {
+				if c.Upper+comp >= threshold {
+					high = append(high, c)
+				}
+			}
+			tracked := ComputeTracked(h, est, high, threshold, comp, &sc, nil)
+			got := ComputeCandidates(h, est, cands, threshold, comp, &sc, nil)
+			if len(got) != len(want) || len(tracked) != len(want) {
+				t.Fatalf("%v trial %d: full scan selected %d, filtered list scan %d, tracked scan %d",
+					h, trial, len(want), len(got), len(tracked))
+			}
+			retained := 0
+			for _, level := range sc.byLevel {
+				retained += len(level)
+			}
+			for i := range want {
+				if got[i] != want[i] || tracked[i] != want[i] {
+					t.Fatalf("%v trial %d entry %d: full %+v, filtered list %+v, tracked %+v",
+						h, trial, i, want[i], got[i], tracked[i])
+				}
+				if retained < len(cands) && want[i].Estimate+comp < threshold {
+					liftedWhileFiltering++
+				}
+			}
+		}
+		if twoD && liftedWhileFiltering == 0 {
+			t.Fatal("test vacuous: no below-threshold candidate was selected through a glb add-back")
+		}
+		if !twoD && liftedWhileFiltering != 0 {
+			t.Fatal("a 1D candidate below threshold − compensation was selected: calcPred1D must only subtract")
+		}
+	}
+}
+

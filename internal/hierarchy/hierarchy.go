@@ -130,6 +130,24 @@ func glbDim(a uint32, alen uint8, b uint32, blen uint8) (uint32, uint8, bool) {
 	return a, alen, true
 }
 
+// Ancestors appends every strict generalization of p — each way of
+// keeping fewer leading bytes in either dimension, at most
+// (AddrBytes+1)² − 1 = 24 prefixes — to dst and returns it. A 1D
+// prefix (DstLen == 0) yields 1D ancestors only.
+func (p Prefix) Ancestors(dst []Prefix) []Prefix {
+	for sl := uint8(0); sl <= p.SrcLen; sl++ {
+		for dl := uint8(0); dl <= p.DstLen; dl++ {
+			if sl == p.SrcLen && dl == p.DstLen {
+				continue
+			}
+			dst = append(dst, Prefix{
+				Src: MaskBytes(p.Src, sl), Dst: MaskBytes(p.Dst, dl), SrcLen: sl, DstLen: dl,
+			})
+		}
+	}
+	return dst
+}
+
 // Closest computes G(q|P) (Section 4.2): the subset of P strictly
 // generalized by q that is maximal, i.e. h ∈ P with h ≺ q and no
 // h' ∈ P with h ≺ h' ≺ q. The result reuses the out slice's backing

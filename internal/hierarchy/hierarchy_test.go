@@ -302,3 +302,26 @@ func TestIPv4(t *testing.T) {
 		t.Fatal("IPv4 packing wrong")
 	}
 }
+
+// TestAncestors checks the enumeration against the definition: exactly
+// the canonical prefixes that strictly generalize p, each once.
+func TestAncestors(t *testing.T) {
+	for _, p := range []Prefix{
+		TwoD{}.Fully(Packet{Src: IPv4(181, 7, 20, 6), Dst: IPv4(208, 67, 222, 222)}),
+		{Src: IPv4(181, 7, 0, 0), SrcLen: 2, Dst: IPv4(208, 0, 0, 0), DstLen: 1},
+		OneD{}.Fully(Packet{Src: IPv4(181, 7, 20, 6)}),
+		{},
+	} {
+		got := p.Ancestors(nil)
+		if want := (int(p.SrcLen)+1)*(int(p.DstLen)+1) - 1; len(got) != want {
+			t.Fatalf("%v has %d ancestors, want %d: %v", p, len(got), want, got)
+		}
+		seen := map[Prefix]bool{}
+		for _, a := range got {
+			if !a.Canonical() || !a.StrictlyGeneralizes(p) || seen[a] {
+				t.Fatalf("%v: bad or repeated ancestor %v in %v", p, a, got)
+			}
+			seen[a] = true
+		}
+	}
+}

@@ -184,6 +184,13 @@ func TestQueryLatencyHistogram(t *testing.T) {
 	if hs.Count != 4 {
 		t.Fatalf("exported histogram count = %d, want 4", hs.Count)
 	}
+	// Filter selectivity rides the same registry: every query sweeps
+	// the tracked keys and admits no more than it swept.
+	swept := reg.Counter("memento_shard_query_swept_keys_total").Load()
+	admitted := reg.Counter("memento_shard_query_admitted_total").Load()
+	if swept == 0 || swept%4 != 0 || admitted > swept {
+		t.Fatalf("selectivity counters: swept %d admitted %d over 4 identical queries", swept, admitted)
+	}
 
 	// 2D instances export under the 2D name.
 	s2 := MustNewHHH(HHHConfig{

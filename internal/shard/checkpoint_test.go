@@ -13,7 +13,6 @@ import (
 
 	"memento/internal/codec"
 	"memento/internal/core"
-	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
 )
@@ -290,11 +289,4 @@ func TestMergerMatchesShardOutput(t *testing.T) {
 		t.Fatal("test vacuous: empty output")
 	}
 	s.putQuery(q)
-
-	// Scratch trimming drops oversized buffers like the query pool's.
-	m.cands = make([]hhhset.Candidate, 0, 2*maxRetainedQueryCap)
-	m.Trim(maxRetainedQueryCap)
-	if m.cands != nil {
-		t.Fatal("Trim retained oversized candidate scratch")
-	}
 }

@@ -63,8 +63,13 @@ type HHH struct {
 	// queryPool recycles the working state of multi-shard reads
 	// (per-shard snapshots, skew corrections, HHH-set scratch) across
 	// queries and concurrent callers, keeping the query path
-	// allocation-free in steady state.
+	// allocation-free in steady state. lastQuery is a one-entry cache in
+	// front of it: sync.Pool keeps an item per P, so a lone monitoring
+	// goroutine that migrates between Ps would otherwise build a second
+	// full set of snapshot slabs — and keep it, since queries produce
+	// no garbage that would make the collector empty the pool.
 	queryPool sync.Pool
+	lastQuery atomic.Pointer[hhhQuery]
 
 	// readLocks, when set (tests only), counts read-plane lock
 	// acquisitions so the one-lock-pass-per-shard contract is
@@ -84,6 +89,14 @@ type HHH struct {
 	// structurally different — merging them would hide a 2D
 	// regression under 1D volume).
 	queryHist obs.Histogram
+
+	// swept and admitted total the read plane's sweep counts over all
+	// OutputTo calls (core.SnapshotSet.Selectivity), one wait-free add
+	// each per query; Instrument exports them as
+	// memento_shard_query_{swept_keys,admitted}_total. Admitted close to
+	// swept means the filter has nothing to reject: θ·W − compensation
+	// no longer clears the shards' summed absent-key defaults.
+	swept, admitted obs.Counter
 }
 
 // hhhSlot pads to a full 64-byte cache line like slot.
@@ -105,9 +118,9 @@ type hhhQuery struct {
 	// (probeAll); point queries never copy slabs.
 	probes []pointProbe
 
-	// m owns the merged estimate table and HHH-set scratch; the same
-	// math merges agent snapshots in netwide and checkpoint files in
-	// mementoctl.
+	// m owns the skew corrections and the read plane's scratch; the
+	// same math merges agent snapshots in netwide and checkpoint files
+	// in mementoctl.
 	m Merger
 }
 
@@ -322,6 +335,9 @@ func (s *HHH) lockShardRead(sl *hhhSlot) {
 
 // getQuery returns pooled multi-shard read state.
 func (s *HHH) getQuery() *hhhQuery {
+	if q := s.lastQuery.Swap(nil); q != nil {
+		return q
+	}
 	//memento:allow alloc "pool miss allocates the query scratch; steady state reuses"
 	return s.queryPool.Get().(*hhhQuery)
 }
@@ -332,6 +348,9 @@ func (s *HHH) getQuery() *hhhQuery {
 // so they cannot outgrow what the sketch itself retains.)
 func (s *HHH) putQuery(q *hhhQuery) {
 	q.m.Trim(maxRetainedQueryCap)
+	if s.lastQuery.CompareAndSwap(nil, q) {
+		return
+	}
 	//memento:allow alloc "Pool.Put's per-P chain growth is a one-time cold cost"
 	s.queryPool.Put(q)
 }
@@ -411,8 +430,8 @@ func (s *HHH) Bounds(p hierarchy.Prefix) (upper, lower float64) { return s.Query
 // candidates are the union of per-shard tracked prefixes, estimated
 // against the merged snapshot bounds with the root-sum-of-squares
 // sampling compensation. Each shard is locked exactly once, for the
-// duration of its snapshot copy; everything after — the merged
-// estimate table, candidate filtering, and the HHH-set computation,
+// duration of its snapshot copy; everything after — the sweep for
+// heavy prefixes, their merged bounds, and the HHH-set computation,
 // all owned by the pooled Merger — runs lock-free, so concurrent
 // ingestion proceeds while the set is computed. The result is a fuzzy
 // snapshot under concurrent writers, consistent per query.
@@ -431,6 +450,9 @@ func (s *HHH) OutputTo(theta float64, dst []core.HeavyPrefix) []core.HeavyPrefix
 	q := s.getQuery()
 	s.snapshotAll(q)
 	dst = q.m.Output(s.hier, q.views, theta, dst)
+	swept, admitted := q.m.Selectivity()
+	s.swept.Add(uint64(swept))
+	s.admitted.Add(uint64(admitted))
 	s.putQuery(q)
 	s.queryHist.Observe(uint64(time.Since(start)))
 	return dst

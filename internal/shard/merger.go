@@ -11,50 +11,25 @@ import (
 	"math"
 
 	"memento/internal/core"
-	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
-	"memento/internal/keyidx"
 )
-
-// mergedBounds accumulates one prefix's merged estimate: the
-// skew-scaled bounds summed over the partitions that track it, and
-// the sum of those same partitions' absent-key defaults (subtracted
-// from the global default total to account for the ones that don't).
-type mergedBounds struct {
-	upper, lower float64
-	defU, defL   float64
-}
 
 // Merger combines point-in-time H-Memento snapshots from independent
 // partitions of one stream into a global HHH set. The partitions may
 // be this process's shards, remote measurement points, or saved
 // checkpoints — anything whose update streams are disjoint slices of
-// the same traffic. All scratch (the merged estimate table, candidate
-// and entry buffers) is owned by the Merger and reused across calls,
-// so steady-state merging allocates only what the caller's dst needs.
+// the same traffic. The Merger derives the merged window, the
+// compensation and each partition's skew correction; the estimator
+// and the HHH-set query over the weighted snapshots are
+// core.SnapshotSet's, whose scratch is reused across calls, so
+// steady-state merging allocates only what the caller's dst needs.
 // A Merger is not safe for concurrent use; pool it like the shard
 // front-end pools its query state.
 type Merger struct {
-	snaps  []*core.HHHSnapshot
+	set    core.SnapshotSet
 	scales []float64
 	window int     // merged effective window: Σ per-snapshot windows
 	comp   float64 // merged sampling compensation: √(Σ compᵢ²)
-
-	// The merged estimate table, built once per Output by sweeping
-	// each snapshot's present keys (core.Snapshot.ForEachEstimate):
-	// merged maps a prefix to its slot in est, where the skew-scaled
-	// contributions of the partitions that track the prefix accumulate
-	// alongside the sum of those partitions' absent-key defaults. A
-	// prefix's global bounds are then acc + (totalDef − contributed
-	// defaults) — one table lookup instead of probing every partition,
-	// and work proportional to where keys actually live.
-	merged               *keyidx.Index[hierarchy.Prefix]
-	est                  []mergedBounds //memento:reused (merge scratch, Trim-capped)
-	totalDefU, totalDefL float64
-
-	cands   []hhhset.Candidate //memento:reused (merge scratch, Trim-capped)
-	sc      hhhset.Scratch
-	entries []hhhset.Entry //memento:reused (merge scratch, Trim-capped)
 }
 
 // Window returns the merged effective window of the last Output call.
@@ -64,14 +39,17 @@ func (m *Merger) Window() int { return m.window }
 // Output call.
 func (m *Merger) Compensation() float64 { return m.comp }
 
-// prepare derives the merged window, compensation and per-partition
-// skew corrections from the captured snapshots. Per-partition
+// Prepare derives the merged window, compensation and per-partition
+// skew corrections from the captured snapshots, so Bounds can serve
+// point queries outside an Output call — the audit plane compares
+// exact per-key counts against merged fleet bounds without paying for
+// an HHH-set computation. Pair with Release (Output releases
+// implicitly); Bounds is only meaningful in between. Per-partition
 // sampling errors are independent, so their variances add: the merged
 // compensation is the root sum of squares. The traffic split comes
 // from the captured update counts, so one merge uses one consistent
 // split.
-func (m *Merger) prepare(snaps []*core.HHHSnapshot) {
-	m.snaps = snaps
+func (m *Merger) Prepare(snaps []*core.HHHSnapshot) {
 	if cap(m.scales) < len(snaps) {
 		//memento:allow alloc "grows once per partition-count change; reused across merges"
 		m.scales = make([]float64, len(snaps))
@@ -90,137 +68,40 @@ func (m *Merger) prepare(snaps []*core.HHHSnapshot) {
 	for i, snap := range snaps {
 		m.scales[i] = scaleFrom(snap.Updates(), snap.EffectiveWindow(), total, m.window)
 	}
+	m.set.Reset(snaps, m.scales)
 }
-
-// Prepare derives the merged window, compensation and skew state for
-// snaps so Bounds can serve point queries outside an Output call —
-// the audit plane compares exact per-key counts against merged fleet
-// bounds without paying for an HHH-set computation. Pair with Release
-// (Output releases implicitly); Bounds is only meaningful in between.
-func (m *Merger) Prepare(snaps []*core.HHHSnapshot) { m.prepare(snaps) }
 
 // Release drops the snapshot references Prepare retained so their
-// slabs are not pinned between audits.
-func (m *Merger) Release() { m.snaps = nil }
+// slabs are not pinned between merges.
+func (m *Merger) Release() { m.set.Reset(nil, nil) }
 
 // Bounds implements hhhset.Estimator over the merged snapshots: the
-// sum of skew-corrected per-partition bounds. The HHH-set scan runs
-// on the merged table; only the 2D glb fallback path asks for
-// prefixes outside it and lands here.
-func (m *Merger) Bounds(p hierarchy.Prefix) (upper, lower float64) {
-	for i, snap := range m.snaps {
-		u, l := snap.QueryBounds(p)
-		upper += u * m.scales[i]
-		lower += l * m.scales[i]
-	}
-	return upper, lower
-}
-
-// buildMerged sweeps every captured snapshot's present keys into the
-// merged estimate table. Cost is proportional to the total number of
-// tracked (prefix, partition) pairs — each key visited once where it
-// lives — after which any prefix's merged bounds are a single lookup.
-func (m *Merger) buildMerged() {
-	want := 0
-	for _, snap := range m.snaps {
-		want += snap.Sketch().TrackedKeys()
-	}
-	if m.merged == nil || m.merged.Cap() < want {
-		//memento:allow alloc "merged table grows with the tracked-key population, then is reused"
-		m.merged = keyidx.MustNew(max(want, 16), hierarchy.PrefixHasher(0))
-	} else {
-		m.merged.Flush()
-	}
-	m.est = m.est[:0]
-	m.totalDefU, m.totalDefL = 0, 0
-	for i, hs := range m.snaps {
-		snap := hs.Sketch()
-		skew := m.scales[i]
-		du, dl := snap.AbsentBounds()
-		du *= skew
-		dl *= skew
-		m.totalDefU += du
-		m.totalDefL += dl
-		//memento:allow alloc "closure does not escape: ForEachEstimate only iterates (BenchmarkOutputSteadyState gates)"
-		snap.ForEachEstimate(func(p hierarchy.Prefix, u, l float64) bool {
-			h := m.merged.Hash(p)
-			slot, ok := m.merged.GetH(p, h)
-			if !ok {
-				slot = int32(len(m.est))
-				m.merged.PutH(p, slot, h)
-				m.est = append(m.est, mergedBounds{})
-			}
-			e := &m.est[slot]
-			e.upper += u * skew
-			e.lower += l * skew
-			e.defU += du
-			e.defL += dl
-			return true
-		})
-	}
-}
+// sum of skew-corrected per-partition bounds.
+func (m *Merger) Bounds(p hierarchy.Prefix) (upper, lower float64) { return m.set.Bounds(p) }
 
 // Output merges snaps into the global approximate HHH set for
 // threshold theta, appending to dst. hier is the shared prefix domain
 // (every snapshot must come from an instance over the same
 // hierarchy). Candidates are the union of per-partition tracked
-// prefixes, estimated against the merged table with the
-// root-sum-of-squares sampling compensation; in one dimension,
-// candidates that cannot reach θ·W − compensation even before
-// conditioning are skipped outright (2D glb add-backs can raise
-// conditioned frequencies, so no cut there). Everything runs on the
+// prefixes, estimated against the merged bounds with the
+// root-sum-of-squares sampling compensation; core.SnapshotSet.Output
+// finds the set while resolving only the prefixes heavy enough to
+// matter, in one and two dimensions alike. Everything runs on the
 // immutable snapshots — no locks, no mutation of the sources.
 func (m *Merger) Output(hier hierarchy.Hierarchy, snaps []*core.HHHSnapshot, theta float64, dst []core.HeavyPrefix) []core.HeavyPrefix {
 	if len(snaps) == 0 {
 		return dst
 	}
-	m.prepare(snaps)
-	m.buildMerged()
-	threshold := theta * float64(m.window)
-	cut := math.Inf(-1)
-	if hier.Dims() == 1 {
-		cut = threshold - m.comp
-	}
-	m.cands = m.cands[:0]
-	//memento:allow alloc "closure does not escape: Iterate only scans the table (BenchmarkOutputSteadyState gates)"
-	m.merged.Iterate(func(p hierarchy.Prefix, slot int32) bool {
-		e := &m.est[slot]
-		upper := e.upper + (m.totalDefU - e.defU)
-		if upper < cut {
-			return true
-		}
-		lower := e.lower + (m.totalDefL - e.defL)
-		m.cands = append(m.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
-		return true
-	})
-	// m doubles as the estimator for the 2D glb fallback; the scan
-	// itself runs on the carried bounds.
-	//memento:allow alloc "HHH-set scratch growth amortized by Scratch reuse (BenchmarkOutputSteadyState gates)"
-	m.entries = hhhset.ComputeCandidates(hier, m, m.cands, threshold, m.comp, &m.sc, m.entries[:0])
-	for _, e := range m.entries {
-		dst = append(dst, core.HeavyPrefix(e))
-	}
-	m.snaps = nil // don't pin snapshot slabs between calls
+	m.Prepare(snaps)
+	dst = m.set.Output(hier, theta*float64(m.window), m.comp, dst)
+	m.Release() // don't pin snapshot slabs between calls
 	return dst
 }
 
+// Selectivity reports the last Output's sweep counts (see
+// core.SnapshotSet.Selectivity).
+func (m *Merger) Selectivity() (swept, admitted int) { return m.set.Selectivity() }
+
 // Trim caps every retained scratch capacity at limit, the pool
 // hygiene hook mirroring hhhset.Scratch.Trim.
-func (m *Merger) Trim(limit int) {
-	if cap(m.cands) > limit {
-		m.cands = nil
-	}
-	if cap(m.entries) > limit {
-		m.entries = nil
-	}
-	if cap(m.est) > limit {
-		m.est = nil
-	}
-	// merged is sized by the sum of per-partition tracked keys
-	// (duplicates counted), so its capacity can exceed the
-	// unique-entry est cap; check it independently.
-	if m.merged != nil && m.merged.Cap() > limit {
-		m.merged = nil
-	}
-	m.sc.Trim(limit)
-}
+func (m *Merger) Trim(limit int) { m.set.Trim(limit) }

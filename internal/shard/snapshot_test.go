@@ -17,11 +17,16 @@ import (
 )
 
 // hammerHHH builds a 4-shard H-Memento loaded with a skewed stream.
-func hammerHHH(t testing.TB, seed uint64) *HHH {
+// At the default δ its compensation exceeds θ·W for every θ ≤ 0.2.
+func hammerHHH(t testing.TB, seed uint64) *HHH { return hammerHHHDelta(t, seed, 0) }
+
+// hammerHHHDelta is hammerHHH at confidence delta; a loose one keeps
+// θ·W − compensation positive, the regime where the read plane filters.
+func hammerHHHDelta(t testing.TB, seed uint64, delta float64) *HHH {
 	t.Helper()
 	s := MustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
-			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 128 * 5, V: 10, Seed: seed,
+			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 128 * 5, V: 10, Delta: delta, Seed: seed,
 		},
 		Shards: 4,
 	})
@@ -33,6 +38,42 @@ func hammerHHH(t testing.TB, seed uint64) *HHH {
 			a = uint32(src.Intn(24))
 		}
 		b.Add(hierarchy.Packet{Src: a})
+	}
+	b.Flush()
+	return s
+}
+
+// hammerHHH2D is hammerHHH over the source×destination hierarchy: a
+// heavy source pair fanning out, a heavy destination pair fanning in
+// and the cells where they cross, so their common ancestors are
+// conditioned through glb add-backs. Addresses come from small pools
+// (the reference scan is cubic in the number of incomparable selected
+// prefixes) and Delta is loose, which keeps θ·W − compensation
+// positive at the larger thresholds of a test-sized window; at the
+// smaller ones it is negative and the read plane admits everything.
+func hammerHHH2D(t testing.TB, seed uint64) *HHH {
+	t.Helper()
+	s := MustNewHHH(HHHConfig{
+		Core: core.HHHConfig{
+			Hierarchy: hierarchy.TwoD{}, Window: 1 << 14, Counters: 32 * 25, Delta: 0.4, Seed: seed,
+		},
+		Shards: 4,
+	})
+	src := rng.New(seed + 100)
+	pool := func(net byte) uint32 {
+		return hierarchy.IPv4(net+byte(src.Intn(3)), byte(src.Intn(2)), byte(src.Intn(2)), byte(src.Intn(8)))
+	}
+	b := s.NewBatcher(128)
+	for i := 0; i < 3<<13; i++ {
+		p := hierarchy.Packet{Src: pool(10), Dst: pool(20)}
+		k := src.Intn(4)
+		if k == 0 || k == 2 {
+			p.Src = hierarchy.IPv4(10, 1, 1, byte(src.Intn(2)))
+		}
+		if k == 1 || k == 2 {
+			p.Dst = hierarchy.IPv4(20, 0, 0, byte(src.Intn(2)))
+		}
+		b.Add(p)
 	}
 	b.Flush()
 	return s
@@ -124,35 +165,55 @@ func legacyOutput(s *HHH, theta float64, ls *legacyScratch, dst []core.HeavyPref
 // TestOutputMatchesLockPerBoundsReference is the quiescent
 // differential assertion: the snapshot-backed Output must be
 // element-for-element equal to the pre-change lock-per-Bounds
-// implementation, across thresholds — the same prefixes in the same
-// order, with estimates matching up to float summation order (the
-// merged table accumulates per-shard contributions in a different
-// association than the per-call shard loop did).
+// implementation, across thresholds and in one and two dimensions —
+// the same prefixes in the same order, with estimates matching up to
+// float summation order. The reference scans every tracked prefix
+// (hhhset.ComputeInto has no pre-filter), so an unsound sweep or
+// ancestor rule shows up as a missing entry.
 func TestOutputMatchesLockPerBoundsReference(t *testing.T) {
-	s := hammerHHH(t, 22)
-	var ls legacyScratch
 	const relTol = 1e-9
 	close := func(a, b float64) bool {
 		diff := math.Abs(a - b)
 		return diff <= relTol*math.Max(math.Abs(a), math.Abs(b))
 	}
-	for _, theta := range []float64{0.002, 0.01, 0.05, 0.2} {
-		got := s.Output(theta)
-		want := legacyOutput(s, theta, &ls, nil)
-		if len(got) != len(want) {
-			t.Fatalf("theta=%v: snapshot Output has %d entries, reference %d\n%v\n%v",
-				theta, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i].Prefix != want[i].Prefix ||
-				!close(got[i].Estimate, want[i].Estimate) ||
-				!close(got[i].Conditioned, want[i].Conditioned) {
-				t.Fatalf("theta=%v entry %d: snapshot %+v, reference %+v", theta, i, got[i], want[i])
+	for _, tc := range []struct {
+		name string
+		s    *HHH
+	}{
+		{"1D", hammerHHHDelta(t, 22, 0.25)},
+		{"2D", hammerHHH2D(t, 22)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			var ls legacyScratch
+			sparse := false
+			for _, theta := range []float64{0.002, 0.01, 0.05, 0.2} {
+				swept0, admitted0 := s.swept.Load(), s.admitted.Load()
+				got := s.Output(theta)
+				want := legacyOutput(s, theta, &ls, nil)
+				if len(got) != len(want) {
+					t.Fatalf("theta=%v: snapshot Output has %d entries, reference %d\n%v\n%v",
+						theta, len(got), len(want), got, want)
+				}
+				for i := range want {
+					if got[i].Prefix != want[i].Prefix ||
+						!close(got[i].Estimate, want[i].Estimate) ||
+						!close(got[i].Conditioned, want[i].Conditioned) {
+						t.Fatalf("theta=%v entry %d: snapshot %+v, reference %+v", theta, i, got[i], want[i])
+					}
+				}
+				swept, admitted := s.swept.Load()-swept0, s.admitted.Load()-admitted0
+				if len(want) > 0 && admitted < swept/10 {
+					sparse = true
+				}
 			}
-		}
-	}
-	if len(s.Output(0.002)) == 0 {
-		t.Fatal("test vacuous: no entries at the loosest threshold")
+			if len(s.Output(0.002)) == 0 {
+				t.Fatal("test vacuous: no entries at the loosest threshold")
+			}
+			if !sparse {
+				t.Fatal("test vacuous: no threshold at which the sweep filters and the set is non-empty")
+			}
+		})
 	}
 }
 
@@ -260,15 +321,6 @@ func TestPartitionPoolCapsRetainedCapacity(t *testing.T) {
 	hh.putPartition(ppart)
 	if (*ppart)[0] != nil {
 		t.Fatalf("oversized packet sub-buffer retained with cap %d", cap((*ppart)[0]))
-	}
-
-	q := hh.getQuery()
-	q.m.cands = make([]hhhset.Candidate, 0, 2*maxRetainedQueryCap)
-	q.m.entries = make([]hhhset.Entry, 0, 2*maxRetainedQueryCap)
-	hh.putQuery(q)
-	if q.m.cands != nil || q.m.entries != nil {
-		t.Fatalf("oversized query scratch retained: cands cap %d, entries cap %d",
-			cap(q.m.cands), cap(q.m.entries))
 	}
 }
 
