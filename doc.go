@@ -32,7 +32,7 @@
 //     the files offline.
 //   - internal/delta — the incremental replication plane on top of the
 //     codec: epoch-stamped base+delta chains that ship only the
-//     counters that changed (core tracks dirty keys off the hot path),
+//     counters that changed (core marks touched counter slots, not keys),
 //     with strict ErrEpochGap resync, a fidelity floor for sub-noise
 //     churn, and an atomic on-disk Checkpointer for warm restarts
 //     (cmd/lbproxy and cmd/controller wire it to -checkpoint-dir).

@@ -10,13 +10,18 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.pkg != "./internal/shard" || g.bench != "BenchmarkIngestSingle" || g.time != "200000x" {
+	if g.pkg != "./internal/shard" || g.bench != "BenchmarkIngestSingle" || g.time != "200000x" || g.max != 0 {
 		t.Fatalf("parsed %+v", g)
+	}
+	if g, err = parseSpec("./internal/delta:BenchmarkDeltaApplyMaterialize:200x:12"); err != nil || g.max != 12 {
+		t.Fatalf("bounded spec: %+v, %v", g, err)
 	}
 	for _, bad := range []string{
 		"",
 		"pkg:BenchmarkX",
 		"pkg:BenchmarkX:1x:extra",
+		"pkg:BenchmarkX:1x:-1",
+		"pkg:BenchmarkX:1x:3:4",
 		"pkg::1x",
 		"pkg:TestNotABenchmark:1x",
 	} {

@@ -1,18 +1,31 @@
 // Delta plane: the core-side hooks behind internal/delta's
-// incremental replication. A sketch with tracking enabled maintains a
-// dirty-key set — every key whose monitored counter or overflow-table
-// entry may have changed since the last capture — plus flush/reset
-// event counters, so an encoder can ship only changed state instead
-// of the whole table. The plane stays off the 0-alloc hot path:
-// marking rides the sampled Full-update and de-amortized pop branches
-// (one nil check each), the common WindowUpdate path is untouched,
-// and clearing the set at capture time is O(1) via keyidx's
-// generation-stamp Flush.
+// incremental replication. A sketch with tracking enabled records
+// *where* its replicable state changed since the last drain, keyed on
+// position rather than on key:
 //
-// This file also provides the inverse of the dirty diff:
-// BuildSnapshot assembles a queryable Snapshot from explicit state
-// with the same validation discipline as the wire decoder, which is
-// how a delta chain's applied state materializes back into something
+//   - Monitored counters are addressed by Space Saving slot. A key
+//     keeps the slab slot Add gave it until it is evicted (the slot is
+//     re-keyed in place) or the frame flushes, so Space Saving sets one
+//     bit per touched slot in a k-bit bitmap and the encoder diffs the
+//     ≤ k marked slots against a k-entry shadow in one linear scan —
+//     no key is hashed or looked up to find its counter, and the keys
+//     that came and went inside one interval cost nothing, because the
+//     slot they passed through is examined once whatever its history.
+//   - Overflow-table changes are a short log of (key, ±1): one entry
+//     per overflow and per de-amortized forget, a few dozen per
+//     interval (interval length / block threshold), far below the
+//     number of keys touched.
+//   - In-frame flushes and full Resets are counted, as before.
+//
+// The plane stays off the 0-alloc hot path: slot marking is one nil
+// check and one OR inside spacesaving.AddHashed, the log append rides
+// the overflow and pop branches only, the common WindowUpdate path is
+// untouched, and draining copies ⌈k/64⌉ words plus the log.
+//
+// This file also provides the inverse of the diff: BuildSnapshot
+// assembles a queryable Snapshot from explicit state with the same
+// validation discipline as the wire decoder, which is how a delta
+// chain's applied state materializes back into something
 // Query/OutputTo/RestoreFrom understand.
 
 package core
@@ -27,37 +40,66 @@ import (
 	"memento/internal/spacesaving"
 )
 
-// EnableDeltaTracking switches on the dirty-key plane. Idempotent.
-// The set is sized like the overflow table and grows only if an
-// interval touches more keys than that; call DeltaCaptureInto at the
-// replication cadence to drain it.
-func (s *Sketch[K]) EnableDeltaTracking() {
-	if s.dirty != nil {
-		return
-	}
-	s.dirty = keyidx.MustNew[K](2*(s.k+1), s.hash)
-	s.y.SetEvictHook(func(k K) { s.dirty.Insert(k) })
+// deltaPlane is a tracked sketch's record of the current interval;
+// the slot marks live inside the Space Saving instance.
+type deltaPlane[K comparable] struct {
+	over    []OverflowChange[K] //memento:reused (grows to an interval's overflow churn once)
+	flushes uint32
+	resets  uint32
 }
 
-// DeltaTracking reports whether the dirty-key plane is enabled.
-func (s *Sketch[K]) DeltaTracking() bool { return s.dirty != nil }
+// log records one overflow-table increment or decrement of key.
+func (p *deltaPlane[K]) log(key K, delta int32) {
+	p.over = append(p.over, OverflowChange[K]{Key: key, Delta: delta})
+}
+
+// OverflowChange is one logged overflow-table change: Delta is +1 for
+// an overflow, -1 for a forgotten one. A key may appear several times
+// in one interval; the net of its deltas is how far its table entry
+// moved.
+type OverflowChange[K comparable] struct {
+	Key   K
+	Delta int32
+}
+
+// EnableDeltaTracking switches on the delta plane. Idempotent. Call
+// DeltaDrainInto at the replication cadence to drain it.
+func (s *Sketch[K]) EnableDeltaTracking() {
+	if s.track != nil {
+		return
+	}
+	s.track = &deltaPlane[K]{}
+	s.y.TrackSlots()
+}
+
+// DeltaTracking reports whether the delta plane is enabled.
+func (s *Sketch[K]) DeltaTracking() bool { return s.track != nil }
 
 // BlockCounts returns the overflow threshold in sampled counts
 // (τ·W/k; see the package comment on units).
 func (s *Sketch[K]) BlockCounts() uint64 { return s.blockCounts }
 
-// DirtySet is a captured dirty-key interval: the keys whose state may
-// have changed between two delta captures, plus the structural events
-// (in-frame flushes, full resets) the interval saw. The zero value is
-// empty and ready for DeltaCaptureInto, which recycles its slab.
+// DirtySet is a drained interval: the Space Saving slots touched and
+// the overflow-table changes logged between two drains, plus the
+// structural events (in-frame flushes, full resets) the interval saw.
+// The zero value is empty and ready for DeltaDrainInto, which recycles
+// its buffers.
 type DirtySet[K comparable] struct {
-	keys    keyidx.Index[K]
+	marks   []uint64
+	over    []OverflowChange[K] //memento:reused (grows to an interval's overflow churn once)
 	flushes uint32
 	resets  uint32
 }
 
-// Len returns the number of captured dirty keys.
-func (d *DirtySet[K]) Len() int { return d.keys.Len() }
+// SlotMarks returns the touched-slot bitmap: bit i of word i/64 set
+// means Space Saving slot i was incremented, allocated or re-keyed
+// during the interval. Bits at or past the sketch's current slot count
+// are stale (the frame flushed after they were set) and name nothing.
+func (d *DirtySet[K]) SlotMarks() []uint64 { return d.marks }
+
+// OverflowChanges returns the interval's overflow-table log in event
+// order.
+func (d *DirtySet[K]) OverflowChanges() []OverflowChange[K] { return d.over }
 
 // Flushed reports whether the interval crossed at least one frame
 // boundary (or Reset): the monitored counter set was emptied, so an
@@ -66,58 +108,78 @@ func (d *DirtySet[K]) Flushed() bool { return d.flushes > 0 }
 
 // WasReset reports whether Sketch.Reset ran during the interval
 // (including via RestoreFrom). A reset invalidates the chain — the
-// overflow table was cleared without per-key dirty marks — so the
+// overflow table was cleared without a log entry per key — so the
 // next record must be a base.
 func (d *DirtySet[K]) WasReset() bool { return d.resets > 0 }
 
-// Iterate calls fn for every captured dirty key until fn returns
-// false. Order is unspecified.
-func (d *DirtySet[K]) Iterate(fn func(K) bool) {
-	d.keys.Iterate(func(k K, _ int32) bool { return fn(k) })
-}
-
-// DeltaCaptureInto captures the sketch's queryable state into snap
-// (plus the restore plane when restorePlane is set) together with the
-// dirty interval since the previous capture, then clears the live
-// tracking state in O(1). Call it under the lock guarding the sketch,
-// exactly like SnapshotInto/CheckpointInto — the added cost over
-// those is one slab copy of the dirty set.
-//
-// The capture and the clear are one atomic step: every mutation is in
-// either the previous interval or the next, never both or neither.
+// DeltaDrainInto moves the interval since the previous drain into
+// dirty and clears the live tracking state. Call it under the lock
+// guarding the sketch, in the same critical section as whatever reads
+// the state the interval describes (the live sketch itself, or a
+// SnapshotInto/CheckpointInto copy): every mutation is then in either
+// the previous interval or the next, never both or neither.
 //memento:noalloc
-func (s *Sketch[K]) DeltaCaptureInto(snap *Snapshot[K], dirty *DirtySet[K], restorePlane bool) error {
-	if s.dirty == nil {
+func (s *Sketch[K]) DeltaDrainInto(dirty *DirtySet[K]) error {
+	if s.track == nil {
 		//memento:allow alloc "error construction on the disabled-tracking cold path"
 		return errors.New("core: delta tracking not enabled")
 	}
-	if restorePlane {
-		s.CheckpointInto(snap)
-	} else {
-		s.SnapshotInto(snap)
-	}
-	s.dirty.CopyInto(&dirty.keys)
-	dirty.flushes = s.dirtyFlushes
-	dirty.resets = s.dirtyResets
-	s.dirty.Flush()
-	s.dirtyFlushes, s.dirtyResets = 0, 0
+	dirty.marks = s.y.DrainSlotMarks(dirty.marks)
+	dirty.over = append(dirty.over[:0], s.track.over...)
+	dirty.flushes = s.track.flushes
+	dirty.resets = s.track.resets
+	s.track.over = s.track.over[:0]
+	s.track.flushes, s.track.resets = 0, 0
 	return nil
 }
 
-// EnableDeltaTracking switches on the dirty-key plane of the
-// underlying Memento sketch. Idempotent.
+// Items returns the number of in-frame Space Saving additions (the
+// counter Flush resets each frame).
+func (s *Sketch[K]) Items() uint64 { return s.y.Items() }
+
+// Slots returns how many Space Saving slots are in use; Slot(i) is
+// valid for 0 ≤ i < Slots().
+func (s *Sketch[K]) Slots() int { return s.y.Len() }
+
+// Slot returns the monitored counter in Space Saving slot i (see
+// spacesaving.Sketch.Slot for what a slot number identifies).
+//memento:noalloc
+func (s *Sketch[K]) Slot(i int) spacesaving.Counter[K] { return s.y.Slot(i) }
+
+// SlotOf returns the Space Saving slot monitoring x, -1 if none.
+//memento:noalloc
+func (s *Sketch[K]) SlotOf(x K) int { return s.y.SlotOfHashed(x, s.y.Hash(x)) }
+
+// DeltaProbe returns the replicable state of one key that is not
+// being addressed by slot: the slot monitoring x (-1 if none) and its
+// overflow-table value (0 if absent), from one hash of x.
+//memento:noalloc
+func (s *Sketch[K]) DeltaProbe(x K) (slot int, b int32) {
+	if s.hash == nil { // each index hashes with its own default
+		b, _ = s.overflow.Get(x)
+		return s.y.SlotOfHashed(x, s.y.Hash(x)), b
+	}
+	h := s.hash(x)
+	b, _ = s.overflow.GetH(x, h)
+	return s.y.SlotOfHashed(x, h), b
+}
+
+// OverflowCount returns x's overflow-table value, 0 if absent.
+//memento:noalloc
+func (s *Sketch[K]) OverflowCount(x K) int32 {
+	b, _ := s.overflow.Get(x)
+	return b
+}
+
+// EnableDeltaTracking switches on the delta plane of the underlying
+// Memento sketch. Idempotent.
 func (hh *HHH) EnableDeltaTracking() { hh.mem.EnableDeltaTracking() }
 
-// DeltaCaptureInto is Sketch.DeltaCaptureInto for an H-Memento
-// instance; call it under the lock guarding hh.
+// DeltaDrainInto is Sketch.DeltaDrainInto for an H-Memento instance;
+// call it under the lock guarding hh.
 //memento:noalloc
-func (hh *HHH) DeltaCaptureInto(snap *HHHSnapshot, dirty *DirtySet[hierarchy.Prefix], restorePlane bool) error {
-	if err := hh.mem.DeltaCaptureInto(&snap.mem, dirty, restorePlane); err != nil {
-		return err
-	}
-	snap.hier = hh.hier
-	snap.comp = hh.comp
-	return nil
+func (hh *HHH) DeltaDrainInto(dirty *DirtySet[hierarchy.Prefix]) error {
+	return hh.mem.DeltaDrainInto(dirty)
 }
 
 // Items returns the number of in-frame Space Saving additions at
@@ -160,27 +222,16 @@ func (snap *Snapshot[K]) Monitored(fn func(c spacesaving.Counter[K]) bool) {
 	snap.y.Iterate(fn)
 }
 
-// DeltaEntry probes one key's replicable state: its monitored
-// in-frame counter (count, errTerm) and overflow-table value b, with
-// presence flags for each. The delta encoder calls it for every dirty
-// key to serialize the key's current state.
-func (snap *Snapshot[K]) DeltaEntry(x K) (count, errTerm uint64, b int32, monitored, overflowed bool) {
-	if snap.hash != nil {
-		h := snap.hash(x)
-		b, overflowed = snap.overflow.GetH(x, h)
-		var c spacesaving.Counter[K]
-		c, monitored = snap.y.LookupHashed(x, h)
-		return c.Count, c.Err, b, monitored, overflowed
-	}
-	b, overflowed = snap.overflow.Get(x)
-	c, monitored := snap.y.Lookup(x)
-	return c.Count, c.Err, b, monitored, overflowed
-}
+// Slots, Slot and OverflowCount are the Sketch methods of the same
+// names against the captured state; the capture is a slab copy, so
+// slot numbers mean what they meant on the source.
+func (snap *Snapshot[K]) Slots() int { return snap.y.Len() }
 
-// OverflowEntry is one overflow-table entry of a SnapshotSpec.
-type OverflowEntry[K comparable] struct {
-	Key       K
-	Overflows int32
+func (snap *Snapshot[K]) Slot(i int) spacesaving.Counter[K] { return snap.y.Slot(i) }
+
+func (snap *Snapshot[K]) OverflowCount(x K) int32 {
+	b, _ := snap.overflow.Get(x)
+	return b
 }
 
 // RestoreSpec is the optional restore plane of a SnapshotSpec.
@@ -209,9 +260,10 @@ type SnapshotSpec[K comparable] struct {
 	// Updates and Items are the capture-time counters.
 	Updates uint64
 	Items   uint64
-	// Overflow is the overflow table B (order free, keys unique,
-	// counts positive).
-	Overflow []OverflowEntry[K]
+	// Overflow is the overflow table B, counts positive, built under
+	// the hasher handed to BuildSnapshot; nil is an empty table. The
+	// built snapshot takes a slab copy — no per-entry work, no order.
+	Overflow *keyidx.Index[K]
 	// Monitored are the in-frame Space Saving counters in ascending
 	// count order, each with Err < Count.
 	Monitored []spacesaving.Counter[K]
@@ -223,8 +275,9 @@ type SnapshotSpec[K comparable] struct {
 // BuildSnapshot validates spec and assembles a Snapshot answering
 // queries exactly as a decoded wire record with the same contents
 // would: the Space Saving slabs are sized by the entries present
-// (preserving the saturated/unsaturated Min() distinction), indexes
-// are built under hash (nil: the keyidx default), and every
+// (preserving the saturated/unsaturated Min() distinction), the
+// Space Saving index is built under hash (nil: the keyidx default),
+// which must be the function spec.Overflow was built under, and every
 // invariant the strict decoder enforces is enforced here, with
 // wrapped codec.ErrCorrupt on violation.
 func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Snapshot[K], error) {
@@ -254,24 +307,19 @@ func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Sn
 		hash:        hash,
 	}
 
-	// New, not MustNew: the capacity derives from caller-assembled
-	// (possibly decoded) input, so a constructor failure must surface
-	// as an error, not a panic.
-	ov, err := keyidx.New[K](max(len(spec.Overflow), 1), hash)
-	if err != nil {
-		return nil, codec.Corruptf("overflow table: %v", err)
+	if spec.Overflow != nil {
+		spec.Overflow.CopyInto(&snap.overflow)
+	} else {
+		snap.overflow = *keyidx.MustNew[K](1, hash)
 	}
-	for _, e := range spec.Overflow {
-		if e.Overflows <= 0 {
-			return nil, codec.Corruptf("overflow count %d out of range", e.Overflows)
-		}
-		h := ov.Hash(e.Key)
-		if _, dup := ov.GetH(e.Key, h); dup {
-			return nil, codec.Corruptf("duplicate overflow key")
-		}
-		ov.PutH(e.Key, e.Overflows, h)
+	positive := true
+	snap.overflow.Iterate(func(_ K, b int32) bool {
+		positive = b > 0
+		return positive
+	})
+	if !positive {
+		return nil, codec.Corruptf("overflow count out of range")
 	}
-	snap.overflow = *ov
 
 	if uint64(len(spec.Monitored)) > k {
 		return nil, codec.Corruptf("%d monitored counters exceed budget %d", len(spec.Monitored), k)

@@ -165,7 +165,7 @@ func (hh *HHH) Update(p hierarchy.Packet) {
 	// at most V/2^32 per outcome, negligible for the V values in use.
 	i := int(uint64(hh.src.Uint32()) * hh.v >> 32)
 	if i < hh.h {
-		hh.mem.FullUpdate(hh.hier.Prefix(p, i))
+		hh.FullUpdatePrefix(hh.hier.Prefix(p, i))
 	} else {
 		hh.mem.WindowUpdate()
 	}
@@ -200,14 +200,20 @@ func (hh *HHH) UpdateBatch(ps []hierarchy.Packet) {
 		if hh.h > 1 {
 			lvl = hh.src.Intn(hh.h)
 		}
-		hh.mem.FullUpdate(hh.hier.Prefix(ps[i], lvl))
+		hh.FullUpdatePrefix(hh.hier.Prefix(ps[i], lvl))
 		i++
 	}
 }
 
 // FullUpdatePrefix and WindowUpdate let external drivers (the
-// network-wide controller) replay sampled prefixes directly.
-func (hh *HHH) FullUpdatePrefix(p hierarchy.Prefix) { hh.mem.FullUpdate(p) }
+// network-wide controller) replay sampled prefixes directly. The
+// prefix is hashed once here and the value serves the Space Saving
+// index and, on an overflow, the B table.
+//
+//memento:noalloc
+func (hh *HHH) FullUpdatePrefix(p hierarchy.Prefix) {
+	hh.mem.FullUpdateHashed(p, hh.mem.hash(p))
+}
 
 // WindowUpdate slides the window by one packet.
 func (hh *HHH) WindowUpdate() { hh.mem.WindowUpdate() }

@@ -122,16 +122,8 @@ type Sketch[K comparable] struct {
 
 	forcedDrains uint64 // leftover queue entries drained at rotation
 
-	// Delta plane (nil/zero until EnableDeltaTracking): dirty is the
-	// set of keys whose monitored or overflow state may have changed
-	// since the last DeltaCaptureInto; dirtyFlushes counts in-frame
-	// flushes and dirtyResets full Resets over the same interval.
-	// Marking rides the sampled Full-update and pop paths only — the
-	// common WindowUpdate path never touches it — and clearing is O(1)
-	// via the key index's generation stamp.
-	dirty        *keyidx.Index[K]
-	dirtyFlushes uint32
-	dirtyResets  uint32
+	// Delta plane (nil until EnableDeltaTracking); see delta.go.
+	track *deltaPlane[K]
 
 	// Observability (nil until Instrument): block-granular counters,
 	// so the per-packet paths only ever pay a nil compare.
@@ -415,8 +407,8 @@ func (s *Sketch[K]) windowAdvance(n uint64) {
 		if flushed {
 			s.blocksLeft = s.k
 			s.y.Flush() // new frame
-			if s.dirty != nil {
-				s.dirtyFlushes++
+			if s.track != nil {
+				s.track.flushes++
 			}
 		}
 		for {
@@ -453,8 +445,8 @@ func (s *Sketch[K]) WindowUpdate() {
 		if flushed {
 			s.blocksLeft = s.k
 			s.y.Flush() // new frame
-			if s.dirty != nil {
-				s.dirtyFlushes++
+			if s.track != nil {
+				s.track.flushes++
 			}
 		}
 		// The oldest block's queue must be empty by now; drain
@@ -488,9 +480,8 @@ func (s *Sketch[K]) position() uint64 {
 
 // forgetOverflow decrements B[id], deleting exhausted entries.
 func (s *Sketch[K]) forgetOverflow(id K) {
-	s.overflow.Dec(id)
-	if s.dirty != nil {
-		s.dirty.Insert(id)
+	if s.overflow.Dec(id) && s.track != nil {
+		s.track.log(id, -1)
 	}
 }
 
@@ -506,9 +497,9 @@ func (s *Sketch[K]) FullUpdate(x K) {
 	if c%s.blockCounts == 0 { // overflow
 		s.ring.push(x)
 		s.overflow.Inc(x, 1)
-	}
-	if s.dirty != nil {
-		s.dirty.Insert(x)
+		if s.track != nil {
+			s.track.log(x, 1)
+		}
 	}
 }
 
@@ -523,9 +514,9 @@ func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
 	if c%s.blockCounts == 0 { // overflow
 		s.ring.push(x)
 		s.overflow.IncH(x, 1, h)
-	}
-	if s.dirty != nil {
-		s.dirty.InsertH(x, h)
+		if s.track != nil {
+			s.track.log(x, 1)
+		}
 	}
 }
 
@@ -639,12 +630,12 @@ func (s *Sketch[K]) Reset() {
 	s.fullCount = 0
 	s.forcedDrains = 0
 	s.skip = -1
-	if s.dirty != nil {
+	if s.track != nil {
 		// Everything the previous epoch knew is gone; the next delta
-		// capture sees resets > 0 and must start a fresh chain base.
-		s.dirty.Flush()
-		s.dirtyFlushes++
-		s.dirtyResets++
+		// drain sees resets > 0 and must start a fresh chain base.
+		s.track.over = s.track.over[:0]
+		s.track.flushes++
+		s.track.resets++
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
+	"memento/internal/keyidx"
 	"memento/internal/rng"
 	"memento/internal/spacesaving"
 )
@@ -33,22 +34,21 @@ func randomHHHSnapshot(t *testing.T, src *rng.Source, hier hierarchy.Hierarchy, 
 	spec := SnapshotSpec[hierarchy.Prefix]{
 		Window: k * 512, Counters: k, BlockCounts: blockCounts, Scale: float64(hier.H()), Updates: 1 << 20,
 	}
-	seen := map[hierarchy.Prefix]bool{}
+	spec.Overflow = keyidx.MustNew[hierarchy.Prefix](150, hierarchy.PrefixHasher(0))
 	for i, n := 0, src.Intn(150); i < n; i++ {
-		if p := prefix(); !seen[p] {
-			seen[p] = true
+		if p := prefix(); spec.Overflow.Insert(p) {
 			// Mostly light keys, a few heavy ones.
 			b := int32(1 + src.Intn(3))
 			if src.Intn(8) == 0 {
 				b = int32(1 + src.Intn(40))
 			}
-			spec.Overflow = append(spec.Overflow, OverflowEntry[hierarchy.Prefix]{Key: p, Overflows: b})
+			spec.Overflow.Put(p, b)
 		}
 	}
 	// Half the snapshots are saturated (k monitored counters), so Min()
 	// is positive and an overflow key that is no longer monitored can
 	// sit below the absent-key default.
-	seen = map[hierarchy.Prefix]bool{}
+	seen := map[hierarchy.Prefix]bool{}
 	count := uint64(1 + src.Intn(40))
 	monitored := src.Intn(k)
 	if src.Intn(2) == 0 {

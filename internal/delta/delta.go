@@ -15,8 +15,8 @@
 //   - A base (codec.FlagBase) embeds a complete, self-contained
 //     KindHHH snapshot record and (re)starts the chain at its epoch.
 //   - A delta carries only the counters that changed during one
-//     capture interval — the dirty keys core.Sketch tracks via
-//     generation-stamped key sets — plus absolute scalar state and,
+//     capture interval — found by diffing the Space Saving slots the
+//     interval touched, see tracker.go — plus absolute scalar state and,
 //     for checkpoint chains, the block-ring/frame-position restore
 //     plane. A delta at epoch e applies only to state at epoch e−1 of
 //     the same chain.
@@ -101,11 +101,6 @@ const maxQueueLen = 1 << 24
 
 // prefixKeys is the shared key codec of every HHH delta record.
 var prefixKeys = codec.PrefixKeys{}
-
-// monEntry is one key's replicated monitored counter.
-type monEntry struct {
-	count, err uint64
-}
 
 // appendEntry appends one per-key state entry in wire order.
 func appendEntry(dst []byte, key hierarchy.Prefix, count, err uint64, b int32) []byte {

@@ -498,3 +498,57 @@ func TestTruncatedDeltaUnbasesState(t *testing.T) {
 		t.Fatal("snapshot of unbased state succeeded")
 	}
 }
+
+// TestForceBaseAgainstPendingCapture pins what ForceBase does to a
+// capture already cut: a restore-plane chain holds a state copy and
+// re-bases at once (a sharded chain set decides its flavor after
+// capturing); a query-plane chain holds only its diff, ships it, and
+// re-bases on the next step. An abandoned capture re-bases either way.
+func TestForceBaseAgainstPendingCapture(t *testing.T) {
+	for _, restore := range []bool{false, true} {
+		hh := newHHH(t, 1<<10, 32, 23)
+		tr, err := NewTracker(hh, TrackerConfig{Chain: 31, Restore: restore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewState()
+		step := func(force bool) bool {
+			hh.UpdateBatch(skewedPackets(300, hh.Sketch().Updates()+1))
+			if err := tr.Capture(); err != nil {
+				t.Fatal(err)
+			}
+			if force {
+				tr.ForceBase()
+				if got := tr.PendingBase(); got != restore {
+					t.Fatalf("restore=%v: PendingBase %v after forcing a pending capture", restore, got)
+				}
+			}
+			rec, base, err := tr.AppendCaptured(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Apply(rec); err != nil {
+				t.Fatalf("restore=%v: %v", restore, err)
+			}
+			return base
+		}
+		if !step(false) {
+			t.Fatal("first record is not a base")
+		}
+		if step(false) {
+			t.Fatal("second record is a base")
+		}
+		if base := step(true); base != restore {
+			t.Fatalf("restore=%v: forced pending capture encoded base=%v", restore, base)
+		}
+		if base := step(false); base == restore {
+			t.Fatalf("restore=%v: record after the forced one encoded base=%v", restore, base)
+		}
+		if err := tr.Capture(); err != nil { // abandoned
+			t.Fatal(err)
+		}
+		if !step(false) {
+			t.Fatalf("restore=%v: record after an abandoned capture is not a base", restore)
+		}
+	}
+}

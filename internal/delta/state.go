@@ -18,6 +18,7 @@ import (
 	"memento/internal/codec"
 	"memento/internal/core"
 	"memento/internal/hierarchy"
+	"memento/internal/keyidx"
 	"memento/internal/spacesaving"
 )
 
@@ -41,10 +42,16 @@ type State struct {
 	blockCounts uint64
 	scale       float64
 
-	// Replicated dynamic state.
+	// Replicated dynamic state, held flat: the monitored counters are a
+	// slab (order free, swap-removed) indexed by monIdx, the overflow
+	// table is a key index whose values are the counts themselves. Both
+	// indexes hash with hierarchy.PrefixHasher(0) — the hasher
+	// core.BuildHHHSnapshot builds under — so materializing the overflow
+	// table is a slab copy.
 	updates, items uint64
-	mon            map[hierarchy.Prefix]monEntry
-	over           map[hierarchy.Prefix]int32
+	mon            []spacesaving.Counter[hierarchy.Prefix]
+	monIdx         *keyidx.Index[hierarchy.Prefix]
+	over           *keyidx.Index[hierarchy.Prefix]
 
 	// Restore plane (checkpoint chains only).
 	untilBlock   uint64
@@ -53,17 +60,53 @@ type State struct {
 	forcedDrains uint64
 	queues       [][]hierarchy.Prefix
 
-	// Materialization scratch.
+	// Materialization scratch: the monitored slab in wire order.
 	monBuf []spacesaving.Counter[hierarchy.Prefix]
-	ovBuf  []core.OverflowEntry[hierarchy.Prefix]
 }
 
 // NewState returns an empty follower state awaiting its first base.
 func NewState() *State {
+	// Both tables start small and grow with what records carry, so an
+	// empty or hostile chain never sizes an allocation.
+	hash := hierarchy.PrefixHasher(0)
 	return &State{
-		mon:  map[hierarchy.Prefix]monEntry{},
-		over: map[hierarchy.Prefix]int32{},
+		monIdx: keyidx.MustNew(8, hash),
+		over:   keyidx.MustNew(8, hash),
 	}
+}
+
+// setEntry installs one key's replicated state: a monitored counter
+// (count 0: not monitored) and an overflow-table value (0: absent).
+func (st *State) setEntry(key hierarchy.Prefix, count, errTerm uint64, b int32) {
+	h := st.monIdx.Hash(key)
+	pos, monitored := st.monIdx.GetH(key, h)
+	switch {
+	case count > 0 && monitored:
+		st.mon[pos].Count, st.mon[pos].Err = count, errTerm
+	case count > 0:
+		st.monIdx.PutH(key, int32(len(st.mon)), h)
+		st.mon = append(st.mon, spacesaving.Counter[hierarchy.Prefix]{Key: key, Count: count, Err: errTerm})
+	case monitored:
+		// Swap-remove: the last counter takes the freed position.
+		last := len(st.mon) - 1
+		if moved := st.mon[last]; int(pos) != last {
+			st.mon[pos] = moved
+			st.monIdx.Put(moved.Key, pos)
+		}
+		st.mon = st.mon[:last]
+		st.monIdx.DeleteH(key, h)
+	}
+	if b > 0 {
+		st.over.PutH(key, b, h)
+	} else {
+		st.over.DeleteH(key, h)
+	}
+}
+
+// clearMonitored empties the monitored set.
+func (st *State) clearMonitored() {
+	st.mon = st.mon[:0]
+	st.monIdx.Flush()
 }
 
 // Based reports whether a base has been applied.
@@ -89,8 +132,8 @@ func (st *State) Hierarchy() hierarchy.Hierarchy { return st.hier }
 func (st *State) Reset() {
 	st.based = false
 	st.chain, st.epoch = 0, 0
-	clear(st.mon)
-	clear(st.over)
+	st.clearMonitored()
+	st.over.Flush()
 	st.queues = nil
 }
 
@@ -168,14 +211,15 @@ func (st *State) applyBase(h codec.Header, c *codec.Cursor, chain, epoch uint64)
 	st.scale = mem.Scale()
 	st.updates = mem.Updates()
 	st.items = mem.Items()
-	clear(st.mon)
-	clear(st.over)
+	st.clearMonitored()
+	st.over.Flush()
 	mem.Monitored(func(cn spacesaving.Counter[hierarchy.Prefix]) bool {
-		st.mon[cn.Key] = monEntry{count: cn.Count, err: cn.Err}
+		st.monIdx.Put(cn.Key, int32(len(st.mon)))
+		st.mon = append(st.mon, cn)
 		return true
 	})
 	mem.Overflowed(func(key hierarchy.Prefix, b int32) bool {
-		st.over[key] = b
+		st.over.Put(key, b)
 		return true
 	})
 	if restorable {
@@ -217,10 +261,10 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 	// Mutation begins here: a corrupt tail leaves the state partially
 	// patched, which Apply's contract covers by unbasing below.
 	if h.Flags&codec.FlagClearMonitored != 0 {
-		clear(st.mon)
+		st.clearMonitored()
 	}
 	if h.Flags&codec.FlagClearOverflow != 0 {
-		clear(st.over)
+		st.over.Flush()
 	}
 	st.updates, st.items = updates, items
 	for i := 0; i < nEntries; i++ {
@@ -243,16 +287,7 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 			st.based = false
 			return codec.Corruptf("overflow count %d out of range", b)
 		}
-		if count > 0 {
-			st.mon[key] = monEntry{count: count, err: errTerm}
-		} else {
-			delete(st.mon, key)
-		}
-		if b > 0 {
-			st.over[key] = int32(b)
-		} else {
-			delete(st.over, key)
-		}
+		st.setEntry(key, count, errTerm, int32(b))
 	}
 	if st.restorable {
 		if err := st.applyRestorePlane(c); err != nil {
@@ -317,26 +352,15 @@ func (st *State) Snapshot() (*core.HHHSnapshot, error) {
 	if !st.based {
 		return nil, fmt.Errorf("%w: no base applied", ErrEpochGap)
 	}
-	st.monBuf = st.monBuf[:0]
-	//memento:allow det "collected then sorted by (count, key) below"
-	for key, e := range st.mon {
-		st.monBuf = append(st.monBuf, spacesaving.Counter[hierarchy.Prefix]{Key: key, Count: e.count, Err: e.err})
-	}
-	// Ties must break on the full key: the map's iteration order would
-	// otherwise leak into the snapshot bytes and base+delta chains
-	// built by different replicas would hash differently.
+	// Wire order for the monitored counters: ascending count, ties on
+	// the full key, so replicas that reached the same state through
+	// different chains materialize the same bytes. The overflow table
+	// needs no order — it goes over as a slab copy.
+	st.monBuf = append(st.monBuf[:0], st.mon...)
 	slices.SortFunc(st.monBuf, func(a, b spacesaving.Counter[hierarchy.Prefix]) int {
 		if c := cmp.Compare(a.Count, b.Count); c != 0 {
 			return c
 		}
-		return comparePrefix(a.Key, b.Key)
-	})
-	st.ovBuf = st.ovBuf[:0]
-	//memento:allow det "collected then sorted by key below"
-	for key, b := range st.over {
-		st.ovBuf = append(st.ovBuf, core.OverflowEntry[hierarchy.Prefix]{Key: key, Overflows: b})
-	}
-	slices.SortFunc(st.ovBuf, func(a, b core.OverflowEntry[hierarchy.Prefix]) int {
 		return comparePrefix(a.Key, b.Key)
 	})
 	spec := core.SnapshotSpec[hierarchy.Prefix]{
@@ -346,7 +370,7 @@ func (st *State) Snapshot() (*core.HHHSnapshot, error) {
 		Scale:       st.scale,
 		Updates:     st.updates,
 		Items:       st.items,
-		Overflow:    st.ovBuf,
+		Overflow:    st.over,
 		Monitored:   st.monBuf,
 	}
 	if st.restorable {
@@ -361,8 +385,8 @@ func (st *State) Snapshot() (*core.HHHSnapshot, error) {
 	return core.BuildHHHSnapshot(st.hier, st.comp, spec)
 }
 
-// comparePrefix is the canonical total order on prefixes used
-// wherever map-collected entries must serialize deterministically.
+// comparePrefix is the canonical total order on prefixes, used
+// wherever order-free tables must serialize deterministically.
 func comparePrefix(a, b hierarchy.Prefix) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c

@@ -15,9 +15,7 @@
 //     slabs; no per-operation allocation, ever.
 //   - Flush is O(1): slots carry a generation stamp and emptying the
 //     index just bumps the live generation, which Memento exploits at
-//     every frame boundary (the seed's map-based Flush was O(k)) and
-//     the delta-replication plane at every capture (draining a dirty
-//     key set costs one stamp bump, not a scan).
+//     every frame boundary (the seed's map-based Flush was O(k)).
 //   - The hash function is caller-supplied, so layers that already
 //     hash each key (internal/shard partitions by hash) can share one
 //     hash computation per packet via the *H method variants instead
@@ -401,8 +399,8 @@ func (x *Index[K]) unplace(i uint64) {
 // order is unspecified and changes across mutations. The index must
 // not be mutated during iteration. An empty index returns without
 // touching the slab — freshly Flushed scratch sets (query dedup, the
-// delta plane's dirty sets between quiet captures) are the common
-// case and cost nothing to walk.
+// delta encoder's overflow-log scratch between quiet captures) are the
+// common case and cost nothing to walk.
 //memento:noalloc
 func (x *Index[K]) Iterate(fn func(key K, val int32) bool) {
 	if x.n == 0 {

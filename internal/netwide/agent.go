@@ -811,7 +811,10 @@ func (a *Agent) captureLocked() (outFrame, bool) {
 
 // captureDeltaLocked advances the replication chain one record; the
 // caller holds a.mu. The tracker decides base vs delta itself (first
-// report, forced re-base, detected reset).
+// report, forced re-base, detected reset). A delta is diffed straight
+// from the live sketch — a scan of the counter slots the interval
+// touched, no copy — which is why it can run on the Observe path under
+// the lock; only a base copies the sketch.
 //
 //memento:locked mu
 func (a *Agent) captureDeltaLocked() (outFrame, bool) {

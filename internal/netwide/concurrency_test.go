@@ -4,7 +4,9 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
+	"memento/internal/core"
 	"memento/internal/hierarchy"
 )
 
@@ -86,4 +88,79 @@ func TestBroadcastDuringChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	_ = net.IPv4len
+}
+
+// TestOutputMergedBesideDeltaApply runs OutputMerged while the agent
+// handlers apply chain records as fast as two agents can produce them.
+// A snapshot the controller has published is immutable: the handler
+// installs a fresh one per record and never patches the old one,
+// whatever delta.State reuses internally. The reader fingerprints every
+// published snapshot before and after a merge over it; a handler
+// writing into published memory changes the fingerprint and, under
+// -race, is reported as a data race. The agents keep reporting until
+// the reader has watched snapshots being replaced under it.
+func TestOutputMergedBesideDeltaApply(t *testing.T) {
+	hier := hierarchy.OneD{}
+	params := Params{Budget: 1, BatchSize: 1, Window: 1 << 12}
+	ctrl, agents := deltaFleet(t, hier, params, 256, 2, ReportDelta, 0)
+	stream := fleetStream(1<<14, 11)
+
+	stop := make(chan struct{})
+	var feed sync.WaitGroup
+	defer feed.Wait()
+	defer close(stop)
+	for _, a := range agents {
+		feed.Add(1)
+		go func(a *Agent) {
+			defer feed.Done()
+			for {
+				for _, p := range stream {
+					a.Observe(p)
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(a)
+	}
+
+	probes := make([]hierarchy.Prefix, 0, 5*32)
+	for _, p := range stream[:32] {
+		for i := 0; i < hier.H(); i++ {
+			probes = append(probes, hier.Prefix(p, i))
+		}
+	}
+	fingerprint := func(snap *core.HHHSnapshot) float64 {
+		sum := float64(snap.Updates())
+		snap.Sketch().ForEachEstimate(func(_ hierarchy.Prefix, upper, lower float64) bool {
+			sum += upper + lower
+			return true
+		})
+		for _, p := range probes {
+			sum += snap.Query(p)
+		}
+		return sum
+	}
+	var snaps []*core.HHHSnapshot
+	var before []float64
+	seen := map[*core.HHHSnapshot]bool{}
+	for deadline := time.Now().Add(30 * time.Second); len(seen) < 16; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reader saw %d distinct snapshots (%d records applied)", len(seen), ctrl.Deltas())
+		}
+		snaps = ctrl.MergedSnapshots(snaps[:0])
+		before = before[:0]
+		for _, snap := range snaps {
+			before = append(before, fingerprint(snap))
+			seen[snap] = true
+		}
+		ctrl.OutputMerged(0.05)
+		for i, snap := range snaps {
+			if got := fingerprint(snap); got != before[i] {
+				t.Fatalf("published snapshot changed under a merge: fingerprint %g, was %g", got, before[i])
+			}
+		}
+	}
 }

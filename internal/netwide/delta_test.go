@@ -189,6 +189,17 @@ func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 	if chainCtrl.Resyncs() == 0 {
 		t.Fatal("forced gap produced no resync")
 	}
+	// The healing base ships outside the cadence, so the frame count
+	// can be reached one record early: wait for every agent's final
+	// record itself, which carries its whole cumulative coverage.
+	waitFor(t, "every chain agent's final record", func() bool {
+		for _, st := range chainCtrl.AgentStats() {
+			if st.Covered != uint64(total/agents) {
+				return false
+			}
+		}
+		return true
+	})
 
 	for _, theta := range []float64{0.02, 0.05, 0.15} {
 		entriesEqual(t, fmt.Sprintf("theta %g", theta),

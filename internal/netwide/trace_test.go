@@ -32,6 +32,11 @@ func driveTraced(t *testing.T, ctrl *Controller, addr string, trace bool) *Agent
 	}
 	t.Cleanup(func() { a.Close() })
 	waitFor(t, "agent to join", func() bool { return ctrl.Agents() == 1 })
+	if trace && !ctrl.cfg.DisableTracing {
+		// The probe's ack races the stream: without this wait a fast
+		// enough agent ships every report before tracing is on.
+		waitFor(t, "tracing to be negotiated", func() bool { return a.Stats().Traced })
+	}
 	src := rng.New(9)
 	for i := 0; i < 50000; i++ {
 		a.Observe(hierarchy.Packet{Src: src.Uint32() >> 12})

@@ -34,7 +34,7 @@ func (s *HHH) EnableDeltaCheckpoints(chain uint64) error {
 	trackers := make([]*delta.Tracker, len(s.shards))
 	for i := range s.shards {
 		sl := &s.shards[i]
-		// Enabling hooks the sketch's dirty plane; take the shard lock
+		// Enabling hooks the sketch's delta plane; take the shard lock
 		// so it never races concurrent ingestion (updates landing in
 		// the window would go unmarked — exactly the silent divergence
 		// chains exist to prevent).
@@ -61,14 +61,15 @@ func (s *HHH) EnableDeltaCheckpoints(chain uint64) error {
 // whether a base was written. It implements delta.Source, so a
 // delta.Checkpointer can drive it directly. Capture follows the read
 // plane's discipline (one lock acquisition per shard, held for the
-// slab copy); encoding and writing happen outside the locks.
+// slab copy and the slot diff); encoding and writing happen outside
+// the locks.
 func (s *HHH) WriteChain(w io.Writer, rebase bool) (bool, error) {
 	if s.trackers == nil {
 		return false, errors.New("shard: delta checkpoints not enabled")
 	}
 	// Capture every shard first, then decide the step flavor: if any
 	// shard must rebase (first step, forced, or a reset was detected
-	// in its dirty interval), every shard rebases, keeping the file's
+	// in its drained interval), every shard rebases, keeping the file's
 	// records uniform so a chain always restarts from one .base file.
 	for i := range s.shards {
 		sl := &s.shards[i]

@@ -69,9 +69,15 @@ type Sketch[K comparable] struct {
 	mergeIdx *keyidx.Index[K]
 
 	// onEvict, when set, observes the key each saturated Add evicts
-	// (before it is replaced). The Memento delta plane uses it to mark
-	// evicted keys dirty; nil costs the eviction branch one compare.
+	// (before it is replaced); nil costs the eviction branch one compare.
 	onEvict func(K)
+
+	// marks, when non-nil (TrackSlots), is a k-bit bitmap of the counter
+	// slots Add touched since the last DrainSlotMarks. A monitored key
+	// keeps its slot until it is evicted or the sketch is flushed, so
+	// the Memento delta plane diffs by slot position and never looks a
+	// key up; nil costs each Add branch one compare.
+	marks []uint64
 
 	// evictObs counts evictions for the obs plane, independent of
 	// onEvict so instrumentation composes with delta tracking. A nil
@@ -254,11 +260,13 @@ func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.idx.Hash(key))
 func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 	s.items++
 	if ci, ok := s.idx.GetH(key, h); ok {
+		s.mark(ci)
 		return s.increment(ci)
 	}
 	if int(s.used) < len(s.counters) {
 		ci := s.used
 		s.used++
+		s.mark(ci)
 		c := &s.counters[ci]
 		c.key = key
 		c.err = 0
@@ -290,7 +298,15 @@ func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 	c.key = key
 	c.err = minCount
 	s.idx.PutH(key, ci, h)
+	s.mark(ci)
 	return s.increment(ci)
+}
+
+// mark records that Add touched counter slot ci.
+func (s *Sketch[K]) mark(ci int32) {
+	if s.marks != nil {
+		s.marks[ci>>6] |= 1 << (uint32(ci) & 63)
+	}
 }
 
 // Min returns the minimum counter value, or 0 while free counters
@@ -322,9 +338,52 @@ func (s *Sketch[K]) QueryHashed(key K, h uint64) uint64 {
 // SetEvictHook installs fn as the eviction observer: every saturated
 // Add that replaces a monitored key first passes the outgoing key to
 // fn. Pass nil to remove the hook. CopyInto does not propagate it
-// (copies are read-only snapshots), and Merge bypasses it — a sketch
-// whose evictions are being tracked must not be merged into.
+// (copies are read-only snapshots), and Merge bypasses it.
 func (s *Sketch[K]) SetEvictHook(fn func(K)) { s.onEvict = fn }
+
+// TrackSlots switches on slot marking: from now on every Add sets the
+// bit of the counter slot it incremented, allocated or re-keyed.
+// Idempotent. CopyInto does not propagate the marks (copies are
+// read-only snapshots); Merge and RestoreEntry do not mark — a sketch
+// whose slots are being tracked must not be merged into, and a restore
+// invalidates whatever the marks described.
+func (s *Sketch[K]) TrackSlots() {
+	if s.marks == nil {
+		s.marks = make([]uint64, (len(s.counters)+63)/64)
+	}
+}
+
+// DrainSlotMarks copies the slot bitmap into dst (bit i set: Add
+// touched slot i since the previous drain), clears the live one and
+// returns dst resized to ⌈Cap()/64⌉ words. Flush does not clear marks,
+// so a bit may name a slot at or past Len(); such a slot holds nothing.
+// Without TrackSlots the result is empty.
+//memento:noalloc
+func (s *Sketch[K]) DrainSlotMarks(dst []uint64) []uint64 {
+	dst = append(dst[:0], s.marks...)
+	clear(s.marks)
+	return dst
+}
+
+// Slot returns the counter held by slot i, 0 ≤ i < Len(). A key keeps
+// the slot Add gave it until it is evicted (the slot is re-keyed in
+// place) or the sketch is flushed, and CopyInto preserves slot
+// numbers, so position identifies a counter across captures.
+//memento:noalloc
+func (s *Sketch[K]) Slot(i int) Counter[K] {
+	c := &s.counters[i]
+	return Counter[K]{Key: c.key, Count: s.buckets[c.bucket].count, Err: c.err}
+}
+
+// SlotOfHashed returns the slot monitoring key, or -1, given the
+// caller-computed hash (which must equal Hash(key)).
+//memento:noalloc
+func (s *Sketch[K]) SlotOfHashed(key K, h uint64) int {
+	if ci, ok := s.idx.GetH(key, h); ok {
+		return int(ci)
+	}
+	return -1
+}
 
 // SetEvictCounter installs c as the eviction counter (nil disables):
 // every saturated Add increments it. Orthogonal to SetEvictHook so
@@ -333,8 +392,7 @@ func (s *Sketch[K]) SetEvictCounter(c *obs.Counter) { s.evictObs = c }
 
 // Lookup returns key's monitored counter, if any — unlike Query it
 // distinguishes "monitored with count c" from "absent, Min() = c" and
-// carries the per-counter error term. The delta plane probes captured
-// state with it to serialize exactly the counters that changed.
+// carries the per-counter error term.
 func (s *Sketch[K]) Lookup(key K) (Counter[K], bool) {
 	return s.LookupHashed(key, s.idx.Hash(key))
 }
@@ -408,8 +466,9 @@ func (s *Sketch[K]) CopyInto(dst *Sketch[K]) {
 // entry under the live index's own hash function instead of trusting
 // a foreign slab layout. The sketch must have a free counter and must
 // not already monitor key. Feeding entries in non-decreasing count
-// order (the wire format's order, and Iterate's) keeps the bucket
-// walk O(1) per insert; other orders are correct but slower.
+// order (the wire format's order, and Iterate's) makes each insert
+// O(1) — the bucket walk resumes at the previous entry's bucket; other
+// orders are correct but walk from the minimum.
 func (s *Sketch[K]) RestoreEntry(key K, count, err uint64) error {
 	if int(s.used) >= len(s.counters) {
 		return fmt.Errorf("spacesaving: restore exceeds %d counters", len(s.counters))
@@ -420,10 +479,11 @@ func (s *Sketch[K]) RestoreEntry(key K, count, err uint64) error {
 	if err >= count {
 		return fmt.Errorf("spacesaving: restored error %d not below count %d", err, count)
 	}
-	if _, ok := s.idx.Get(key); ok {
+	h := s.idx.Hash(key)
+	if _, ok := s.idx.GetH(key, h); ok {
 		return errors.New("spacesaving: duplicate restored key")
 	}
-	s.insertAt(key, count, err)
+	s.insertAt(key, count, err, h)
 	return nil
 }
 
@@ -528,13 +588,14 @@ func (s *Sketch[K]) Merge(other *Sketch[K]) {
 		limit = len(buf)
 	}
 	for i := len(buf) - limit; i < len(buf); i++ {
-		s.insertAt(buf[i].key, buf[i].count, buf[i].err)
+		s.insertAt(buf[i].key, buf[i].count, buf[i].err, s.idx.Hash(buf[i].key))
 	}
 	s.mergeBuf = buf[:0]
 }
 
-// insertAt installs key with an explicit count (used by Merge only).
-func (s *Sketch[K]) insertAt(key K, count, err uint64) {
+// insertAt installs key (with hash h) at an explicit count; Merge and
+// RestoreEntry build sketches with it.
+func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	if int(s.used) >= len(s.counters) {
 		return
 	}
@@ -543,12 +604,20 @@ func (s *Sketch[K]) insertAt(key K, count, err uint64) {
 	c := &s.counters[ci]
 	c.key = key
 	c.err = err
-	s.idx.Put(key, ci)
-	// Find insert position: walk from head. Merge inserts in ascending
-	// count order, so the target is at or near the tail; walk from head
-	// is O(buckets) worst case but Merge is control-plane.
+	s.idx.PutH(key, ci, h)
+	// Find the insert position. Both callers feed ascending counts, so
+	// the walk starts at the bucket of the counter allocated just before
+	// this one (live by construction: slots fill in order and a counter
+	// always names its current bucket) and the target is that bucket or
+	// a new one right after it; any other order falls back to walking
+	// from the minimum.
 	var prev int32 = nilIdx
 	bi := s.headB
+	if ci > 0 {
+		if last := s.counters[ci-1].bucket; s.buckets[last].count <= count {
+			prev, bi = s.buckets[last].prev, last
+		}
+	}
 	for bi != nilIdx && s.buckets[bi].count < count {
 		prev = bi
 		bi = s.buckets[bi].next

@@ -1,6 +1,8 @@
 package spacesaving
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -421,5 +423,86 @@ func TestHashedQueryVariantsMatch(t *testing.T) {
 		if u1 != u2 || l1 != l2 {
 			t.Fatalf("QueryBoundsHashed(%d) = (%d, %d), QueryBounds = (%d, %d)", k, u1, l1, u2, l2)
 		}
+	}
+}
+
+// TestSlotMarksNameTouchedSlots pins the slot-tracking contract the
+// Memento delta plane builds on: between two drains the marked slots
+// are exactly the slots whose counter changed, a key's slot is stable
+// until it is evicted, and Slot/SlotOfHashed agree with Lookup.
+func TestSlotMarksNameTouchedSlots(t *testing.T) {
+	r := rng.New(11)
+	s := MustNew[uint64](16)
+	s.TrackSlots()
+	var marks []uint64
+	prev := make([]Counter[uint64], s.Cap())
+	for round := 0; round < 400; round++ {
+		for i, n := 0, 1+int(r.Uint64()%24); i < n; i++ {
+			s.Add(r.Uint64() % 40)
+		}
+		if round%97 == 96 {
+			s.Flush() // marks survive a flush; slots are handed out afresh
+			clear(prev)
+		}
+		marks = s.DrainSlotMarks(marks)
+		for i := 0; i < s.Cap(); i++ {
+			marked := marks[i>>6]&(1<<(i&63)) != 0
+			if i >= s.Len() {
+				continue // stale or unused: holds nothing
+			}
+			cur := s.Slot(i)
+			if cur != prev[i] && !marked {
+				t.Fatalf("round %d: slot %d went %+v -> %+v unmarked", round, i, prev[i], cur)
+			}
+			if got := s.SlotOfHashed(cur.Key, s.Hash(cur.Key)); got != i {
+				t.Fatalf("round %d: SlotOfHashed(%d) = %d, key sits in slot %d", round, cur.Key, got, i)
+			}
+			if c, ok := s.Lookup(cur.Key); !ok || c != cur {
+				t.Fatalf("round %d: Lookup %+v vs Slot %+v", round, c, cur)
+			}
+			prev[i] = cur
+		}
+	}
+	if marks = s.DrainSlotMarks(marks); slices.ContainsFunc(marks, func(w uint64) bool { return w != 0 }) {
+		t.Fatal("a drain left marks behind")
+	}
+	if s.SlotOfHashed(1<<40, s.Hash(1<<40)) != -1 {
+		t.Fatal("unmonitored key has a slot")
+	}
+}
+
+// TestRestoreEntryAnyOrder checks the bucket walk's resume point:
+// ascending input (the wire order, O(1) per insert) and arbitrary
+// input build the same sketch.
+func TestRestoreEntryAnyOrder(t *testing.T) {
+	r := rng.New(3)
+	entries := make([]Counter[uint64], 200)
+	for i := range entries {
+		count := 1 + r.Uint64()%30
+		entries[i] = Counter[uint64]{Key: uint64(i), Count: count, Err: r.Uint64() % count}
+	}
+	build := func(in []Counter[uint64]) *Sketch[uint64] {
+		s := MustNew[uint64](len(in))
+		for _, e := range in {
+			if err := s.RestoreEntry(e.Key, e.Count, e.Err); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkStructure(t, s)
+		return s
+	}
+	shuffled := build(entries)
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b Counter[uint64]) int { return cmp.Compare(a.Count, b.Count) })
+	ascending := build(sorted)
+	for _, e := range entries {
+		for _, s := range []*Sketch[uint64]{shuffled, ascending} {
+			if c, ok := s.Lookup(e.Key); !ok || c != e {
+				t.Fatalf("restored %+v, want %+v", c, e)
+			}
+		}
+	}
+	if shuffled.Min() != ascending.Min() {
+		t.Fatalf("Min %d vs %d", shuffled.Min(), ascending.Min())
 	}
 }
