@@ -24,6 +24,7 @@ import (
 	"memento/internal/core"
 	"memento/internal/hierarchy"
 	"memento/internal/netwide"
+	"memento/internal/obs"
 	"memento/internal/shard"
 )
 
@@ -47,7 +48,7 @@ type auditPoint struct {
 	Violations int     `json:"violations"`   // comparisons outside the bound
 	MaxAbsErr  float64 `json:"max_abs_err"`  // worst |upper − exact| this checkpoint
 	Bound      float64 `json:"bound"`        // guaranteed Nε bound at this checkpoint
-	FreshNs    uint64  `json:"freshness_ns"` // capture→apply p99 so far
+	FreshNs    uint64  `json:"freshness_ns"` // capture→apply p99 of the reports applied since the previous checkpoint
 }
 
 // auditReport is the accuracy-trajectory section of BENCH_query.json.
@@ -153,6 +154,7 @@ func runAudit(cfg auditConfig) (auditReport, error) {
 	chunk := cfg.Packets / cfg.Intervals
 	pos := 0
 	var prevSent uint64
+	var prevFresh obs.HistSnapshot
 	for ck := 0; ck < cfg.Intervals; ck++ {
 		end := pos + chunk
 		if ck == cfg.Intervals-1 {
@@ -211,10 +213,13 @@ func runAudit(cfg auditConfig) (auditReport, error) {
 			return rep, fmt.Errorf("checkpoint %d: shadow oracle overflowed; raise -audit-shift", ck)
 		}
 		fresh := ctrl.CaptureApply()
+		interval := fresh
+		interval.Sub(&prevFresh)
+		prevFresh = fresh
 		rep.Trajectory = append(rep.Trajectory, auditPoint{
 			Pos: res.Pos, Keys: res.Keys, Checks: res.Checks,
 			Violations: res.Violations, MaxAbsErr: res.MaxAbsErr, Bound: res.Bound,
-			FreshNs: fresh.P99(),
+			FreshNs: interval.P99(),
 		})
 		rep.Bound = res.Bound
 	}

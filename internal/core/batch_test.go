@@ -54,13 +54,12 @@ func TestWindowAdvanceMatchesWindowUpdate(t *testing.T) {
 			t.Fatalf("after %d packets: overflow table sizes %d != %d",
 				total, bulk.overflow.Len(), ref.overflow.Len())
 		}
-		ref.overflow.Iterate(func(key int, n int32) bool {
-			if got, _ := bulk.overflow.Get(key); got != n {
+		for _, e := range ref.overflow.Entries() {
+			if got, _ := bulk.overflow.Get(e.Key); got != e.Val {
 				t.Fatalf("after %d packets: overflow[%d] = %d, want %d",
-					total, key, got, n)
+					total, e.Key, got, e.Val)
 			}
-			return true
-		})
+		}
 		for key := 0; key < 7; key++ {
 			if got, want := bulk.Query(key), ref.Query(key); got != want {
 				t.Fatalf("after %d packets: Query(%d) = %v, want %v", total, key, got, want)

@@ -263,7 +263,7 @@ type SnapshotSpec[K comparable] struct {
 	// Overflow is the overflow table B, counts positive, built under
 	// the hasher handed to BuildSnapshot; nil is an empty table. The
 	// built snapshot takes a slab copy — no per-entry work, no order.
-	Overflow *keyidx.Index[K]
+	Overflow *keyidx.Counts[K]
 	// Monitored are the in-frame Space Saving counters in ascending
 	// count order, each with Err < Count.
 	Monitored []spacesaving.Counter[K]
@@ -310,15 +310,12 @@ func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Sn
 	if spec.Overflow != nil {
 		spec.Overflow.CopyInto(&snap.overflow)
 	} else {
-		snap.overflow = *keyidx.MustNew[K](1, hash)
+		snap.overflow = *keyidx.MustNewCounts[K](1, hash)
 	}
-	positive := true
-	snap.overflow.Iterate(func(_ K, b int32) bool {
-		positive = b > 0
-		return positive
-	})
-	if !positive {
-		return nil, codec.Corruptf("overflow count out of range")
+	for _, e := range snap.overflow.Entries() {
+		if e.Val <= 0 {
+			return nil, codec.Corruptf("overflow count out of range")
+		}
 	}
 
 	if uint64(len(spec.Monitored)) > k {

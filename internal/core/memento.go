@@ -91,7 +91,7 @@ type Item[K comparable] struct {
 // Sketch is a Memento instance over keys of type K.
 type Sketch[K comparable] struct {
 	y        *spacesaving.Sketch[K]
-	overflow *keyidx.Index[K] // the paper's B table, pointer-free
+	overflow *keyidx.Counts[K] // the paper's B table: dense entry slab behind int32 buckets
 	ring     blockRing[K]
 
 	k            int    // number of blocks / counters
@@ -189,9 +189,13 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 	// A window sees up to τ·W/blockCounts = k·τ·scale overflows, which
 	// bounds B's population: k keys for plain Memento (scale = 1/τ),
 	// but H·k under H-Memento's Scale: V, where the threshold drops to
-	// W/(V·k) counts (DESIGN.md §4). The table starts sized for k and
-	// grows to whatever the stream needs.
-	overflow, err := keyidx.New[K](2*(k+1), hash)
+	// W/(V·k) counts (DESIGN.md §4). B is reserved for that bound here,
+	// so a filling table never rehashes inside an ingest critical
+	// section; W/blockCounts caps it where the threshold clamps to one
+	// count. Growth stays as the cold path for a stream that exceeds it
+	// (the ring spans k+1 blocks, and the Full-update count is random).
+	reserve := min(int(math.Ceil(float64(k)*tau*scale)), int(window/blockCounts))
+	overflow, err := keyidx.NewCounts[K](max(reserve, 1), hash)
 	if err != nil {
 		return nil, err
 	}
@@ -536,22 +540,24 @@ func (s *Sketch[K]) Query(x K) float64 {
 	if s.hash != nil {
 		return queryEstimate(s.overflow, s.y, s.blockCounts, s.scale, x, s.hash(x))
 	}
-	b, ok := s.overflow.Get(x)
-	if ok {
-		rem := s.y.Query(x) % s.blockCounts
-		return s.scale * (float64(s.blockCounts)*float64(b+2) + float64(rem))
+	if b, ok := s.overflow.Get(x); ok {
+		return overflowUpper(s.scale, s.blockCounts, b, s.y.Query(x))
 	}
 	return s.scale * (2*float64(s.blockCounts) + float64(s.y.Query(x)))
+}
+
+// overflowUpper is the Algorithm 1 estimate of a key with b overflows
+// in the window and in-frame count c.
+func overflowUpper(scale float64, blockCounts uint64, b int32, c uint64) float64 {
+	return scale * (float64(blockCounts)*float64(b+2) + float64(c%blockCounts))
 }
 
 // queryEstimate is the Algorithm 1 estimate over an overflow table
 // and in-frame counter sharing one key hash; Sketch.Query and
 // Snapshot.Query both reduce to it.
-func queryEstimate[K comparable](overflow *keyidx.Index[K], y *spacesaving.Sketch[K], blockCounts uint64, scale float64, x K, h uint64) float64 {
-	b, ok := overflow.GetH(x, h)
-	if ok {
-		rem := y.QueryHashed(x, h) % blockCounts
-		return scale * (float64(blockCounts)*float64(b+2) + float64(rem))
+func queryEstimate[K comparable](overflow *keyidx.Counts[K], y *spacesaving.Sketch[K], blockCounts uint64, scale float64, x K, h uint64) float64 {
+	if b, ok := overflow.GetH(x, h); ok {
+		return overflowUpper(scale, blockCounts, b, y.QueryHashed(x, h))
 	}
 	return scale * (2*float64(blockCounts) + float64(y.QueryHashed(x, h)))
 }
@@ -598,7 +604,11 @@ func (s *Sketch[K]) boundsFrom(upper float64) (float64, float64) {
 // guaranteed to appear (Section 4.1: "every heavy hitter must overflow
 // in the window"). The sketch must not be mutated during iteration.
 func (s *Sketch[K]) Overflowed(fn func(key K, overflows int32) bool) {
-	s.overflow.Iterate(fn)
+	for _, e := range s.overflow.Entries() {
+		if !fn(e.Key, e.Val) {
+			return
+		}
+	}
 }
 
 // OverflowEntries returns the number of keys in the overflow table.
@@ -609,12 +619,12 @@ func (s *Sketch[K]) OverflowEntries() int { return s.overflow.Len() }
 // and returns dst. theta is the paper's θ ∈ (0, 1).
 func (s *Sketch[K]) HeavyHitters(theta float64, dst []Item[K]) []Item[K] {
 	threshold := theta * float64(s.window)
-	s.Overflowed(func(key K, _ int32) bool {
-		if est := s.Query(key); est >= threshold {
-			dst = append(dst, Item[K]{Key: key, Estimate: est})
+	for _, e := range s.overflow.Entries() {
+		// Query(e.Key) without probing B again for the entry in hand.
+		if est := overflowUpper(s.scale, s.blockCounts, e.Val, s.y.Query(e.Key)); est >= threshold {
+			dst = append(dst, Item[K]{Key: e.Key, Estimate: est})
 		}
-		return true
-	})
+	}
 	return dst
 }
 

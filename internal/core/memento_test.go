@@ -230,6 +230,9 @@ func TestHeavyHitters(t *testing.T) {
 	found = map[uint64]bool{}
 	for _, item := range hh {
 		found[item.Key] = true
+		if q := s.Query(item.Key); item.Estimate != q {
+			t.Fatalf("HeavyHitters estimates %d at %v, Query says %v", item.Key, item.Estimate, q)
+		}
 	}
 	if !found[1] || !found[2] {
 		t.Fatalf("θ=0.10 must report both heavy flows: %v", hh)

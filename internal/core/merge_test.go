@@ -34,9 +34,10 @@ func randomHHHSnapshot(t *testing.T, src *rng.Source, hier hierarchy.Hierarchy, 
 	spec := SnapshotSpec[hierarchy.Prefix]{
 		Window: k * 512, Counters: k, BlockCounts: blockCounts, Scale: float64(hier.H()), Updates: 1 << 20,
 	}
-	spec.Overflow = keyidx.MustNew[hierarchy.Prefix](150, hierarchy.PrefixHasher(0))
+	spec.Overflow = keyidx.MustNewCounts[hierarchy.Prefix](150, hierarchy.PrefixHasher(0))
 	for i, n := 0, src.Intn(150); i < n; i++ {
-		if p := prefix(); spec.Overflow.Insert(p) {
+		p := prefix()
+		if _, dup := spec.Overflow.Get(p); !dup {
 			// Mostly light keys, a few heavy ones.
 			b := int32(1 + src.Intn(3))
 			if src.Intn(8) == 0 {

@@ -63,9 +63,10 @@ func (snap *Snapshot[K]) AppendTo(dst []byte, kc codec.KeyCodec[K]) []byte {
 }
 
 // appendBody appends the sketch section: configuration scalars, the
-// overflow table, the Space Saving counters (ascending count order —
-// Iterate's bucket order — which the decoder verifies), and, for
-// checkpoint-plane snapshots, the restore plane.
+// overflow table (slab order; the decoder accepts any), the Space
+// Saving counters (ascending count order — Iterate's bucket order —
+// which the decoder verifies), and, for checkpoint-plane snapshots,
+// the restore plane.
 func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, snap.window)
 	dst = binary.BigEndian.AppendUint64(dst, snap.updates)
@@ -74,12 +75,10 @@ func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
 	dst = binary.AppendUvarint(dst, uint64(snap.counters))
 
 	dst = binary.AppendUvarint(dst, uint64(snap.overflow.Len()))
-	//memento:allow alloc "closure does not escape: Iterate only scans (BenchmarkSnapshotEncode gates 0 allocs/op)"
-	snap.overflow.Iterate(func(key K, val int32) bool {
-		dst = kc.AppendKey(dst, key)
-		dst = binary.AppendUvarint(dst, uint64(val))
-		return true
-	})
+	for _, e := range snap.overflow.Entries() {
+		dst = kc.AppendKey(dst, e.Key)
+		dst = binary.AppendUvarint(dst, uint64(e.Val))
+	}
 
 	dst = binary.AppendUvarint(dst, uint64(snap.y.Len()))
 	dst = binary.BigEndian.AppendUint64(dst, snap.y.Items())
@@ -181,7 +180,7 @@ func (snap *Snapshot[K]) decodeBody(c *codec.Cursor, flags uint16, kc codec.KeyC
 	}
 	// New, not MustNew: the capacity derives from decoded input, so a
 	// constructor failure must surface as a decode error, not a panic.
-	ov, err := keyidx.New[K](max(ovLen, 1), hash)
+	ov, err := keyidx.NewCounts[K](max(ovLen, 1), hash)
 	if err != nil {
 		return codec.Corruptf("overflow table: %v", err)
 	}
@@ -327,17 +326,12 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 		return ferr
 	}
 	s.y.SetItems(snap.y.Items())
-	snap.overflow.Iterate(func(key K, val int32) bool {
-		if val <= 0 {
-			ferr = codec.Corruptf("overflow count %d out of range", val)
-			return false
+	for _, e := range snap.overflow.Entries() {
+		if e.Val <= 0 {
+			s.Reset()
+			return codec.Corruptf("overflow count %d out of range", e.Val)
 		}
-		s.overflow.Put(key, val)
-		return true
-	})
-	if ferr != nil {
-		s.Reset()
-		return ferr
+		s.overflow.Put(e.Key, e.Val)
 	}
 	s.ring.restoreFrom(snap.queues)
 	s.untilBlock = snap.untilBlock

@@ -12,12 +12,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"memento/internal/codec"
 	"memento/internal/hierarchy"
 	"memento/internal/keyidx"
 	"memento/internal/rng"
+	"memento/internal/spacesaving"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -395,11 +397,16 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 }
 
 func TestHHHGoldenV1(t *testing.T) {
-	// A fixed configuration and stream pin format v1 byte-for-byte:
-	// any encoder change that breaks old readers fails here instead of
-	// in a future PR's production restart path. Everything feeding the
-	// encoder is deterministic (PrefixHasher keyed by the config seed,
-	// fixed-seed PRNG stream).
+	// A fixed configuration and stream pin format v1: any encoder change
+	// that breaks old readers fails here instead of in a future PR's
+	// production restart path. Everything feeding the encoder is
+	// deterministic (PrefixHasher keyed by the config seed, fixed-seed
+	// PRNG stream). The overflow section is emitted in table order, which
+	// is a property of the table's layout and not of the format — the
+	// decoder takes the entries in any order — so a fresh record is held
+	// to the golden's length and header and to decoding into the golden's
+	// state, not to its bytes. The golden file is never rewritten by a
+	// layout change: old files must keep decoding.
 	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 32 * 5, V: 10, Seed: 61})
 	src := rng.New(62)
 	for i := 0; i < 5000; i++ {
@@ -428,21 +435,62 @@ func TestHHHGoldenV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to create)", err)
 	}
-	if !bytes.Equal(blob, want) {
-		t.Fatalf("encoding of the pinned v1 scenario changed: %d bytes vs golden %d — "+
+	if len(blob) != len(want) || !bytes.Equal(blob[:codec.HeaderSize], want[:codec.HeaderSize]) {
+		t.Fatalf("encoding of the pinned v1 scenario changed: %d bytes vs golden %d, header equal %v — "+
 			"if the format changed intentionally, bump codec.Version and add a new golden",
-			len(blob), len(want))
+			len(blob), len(want), bytes.Equal(blob[:codec.HeaderSize], want[:codec.HeaderSize]))
 	}
 	// The golden file itself must decode and answer sanely.
 	dec, err := DecodeHHHSnapshot(want)
 	if err != nil {
 		t.Fatalf("golden file no longer decodes: %v", err)
 	}
+	fresh, err := DecodeHHHSnapshot(blob)
+	if err != nil {
+		t.Fatalf("fresh record does not decode: %v", err)
+	}
+	sameHHHState(t, dec, fresh)
 	if dec.Updates() != hh.Sketch().Updates() {
 		t.Fatalf("golden Updates %d, want %d", dec.Updates(), hh.Sketch().Updates())
 	}
 	if got, want := dec.OutputTo(0.02, nil), hh.Output(0.02); len(got) != len(want) {
 		t.Fatalf("golden Output has %d entries, want %d", len(got), len(want))
+	}
+}
+
+// sameHHHState asserts two decoded checkpoints hold the same state: the
+// overflow table as a set, the monitored counters and the restore plane
+// exactly, in order.
+func sameHHHState(t *testing.T, want, got *HHHSnapshot) {
+	t.Helper()
+	if !hierarchy.Same(want.hier, got.hier) || want.comp != got.comp {
+		t.Fatalf("hierarchy/compensation (%v, %g), want (%v, %g)", got.hier, got.comp, want.hier, want.comp)
+	}
+	w, g := &want.mem, &got.mem
+	if w.window != g.window || w.updates != g.updates || w.blockCounts != g.blockCounts ||
+		w.scale != g.scale || w.counters != g.counters || w.Items() != g.Items() {
+		t.Fatalf("scalars differ: %+v vs %+v", g, w)
+	}
+	if w.overflow.Len() != g.overflow.Len() {
+		t.Fatalf("%d overflow entries, want %d", g.overflow.Len(), w.overflow.Len())
+	}
+	for _, e := range w.overflow.Entries() {
+		if b, ok := g.overflow.Get(e.Key); !ok || b != e.Val {
+			t.Fatalf("overflow[%v] = %d (present %v), want %d", e.Key, b, ok, e.Val)
+		}
+	}
+	var wantMon, gotMon []spacesaving.Counter[hierarchy.Prefix]
+	w.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool { wantMon = append(wantMon, c); return true })
+	g.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool { gotMon = append(gotMon, c); return true })
+	if !slices.Equal(wantMon, gotMon) {
+		t.Fatalf("monitored counters differ:\n got %v\nwant %v", gotMon, wantMon)
+	}
+	if w.full != g.full || w.untilBlock != g.untilBlock || w.blocksLeft != g.blocksLeft ||
+		w.fullCount != g.fullCount || w.forcedDrains != g.forcedDrains {
+		t.Fatalf("restore plane scalars differ: %+v vs %+v", g, w)
+	}
+	if !slices.EqualFunc(w.queues, g.queues, slices.Equal[[]hierarchy.Prefix]) {
+		t.Fatal("ring queues differ")
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // and the scale/window/update scalars. The zero value is empty and
 // ready for SnapshotInto.
 type Snapshot[K comparable] struct {
-	overflow    keyidx.Index[K]
+	overflow    keyidx.Counts[K]
 	y           spacesaving.Sketch[K]
 	blockCounts uint64
 	scale       float64
@@ -136,7 +136,11 @@ func (snap *Snapshot[K]) Bounds(x K) (upper, lower float64) { return snap.QueryB
 // Overflowed is Sketch.Overflowed against the captured state. Unlike
 // the live iteration, fn runs with no lock held anywhere.
 func (snap *Snapshot[K]) Overflowed(fn func(key K, overflows int32) bool) {
-	snap.overflow.Iterate(fn)
+	for _, e := range snap.overflow.Entries() {
+		if !fn(e.Key, e.Val) {
+			return
+		}
+	}
 }
 
 // ForEachEstimate calls fn once for every key the snapshot has state
@@ -156,43 +160,23 @@ func (snap *Snapshot[K]) ForEachEstimate(fn func(key K, upper, lower float64) bo
 // are rejected on the table entry alone, before the Space Saving
 // probe.
 func (snap *Snapshot[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float64) bool) (swept int) {
-	shared := snap.hash != nil
 	block := snap.scale * float64(snap.blockCounts)
-	stop := false
-	// Overflow keys first: their estimate combines b with the in-frame
-	// count. The stored hash doubles as the Space Saving probe when
-	// both indexes share one hasher.
-	snap.overflow.IterateH(func(key K, b int32, h uint64) bool {
+	// Overflow keys first, straight off the entry slab: their estimate
+	// combines b with the in-frame count, and only the few that pass the
+	// test on b are hashed for the Space Saving probe.
+	for _, e := range snap.overflow.Entries() {
 		swept++
-		if block*float64(b+3) < floor {
-			return true
+		if block*float64(e.Val+3) < floor {
+			continue
 		}
-		var c uint64
-		if shared {
-			c = snap.y.QueryHashed(key, h)
-		} else {
-			c = snap.y.Query(key)
+		u, l := snap.boundsFrom(snap.overflowUpper(e.Val, snap.y.Query(e.Key)))
+		if u >= floor && !fn(e.Key, u, l) {
+			return swept
 		}
-		u, l := snap.boundsFrom(snap.overflowUpper(b, c))
-		if u >= floor && !fn(key, u, l) {
-			stop = true
-			return false
-		}
-		return true
-	})
-	if stop {
-		return swept
 	}
 	// Monitored counters not already covered by the overflow pass.
 	snap.y.Iterate(func(c spacesaving.Counter[K]) bool {
-		var inOverflow bool
-		if shared {
-			h := snap.hash(c.Key)
-			_, inOverflow = snap.overflow.GetH(c.Key, h)
-		} else {
-			_, inOverflow = snap.overflow.Get(c.Key)
-		}
-		if inOverflow {
+		if _, inOverflow := snap.overflow.Get(c.Key); inOverflow {
 			return true
 		}
 		swept++
@@ -234,10 +218,10 @@ func (snap *Snapshot[K]) TrackedBounds(x K) (upper, lower float64, ok bool) {
 	return upper, lower, true
 }
 
-// overflowUpper is the Algorithm 1 estimate of a key with b overflows
-// in the window and in-frame count c.
+// overflowUpper is the estimate of a key with b overflows in the
+// window and in-frame count c.
 func (snap *Snapshot[K]) overflowUpper(b int32, c uint64) float64 {
-	return snap.scale * (float64(snap.blockCounts)*float64(b+2) + float64(c%snap.blockCounts))
+	return overflowUpper(snap.scale, snap.blockCounts, b, c)
 }
 
 // monitoredUpper is the estimate of a key with no overflow entry and
@@ -273,11 +257,11 @@ func (snap *Snapshot[K]) boundsFrom(upper float64) (float64, float64) {
 // HeavyHitters is Sketch.HeavyHitters against the captured state.
 func (snap *Snapshot[K]) HeavyHitters(theta float64, dst []Item[K]) []Item[K] {
 	threshold := theta * float64(snap.window)
-	snap.Overflowed(func(key K, _ int32) bool {
-		if est := snap.Query(key); est >= threshold {
-			dst = append(dst, Item[K]{Key: key, Estimate: est})
+	for _, e := range snap.overflow.Entries() {
+		// Query(e.Key) without probing B again for the entry in hand.
+		if est := snap.overflowUpper(e.Val, snap.y.Query(e.Key)); est >= threshold {
+			dst = append(dst, Item[K]{Key: e.Key, Estimate: est})
 		}
-		return true
-	})
+	}
 	return dst
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"memento/internal/hierarchy"
@@ -74,11 +76,137 @@ func TestSnapshotMatchesLive(t *testing.T) {
 				t.Fatalf("snapshot reports %d heavy hitters, capture-time live %d", len(snapHH), len(liveHH))
 			}
 			for i := range liveHH {
-				if snapHH[i] != liveHH[i] {
-					t.Fatalf("heavy hitter %d: snapshot %+v, live %+v", i, snapHH[i], liveHH[i])
+				if snapHH[i] != liveHH[i] || snapHH[i].Estimate != snap.Query(snapHH[i].Key) {
+					t.Fatalf("heavy hitter %d: snapshot %+v, live %+v, snapshot Query %v",
+						i, snapHH[i], liveHH[i], snap.Query(snapHH[i].Key))
 				}
 			}
 		})
+	}
+}
+
+// checkSnapshotAgainstLive captures s and holds every read the merged
+// query plane makes of the capture — Query, TrackedBounds, ForEachAbove
+// — to the live sketch's own answers. It returns how many keys the
+// sketch tracks.
+func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) int {
+	t.Helper()
+	var snap Snapshot[uint64]
+	s.SnapshotInto(&snap)
+	tracked := map[uint64]bool{}
+	s.Overflowed(func(k uint64, _ int32) bool { tracked[k] = true; return true })
+	for i := 0; i < s.Slots(); i++ {
+		tracked[s.Slot(i).Key] = true
+	}
+	au, al := snap.AbsentBounds()
+	var uppers []float64
+	for k := uint64(0); k < keys; k++ {
+		u, l := s.QueryBounds(k)
+		if got := snap.Query(k); got != s.Query(k) {
+			t.Fatalf("%s: Query(%d) = %v, live %v", tag, k, got, s.Query(k))
+		}
+		tu, tl, ok := snap.TrackedBounds(k)
+		switch {
+		case ok != tracked[k]:
+			t.Fatalf("%s: TrackedBounds(%d) tracked=%v, live state %v", tag, k, ok, tracked[k])
+		case ok && (tu != u || tl != l):
+			t.Fatalf("%s: TrackedBounds(%d) = (%v, %v), live (%v, %v)", tag, k, tu, tl, u, l)
+		case !ok && (u != au || l != al):
+			t.Fatalf("%s: untracked key %d has live bounds (%v, %v), AbsentBounds (%v, %v)", tag, k, u, l, au, al)
+		}
+		if ok {
+			uppers = append(uppers, u)
+		}
+	}
+	if len(uppers) != len(tracked) {
+		t.Fatalf("%s: probed %d tracked keys of %d — widen the key range", tag, len(uppers), len(tracked))
+	}
+	slices.Sort(uppers)
+	floors := []float64{math.Inf(-1), math.Inf(1)}
+	if n := len(uppers); n > 0 {
+		floors = append(floors, uppers[0], uppers[n/2], uppers[n-1], uppers[n-1]+1)
+	}
+	for _, floor := range floors {
+		want := 0
+		for _, u := range uppers {
+			if u >= floor {
+				want++
+			}
+		}
+		visited := map[uint64]bool{}
+		swept := snap.ForEachAbove(floor, func(k uint64, u, l float64) bool {
+			if visited[k] {
+				t.Fatalf("%s: floor %v: key %d visited twice", tag, floor, k)
+			}
+			visited[k] = true
+			if lu, ll := s.QueryBounds(k); u != lu || l != ll || u < floor {
+				t.Fatalf("%s: floor %v: key %d reported (%v, %v), live (%v, %v)", tag, floor, k, u, l, lu, ll)
+			}
+			return true
+		})
+		if len(visited) != want || swept != len(tracked) {
+			t.Fatalf("%s: floor %v: visited %d keys (want %d), swept %d (tracked %d)",
+				tag, floor, len(visited), want, swept, len(tracked))
+		}
+	}
+	return len(tracked)
+}
+
+// TestSnapshotDifferentialAcrossResetAndRestore runs that differential
+// at every stage of a sketch's life: loaded, emptied by Reset, loaded
+// again, rehydrated from an earlier checkpoint, and sliding on from it.
+func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
+	for name, hash := range map[string]func(uint64) uint64{
+		"default-hashers": nil,
+		"shared-hasher":   keyidx.DefaultHasher[uint64](),
+	} {
+		for _, tau := range []float64{1, 1.0 / 8} {
+			cfg := snapshotConfig
+			cfg.Tau = tau
+			s, err := NewWithHash[uint64](cfg, hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := rng.New(18)
+			const keys = 600
+			feed := func(n int) {
+				for i := 0; i < n; i++ {
+					k := uint64(src.Intn(keys))
+					if src.Intn(3) > 0 {
+						k = uint64(src.Intn(12)) // heavy keys
+					}
+					s.Update(k)
+				}
+			}
+			feed(3 << 12)
+			if n := checkSnapshotAgainstLive(t, name+"/loaded", s, keys); n == 0 || s.OverflowEntries() == 0 {
+				t.Fatalf("%s tau=%v: test vacuous: %d tracked keys, %d overflow entries", name, tau, n, s.OverflowEntries())
+			}
+			var cp Snapshot[uint64]
+			s.CheckpointInto(&cp)
+
+			s.Reset()
+			if n := checkSnapshotAgainstLive(t, name+"/reset", s, keys); n != 0 {
+				t.Fatalf("%s tau=%v: %d keys tracked after Reset", name, tau, n)
+			}
+			feed(1 << 12)
+			checkSnapshotAgainstLive(t, name+"/reloaded", s, keys)
+
+			if err := s.RestoreFrom(&cp); err != nil {
+				t.Fatal(err)
+			}
+			checkSnapshotAgainstLive(t, name+"/restored", s, keys)
+			for k := uint64(0); k < keys; k++ { // and the restored sketch is the checkpoint
+				if got, want := s.Query(k), cp.Query(k); got != want {
+					t.Fatalf("%s tau=%v: restored Query(%d) = %v, checkpoint %v", name, tau, k, got, want)
+				}
+			}
+			feed(2 << 12)
+			checkSnapshotAgainstLive(t, name+"/sliding", s, keys)
+			if s.ForcedDrains() != 0 {
+				t.Fatalf("%s tau=%v: %d forced drains after restore", name, tau, s.ForcedDrains())
+			}
+		}
 	}
 }
 

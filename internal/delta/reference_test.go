@@ -310,12 +310,11 @@ func requireSameState(t *testing.T, tag string, a, b *State) {
 	if a.over.Len() != b.over.Len() {
 		t.Fatalf("%s: %d overflow entries vs %d", tag, a.over.Len(), b.over.Len())
 	}
-	a.over.Iterate(func(key hierarchy.Prefix, v int32) bool {
-		if w, ok := b.over.Get(key); !ok || w != v {
-			t.Fatalf("%s: overflow[%v] = %d, reference follower has %d (present %v)", tag, key, v, w, ok)
+	for _, e := range a.over.Entries() {
+		if w, ok := b.over.Get(e.Key); !ok || w != e.Val {
+			t.Fatalf("%s: overflow[%v] = %d, reference follower has %d (present %v)", tag, e.Key, e.Val, w, ok)
 		}
-		return true
-	})
+	}
 	if a.restorable != b.restorable {
 		t.Fatalf("%s: restorable %v vs %v", tag, a.restorable, b.restorable)
 	}

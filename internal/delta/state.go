@@ -44,14 +44,14 @@ type State struct {
 
 	// Replicated dynamic state, held flat: the monitored counters are a
 	// slab (order free, swap-removed) indexed by monIdx, the overflow
-	// table is a key index whose values are the counts themselves. Both
-	// indexes hash with hierarchy.PrefixHasher(0) — the hasher
+	// table is the same keyidx.Counts a sketch keeps it in. Both tables
+	// hash with hierarchy.PrefixHasher(0) — the hasher
 	// core.BuildHHHSnapshot builds under — so materializing the overflow
 	// table is a slab copy.
 	updates, items uint64
 	mon            []spacesaving.Counter[hierarchy.Prefix]
 	monIdx         *keyidx.Index[hierarchy.Prefix]
-	over           *keyidx.Index[hierarchy.Prefix]
+	over           *keyidx.Counts[hierarchy.Prefix]
 
 	// Restore plane (checkpoint chains only).
 	untilBlock   uint64
@@ -71,7 +71,7 @@ func NewState() *State {
 	hash := hierarchy.PrefixHasher(0)
 	return &State{
 		monIdx: keyidx.MustNew(8, hash),
-		over:   keyidx.MustNew(8, hash),
+		over:   keyidx.MustNewCounts(8, hash),
 	}
 }
 

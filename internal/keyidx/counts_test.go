@@ -1,0 +1,403 @@
+package keyidx
+
+import (
+	"math/bits"
+	"testing"
+
+	"memento/internal/rng"
+)
+
+// collide is a hasher with five distinct values, so every probe run is
+// long and every delete shifts.
+func collide(k uint64) uint64 { return (k % 5) * 0x9e3779b97f4a7c15 }
+
+// checkCounts verifies the table against the oracle: sizes agree, every
+// oracle key resolves to its count, Entries holds every live key
+// exactly once, and every occupied bucket points at a distinct entry.
+func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
+	t.Helper()
+	if c.Len() != len(o) {
+		t.Fatalf("Len = %d, oracle has %d", c.Len(), len(o))
+	}
+	for k, v := range o {
+		if got, ok := c.Get(k); !ok || got != v {
+			t.Fatalf("Get(%d) = (%d, %v), oracle %d", k, got, ok, v)
+		}
+	}
+	seen := map[uint64]bool{}
+	for _, e := range c.Entries() {
+		if want, ok := o[e.Key]; !ok || e.Val != want {
+			t.Fatalf("Entries holds (%d, %d); oracle (%d, %v)", e.Key, e.Val, want, ok)
+		}
+		if seen[e.Key] {
+			t.Fatalf("Entries holds %d twice", e.Key)
+		}
+		seen[e.Key] = true
+	}
+	pointed := map[int32]bool{}
+	for i, b := range c.buckets {
+		if b == 0 {
+			continue
+		}
+		if b < 0 || int(b) > len(c.entries) || pointed[b] {
+			t.Fatalf("bucket %d = %d: out of range or shared (%d entries)", i, b, len(c.entries))
+		}
+		pointed[b] = true
+	}
+	if len(pointed) != len(o) {
+		t.Fatalf("%d occupied buckets, oracle has %d keys", len(pointed), len(o))
+	}
+	if 2*c.Len() > len(c.buckets) {
+		t.Fatalf("load %d/%d above 1/2", c.Len(), len(c.buckets))
+	}
+}
+
+func (o oracle) clone() oracle {
+	c := oracle{}
+	for k, v := range o {
+		c[k] = v
+	}
+	return c
+}
+
+// dec applies Counts.Dec's contract to the oracle.
+func (o oracle) dec(k uint64) {
+	if o[k] <= 1 {
+		delete(o, k)
+	} else {
+		o[k]--
+	}
+}
+
+// TestCountsRandomOpsAgainstMapOracle drives random
+// Inc/Dec/Put/Delete/Get/Flush/CopyInto sequences through a Counts and
+// a map oracle in lockstep, under a colliding hasher and with several
+// times the keys the table reserves, so it grows on the way (54, 108,
+// 216, 432 buckets: never a power of two). A copy is
+// checked against the oracle as it stood at copy time after the source
+// has moved on.
+func TestCountsRandomOpsAgainstMapOracle(t *testing.T) {
+	for _, hash := range []func(uint64) uint64{collide, nil} {
+		for _, seed := range []uint64{1, 2, 3, 99, 1234567} {
+			src := rng.New(seed)
+			c := MustNewCounts[uint64](27, hash)
+			o := oracle{}
+			var snap Counts[uint64]
+			var frozen oracle
+			for op := 0; op < 30000; op++ {
+				k := uint64(src.Intn(128))
+				switch src.Intn(20) {
+				case 0, 1, 2:
+					v := int32(1 + src.Intn(1000))
+					c.Put(k, v)
+					o[k] = v
+				case 3, 4, 5:
+					if got, want := c.DeleteH(k, c.Hash(k)), hasKey(o, k); got != want {
+						t.Fatalf("seed %d op %d: Delete(%d) = %v, oracle %v", seed, op, k, got, want)
+					}
+					delete(o, k)
+				case 6, 7, 8, 9, 10, 11:
+					o[k]++
+					if got := c.Inc(k, 1); got != o[k] {
+						t.Fatalf("seed %d op %d: Inc(%d) = %d, oracle %d", seed, op, k, got, o[k])
+					}
+				case 12, 13, 14, 15, 16:
+					present := hasKey(o, k)
+					if got := c.Dec(k); got != present {
+						t.Fatalf("seed %d op %d: Dec(%d) = %v, oracle %v", seed, op, k, got, present)
+					}
+					if present {
+						o.dec(k)
+					}
+				case 17:
+					got, ok := c.Get(k)
+					if want, okWant := o[k]; ok != okWant || got != want {
+						t.Fatalf("seed %d op %d: Get(%d) = (%d, %v), oracle (%d, %v)", seed, op, k, got, ok, want, okWant)
+					}
+				case 18:
+					if frozen != nil {
+						checkCounts(t, &snap, frozen)
+					}
+					c.CopyInto(&snap)
+					frozen = o.clone()
+				case 19:
+					if src.Intn(40) == 0 {
+						c.Flush()
+						o = oracle{}
+					}
+				}
+				if op%500 == 0 {
+					checkCounts(t, c, o)
+				}
+			}
+			checkCounts(t, c, o)
+			checkCounts(t, &snap, frozen)
+		}
+	}
+}
+
+// FuzzCountsOps replays a fuzzer-chosen byte string as an operation
+// sequence against the map oracle, on a tiny table under the colliding
+// hasher so every byte hits a crowded run.
+func FuzzCountsOps(f *testing.F) {
+	f.Add([]byte{0x01, 0x42, 0x81, 0x42, 0xc1, 0x42})
+	f.Add([]byte{0x00, 0x40, 0x80, 0xa0, 0xe0, 0xff, 0x3f, 0x7f, 0xbf})
+	f.Add([]byte{0x41, 0x42, 0x43, 0xe0, 0xa1, 0x44, 0xa2, 0xa3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := MustNewCounts[uint64](3, collide)
+		o := oracle{}
+		var snap Counts[uint64]
+		frozen := oracle{}
+		c.CopyInto(&snap)
+		for _, b := range ops {
+			k := uint64(b & 0x1f) // 32 keys on a table reserved for 3
+			switch b >> 5 {
+			case 0:
+				c.Put(k, int32(b)+1)
+				o[k] = int32(b) + 1
+			case 1, 2, 3:
+				o[k]++
+				if got := c.Inc(k, 1); got != o[k] {
+					t.Fatalf("Inc(%d) = %d, want %d", k, got, o[k])
+				}
+			case 4:
+				if got, want := c.DeleteH(k, c.Hash(k)), hasKey(o, k); got != want {
+					t.Fatalf("Delete(%d) = %v, want %v", k, got, want)
+				}
+				delete(o, k)
+			case 5:
+				present := hasKey(o, k)
+				if got := c.Dec(k); got != present {
+					t.Fatalf("Dec(%d) = %v, want %v", k, got, present)
+				}
+				if present {
+					o.dec(k)
+				}
+			case 6:
+				if k == 0 {
+					c.Flush()
+					o = oracle{}
+				}
+			case 7:
+				c.CopyInto(&snap)
+				frozen = o.clone()
+			}
+		}
+		checkCounts(t, c, o)
+		checkCounts(t, &snap, frozen)
+	})
+}
+
+// homed returns a hasher that sends key k to bucket homes[k] of a table
+// with the given bucket count: the smallest spread hash whose high
+// product word is the wanted bucket, taken back through fibMul — odd,
+// hence invertible mod 2^64 (Newton's iteration doubles the correct low
+// bits each round).
+func homed(buckets uint64, homes map[uint64]uint64) func(uint64) uint64 {
+	inv := uint64(fibMul)
+	for i := 0; i < 6; i++ {
+		inv *= 2 - fibMul*inv
+	}
+	return func(k uint64) uint64 {
+		q, _ := bits.Div64(homes[k], 0, buckets) // ⌊home·2^64 / buckets⌋
+		return inv * (q + 1)
+	}
+}
+
+// TestCountsDeleteShiftsAcrossWrap pins the backward shift where the
+// probe run wraps past the last bucket: keys homed at the final two
+// buckets spill into buckets 0 and 1, and deleting the run's head must
+// pull the spilled ones back without losing the one homed at 0.
+func TestCountsDeleteShiftsAcrossWrap(t *testing.T) {
+	// 8 buckets (capacity 4). Homes: a,b,c → 6; d → 7; e → 0.
+	homes := map[uint64]uint64{10: 6, 11: 6, 12: 6, 13: 7, 14: 0}
+	for _, victim := range []uint64{10, 11, 12, 13, 14} {
+		c := MustNewCounts[uint64](4, homed(8, homes))
+		o := oracle{}
+		for _, k := range []uint64{10, 11, 12, 13} { // buckets 6, 7, 0, 1
+			c.Put(k, int32(k))
+			o[k] = int32(k)
+		}
+		if len(c.buckets) != 8 || c.buckets[0] == 0 || c.buckets[1] == 0 {
+			t.Fatalf("layout not as staged: %v", c.buckets)
+		}
+		if victim == 14 { // absent: its home, bucket 0, is taken by a spilled key
+			if c.DeleteH(14, c.Hash(14)) {
+				t.Fatal("Delete of an absent key reported present")
+			}
+		} else {
+			if !c.DeleteH(victim, c.Hash(victim)) {
+				t.Fatalf("Delete(%d) = false", victim)
+			}
+			delete(o, victim)
+		}
+		checkCounts(t, c, o)
+		c.Put(14, 14) // lands at its home or right behind the spilled run
+		o[14] = 14
+		checkCounts(t, c, o)
+		if !c.DeleteH(14, c.Hash(14)) {
+			t.Fatal("Delete(14) = false")
+		}
+		delete(o, 14)
+		checkCounts(t, c, o)
+	}
+}
+
+// TestCountsDecToZeroRepointsSwapped: the decrement that exhausts an
+// entry deletes it, the last entry takes its slab position, and the
+// moved entry is still found — through its own bucket, which now points
+// at the new position.
+func TestCountsDecToZeroRepointsSwapped(t *testing.T) {
+	c := MustNewCounts[uint64](8, collide)
+	for k := uint64(1); k <= 5; k++ {
+		c.Inc(k, 2)
+	}
+	if !c.Dec(2) || c.Len() != 5 {
+		t.Fatalf("first Dec must keep the entry: Len %d", c.Len())
+	}
+	if !c.Dec(2) || c.Len() != 4 {
+		t.Fatalf("second Dec must delete the entry: Len %d", c.Len())
+	}
+	if _, ok := c.Get(2); ok {
+		t.Fatal("exhausted key still present")
+	}
+	if c.Dec(2) {
+		t.Fatal("Dec of an absent key reported present")
+	}
+	if e := c.Entries()[1]; e.Key != 5 || e.Val != 2 {
+		t.Fatalf("slab position 1 holds %+v, want the moved last entry {5 2}", e)
+	}
+	checkCounts(t, c, oracle{1: 2, 3: 2, 4: 2, 5: 2})
+	// Deleting the last entry itself moves nothing.
+	if !c.DeleteH(4, c.Hash(4)) {
+		t.Fatal("Delete(4) = false")
+	}
+	checkCounts(t, c, oracle{1: 2, 3: 2, 5: 2})
+}
+
+// TestCountsGrowthPastReserve checks the cold path: exceeding the
+// reserved capacity rehashes from the keys instead of corrupting, and
+// insertion order survives it.
+func TestCountsGrowthPastReserve(t *testing.T) {
+	c := MustNewCounts[uint64](8, nil)
+	const n = 1000
+	for k := uint64(0); k < n; k++ {
+		c.Put(k, int32(k)+1)
+	}
+	if c.Len() != n {
+		t.Fatalf("Len %d, want %d entries held", c.Len(), n)
+	}
+	for k := uint64(0); k < n; k++ {
+		if v, ok := c.Get(k); !ok || v != int32(k)+1 {
+			t.Fatalf("Get(%d) = (%d, %v)", k, v, ok)
+		}
+		if e := c.Entries()[k]; e.Key != k {
+			t.Fatalf("Entries()[%d].Key = %d: insertion order lost", k, e.Key)
+		}
+	}
+}
+
+// TestCountsCopyIsIndependent: a copy answers like its source at copy
+// time whatever happens to either afterwards.
+func TestCountsCopyIsIndependent(t *testing.T) {
+	c := MustNewCounts[uint64](64, nil)
+	o := oracle{}
+	for k := uint64(0); k < 50; k++ {
+		c.Put(k, int32(k)+1)
+		o[k] = int32(k) + 1
+	}
+	var snap Counts[uint64] // zero value: CopyInto must make it usable
+	c.CopyInto(&snap)
+	for k := uint64(0); k < 200; k++ { // grows the source past its reserve
+		c.Inc(k, 7)
+	}
+	c.DeleteH(3, c.Hash(3))
+	checkCounts(t, &snap, o)
+	c.Flush()
+	checkCounts(t, &snap, o)
+	snap.Put(999, 1)
+	if _, ok := c.Get(999); ok {
+		t.Fatal("writing to the copy leaked into the source")
+	}
+}
+
+// TestCountsZeroAllocSteadyState: no operation within the reserved
+// capacity allocates, and neither does a repeated CopyInto.
+func TestCountsZeroAllocSteadyState(t *testing.T) {
+	c := MustNewCounts[uint64](256, func(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 })
+	src := rng.New(7)
+	var snap Counts[uint64]
+	c.CopyInto(&snap)
+	allocs := testing.AllocsPerRun(1000, func() {
+		k := uint64(src.Intn(256))
+		c.Put(k, 1)
+		c.Get(k)
+		c.Inc(k, 1)
+		c.Dec(k)
+		c.DeleteH(k, c.Hash(k))
+		c.Inc(uint64(src.Intn(256)), 1)
+		if c.Len() > 200 {
+			c.Flush()
+		}
+		c.CopyInto(&snap)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
+	}
+}
+
+// prefixLike stands in for hierarchy.Prefix (which imports this
+// package): 12 bytes of key, so a Count is 16 bytes and an Index slot 32.
+type prefixLike struct {
+	src, dst       uint32
+	srcLen, dstLen uint8
+}
+
+func hashPrefixLike(p prefixLike) uint64 {
+	return Mix64(uint64(p.src)<<32 | uint64(p.dst) ^ Mix64(uint64(p.srcLen)<<8|uint64(p.dstLen)))
+}
+
+// BenchmarkCopyRange is one shard's share of a dev2d-query capture and
+// sweep at the table level: copy a table of 28 000 prefix-sized keys
+// (reserved for 40 000, as H·k sizes it) and read every count. "index"
+// is the slot layout B used before Counts, at the 65 536 slots it had
+// grown to by then.
+func BenchmarkCopyRange(b *testing.B) {
+	const live, reserve = 28000, 40000
+	key := func(i int) prefixLike {
+		return prefixLike{src: uint32(i) * 2654435761, dst: uint32(i) << 8, srcLen: 4, dstLen: uint8(i % 5)}
+	}
+	b.Run("counts", func(b *testing.B) {
+		c := MustNewCounts(reserve, hashPrefixLike)
+		for i := 0; i < live; i++ {
+			c.Inc(key(i), int32(1+i%7))
+		}
+		var snap Counts[prefixLike]
+		var sum int64
+		b.ReportAllocs()
+		for b.Loop() {
+			c.CopyInto(&snap)
+			for _, e := range snap.Entries() {
+				sum += int64(e.Val)
+			}
+		}
+		_ = sum
+	})
+	b.Run("index", func(b *testing.B) {
+		x := MustNew(live, hashPrefixLike)
+		for i := 0; i < live; i++ {
+			x.Inc(key(i), int32(1+i%7))
+		}
+		var snap Index[prefixLike]
+		var sum int64
+		b.ReportAllocs()
+		for b.Loop() {
+			x.CopyInto(&snap)
+			snap.Iterate(func(_ prefixLike, v int32) bool {
+				sum += int64(v)
+				return true
+			})
+		}
+		_ = sum
+	})
+}

@@ -1,30 +1,36 @@
-// Package keyidx provides the flat, pointer-free key index shared by
-// every hot path in this repository: a slab-backed open-addressing
-// (linear probe, backward-shift delete) hash table mapping comparable
-// keys to int32 slot numbers.
+// Package keyidx provides the flat, pointer-free hash tables shared by
+// every hot path in this repository. Both are open-addressing tables
+// (linear probe, backward-shift delete) over slabs allocated once at
+// construction, with a caller-supplied hash function, so layers that
+// already hash each key (internal/shard partitions by hash) share one
+// hash computation per packet via the *H method variants instead of
+// hashing once for shard selection and again for the table. Neither
+// allocates on any operation within its declared capacity, and neither
+// shrinks; exceeding the capacity is an accepted cold path (one
+// amortized reallocation).
 //
-// It exists because the Go runtime map — used by the seed
+// They exist because the Go runtime map — used by the seed
 // implementation for the Space Saving index, the Memento overflow
 // table B, and assorted per-query scratch sets — pays for generality
 // on every access: hashing through runtime indirection, bucket-group
-// probing, and write-barrier bookkeeping. keyidx flattens all of that
-// into three parallel slabs (hash, key, value+generation) allocated
-// once at construction:
+// probing, and write-barrier bookkeeping. The two types split those
+// jobs by what each is asked to do most:
 //
-//   - Insert, lookup and delete are O(1) expected and touch only the
-//     slabs; no per-operation allocation, ever.
-//   - Flush is O(1): slots carry a generation stamp and emptying the
-//     index just bumps the live generation, which Memento exploits at
-//     every frame boundary (the seed's map-based Flush was O(k)).
-//   - The hash function is caller-supplied, so layers that already
-//     hash each key (internal/shard partitions by hash) can share one
-//     hash computation per packet via the *H method variants instead
-//     of hashing once for shard selection and again for the index.
-//
-// An Index never shrinks. It grows (one reallocation, amortized) only
-// if the caller exceeds the capacity declared at construction; sized
-// correctly — Space Saving holds at most k monitored keys — it is
-// allocation-free for its whole lifetime.
+//   - Index maps keys to int32 slot numbers in one slab of {hash, key,
+//     value, generation} slots. A lookup touches one slot, and Flush is
+//     O(1): emptying the index bumps the live generation, which Space
+//     Saving exploits at every frame boundary (the seed's map-based
+//     Flush was O(k)). It serves Space Saving's position index and the
+//     query planes' dedup and scratch sets, which are probed and flushed
+//     far more often than they are copied or walked.
+//   - Counts maps keys to positive counts and keeps the live entries
+//     packed: a dense {key, count} slab behind a bucket array of int32
+//     positions. It is the overflow table B, which every query copies
+//     under a shard lock and then reads end to end: the copy moves one
+//     entry per key held plus four bytes per bucket, and the sweep is a
+//     range over the slab. It stores no hash (rehashing from the key on
+//     delete and growth only) and has no generations (B is flushed only
+//     by Reset).
 //
 // Instances are not safe for concurrent use, matching the
 // single-writer design of the structures they index.
@@ -45,6 +51,9 @@ import (
 // multiplicative shard hash) fill the table evenly, and the bits used
 // here stay independent of the high bits shard uses to pick a shard.
 const fibMul = 0x9e3779b97f4a7c15
+
+// maxCap bounds the declared capacity of either table type.
+const maxCap = 1 << 29
 
 // slot is one table entry. gen tells whether the entry is live: a
 // slot belongs to the current contents iff gen == Index.live, which
@@ -75,7 +84,6 @@ func New[K comparable](capacity int, hash func(K) uint64) (*Index[K], error) {
 	if capacity <= 0 {
 		return nil, errors.New("keyidx: capacity must be positive")
 	}
-	const maxCap = 1 << 29
 	if capacity > maxCap {
 		return nil, errors.New("keyidx: capacity too large")
 	}
@@ -190,8 +198,8 @@ func (x *Index[K]) Flush() {
 // dst's slot slab when it is large enough. The copy is a straight
 // memmove of the flat slabs — no per-entry work — which is what makes
 // it cheap enough to run under a shard lock: the snapshot query plane
-// (internal/shard) captures each shard's overflow table this way once
-// per query and then reads the copy lock-free. dst may be a zero
+// (internal/shard) captures each shard's Space Saving index this way
+// once per query and then reads the copy lock-free. dst may be a zero
 // Index; after CopyInto it answers Get/GetH/Iterate/Len exactly like
 // x did at copy time. Writing to a copy is allowed but pointless (it
 // shares nothing with x).
@@ -311,8 +319,8 @@ func (x *Index[K]) InsertH(key K, h uint64) bool {
 }
 
 // Inc adds delta to key's value, inserting it with value delta if
-// absent, and returns the new value. The Memento overflow table's
-// single-probe increment.
+// absent, and returns the new value: a single-probe increment for
+// tallies kept in scratch sets.
 func (x *Index[K]) Inc(key K, delta int32) int32 { return x.IncH(key, delta, x.Hash(key)) }
 
 // IncH is Inc with a caller-computed hash.
@@ -331,12 +339,10 @@ func (x *Index[K]) IncH(key K, delta int32, h uint64) int32 {
 	}
 }
 
-// Dec decrements key's value, deleting the entry when it reaches
-// zero; it reports whether the key was present. The overflow table's
-// single-probe forget.
-func (x *Index[K]) Dec(key K) bool { return x.DecH(key, x.Hash(key)) }
-
-// DecH is Dec with a caller-computed hash.
+// DecH decrements key's value under a caller-computed hash, deleting
+// the entry when it reaches zero; it reports whether the key was
+// present. The overflow table B, which this served, is a Counts now;
+// the repository benchmark's keyidx.inc_dec_ns replay still calls it.
 //memento:noalloc
 func (x *Index[K]) DecH(key K, h uint64) bool {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -409,24 +415,6 @@ func (x *Index[K]) Iterate(fn func(key K, val int32) bool) {
 	for i := range x.slots {
 		if x.slots[i].gen == x.live {
 			if !fn(x.slots[i].key, x.slots[i].val) {
-				return
-			}
-		}
-	}
-}
-
-// IterateH is Iterate with each entry's stored hash, so callers
-// cross-probing a sibling index built on the same hash function (the
-// snapshot estimate sweep probes Space Saving per overflow key) skip
-// the rehash. Same contract as Iterate otherwise.
-//memento:noalloc
-func (x *Index[K]) IterateH(fn func(key K, val int32, h uint64) bool) {
-	if x.n == 0 {
-		return
-	}
-	for i := range x.slots {
-		if x.slots[i].gen == x.live {
-			if !fn(x.slots[i].key, x.slots[i].val, x.slots[i].hash) {
 				return
 			}
 		}

@@ -68,7 +68,7 @@ func TestRandomOpsAgainstMapOracle(t *testing.T) {
 				}
 			case 13, 14:
 				_, okWant := o[k]
-				if ok := x.Dec(k); ok != okWant {
+				if ok := x.DecH(k, x.Hash(k)); ok != okWant {
 					t.Fatalf("seed %d op %d: Dec(%d) = %v, oracle %v", seed, op, k, ok, okWant)
 				}
 				if okWant {
@@ -131,7 +131,7 @@ func FuzzOps(f *testing.F) {
 				}
 				delete(o, k)
 			case 5:
-				if got, want := x.Dec(k), hasKey(o, k); got != want {
+				if got, want := x.DecH(k, x.Hash(k)), hasKey(o, k); got != want {
 					t.Fatalf("Dec(%d) = %v, want %v", k, got, want)
 				}
 				if hasKey(o, k) {
@@ -248,7 +248,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		x.Put(k, 1)
 		x.Get(k)
 		x.Inc(k, 1)
-		x.Dec(k)
+		x.DecH(k, x.Hash(k))
 		x.Delete(k)
 		if x.Len() > 200 {
 			x.Flush()

@@ -115,6 +115,17 @@ func (s *HistSnapshot) Merge(o *HistSnapshot) {
 	}
 }
 
+// Sub removes o, an earlier snapshot of the same histogram, from s,
+// leaving the observations made between the two: a cumulative
+// histogram read at checkpoints yields each interval's own quantiles.
+func (s *HistSnapshot) Sub(o *HistSnapshot) {
+	s.Count -= o.Count
+	s.Sum -= o.Sum
+	for i := range s.Buckets {
+		s.Buckets[i] -= o.Buckets[i]
+	}
+}
+
 // Mean returns the arithmetic mean of all observations (0 if empty).
 func (s *HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

@@ -111,6 +111,43 @@ func TestHistEmptyAndMerge(t *testing.T) {
 	}
 }
 
+// TestHistSubYieldsIntervalQuantiles reads one cumulative histogram at
+// three checkpoints — fast, slow, fast again — the way mementobench
+// -audit reads capture→apply latency. The cumulative p99 sticks at the
+// slow interval's value once it has seen it; the difference of
+// consecutive snapshots gives each checkpoint its own.
+func TestHistSubYieldsIntervalQuantiles(t *testing.T) {
+	var h Histogram
+	var prev HistSnapshot
+	var rows, cumulative []uint64
+	for _, latency := range []uint64{1_000, 1_000_000, 1_000} {
+		for i := 0; i < 200; i++ {
+			h.Observe(latency)
+		}
+		var cur HistSnapshot
+		h.Snapshot(&cur)
+		cumulative = append(cumulative, cur.P99())
+		interval := cur
+		interval.Sub(&prev)
+		prev = cur
+		if interval.Count != 200 || interval.Sum != 200*latency {
+			t.Fatalf("interval holds count=%d sum=%d, want the 200 observations at %d", interval.Count, interval.Sum, latency)
+		}
+		rows = append(rows, interval.P99())
+	}
+	if cumulative[1] != cumulative[2] {
+		t.Fatalf("cumulative p99 %v: expected the slow interval to mask the third", cumulative)
+	}
+	if rows[0] == rows[1] || rows[2] != rows[0] {
+		t.Fatalf("interval p99 rows %v: want fast, slow, fast", rows)
+	}
+	for i, latency := range []float64{1e3, 1e6, 1e3} {
+		if got := float64(rows[i]); got < latency*0.85 || got > latency*1.15 {
+			t.Fatalf("row %d p99 = %v, want ≈ %v", i, got, latency)
+		}
+	}
+}
+
 func TestHistEmptyQuantileEdges(t *testing.T) {
 	// A zero-value snapshot must answer every quantile — including
 	// out-of-range q, which Quantile clamps — with 0, never scan into

@@ -184,6 +184,13 @@ func TestQueryLatencyHistogram(t *testing.T) {
 	if hs.Count != 4 {
 		t.Fatalf("exported histogram count = %d, want 4", hs.Count)
 	}
+	// The capture share is observed once per query and is part of it.
+	var capture obs.HistSnapshot
+	reg.Histogram("memento_shard_query_capture_ns").Snapshot(&capture)
+	if capture.Count != 4 || capture.Max() == 0 || capture.Max() > hs.Max() {
+		t.Fatalf("capture histogram: count %d max %d (query max %d), want 4 nonzero captures inside their queries",
+			capture.Count, capture.Max(), hs.Max())
+	}
 	// Filter selectivity rides the same registry: every query sweeps
 	// the tracked keys and admits no more than it swept.
 	swept := reg.Counter("memento_shard_query_swept_keys_total").Load()

@@ -301,7 +301,8 @@ func BenchmarkOutputSteadyState(b *testing.B) {
 // benchHHH2D builds the benchmark's dev2d-query geometry (TwoD, V = H,
 // 256·H counters, 4 shards) at a CI-sized window, warmed with two
 // windows of background traffic carrying a flood from ten /8 source
-// subnets, so a few dozen of the ~25 000 tracked prefixes are heavy.
+// subnets, so a few dozen of the ≈ 87 000 tracked prefixes (4 shards ×
+// ≈ 21 800) are heavy.
 func benchHHH2D(tb testing.TB) *HHH {
 	s := MustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
@@ -339,6 +340,31 @@ func BenchmarkOutputSteadyState2D(b *testing.B) {
 	if len(out) == 0 {
 		b.Fatal("benchmark vacuous: Output reported nothing")
 	}
+}
+
+// BenchmarkSnapshotCapture2D is the capture alone on the same
+// instance: one lock pass copying every shard's queryable state into a
+// pooled query — the part of OutputTo that holds the shard locks, and
+// so what a query costs ingest. CI-gated at zero allocations.
+func BenchmarkSnapshotCapture2D(b *testing.B) {
+	s := benchHHH2D(b)
+	q := s.getQuery()
+	s.snapshotAll(q) // size the slabs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.snapshotAll(q)
+	}
+	b.StopTimer()
+	tracked := 0
+	for i := range q.shards {
+		tracked += q.shards[i].Sketch().TrackedKeys()
+	}
+	if tracked == 0 {
+		b.Fatal("benchmark vacuous: nothing captured")
+	}
+	b.ReportMetric(float64(tracked), "keys")
+	s.putQuery(q)
 }
 
 // BenchmarkOutputLockPerBounds measures the pre-snapshot

@@ -90,6 +90,12 @@ type HHH struct {
 	// regression under 1D volume).
 	queryHist obs.Histogram
 
+	// captureHist is the part of each OutputTo spent inside snapshotAll,
+	// in nanoseconds: the only stretch of a query that holds shard locks,
+	// so it is what a query costs ingest. Instrument exports it as
+	// memento_shard_query_capture_ns.
+	captureHist obs.Histogram
+
 	// swept and admitted total the read plane's sweep counts over all
 	// OutputTo calls (core.SnapshotSet.Selectivity), one wait-free add
 	// each per query; Instrument exports them as
@@ -448,7 +454,9 @@ func (s *HHH) Output(theta float64) []core.HeavyPrefix { return s.OutputTo(theta
 func (s *HHH) OutputTo(theta float64, dst []core.HeavyPrefix) []core.HeavyPrefix {
 	start := time.Now()
 	q := s.getQuery()
+	captureStart := time.Now()
 	s.snapshotAll(q)
+	s.captureHist.Observe(uint64(time.Since(captureStart)))
 	dst = q.m.Output(s.hier, q.views, theta, dst)
 	swept, admitted := q.m.Selectivity()
 	s.swept.Add(uint64(swept))

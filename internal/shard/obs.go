@@ -34,8 +34,9 @@ func (s *Sketch[K]) Instrument(r *obs.Registry, t *obs.Trace, actor string) *cor
 // exports the query-plane SLO histogram, named by the hierarchy's
 // dimensionality (memento_shard_query_1d_ns / memento_shard_query_2d_ns)
 // so 1D scans and 2D glb-fallback scans stay separately observable,
-// and the read plane's filter selectivity
-// (memento_shard_query_swept_keys_total / _admitted_total).
+// the share of each query spent capturing under the shard locks
+// (memento_shard_query_capture_ns), and the read plane's filter
+// selectivity (memento_shard_query_swept_keys_total / _admitted_total).
 func (s *HHH) Instrument(r *obs.Registry, t *obs.Trace, actor string) *core.Instruments {
 	ins := core.NewInstruments(r, t, actor)
 	for i := range s.shards {
@@ -53,6 +54,7 @@ func (s *HHH) Instrument(r *obs.Registry, t *obs.Trace, actor string) *core.Inst
 		queryName = "memento_shard_query_2d_ns"
 	}
 	r.RegisterHistogram(queryName, &s.queryHist)
+	r.RegisterHistogram("memento_shard_query_capture_ns", &s.captureHist)
 	r.RegisterCounter("memento_shard_query_swept_keys_total", &s.swept)
 	r.RegisterCounter("memento_shard_query_admitted_total", &s.admitted)
 	return ins
