@@ -8,19 +8,15 @@
 // -local-shards N attaches a sharded, batched H-Memento
 // (internal/shard) as the observer and periodically logs the current
 // heavy-hitter prefixes, so a single proxy gets line-rate sliding-
-// window visibility without a control plane. -local-mode picks the
-// ingest engine: batch applies observer batches under the shard
-// mutexes, ring publishes them into the SPSC shard-owner pipeline
-// (DESIGN.md §9) so the sketch work leaves the request path, and auto
-// (the default) picks per GOMAXPROCS. Adding -checkpoint-dir
+// window visibility without a control plane. Adding -checkpoint-dir
 // makes the local instance warm-restartable: its state is written as
 // an incremental base+delta chain (internal/delta) and restored on
 // the next start, so a proxy restart keeps the sliding window.
 //
 // SIGINT/SIGTERM shuts down gracefully: stop accepting, finish
-// in-flight requests, flush and drain the measurement plane (staged
-// observer batches, ring pipeline, pending agent reports), write a
-// final checkpoint, then exit.
+// in-flight requests, flush the measurement plane (staged observer
+// batches, pending agent reports), write a final checkpoint, then
+// exit.
 package main
 
 import (
@@ -56,7 +52,6 @@ func main() {
 		window      = flag.Int("window", 1<<20, "window size W (must match the controller)")
 		trustXFF    = flag.Bool("trust-xff", true, "trust X-Forwarded-For for client identity (testbed mode)")
 		localShards = flag.Int("local-shards", 0, "standalone mode: shard count for a local sharded H-Memento observer (0 disables; requires -controller '')")
-		localMode   = flag.String("local-mode", "auto", "standalone mode: ingest engine — auto (pick from GOMAXPROCS), batch (lock-per-flush), ring (SPSC owner pipeline)")
 		localBatch  = flag.Int("local-batch", 256, "standalone mode: observer batch size")
 		localV      = flag.Int("local-v", 0, "standalone mode: sampling ratio V (0: H, i.e. every request)")
 		theta       = flag.Float64("theta", 0.05, "standalone mode: heavy-hitter threshold for periodic reports")
@@ -96,8 +91,8 @@ func main() {
 	codec.RegisterMetrics(reg)
 	trace.Register(reg, "memento_lbproxy")
 	// onShutdown runs after the HTTP server has quiesced (no handler
-	// is observing anymore), in order: flush staged measurement, drain
-	// the ingest engine, persist final state, close transports.
+	// is observing anymore), in order: flush staged measurement,
+	// persist final state, close transports.
 	var onShutdown []func()
 	switch {
 	case *controller != "":
@@ -232,36 +227,9 @@ func main() {
 				}
 			}()
 		}
-		// Ingest engine: the observer's batches either apply under the
-		// shard mutexes directly (batch), or publish into an SPSC ring
-		// pipeline whose shard owners apply them off the request path
-		// (ring). auto picks per runtime, so single-core deployments
-		// keep the cheaper handoff.
-		engine := *localMode
-		if engine == "auto" {
-			engine = "batch"
-			if shard.AutoMode(hh.Shards()) == shard.ModeRing {
-				engine = "ring"
-			}
-		}
-		var sink lb.BatchSink = hh
-		var pl *shard.HHHPipeline
-		switch engine {
-		case "batch":
-		case "ring":
-			p, err := hh.StartPipeline(shard.PipelineConfig{Producers: 1, Batch: *localBatch})
-			if err != nil {
-				fatal(err)
-			}
-			pl = p
-			pl.Instrument(reg)
-			sink = pl.NewSharedProducer(0)
-		default:
-			fatal(fmt.Errorf("-local-mode must be auto, batch or ring, got %q", *localMode))
-		}
-		lobs := lb.NewBatchingObserver(sink, *localBatch)
+		lobs := lb.NewBatchingObserver(hh, *localBatch)
 		cfg.Observer = lobs
-		log.Info("standalone sharded measurement enabled", "mode", engine,
+		log.Info("standalone sharded measurement enabled",
 			"shards", hh.Shards(), "batch", *localBatch, "window", hh.EffectiveWindow())
 		go func() {
 			// OutputTo with a recycled buffer: the periodic probe locks
@@ -270,11 +238,6 @@ func main() {
 			var out []core.HeavyPrefix
 			for range time.Tick(*reportEvery) {
 				lobs.Flush()
-				if pl != nil {
-					// Quiesce the rings so the probe sees everything the
-					// flush published.
-					pl.Drain()
-				}
 				out = hh.OutputTo(*theta, out[:0])
 				for _, e := range out {
 					log.Info("heavy hitter", "prefix", e.Prefix,
@@ -287,10 +250,6 @@ func main() {
 		}()
 		onShutdown = append(onShutdown, func() {
 			lobs.Flush()
-			if pl != nil {
-				pl.Drain()
-				pl.Close()
-			}
 			if cp != nil {
 				if path, err := cp.Tick(); err != nil {
 					log.Error("final checkpoint failed", "err", err)

@@ -1,8 +1,9 @@
 // Command mementobench regenerates the single-device evaluation
-// figures of the paper (Figures 5-8) and benchmarks the concurrent
-// ingestion layer. Each -figureN flag prints the corresponding table;
-// scale flags default to laptop-sized runs and accept the paper's
-// full parameters (-window 5000000 -packets 16000000).
+// figures of the paper (Figures 5-8) and benchmarks the sharded read
+// plane and the network-wide fleet. Each -figureN flag prints the
+// corresponding table; scale flags default to laptop-sized runs and
+// accept the paper's full parameters (-window 5000000 -packets
+// 16000000).
 //
 // Usage:
 //
@@ -10,23 +11,8 @@
 //	mementobench -figure6 [-twod]
 //	mementobench -figure7 [-twod]
 //	mementobench -figure8
-//	mementobench -ingest [-shards N[,N…]] [-batch B[,B…]] [-goroutines G] [-tau F]
-//	             [-cores C1,C2,…] [-mode serial,mutex,ring,auto] [-json]
 //	mementobench -queryload [-qps Q] [-theta T] [-shards N] [-json]
 //	mementobench -report [-agents M] [-budget B] [-cadence C] [-theta T] [-json]
-//
-// -ingest measures the single-threaded per-packet core.Sketch baseline
-// against the sharded, batched shard.Sketch front-end and reports the
-// throughput ratio; -json emits the result as machine-readable JSON
-// (ops/sec, ns/op, shards, batch size) so successive PRs can track the
-// perf trajectory in BENCH_*.json files. With -cores, it additionally
-// sweeps a scaling matrix — every cores × shards × batch × mode
-// combination, pinning GOMAXPROCS per cell — over the execution modes
-// serial (one Batcher goroutine), mutex (one Batcher per core, the
-// lock-per-flush handoff), ring (the SPSC owner pipeline) and auto
-// (shard.ModeAuto), emitting a "matrix" section next to the stable
-// legacy legs. host_cpus records the physical parallelism available,
-// so a matrix measured on fewer cores than GOMAXPROCS is legible.
 //
 // -queryload is the read-plane benchmark: writer goroutines ingest a
 // trace through a sharded H-Memento while Output fires at the given
@@ -87,14 +73,10 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 
-		ingest     = flag.Bool("ingest", false, "benchmark concurrent sharded ingestion vs the single-threaded baseline")
-		shards     = flag.String("shards", strconv.Itoa(runtime.GOMAXPROCS(0)), "shard count for -ingest/-queryload (comma list sweeps the -ingest matrix)")
-		batchSize  = flag.String("batch", "256", "per-goroutine batch size for -ingest/-queryload (comma list sweeps the -ingest matrix)")
-		goroutines = flag.Int("goroutines", 0, "writer goroutines for -ingest/-queryload (0: one per shard)")
-		tau        = flag.Float64("tau", 1.0/64, "Full-update sampling probability for -ingest")
-		coresList  = flag.String("cores", "", "comma-separated GOMAXPROCS values for the -ingest scaling matrix (empty: no matrix)")
-		modeList   = flag.String("mode", "serial,mutex,ring,auto", "comma-separated ingest modes for the -ingest matrix: serial, mutex, ring, auto")
-		jsonOut    = flag.Bool("json", false, "emit -ingest/-queryload results as JSON on stdout")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count for -queryload")
+		batchSize  = flag.Int("batch", 256, "per-goroutine batch size for -queryload")
+		goroutines = flag.Int("goroutines", 0, "writer goroutines for -queryload (0: one per shard)")
+		jsonOut    = flag.Bool("json", false, "emit -queryload/-report/-audit results as JSON on stdout")
 
 		queryload      = flag.Bool("queryload", false, "benchmark mixed ingest + periodic Output on a sharded H-Memento")
 		auditRun       = flag.Bool("audit", false, "audit a traced snapshot fleet against a shadow oracle (with -queryload: append the accuracy-trajectory section)")
@@ -134,45 +116,6 @@ func main() {
 			}
 		}()
 	}
-	if *ingest {
-		ks, err := parseInts(*counters)
-		if err != nil {
-			fatal(err)
-		}
-		profiles, err := parseProfiles(*traces)
-		if err != nil {
-			fatal(err)
-		}
-		shardsList, err := parseInts(*shards)
-		if err != nil {
-			fatal(err)
-		}
-		batchList, err := parseInts(*batchSize)
-		if err != nil {
-			fatal(err)
-		}
-		var cores []int
-		if *coresList != "" {
-			if cores, err = parseInts(*coresList); err != nil {
-				fatal(err)
-			}
-		}
-		modes, err := parseModes(*modeList)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runIngest(ingestConfig{
-			Window: *window, Packets: *packets, Shards: shardsList[0],
-			Batch: batchList[0], Goroutines: *goroutines, Tau: *tau,
-			Counters: ks[0], Profile: profiles[0],
-			Seed: *seed, JSON: *jsonOut,
-			Cores: cores, Modes: modes,
-			ShardsList: shardsList, BatchList: batchList,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *queryload {
 		ks, err := parseInts(*counters)
 		if err != nil {
@@ -182,17 +125,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		shardsList, err := parseInts(*shards)
-		if err != nil {
-			fatal(err)
-		}
-		batchList, err := parseInts(*batchSize)
-		if err != nil {
-			fatal(err)
-		}
 		qcfg := queryLoadConfig{
-			Window: *window, Packets: *packets, Shards: shardsList[0],
-			Batch: batchList[0], Goroutines: *goroutines,
+			Window: *window, Packets: *packets, Shards: *shards,
+			Batch: *batchSize, Goroutines: *goroutines,
 			Counters: ks[0], V: *sampleV, Theta: *theta, QPS: *qps,
 			Profile: profiles[0], Seed: *seed, JSON: *jsonOut,
 		}
@@ -352,43 +287,7 @@ func parseProfiles(s string) ([]trace.Profile, error) {
 	return out, nil
 }
 
-// parseModes validates a comma-separated ingest mode list.
-func parseModes(s string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		m := strings.TrimSpace(part)
-		switch m {
-		case "serial", "mutex", "ring", "auto":
-			out = append(out, m)
-		default:
-			return nil, fmt.Errorf("unknown ingest mode %q (want serial, mutex, ring or auto)", m)
-		}
-	}
-	return out, nil
-}
-
-// ingestConfig parameterizes the -ingest benchmark.
-type ingestConfig struct {
-	Window     int
-	Packets    int
-	Shards     int
-	Batch      int
-	Goroutines int
-	Tau        float64
-	Counters   int
-	Profile    trace.Profile
-	Seed       uint64
-	JSON       bool
-
-	// Scaling matrix dimensions: every Cores × ShardsList × BatchList
-	// × Modes combination is measured when Cores is non-empty.
-	Cores      []int
-	Modes      []string
-	ShardsList []int
-	BatchList  []int
-}
-
-// ingestLeg is one measured configuration of the ingest benchmark.
+// ingestLeg is the ingest side of a -queryload run.
 type ingestLeg struct {
 	Name       string  `json:"name"`
 	Shards     int     `json:"shards"`
@@ -398,271 +297,6 @@ type ingestLeg struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
 	Mpps       float64 `json:"mpps"`
-}
-
-// matrixLeg is one cell of the -ingest scaling matrix: a mode run at
-// a pinned GOMAXPROCS. The embedded leg's Goroutines is the producer
-// count (one per core). Ring-path cells also report the backpressure
-// ledger: time-weighted mean ring occupancy and park counts.
-type matrixLeg struct {
-	ingestLeg
-	ModeName      string  `json:"run_mode"`
-	ResolvedMode  string  `json:"resolved_mode,omitempty"` // auto only
-	Cores         int     `json:"cores"`
-	Occupancy     float64 `json:"occupancy,omitempty"`
-	ProducerParks uint64  `json:"producer_parks,omitempty"`
-	OwnerParks    uint64  `json:"owner_parks,omitempty"`
-}
-
-// ingestReport is the machine-readable -ingest output.
-type ingestReport struct {
-	Mode       string      `json:"mode"`
-	Trace      string      `json:"trace"`
-	Window     int         `json:"window"`
-	Counters   int         `json:"counters"`
-	Tau        float64     `json:"tau"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-	HostCPUs   int         `json:"host_cpus"`
-	Baseline   ingestLeg   `json:"baseline"`
-	Sharded    ingestLeg   `json:"sharded"`
-	Legs       []ingestLeg `json:"legs"`
-	Matrix     []matrixLeg `json:"matrix,omitempty"`
-	Speedup    float64     `json:"speedup"`
-	Phases     []phaseStat `json:"phases"`
-}
-
-// runIngest measures single-threaded per-packet core.Sketch ingestion
-// against the sharded, batched front-end and reports the ratio.
-func runIngest(cfg ingestConfig) error {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = shard.DefaultBatchSize
-	}
-	var pt phaseTimer
-	pt.begin("generate")
-	gen, err := trace.NewGenerator(cfg.Profile, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	pkts := gen.Generate(cfg.Packets, nil)
-	keys := make([]uint64, len(pkts))
-	for i, p := range pkts {
-		keys[i] = uint64(p.Src)
-	}
-	pt.end()
-	coreCfg := core.Config{
-		Window: cfg.Window, Counters: cfg.Counters, Tau: cfg.Tau, Seed: cfg.Seed + 1,
-	}
-
-	// Leg 1: the single-threaded per-packet baseline.
-	base, err := core.New[uint64](coreCfg)
-	if err != nil {
-		return err
-	}
-	pt.begin("core-single")
-	for _, k := range keys {
-		base.Update(k)
-	}
-	baseline := measureLeg("core-single", 1, 1, 1, len(keys), pt.end())
-
-	// Leg 2: a single goroutine through the batched geometric-skip
-	// path (one shard) — isolates the batching win from parallelism.
-	serial, err := shard.New(shard.SketchConfig[uint64]{Core: coreCfg, Shards: 1})
-	if err != nil {
-		return err
-	}
-	pt.begin("batch-serial")
-	sb := serial.NewBatcher(cfg.Batch)
-	for _, k := range keys {
-		sb.Add(k)
-	}
-	sb.Flush()
-	serialLeg := measureLeg("batch-serial", 1, cfg.Batch, 1, len(keys), pt.end())
-
-	// Leg 3: the sharded, batched front-end under concurrent writers.
-	g := cfg.Goroutines
-	if g <= 0 {
-		g = cfg.Shards
-	}
-	sharded, err := shard.New(shard.SketchConfig[uint64]{
-		Core:   coreCfg,
-		Shards: cfg.Shards,
-		// Fixed multiplicative hash: deterministic across runs, cheap.
-		Hash: func(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 },
-	})
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	pt.begin("shard-batched")
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := sharded.NewBatcher(cfg.Batch)
-			// Each writer streams a disjoint contiguous slice so the
-			// combined work equals one pass over the trace.
-			lo, hi := w*len(keys)/g, (w+1)*len(keys)/g
-			for _, k := range keys[lo:hi] {
-				b.Add(k)
-			}
-			b.Flush()
-		}(w)
-	}
-	wg.Wait()
-	shardLeg := measureLeg("shard-batched", cfg.Shards, cfg.Batch, g, len(keys), pt.end())
-
-	report := ingestReport{
-		Mode: "ingest", Trace: cfg.Profile.Name,
-		Window: cfg.Window, Counters: cfg.Counters, Tau: cfg.Tau,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		HostCPUs:   runtime.NumCPU(),
-		Baseline:   baseline, Sharded: shardLeg,
-		Legs:    []ingestLeg{baseline, serialLeg, shardLeg},
-		Speedup: shardLeg.OpsPerSec / baseline.OpsPerSec,
-	}
-	if len(cfg.Cores) > 0 {
-		pt.begin("matrix")
-		matrix, err := runMatrix(cfg, keys, coreCfg)
-		pt.end()
-		if err != nil {
-			return err
-		}
-		report.Matrix = matrix
-	}
-	report.Phases = pt.phases
-	if cfg.JSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "leg\tshards\tbatch\tgoroutines\tns/op\tMpps")
-	for _, l := range report.Legs {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.2f\t%.2f\n",
-			l.Name, l.Shards, l.Batch, l.Goroutines, l.NsPerOp, l.Mpps)
-	}
-	fmt.Fprintf(w, "speedup\t\t\t\t%.2fx\t\n", report.Speedup)
-	if len(report.Matrix) > 0 {
-		fmt.Fprintln(w, "\nmatrix\tcores\tshards\tbatch\tns/op\tMpps\toccupancy\tparks")
-		for _, m := range report.Matrix {
-			name := m.ModeName
-			if m.ResolvedMode != "" {
-				name += "(" + m.ResolvedMode + ")"
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.2f\t%.2f\t%.4f\t%d\n",
-				name, m.Cores, m.Shards, m.Batch, m.NsPerOp, m.Mpps, m.Occupancy, m.ProducerParks)
-		}
-	}
-	return w.Flush()
-}
-
-// runMatrix measures every Cores × ShardsList × BatchList × Modes
-// combination over the same trace. GOMAXPROCS is pinned per cell and
-// restored; producer count equals the pinned core count, so each cell
-// answers "what does this engine do with exactly c cores?".
-func runMatrix(cfg ingestConfig, keys []uint64, coreCfg core.Config) ([]matrixLeg, error) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var out []matrixLeg
-	for _, c := range cfg.Cores {
-		if c < 1 {
-			return nil, fmt.Errorf("matrix: cores must be >= 1, got %d", c)
-		}
-		runtime.GOMAXPROCS(c)
-		for _, s := range cfg.ShardsList {
-			for _, b := range cfg.BatchList {
-				for _, mode := range cfg.Modes {
-					leg, err := runMatrixCell(mode, c, s, b, keys, coreCfg)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, leg)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// matrixHash is the fixed multiplicative routing hash every matrix
-// cell shares, so cells differ only in execution strategy.
-func matrixHash(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 }
-
-// runMatrixCell measures one (mode, cores, shards, batch) cell.
-func runMatrixCell(mode string, c, s, b int, keys []uint64, coreCfg core.Config) (matrixLeg, error) {
-	g := c // one producer per core
-	if mode == "serial" {
-		g = 1
-	}
-	sk, err := shard.New(shard.SketchConfig[uint64]{
-		Core: coreCfg, Shards: s, Hash: matrixHash,
-	})
-	if err != nil {
-		return matrixLeg{}, err
-	}
-	leg := matrixLeg{ModeName: mode, Cores: c}
-	var elapsed time.Duration
-	switch mode {
-	case "serial", "mutex":
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				bt := sk.NewBatcher(b)
-				lo, hi := w*len(keys)/g, (w+1)*len(keys)/g
-				for _, k := range keys[lo:hi] {
-					bt.Add(k)
-				}
-				bt.Flush()
-			}(w)
-		}
-		wg.Wait()
-		elapsed = time.Since(start)
-	case "ring", "auto":
-		m := shard.ModeRing
-		if mode == "auto" {
-			m = shard.ModeAuto
-		}
-		in, err := sk.NewIngest(shard.IngestConfig{Mode: m, Producers: g, Batch: b})
-		if err != nil {
-			return matrixLeg{}, err
-		}
-		if mode == "auto" {
-			leg.ResolvedMode = in.Mode().String()
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				src := in.Source(w)
-				lo, hi := w*len(keys)/g, (w+1)*len(keys)/g
-				for _, k := range keys[lo:hi] {
-					src.Add(k)
-				}
-				src.Flush()
-			}(w)
-		}
-		wg.Wait()
-		in.Drain()
-		elapsed = time.Since(start)
-		st := in.Stats()
-		leg.Occupancy = st.Occupancy()
-		leg.ProducerParks = st.ProducerParks
-		leg.OwnerParks = st.OwnerParks
-		in.Close()
-	default:
-		return matrixLeg{}, fmt.Errorf("matrix: unknown mode %q", mode)
-	}
-	leg.ingestLeg = measureLeg(
-		fmt.Sprintf("%s/c%d/s%d/b%d", mode, c, s, b), s, b, g, len(keys), elapsed)
-	return leg, nil
 }
 
 // queryLoadConfig parameterizes the -queryload benchmark.

@@ -64,8 +64,9 @@ func parseSpec(s string) (gate, error) {
 //	BenchmarkName-8  2000  512 ns/op  0 B/op  0 allocs/op
 //
 // The name group captures everything before the optional -N
-// GOMAXPROCS suffix.
-var resultLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+\S+ ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+// GOMAXPROCS suffix. b.ReportMetric columns ("92441 keys") sit
+// between ns/op and B/op and are skipped.
+var resultLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+\S+ ns/op(?:\s+\S+ \S+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 // checkOutput scans `go test -benchmem` output for exactly one result
 // line of the named benchmark and returns its allocs/op.

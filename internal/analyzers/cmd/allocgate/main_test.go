@@ -49,6 +49,14 @@ ok  	memento/internal/shard	0.1s
 		t.Fatalf("dirty run: allocs=%d err=%v", allocs, err)
 	}
 
+	// A b.ReportMetric column between ns/op and B/op is skipped.
+	const custom = `BenchmarkSnapshotCapture2D-2   	     200	    246278 ns/op	     92441 keys	       0 B/op	       0 allocs/op
+`
+	allocs, err = checkOutput(custom, "BenchmarkSnapshotCapture2D")
+	if err != nil || allocs != 0 {
+		t.Fatalf("custom-metric run: allocs=%d err=%v", allocs, err)
+	}
+
 	// A benchmark sharing the gated name as a prefix must not satisfy
 	// the gate — this is exactly what the old shell pipeline got wrong.
 	const prefixOnly = `BenchmarkIngestSingleLarge-8   	  1000	        99 ns/op	       0 B/op	       0 allocs/op

@@ -341,13 +341,6 @@ func stdlibAllocVerdict(fn *types.Func) (msg string, ok bool) {
 		case "Is", "As", "Unwrap":
 			return "", true
 		}
-	case "runtime":
-		// Scheduler yields on spin-wait paths (SPSC backpressure) do
-		// not allocate; the rest of runtime stays off-limits.
-		switch fn.Name() {
-		case "Gosched", "KeepAlive":
-			return "", true
-		}
 	case "time":
 		// Clock reads and their scalar accessors (obs timestamps,
 		// latency spans) do not allocate. Formatting and timers stay

@@ -6,7 +6,6 @@ package noalloc
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -133,12 +132,6 @@ func growsParam(dst []int, v int) []int {
 //memento:noalloc
 func propagates() {
 	sink = len(helper()) // want `calls helper, which allocates`
-}
-
-//memento:noalloc
-func yields() {
-	runtime.Gosched() // scheduler yield: allowlisted, no finding
-	sink++
 }
 
 //memento:noalloc

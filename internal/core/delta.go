@@ -118,6 +118,7 @@ func (d *DirtySet[K]) WasReset() bool { return d.resets > 0 }
 // the state the interval describes (the live sketch itself, or a
 // SnapshotInto/CheckpointInto copy): every mutation is then in either
 // the previous interval or the next, never both or neither.
+//
 //memento:noalloc
 func (s *Sketch[K]) DeltaDrainInto(dirty *DirtySet[K]) error {
 	if s.track == nil {
@@ -143,16 +144,19 @@ func (s *Sketch[K]) Slots() int { return s.y.Len() }
 
 // Slot returns the monitored counter in Space Saving slot i (see
 // spacesaving.Sketch.Slot for what a slot number identifies).
+//
 //memento:noalloc
 func (s *Sketch[K]) Slot(i int) spacesaving.Counter[K] { return s.y.Slot(i) }
 
 // SlotOf returns the Space Saving slot monitoring x, -1 if none.
+//
 //memento:noalloc
 func (s *Sketch[K]) SlotOf(x K) int { return s.y.SlotOfHashed(x, s.y.Hash(x)) }
 
 // DeltaProbe returns the replicable state of one key that is not
 // being addressed by slot: the slot monitoring x (-1 if none) and its
 // overflow-table value (0 if absent), from one hash of x.
+//
 //memento:noalloc
 func (s *Sketch[K]) DeltaProbe(x K) (slot int, b int32) {
 	if s.hash == nil { // each index hashes with its own default
@@ -165,6 +169,7 @@ func (s *Sketch[K]) DeltaProbe(x K) (slot int, b int32) {
 }
 
 // OverflowCount returns x's overflow-table value, 0 if absent.
+//
 //memento:noalloc
 func (s *Sketch[K]) OverflowCount(x K) int32 {
 	b, _ := s.overflow.Get(x)
@@ -177,6 +182,7 @@ func (hh *HHH) EnableDeltaTracking() { hh.mem.EnableDeltaTracking() }
 
 // DeltaDrainInto is Sketch.DeltaDrainInto for an H-Memento instance;
 // call it under the lock guarding hh.
+//
 //memento:noalloc
 func (hh *HHH) DeltaDrainInto(dirty *DirtySet[hierarchy.Prefix]) error {
 	return hh.mem.DeltaDrainInto(dirty)

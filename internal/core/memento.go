@@ -261,6 +261,7 @@ func (s *Sketch[K]) ForcedDrains() uint64 { return s.forcedDrains }
 
 // Update processes one packet: with probability τ a Full update,
 // otherwise a Window update (Algorithm 1, lines 19-21).
+//
 //memento:noalloc
 func (s *Sketch[K]) Update(x K) {
 	var full bool
@@ -281,6 +282,7 @@ func (s *Sketch[K]) Update(x K) {
 // (NewWithHash); internal/shard hashes each key once for shard
 // routing and passes the same value here. On a sketch built without
 // a hasher it falls back to Update.
+//
 //memento:noalloc
 func (s *Sketch[K]) UpdateHashed(x K, h uint64) {
 	if s.hash == nil {
@@ -316,6 +318,7 @@ func (s *Sketch[K]) UpdateHashed(x K, h uint64) {
 // random-number table's quantized (1/2^16-granular) coin flips —
 // don't mix Update and UpdateBatch on a table-sampling configuration
 // if exact point-process equality matters.
+//
 //memento:noalloc
 func (s *Sketch[K]) UpdateBatch(xs []K) { s.updateBatch(xs, nil) }
 
@@ -326,6 +329,7 @@ func (s *Sketch[K]) UpdateBatch(xs []K) { s.updateBatch(xs, nil) }
 // τ-fraction of keys that reach a Full update is not hashed a second
 // time inside the core indexes. On a sketch built without a hasher,
 // or with mismatched slice lengths, it falls back to UpdateBatch.
+//
 //memento:noalloc
 func (s *Sketch[K]) UpdateBatchHashed(xs []K, hs []uint64) {
 	if s.hash == nil || len(hs) != len(xs) {
@@ -365,6 +369,7 @@ func (s *Sketch[K]) updateBatch(xs []K, hs []uint64) {
 // expiry are handled per chunk instead of per packet. External drivers
 // (the network-wide controller covering the packets a report spans,
 // H-Memento's batch path) use it as their bulk hot path.
+//
 //memento:noalloc
 func (s *Sketch[K]) WindowAdvance(n int) {
 	if n > 0 {
@@ -438,6 +443,7 @@ func (s *Sketch[K]) windowAdvance(n uint64) {
 // ring at block boundaries, and forgets at most one expired overflow
 // entry. The common case — mid-block, nothing queued — is a counter
 // decrement and two compares: no division, no map, no pointers.
+//
 //memento:noalloc
 func (s *Sketch[K]) WindowUpdate() {
 	s.updates++
@@ -493,6 +499,7 @@ func (s *Sketch[K]) forgetOverflow(id K) {
 // x is counted by the in-frame Space Saving instance, and if its
 // counter crosses a multiple of the sampled block size the overflow is
 // recorded in the current block's queue and in B.
+//
 //memento:noalloc
 func (s *Sketch[K]) FullUpdate(x K) {
 	s.WindowUpdate()
@@ -510,6 +517,7 @@ func (s *Sketch[K]) FullUpdate(x K) {
 // FullUpdateHashed is FullUpdate with a caller-computed hash of x
 // (valid only on sketches built with NewWithHash); the one hash value
 // serves both the Space Saving index and the overflow table.
+//
 //memento:noalloc
 func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
 	s.WindowUpdate()
@@ -535,6 +543,7 @@ func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
 // default. Query paths run hot in the on-arrival setting (Figure 8;
 // internal/detect estimates on every packet), so the saved hash is
 // measurable.
+//
 //memento:noalloc
 func (s *Sketch[K]) Query(x K) float64 {
 	if s.hash != nil {
@@ -566,6 +575,7 @@ func queryEstimate[K comparable](overflow *keyidx.Counts[K], y *spacesaving.Sket
 // on sketches built with NewWithHash); internal/shard routes a point
 // query by hash and passes the same value here, so one hash serves
 // shard selection, the overflow table, and the Space Saving index.
+//
 //memento:noalloc
 func (s *Sketch[K]) QueryHashed(x K, h uint64) float64 {
 	if s.hash == nil {
@@ -579,6 +589,7 @@ func (s *Sketch[K]) QueryHashed(x K, h uint64) float64 {
 // where εa·W = 4·W/k is the algorithmic error band. H-Memento's
 // conditioned-frequency computation (Algorithms 3-4) subtracts Lower
 // values of descendants.
+//
 //memento:noalloc
 func (s *Sketch[K]) QueryBounds(x K) (upper, lower float64) {
 	return s.boundsFrom(s.Query(x))

@@ -48,6 +48,7 @@ func (snap *Snapshot[K]) recordFlags() uint16 {
 // AppendTo appends the snapshot as a self-contained KindSketch record
 // (header + body) and returns the extended buffer. Keys are encoded
 // through kc. With a reused buffer the call allocates nothing.
+//
 //memento:noalloc
 func (snap *Snapshot[K]) AppendTo(dst []byte, kc codec.KeyCodec[K]) []byte {
 	start := len(dst)
@@ -345,6 +346,7 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 // CheckpointInto is HHH's checkpoint-plane capture: SnapshotInto plus
 // the restore plane of the underlying Memento sketch. Call it under
 // the lock guarding hh.
+//
 //memento:noalloc
 func (hh *HHH) CheckpointInto(snap *HHHSnapshot) {
 	hh.mem.CheckpointInto(&snap.mem)
@@ -361,6 +363,7 @@ func (snap *HHHSnapshot) Restorable() bool { return snap.mem.full }
 // AppendTo appends the snapshot as a self-contained KindHHH record
 // and returns the extended buffer. It fails only when the hierarchy
 // has no wire identifier (codec.HierID).
+//
 //memento:noalloc
 func (snap *HHHSnapshot) AppendTo(dst []byte) ([]byte, error) {
 	//memento:allow alloc "HierID allocates only on its unknown-hierarchy error path"

@@ -206,8 +206,8 @@ func TestRestoreFromRejectsConfigMismatch(t *testing.T) {
 	var snap Snapshot[uint64]
 	s.CheckpointInto(&snap)
 	for _, cfg := range []Config{
-		{Window: 1 << 13, Counters: 64, Tau: 1}, // window differs
-		{Window: 1 << 12, Counters: 32, Tau: 1}, // counters differ
+		{Window: 1 << 13, Counters: 64, Tau: 1},   // window differs
+		{Window: 1 << 12, Counters: 32, Tau: 1},   // counters differ
 		{Window: 1 << 12, Counters: 64, Tau: 0.5}, // scale differs
 	} {
 		other := MustNew[uint64](cfg)

@@ -59,6 +59,7 @@ type Snapshot[K comparable] struct {
 // reusing snap's buffers. Call it under the lock guarding the sketch;
 // everything snap answers afterwards is lock-free. Cost is O(k) slab
 // copies — independent of the number of queries the snapshot serves.
+//
 //memento:noalloc
 func (s *Sketch[K]) SnapshotInto(snap *Snapshot[K]) {
 	s.overflow.CopyInto(&snap.overflow)
@@ -77,6 +78,7 @@ func (s *Sketch[K]) SnapshotInto(snap *Snapshot[K]) {
 // breakdown. A snapshot captured this way can rehydrate a live sketch
 // (RestoreFrom) and encodes with codec.FlagRestore. Still a few slab
 // copies — call it under the lock guarding the sketch.
+//
 //memento:noalloc
 func (s *Sketch[K]) CheckpointInto(snap *Snapshot[K]) {
 	s.SnapshotInto(snap)

@@ -439,4 +439,3 @@ func TestComputeCandidatesPrefilterMatchesFullScan(t *testing.T) {
 		}
 	}
 }
-

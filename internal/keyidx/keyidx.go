@@ -224,6 +224,7 @@ func (x *Index[K]) Get(key K) (int32, bool) { return x.GetH(key, x.Hash(key)) }
 
 // GetH is Get with a caller-computed hash (which must equal
 // x.Hash(key)).
+//
 //memento:noalloc
 func (x *Index[K]) GetH(key K, h uint64) (int32, bool) {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -241,6 +242,7 @@ func (x *Index[K]) GetH(key K, h uint64) (int32, bool) {
 func (x *Index[K]) Put(key K, val int32) { x.PutH(key, val, x.Hash(key)) }
 
 // PutH is Put with a caller-computed hash.
+//
 //memento:noalloc
 func (x *Index[K]) PutH(key K, val int32, h uint64) {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -304,6 +306,7 @@ func (x *Index[K]) reinsert(key K, val int32, h uint64) {
 func (x *Index[K]) Insert(key K) bool { return x.InsertH(key, x.Hash(key)) }
 
 // InsertH is Insert with a caller-computed hash.
+//
 //memento:noalloc
 func (x *Index[K]) InsertH(key K, h uint64) bool {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -324,6 +327,7 @@ func (x *Index[K]) InsertH(key K, h uint64) bool {
 func (x *Index[K]) Inc(key K, delta int32) int32 { return x.IncH(key, delta, x.Hash(key)) }
 
 // IncH is Inc with a caller-computed hash.
+//
 //memento:noalloc
 func (x *Index[K]) IncH(key K, delta int32, h uint64) int32 {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -343,6 +347,7 @@ func (x *Index[K]) IncH(key K, delta int32, h uint64) int32 {
 // the entry when it reaches zero; it reports whether the key was
 // present. The overflow table B, which this served, is a Counts now;
 // the repository benchmark's keyidx.inc_dec_ns replay still calls it.
+//
 //memento:noalloc
 func (x *Index[K]) DecH(key K, h uint64) bool {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -364,6 +369,7 @@ func (x *Index[K]) DecH(key K, h uint64) bool {
 func (x *Index[K]) Delete(key K) bool { return x.DeleteH(key, x.Hash(key)) }
 
 // DeleteH is Delete with a caller-computed hash.
+//
 //memento:noalloc
 func (x *Index[K]) DeleteH(key K, h uint64) bool {
 	for i := x.home(h); ; i = (i + 1) & x.mask {
@@ -407,6 +413,7 @@ func (x *Index[K]) unplace(i uint64) {
 // touching the slab — freshly Flushed scratch sets (query dedup, the
 // delta encoder's overflow-log scratch between quiet captures) are the
 // common case and cost nothing to walk.
+//
 //memento:noalloc
 func (x *Index[K]) Iterate(fn func(key K, val int32) bool) {
 	if x.n == 0 {

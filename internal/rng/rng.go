@@ -60,6 +60,7 @@ func (r *Source) Seed(seed uint64) {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
+//
 //memento:noalloc
 func (r *Source) Uint64() uint64 {
 	result := rotl(r.s1*5, 7) * 9
@@ -78,6 +79,7 @@ func (r *Source) Uint64() uint64 {
 func (r *Source) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Float64 returns a uniform float64 in [0, 1).
+//
 //memento:noalloc
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
@@ -154,6 +156,7 @@ func (b *Bernoulli) SetP(p float64) {
 func (b *Bernoulli) P() float64 { return b.p }
 
 // Sample reports whether the event fires this trial.
+//
 //memento:noalloc
 func (b *Bernoulli) Sample() bool {
 	if b.p >= 1 {
@@ -211,6 +214,7 @@ func (t *Table) SetP(p float64) {
 func (t *Table) P() float64 { return t.p }
 
 // Sample reports whether the event fires this trial.
+//
 //memento:noalloc
 func (t *Table) Sample() bool {
 	if t.p >= 1 {
@@ -224,6 +228,7 @@ func (t *Table) Sample() bool {
 // Next returns the next raw 32-bit table value (used by callers that
 // fold the uniform draw into a different decision, e.g. picking one of
 // V outcomes).
+//
 //memento:noalloc
 func (t *Table) Next() uint32 {
 	v := t.vals[t.pos]
@@ -270,6 +275,7 @@ func (g *Geometric) P() float64 { return g.p }
 
 // Next returns the number of failures preceding the next success
 // (0 means the very next trial succeeds).
+//
 //memento:noalloc
 func (g *Geometric) Next() int {
 	if g.p >= 1 {

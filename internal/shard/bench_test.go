@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"memento/internal/audit"
@@ -98,66 +97,6 @@ func BenchmarkIngestSharded(b *testing.B) {
 				})
 			})
 		}
-	}
-}
-
-// BenchmarkIngestRing drives the SPSC ring pipeline: one producer
-// goroutine staging and publishing, shard owners applying on their
-// own goroutines. CI gates this at 0 allocs/op — the whole publish →
-// consume → apply path runs on preallocated rings and scratch.
-func BenchmarkIngestRing(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	s := MustNew[uint64](SketchConfig[uint64]{
-		Core:   core.Config{Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1},
-		Shards: 4,
-	})
-	pl, err := s.StartPipeline(PipelineConfig{Producers: 1, Batch: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := pl.Producer(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Add(keys[i&(len(keys)-1)])
-	}
-	p.Flush()
-	pl.Drain()
-	b.StopTimer()
-	pl.Close()
-}
-
-// BenchmarkIngestRingParallel is the scaling shape: GOMAXPROCS
-// producers, each with its own ring column, against the same owners.
-func BenchmarkIngestRingParallel(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	for _, shards := range []int{4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := MustNew[uint64](SketchConfig[uint64]{
-				Core:   core.Config{Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1},
-				Shards: shards,
-			})
-			procs := runtime.GOMAXPROCS(0)
-			pl, err := s.StartPipeline(PipelineConfig{Producers: procs, Batch: 1024})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var next int32
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				p := pl.Producer(int(atomic.AddInt32(&next, 1)-1) % procs)
-				i := 0
-				for pb.Next() {
-					p.Add(keys[i&(len(keys)-1)])
-					i++
-				}
-				p.Flush()
-			})
-			pl.Drain()
-			b.StopTimer()
-			pl.Close()
-		})
 	}
 }
 

@@ -266,6 +266,7 @@ func (s *HHH) Compensation() float64 { return s.comp }
 func (s *HHH) Hierarchy() hierarchy.Hierarchy { return s.hier }
 
 // Update processes one packet, locking only its flow's shard.
+//
 //memento:noalloc
 func (s *HHH) Update(p hierarchy.Packet) {
 	sl := &s.shards[s.shardIndex(p)]
@@ -282,6 +283,7 @@ func (s *HHH) Observe(p hierarchy.Packet) { s.Update(p) }
 // UpdateBatch partitions a batch by shard and ingests each slice
 // through core.HHH's geometric-skip batch path under one lock
 // acquisition per shard.
+//
 //memento:noalloc
 func (s *HHH) UpdateBatch(ps []hierarchy.Packet) {
 	if len(ps) == 0 {
@@ -331,6 +333,7 @@ func (s *HHH) putPartition(part *[][]hierarchy.Packet) {
 
 // lockShardRead takes one read-plane lock, feeding the test probe.
 // The ingest path locks directly: the probe costs it nothing.
+//
 //memento:locks sl.mu
 func (s *HHH) lockShardRead(sl *hhhSlot) {
 	sl.mu.Lock()
@@ -450,6 +453,7 @@ func (s *HHH) Output(theta float64) []core.HeavyPrefix { return s.OutputTo(theta
 // compensation the Merger derives from the captured snapshots equal
 // the construction-time globals (Σ per-shard windows, √Σ compᵢ²), so
 // this is the same set the pre-Merger implementation computed.
+//
 //memento:noalloc
 func (s *HHH) OutputTo(theta float64, dst []core.HeavyPrefix) []core.HeavyPrefix {
 	start := time.Now()
@@ -533,6 +537,7 @@ func (s *HHH) NewBatcher(size int) *PacketBatcher {
 func (b *PacketBatcher) Audit(a *audit.Auditor) { b.aud = a }
 
 // Add buffers one packet, flushing its shard's sub-buffer if full.
+//
 //memento:noalloc
 func (b *PacketBatcher) Add(p hierarchy.Packet) {
 	i := 0
@@ -552,6 +557,7 @@ func (b *PacketBatcher) Add(p hierarchy.Packet) {
 }
 
 // Flush drains every sub-buffer into the sharded instance.
+//
 //memento:noalloc
 func (b *PacketBatcher) Flush() {
 	for i := range b.bufs {

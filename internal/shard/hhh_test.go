@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -78,6 +79,94 @@ func TestHHHConcurrent(t *testing.T) {
 	readerWg.Wait()
 	if got := s.Updates(); got != writers*perWriter {
 		t.Fatalf("Updates() = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestPacketBatcherExactlyOnce is TestBatcherExactlyOnce for the
+// packet front. Under hierarchy.Flows (H = 1) with V = H every packet
+// is a Full update of its one prefix, so with a window larger than
+// the stream each flow's merged estimate is its exact count plus a
+// constant offset, calibrated by a sentinel flow sent once. OutputTo
+// and WriteChain (delta capture) run in flight, so under -race this
+// is also the read-during-ingest assertion for the delta plane.
+func TestPacketBatcherExactlyOnce(t *testing.T) {
+	const writers = 4
+	const perWriter = 1 << 14
+	hier := hierarchy.Flows{}
+	s := MustNewHHH(HHHConfig{
+		Core:   core.HHHConfig{Hierarchy: hier, Window: 1 << 20, Counters: 4096, Seed: 13},
+		Shards: 4,
+	})
+	if err := s.EnableDeltaCheckpoints(77); err != nil {
+		t.Fatal(err)
+	}
+	exactCounts := make([]map[uint32]float64, writers)
+	var writerWg, readerWg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(w int) {
+			defer writerWg.Done()
+			counts := make(map[uint32]float64)
+			src := rng.New(uint64(300 + w))
+			b := s.NewBatcher(64)
+			for i := 0; i < perWriter; i++ {
+				a := uint32(src.Intn(64))
+				if src.Intn(4) == 0 {
+					a = 64 + uint32(src.Intn(448))
+				}
+				b.Add(hierarchy.Packet{Src: a})
+				counts[a]++
+			}
+			b.Flush()
+			exactCounts[w] = counts
+		}(w)
+	}
+	stop := make(chan struct{})
+	readerWg.Add(1)
+	go func() {
+		defer readerWg.Done()
+		var out []core.HeavyPrefix
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			out = s.OutputTo(0.05, out[:0])
+			// WriteChain is single-caller: this is the only goroutine
+			// writing chains.
+			if _, err := s.WriteChain(io.Discard, false); err != nil {
+				t.Errorf("WriteChain under ingest: %v", err)
+				return
+			}
+		}
+	}()
+	writerWg.Wait()
+	close(stop)
+	readerWg.Wait()
+
+	if got, want := s.Updates(), uint64(writers*perWriter); got != want {
+		t.Fatalf("updates = %d, want %d (lost or duplicated packets)", got, want)
+	}
+	// Workload sources are all < 512, so the sentinel is fresh.
+	sentinel := hierarchy.Packet{Src: 1 << 30}
+	b := s.NewBatcher(64)
+	b.Add(sentinel)
+	b.Flush()
+	offset := s.Query(hier.Fully(sentinel)) - 1
+	if offset < 0 {
+		t.Fatalf("sentinel estimate %v below its exact count", offset+1)
+	}
+	exact := make(map[uint32]float64)
+	for _, m := range exactCounts {
+		for a, c := range m {
+			exact[a] += c
+		}
+	}
+	for a, want := range exact {
+		if got := s.Query(hier.Fully(hierarchy.Packet{Src: a})); got != want+offset {
+			t.Fatalf("src %d: estimate %v, want exact %v + offset %v", a, got, want, offset)
+		}
 	}
 }
 

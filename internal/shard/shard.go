@@ -38,14 +38,10 @@
 //     stream locally (no synchronization at all) and flushes through
 //     UpdateBatch, the intended high-rate ingestion path.
 //
-// When owner goroutines can run in parallel with producers, the SPSC
-// ring pipeline (StartPipeline, ring.go/pipeline.go) replaces the
-// lock-per-flush handoff entirely: each shard becomes
-// run-to-completion behind one owner goroutine fed by per-producer
-// rings, and Ingest/AutoMode picks between the two engines per
-// deployment. DESIGN.md §9 documents the pipeline's topology,
-// park/wake protocol, drain semantics and the committed scaling
-// matrix.
+// Lock-per-flush is the only ingest engine. The common packet is a
+// few-nanosecond Window update, so a cross-core hand-off has no
+// per-packet work to offload; DESIGN.md §9 records the measurement
+// and the rule a second engine would have to meet.
 //
 // The total counter budget is divided across shards, so a sharded
 // sketch costs the same memory as the single-threaded configuration
@@ -246,6 +242,7 @@ func (s *Sketch[K]) EffectiveWindow() int { return s.window }
 // Update processes one packet, locking only the key's shard. The key
 // is hashed once; the same hash routes to a shard and feeds the core
 // sketch's indexes.
+//
 //memento:noalloc
 func (s *Sketch[K]) Update(x K) {
 	h := s.hash(x)
@@ -263,6 +260,7 @@ func (s *Sketch[K]) Update(x K) {
 // τ-fraction that reaches a Full update inside the core is not
 // rehashed. This is the intended high-rate path; per-goroutine
 // Batchers feed it.
+//
 //memento:noalloc
 func (s *Sketch[K]) UpdateBatch(xs []K) {
 	if len(xs) == 0 {
@@ -519,6 +517,7 @@ func (s *Sketch[K]) NewBatcher(size int) *Batcher[K] {
 }
 
 // Add buffers one key, flushing its shard's sub-buffer if full.
+//
 //memento:noalloc
 func (b *Batcher[K]) Add(x K) {
 	i := 0
@@ -534,6 +533,7 @@ func (b *Batcher[K]) Add(x K) {
 }
 
 // Flush drains every sub-buffer into the sharded sketch.
+//
 //memento:noalloc
 func (b *Batcher[K]) Flush() {
 	for i := range b.bufs {

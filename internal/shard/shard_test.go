@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
 
+	"memento/internal/codec"
 	"memento/internal/core"
 	"memento/internal/exact"
 	"memento/internal/rng"
@@ -104,6 +106,99 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	readerWg.Wait()
 	if got := s.Updates(); got != writers*perWriter {
 		t.Fatalf("Updates() = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestBatcherExactlyOnce is the conservation property of the ingest
+// front: every key handed to a Batcher is counted exactly once,
+// however the flushes of concurrent Batchers interleave at the shard
+// locks. With τ=1 and a window larger than the stream every packet is
+// a Full update and no counter is ever evicted, so Query(k) =
+// exact(k) + a constant offset (Algorithm 1's upper-bound estimate).
+// The test calibrates that offset with a sentinel key added exactly
+// once, then demands every key match its exact count through the same
+// offset: a dropped or duplicated key shifts some estimate by at
+// least 1. Point queries, HeavyHitters and Checkpoint run in flight,
+// so under -race this is also the read-during-ingest assertion for
+// the sketch-side persistence plane.
+func TestBatcherExactlyOnce(t *testing.T) {
+	const writers = 4
+	const perWriter = 1 << 14
+	s := MustNew[uint64](SketchConfig[uint64]{
+		Core:   core.Config{Window: 1 << 20, Counters: 4096, Tau: 1, Seed: 7},
+		Shards: 4,
+		Hash:   pacedHash,
+	})
+	exactCounts := make([]map[uint64]float64, writers)
+	var writerWg, readerWg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(w int) {
+			defer writerWg.Done()
+			counts := make(map[uint64]float64)
+			src := rng.New(uint64(100 + w))
+			b := s.NewBatcher(64)
+			for i := 0; i < perWriter; i++ {
+				// A few hundred distinct keys, so exact per-key
+				// accounting fits in the counter budget.
+				k := uint64(src.Intn(64))
+				if src.Intn(4) == 0 {
+					k = 64 + uint64(src.Intn(448))
+				}
+				b.Add(k)
+				counts[k]++
+			}
+			b.Flush()
+			exactCounts[w] = counts
+		}(w)
+	}
+	stop := make(chan struct{})
+	readerWg.Add(1)
+	go func() {
+		defer readerWg.Done()
+		var items []core.Item[uint64]
+		var buf bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = s.Query(3)
+			items = s.HeavyHitters(0.05, items[:0])
+			buf.Reset()
+			if err := s.Checkpoint(&buf, codec.Uint64Keys{}); err != nil {
+				t.Errorf("checkpoint under ingest: %v", err)
+				return
+			}
+		}
+	}()
+	writerWg.Wait()
+	close(stop)
+	readerWg.Wait()
+
+	if got, want := s.Updates(), uint64(writers*perWriter); got != want {
+		t.Fatalf("updates = %d, want %d (lost or duplicated keys)", got, want)
+	}
+	// Workload keys are all < 512, so the sentinel is fresh.
+	const sentinel = uint64(1) << 40
+	b := s.NewBatcher(64)
+	b.Add(sentinel)
+	b.Flush()
+	offset := s.Query(sentinel) - 1
+	if offset < 0 {
+		t.Fatalf("sentinel estimate %v below its exact count", offset+1)
+	}
+	exact := make(map[uint64]float64)
+	for _, m := range exactCounts {
+		for k, c := range m {
+			exact[k] += c
+		}
+	}
+	for k, want := range exact {
+		if got := s.Query(k); got != want+offset {
+			t.Fatalf("key %d: estimate %v, want exact %v + offset %v", k, got, want, offset)
+		}
 	}
 }
 

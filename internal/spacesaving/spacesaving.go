@@ -156,6 +156,7 @@ func (s *Sketch[K]) Items() uint64 { return s.items }
 // Flush empties the sketch, retaining and reusing all memory. It is
 // O(k) in the slab bookkeeping but the key index clears in O(1) via
 // its generation stamp.
+//
 //memento:noalloc
 func (s *Sketch[K]) Flush() {
 	s.idx.Flush()
@@ -250,12 +251,14 @@ func (s *Sketch[K]) increment(ci int32) uint64 {
 // Add feeds one occurrence of key and returns its new estimated count.
 // The returned value increases by exactly 1 per call for a given
 // resident key, which Memento's overflow detection relies on.
+//
 //memento:noalloc
 func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.idx.Hash(key)) }
 
 // AddHashed is Add with a caller-computed hash (which must equal
 // Hash(key)); callers that already hashed the key for routing avoid a
 // second hash computation on the hot path.
+//
 //memento:noalloc
 func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 	s.items++
@@ -321,12 +324,14 @@ func (s *Sketch[K]) Min() uint64 {
 
 // Query returns the estimated count of key: its counter value when
 // monitored, otherwise Min().
+//
 //memento:noalloc
 func (s *Sketch[K]) Query(key K) uint64 { return s.QueryHashed(key, s.idx.Hash(key)) }
 
 // QueryHashed is Query with a caller-computed hash (which must equal
 // Hash(key)); query paths that probe both the Memento overflow table
 // and this index hash the key once and feed both.
+//
 //memento:noalloc
 func (s *Sketch[K]) QueryHashed(key K, h uint64) uint64 {
 	if ci, ok := s.idx.GetH(key, h); ok {
@@ -358,6 +363,7 @@ func (s *Sketch[K]) TrackSlots() {
 // returns dst resized to ⌈Cap()/64⌉ words. Flush does not clear marks,
 // so a bit may name a slot at or past Len(); such a slot holds nothing.
 // Without TrackSlots the result is empty.
+//
 //memento:noalloc
 func (s *Sketch[K]) DrainSlotMarks(dst []uint64) []uint64 {
 	dst = append(dst[:0], s.marks...)
@@ -369,6 +375,7 @@ func (s *Sketch[K]) DrainSlotMarks(dst []uint64) []uint64 {
 // the slot Add gave it until it is evicted (the slot is re-keyed in
 // place) or the sketch is flushed, and CopyInto preserves slot
 // numbers, so position identifies a counter across captures.
+//
 //memento:noalloc
 func (s *Sketch[K]) Slot(i int) Counter[K] {
 	c := &s.counters[i]
@@ -377,6 +384,7 @@ func (s *Sketch[K]) Slot(i int) Counter[K] {
 
 // SlotOfHashed returns the slot monitoring key, or -1, given the
 // caller-computed hash (which must equal Hash(key)).
+//
 //memento:noalloc
 func (s *Sketch[K]) SlotOfHashed(key K, h uint64) int {
 	if ci, ok := s.idx.GetH(key, h); ok {
@@ -399,6 +407,7 @@ func (s *Sketch[K]) Lookup(key K) (Counter[K], bool) {
 
 // LookupHashed is Lookup with a caller-computed hash (which must
 // equal Hash(key)).
+//
 //memento:noalloc
 func (s *Sketch[K]) LookupHashed(key K, h uint64) (Counter[K], bool) {
 	ci, ok := s.idx.GetH(key, h)
@@ -516,6 +525,7 @@ func (s *Sketch[K]) Iterate(fn func(Counter[K]) bool) {
 // Entries appends all monitored counters to dst and returns it,
 // ordered by descending count (useful for top-k reporting and the
 // Aggregation communication method).
+//
 //memento:noalloc
 func (s *Sketch[K]) Entries(dst []Counter[K]) []Counter[K] {
 	start := len(dst)
