@@ -1,8 +1,8 @@
 // Benchmark harness: one benchmark family per figure of the paper's
 // evaluation (Section 6). Absolute numbers are hardware-bound; the
 // ratios between sub-benchmarks are what reproduce the paper's claims
-// (DESIGN.md §6 lists the expected shapes; BENCH_*.json snapshots
-// record runs). Run with:
+// (DESIGN.md §6 lists the expected shapes; cmd/mementobench prints the
+// corresponding tables). Run with:
 //
 //	go test -bench=. -benchmem
 package memento

@@ -9,6 +9,8 @@
 // chain (internal/delta) and, on startup, restores the newest chain
 // found in the directory, so a crashed or upgraded controller resumes
 // its sliding window instead of forgetting the last W packets.
+// SIGINT/SIGTERM writes a final checkpoint and closes the fleet
+// before exiting.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"memento/internal/codec"
@@ -47,6 +50,9 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /debug/metrics, /debug/events and /debug/pprof on this address ('' disables)")
 	)
 	flag.Parse()
+	if *interval <= 0 {
+		fatal(fmt.Errorf("-interval must be positive, got %v", *interval))
+	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	reg := obs.NewRegistry()
@@ -118,7 +124,7 @@ func main() {
 	}()
 
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	var ckptC <-chan time.Time

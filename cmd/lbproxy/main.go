@@ -69,6 +69,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lbproxy: -backends required")
 		os.Exit(2)
 	}
+	if *reportEvery <= 0 {
+		fatal(fmt.Errorf("-report-every must be positive, got %v", *reportEvery))
+	}
 	if *name == "" {
 		*name = *listen
 	}
@@ -201,7 +204,7 @@ func main() {
 			hh = fresh
 		}
 		hh.Instrument(reg, trace, *name)
-		var cp *delta.Checkpointer
+		stopCheckpoints := func() {}
 		if *ckptDir != "" {
 			if *ckptEvery <= 0 {
 				fatal(fmt.Errorf("-checkpoint-every must be positive, got %v", *ckptEvery))
@@ -209,23 +212,18 @@ func main() {
 			if err := hh.EnableDeltaCheckpoints(0); err != nil {
 				fatal(err)
 			}
-			c, err := delta.NewCheckpointer(*ckptDir, hh, *baseEvery)
+			cp, err := delta.NewCheckpointer(*ckptDir, hh, *baseEvery)
 			if err != nil {
 				fatal(err)
 			}
-			cp = c
-			go func() {
-				tick := time.NewTicker(*ckptEvery)
-				defer tick.Stop()
-				for range tick.C {
-					if path, err := cp.Tick(); err != nil {
-						log.Error("checkpoint failed", "err", err)
-					} else {
-						trace.Record(obs.EvCheckpoint, *name, 0)
-						log.Info("checkpoint written", "path", path)
-					}
+			stopCheckpoints = startCheckpoints(cp, *ckptEvery, func(path string, err error) {
+				if err != nil {
+					log.Error("checkpoint failed", "err", err)
+					return
 				}
-			}()
+				trace.Record(obs.EvCheckpoint, *name, 0)
+				log.Info("checkpoint written", "path", path)
+			})
 		}
 		lobs := lb.NewBatchingObserver(hh, *localBatch)
 		cfg.Observer = lobs
@@ -250,14 +248,7 @@ func main() {
 		}()
 		onShutdown = append(onShutdown, func() {
 			lobs.Flush()
-			if cp != nil {
-				if path, err := cp.Tick(); err != nil {
-					log.Error("final checkpoint failed", "err", err)
-				} else {
-					trace.Record(obs.EvCheckpoint, *name, 0)
-					log.Info("final checkpoint written", "path", path)
-				}
-			}
+			stopCheckpoints() // writes the final checkpoint
 		})
 	}
 	if *debugAddr != "" {
@@ -416,6 +407,36 @@ func superviseDegraded(log *slog.Logger, agent *netwide.Agent, acl *lb.ACL,
 				"lifted", len(lift), "generation", st.Generation,
 				"degraded-exits", st.DegradedExits)
 		}
+	}
+}
+
+// startCheckpoints runs cp.Tick every period on one goroutine, passing
+// each outcome to report, and returns a stop function that has that
+// same goroutine write one final checkpoint and waits for it to exit.
+// Checkpointer and the shard.HHH.WriteChain behind it are
+// single-caller: a final Tick from the shutdown path while a periodic
+// one is in flight would race the chain numbering and the per-shard
+// trackers, and leave a chain that fails ErrEpochGap at the next warm
+// restart.
+func startCheckpoints(cp *delta.Checkpointer, period time.Duration, report func(path string, err error)) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				report(cp.Tick())
+			case <-quit:
+				report(cp.Tick())
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 

@@ -1,96 +1,129 @@
-// Command mementobench regenerates the single-device evaluation
-// figures of the paper (Figures 5-8) and benchmarks the sharded read
-// plane and the network-wide fleet. Each -figureN flag prints the
-// corresponding table; scale flags default to laptop-sized runs and
-// accept the paper's full parameters (-window 5000000 -packets
-// 16000000).
+// Command mementobench is the paper-figure driver: each -figureN flag
+// regenerates one table of the evaluation (Figures 1b and 4-10, plus
+// the Section 5.2 worked examples) from in-process synthetic traces
+// built from (profile, seed). Several figures may be selected; they
+// print in paper order.
 //
 // Usage:
 //
-//	mementobench -figure5 [-window N] [-packets N] [-counters 64,512,4096]
+//	mementobench -figure1b [-theta T] [-runs N] [-rmin R] [-rmax R] [-steps N]
+//	mementobench -figure4 [-examples] [-points M] [-hierarchy H] [-fixed-batch B]
+//	mementobench -figure5 [-counters 64,512,4096]
 //	mementobench -figure6 [-twod]
 //	mementobench -figure7 [-twod]
-//	mementobench -figure8
-//	mementobench -queryload [-qps Q] [-theta T] [-shards N] [-json]
-//	mementobench -report [-agents M] [-budget B] [-cadence C] [-theta T] [-json]
+//	mementobench -figure8 [-v V]
+//	mementobench -figure9 [-points M] [-budget B] [-batch B]
+//	mementobench -figure10 [-subnets N] [-rate F] [-theta T] [-curve]
 //
-// -queryload is the read-plane benchmark: writer goroutines ingest a
-// trace through a sharded H-Memento while Output fires at the given
-// QPS, measuring both sides of the snapshot query plane at once —
-// sustained ingest throughput under periodic monitoring, and query
-// latency under full-rate ingestion (the paper's on-arrival setting,
-// Figure 8, assumes queries cheap enough to run this way). -json
-// emits BENCH_query.json-shaped output.
+// -window, -packets, -counters, -traces and -theta are shared; one left
+// at its zero value takes the selected figure's own laptop-sized
+// default (the figures table below), and all accept the paper's full
+// parameters (-window 5000000 -packets 16000000). -cpuprofile and
+// -memprofile write pprof profiles of the selected run.
 //
-// -report drives two real TCP controller/agent fleets over the same
-// stream — budget-sampled reporting vs full-sketch snapshot shipping
-// (netwide.ReportSnapshot) — and scores both heavy-hitter sets
-// against an exact oracle: recall/precision/F1 next to measured bytes
-// per packet (BENCH_netwide.json), turning the paper's "send
-// everything" baseline into a live accuracy-vs-bandwidth axis.
-//
-// Every mode accepts -cpuprofile and -memprofile to write pprof
-// profiles of the selected run, the intended first stop when a
-// BENCH_*.json regression needs explaining.
+// Performance numbers (ingest Mpkt/s, query and enforce latency, wire
+// bytes, F1 against an exact oracle) do not come from here: they come
+// from the repository benchmark, bash benchmark/run.sh.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
-	"time"
 
-	"memento/internal/core"
+	"memento/internal/analysis"
+	"memento/internal/detect"
 	"memento/internal/experiments"
 	"memento/internal/hierarchy"
-	"memento/internal/shard"
+	"memento/internal/obs"
 	"memento/internal/trace"
 )
 
+// scale is the value of the shared scale flags: as parsed, and as each
+// figure's defaults for the ones the command line leaves zero.
+type scale struct {
+	window, packets  int
+	counters, traces string
+	theta            float64
+}
+
+// params is a figure's resolved scale.
+type params struct {
+	window, packets int
+	counters        []int
+	profiles        []trace.Profile
+	theta           float64
+}
+
+// Figures 5-8 run on one device and share a scale.
+var singleDevice = scale{window: 1 << 18, packets: 1 << 20, counters: "64,512,4096", traces: "Edge,Datacenter,Backbone"}
+
+var figures = []struct {
+	name, usage string
+	scale
+	run func(w *tabwriter.Writer, p params) error
+}{
+	{"figure1b", "detection delay vs f/θ: Interval, Improved Interval, Window, and Memento by simulation",
+		scale{window: 4000, theta: 0.05}, figure1b},
+	{"figure4", "guaranteed network-wide error vs budget: Sample, fixed Batch, optimal Batch",
+		scale{window: 1e6}, figure4},
+	{"examples", "the §5.2 worked examples of the Figure 4 model",
+		scale{window: 1e6}, examples},
+	{"figure5", "Memento vs WCSS: speed and error vs τ", singleDevice, figure5},
+	{"figure6", "H-Memento vs Baseline window HHH speed", singleDevice, figure6},
+	{"figure7", "H-Memento vs RHHH throughput", singleDevice, figure7},
+	{"figure8", "per-prefix-length error: Interval vs Baseline vs H-Memento", singleDevice, figure8},
+	{"figure9", "controller error under a byte budget: Aggregation, Sample, Batch",
+		scale{window: 1 << 17, packets: 1 << 19, counters: "4096", traces: "Backbone,Datacenter,Edge"}, figure9},
+	{"figure10", "HTTP flood: subnets identified and attack requests missed, per method",
+		scale{window: 1 << 17, packets: 1 << 19, counters: "4096", traces: "Backbone", theta: 0.01}, figure10},
+}
+
+var (
+	twod     = flag.Bool("twod", false, "use the 2D src×dst hierarchy (H=25) where applicable")
+	seed     = flag.Uint64("seed", 1, "deterministic seed")
+	evalEach = flag.Int("eval-every", 101, "evaluate on-arrival error every N packets")
+	sampleV  = flag.Int("v", 0, "H-Memento sampling ratio V for -figure8 (0: H·64, ≈ the paper's τ regime)")
+
+	points = flag.Int("points", 10, "measurement points m (-figure4, -figure9, -figure10)")
+	budget = flag.Float64("budget", 1, "bandwidth budget B bytes/packet (-figure9, -figure10)")
+	batch  = flag.Int("batch", 44, "batch size b for the Batch method (-figure9, -figure10)")
+
+	overhead = flag.Float64("overhead", 64, "per-report header bytes O (-figure4)")
+	sample   = flag.Float64("sample", 4, "per-sample payload bytes E (-figure4)")
+	hsize    = flag.Int("hierarchy", 5, "hierarchy size H (-figure4)")
+	delta    = flag.Float64("delta", 1e-4, "confidence δ (-figure4)")
+	fixedB   = flag.Int("fixed-batch", 100, "fixed batch size for the -figure4 middle curve")
+
+	runs  = flag.Int("runs", 100, "Monte Carlo repetitions per point (-figure1b)")
+	rMin  = flag.Float64("rmin", 1.0, "smallest frequency/threshold ratio (-figure1b)")
+	rMax  = flag.Float64("rmax", 2.5, "largest frequency/threshold ratio (-figure1b)")
+	steps = flag.Int("steps", 7, "ratio sweep points (-figure1b)")
+
+	subnets = flag.Int("subnets", 50, "attacking /8 subnets (-figure10)")
+	rate    = flag.Float64("rate", 0.7, "flood fraction of traffic (-figure10)")
+	check   = flag.Int("check-every", 1024, "detection check cadence in packets (-figure10)")
+	curve   = flag.Bool("curve", false, "print the full identification-over-time curves (-figure10)")
+)
+
 func main() {
-	var (
-		fig5     = flag.Bool("figure5", false, "Memento vs WCSS: speed and error vs τ")
-		fig6     = flag.Bool("figure6", false, "H-Memento vs Baseline window HHH speed")
-		fig7     = flag.Bool("figure7", false, "H-Memento vs RHHH throughput")
-		fig8     = flag.Bool("figure8", false, "per-prefix-length error: Interval vs Baseline vs H-Memento")
-		twod     = flag.Bool("twod", false, "use the 2D src×dst hierarchy (H=25) where applicable")
-		window   = flag.Int("window", 1<<18, "window size W in packets")
-		packets  = flag.Int("packets", 1<<20, "stream length N in packets")
-		counters = flag.String("counters", "64,512,4096", "comma-separated counter budgets")
-		traces   = flag.String("traces", "Edge,Datacenter,Backbone", "comma-separated trace profiles")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		evalEach = flag.Int("eval-every", 101, "evaluate on-arrival error every N packets")
-		sampleV  = flag.Int("v", 0, "H-Memento sampling ratio V for -figure8 (0: H·64, ≈ the paper's τ regime)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count for -queryload")
-		batchSize  = flag.Int("batch", 256, "per-goroutine batch size for -queryload")
-		goroutines = flag.Int("goroutines", 0, "writer goroutines for -queryload (0: one per shard)")
-		jsonOut    = flag.Bool("json", false, "emit -queryload/-report/-audit results as JSON on stdout")
-
-		queryload      = flag.Bool("queryload", false, "benchmark mixed ingest + periodic Output on a sharded H-Memento")
-		auditRun       = flag.Bool("audit", false, "audit a traced snapshot fleet against a shadow oracle (with -queryload: append the accuracy-trajectory section)")
-		auditShift     = flag.Uint("audit-shift", 8, "shadow-oracle sampling shift for -audit (audit 2^-shift of keys)")
-		auditIntervals = flag.Int("audit-intervals", 8, "accuracy-trajectory checkpoints for -audit")
-		qps            = flag.Float64("qps", 100, "Output queries per second for -queryload")
-		theta          = flag.Float64("theta", 0.1, "HHH threshold for -queryload Output calls")
-
-		report  = flag.Bool("report", false, "compare sampled vs snapshot-shipping network-wide reporting (accuracy vs bytes)")
-		nagents = flag.Int("agents", 4, "measurement points for -report")
-		budget  = flag.Float64("budget", 0.1, "bytes/packet budget for the sampled fleet in -report")
-		cadence = flag.Int("cadence", 2, "snapshots per agent window for -report")
-		chaos   = flag.Bool("chaos", false, "add a fault-injected delta leg to -report: scripted drops, a partition and controller resets, scored after heal")
-	)
+	var set scale
+	flag.IntVar(&set.window, "window", 0, "window size W in packets (0: the figure's default)")
+	flag.IntVar(&set.packets, "packets", 0, "stream length N in packets (0: the figure's default)")
+	flag.StringVar(&set.counters, "counters", "", "comma-separated counter budgets; figures that take one use the first ('': the figure's default)")
+	flag.StringVar(&set.traces, "traces", "", "comma-separated trace profiles; figures that take one use the last ('': the figure's default)")
+	flag.Float64Var(&set.theta, "theta", 0, "threshold θ for -figure1b/-figure10 (0: the figure's default)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
+	selected := make([]*bool, len(figures))
+	for i, f := range figures {
+		selected[i] = flag.Bool(f.name, false, f.usage)
+	}
 	flag.Parse()
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -116,423 +149,318 @@ func main() {
 			}
 		}()
 	}
-	if *queryload {
-		ks, err := parseInts(*counters)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	defer w.Flush()
+	ran := false
+	for i, f := range figures {
+		if !*selected[i] {
+			continue
+		}
+		ran = true
+		p, err := set.resolve(f.scale)
 		if err != nil {
 			fatal(err)
 		}
-		profiles, err := parseProfiles(*traces)
-		if err != nil {
+		if err := f.run(w, p); err != nil {
 			fatal(err)
 		}
-		qcfg := queryLoadConfig{
-			Window: *window, Packets: *packets, Shards: *shards,
-			Batch: *batchSize, Goroutines: *goroutines,
-			Counters: ks[0], V: *sampleV, Theta: *theta, QPS: *qps,
-			Profile: profiles[0], Seed: *seed, JSON: *jsonOut,
-		}
-		if *auditRun {
-			rep, err := runAudit(auditConfig{
-				Window: *window, Packets: *packets, Agents: *nagents,
-				Shift: *auditShift, Intervals: *auditIntervals, Seed: *seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			qcfg.Audit = &rep
-		}
-		if err := runQueryLoad(qcfg); err != nil {
-			fatal(err)
-		}
-		return
 	}
-	if *auditRun {
-		if err := runAuditStandalone(auditConfig{
-			Window: *window, Packets: *packets, Agents: *nagents,
-			Shift: *auditShift, Intervals: *auditIntervals,
-			Seed: *seed, JSON: *jsonOut,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *report {
-		if err := runReport(reportConfig{
-			Window: *window, Packets: *packets, Agents: *nagents,
-			Theta: *theta, Budget: *budget, Batch: 16,
-			Counters: 2048, Cadence: *cadence,
-			Seed: *seed, JSON: *jsonOut, Chaos: *chaos,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if !*fig5 && !*fig6 && !*fig7 && !*fig8 {
-		fmt.Fprintln(os.Stderr, "select one of -figure5 -figure6 -figure7 -figure8")
+	if !ran {
+		fmt.Fprintln(os.Stderr, "select at least one of -figure1b -figure4 -examples -figure5 … -figure10")
 		flag.Usage()
 		os.Exit(2)
 	}
-	ks, err := parseInts(*counters)
-	if err != nil {
-		fatal(err)
+}
+
+// resolve fills the flags the command line left zero from the figure's
+// defaults d and parses the two lists.
+func (s scale) resolve(d scale) (params, error) {
+	if s.window == 0 {
+		s.window = d.window
 	}
-	profiles, err := parseProfiles(*traces)
-	if err != nil {
-		fatal(err)
+	if s.packets == 0 {
+		s.packets = d.packets
 	}
-	var hier hierarchy.Hierarchy = hierarchy.OneD{}
+	if s.counters == "" {
+		s.counters = d.counters
+	}
+	if s.traces == "" {
+		s.traces = d.traces
+	}
+	if s.theta == 0 {
+		s.theta = d.theta
+	}
+	p := params{window: s.window, packets: s.packets, theta: s.theta}
+	for _, part := range splitList(s.counters) {
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return p, fmt.Errorf("bad integer %q: %w", part, err)
+		}
+		p.counters = append(p.counters, v)
+	}
+	for _, part := range splitList(s.traces) {
+		prof, err := trace.ProfileByName(part)
+		if err != nil {
+			return p, err
+		}
+		p.profiles = append(p.profiles, prof)
+	}
+	return p, nil
+}
+
+// splitList splits a comma-separated flag value; "" is the empty list.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}
+
+// last is the profile the one-trace figures run on.
+func (p params) last() trace.Profile { return p.profiles[len(p.profiles)-1] }
+
+func flagHier() hierarchy.Hierarchy {
 	if *twod {
-		hier = hierarchy.TwoD{}
+		return hierarchy.TwoD{}
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	defer w.Flush()
+	return hierarchy.OneD{}
+}
 
-	switch {
-	case *fig5:
-		rows, err := experiments.Figure5(experiments.Fig5Config{
-			Profiles: profiles, Counters: ks, Taus: experiments.DefaultTaus(),
-			Window: *window, Packets: *packets, EvalEvery: *evalEach, Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
+func figure1b(w *tabwriter.Writer, p params) error {
+	fmt.Fprintln(w, "r=f/θ\tWindow\tImproved\tInterval\tsim:Window\tsim:Improved\tsim:Interval\tsim:Memento")
+	for i := 0; i < *steps; i++ {
+		r := *rMin + (*rMax-*rMin)*float64(i)/float64(*steps-1)
+		cfg := detect.SimConfig{
+			Window: p.window, Theta: p.theta, Ratio: r, Runs: *runs, Seed: *seed,
 		}
-		fmt.Fprintln(w, "trace\tcounters\ttau\tMpps\tspeedup\tRMSE(pkts)")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.6f\t%.2f\t%.2fx\t%.1f\n",
-				r.Trace, r.Counters, r.Tau, r.MPPS, r.Speedup, r.RMSE)
-		}
-	case *fig6:
-		h := hier.H()
-		vs := make([]int, 0, 8)
-		for v := h; v <= h*1024; v *= 4 {
-			vs = append(vs, v)
-		}
-		rows, err := experiments.Figure6(experiments.Fig6Config{
-			Hier: hier, Profile: profiles[len(profiles)-1], Counters: ks,
-			Vs: vs, Window: *window, Packets: *packets, Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(w, "hierarchy\talgorithm\tcounters\tV\tMpps\tspeedup")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.2f\t%.1fx\n",
-				r.Hier, r.Algorithm, r.Counters, r.V, r.MPPS, r.Speedup)
-		}
-	case *fig7:
-		h := hier.H()
-		vs := make([]int, 0, 8)
-		for v := h; v <= h*4096; v *= 4 {
-			vs = append(vs, v)
-		}
-		rows, err := experiments.Figure7(experiments.Fig7Config{
-			Hier: hier, Profile: profiles[len(profiles)-1], Counters: ks[0],
-			Vs: vs, Window: *window, Packets: *packets, Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(w, "hierarchy\talgorithm\tV\tMpps")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\n", r.Hier, r.Algorithm, r.V, r.MPPS)
-		}
-	case *fig8:
-		v := *sampleV
-		if v == 0 {
-			v = hier.H() * 64
-		}
-		for _, prof := range profiles {
-			rows, err := experiments.Figure8(experiments.Fig8Config{
-				Profile: prof, Window: *window, Packets: *packets,
-				Counters: ks[0], V: v, EvalEvery: *evalEach, Seed: *seed,
-			})
+		sims := make(map[detect.Method]float64)
+		for _, m := range []detect.Method{
+			detect.MethodWindow, detect.MethodImprovedInterval,
+			detect.MethodInterval, detect.MethodMemento,
+		} {
+			res, err := detect.Simulate(m, cfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintln(w, "trace\talgorithm\tprefix\tRMSE(pkts)")
-			for _, r := range rows {
-				fmt.Fprintf(w, "%s\t%s\t/%d\t%.1f\n",
-					r.Trace, r.Algorithm, 8*r.PrefixLen, r.RMSE)
-			}
+			sims[m] = res.MeanDelay
 		}
+		fmt.Fprintf(w, "%.2f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
+			r,
+			detect.WindowDelay(r), detect.ImprovedIntervalDelay(r), detect.IntervalDelay(r),
+			sims[detect.MethodWindow], sims[detect.MethodImprovedInterval],
+			sims[detect.MethodInterval], sims[detect.MethodMemento])
+	}
+	fmt.Fprintln(w, "\nDelays are in windows; the Window column is the optimal detection time.")
+	return nil
+}
+
+func model(p params) analysis.Model {
+	return analysis.Model{
+		OverheadBytes: *overhead, SampleBytes: *sample, Points: *points,
+		HierarchySize: *hsize, Window: float64(p.window), Delta: *delta,
 	}
 }
 
-// parseInts splits a comma-separated integer list.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+func figure4(w *tabwriter.Writer, p params) error {
+	budgets := []float64{0.1, 0.25, 0.5, 1, 2, 5, 10}
+	rows, err := model(p).Figure4(budgets, *fixedB)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "B(bytes/pkt)\tSample\tBatch-100\tBatch-opt\topt b\tdelay:Sample\tdelay:B100\tdelay:opt")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%.2f\t%.0f\t%.0f\t%.0f\t%d\t%.0f\t%.0f\t%.0f\n",
+			r.Budget, r.Sample, r.FixedBatch, r.OptBatch, r.OptB,
+			r.SampleDelay, r.FixedDelay, r.OptDelay)
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+func examples(w *tabwriter.Writer, p params) error {
+	fmt.Fprintln(w, "Section 5.2 worked examples (model values):")
+	for _, ex := range []struct {
+		label  string
+		budget float64
+		window float64
+		hsize  int
+	}{
+		{"B=1, W=1e6, H=5 (paper: b*≈44, err≈13K = 1.3%)", 1, 1e6, 5},
+		{"B=5, W=1e6, H=5 (paper: b*≈68, err≈5.3K = 0.53%)", 5, 1e6, 5},
+		{"B=1, W=1e7, H=5 (paper text: 0.15%; formula: ≈0.35%)", 1, 1e7, 5},
+		{"B=1, W=1e6, H=25 (2D: larger error, larger b*)", 1, 1e6, 25},
+	} {
+		mm := model(p)
+		mm.Window = ex.window
+		mm.HierarchySize = ex.hsize
+		opt, err := mm.Optimize(ex.budget, 0)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q: %w", part, err)
+			return err
 		}
-		out = append(out, v)
+		fmt.Fprintf(w, "  %s\tb*=%d\terr=%.0f pkts\t(%.3f%% of W)\tτ=%.5f\n",
+			ex.label, opt.BatchSize, opt.Error, 100*opt.ErrorFraction, opt.Tau)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
+	return nil
 }
 
-// parseProfiles resolves comma-separated trace profile names.
-func parseProfiles(s string) ([]trace.Profile, error) {
-	var out []trace.Profile
-	for _, part := range strings.Split(s, ",") {
-		p, err := trace.ProfileByName(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+func figure5(w *tabwriter.Writer, p params) error {
+	rows, err := experiments.Figure5(experiments.Fig5Config{
+		Profiles: p.profiles, Counters: p.counters, Taus: experiments.DefaultTaus(),
+		Window: p.window, Packets: p.packets, EvalEvery: *evalEach, Seed: *seed,
+	})
+	if err != nil {
+		return err
 	}
-	return out, nil
+	fmt.Fprintln(w, "trace\tcounters\ttau\tMpps\tspeedup\tRMSE(pkts)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%d\t%.6f\t%.2f\t%.2fx\t%.1f\n",
+			r.Trace, r.Counters, r.Tau, r.MPPS, r.Speedup, r.RMSE)
+	}
+	return nil
 }
 
-// ingestLeg is the ingest side of a -queryload run.
-type ingestLeg struct {
-	Name       string  `json:"name"`
-	Shards     int     `json:"shards"`
-	Batch      int     `json:"batch"`
-	Goroutines int     `json:"goroutines"`
-	Packets    int     `json:"packets"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	Mpps       float64 `json:"mpps"`
+// sweepV is the sampling-ratio axis of Figures 6 and 7: H, 4H, … ≤ H·top.
+func sweepV(h, top int) []int {
+	var vs []int
+	for v := h; v <= h*top; v *= 4 {
+		vs = append(vs, v)
+	}
+	return vs
 }
 
-// queryLoadConfig parameterizes the -queryload benchmark.
-type queryLoadConfig struct {
-	Window     int
-	Packets    int
-	Shards     int
-	Batch      int
-	Goroutines int
-	Counters   int // per-pattern budget; total is Counters·H
-	V          int // 0: 64·H
-	Theta      float64
-	QPS        float64
-	Profile    trace.Profile
-	Seed       uint64
-	JSON       bool
-	// Audit is the accuracy-trajectory section produced by a -audit
-	// fleet run, embedded into the report when both modes are selected.
-	Audit *auditReport
+func figure6(w *tabwriter.Writer, p params) error {
+	hier := flagHier()
+	rows, err := experiments.Figure6(experiments.Fig6Config{
+		Hier: hier, Profile: p.last(), Counters: p.counters,
+		Vs: sweepV(hier.H(), 1024), Window: p.window, Packets: p.packets, Seed: *seed,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "hierarchy\talgorithm\tcounters\tV\tMpps\tspeedup")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.2f\t%.1fx\n",
+			r.Hier, r.Algorithm, r.Counters, r.V, r.MPPS, r.Speedup)
+	}
+	return nil
 }
 
-// queryLoadReport is the machine-readable -queryload output
-// (BENCH_query.json).
-type queryLoadReport struct {
-	Mode       string    `json:"mode"`
-	Trace      string    `json:"trace"`
-	Window     int       `json:"window"`
-	Counters   int       `json:"counters"`
-	V          int       `json:"v"`
-	Theta      float64   `json:"theta"`
-	QPS        float64   `json:"qps"`
-	GoMaxProcs int       `json:"gomaxprocs"`
-	HostCPUs   int       `json:"host_cpus"`
-	Ingest     ingestLeg `json:"ingest"`
-	Queries    int       `json:"queries"`
-	QueryMean  float64   `json:"query_ns_mean"`
-	QueryP50   float64   `json:"query_ns_p50"`
-	QueryP99   float64   `json:"query_ns_p99"`
-	OutputLen  int       `json:"last_output_len"`
-	// Audit is the accuracy-trajectory section (-audit alongside
-	// -queryload): observed shadow-oracle error vs the guaranteed Nε
-	// bound and capture→apply freshness quantiles for a traced fleet.
-	Audit  *auditReport `json:"audit,omitempty"`
-	Phases []phaseStat  `json:"phases"`
+func figure7(w *tabwriter.Writer, p params) error {
+	hier := flagHier()
+	rows, err := experiments.Figure7(experiments.Fig7Config{
+		Hier: hier, Profile: p.last(), Counters: p.counters[0],
+		Vs: sweepV(hier.H(), 4096), Window: p.window, Packets: p.packets, Seed: *seed,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "hierarchy\talgorithm\tV\tMpps")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\n", r.Hier, r.Algorithm, r.V, r.MPPS)
+	}
+	return nil
 }
 
-// runQueryLoad drives writer goroutines through PacketBatchers at
-// full rate while a monitor goroutine calls OutputTo at the requested
-// QPS, and reports both the sustained ingest throughput and the query
-// latency distribution.
-func runQueryLoad(cfg queryLoadConfig) error {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = shard.DefaultBatchSize
-	}
-	if cfg.QPS <= 0 {
-		return fmt.Errorf("queryload: QPS must be positive, got %v", cfg.QPS)
-	}
-	hier := hierarchy.OneD{}
-	v := cfg.V
+func figure8(w *tabwriter.Writer, p params) error {
+	v := *sampleV
 	if v == 0 {
-		v = 64 * hier.H()
+		v = flagHier().H() * 64
 	}
-	hh, err := shard.NewHHH(shard.HHHConfig{
-		Core: core.HHHConfig{
-			Hierarchy: hier,
-			Window:    cfg.Window,
-			Counters:  cfg.Counters * hier.H(),
-			V:         v,
-			Seed:      cfg.Seed + 1,
-		},
-		Shards: cfg.Shards,
+	for _, prof := range p.profiles {
+		rows, err := experiments.Figure8(experiments.Fig8Config{
+			Profile: prof, Window: p.window, Packets: p.packets,
+			Counters: p.counters[0], V: v, EvalEvery: *evalEach, Seed: *seed,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "trace\talgorithm\tprefix\tRMSE(pkts)")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s\t%s\t/%d\t%.1f\n",
+				r.Trace, r.Algorithm, 8*r.PrefixLen, r.RMSE)
+		}
+	}
+	return nil
+}
+
+// obsSummary prints the simulated control-plane ledgers: what each
+// method actually spent to earn its row in the table above.
+func obsSummary(w *tabwriter.Writer, reg *obs.Registry) {
+	w.Flush()
+	fmt.Println("\nobs summary:")
+	reg.WriteTable(os.Stdout)
+}
+
+func figure9(w *tabwriter.Writer, p params) error {
+	reg := obs.NewRegistry()
+	fmt.Fprintln(w, "trace\tmethod\tprefix\tRMSE(pkts)")
+	for _, prof := range p.profiles {
+		rows, err := experiments.Figure9(experiments.Fig9Config{
+			Profile: prof, Window: p.window, Packets: p.packets,
+			Points: *points, Budget: *budget, BatchSize: *batch,
+			Counters: p.counters[0], EvalEvery: *evalEach, Seed: *seed,
+			Obs: reg,
+		})
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			fmt.Fprintf(w, "%s\t%s\t/%d\t%.1f\n", r.Trace, r.Method, 8*r.PrefixLen, r.RMSE)
+		}
+	}
+	obsSummary(w, reg)
+	return nil
+}
+
+func figure10(w *tabwriter.Writer, p params) error {
+	reg := obs.NewRegistry()
+	results, err := experiments.Figure10(experiments.Fig10Config{
+		Profile: p.last(), Window: p.window, Packets: p.packets,
+		Subnets: *subnets, FloodRate: *rate, FloodStart: -1,
+		Theta: p.theta, Points: *points, Budget: *budget,
+		BatchSize: *batch, Counters: p.counters[0],
+		CheckEvery: *check, Seed: *seed,
+		Obs: reg,
 	})
 	if err != nil {
 		return err
 	}
-	var pt phaseTimer
-	pt.begin("generate")
-	gen, err := trace.NewGenerator(cfg.Profile, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	pkts := gen.Generate(cfg.Packets, nil)
-	pt.end()
-
-	g := cfg.Goroutines
-	if g <= 0 {
-		g = cfg.Shards
-	}
-	// Warm the query pools (snapshots, read-plane scratch) so the
-	// measured distribution reflects steady-state monitoring, not the
-	// first call's one-time sizing.
-	pt.begin("warm")
-	_ = hh.Output(cfg.Theta)
-	pt.end()
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	var latencies []time.Duration
-	var lastLen int
-	queryWg := sync.WaitGroup{}
-	queryWg.Add(1)
-	go func() {
-		defer queryWg.Done()
-		interval := time.Duration(float64(time.Second) / cfg.QPS)
-		if interval <= 0 { // qps beyond 1e9 truncates to 0; query flat out
-			interval = 1
+	fmt.Fprintln(w, "method\tdetected\tmean delay(pkts)\tmissed attack pkts\tmiss fraction")
+	var optMiss float64
+	for _, r := range results {
+		if r.Method == "OPT" {
+			optMiss = r.MissedFraction
 		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var out []core.HeavyPrefix
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				qStart := time.Now()
-				out = hh.OutputTo(cfg.Theta, out[:0])
-				latencies = append(latencies, time.Since(qStart))
-				lastLen = len(out)
-			}
+	}
+	for _, r := range results {
+		ratio := ""
+		if r.Method != "OPT" && optMiss > 0 {
+			ratio = fmt.Sprintf(" (%.1fx OPT)", r.MissedFraction/optMiss)
 		}
-	}()
-
-	pt.begin("ingest")
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := hh.NewBatcher(cfg.Batch)
-			lo, hi := w*len(pkts)/g, (w+1)*len(pkts)/g
-			for _, p := range pkts[lo:hi] {
-				b.Add(p)
+		fmt.Fprintf(w, "%s\t%d/%d\t%.0f\t%d/%d\t%.4f%s\n",
+			r.Method, r.DetectedSubnets, *subnets, r.MeanDelay,
+			r.MissedPackets, r.TotalAttackPackets, r.MissedFraction, ratio)
+	}
+	if *curve {
+		methods := make([]string, len(results))
+		for i, r := range results {
+			methods[i] = r.Method
+		}
+		fmt.Fprintln(w, "\nsince-start\t"+strings.Join(methods, "\t"))
+		for i := range results[0].Curve {
+			fmt.Fprintf(w, "%d", results[0].Curve[i].SinceStart)
+			for _, r := range results {
+				fmt.Fprintf(w, "\t%d", r.Curve[i].Detected)
 			}
-			b.Flush()
-		}(w)
+			fmt.Fprintln(w)
+		}
 	}
-	wg.Wait()
-	elapsed := pt.end()
-	close(done)
-	queryWg.Wait()
-	if len(latencies) == 0 {
-		// The run finished inside the first tick; take one quiescent
-		// sample so the report is never empty.
-		qStart := time.Now()
-		out := hh.Output(cfg.Theta)
-		latencies = append(latencies, time.Since(qStart))
-		lastLen = len(out)
-	}
-
-	slices.Sort(latencies)
-	var total time.Duration
-	for _, d := range latencies {
-		total += d
-	}
-	report := queryLoadReport{
-		Mode: "queryload", Trace: cfg.Profile.Name,
-		Window: cfg.Window, Counters: cfg.Counters * hier.H(), V: v,
-		Theta: cfg.Theta, QPS: cfg.QPS,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		HostCPUs:   runtime.NumCPU(),
-		Ingest:     measureLeg("hhh-queryload", cfg.Shards, cfg.Batch, g, len(pkts), elapsed),
-		Queries:    len(latencies),
-		QueryMean:  float64(total.Nanoseconds()) / float64(len(latencies)),
-		QueryP50:   float64(latencies[len(latencies)/2].Nanoseconds()),
-		QueryP99:   float64(latencies[len(latencies)*99/100].Nanoseconds()),
-		OutputLen:  lastLen,
-		Audit:      cfg.Audit,
-		Phases:     pt.phases,
-	}
-	if cfg.JSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "metric\tvalue")
-	fmt.Fprintf(w, "ingest Mpps\t%.2f\n", report.Ingest.Mpps)
-	fmt.Fprintf(w, "queries\t%d\n", report.Queries)
-	fmt.Fprintf(w, "query mean\t%s\n", time.Duration(report.QueryMean))
-	fmt.Fprintf(w, "query p50\t%s\n", time.Duration(report.QueryP50))
-	fmt.Fprintf(w, "query p99\t%s\n", time.Duration(report.QueryP99))
-	fmt.Fprintf(w, "last output size\t%d\n", report.OutputLen)
-	return w.Flush()
-}
-
-// phaseStat is one benchmark phase's wall clock and allocation
-// footprint, measured as runtime.MemStats deltas around the phase (so
-// allocations from concurrent goroutines inside the phase count too).
-type phaseStat struct {
-	Name       string  `json:"name"`
-	Seconds    float64 `json:"seconds"`
-	Allocs     uint64  `json:"allocs"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-}
-
-// phaseTimer accumulates phaseStats across a benchmark run. begin/end
-// pairs must not nest.
-type phaseTimer struct {
-	phases []phaseStat
-	name   string
-	start  time.Time
-	m0     runtime.MemStats
-}
-
-func (t *phaseTimer) begin(name string) {
-	t.name = name
-	runtime.ReadMemStats(&t.m0)
-	t.start = time.Now()
-}
-
-// end closes the current phase and returns its wall-clock duration, so
-// measured legs can reuse the same interval.
-func (t *phaseTimer) end() time.Duration {
-	elapsed := time.Since(t.start)
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	t.phases = append(t.phases, phaseStat{
-		Name:       t.name,
-		Seconds:    elapsed.Seconds(),
-		Allocs:     m1.Mallocs - t.m0.Mallocs,
-		AllocBytes: m1.TotalAlloc - t.m0.TotalAlloc,
-	})
-	return elapsed
-}
-
-// measureLeg converts a timed run into the reported metrics.
-func measureLeg(name string, shards, batch, goroutines, packets int, elapsed time.Duration) ingestLeg {
-	sec := elapsed.Seconds()
-	ops := float64(packets) / sec
-	return ingestLeg{
-		Name: name, Shards: shards, Batch: batch, Goroutines: goroutines,
-		Packets: packets, NsPerOp: sec * 1e9 / float64(packets),
-		OpsPerSec: ops, Mpps: ops / 1e6,
-	}
+	obsSummary(w, reg)
+	return nil
 }
 
 func fatal(err error) {

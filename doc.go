@@ -69,7 +69,8 @@
 // The benchmarks in bench_test.go map one-to-one onto the paper's
 // tables and figures; DESIGN.md §5 documents the persistence/wire
 // format, §6 is the experiment-to-benchmark index, §7 describes
-// the committed BENCH_*.json performance snapshots, §8 the
+// how performance is tracked (the repository benchmark under
+// benchmark/, its result sets and pair tables), §8 the
 // //memento: annotation grammar and waiver policy, and §11 the
 // instrument catalog, metric naming convention and event schema.
 package memento

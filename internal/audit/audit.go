@@ -518,14 +518,6 @@ func (a *Auditor) Sampled() uint64 {
 	return a.sampled.Load()
 }
 
-// Checks returns how many key comparisons Audit performed.
-func (a *Auditor) Checks() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.checks.Load()
-}
-
 // Violations returns how many comparisons fell outside the bound.
 // The repo's acceptance invariant is that this stays zero.
 func (a *Auditor) Violations() uint64 {

@@ -24,10 +24,6 @@ import "encoding/binary"
 // matching the netwide Hello name limit.
 const MaxTraceAgent = 255
 
-// TraceContextSize returns the encoded size of a context carrying an
-// n-byte agent id.
-func TraceContextSize(n int) int { return 1 + n + 8 + 8 }
-
 // TraceContext identifies one report capture: which agent, which
 // report in its sequence, and when the enclosed state was captured.
 type TraceContext struct {

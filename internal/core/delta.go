@@ -72,9 +72,6 @@ func (s *Sketch[K]) EnableDeltaTracking() {
 	s.y.TrackSlots()
 }
 
-// DeltaTracking reports whether the delta plane is enabled.
-func (s *Sketch[K]) DeltaTracking() bool { return s.track != nil }
-
 // BlockCounts returns the overflow threshold in sampled counts
 // (τ·W/k; see the package comment on units).
 func (s *Sketch[K]) BlockCounts() uint64 { return s.blockCounts }

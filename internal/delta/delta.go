@@ -3,8 +3,9 @@
 // format-v1 codec, so that a follower (the network-wide controller, a
 // warm-restart checkpoint directory) can track a live sketch by
 // receiving only what changed since the last record instead of the
-// whole table — the ROADMAP's fix for the measured ~26× byte cost of
-// full snapshot shipping (BENCH_netwide.json).
+// whole table — the fix for the byte cost of full snapshot shipping
+// (DESIGN.md §7; the repository benchmark reports both sides as
+// codec.snapshot_bytes and delta.bytes_per_record).
 //
 // # Chain model
 //

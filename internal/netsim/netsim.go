@@ -230,9 +230,6 @@ func (s *Sim) Packets() uint64 { return s.packets }
 // Reports returns the number of controller messages sent.
 func (s *Sim) Reports() uint64 { return s.reports }
 
-// BytesSent returns the total control-plane bytes consumed.
-func (s *Sim) BytesSent() float64 { return s.bytesSent }
-
 // BytesPerPacket returns the realized control bandwidth use.
 func (s *Sim) BytesPerPacket() float64 {
 	if s.packets == 0 {

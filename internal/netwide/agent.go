@@ -1,16 +1,22 @@
 // Agent: the measurement-point side of the network-wide protocol.
 //
-// Agents run in one of two report modes. ReportSampled is the paper's
-// budget-constrained protocol: each observed packet is sampled with
-// probability τ and full batches ship as MsgBatch frames.
+// Agents run in one of three report modes. ReportSampled is the
+// paper's budget-constrained protocol: each observed packet is sampled
+// with probability τ and full batches ship as MsgBatch frames.
 // ReportSnapshot is the full-fidelity mode: the agent maintains a
 // complete local H-Memento over its ingress and ships the encoded
 // sketch state (MsgSnapshot) at a configurable cadence — the paper's
 // "send everything" baseline turned into a live operating point, so
 // the accuracy-vs-bandwidth trade-off becomes a deployment knob
-// rather than a thought experiment. In both modes Observe never
-// blocks on the network: reports queue to a bounded channel and drop
-// (counted) under backpressure.
+// rather than a thought experiment. ReportDelta keeps the same local
+// sketch and ships an internal/delta chain instead (MsgDelta: one
+// base, then only the counters that changed each cadence; a dropped
+// record or a controller MsgResync re-bases it), which the controller
+// follows to the same merged answer the snapshot fleet gives
+// (TestDeltaMatchesSnapshotFleet uses the snapshot fleet as its
+// reference). In every mode Observe never blocks on the network:
+// reports queue to a bounded channel and drop (counted) under
+// backpressure.
 //
 // Transport fault tolerance (DESIGN.md §10): an agent built with
 // DialAgent and Reconnect redials through a supervised loop with
@@ -889,11 +895,6 @@ func (a *Agent) Dropped() uint64 { return a.dropped.Load() }
 // Sent returns how many reports have been written to the connection
 // (heartbeat pings are counted separately, in Stats).
 func (a *Agent) Sent() uint64 { return a.sent.Load() }
-
-// SentBytes returns the wire bytes written (frames plus framing
-// overhead, including Hellos and pings), the agent-side half of the
-// accuracy-vs-bandwidth ledger.
-func (a *Agent) SentBytes() uint64 { return a.sentBytes.Load() }
 
 // Verdicts delivers mitigation commands pushed by the controller. The
 // channel closes when the agent terminates — for a reconnecting agent

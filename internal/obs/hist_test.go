@@ -112,8 +112,8 @@ func TestHistEmptyAndMerge(t *testing.T) {
 }
 
 // TestHistSubYieldsIntervalQuantiles reads one cumulative histogram at
-// three checkpoints — fast, slow, fast again — the way mementobench
-// -audit reads capture→apply latency. The cumulative p99 sticks at the
+// three checkpoints — fast, slow, fast again — the way a checkpointed
+// reader takes capture→apply latency. The cumulative p99 sticks at the
 // slow interval's value once it has seen it; the difference of
 // consecutive snapshots gives each checkpoint its own.
 func TestHistSubYieldsIntervalQuantiles(t *testing.T) {

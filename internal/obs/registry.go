@@ -112,14 +112,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.add(&metric{name: name, kind: mCounter, c: c})
 }
 
-// RegisterGauge exposes an existing gauge under name.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	if r == nil || g == nil {
-		return
-	}
-	r.add(&metric{name: name, kind: mGauge, g: g})
-}
-
 // RegisterHistogram exposes an existing histogram under name.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	if r == nil || h == nil {
@@ -220,7 +212,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WriteTable writes an aligned human-readable table (the final
-// summary floodsim/netwidesim print, and mementoctl top's body).
+// summary mementobench -figure9/-figure10 print, and mementoctl top's
+// body).
 func (r *Registry) WriteTable(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	var snap HistSnapshot

@@ -18,11 +18,8 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
@@ -230,52 +227,4 @@ func Inject(base []hierarchy.Packet, cfg FloodConfig) (*Flood, error) {
 		}
 	}
 	return f, nil
-}
-
-// magic identifies the binary trace file format.
-var magic = [4]byte{'M', 'T', 'R', '1'}
-
-// WriteTo serializes packets in the binary trace format (a 4-byte magic
-// then 8 bytes per packet, big-endian src then dst).
-func WriteTo(w io.Writer, packets []hierarchy.Packet) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, p := range packets {
-		binary.BigEndian.PutUint32(buf[0:4], p.Src)
-		binary.BigEndian.PutUint32(buf[4:8], p.Dst)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFrom parses a binary trace written by WriteTo.
-func ReadFrom(r io.Reader) ([]hierarchy.Packet, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [4]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if head != magic {
-		return nil, errors.New("trace: bad magic; not a trace file")
-	}
-	var out []hierarchy.Packet
-	var buf [8]byte
-	for {
-		_, err := io.ReadFull(br, buf[:])
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated record: %w", err)
-		}
-		out = append(out, hierarchy.Packet{
-			Src: binary.BigEndian.Uint32(buf[0:4]),
-			Dst: binary.BigEndian.Uint32(buf[4:8]),
-		})
-	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -205,41 +204,5 @@ func TestInjectRandomStart(t *testing.T) {
 	}
 	if f.Start < 0 || f.Start >= 1000 {
 		t.Fatalf("random start %d outside [0, 1000)", f.Start)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	pkts := MustNewGenerator(Datacenter, 13).Generate(1234, nil)
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pkts) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(pkts))
-	}
-	for i := range got {
-		if got[i] != pkts[i] {
-			t.Fatalf("packet %d corrupted", i)
-		}
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-	// Truncated record after a valid header.
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadFrom(&buf); err == nil {
-		t.Fatal("truncated record should fail")
-	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input should fail")
 	}
 }
