@@ -311,30 +311,6 @@ type subnetKey struct {
 	bytes  uint8
 }
 
-// localVerdicts mirrors the controller's Mitigate policy against the
-// local shadow sketch: Deny every fully-specified source subnet whose
-// estimate clears theta·window on its own (entries admitted to the
-// HHH set only through the sampling margin are spared — blocking
-// wants precision, coverage wants recall).
-func localVerdicts(local *shard.HHH, theta float64, out []core.HeavyPrefix) ([]netwide.Verdict, []core.HeavyPrefix) {
-	out = local.OutputTo(theta, out[:0])
-	threshold := theta * float64(local.EffectiveWindow())
-	var vs []netwide.Verdict
-	for _, e := range out {
-		p := e.Prefix
-		if p.SrcLen == 0 || p.DstLen != 0 {
-			continue // never block the whole internet; src-subnets only
-		}
-		if e.Estimate < threshold {
-			continue
-		}
-		vs = append(vs, netwide.Verdict{
-			Subnet: p.Src, PrefixBytes: p.SrcLen, Act: netwide.ActionDeny,
-		})
-	}
-	return vs, out
-}
-
 // superviseDegraded runs the failover state machine: while the agent
 // reports the controller unreachable past the threshold, it installs
 // locally computed Deny verdicts in the ACL (refreshed every tick so
@@ -369,8 +345,9 @@ func superviseDegraded(log *slog.Logger, agent *netwide.Agent, acl *lb.ACL,
 					"degraded-enters", st.DegradedEnters)
 			}
 			obs.Flush()
-			var vs []netwide.Verdict
-			vs, out = localVerdicts(local, theta, out)
+			// The controller's verdict policy, against the local shadow sketch.
+			out = local.OutputTo(theta, out[:0])
+			vs := netwide.VerdictsFrom(out, theta*float64(local.EffectiveWindow()), netwide.ActionDeny, nil)
 			fresh := make(map[subnetKey]bool, len(vs))
 			for _, v := range vs {
 				fresh[subnetKey{v.Subnet, v.PrefixBytes}] = true

@@ -244,3 +244,67 @@ func TestHHHUpdateBatch(t *testing.T) {
 		t.Errorf("batched Query %v vs per-packet %v differ by more than %v", a, b, band)
 	}
 }
+
+// TestLongSlideLeavesOnlyPosition proves the bound the network-wide
+// controller puts on one report's window advance: a slide of W + W/k
+// packets or more without a Full update rotates every ring queue out
+// (W already drains them while the de-amortization invariant holds),
+// which empties B, and flushes y, so what a longer slide of n packets
+// leaves behind depends on n only through the frame position
+// (pos + n) mod W — sliding 2·W + n mod W is indistinguishable from
+// sliding n. Checked
+// against the per-packet loop on small geometries (W not a multiple of
+// k, W = k, τ < 1) from every starting position, with Query over every
+// key and position().
+func TestLongSlideLeavesOnlyPosition(t *testing.T) {
+	for _, cfg := range []Config{
+		{Window: 24, Counters: 4, Seed: 3},
+		{Window: 30, Counters: 7, Seed: 4}, // effective window 35
+		{Window: 8, Counters: 8, Seed: 5},
+		{Window: 64, Counters: 4, Tau: 0.5, Seed: 6},
+	} {
+		const keys = 12
+		w := uint64(MustNew[uint64](cfg).EffectiveWindow())
+		for start := uint64(0); start < 2*w; start++ {
+			for _, n := range []uint64{3*w + 1, 4 * w, 5*w + w/2, 7*w - 1} {
+				ref, bulk := MustNew[uint64](cfg), MustNew[uint64](cfg)
+				src := rng.New(start + 1)
+				for i := uint64(0); i < 3*w+start; i++ { // load, ending at every frame position
+					k := uint64(src.Intn(keys))
+					ref.FullUpdate(k)
+					bulk.FullUpdate(k)
+				}
+				if start == 0 && ref.OverflowEntries() == 0 {
+					t.Fatalf("%+v: test vacuous: nothing overflowed", cfg)
+				}
+				for i := uint64(0); i < n; i++ {
+					ref.WindowUpdate()
+				}
+				bulk.WindowAdvance(int(2*w + n%w))
+				if ref.position() != bulk.position() {
+					t.Fatalf("%+v start %d n %d: position %d, per-packet loop %d", cfg, start, n, bulk.position(), ref.position())
+				}
+				if bulk.OverflowEntries() != 0 || bulk.ring.pending() != 0 || bulk.Slots() != 0 {
+					t.Fatalf("%+v start %d n %d: %d overflow entries, %d queued, %d monitored after the reduced slide",
+						cfg, start, n, bulk.OverflowEntries(), bulk.ring.pending(), bulk.Slots())
+				}
+				for k := uint64(0); k < keys+1; k++ {
+					if ref.Query(k) != bulk.Query(k) {
+						t.Fatalf("%+v start %d n %d: Query(%d) = %v, per-packet loop %v", cfg, start, n, k, bulk.Query(k), ref.Query(k))
+					}
+				}
+				// And they keep agreeing once traffic resumes.
+				for i := 0; i < int(w); i++ {
+					k := uint64(src.Intn(keys))
+					ref.FullUpdate(k)
+					bulk.FullUpdate(k)
+				}
+				for k := uint64(0); k < keys; k++ {
+					if ref.Query(k) != bulk.Query(k) {
+						t.Fatalf("%+v start %d n %d: after resuming, Query(%d) = %v, per-packet loop %v", cfg, start, n, k, bulk.Query(k), ref.Query(k))
+					}
+				}
+			}
+		}
+	}
+}

@@ -23,10 +23,11 @@
 // untouched, and draining copies ⌈k/64⌉ words plus the log.
 //
 // This file also provides the inverse of the diff: BuildSnapshot
-// assembles a queryable Snapshot from explicit state with the same
-// validation discipline as the wire decoder, which is how a delta
-// chain's applied state materializes back into something
-// Query/OutputTo/RestoreFrom understand.
+// assembles a queryable Snapshot from explicit state, which is how a
+// delta chain's applied state materializes back into something
+// Query/OutputTo/RestoreFrom understand. It is also the one validator
+// of state that arrives from outside the process: the wire decoder
+// (persist.go) parses a record into a SnapshotSpec and hands it here.
 
 package core
 
@@ -72,20 +73,14 @@ func (s *Sketch[K]) EnableDeltaTracking() {
 	s.y.TrackSlots()
 }
 
-// BlockCounts returns the overflow threshold in sampled counts
-// (τ·W/k; see the package comment on units).
-func (s *Sketch[K]) BlockCounts() uint64 { return s.blockCounts }
-
 // DirtySet is a drained interval: the Space Saving slots touched and
 // the overflow-table changes logged between two drains, plus the
 // structural events (in-frame flushes, full resets) the interval saw.
 // The zero value is empty and ready for DeltaDrainInto, which recycles
 // its buffers.
 type DirtySet[K comparable] struct {
-	marks   []uint64
-	over    []OverflowChange[K] //memento:reused (grows to an interval's overflow churn once)
-	flushes uint32
-	resets  uint32
+	marks []uint64
+	deltaPlane[K]
 }
 
 // SlotMarks returns the touched-slot bitmap: bit i of word i/64 set
@@ -124,53 +119,10 @@ func (s *Sketch[K]) DeltaDrainInto(dirty *DirtySet[K]) error {
 	}
 	dirty.marks = s.y.DrainSlotMarks(dirty.marks)
 	dirty.over = append(dirty.over[:0], s.track.over...)
-	dirty.flushes = s.track.flushes
-	dirty.resets = s.track.resets
+	dirty.flushes, dirty.resets = s.track.flushes, s.track.resets
 	s.track.over = s.track.over[:0]
 	s.track.flushes, s.track.resets = 0, 0
 	return nil
-}
-
-// Items returns the number of in-frame Space Saving additions (the
-// counter Flush resets each frame).
-func (s *Sketch[K]) Items() uint64 { return s.y.Items() }
-
-// Slots returns how many Space Saving slots are in use; Slot(i) is
-// valid for 0 ≤ i < Slots().
-func (s *Sketch[K]) Slots() int { return s.y.Len() }
-
-// Slot returns the monitored counter in Space Saving slot i (see
-// spacesaving.Sketch.Slot for what a slot number identifies).
-//
-//memento:noalloc
-func (s *Sketch[K]) Slot(i int) spacesaving.Counter[K] { return s.y.Slot(i) }
-
-// SlotOf returns the Space Saving slot monitoring x, -1 if none.
-//
-//memento:noalloc
-func (s *Sketch[K]) SlotOf(x K) int { return s.y.SlotOfHashed(x, s.y.Hash(x)) }
-
-// DeltaProbe returns the replicable state of one key that is not
-// being addressed by slot: the slot monitoring x (-1 if none) and its
-// overflow-table value (0 if absent), from one hash of x.
-//
-//memento:noalloc
-func (s *Sketch[K]) DeltaProbe(x K) (slot int, b int32) {
-	if s.hash == nil { // each index hashes with its own default
-		b, _ = s.overflow.Get(x)
-		return s.y.SlotOfHashed(x, s.y.Hash(x)), b
-	}
-	h := s.hash(x)
-	b, _ = s.overflow.GetH(x, h)
-	return s.y.SlotOfHashed(x, h), b
-}
-
-// OverflowCount returns x's overflow-table value, 0 if absent.
-//
-//memento:noalloc
-func (s *Sketch[K]) OverflowCount(x K) int32 {
-	b, _ := s.overflow.Get(x)
-	return b
 }
 
 // EnableDeltaTracking switches on the delta plane of the underlying
@@ -183,58 +135,6 @@ func (hh *HHH) EnableDeltaTracking() { hh.mem.EnableDeltaTracking() }
 //memento:noalloc
 func (hh *HHH) DeltaDrainInto(dirty *DirtySet[hierarchy.Prefix]) error {
 	return hh.mem.DeltaDrainInto(dirty)
-}
-
-// Items returns the number of in-frame Space Saving additions at
-// capture time (the counter Flush resets each frame).
-func (snap *Snapshot[K]) Items() uint64 { return snap.y.Items() }
-
-// BlockCounts returns the captured overflow threshold in sampled
-// counts.
-func (snap *Snapshot[K]) BlockCounts() uint64 { return snap.blockCounts }
-
-// UntilBlock returns the captured frame position countdown; valid
-// only on restore-plane snapshots.
-func (snap *Snapshot[K]) UntilBlock() uint64 { return snap.untilBlock }
-
-// BlocksLeft returns the captured blocks-until-frame-flush countdown;
-// valid only on restore-plane snapshots.
-func (snap *Snapshot[K]) BlocksLeft() int { return snap.blocksLeft }
-
-// ForcedDrains returns the captured forced-drain diagnostic counter;
-// valid only on restore-plane snapshots.
-func (snap *Snapshot[K]) ForcedDrains() uint64 { return snap.forcedDrains }
-
-// Queues calls fn for each captured block-ring queue in canonical
-// oldest→current order until fn returns false; valid only on
-// restore-plane snapshots (no queues otherwise). The slices are the
-// snapshot's own — treat them as read-only.
-func (snap *Snapshot[K]) Queues(fn func(q []K) bool) {
-	for _, q := range snap.queues {
-		if !fn(q) {
-			return
-		}
-	}
-}
-
-// Monitored calls fn for every captured in-frame Space Saving counter
-// (ascending count order — Iterate's bucket order) until fn returns
-// false. Unlike ForEachEstimate it exposes the raw counter with its
-// error term, which is what the replication plane serializes.
-func (snap *Snapshot[K]) Monitored(fn func(c spacesaving.Counter[K]) bool) {
-	snap.y.Iterate(fn)
-}
-
-// Slots, Slot and OverflowCount are the Sketch methods of the same
-// names against the captured state; the capture is a slab copy, so
-// slot numbers mean what they meant on the source.
-func (snap *Snapshot[K]) Slots() int { return snap.y.Len() }
-
-func (snap *Snapshot[K]) Slot(i int) spacesaving.Counter[K] { return snap.y.Slot(i) }
-
-func (snap *Snapshot[K]) OverflowCount(x K) int32 {
-	b, _ := snap.overflow.Get(x)
-	return b
 }
 
 // RestoreSpec is the optional restore plane of a SnapshotSpec.
@@ -275,71 +175,105 @@ type SnapshotSpec[K comparable] struct {
 	Restore *RestoreSpec[K]
 }
 
-// BuildSnapshot validates spec and assembles a Snapshot answering
-// queries exactly as a decoded wire record with the same contents
-// would: the Space Saving slabs are sized by the entries present
-// (preserving the saturated/unsaturated Min() distinction), the
-// Space Saving index is built under hash (nil: the keyidx default),
-// which must be the function spec.Overflow was built under, and every
-// invariant the strict decoder enforces is enforced here, with
-// wrapped codec.ErrCorrupt on violation.
+// BuildSnapshot validates spec and assembles a Snapshot over it: the
+// Space Saving slabs are sized by the entries present (preserving the
+// saturated/unsaturated Min() distinction without trusting a declared
+// budget for an allocation) and its index is built under hash, which
+// must be the function spec.Overflow was built under (nil: that
+// function, or the keyidx default without a table). Every invariant of
+// state that arrives from outside the process is stated here and
+// nowhere else — wire records, chain bases and materialized delta
+// chains all pass through — and a violation is a wrapped
+// codec.ErrCorrupt. The snapshot takes copies of spec.Overflow and the
+// restore queues; the caller keeps its own.
 func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Snapshot[K], error) {
+	snap := new(Snapshot[K])
+	if err := snap.build(spec.detached(), hash); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// detached returns spec holding its own copies of the overflow table
+// and the restore queues, for build to move into the snapshot.
+func (spec SnapshotSpec[K]) detached() SnapshotSpec[K] {
+	if spec.Overflow != nil {
+		ov := new(keyidx.Counts[K])
+		spec.Overflow.CopyInto(ov)
+		spec.Overflow = ov
+	}
+	if r := spec.Restore; r != nil {
+		own := *r
+		own.Queues = make([][]K, len(r.Queues))
+		for i, q := range r.Queues {
+			own.Queues[i] = append([]K(nil), q...)
+		}
+		spec.Restore = &own
+	}
+	return spec
+}
+
+// build is BuildSnapshot into snap, taking ownership of spec.Overflow
+// and the restore queues (the decoder parsed them for this call). On
+// error snap is left partially filled and must be discarded.
+func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error {
 	const maxK = 1 << 28 // spacesaving's own cap
 	k := uint64(spec.Counters)
 	if k == 0 || k > maxK {
-		return nil, codec.Corruptf("counter budget %d out of range", spec.Counters)
+		return codec.Corruptf("counter budget %d out of range", spec.Counters)
 	}
 	if spec.BlockCounts == 0 {
-		return nil, codec.Corruptf("zero block threshold")
+		return codec.Corruptf("zero block threshold")
 	}
 	if spec.Window == 0 || spec.Window%k != 0 {
-		return nil, codec.Corruptf("window %d not a multiple of %d blocks", spec.Window, k)
+		return codec.Corruptf("window %d not a multiple of %d blocks", spec.Window, k)
 	}
 	if !(spec.Scale >= 1) {
-		return nil, codec.Corruptf("scale %g below 1", spec.Scale)
+		return codec.Corruptf("scale %g below 1", spec.Scale)
 	}
 	if hash == nil {
 		hash = keyidx.DefaultHasher[K]()
+		if spec.Overflow != nil {
+			hash = spec.Overflow.Hash
+		}
 	}
-	snap := &Snapshot[K]{
-		window:      spec.Window,
-		updates:     spec.Updates,
-		blockCounts: spec.BlockCounts,
-		scale:       spec.Scale,
-		counters:    int(k),
-		hash:        hash,
-	}
+	snap.k = int(k)
+	snap.window = spec.Window
+	snap.blockCounts = spec.BlockCounts
+	snap.scale = spec.Scale
+	snap.updates = spec.Updates
+	snap.hash = hash
 
 	if spec.Overflow != nil {
-		spec.Overflow.CopyInto(&snap.overflow)
+		snap.overflow = *spec.Overflow
 	} else {
 		snap.overflow = *keyidx.MustNewCounts[K](1, hash)
 	}
 	for _, e := range snap.overflow.Entries() {
 		if e.Val <= 0 {
-			return nil, codec.Corruptf("overflow count out of range")
+			return codec.Corruptf("overflow count %d out of range", e.Val)
 		}
 	}
 
 	if uint64(len(spec.Monitored)) > k {
-		return nil, codec.Corruptf("%d monitored counters exceed budget %d", len(spec.Monitored), k)
+		return codec.Corruptf("%d monitored counters exceed budget %d", len(spec.Monitored), k)
 	}
 	ssCap := len(spec.Monitored)
 	if uint64(ssCap) < k {
 		ssCap++ // headroom: unsaturated sketches answer Min() = 0
 	}
-	y, err := spacesaving.NewWithHash[K](max(ssCap, 1), hash)
+	y, err := spacesaving.NewWithHash[K](ssCap, hash) // ssCap ≥ 1: k ≥ 1
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var prev uint64
 	for _, c := range spec.Monitored {
 		if c.Count < prev {
-			return nil, codec.Corruptf("counter order not ascending (%d after %d)", c.Count, prev)
+			return codec.Corruptf("counter order not ascending (%d after %d)", c.Count, prev)
 		}
 		prev = c.Count
 		if err := y.RestoreEntry(c.Key, c.Count, c.Err); err != nil {
-			return nil, codec.Corruptf("%v", err)
+			return codec.Corruptf("%v", err)
 		}
 	}
 	y.SetItems(spec.Items)
@@ -347,28 +281,27 @@ func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Sn
 
 	r := spec.Restore
 	if r == nil {
-		return snap, nil
+		return nil
 	}
 	blockPackets := spec.Window / k
 	if r.UntilBlock == 0 || r.UntilBlock > blockPackets {
-		return nil, codec.Corruptf("frame position %d outside block of %d", r.UntilBlock, blockPackets)
+		return codec.Corruptf("frame position %d outside block of %d", r.UntilBlock, blockPackets)
 	}
 	if r.BlocksLeft <= 0 || uint64(r.BlocksLeft) > k {
-		return nil, codec.Corruptf("blocks left %d outside 1..%d", r.BlocksLeft, k)
+		return codec.Corruptf("blocks left %d outside 1..%d", r.BlocksLeft, k)
 	}
 	if uint64(len(r.Queues)) != k+1 {
-		return nil, codec.Corruptf("%d ring queues, want %d", len(r.Queues), k+1)
+		return codec.Corruptf("%d ring queues, want %d", len(r.Queues), k+1)
 	}
 	snap.full = true
-	snap.untilBlock = r.UntilBlock
-	snap.blocksLeft = r.BlocksLeft
-	snap.fullCount = r.FullUpdates
-	snap.forcedDrains = r.ForcedDrains
-	snap.queues = make([][]K, len(r.Queues))
-	for i, q := range r.Queues {
-		snap.queues[i] = append([]K(nil), q...)
+	snap.frame = frame{
+		untilBlock:   r.UntilBlock,
+		blocksLeft:   r.BlocksLeft,
+		fullCount:    r.FullUpdates,
+		forcedDrains: r.ForcedDrains,
 	}
-	return snap, nil
+	snap.queues = r.Queues
+	return nil
 }
 
 // BuildHHHSnapshot is BuildSnapshot for an H-Memento capture: the
@@ -376,17 +309,21 @@ func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Sn
 // and answers OutputTo like a decoded KindHHH record (indexes built
 // under hierarchy.PrefixHasher(0), matching DecodeHHHSnapshot).
 func BuildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[hierarchy.Prefix]) (*HHHSnapshot, error) {
+	return buildHHHSnapshot(hier, comp, spec.detached())
+}
+
+// buildHHHSnapshot is BuildHHHSnapshot taking ownership of spec's
+// slabs (see Snapshot.build).
+func buildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[hierarchy.Prefix]) (*HHHSnapshot, error) {
 	if hier == nil {
 		return nil, errors.New("core: BuildHHHSnapshot needs a hierarchy")
 	}
 	if comp < 0 || math.IsNaN(comp) {
 		return nil, codec.Corruptf("negative compensation %g", comp)
 	}
-	mem, err := BuildSnapshot(spec, hierarchy.PrefixHasher(0))
-	if err != nil {
+	snap := &HHHSnapshot{hier: hier, comp: comp}
+	if err := snap.build(spec, hierarchy.PrefixHasher(0)); err != nil {
 		return nil, err
 	}
-	snap := &HHHSnapshot{hier: hier, comp: comp}
-	snap.mem = *mem
 	return snap, nil
 }

@@ -48,15 +48,12 @@ type HHHConfig struct {
 	Seed uint64
 }
 
-// HeavyPrefix is one entry of an HHH set.
-type HeavyPrefix struct {
-	Prefix hierarchy.Prefix
-	// Estimate is the upper-bound window frequency estimate f̂+.
-	Estimate float64
-	// Conditioned is the conservative conditioned frequency C_{p|P}
-	// that crossed the threshold (includes the sampling compensation).
-	Conditioned float64
-}
+// HeavyPrefix is one entry of an HHH set: the prefix, its upper-bound
+// window frequency estimate f̂+ and the conservative conditioned
+// frequency C_{p|P} that crossed the threshold (sampling compensation
+// included). It is the type the HHH-set computation produces, so
+// outputs are appended to the caller's slice with no conversion.
+type HeavyPrefix = hhhset.Entry
 
 // HHH is an H-Memento instance: a single Memento sketch over sampled
 // prefixes, updated in constant time per packet.
@@ -72,7 +69,6 @@ type HHH struct {
 
 	candidates []hierarchy.Prefix // scratch buffer for Output
 	sc         hhhset.Scratch     // reusable HHH-set computation state
-	entries    []hhhset.Entry     // scratch result buffer for OutputTo
 }
 
 // NewHHH validates cfg and returns a ready H-Memento.
@@ -212,7 +208,7 @@ func (hh *HHH) UpdateBatch(ps []hierarchy.Packet) {
 //
 //memento:noalloc
 func (hh *HHH) FullUpdatePrefix(p hierarchy.Prefix) {
-	hh.mem.FullUpdateHashed(p, hh.mem.hash(p))
+	hh.mem.FullUpdate(p)
 }
 
 // WindowUpdate slides the window by one packet.
@@ -254,11 +250,7 @@ func (hh *HHH) Output(theta float64) []HeavyPrefix { return hh.OutputTo(theta, n
 func (hh *HHH) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefix {
 	threshold := theta * float64(hh.mem.EffectiveWindow())
 	hh.candidates = hh.Candidates(hh.candidates[:0])
-	hh.entries = hhhset.ComputeInto(hh.hier, hh.mem, hh.candidates, threshold, hh.comp, &hh.sc, hh.entries[:0])
-	for _, e := range hh.entries {
-		dst = append(dst, HeavyPrefix(e))
-	}
-	return dst
+	return hhhset.ComputeInto(hh.hier, hh.mem, hh.candidates, threshold, hh.comp, &hh.sc, dst)
 }
 
 // Candidates appends every prefix the sketch currently tracks — the
@@ -271,7 +263,7 @@ func (hh *HHH) Candidates(dst []hierarchy.Prefix) []hierarchy.Prefix {
 		dst = append(dst, p)
 		return true
 	})
-	hh.mem.y.Iterate(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
+	hh.mem.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
 		dst = append(dst, c.Key)
 		return true
 	})
@@ -282,9 +274,6 @@ func (hh *HHH) Candidates(dst []hierarchy.Prefix) []hierarchy.Prefix {
 // applied by Output (Algorithm 2, line 8).
 func (hh *HHH) Compensation() float64 { return hh.comp }
 
-// Bounds implements hhhset.Estimator for the underlying sketch.
-func (s *Sketch[K]) Bounds(p K) (upper, lower float64) { return s.QueryBounds(p) }
-
 // Reset restores the instance to its initial empty state.
 func (hh *HHH) Reset() {
 	hh.mem.Reset()
@@ -292,13 +281,15 @@ func (hh *HHH) Reset() {
 }
 
 // HHHSnapshot is an immutable point-in-time copy of an H-Memento's
-// queryable state. Take it under the lock guarding the instance
-// (SnapshotInto is a few slab memmoves); everything afterwards is
-// lock-free. A reused snapshot serves OutputTo allocation-free. Not
-// safe for concurrent use by multiple queries — pool snapshots
-// instead.
+// queryable state: the underlying sketch's Snapshot — whose reads
+// (Query, QueryBounds, EffectiveWindow, Updates, Restorable, …) it
+// answers as is — plus the hierarchy and sampling compensation. Take
+// it under the lock guarding the instance (SnapshotInto is a few slab
+// memmoves); everything afterwards is lock-free. A reused snapshot
+// serves OutputTo allocation-free. Not safe for concurrent use by
+// multiple queries — pool snapshots instead.
 type HHHSnapshot struct {
-	mem  Snapshot[hierarchy.Prefix]
+	Snapshot[hierarchy.Prefix]
 	hier hierarchy.Hierarchy
 	comp float64
 
@@ -320,35 +311,16 @@ type soloSet struct {
 //
 //memento:noalloc
 func (hh *HHH) SnapshotInto(snap *HHHSnapshot) {
-	hh.mem.SnapshotInto(&snap.mem)
+	hh.mem.SnapshotInto(&snap.Snapshot)
 	snap.hier = hh.hier
 	snap.comp = hh.comp
 }
 
 // Sketch exposes the captured Memento state.
-func (snap *HHHSnapshot) Sketch() *Snapshot[hierarchy.Prefix] { return &snap.mem }
-
-// EffectiveWindow returns the window the source instance maintained.
-func (snap *HHHSnapshot) EffectiveWindow() int { return snap.mem.EffectiveWindow() }
-
-// Updates returns the source's update count at capture time.
-func (snap *HHHSnapshot) Updates() uint64 { return snap.mem.Updates() }
+func (snap *HHHSnapshot) Sketch() *Snapshot[hierarchy.Prefix] { return &snap.Snapshot }
 
 // Compensation returns the captured sampling compensation term.
 func (snap *HHHSnapshot) Compensation() float64 { return snap.comp }
-
-// Query is HHH.Query against the captured state.
-func (snap *HHHSnapshot) Query(p hierarchy.Prefix) float64 { return snap.mem.Query(p) }
-
-// QueryBounds is HHH.QueryBounds against the captured state.
-func (snap *HHHSnapshot) QueryBounds(p hierarchy.Prefix) (upper, lower float64) {
-	return snap.mem.QueryBounds(p)
-}
-
-// Bounds implements hhhset.Estimator against the captured state.
-func (snap *HHHSnapshot) Bounds(p hierarchy.Prefix) (upper, lower float64) {
-	return snap.mem.QueryBounds(p)
-}
 
 // OutputTo computes the approximate HHH set for threshold theta from
 // the captured state, appending to dst — HHH.OutputTo with the entire
@@ -365,5 +337,5 @@ func (snap *HHHSnapshot) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefi
 	q := snap.solo
 	q.snaps[0] = snap
 	q.set.Reset(q.snaps[:], q.weights[:])
-	return q.set.Output(snap.hier, theta*float64(snap.mem.window), snap.comp, dst)
+	return q.set.Output(snap.hier, theta*float64(snap.window), snap.comp, dst)
 }

@@ -88,39 +88,22 @@ type Item[K comparable] struct {
 	Estimate float64
 }
 
-// Sketch is a Memento instance over keys of type K.
+// Sketch is a Memento instance over keys of type K: the queryable
+// table (every read is defined there, once) plus what only a live
+// sketch needs — the block ring, the frame countdowns and the samplers.
 type Sketch[K comparable] struct {
-	y        *spacesaving.Sketch[K]
-	overflow *keyidx.Counts[K] // the paper's B table: dense entry slab behind int32 buckets
-	ring     blockRing[K]
+	table[K]
+	frame
+	ring blockRing[K]
 
-	k            int    // number of blocks / counters
 	blockPackets uint64 // block length in real packets (W/k)
-	window       uint64 // effective window (k · blockPackets)
-	blockCounts  uint64 // overflow threshold in sampled counts (τ·W/k)
-
-	// Frame position is tracked as countdowns so the per-packet path
-	// needs no division: untilBlock packets remain in the current
-	// block, blocksLeft blocks remain in the current frame. The
-	// position m of Algorithm 1 is (k-blocksLeft+1)·blockPackets −
-	// untilBlock, recoverable via position().
-	untilBlock uint64 // packets until the next block boundary (1..blockPackets)
-	blocksLeft int    // blocks until the frame flush (1..k)
-
-	scale float64 // query scale factor (1/τ, or V for H-Memento)
-	tau   float64
-	hash  func(K) uint64 // caller-supplied shared hasher (nil: per-index defaults)
+	tau          float64
 
 	src       *rng.Source
 	bern      *rng.Bernoulli
-	table     *rng.Table
+	coinTable *rng.Table
 	geo       *rng.Geometric
 	skip      int // batched path: packets left until the next Full update (-1: not drawn)
-	useTable  bool
-	fullCount uint64 // Full updates performed (diagnostics)
-	updates   uint64 // total updates (diagnostics)
-
-	forcedDrains uint64 // leftover queue entries drained at rotation
 
 	// Delta plane (nil until EnableDeltaTracking); see delta.go.
 	track *deltaPlane[K]
@@ -130,17 +113,55 @@ type Sketch[K comparable] struct {
 	ins *Instruments
 }
 
+// frame is the live sketch's position and update breakdown, and — as a
+// copy — the scalar half of a snapshot's restore plane. Position is
+// tracked as countdowns so the per-packet path needs no division:
+// untilBlock packets remain in the current block, blocksLeft blocks
+// remain in the current frame. The position m of Algorithm 1 is
+// (k-blocksLeft+1)·blockPackets − untilBlock, recoverable via
+// position().
+type frame struct {
+	untilBlock   uint64 // packets until the next block boundary (1..blockPackets)
+	blocksLeft   int    // blocks until the frame flush (1..k)
+	fullCount    uint64 // Full updates performed (diagnostics)
+	forcedDrains uint64 // leftover queue entries drained at rotation
+}
+
+// FullUpdates returns how many of the updates were Full updates. On a
+// snapshot it is the source's count at capture time, meaningful only
+// with the restore plane (CheckpointInto).
+func (f *frame) FullUpdates() uint64 { return f.fullCount }
+
+// ForcedDrains reports overflow-queue entries that were still pending
+// when their block rotated out. The de-amortization guarantees this is
+// zero under Algorithm 1's update pattern; it is exposed so tests can
+// assert the invariant.
+func (f *frame) ForcedDrains() uint64 { return f.forcedDrains }
+
+// UntilBlock returns the frame position countdown (on a snapshot:
+// valid only with the restore plane).
+func (f *frame) UntilBlock() uint64 { return f.untilBlock }
+
+// BlocksLeft returns the blocks-until-frame-flush countdown (on a
+// snapshot: valid only with the restore plane).
+func (f *frame) BlocksLeft() int { return f.blocksLeft }
+
 const defaultSeed = 0x6d656d656e746f21 // "memento!"
 
-// New validates cfg and returns a ready Sketch.
+// New validates cfg and returns a ready Sketch hashing its keys with
+// keyidx.DefaultHasher.
 func New[K comparable](cfg Config) (*Sketch[K], error) { return NewWithHash[K](cfg, nil) }
 
-// NewWithHash is New with a caller-supplied key hasher shared by the
-// in-frame Space Saving index and the overflow table. Layers that
-// already hash every key (internal/shard routes by hash) pass the
-// same function here and feed the *Hashed update variants, so one
-// hash computation per packet serves shard routing and both indexes.
+// NewWithHash is New with a caller-supplied key hasher (nil selects
+// New's default): a sketch has exactly one, shared by the in-frame
+// Space Saving index and the overflow table. Layers that already hash
+// every key (internal/shard routes by hash) pass the same function
+// here and feed the *Hashed update variants, so one hash computation
+// per packet serves shard routing and both indexes.
 func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], error) {
+	if hash == nil {
+		hash = keyidx.DefaultHasher[K]()
+	}
 	if cfg.Window <= 0 {
 		return nil, errors.New("core: Window must be positive")
 	}
@@ -200,25 +221,25 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 		return nil, err
 	}
 	s := &Sketch[K]{
-		y:            y,
-		overflow:     overflow,
-		k:            k,
+		table: table[K]{
+			overflow:    *overflow,
+			y:           *y,
+			k:           k,
+			window:      window,
+			blockCounts: blockCounts,
+			scale:       scale,
+			hash:        hash,
+		},
+		frame:        frame{untilBlock: blockPackets, blocksLeft: k},
 		blockPackets: blockPackets,
-		window:       window,
-		blockCounts:  blockCounts,
-		untilBlock:   blockPackets,
-		blocksLeft:   k,
-		scale:        scale,
 		tau:          tau,
-		hash:         hash,
 		src:          rng.New(seed),
-		useTable:     cfg.TableSampling,
 		skip:         -1,
 	}
 	s.geo = rng.NewGeometric(s.src, tau)
 	s.ring.init(k + 1)
 	if cfg.TableSampling {
-		s.table = rng.NewTable(s.src, 1<<16, tau)
+		s.coinTable = rng.NewTable(s.src, 1<<16, tau)
 	} else {
 		s.bern = rng.NewBernoulli(s.src, tau)
 	}
@@ -234,43 +255,23 @@ func MustNew[K comparable](cfg Config) *Sketch[K] {
 	return s
 }
 
-// EffectiveWindow returns the window actually maintained: Window
-// rounded up to a multiple of the block count.
-func (s *Sketch[K]) EffectiveWindow() int { return int(s.window) }
-
-// Counters returns k, the number of Space Saving counters (= blocks).
-func (s *Sketch[K]) Counters() int { return s.k }
-
 // Tau returns the configured sampling probability.
 func (s *Sketch[K]) Tau() float64 { return s.tau }
 
-// Scale returns the query scale factor.
-func (s *Sketch[K]) Scale() float64 { return s.scale }
-
-// Updates returns the total number of updates processed.
-func (s *Sketch[K]) Updates() uint64 { return s.updates }
-
-// FullUpdates returns how many of the updates were Full updates.
-func (s *Sketch[K]) FullUpdates() uint64 { return s.fullCount }
-
-// ForcedDrains reports overflow-queue entries that were still pending
-// when their block rotated out. The de-amortization guarantees this is
-// zero under Algorithm 1's update pattern; it is exposed so tests can
-// assert the invariant.
-func (s *Sketch[K]) ForcedDrains() uint64 { return s.forcedDrains }
+// sample flips Update's τ-coin.
+func (s *Sketch[K]) sample() bool {
+	if s.coinTable != nil {
+		return s.coinTable.Sample()
+	}
+	return s.bern.Sample()
+}
 
 // Update processes one packet: with probability τ a Full update,
 // otherwise a Window update (Algorithm 1, lines 19-21).
 //
 //memento:noalloc
 func (s *Sketch[K]) Update(x K) {
-	var full bool
-	if s.useTable {
-		full = s.table.Sample()
-	} else {
-		full = s.bern.Sample()
-	}
-	if full {
+	if s.sample() {
 		s.FullUpdate(x)
 	} else {
 		s.WindowUpdate()
@@ -278,24 +279,12 @@ func (s *Sketch[K]) Update(x K) {
 }
 
 // UpdateHashed is Update with a caller-computed hash of x, which must
-// come from the hash function the sketch was constructed with
-// (NewWithHash); internal/shard hashes each key once for shard
-// routing and passes the same value here. On a sketch built without
-// a hasher it falls back to Update.
+// come from the sketch's hasher (NewWithHash); internal/shard hashes
+// each key once for shard routing and passes the same value here.
 //
 //memento:noalloc
 func (s *Sketch[K]) UpdateHashed(x K, h uint64) {
-	if s.hash == nil {
-		s.Update(x)
-		return
-	}
-	var full bool
-	if s.useTable {
-		full = s.table.Sample()
-	} else {
-		full = s.bern.Sample()
-	}
-	if full {
+	if s.sample() {
 		s.FullUpdateHashed(x, h)
 	} else {
 		s.WindowUpdate()
@@ -327,12 +316,12 @@ func (s *Sketch[K]) UpdateBatch(xs []K) { s.updateBatch(xs, nil) }
 // The sharded front-end already hashes every key once to partition a
 // batch; carrying the (key, hash) pairs here means the sampled
 // τ-fraction of keys that reach a Full update is not hashed a second
-// time inside the core indexes. On a sketch built without a hasher,
-// or with mismatched slice lengths, it falls back to UpdateBatch.
+// time inside the core indexes. With mismatched slice lengths it falls
+// back to UpdateBatch.
 //
 //memento:noalloc
 func (s *Sketch[K]) UpdateBatchHashed(xs []K, hs []uint64) {
-	if s.hash == nil || len(hs) != len(xs) {
+	if len(hs) != len(xs) {
 		hs = nil
 	}
 	s.updateBatch(xs, hs)
@@ -390,50 +379,29 @@ func (s *Sketch[K]) windowAdvance(n uint64) {
 			// n expired entries, exactly as n single updates would.
 			s.updates += n
 			s.untilBlock -= n
-			for i := uint64(0); i < n; i++ {
-				id, ok := s.ring.popOldest()
-				if !ok {
-					break
-				}
-				s.forgetOverflow(id)
-			}
+			s.forget(n)
 			return
 		}
 		s.updates += rem
 		// The rem-1 pre-boundary packets pop from the outgoing oldest
 		// queue; the boundary packet rotates first and pops from the
 		// queue that becomes oldest, matching WindowUpdate's order.
-		for i := uint64(1); i < rem; i++ {
-			id, ok := s.ring.popOldest()
-			if !ok {
-				break
-			}
-			s.forgetOverflow(id)
-		}
-		s.untilBlock = s.blockPackets
-		s.blocksLeft--
-		flushed := s.blocksLeft == 0
-		if flushed {
-			s.blocksLeft = s.k
-			s.y.Flush() // new frame
-			if s.track != nil {
-				s.track.flushes++
-			}
-		}
-		for {
-			id, ok := s.ring.popOldest()
-			if !ok {
-				break
-			}
-			s.forgetOverflow(id)
-			s.forcedDrains++
-		}
-		s.ring.rotate()
-		if id, ok := s.ring.popOldest(); ok {
-			s.forgetOverflow(id)
-		}
-		s.noteBlock(flushed)
+		s.forget(rem - 1)
+		s.endBlock()
+		s.forget(1)
 		n -= rem
+	}
+}
+
+// forget is the de-amortized forgetting of n packets with no rotation
+// between them: up to n expired entries leave the oldest queue and B.
+func (s *Sketch[K]) forget(n uint64) {
+	for ; n > 0; n-- {
+		id, ok := s.ring.popOldest()
+		if !ok {
+			return
+		}
+		s.forgetOverflow(id)
 	}
 }
 
@@ -449,33 +417,40 @@ func (s *Sketch[K]) WindowUpdate() {
 	s.updates++
 	s.untilBlock--
 	if s.untilBlock == 0 { // new block (including frame start)
-		s.untilBlock = s.blockPackets
-		s.blocksLeft--
-		flushed := s.blocksLeft == 0
-		if flushed {
-			s.blocksLeft = s.k
-			s.y.Flush() // new frame
-			if s.track != nil {
-				s.track.flushes++
-			}
-		}
-		// The oldest block's queue must be empty by now; drain
-		// defensively so external update patterns cannot corrupt B.
-		for {
-			id, ok := s.ring.popOldest()
-			if !ok {
-				break
-			}
-			s.forgetOverflow(id)
-			s.forcedDrains++
-		}
-		s.ring.rotate()
-		s.noteBlock(flushed)
+		s.endBlock()
 	}
 	// De-amortized forgetting: at most one pop per packet.
 	if id, ok := s.ring.popOldest(); ok {
 		s.forgetOverflow(id)
 	}
+}
+
+// endBlock runs at a block's boundary packet: restart the countdown,
+// flush the in-frame counter if the frame ended with the block, and
+// rotate the ring.
+func (s *Sketch[K]) endBlock() {
+	s.untilBlock = s.blockPackets
+	s.blocksLeft--
+	flushed := s.blocksLeft == 0
+	if flushed {
+		s.blocksLeft = s.k
+		s.y.Flush() // new frame
+		if s.track != nil {
+			s.track.flushes++
+		}
+	}
+	// The oldest block's queue must be empty by now; drain
+	// defensively so external update patterns cannot corrupt B.
+	for {
+		id, ok := s.ring.popOldest()
+		if !ok {
+			break
+		}
+		s.forgetOverflow(id)
+		s.forcedDrains++
+	}
+	s.ring.rotate()
+	s.noteBlock(flushed)
 }
 
 // position returns m, the number of packets into the current frame
@@ -501,22 +476,11 @@ func (s *Sketch[K]) forgetOverflow(id K) {
 // recorded in the current block's queue and in B.
 //
 //memento:noalloc
-func (s *Sketch[K]) FullUpdate(x K) {
-	s.WindowUpdate()
-	s.fullCount++
-	c := s.y.Add(x)
-	if c%s.blockCounts == 0 { // overflow
-		s.ring.push(x)
-		s.overflow.Inc(x, 1)
-		if s.track != nil {
-			s.track.log(x, 1)
-		}
-	}
-}
+func (s *Sketch[K]) FullUpdate(x K) { s.FullUpdateHashed(x, s.hash(x)) }
 
 // FullUpdateHashed is FullUpdate with a caller-computed hash of x
-// (valid only on sketches built with NewWithHash); the one hash value
-// serves both the Space Saving index and the overflow table.
+// under the sketch's hasher; the one hash value serves both the Space
+// Saving index and the overflow table.
 //
 //memento:noalloc
 func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
@@ -532,124 +496,14 @@ func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
 	}
 }
 
-// Query returns the (one-sided) estimate of x's frequency within the
-// last EffectiveWindow() packets (Algorithm 1, lines 22-25). The
-// estimate overshoots by design (≤ (εa+εs)·W with the configured
-// parameters) so that, like MST, Memento has no false negatives.
-//
-// On a sketch built with a shared hasher (NewWithHash) the key is
-// hashed once and the same value probes both the overflow table and
-// the Space Saving index; without one, each index hashes with its own
-// default. Query paths run hot in the on-arrival setting (Figure 8;
-// internal/detect estimates on every packet), so the saved hash is
-// measurable.
-//
-//memento:noalloc
-func (s *Sketch[K]) Query(x K) float64 {
-	if s.hash != nil {
-		return queryEstimate(s.overflow, s.y, s.blockCounts, s.scale, x, s.hash(x))
-	}
-	if b, ok := s.overflow.Get(x); ok {
-		return overflowUpper(s.scale, s.blockCounts, b, s.y.Query(x))
-	}
-	return s.scale * (2*float64(s.blockCounts) + float64(s.y.Query(x)))
-}
-
-// overflowUpper is the Algorithm 1 estimate of a key with b overflows
-// in the window and in-frame count c.
-func overflowUpper(scale float64, blockCounts uint64, b int32, c uint64) float64 {
-	return scale * (float64(blockCounts)*float64(b+2) + float64(c%blockCounts))
-}
-
-// queryEstimate is the Algorithm 1 estimate over an overflow table
-// and in-frame counter sharing one key hash; Sketch.Query and
-// Snapshot.Query both reduce to it.
-func queryEstimate[K comparable](overflow *keyidx.Counts[K], y *spacesaving.Sketch[K], blockCounts uint64, scale float64, x K, h uint64) float64 {
-	if b, ok := overflow.GetH(x, h); ok {
-		return overflowUpper(scale, blockCounts, b, y.QueryHashed(x, h))
-	}
-	return scale * (2*float64(blockCounts) + float64(y.QueryHashed(x, h)))
-}
-
-// QueryHashed is Query with a caller-computed hash of x (valid only
-// on sketches built with NewWithHash); internal/shard routes a point
-// query by hash and passes the same value here, so one hash serves
-// shard selection, the overflow table, and the Space Saving index.
-//
-//memento:noalloc
-func (s *Sketch[K]) QueryHashed(x K, h uint64) float64 {
-	if s.hash == nil {
-		return s.Query(x)
-	}
-	return queryEstimate(s.overflow, s.y, s.blockCounts, s.scale, x, h)
-}
-
-// QueryBounds returns conservative upper and lower bounds on x's
-// window frequency: Upper = Query(x), Lower = max(0, Upper − εa·W)
-// where εa·W = 4·W/k is the algorithmic error band. H-Memento's
-// conditioned-frequency computation (Algorithms 3-4) subtracts Lower
-// values of descendants.
-//
-//memento:noalloc
-func (s *Sketch[K]) QueryBounds(x K) (upper, lower float64) {
-	return s.boundsFrom(s.Query(x))
-}
-
-// QueryBoundsHashed is QueryBounds with a caller-computed hash.
-func (s *Sketch[K]) QueryBoundsHashed(x K, h uint64) (upper, lower float64) {
-	return s.boundsFrom(s.QueryHashed(x, h))
-}
-
-// boundsFrom derives the conservative bound pair from an upper
-// estimate.
-func (s *Sketch[K]) boundsFrom(upper float64) (float64, float64) {
-	lower := upper - 4*float64(s.blockCounts)*s.scale
-	if lower < 0 {
-		lower = 0
-	}
-	return upper, lower
-}
-
-// Overflowed calls fn for every key currently present in the overflow
-// table B until fn returns false. Every window heavy hitter is
-// guaranteed to appear (Section 4.1: "every heavy hitter must overflow
-// in the window"). The sketch must not be mutated during iteration.
-func (s *Sketch[K]) Overflowed(fn func(key K, overflows int32) bool) {
-	for _, e := range s.overflow.Entries() {
-		if !fn(e.Key, e.Val) {
-			return
-		}
-	}
-}
-
-// OverflowEntries returns the number of keys in the overflow table.
-func (s *Sketch[K]) OverflowEntries() int { return s.overflow.Len() }
-
-// HeavyHitters appends to dst every key whose estimated window
-// frequency is at least theta·EffectiveWindow(), with its estimate,
-// and returns dst. theta is the paper's θ ∈ (0, 1).
-func (s *Sketch[K]) HeavyHitters(theta float64, dst []Item[K]) []Item[K] {
-	threshold := theta * float64(s.window)
-	for _, e := range s.overflow.Entries() {
-		// Query(e.Key) without probing B again for the entry in hand.
-		if est := overflowUpper(s.scale, s.blockCounts, e.Val, s.y.Query(e.Key)); est >= threshold {
-			dst = append(dst, Item[K]{Key: e.Key, Estimate: est})
-		}
-	}
-	return dst
-}
-
 // Reset returns the sketch to its initial empty state, reusing all
 // allocated memory.
 func (s *Sketch[K]) Reset() {
 	s.y.Flush()
 	s.overflow.Flush()
 	s.ring.reset()
-	s.untilBlock = s.blockPackets
-	s.blocksLeft = s.k
+	s.frame = frame{untilBlock: s.blockPackets, blocksLeft: s.k}
 	s.updates = 0
-	s.fullCount = 0
-	s.forcedDrains = 0
 	s.skip = -1
 	if s.track != nil {
 		// Everything the previous epoch knew is gone; the next delta
@@ -678,9 +532,7 @@ type blockRing[K comparable] struct {
 func (r *blockRing[K]) init(n int) {
 	r.queues = make([][]K, n)
 	r.heads = make([]int, n)
-	r.cur = 0
-	r.old = 1 % n
-	r.queued = 0
+	r.reset()
 }
 
 func (r *blockRing[K]) reset() {

@@ -35,10 +35,9 @@ type SnapshotSet struct {
 	// One Output's working state: the heavy candidates handed to the
 	// HHH-set scan with their merged bounds, and the index that keeps a
 	// prefix several members admit from being resolved into it twice.
-	cands   []hhhset.Candidate //memento:reused (query scratch, Trim-capped)
-	held    *keyidx.Index[hierarchy.Prefix]
-	sc      hhhset.Scratch
-	entries []hhhset.Entry //memento:reused (query scratch, Trim-capped)
+	cands []hhhset.Candidate //memento:reused (query scratch, Trim-capped)
+	held  *keyidx.Index[hierarchy.Prefix]
+	sc    hhhset.Scratch
 
 	swept, admitted int
 }
@@ -51,7 +50,7 @@ func (s *SnapshotSet) Reset(snaps []*HHHSnapshot, weights []float64) {
 	s.defU, s.defL = s.defU[:0], s.defL[:0]
 	s.totalDefU, s.totalDefL = 0, 0
 	for i, snap := range snaps {
-		du, dl := snap.mem.AbsentBounds()
+		du, dl := snap.AbsentBounds()
 		du *= weights[i]
 		dl *= weights[i]
 		s.defU = append(s.defU, du)
@@ -73,7 +72,7 @@ func (s *SnapshotSet) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 func (s *SnapshotSet) Tracked(p hierarchy.Prefix) (upper, lower float64, tracked bool) {
 	var defU, defL float64
 	for i, snap := range s.snaps {
-		u, l, ok := snap.mem.TrackedBounds(p)
+		u, l, ok := snap.TrackedBounds(p)
 		if !ok {
 			continue
 		}
@@ -127,18 +126,14 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 		floor := (s.defU[i] + share) / s.weights[i]
 		floor -= 1e-9 * math.Abs(floor)
 		//memento:allow alloc "closure does not escape: ForEachAbove only iterates (BenchmarkOutputSteadyState gates)"
-		s.swept += snap.mem.ForEachAbove(floor, func(p hierarchy.Prefix, _, _ float64) bool {
+		s.swept += snap.ForEachAbove(floor, func(p hierarchy.Prefix, _, _ float64) bool {
 			s.admitted++
 			s.hold(p, cut)
 			return true
 		})
 	}
 	//memento:allow alloc "HHH-set scratch growth amortized by Scratch reuse (BenchmarkOutputSteadyState gates)"
-	s.entries = hhhset.ComputeTracked(hier, s, s.cands, threshold, compensation, &s.sc, s.entries[:0])
-	for _, e := range s.entries {
-		dst = append(dst, HeavyPrefix(e))
-	}
-	return dst
+	return hhhset.ComputeTracked(hier, s, s.cands, threshold, compensation, &s.sc, dst)
 }
 
 // hold makes the admitted prefix p a scan candidate if its merged
@@ -167,9 +162,6 @@ func (s *SnapshotSet) Selectivity() (swept, admitted int) { return s.swept, s.ad
 func (s *SnapshotSet) Trim(limit int) {
 	if cap(s.cands) > limit {
 		s.cands = nil
-	}
-	if cap(s.entries) > limit {
-		s.entries = nil
 	}
 	if s.held != nil && s.held.Cap() > limit {
 		s.held = nil

@@ -153,12 +153,12 @@ func TestSnapshotSetOutputMatchesFullScan(t *testing.T) {
 func TestSnapshotSetTrim(t *testing.T) {
 	var set SnapshotSet
 	set.cands = make([]hhhset.Candidate, 0, 64)
-	set.entries = make([]hhhset.Entry, 0, 8)
+	set.held = keyidx.MustNew(8, hierarchy.PrefixHasher(0))
 	set.Trim(32)
 	if set.cands != nil {
 		t.Fatalf("oversized candidate scratch retained with cap %d", cap(set.cands))
 	}
-	if cap(set.entries) != 8 {
-		t.Fatal("small entry scratch not kept")
+	if set.held == nil {
+		t.Fatal("small candidate index not kept")
 	}
 }

@@ -8,11 +8,12 @@
 // sketch-specific body layout. Encoding appends to a caller-provided
 // buffer and allocates nothing once the buffer has warmed up
 // (BenchmarkSnapshotEncode gates 0 allocs/op in CI). Decoding is
-// strict: every count is validated against the bytes that remain
-// before allocation, table rebuilds reject duplicates and
-// non-monotone counter orders, and a record can only rehydrate a
-// sketch whose seed-independent configuration matches
-// (codec.ErrConfigMismatch otherwise).
+// strict and in two steps: a parser that validates every count against
+// the bytes that remain before allocating and fills a SnapshotSpec,
+// and BuildSnapshot's validator (delta.go), which states every sketch
+// invariant once for all state that arrives from outside the process.
+// A record can only rehydrate a sketch whose seed-independent
+// configuration matches (codec.ErrConfigMismatch otherwise).
 //
 // Decoded snapshots rebuild their key indexes under a caller-chosen
 // hash function instead of trusting the source's slot layout, so
@@ -30,12 +31,6 @@ import (
 	"memento/internal/keyidx"
 	"memento/internal/spacesaving"
 )
-
-// digest returns the seed-independent configuration digest of the
-// captured sketch.
-func (snap *Snapshot[K]) digest() uint64 {
-	return codec.SketchDigest(snap.window, uint64(snap.counters), snap.blockCounts, snap.scale)
-}
 
 // recordFlags returns the header flags for the captured state.
 func (snap *Snapshot[K]) recordFlags() uint16 {
@@ -73,7 +68,7 @@ func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, snap.updates)
 	dst = binary.BigEndian.AppendUint64(dst, snap.blockCounts)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(snap.scale))
-	dst = binary.AppendUvarint(dst, uint64(snap.counters))
+	dst = binary.AppendUvarint(dst, uint64(snap.k))
 
 	dst = binary.AppendUvarint(dst, uint64(snap.overflow.Len()))
 	for _, e := range snap.overflow.Entries() {
@@ -124,13 +119,14 @@ func DecodeSnapshot[K comparable](data []byte, kc codec.KeyCodec[K], hash func(K
 	if h.Kind != codec.KindSketch {
 		return nil, fmt.Errorf("%w: kind %d, want sketch", codec.ErrKind, h.Kind)
 	}
-	snap := new(Snapshot[K])
 	c := codec.NewCursor(body)
-	if err := snap.decodeBody(c, h.Flags, kc, hash); err != nil {
+	spec, err := parseBody(c, h.Flags, kc, hash)
+	if err != nil {
 		return nil, err
 	}
-	if c.Remaining() != 0 {
-		return nil, codec.Corruptf("%d trailing bytes", c.Remaining())
+	snap := new(Snapshot[K])
+	if err := snap.build(spec, hash); err != nil {
+		return nil, err
 	}
 	if snap.digest() != h.Digest {
 		return nil, fmt.Errorf("%w: header digest %#x, body %#x", codec.ErrConfigMismatch, h.Digest, snap.digest())
@@ -143,144 +139,87 @@ func DecodeSnapshot[K comparable](data []byte, kc codec.KeyCodec[K], hash func(K
 // sanity backstop on top of the remaining-bytes bound.
 const maxDecodeQueue = 1 << 24
 
-// decodeBody parses the sketch section from c into snap.
-func (snap *Snapshot[K]) decodeBody(c *codec.Cursor, flags uint16, kc codec.KeyCodec[K], hash func(K) uint64) error {
+// parseBody parses the sketch section — the rest of c — into a
+// SnapshotSpec for Snapshot.build to validate. It checks only what
+// the bytes themselves can violate: truncation, counts the remaining
+// bytes cannot hold (so allocations are bounded by the record size),
+// values that do not fit their type, duplicate overflow keys and
+// trailing bytes. The overflow table is built under hash.
+func parseBody[K comparable](c *codec.Cursor, flags uint16, kc codec.KeyCodec[K], hash func(K) uint64) (spec SnapshotSpec[K], err error) {
 	kw := kc.Width()
-	snap.window = c.Uint64()
-	snap.updates = c.Uint64()
-	snap.blockCounts = c.Uint64()
-	snap.scale = c.Float64()
-	k := c.Uvarint()
-	if err := c.Err(); err != nil {
-		return err
-	}
-	const maxK = 1 << 28 // spacesaving's own cap
-	if k == 0 || k > maxK {
-		return codec.Corruptf("counter budget %d out of range", k)
-	}
-	if snap.blockCounts == 0 {
-		return codec.Corruptf("zero block threshold")
-	}
-	if snap.window == 0 || snap.window%k != 0 {
-		return codec.Corruptf("window %d not a multiple of %d blocks", snap.window, k)
-	}
-	if !(snap.scale >= 1) {
-		return codec.Corruptf("scale %g below 1", snap.scale)
-	}
-	snap.counters = int(k)
-	if hash == nil {
-		hash = keyidx.DefaultHasher[K]()
-	}
-	snap.hash = hash
+	spec.Window = c.Uint64()
+	spec.Updates = c.Uint64()
+	spec.BlockCounts = c.Uint64()
+	spec.Scale = c.Float64()
+	spec.Counters = int(min(c.Uvarint(), math.MaxInt))
 
-	// Overflow table: rebuilt under the chosen hash; duplicate keys
-	// and non-positive counts are corruption.
 	ovLen := c.Count(codec.MaxRecord, kw+1)
 	if err := c.Err(); err != nil {
-		return err
+		return spec, err
 	}
 	// New, not MustNew: the capacity derives from decoded input, so a
 	// constructor failure must surface as a decode error, not a panic.
 	ov, err := keyidx.NewCounts[K](max(ovLen, 1), hash)
 	if err != nil {
-		return codec.Corruptf("overflow table: %v", err)
+		return spec, codec.Corruptf("overflow table: %v", err)
 	}
 	for i := 0; i < ovLen; i++ {
 		key := codec.Key(c, kc)
 		val := c.Uvarint()
 		if err := c.Err(); err != nil {
-			return err
+			return spec, err
 		}
-		if val == 0 || val > math.MaxInt32 {
-			return codec.Corruptf("overflow count %d out of range", val)
+		if val > math.MaxInt32 {
+			return spec, codec.Corruptf("overflow count %d exceeds int32", val)
 		}
 		h := ov.Hash(key)
 		if _, dup := ov.GetH(key, h); dup {
-			return codec.Corruptf("duplicate overflow key")
+			return spec, codec.Corruptf("duplicate overflow key")
 		}
 		ov.PutH(key, int32(val), h)
 	}
-	snap.overflow = *ov
+	spec.Overflow = ov
 
-	// Space Saving counters, ascending count order. Capacity preserves
-	// the saturated/unsaturated distinction Min() depends on while
-	// sizing slabs by the entries actually present, so a hostile
-	// declared budget cannot drive a huge allocation.
-	ssLen := c.Count(int(k), kw+2)
-	items := c.Uint64()
+	ssLen := c.Count(codec.MaxRecord, kw+2)
+	spec.Items = c.Uint64()
 	if err := c.Err(); err != nil {
-		return err
+		return spec, err
 	}
-	ssCap := ssLen
-	if uint64(ssLen) < k {
-		ssCap++ // leave headroom: unsaturated sketches answer Min() = 0
+	spec.Monitored = make([]spacesaving.Counter[K], ssLen)
+	for i := range spec.Monitored {
+		spec.Monitored[i] = spacesaving.Counter[K]{Key: codec.Key(c, kc), Count: c.Uvarint(), Err: c.Uvarint()}
 	}
-	y, err := spacesaving.NewWithHash[K](max(ssCap, 1), hash)
-	if err != nil {
-		return err
-	}
-	var prev uint64
-	for i := 0; i < ssLen; i++ {
-		key := codec.Key(c, kc)
-		count := c.Uvarint()
-		errTerm := c.Uvarint()
+
+	if flags&codec.FlagRestore != 0 {
+		r := &RestoreSpec[K]{UntilBlock: c.Uint64()}
+		r.BlocksLeft = int(min(c.Uvarint(), math.MaxInt))
+		r.FullUpdates = c.Uint64()
+		r.ForcedDrains = c.Uint64()
+		nq := c.Count(codec.MaxRecord, 1)
 		if err := c.Err(); err != nil {
-			return err
+			return spec, err
 		}
-		if count < prev {
-			return codec.Corruptf("counter order not ascending (%d after %d)", count, prev)
+		r.Queues = make([][]K, nq)
+		for i := range r.Queues {
+			qlen := c.Count(maxDecodeQueue, kw)
+			if err := c.Err(); err != nil {
+				return spec, err
+			}
+			q := make([]K, qlen)
+			for j := range q {
+				q[j] = codec.Key(c, kc)
+			}
+			r.Queues[i] = q
 		}
-		prev = count
-		if err := y.RestoreEntry(key, count, errTerm); err != nil {
-			return codec.Corruptf("%v", err)
-		}
+		spec.Restore = r
 	}
-	y.SetItems(items)
-	snap.y = *y
-
-	snap.full = flags&codec.FlagRestore != 0
-	if !snap.full {
-		snap.queues = nil
-		return nil
-	}
-
-	// Restore plane.
-	snap.untilBlock = c.Uint64()
-	blocksLeft := c.Uvarint()
-	snap.fullCount = c.Uint64()
-	snap.forcedDrains = c.Uint64()
-	nq := c.Count(int(k)+1, 1)
 	if err := c.Err(); err != nil {
-		return err
+		return spec, err
 	}
-	blockPackets := snap.window / k
-	if snap.untilBlock == 0 || snap.untilBlock > blockPackets {
-		return codec.Corruptf("frame position %d outside block of %d", snap.untilBlock, blockPackets)
+	if c.Remaining() != 0 {
+		return spec, codec.Corruptf("%d trailing bytes", c.Remaining())
 	}
-	if blocksLeft == 0 || blocksLeft > k {
-		return codec.Corruptf("blocks left %d outside 1..%d", blocksLeft, k)
-	}
-	snap.blocksLeft = int(blocksLeft)
-	if uint64(nq) != k+1 {
-		return codec.Corruptf("%d ring queues, want %d", nq, k+1)
-	}
-	if cap(snap.queues) < nq {
-		snap.queues = make([][]K, nq)
-	} else {
-		snap.queues = snap.queues[:nq]
-	}
-	for i := 0; i < nq; i++ {
-		qlen := c.Count(maxDecodeQueue, kw)
-		if err := c.Err(); err != nil {
-			return err
-		}
-		q := snap.queues[i][:0]
-		for j := 0; j < qlen; j++ {
-			q = append(q, codec.Key(c, kc))
-		}
-		snap.queues[i] = q
-	}
-	return c.Err()
+	return spec, nil
 }
 
 // RestoreFrom rehydrates the sketch from a checkpoint-plane snapshot:
@@ -295,22 +234,15 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 	if !snap.full {
 		return codec.ErrNotRestorable
 	}
-	if snap.window != s.window || snap.counters != s.k ||
+	if snap.window != s.window || snap.k != s.k ||
 		snap.blockCounts != s.blockCounts || snap.scale != s.scale {
 		return fmt.Errorf("%w: snapshot (W=%d k=%d block=%d scale=%g) vs sketch (W=%d k=%d block=%d scale=%g)",
 			codec.ErrConfigMismatch,
-			snap.window, snap.counters, snap.blockCounts, snap.scale,
+			snap.window, snap.k, snap.blockCounts, snap.scale,
 			s.window, s.k, s.blockCounts, s.scale)
 	}
-	if len(snap.queues) != s.k+1 {
-		return codec.Corruptf("%d ring queues, want %d", len(snap.queues), s.k+1)
-	}
-	if snap.untilBlock == 0 || snap.untilBlock > s.blockPackets {
-		return codec.Corruptf("frame position %d outside block of %d", snap.untilBlock, s.blockPackets)
-	}
-	if snap.blocksLeft <= 0 || snap.blocksLeft > s.k {
-		return codec.Corruptf("blocks left %d outside 1..%d", snap.blocksLeft, s.k)
-	}
+	// Same W and k, and the restore plane came from a live sketch or
+	// through BuildSnapshot: ring size and frame position already hold.
 	s.Reset()
 	var ferr error
 	// Monitored counters re-inserted under the live index's hash
@@ -328,18 +260,11 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 	}
 	s.y.SetItems(snap.y.Items())
 	for _, e := range snap.overflow.Entries() {
-		if e.Val <= 0 {
-			s.Reset()
-			return codec.Corruptf("overflow count %d out of range", e.Val)
-		}
 		s.overflow.Put(e.Key, e.Val)
 	}
 	s.ring.restoreFrom(snap.queues)
-	s.untilBlock = snap.untilBlock
-	s.blocksLeft = snap.blocksLeft
+	s.frame = snap.frame
 	s.updates = snap.updates
-	s.fullCount = snap.fullCount
-	s.forcedDrains = snap.forcedDrains
 	return nil
 }
 
@@ -349,16 +274,13 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 //
 //memento:noalloc
 func (hh *HHH) CheckpointInto(snap *HHHSnapshot) {
-	hh.mem.CheckpointInto(&snap.mem)
+	hh.mem.CheckpointInto(&snap.Snapshot)
 	snap.hier = hh.hier
 	snap.comp = hh.comp
 }
 
 // Hierarchy returns the captured prefix domain.
 func (snap *HHHSnapshot) Hierarchy() hierarchy.Hierarchy { return snap.hier }
-
-// Restorable reports whether the snapshot carries the restore plane.
-func (snap *HHHSnapshot) Restorable() bool { return snap.mem.full }
 
 // AppendTo appends the snapshot as a self-contained KindHHH record
 // and returns the extended buffer. It fails only when the hierarchy
@@ -375,12 +297,12 @@ func (snap *HHHSnapshot) AppendTo(dst []byte) ([]byte, error) {
 	dst = codec.AppendHeader(dst, codec.Header{
 		Version: codec.Version,
 		Kind:    codec.KindHHH,
-		Flags:   snap.mem.recordFlags(),
-		Digest:  codec.HHHDigest(id, snap.mem.window, uint64(snap.mem.counters), snap.mem.blockCounts, snap.mem.scale),
+		Flags:   snap.recordFlags(),
+		Digest:  snap.hhhDigest(id),
 	})
 	dst = append(dst, id)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(snap.comp))
-	dst = snap.mem.appendBody(dst, codec.PrefixKeys{})
+	dst = snap.appendBody(dst, codec.PrefixKeys{})
 	codec.AccountEncode(codec.KindHHH, len(dst)-start)
 	return dst, nil
 }
@@ -406,22 +328,25 @@ func DecodeHHHSnapshot(data []byte) (*HHHSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if comp < 0 {
-		return nil, codec.Corruptf("negative compensation %g", comp)
-	}
-	snap := &HHHSnapshot{hier: hier, comp: comp}
-	if err := snap.mem.decodeBody(c, h.Flags, codec.PrefixKeys{}, hierarchy.PrefixHasher(0)); err != nil {
+	spec, err := parseBody(c, h.Flags, codec.PrefixKeys{}, hierarchy.PrefixHasher(0))
+	if err != nil {
 		return nil, err
 	}
-	if c.Remaining() != 0 {
-		return nil, codec.Corruptf("%d trailing bytes", c.Remaining())
+	snap, err := buildHHHSnapshot(hier, comp, spec)
+	if err != nil {
+		return nil, err
 	}
-	want := codec.HHHDigest(id, snap.mem.window, uint64(snap.mem.counters), snap.mem.blockCounts, snap.mem.scale)
-	if want != h.Digest {
+	if want := snap.hhhDigest(id); want != h.Digest {
 		return nil, fmt.Errorf("%w: header digest %#x, body %#x", codec.ErrConfigMismatch, h.Digest, want)
 	}
 	codec.AccountDecode(codec.KindHHH, len(data))
 	return snap, nil
+}
+
+// hhhDigest returns the KindHHH configuration digest of the captured
+// instance under wire hierarchy id.
+func (snap *HHHSnapshot) hhhDigest(id uint8) uint64 {
+	return codec.HHHDigest(id, snap.window, uint64(snap.k), snap.blockCounts, snap.scale)
 }
 
 // RestoreFrom rehydrates the H-Memento instance from a
@@ -434,7 +359,7 @@ func (hh *HHH) RestoreFrom(snap *HHHSnapshot) error {
 		return fmt.Errorf("%w: snapshot hierarchy %v vs instance %v",
 			codec.ErrConfigMismatch, snap.hier, hh.hier)
 	}
-	if err := hh.mem.RestoreFrom(&snap.mem); err != nil {
+	if err := hh.mem.RestoreFrom(&snap.Snapshot); err != nil {
 		return err
 	}
 	hh.skip = -1

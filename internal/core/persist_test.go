@@ -7,12 +7,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"memento/internal/codec"
@@ -351,6 +353,72 @@ func TestHHHRestoreContinuesDeterministically(t *testing.T) {
 	}
 }
 
+// specOf returns the SnapshotSpec a checkpoint-plane snapshot was (or
+// could have been) built from, sharing nothing with it.
+func specOf(snap *Snapshot[uint64]) SnapshotSpec[uint64] {
+	spec := SnapshotSpec[uint64]{
+		Window: snap.window, Counters: snap.k, BlockCounts: snap.blockCounts, Scale: snap.scale,
+		Updates: snap.updates, Items: snap.Items(),
+		Overflow: new(keyidx.Counts[uint64]),
+		Restore: &RestoreSpec[uint64]{
+			UntilBlock: snap.untilBlock, BlocksLeft: snap.blocksLeft,
+			FullUpdates: snap.fullCount, ForcedDrains: snap.forcedDrains,
+		},
+	}
+	snap.overflow.CopyInto(spec.Overflow)
+	snap.Monitored(func(c spacesaving.Counter[uint64]) bool { spec.Monitored = append(spec.Monitored, c); return true })
+	snap.Queues(func(q []uint64) bool { spec.Restore.Queues = append(spec.Restore.Queues, slices.Clone(q)); return true })
+	return spec
+}
+
+// encodeSpec writes spec as a format-v1 KindSketch record with no
+// validation at all — an independent statement of the body layout, and
+// the way to put a violated invariant on the wire.
+func encodeSpec(spec SnapshotSpec[uint64]) []byte {
+	h := codec.Header{
+		Version: codec.Version, Kind: codec.KindSketch,
+		Digest: codec.SketchDigest(spec.Window, uint64(spec.Counters), spec.BlockCounts, spec.Scale),
+	}
+	if spec.Restore != nil {
+		h.Flags = codec.FlagRestore
+	}
+	b := codec.AppendHeader(nil, h)
+	b = binary.BigEndian.AppendUint64(b, spec.Window)
+	b = binary.BigEndian.AppendUint64(b, spec.Updates)
+	b = binary.BigEndian.AppendUint64(b, spec.BlockCounts)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(spec.Scale))
+	b = binary.AppendUvarint(b, uint64(spec.Counters))
+	b = binary.AppendUvarint(b, uint64(spec.Overflow.Len()))
+	for _, e := range spec.Overflow.Entries() {
+		b = binary.AppendUvarint(binary.BigEndian.AppendUint64(b, e.Key), uint64(e.Val))
+	}
+	b = binary.AppendUvarint(b, uint64(len(spec.Monitored)))
+	b = binary.BigEndian.AppendUint64(b, spec.Items)
+	for _, c := range spec.Monitored {
+		b = binary.AppendUvarint(binary.AppendUvarint(binary.BigEndian.AppendUint64(b, c.Key), c.Count), c.Err)
+	}
+	if r := spec.Restore; r != nil {
+		b = binary.BigEndian.AppendUint64(b, r.UntilBlock)
+		b = binary.AppendUvarint(b, uint64(r.BlocksLeft))
+		b = binary.BigEndian.AppendUint64(b, r.FullUpdates)
+		b = binary.BigEndian.AppendUint64(b, r.ForcedDrains)
+		b = binary.AppendUvarint(b, uint64(len(r.Queues)))
+		for _, q := range r.Queues {
+			b = binary.AppendUvarint(b, uint64(len(q)))
+			for _, key := range q {
+				b = binary.BigEndian.AppendUint64(b, key)
+			}
+		}
+	}
+	return b
+}
+
+// TestDecodeSnapshotRejectsMalformed holds the two doors a snapshot
+// from outside the process comes through — bytes into DecodeSnapshot,
+// a spec into BuildSnapshot — to one validator: every violated sketch
+// invariant is refused by both with the same wrapped codec.ErrCorrupt
+// message. What only bytes can get wrong (truncation, framing, header)
+// is checked on the decoder alone.
 func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	s := loadedSketch(t, 1.0/4, 51)
 	var snap Snapshot[uint64]
@@ -359,16 +427,80 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	if _, err := DecodeSnapshot[uint64](valid, codec.Uint64Keys{}, testHash); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
+	if got := encodeSpec(specOf(&snap)); !bytes.Equal(got, valid) {
+		t.Fatal("encodeSpec(specOf(snap)) differs from snap.AppendTo: the test's layout is not format v1")
+	}
+	if _, err := BuildSnapshot(specOf(&snap), testHash); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	k, w := snap.k, snap.window
+	if len(specOf(&snap).Monitored) < 3 || snap.overflow.Len() == 0 {
+		t.Fatal("test vacuous: source sketch too empty to violate anything")
+	}
 
-	// Every truncation fails cleanly.
+	for _, tc := range []struct {
+		name    string
+		violate func(spec *SnapshotSpec[uint64])
+		want    string
+	}{
+		{"zero counter budget", func(sp *SnapshotSpec[uint64]) { sp.Counters = 0 }, "counter budget 0 out of range"},
+		{"counter budget past the cap", func(sp *SnapshotSpec[uint64]) { sp.Counters = 1<<28 + 1 }, "counter budget 268435457 out of range"},
+		{"zero block threshold", func(sp *SnapshotSpec[uint64]) { sp.BlockCounts = 0 }, "zero block threshold"},
+		{"zero window", func(sp *SnapshotSpec[uint64]) { sp.Window = 0 }, "window 0 not a multiple of 64 blocks"},
+		{"window not a multiple of k", func(sp *SnapshotSpec[uint64]) { sp.Window++ }, "window 4097 not a multiple of 64 blocks"},
+		{"scale below 1", func(sp *SnapshotSpec[uint64]) { sp.Scale = 0.5 }, "scale 0.5 below 1"},
+		{"zero overflow count", func(sp *SnapshotSpec[uint64]) { sp.Overflow.Put(sp.Overflow.Entries()[0].Key, 0) }, "overflow count 0 out of range"},
+		{"more monitored counters than budget", func(sp *SnapshotSpec[uint64]) {
+			sp.Counters, sp.Window = 2, 2*(w/uint64(k))
+		}, "monitored counters exceed budget 2"},
+		{"counters not ascending", func(sp *SnapshotSpec[uint64]) {
+			m := sp.Monitored
+			m[0], m[len(m)-1] = m[len(m)-1], m[0]
+		}, "counter order not ascending"},
+		{"zero monitored count", func(sp *SnapshotSpec[uint64]) { sp.Monitored[0].Count, sp.Monitored[0].Err = 0, 0 }, "restored count must be positive"},
+		{"error term not below count", func(sp *SnapshotSpec[uint64]) { sp.Monitored[0].Err = sp.Monitored[0].Count }, "not below count"},
+		{"duplicate monitored key", func(sp *SnapshotSpec[uint64]) {
+			sp.Monitored[1].Key, sp.Monitored[1].Count = sp.Monitored[0].Key, sp.Monitored[0].Count
+		}, "duplicate restored key"},
+		{"zero frame position", func(sp *SnapshotSpec[uint64]) { sp.Restore.UntilBlock = 0 }, "frame position 0 outside block of 64"},
+		{"frame position past the block", func(sp *SnapshotSpec[uint64]) { sp.Restore.UntilBlock = w/uint64(k) + 1 }, "frame position 65 outside block of 64"},
+		{"zero blocks left", func(sp *SnapshotSpec[uint64]) { sp.Restore.BlocksLeft = 0 }, "blocks left 0 outside 1..64"},
+		{"blocks left past k", func(sp *SnapshotSpec[uint64]) { sp.Restore.BlocksLeft = k + 1 }, "blocks left 65 outside 1..64"},
+		{"one ring queue short", func(sp *SnapshotSpec[uint64]) { sp.Restore.Queues = sp.Restore.Queues[:k] }, "64 ring queues, want 65"},
+		{"one ring queue over", func(sp *SnapshotSpec[uint64]) { sp.Restore.Queues = append(sp.Restore.Queues, nil) }, "66 ring queues, want 65"},
+	} {
+		spec := specOf(&snap)
+		tc.violate(&spec)
+		_, specErr := BuildSnapshot(spec, testHash)
+		_, wireErr := DecodeSnapshot[uint64](encodeSpec(spec), codec.Uint64Keys{}, testHash)
+		if !errors.Is(specErr, codec.ErrCorrupt) || !strings.Contains(specErr.Error(), tc.want) {
+			t.Errorf("%s: BuildSnapshot = %v, want ErrCorrupt naming %q", tc.name, specErr, tc.want)
+		}
+		if wireErr == nil || specErr == nil || wireErr.Error() != specErr.Error() {
+			t.Errorf("%s: one invariant, two verdicts:\n  DecodeSnapshot: %v\n  BuildSnapshot:  %v", tc.name, wireErr, specErr)
+		}
+	}
+
+	// What only bytes can get wrong. Every truncation fails cleanly.
 	for i := 0; i < len(valid); i += 3 {
 		if _, err := DecodeSnapshot[uint64](valid[:i], codec.Uint64Keys{}, testHash); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
 	// Trailing junk fails.
-	if _, err := DecodeSnapshot[uint64](append(bytes.Clone(valid), 0), codec.Uint64Keys{}, testHash); err == nil {
-		t.Fatal("trailing junk accepted")
+	if _, err := DecodeSnapshot[uint64](append(bytes.Clone(valid), 0), codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("trailing junk: %v", err)
+	}
+	// A duplicate overflow key (a spec's table cannot hold one).
+	dup := specOf(&snap)
+	dupBytes := encodeSpec(dup)
+	ovStart := codec.HeaderSize + 4*8 + 2 // scalars, uvarint k = 64, one-byte overflow count
+	copy(dupBytes[ovStart+9:ovStart+17], dupBytes[ovStart:ovStart+8])
+	if dup.Overflow.Len() < 2 || dup.Overflow.Len() > 127 || dup.Overflow.Entries()[0].Val > 127 {
+		t.Fatal("duplicate-key offsets assume one-byte uvarints")
+	}
+	if _, err := DecodeSnapshot[uint64](dupBytes, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "duplicate overflow key") {
+		t.Fatalf("duplicate overflow key: %v", err)
 	}
 	// Bad magic.
 	bad := bytes.Clone(valid)
@@ -388,11 +520,11 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrKind) {
 		t.Fatalf("wrong kind: %v", err)
 	}
-	// Config tampering breaks the digest.
+	// Config tampering that keeps every invariant breaks the digest.
 	bad = bytes.Clone(valid)
-	bad[codec.HeaderSize+7] ^= 0x01 // low byte of window
-	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); err == nil {
-		t.Fatal("window tamper accepted")
+	bad[codec.HeaderSize+16+7] ^= 0x01 // low byte of the block threshold
+	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrConfigMismatch) {
+		t.Fatalf("block threshold tamper: %v", err)
 	}
 }
 
@@ -466,9 +598,9 @@ func sameHHHState(t *testing.T, want, got *HHHSnapshot) {
 	if !hierarchy.Same(want.hier, got.hier) || want.comp != got.comp {
 		t.Fatalf("hierarchy/compensation (%v, %g), want (%v, %g)", got.hier, got.comp, want.hier, want.comp)
 	}
-	w, g := &want.mem, &got.mem
+	w, g := &want.Snapshot, &got.Snapshot
 	if w.window != g.window || w.updates != g.updates || w.blockCounts != g.blockCounts ||
-		w.scale != g.scale || w.counters != g.counters || w.Items() != g.Items() {
+		w.scale != g.scale || w.k != g.k || w.Items() != g.Items() {
 		t.Fatalf("scalars differ: %+v vs %+v", g, w)
 	}
 	if w.overflow.Len() != g.overflow.Len() {

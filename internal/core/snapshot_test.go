@@ -1,26 +1,94 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
+	"memento/internal/codec"
 	"memento/internal/hierarchy"
 	"memento/internal/keyidx"
 	"memento/internal/rng"
+	"memento/internal/spacesaving"
 )
 
 // snapshotConfig is a small but non-degenerate sketch for the
 // snapshot tests: several windows of churn, sampling on.
 var snapshotConfig = Config{Window: 1 << 12, Counters: 128, Tau: 1.0 / 8, Seed: 11}
 
+// tableReader is the read surface Sketch and Snapshot both promote
+// from the one table type.
+type tableReader interface {
+	Query(uint64) float64
+	QueryBounds(uint64) (float64, float64)
+	Overflowed(func(uint64, int32) bool)
+	OverflowCount(uint64) int32
+	OverflowEntries() int
+	HeavyHitters(float64, []Item[uint64]) []Item[uint64]
+	Slots() int
+	Slot(int) spacesaving.Counter[uint64]
+	Items() uint64
+	BlockCounts() uint64
+	Counters() int
+	Scale() float64
+	EffectiveWindow() int
+	Updates() uint64
+}
+
+// tableAnswers is everything a tableReader says about keys [0, keys),
+// in a form two differently laid-out tables holding the same state
+// agree on: slot and table order are normalized away.
+type tableAnswers struct {
+	Query, Upper, Lower []float64
+	OverflowCount       []int32
+	Overflowed          map[uint64]int32
+	HeavyHitters        []Item[uint64]
+	Slots               []spacesaving.Counter[uint64]
+	Items, BlockCounts  uint64
+	Counters, Window    int
+	Scale               float64
+	Updates             uint64
+}
+
+func readTable(r tableReader, keys uint64) tableAnswers {
+	a := tableAnswers{
+		Overflowed: map[uint64]int32{},
+		Items:      r.Items(), BlockCounts: r.BlockCounts(), Counters: r.Counters(),
+		Window: r.EffectiveWindow(), Scale: r.Scale(), Updates: r.Updates(),
+	}
+	for k := uint64(0); k < keys; k++ {
+		u, l := r.QueryBounds(k)
+		a.Query = append(a.Query, r.Query(k))
+		a.Upper, a.Lower = append(a.Upper, u), append(a.Lower, l)
+		a.OverflowCount = append(a.OverflowCount, r.OverflowCount(k))
+	}
+	r.Overflowed(func(k uint64, n int32) bool { a.Overflowed[k] = n; return true })
+	if len(a.Overflowed) != r.OverflowEntries() {
+		a.Overflowed = nil // poison: Overflowed and OverflowEntries disagree
+	}
+	a.HeavyHitters = r.HeavyHitters(0.01, nil)
+	slices.SortFunc(a.HeavyHitters, func(x, y Item[uint64]) int { return cmp.Compare(x.Key, y.Key) })
+	for i := 0; i < r.Slots(); i++ {
+		a.Slots = append(a.Slots, r.Slot(i))
+	}
+	slices.SortFunc(a.Slots, func(x, y spacesaving.Counter[uint64]) int { return cmp.Compare(x.Key, y.Key) })
+	return a
+}
+
 // TestSnapshotMatchesLive pins the snapshot contract: at capture time
-// every query answer equals the live sketch's, and later mutations of
-// the source leave the snapshot untouched.
+// every read the table type defines answers as the live sketch's does,
+// and later mutations of the source leave the snapshot untouched. The
+// one implementation is checked against three differently built
+// tables: an in-process capture (SnapshotInto), a sketch rehydrated
+// from a checkpoint (CheckpointInto → RestoreFrom, re-inserted under
+// another hasher), and a snapshot built from bytes (AppendTo →
+// DecodeSnapshot, slabs sized by content).
 func TestSnapshotMatchesLive(t *testing.T) {
 	for name, hash := range map[string]func(uint64) uint64{
 		"default-hashers": nil,
-		"shared-hasher":   keyidx.DefaultHasher[uint64](),
+		"shared-hasher":   testHash,
 	} {
 		t.Run(name, func(t *testing.T) {
 			s, err := NewWithHash[uint64](snapshotConfig, hash)
@@ -28,57 +96,59 @@ func TestSnapshotMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := rng.New(12)
-			for i := 0; i < 3<<12; i++ {
+			for i := 0; i < 3<<12|777; i++ { // mid-frame, mid-block
 				s.Update(uint64(src.Intn(400)))
 			}
-			var snap Snapshot[uint64]
-			s.SnapshotInto(&snap)
+			const keys = 500
+			live := readTable(s, keys)
+			if len(live.Overflowed) == 0 || len(live.HeavyHitters) == 0 || len(live.Slots) == 0 {
+				t.Fatalf("test vacuous: %d overflow entries, %d heavy hitters, %d slots",
+					len(live.Overflowed), len(live.HeavyHitters), len(live.Slots))
+			}
+			for _, hhit := range live.HeavyHitters {
+				if hhit.Estimate != s.Query(hhit.Key) {
+					t.Fatalf("heavy hitter %+v, Query %v", hhit, s.Query(hhit.Key))
+				}
+			}
+			liveSlots := make([]spacesaving.Counter[uint64], s.Slots())
+			for i := range liveSlots {
+				liveSlots[i] = s.Slot(i)
+			}
 
-			if snap.Updates() != s.Updates() || snap.EffectiveWindow() != s.EffectiveWindow() || snap.Scale() != s.Scale() {
-				t.Fatalf("snapshot scalars diverge: updates %d/%d window %d/%d scale %v/%v",
-					snap.Updates(), s.Updates(), snap.EffectiveWindow(), s.EffectiveWindow(),
-					snap.Scale(), s.Scale())
+			var snap, cp Snapshot[uint64]
+			s.SnapshotInto(&snap)
+			s.CheckpointInto(&cp)
+			restored, err := NewWithHash[uint64](snapshotConfig, keyidx.DefaultHasher[uint64]())
+			if err != nil {
+				t.Fatal(err)
 			}
-			type bounds struct{ q, u, l float64 }
-			frozen := map[uint64]bounds{}
-			for k := uint64(0); k < 500; k++ {
-				u, l := s.QueryBounds(k)
-				frozen[k] = bounds{q: s.Query(k), u: u, l: l}
+			if err := restored.RestoreFrom(&cp); err != nil {
+				t.Fatal(err)
 			}
-			liveOverflow := map[uint64]int32{}
-			s.Overflowed(func(k uint64, n int32) bool { liveOverflow[k] = n; return true })
-			liveHH := s.HeavyHitters(0.01, nil)
+			decoded, err := DecodeSnapshot[uint64](cp.AppendTo(nil, codec.Uint64Keys{}), codec.Uint64Keys{}, hash)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			for i := 0; i < 3<<12; i++ { // mutate the source
 				s.Update(uint64(400 + src.Intn(400)))
 			}
+			if reflect.DeepEqual(readTable(s, keys), live) {
+				t.Fatal("test vacuous: mutating the source changed no answer")
+			}
 
-			for k, want := range frozen {
-				u, l := snap.QueryBounds(k)
-				if got := snap.Query(k); got != want.q || u != want.u || l != want.l {
-					t.Fatalf("key %d: snapshot (%v, %v, %v) != capture-time live (%v, %v, %v)",
-						k, got, u, l, want.q, want.u, want.l)
+			for tag, r := range map[string]tableReader{
+				"SnapshotInto": &snap, "CheckpointInto": &cp, "RestoreFrom": restored, "DecodeSnapshot": decoded,
+			} {
+				if got := readTable(r, keys); !reflect.DeepEqual(got, live) {
+					t.Errorf("%s diverges from the capture-time live sketch:\n got %+v\nwant %+v", tag, got, live)
 				}
 			}
-			snapOverflow := map[uint64]int32{}
-			snap.Overflowed(func(k uint64, n int32) bool { snapOverflow[k] = n; return true })
-			if len(snapOverflow) != len(liveOverflow) {
-				t.Fatalf("snapshot overflow table has %d keys, capture-time live had %d",
-					len(snapOverflow), len(liveOverflow))
-			}
-			for k, n := range liveOverflow {
-				if snapOverflow[k] != n {
-					t.Fatalf("overflow[%d] = %d in snapshot, %d live", k, snapOverflow[k], n)
-				}
-			}
-			snapHH := snap.HeavyHitters(0.01, nil)
-			if len(snapHH) != len(liveHH) {
-				t.Fatalf("snapshot reports %d heavy hitters, capture-time live %d", len(snapHH), len(liveHH))
-			}
-			for i := range liveHH {
-				if snapHH[i] != liveHH[i] || snapHH[i].Estimate != snap.Query(snapHH[i].Key) {
-					t.Fatalf("heavy hitter %d: snapshot %+v, live %+v, snapshot Query %v",
-						i, snapHH[i], liveHH[i], snap.Query(snapHH[i].Key))
+			// A capture is a slab copy: slot numbers mean what they meant
+			// on the source.
+			for i, want := range liveSlots {
+				if got := snap.Slot(i); got != want {
+					t.Fatalf("SnapshotInto: Slot(%d) = %+v, live %+v", i, got, want)
 				}
 			}
 		})
@@ -233,18 +303,15 @@ func TestSnapshotIntoZeroAlloc(t *testing.T) {
 }
 
 // TestUpdateBatchHashedEquivalent pins that carrying precomputed
-// hashes through the batched path changes nothing: same Full-update
-// point process, same estimates.
+// hashes through the batched path changes nothing — same Full-update
+// point process, same estimates — whichever hasher each sketch has.
 func TestUpdateBatchHashedEquivalent(t *testing.T) {
 	hash := keyidx.DefaultHasher[uint64]()
-	mk := func() *Sketch[uint64] {
-		s, err := NewWithHash[uint64](snapshotConfig, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	plain := MustNew[uint64](snapshotConfig) // its own default hasher
+	hashed, err := NewWithHash[uint64](snapshotConfig, hash)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, hashed := mk(), mk()
 	src := rng.New(14)
 	batch := make([]uint64, 0, 200)
 	hs := make([]uint64, 0, 200)
@@ -271,12 +338,13 @@ func TestUpdateBatchHashedEquivalent(t *testing.T) {
 	}
 }
 
-// TestSharedHasherQueryEquivalent pins that a shared hasher changes
-// only table layout, never estimates: two sketches fed identically,
-// one with and one without a construction hasher, answer alike.
+// TestSharedHasherQueryEquivalent pins that the hasher changes only
+// table layout, never estimates: two sketches fed identically, one
+// under New's default hasher and one under a caller-supplied function,
+// answer alike.
 func TestSharedHasherQueryEquivalent(t *testing.T) {
 	bare := MustNew[uint64](snapshotConfig)
-	shared, err := NewWithHash[uint64](snapshotConfig, keyidx.DefaultHasher[uint64]())
+	shared, err := NewWithHash[uint64](snapshotConfig, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,12 +352,7 @@ func (s *Sim) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 func (s *Sim) Output(theta float64) []hhhset.Entry {
 	switch s.cfg.Method {
 	case Sample, Batch:
-		entries := s.hh.Output(theta)
-		out := make([]hhhset.Entry, len(entries))
-		for i, e := range entries {
-			out[i] = hhhset.Entry{Prefix: e.Prefix, Estimate: e.Estimate, Conditioned: e.Conditioned}
-		}
-		return out
+		return s.hh.Output(theta)
 	default:
 		seen := map[hierarchy.Prefix]struct{}{}
 		var cands []hierarchy.Prefix

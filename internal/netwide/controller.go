@@ -102,7 +102,6 @@ type Controller struct {
 	// run lock-free on the captured state).
 	outMu sync.Mutex
 	snap  core.HHHSnapshot
-	out   []core.HeavyPrefix
 
 	connMu    sync.Mutex
 	conns     map[*agentConn]string
@@ -119,7 +118,6 @@ type Controller struct {
 	// mergeMu guards the reusable Merger behind OutputMerged.
 	mergeMu sync.Mutex
 	merger  shard.Merger
-	mout    []core.HeavyPrefix
 	msnaps  []*core.HHHSnapshot
 
 	// The transfer ledger: always-allocated obs counters (cache-line
@@ -715,9 +713,16 @@ func (c *Controller) absorb(b Batch) {
 		}
 		c.hh.FullUpdatePrefix(c.hier.Prefix(pkt, i))
 	}
-	for j := uint64(len(b.Samples)); j < b.Covered; j++ {
-		c.hh.WindowUpdate()
+	// Covered is a u64 read off the wire, so the slide one frame buys
+	// under c.mu is bounded here: W + W/k packets without a Full update
+	// rotate every ring queue out, which empties B, and flush y; from
+	// there on only the frame position (pos + n) mod W depends on n
+	// (core's TestLongSlideLeavesOnlyPosition).
+	n := b.Covered - uint64(len(b.Samples))
+	if w := uint64(c.hh.EffectiveWindow()); n > 3*w {
+		n = 2*w + n%w
 	}
+	c.hh.WindowAdvance(int(n))
 }
 
 // Estimate returns the network-wide window frequency estimate for a
@@ -737,12 +742,7 @@ func (c *Controller) Output(theta float64) []hhhset.Entry {
 	c.mu.Lock()
 	c.hh.SnapshotInto(&c.snap)
 	c.mu.Unlock()
-	c.out = c.snap.OutputTo(theta, c.out[:0])
-	out := make([]hhhset.Entry, len(c.out))
-	for i, e := range c.out {
-		out[i] = hhhset.Entry{Prefix: e.Prefix, Estimate: e.Estimate, Conditioned: e.Conditioned}
-	}
-	return out
+	return c.snap.OutputTo(theta, nil)
 }
 
 // Broadcast pushes verdicts to every connected agent, returning the
@@ -781,29 +781,32 @@ func (c *Controller) Broadcast(vs []Verdict) (int, error) {
 	return n, nil
 }
 
-// Mitigate computes the HHH set at theta and broadcasts the given
-// action for every heavy subnet above fully-specified granularity
-// (the DDoS application of Section 6.4). It returns the verdicts sent.
+// VerdictsFrom is the one verdict policy: it appends to dst a verdict
+// with action act for every entry of an HHH set that names a source
+// subnet — never the root (the whole internet), never a prefix with a
+// destination part — and whose estimate itself reaches threshold (θ·W).
 //
 // Membership in the HHH set uses conditioned frequencies padded with
 // the sampling slack, which guarantees coverage (no attacking subnet
 // is missed) at the cost of borderline false positives. Blocking a
-// subnet is a different trade-off, so a verdict is only issued when
-// the subnet's frequency *estimate* itself reaches theta·W.
-func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
-	entries := c.Output(theta)
-	threshold := theta * float64(c.hh.EffectiveWindow())
-	var vs []Verdict
+// subnet is a different trade-off, so entries that are in the set only
+// via that margin earn no verdict.
+func VerdictsFrom(entries []hhhset.Entry, threshold float64, act Action, dst []Verdict) []Verdict {
 	for _, e := range entries {
 		p := e.Prefix
-		if p.SrcLen == 0 || p.DstLen != 0 {
-			continue // never block the whole internet; src-subnets only
+		if p.SrcLen == 0 || p.DstLen != 0 || e.Estimate < threshold {
+			continue
 		}
-		if e.Estimate < threshold {
-			continue // in the set only via the sampling margin
-		}
-		vs = append(vs, Verdict{Subnet: p.Src, PrefixBytes: p.SrcLen, Act: act})
+		dst = append(dst, Verdict{Subnet: p.Src, PrefixBytes: p.SrcLen, Act: act})
 	}
+	return dst
+}
+
+// Mitigate computes the HHH set at theta and broadcasts the given
+// action for every subnet VerdictsFrom selects from it (the DDoS
+// application of Section 6.4). It returns the verdicts sent.
+func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
+	vs := VerdictsFrom(c.Output(theta), theta*float64(c.hh.EffectiveWindow()), act, nil)
 	if len(vs) == 0 {
 		return nil, nil
 	}
@@ -825,35 +828,8 @@ func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
 func (c *Controller) OutputMerged(theta float64) []hhhset.Entry {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
-	c.msnaps = c.msnaps[:0]
-	now := time.Now()
-	var quarantined []string // first-time quarantines this scan, traced after unlock
-	c.snapMu.Lock()
-	for name, st := range c.agents {
-		if st.snap == nil {
-			continue
-		}
-		if c.cfg.StaleTTL > 0 && now.Sub(st.lastReport) > c.cfg.StaleTTL {
-			// Quarantined: a dead agent's frozen window must not haunt
-			// merged outputs forever. Its next report re-admits it.
-			if !st.stale && c.trace != nil {
-				st.stale = true
-				quarantined = append(quarantined, name)
-			}
-			continue
-		}
-		c.msnaps = append(c.msnaps, st.snap)
-	}
-	c.snapMu.Unlock()
-	for _, name := range quarantined {
-		c.trace.Record(obs.EvQuarantine, name, 0)
-	}
-	c.mout = c.merger.Output(c.hier, c.msnaps, theta, c.mout[:0])
-	out := make([]hhhset.Entry, len(c.mout))
-	for i, e := range c.mout {
-		out[i] = hhhset.Entry{Prefix: e.Prefix, Estimate: e.Estimate, Conditioned: e.Conditioned}
-	}
-	return out
+	c.msnaps = c.mergedSnapshots(c.msnaps[:0], true)
+	return c.merger.Output(c.hier, c.msnaps, theta, nil)
 }
 
 // MergedSnapshots appends the latest applied snapshot of every
@@ -862,17 +838,36 @@ func (c *Controller) OutputMerged(theta float64) []hhhset.Entry {
 // plane feeds them to a shard.Merger (Prepare/Bounds/Release) to
 // compare exact per-key counts against the merged fleet bounds.
 func (c *Controller) MergedSnapshots(dst []*core.HHHSnapshot) []*core.HHHSnapshot {
+	return c.mergedSnapshots(dst, false)
+}
+
+// stale reports whether st's last report has aged past the StaleTTL.
+func (c *Controller) stale(st *agentState, now time.Time) bool {
+	return c.cfg.StaleTTL > 0 && now.Sub(st.lastReport) > c.cfg.StaleTTL
+}
+
+// mergedSnapshots is the one collector behind OutputMerged and
+// MergedSnapshots. A stale agent is skipped — a dead agent's frozen
+// window must not haunt merged outputs forever — until its next report
+// re-admits it; OutputMerged's scan (quarantine set) also marks and
+// traces an agent it finds stale for the first time.
+func (c *Controller) mergedSnapshots(dst []*core.HHHSnapshot, quarantine bool) []*core.HHHSnapshot {
 	now := time.Now()
+	var quarantined []string // first-time quarantines this scan, traced after unlock
 	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	for _, st := range c.agents {
-		if st.snap == nil {
-			continue
+	for name, st := range c.agents {
+		switch {
+		case st.snap == nil:
+		case !c.stale(st, now):
+			dst = append(dst, st.snap)
+		case quarantine && !st.stale && c.trace != nil:
+			st.stale = true
+			quarantined = append(quarantined, name)
 		}
-		if c.cfg.StaleTTL > 0 && now.Sub(st.lastReport) > c.cfg.StaleTTL {
-			continue
-		}
-		dst = append(dst, st.snap)
+	}
+	c.snapMu.Unlock()
+	for _, name := range quarantined {
+		c.trace.Record(obs.EvQuarantine, name, 0)
 	}
 	return dst
 }
@@ -906,7 +901,7 @@ func (c *Controller) AgentStats() []AgentStat {
 			Deltas: st.deltas, Resyncs: st.resyncs,
 			Bytes: st.bytes, Covered: st.covered,
 			SinceReport:   age,
-			Stale:         c.cfg.StaleTTL > 0 && age > c.cfg.StaleTTL,
+			Stale:         c.stale(st, now),
 			TracedReports: st.traced,
 			Freshness:     fresh,
 		})
@@ -1039,15 +1034,12 @@ func (c *Controller) CaptureApply() obs.HistSnapshot {
 // StaleAgents returns how many state-shipping agents are currently
 // quarantined out of OutputMerged by the stale TTL.
 func (c *Controller) StaleAgents() int {
-	if c.cfg.StaleTTL <= 0 {
-		return 0
-	}
 	now := time.Now()
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	n := 0
 	for _, st := range c.agents {
-		if st.snap != nil && now.Sub(st.lastReport) > c.cfg.StaleTTL {
+		if st.snap != nil && c.stale(st, now) {
 			n++
 		}
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
 	"memento/internal/trace"
@@ -419,5 +421,100 @@ func TestAgentBackpressureDrops(t *testing.T) {
 	}
 	if a.Dropped() == 0 {
 		t.Fatal("expected dropped reports under backpressure")
+	}
+}
+
+// TestVerdictsFromPolicy pins the one verdict policy Mitigate and
+// lbproxy's degraded mode share: source subnets only, never the root,
+// and only entries whose estimate itself reaches the threshold.
+func TestVerdictsFromPolicy(t *testing.T) {
+	const threshold = 1000
+	net10 := hierarchy.IPv4(10, 0, 0, 0)
+	for _, tc := range []struct {
+		name  string
+		entry hhhset.Entry
+		want  []Verdict
+	}{
+		{"root prefix", hhhset.Entry{Prefix: hierarchy.Prefix{}, Estimate: 9000, Conditioned: 9000}, nil},
+		{"dst-bearing prefix", hhhset.Entry{Prefix: hierarchy.Prefix{Src: net10, SrcLen: 1, Dst: net10, DstLen: 1}, Estimate: 5000, Conditioned: 5000}, nil},
+		{"dst-only prefix", hhhset.Entry{Prefix: hierarchy.Prefix{Dst: net10, DstLen: 2}, Estimate: 5000, Conditioned: 5000}, nil},
+		{"margin-only entry", hhhset.Entry{Prefix: hierarchy.Prefix{Src: net10, SrcLen: 1}, Estimate: 999, Conditioned: 1400}, nil},
+		{"heavy /8", hhhset.Entry{Prefix: hierarchy.Prefix{Src: net10, SrcLen: 1}, Estimate: 1000, Conditioned: 1000},
+			[]Verdict{{Subnet: net10, PrefixBytes: 1, Act: ActionTarpit}}},
+		{"heavy host", hhhset.Entry{Prefix: hierarchy.Prefix{Src: net10 | 7, SrcLen: 4}, Estimate: 2000, Conditioned: 1200},
+			[]Verdict{{Subnet: net10 | 7, PrefixBytes: 4, Act: ActionTarpit}}},
+	} {
+		got := VerdictsFrom([]hhhset.Entry{tc.entry}, threshold, ActionTarpit, nil)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: verdicts %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	// Appends to dst, keeping what is there.
+	kept := Verdict{Subnet: 1, PrefixBytes: 4, Act: ActionAllow}
+	got := VerdictsFrom([]hhhset.Entry{{Prefix: hierarchy.Prefix{Src: net10, SrcLen: 1}, Estimate: threshold}}, threshold, ActionDeny, []Verdict{kept})
+	if want := []Verdict{kept, {Subnet: net10, PrefixBytes: 1, Act: ActionDeny}}; !slices.Equal(got, want) {
+		t.Fatalf("append: %+v, want %+v", got, want)
+	}
+}
+
+// TestHostileCoveredFrameIsBounded: Batch.Covered is a u64 straight off
+// the wire, and absorbing it runs under the controller's ingest lock. A
+// frame claiming 2^62 covered packets from a peer that passed the Hello
+// check must cost a bounded slide — not pin Estimate, Output, Mitigate
+// and every other agent's reports behind a per-packet loop — and must
+// leave the sketch where that many packets would have: slid empty.
+func TestHostileCoveredFrameIsBounded(t *testing.T) {
+	params := Params{Budget: 8, BatchSize: 4, Window: 1 << 10}
+	if err := params.Normalize(1); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, addr := startController(t, params, 256)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(msgType byte, payload []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, msgType, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hello, err := encodeHello(Hello{Name: "mallory", Tau: params.Tau(), Batch: uint32(params.BatchSize)})
+	send(MsgHello, hello, err)
+
+	heavy := hierarchy.Packet{Src: hierarchy.IPv4(10, 1, 2, 3)}
+	subnet := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
+	unseen := hierarchy.Prefix{Src: hierarchy.IPv4(77, 0, 0, 0), SrcLen: 1}
+	for i := 0; i < 200; i++ { // benign reports first: the subnet becomes heavy
+		p, err := encodeBatch(Batch{Covered: 4, Samples: []hierarchy.Packet{heavy, heavy, heavy, heavy}})
+		send(MsgBatch, p, err)
+	}
+	waitFor(t, "benign reports", func() bool { return ctrl.Reports() == 200 })
+	if est, floor := ctrl.Estimate(subnet), ctrl.Estimate(unseen); est <= floor {
+		t.Fatalf("test vacuous: heavy subnet estimate %v not above the absent-key default %v", est, floor)
+	}
+
+	for _, covered := range []uint64{1 << 62, math.MaxUint64} {
+		p, err := encodeBatch(Batch{Covered: covered})
+		send(MsgBatch, p, err)
+	}
+	done := make(chan [2]float64, 1)
+	go func() {
+		for ctrl.Reports() < 202 {
+			time.Sleep(time.Millisecond)
+		}
+		done <- [2]float64{ctrl.Estimate(subnet), ctrl.Estimate(unseen)}
+	}()
+	select {
+	case est := <-done:
+		if est[0] != est[1] {
+			t.Fatalf("after sliding 2^62 packets the subnet still estimates %v, absent-key default %v", est[0], est[1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("controller ingest lock still held 10s after a hostile Covered frame")
 	}
 }

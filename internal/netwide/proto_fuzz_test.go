@@ -6,6 +6,7 @@
 package netwide
 
 import (
+	"math"
 	"testing"
 
 	"memento/internal/codec"
@@ -54,11 +55,26 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, 12))
+	for _, covered := range []uint64{1 << 62, math.MaxUint64} { // hostile: a slide no loop finishes
+		if p, err := encodeBatch(Batch{Covered: covered, Samples: []hierarchy.Packet{{Src: 3}}}); err == nil {
+			f.Add(p)
+		}
+	}
+	ctrl, err := NewController(ControllerConfig{
+		Hier: hierarchy.OneD{}, Params: Params{Budget: 1, Window: 1 << 8}, Counters: 40,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBatch(data)
 		if err != nil {
 			return
 		}
+		// Whatever decodes must absorb in bounded time: Covered is
+		// unchecked beyond samples ≤ Covered, and absorb holds the
+		// controller's ingest lock.
+		ctrl.absorb(b)
 		// The sample slice is the only allocation and must be fully
 		// backed by input bytes: n samples require exactly 12+8n bytes.
 		if len(b.Samples)*8+12 != len(data) {
