@@ -15,6 +15,10 @@
 //   - sl.mu.Lock() / sl.mu.RLock() statements; Unlock/RUnlock end the
 //     hold. defer sl.mu.Unlock() does NOT end it (the hold survives
 //     until return).
+//   - an if whose condition is sl.mu.TryLock() (or TryRLock): the hold
+//     is on the then arm. For if !sl.mu.TryLock() it is on the else
+//     arm — and, when the then arm ends in continue or return, on the
+//     code after the if.
 //   - //memento:locked mu on a method: the receiver's mu is held at
 //     entry. Calling such a method is itself checked — the caller
 //     must hold recv.mu at the call site.
@@ -167,10 +171,18 @@ func (lp *lockguardPass) walkStmt(st ast.Stmt, held lockState) (lockState, bool)
 			held, _ = lp.walkStmt(s.Init, held)
 		}
 		lp.checkExpr(s.Cond, held)
-		thenOut, thenTerm := lp.walkStmts(s.Body.List, held.clone())
-		elseOut, elseTerm := held.clone(), false
+		thenIn, elseIn := held.clone(), held.clone()
+		if key, onThen := lp.tryLockCond(s.Cond); key != "" {
+			if onThen {
+				thenIn[key] = true
+			} else {
+				elseIn[key] = true
+			}
+		}
+		thenOut, thenTerm := lp.walkStmts(s.Body.List, thenIn)
+		elseOut, elseTerm := elseIn, false
 		if s.Else != nil {
-			elseOut, elseTerm = lp.walkStmt(s.Else, held.clone())
+			elseOut, elseTerm = lp.walkStmt(s.Else, elseIn)
 		}
 		switch {
 		case thenTerm && elseTerm:
@@ -319,15 +331,34 @@ func (lp *lockguardPass) applyLockCall(e ast.Expr, held lockState) bool {
 	return true
 }
 
+// tryLockCond recognizes an if condition x.mu.TryLock() or
+// x.mu.TryRLock(), possibly negated, and returns the mutex key and
+// whether the lock is held on the then arm (false: on the else arm).
+// key is "" for any other condition.
+func (lp *lockguardPass) tryLockCond(cond ast.Expr) (key string, onThen bool) {
+	cond, onThen = ast.Unparen(cond), true
+	if not, ok := cond.(*ast.UnaryExpr); ok && not.Op == token.NOT {
+		cond, onThen = ast.Unparen(not.X), false
+	}
+	call, ok := cond.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	if name, ok := lp.lockMethod(call); !ok || (name != "TryLock" && name != "TryRLock") {
+		return "", false
+	}
+	return exprString(ast.Unparen(call.Fun).(*ast.SelectorExpr).X), onThen
+}
+
 // lockMethod reports whether call is a method call named
-// Lock/RLock/Unlock/RUnlock on a sync mutex value.
+// Lock/RLock/TryLock/TryRLock/Unlock/RUnlock on a sync mutex value.
 func (lp *lockguardPass) lockMethod(call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
 	default:
 		return "", false
 	}

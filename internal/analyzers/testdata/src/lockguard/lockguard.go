@@ -61,6 +61,48 @@ func (s *slot) CallsPeekUnheld() int {
 	return s.peek() // want `call to peek requires holding s\.mu \(//memento:locked mu\)`
 }
 
+// TryLocked reads n only where TryLock succeeded: the then arm holds
+// mu, the code after the if (reached when it failed) does not.
+func (s *slot) TryLocked() int {
+	if s.mu.TryLock() {
+		v := s.n
+		s.mu.Unlock()
+		return v
+	}
+	return s.n // want `access to n \(guarded by mu\) without holding s\.mu`
+}
+
+// FirstFree is internal/shard's dealing loop: skip a busy slot, use
+// the first free one. After if !TryLock() { continue } mu is held;
+// inside the skip arm it is not.
+func FirstFree(slots []slot) int {
+	for i := range slots {
+		sl := &slots[i]
+		if !sl.mu.TryLock() {
+			_ = sl.n // want `access to n \(guarded by mu\) without holding sl\.mu`
+			continue
+		}
+		v := sl.n
+		sl.mu.Unlock()
+		return v
+	}
+	return 0
+}
+
+// TryLockFallsThrough holds mu on one arm only, so not after the if.
+func (s *slot) TryLockFallsThrough() int {
+	if s.mu.TryLock() {
+		s.n++
+	}
+	return s.n // want `access to n \(guarded by mu\) without holding s\.mu`
+}
+
+// TryLockDiscarded ignores TryLock's answer, so nothing is held.
+func (s *slot) TryLockDiscarded() int {
+	s.mu.TryLock()
+	return s.n // want `access to n \(guarded by mu\) without holding s\.mu`
+}
+
 // NewSlot writes the guarded field before the instance is shared —
 // the constructor waiver idiom the real tree uses.
 func NewSlot(n int) *slot {

@@ -222,9 +222,9 @@ func (a *Auditor) Observe(p hierarchy.Packet) {
 }
 
 // ObservePacket is the batcher tee's fast path: callers hand the
-// packet plus any key-deterministic hash they already computed
-// (shard.PacketBatcher reuses its shard-routing hash, so the audited
-// hot path hashes each packet exactly once). The fully-specified key
+// packet plus any key-deterministic hash (shard.PacketBatcher passes
+// its HHHConfig.Hash, the one hash an audited packet costs). The
+// fully-specified key
 // is only materialized for the 2^-shift sampled fraction, keeping the
 // common case to one increment, one mask test and one cadence test.
 //
@@ -493,9 +493,9 @@ func (a *Auditor) Keys() int {
 // Count returns key's exact in-window count as of the last sync (0
 // when not sampled or absent). It scans the table by key equality
 // rather than probing by hash, because ObserveHashed admits any
-// caller-supplied hash (the batcher tee reuses shard-routing hashes
-// the auditor cannot recompute); Count is a test/debug read, never on
-// a hot path.
+// caller-supplied hash (the batcher tee passes the instance's
+// sampling hash, which the auditor cannot recompute); Count is a
+// test/debug read, never on a hot path.
 func (a *Auditor) Count(key hierarchy.Prefix) uint64 {
 	if a == nil {
 		return 0

@@ -151,9 +151,10 @@ func (s *SnapshotSet) hold(p hierarchy.Prefix, cut float64) {
 	s.cands = append(s.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
 }
 
-// Selectivity reports the last Output's phase-1 counts: tracked
-// (key, member) pairs swept and pairs admitted. A ratio near 1 means
-// the sizing has pushed T − Σd to ≤ 0 and the filter admits everything.
+// Selectivity reports the last Output's phase-1 counts: the members'
+// table entries swept (a key in both B and y is two) and the
+// (key, member) pairs admitted. A ratio near 1 means the sizing has
+// pushed T − Σd to ≤ 0 and the filter admits everything.
 func (s *SnapshotSet) Selectivity() (swept, admitted int) { return s.swept, s.admitted }
 
 // Trim drops every retained scratch buffer whose capacity exceeds

@@ -231,12 +231,14 @@ func (t *table[K]) ForEachEstimate(fn func(key K, upper, lower float64) bool) {
 }
 
 // ForEachAbove is ForEachEstimate restricted to the keys whose upper
-// bound is at least floor, and returns the number of keys it swept
-// (every key the table has state for, unless fn stopped it). It is
+// bound is at least floor, and returns the number of table entries it
+// swept: every overflow entry and every monitored counter, so a key
+// in both counts twice (TrackedKeys(), unless fn stopped it). It is
 // phase 1 of the merged read plane: one linear pass per partition
-// that hands on only the keys heavy enough to matter. An overflow key
-// with b overflows has upper < scale·blockCounts·(b+3), so most keys
-// are rejected on the table entry alone, before the Space Saving
+// that hands on only the keys heavy enough to matter, and rejects
+// most entries on the entry alone. An overflow key with b overflows
+// has upper < scale·blockCounts·(b+3), tested before its Space Saving
+// probe; a monitored counter's own estimate is tested before its B
 // probe.
 func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float64) bool) (swept int) {
 	block := t.scale * float64(t.blockCounts)
@@ -253,14 +255,20 @@ func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float
 			return swept
 		}
 	}
-	// Monitored counters not already covered by the overflow pass.
+	// Monitored counters not already covered by the overflow pass. One
+	// below the floor is skipped before the B probe: if it has no
+	// overflow entry its bound is this one, and if it has, the overflow
+	// pass above already handled it.
 	t.y.Iterate(func(c spacesaving.Counter[K]) bool {
+		swept++
+		u, l := t.boundsFrom(t.monitoredUpper(c.Count))
+		if u < floor {
+			return true
+		}
 		if _, inOverflow := t.overflow.Get(c.Key); inOverflow {
 			return true
 		}
-		swept++
-		u, l := t.boundsFrom(t.monitoredUpper(c.Count))
-		return u < floor || fn(c.Key, u, l)
+		return fn(c.Key, u, l)
 	})
 	return swept
 }

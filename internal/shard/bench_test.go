@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"memento/internal/audit"
@@ -136,19 +137,30 @@ func benchPackets(n int) []hierarchy.Packet {
 	return ps
 }
 
-// benchIngestHHH builds the single-goroutine H-Memento batcher path
-// both the bare and audited ingest benchmarks drive.
+// benchAuditSalt seeds the benchmarks' audit sampling hash. Source 226,
+// one of benchPackets' 256 heavy sources and its second packet, hashes
+// into the 2^-10 sample under it, so BenchmarkAuditedIngest's oracle
+// samples at every b.N > 1; under a random salt few of the stream's
+// keys are sampled and a short run could sample none.
+const benchAuditSalt = 160
+
+// benchIngestHHH builds the 4-shard H-Memento the batcher ingest
+// benchmarks drive, with the seeded audit sampling hash.
 func benchIngestHHH() *HHH {
+	hier := hierarchy.OneD{}
+	ph := hierarchy.PrefixHasher(benchAuditSalt)
 	return MustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
-			Hierarchy: hierarchy.OneD{}, Window: benchWindow, Counters: 512 * 5, V: 20, Seed: 6,
+			Hierarchy: hier, Window: benchWindow, Counters: 512 * 5, V: 20, Seed: 6,
 		},
 		Shards: 4,
+		Hash:   func(p hierarchy.Packet) uint64 { return ph(hier.Fully(p)) },
 	})
 }
 
 // BenchmarkHHHIngestBatched is the bare packet-batcher baseline the
-// audited ingest is compared against (acceptance: within 3%).
+// audited ingest is compared against (acceptance: within 3%). CI
+// alloc-gates it at 0 allocs/op.
 func BenchmarkHHHIngestBatched(b *testing.B) {
 	pkts := benchPackets(1 << 20)
 	s := benchIngestHHH()
@@ -161,15 +173,35 @@ func BenchmarkHHHIngestBatched(b *testing.B) {
 	bt.Flush()
 }
 
+// BenchmarkHHHIngestParallel is BenchmarkHHHIngestBatched from
+// GOMAXPROCS producers, one PacketBatcher each: the contended path,
+// where a full buffer skips to the next free shard instead of waiting.
+// CI alloc-gates it at 0 allocs/op, so dealing never allocates however
+// the producers collide.
+func BenchmarkHHHIngestParallel(b *testing.B) {
+	pkts := benchPackets(1 << 20)
+	s := benchIngestHHH()
+	var start atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		bt := s.NewBatcher(256)
+		i := int(start.Add(1)) * len(pkts) / 4 // out of phase with the others
+		for pb.Next() {
+			bt.Add(pkts[i&(len(pkts)-1)])
+			i++
+		}
+		bt.Flush()
+	})
+}
+
 // BenchmarkAuditedIngest is BenchmarkHHHIngestBatched with the
 // accuracy-plane tee attached: every packet advances the shadow
 // oracle's window position and sampled keys stage for the amortized
-// exact-count apply. The audited Add hashes each packet once (the
-// shard-routing hash doubles as the sampling hash) and the unsampled
-// fast path — one position increment and one mask test — inlines into
-// Add. CI alloc-gates this at 0 allocs/op; the residual time overhead
-// measures ~4% against the bare batcher at the production sampling
-// shift, against a 3% budget that is within run-to-run noise here.
+// exact-count apply. The audited Add hashes each packet once, with the
+// instance's sampling hash (the unaudited Add hashes nothing), and the
+// unsampled fast path — one position increment and one mask test —
+// inlines into Add. CI alloc-gates this at 0 allocs/op.
 func BenchmarkAuditedIngest(b *testing.B) {
 	pkts := benchPackets(1 << 20)
 	s := benchIngestHHH()

@@ -274,11 +274,12 @@ func DecodeHHHCheckpoint(r io.Reader) ([]*core.HHHSnapshot, error) {
 // Checkpoint stream, deriving each shard's configuration from its
 // snapshot (window, counter budget, sampling ratio V = scale,
 // hierarchy) instead of requiring the caller to restate it — the warm
-// restart and offline-load path. Shard routing uses the default
-// PrefixHasher and per-shard seeds derive from the default seed; the
-// restored instance keeps the default output Delta, so its sampling
-// compensation matches the source's only if the source used the
-// default too (the compensation is an output parameter, not state).
+// restart and offline-load path. The audit sampling hash is the
+// default PrefixHasher and per-shard seeds derive from the default
+// seed; the restored instance keeps the default output Delta, so its
+// sampling compensation matches the source's only if the source used
+// the default too (the compensation is an output parameter, not
+// state).
 func RestoreHHH(r io.Reader) (*HHH, error) {
 	snaps, _, err := decodeHHHSet(r)
 	if err != nil {
@@ -290,8 +291,8 @@ func RestoreHHH(r io.Reader) (*HHH, error) {
 // RestoreHHHFromSnapshots builds a live sharded instance from decoded
 // per-partition restore-plane snapshots — the entry point for callers
 // that assembled the snapshots themselves (cmd/mementoctl folding a
-// single-instance controller chain into a one-shard view). Shard
-// routing and seeds follow RestoreHHH's derivation rules.
+// single-instance controller chain into a one-shard view). The audit
+// hash and seeds follow RestoreHHH's derivation rules.
 func RestoreHHHFromSnapshots(snaps []*core.HHHSnapshot) (*HHH, error) {
 	if len(snaps) == 0 {
 		return nil, errors.New("shard: no snapshots to restore from")

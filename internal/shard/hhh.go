@@ -1,9 +1,13 @@
-// Sharded H-Memento: the hierarchical analog of Sketch. Packets are
-// hash-partitioned by flow key across N independently-locked core.HHH
-// instances; a prefix aggregates flows from every shard, so prefix
-// queries SUM per-shard estimates (the same merge the network-wide
-// controller performs across measurement points, Section 4.3) and the
-// HHH output is computed over the union of per-shard candidate sets.
+// Sharded H-Memento: N independently-locked core.HHH instances fed
+// disjoint slices of one stream. Batches, not packets, are the unit of
+// partitioning: a staged batch goes whole to whichever shard's lock is
+// free, so ingest never hashes a packet and a second producer takes a
+// different shard instead of waiting. Every query reads the shards as
+// one estimator — prefix bounds SUM the per-shard bounds (the merge
+// the network-wide controller performs across measurement points,
+// Section 4.3) and the HHH output is computed over the union of
+// per-shard candidate sets — so nothing needs a flow to live in one
+// shard.
 //
 // Every multi-shard read runs on the snapshot query plane: the
 // shard's queryable state is captured under exactly one lock
@@ -41,24 +45,28 @@ type HHHConfig struct {
 	// Shards is N; zero defaults to runtime.GOMAXPROCS(0).
 	Shards int
 
-	// Hash overrides the packet→shard hash (nil: hierarchy.PrefixHasher
-	// over the packet's fully-specified prefix with a per-instance
-	// random salt — the same fast splitmix family the per-shard core
-	// indexes use, and keyed by the flow identity the hierarchy
-	// defines, so e.g. a 1D source hierarchy keeps all of a source's
-	// packets on one shard regardless of destination).
+	// Hash is the accuracy plane's sampling hash: an audited
+	// PacketBatcher tees each packet with Hash(p), and the auditor
+	// audits the keys whose hash has its low bits zero. It routes
+	// nothing. Nil selects hierarchy.PrefixHasher over the packet's
+	// fully-specified prefix with a per-instance random salt; set it
+	// for a replayable audit sample (the benchmark does).
 	Hash func(hierarchy.Packet) uint64
 }
 
-// HHH is a concurrent, hash-partitioned H-Memento. All methods are
-// safe for concurrent use.
+// HHH is a concurrent H-Memento over N shards that each take whole
+// batches. All methods are safe for concurrent use.
 type HHH struct {
 	shards []hhhSlot
-	hash   func(hierarchy.Packet) uint64 // never nil after NewHHH
+	hash   func(hierarchy.Packet) uint64 // never nil after NewHHH; audit sampling only
 	hier   hierarchy.Hierarchy
 	window int     // global effective window: sum of shard windows
 	comp   float64 // merged sampling compensation: sqrt(Σ compᵢ²)
-	pool   sync.Pool
+
+	// next is the instance's round-robin cursor: where Update and
+	// UpdateBatch start looking for a free shard, and where each new
+	// PacketBatcher's own cursor starts.
+	next atomic.Uint64
 
 	// queryPool recycles the working state of multi-shard reads
 	// (per-shard snapshots, skew corrections, HHH-set scratch) across
@@ -183,11 +191,10 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 		hier:   cfg.Core.Hierarchy,
 	}
 	if s.hash == nil {
-		// Default routing: the splitmix prefix hasher over the flow's
-		// fully-specified prefix, salted per instance (stable within a
-		// process, not across runs — provide Hash for replayable shard
-		// assignment). Cheaper per packet than maphash.Comparable and
-		// keyed by the hierarchy's flow identity.
+		// Default audit sampling hash: the splitmix prefix hasher over
+		// the flow's fully-specified prefix, salted per instance (stable
+		// within a process, not across runs — provide Hash for a
+		// replayable sample).
 		salt := maphash.Comparable(maphash.MakeSeed(), uint64(0))
 		ph := hierarchy.PrefixHasher(salt)
 		hier := cfg.Core.Hierarchy
@@ -213,14 +220,9 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 	return s, nil
 }
 
-// initPools wires the partition and query pools; shared by NewHHH and
-// RestoreHHH.
+// initPools wires the query pool; shared by NewHHH and RestoreHHH.
 func (s *HHH) initPools() {
 	n := len(s.shards)
-	s.pool.New = func() any {
-		part := make([][]hierarchy.Packet, n)
-		return &part
-	}
 	s.queryPool.New = func() any {
 		q := &hhhQuery{
 			shards: make([]core.HHHSnapshot, n),
@@ -244,12 +246,6 @@ func MustNewHHH(cfg HHHConfig) *HHH {
 	return s
 }
 
-// shardIndex maps a packet to its shard by flow key, so every prefix
-// level of one flow's packets lands in the same shard.
-func (s *HHH) shardIndex(p hierarchy.Packet) int {
-	return shardOf(s.hash(p), len(s.shards))
-}
-
 // Shards returns N, the number of partitions.
 func (s *HHH) Shards() int { return len(s.shards) }
 
@@ -265,14 +261,12 @@ func (s *HHH) Compensation() float64 { return s.comp }
 // Hierarchy returns the configured prefix domain.
 func (s *HHH) Hierarchy() hierarchy.Hierarchy { return s.hier }
 
-// Update processes one packet, locking only its flow's shard.
+// Update processes one packet: a batch of one, dealt like UpdateBatch.
 //
 //memento:noalloc
 func (s *HHH) Update(p hierarchy.Packet) {
-	sl := &s.shards[s.shardIndex(p)]
-	sl.mu.Lock()
-	sl.hh.Update(p)
-	sl.mu.Unlock()
+	one := [1]hierarchy.Packet{p}
+	s.UpdateBatch(one[:])
 }
 
 // Observe implements the load balancer's measurement hook
@@ -280,55 +274,45 @@ func (s *HHH) Update(p hierarchy.Packet) {
 // observer for the testbed proxy.
 func (s *HHH) Observe(p hierarchy.Packet) { s.Update(p) }
 
-// UpdateBatch partitions a batch by shard and ingests each slice
-// through core.HHH's geometric-skip batch path under one lock
-// acquisition per shard.
+// UpdateBatch ingests ps whole into one shard through core.HHH's
+// geometric-skip batch path, under one lock acquisition: the first
+// free shard from the instance's round-robin cursor (see deal). A
+// batch is one shard's slice of the stream, so keep batches well
+// below the per-shard window W/N.
 //
 //memento:noalloc
 func (s *HHH) UpdateBatch(ps []hierarchy.Packet) {
 	if len(ps) == 0 {
 		return
 	}
-	if len(s.shards) == 1 {
-		sl := &s.shards[0]
-		sl.mu.Lock()
-		sl.hh.UpdateBatch(ps)
-		sl.mu.Unlock()
-		return
-	}
-	//memento:allow alloc "pool miss allocates the partition scratch; steady state reuses"
-	part := s.pool.Get().(*[][]hierarchy.Packet)
-	for _, p := range ps {
-		i := s.shardIndex(p)
-		//memento:allow alloc "appends into pooled per-shard scratch; growth amortized by the pool"
-		(*part)[i] = append((*part)[i], p)
-	}
-	for i := range *part {
-		sub := (*part)[i]
-		if len(sub) == 0 {
-			continue
-		}
-		sl := &s.shards[i]
-		sl.mu.Lock()
-		sl.hh.UpdateBatch(sub)
-		sl.mu.Unlock()
-	}
-	s.putPartition(part)
+	s.deal(ps, s.nextShard())
 }
 
-// putPartition recycles a packet partition, dropping sub-buffers
-// whose capacity ballooned past maxRetainedBatchCap (the packet
-// analog of Sketch.putPartition).
-func (s *HHH) putPartition(part *[][]hierarchy.Packet) {
-	for i := range *part {
-		if cap((*part)[i]) > maxRetainedBatchCap {
-			(*part)[i] = nil
-		} else {
-			(*part)[i] = (*part)[i][:0]
+// nextShard advances the instance's round-robin cursor and returns
+// the shard it pointed at.
+func (s *HHH) nextShard() int { return int((s.next.Add(1) - 1) % uint64(len(s.shards))) }
+
+// deal ingests ps into the first shard from start (in round-robin
+// order) whose lock is free, and returns that shard's index. Only
+// after a full cycle of busy shards does it wait, on start's own
+// lock: a producer never queues behind another while a shard is idle.
+func (s *HHH) deal(ps []hierarchy.Packet, start int) int {
+	n := len(s.shards)
+	for k := 0; k < n; k++ {
+		i := (start + k) % n
+		sl := &s.shards[i]
+		if !sl.mu.TryLock() {
+			continue
 		}
+		sl.hh.UpdateBatch(ps)
+		sl.mu.Unlock()
+		return i
 	}
-	//memento:allow alloc "Pool.Put's per-P chain growth is a one-time cold cost"
-	s.pool.Put(part)
+	sl := &s.shards[start]
+	sl.mu.Lock()
+	sl.hh.UpdateBatch(ps)
+	sl.mu.Unlock()
+	return start
 }
 
 // lockShardRead takes one read-plane lock, feeding the test probe.
@@ -500,77 +484,65 @@ func (s *HHH) Reset() {
 	}
 }
 
-// PacketBatcher is the per-goroutine ingestion buffer for HHH,
-// mirroring Batcher: packets partition into per-shard sub-buffers at
-// Add time and each sub-buffer flushes to its shard when full. Not
-// safe for concurrent use; call Flush before discarding.
+// PacketBatcher is the per-goroutine ingestion buffer for HHH: Add
+// stages packets in one buffer with no synchronization and no hash,
+// and a full buffer is dealt whole to the first free shard from the
+// batcher's own round-robin cursor. Not safe for concurrent use; call
+// Flush before discarding.
 type PacketBatcher struct {
 	s    *HHH
-	bufs [][]hierarchy.Packet //memento:reused (one per shard, cap-bounded by size)
-	size int
-	aud  *audit.Auditor // optional accuracy-plane tee; nil when unaudited
+	buf  []hierarchy.Packet //memento:reused (N·size packets, the budget of N per-shard buffers)
+	next int                // shard the next deal starts at
+	aud  *audit.Auditor     // optional accuracy-plane tee; nil when unaudited
 }
 
-// NewBatcher returns a packet ingestion buffer of the given per-shard
-// size flushing into s. size <= 0 selects DefaultBatchSize.
+// NewBatcher returns a packet ingestion buffer of N·size packets
+// flushing into s, N the shard count. size <= 0 selects
+// DefaultBatchSize. Its cursor starts where the instance's does, so
+// batchers made one after another start on different shards.
 func (s *HHH) NewBatcher(size int) *PacketBatcher {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	bufs := make([][]hierarchy.Packet, len(s.shards))
-	for i := range bufs {
-		bufs[i] = make([]hierarchy.Packet, 0, size)
+	return &PacketBatcher{
+		s:    s,
+		buf:  make([]hierarchy.Packet, 0, len(s.shards)*size),
+		next: s.nextShard(),
 	}
-	return &PacketBatcher{s: s, bufs: bufs, size: size}
 }
 
 // Audit tees every packet this batcher ingests into a (the shadow
 // oracle of the accuracy plane); nil detaches. The tee rides the
 // batcher's single-writer contract — one auditor per batcher, and the
-// auditor must not be shared across batchers. The audited Add path
-// hashes each packet exactly once: the shard-routing hash doubles as
-// the auditor's sampling hash, so the per-packet overhead is one
-// masked compare and a staged append (BenchmarkAuditedIngest gates
-// it at 0 allocs/op). The sampled key set therefore derives from the
-// instance's routing hash — set HHHConfig.Hash for a replayable
-// sample.
+// auditor must not be shared across batchers. An audited Add hashes
+// the packet once with HHHConfig.Hash, the auditor's sampling hash, so
+// the per-packet overhead is that hash, one masked compare and, for
+// sampled keys, a staged append (BenchmarkAuditedIngest gates it at 0
+// allocs/op). Set HHHConfig.Hash for a replayable sample.
 func (b *PacketBatcher) Audit(a *audit.Auditor) { b.aud = a }
 
-// Add buffers one packet, flushing its shard's sub-buffer if full.
+// Add buffers one packet, dealing the buffer to a shard when full.
 //
 //memento:noalloc
 func (b *PacketBatcher) Add(p hierarchy.Packet) {
-	i := 0
 	if b.aud != nil {
-		h := b.s.hash(p)
-		b.aud.ObservePacket(p, h)
-		if len(b.bufs) > 1 {
-			i = shardOf(h, len(b.bufs))
-		}
-	} else if len(b.bufs) > 1 {
-		i = b.s.shardIndex(p)
+		b.aud.ObservePacket(p, b.s.hash(p))
 	}
-	b.bufs[i] = append(b.bufs[i], p)
-	if len(b.bufs[i]) >= b.size {
-		b.flushShard(i)
+	b.buf = append(b.buf, p)
+	if len(b.buf) == cap(b.buf) {
+		b.Flush()
 	}
 }
 
-// Flush drains every sub-buffer into the sharded instance.
+// Flush deals the staged packets to the first free shard from the
+// batcher's cursor, and moves the cursor past the shard that took
+// them.
 //
 //memento:noalloc
 func (b *PacketBatcher) Flush() {
-	for i := range b.bufs {
-		if len(b.bufs[i]) > 0 {
-			b.flushShard(i)
-		}
+	if len(b.buf) == 0 {
+		return
 	}
-}
-
-func (b *PacketBatcher) flushShard(i int) {
-	sl := &b.s.shards[i]
-	sl.mu.Lock()
-	sl.hh.UpdateBatch(b.bufs[i])
-	sl.mu.Unlock()
-	b.bufs[i] = b.bufs[i][:0]
+	b.next = (b.s.deal(b.buf, b.next) + 1) % len(b.s.shards)
+	b.buf = b.buf[:0]
 }

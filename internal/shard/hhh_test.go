@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,11 +12,8 @@ import (
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
+	"memento/internal/trace"
 )
-
-// pacedPacketHash paces shards by source residue, the packet analog
-// of pacedHash.
-func pacedPacketHash(p hierarchy.Packet) uint64 { return uint64(p.Src%4) << 62 }
 
 func TestHHHConfigValidation(t *testing.T) {
 	cases := []HHHConfig{
@@ -83,12 +82,15 @@ func TestHHHConcurrent(t *testing.T) {
 }
 
 // TestPacketBatcherExactlyOnce is TestBatcherExactlyOnce for the
-// packet front. Under hierarchy.Flows (H = 1) with V = H every packet
-// is a Full update of its one prefix, so with a window larger than
-// the stream each flow's merged estimate is its exact count plus a
-// constant offset, calibrated by a sentinel flow sent once. OutputTo
-// and WriteChain (delta capture) run in flight, so under -race this
-// is also the read-during-ingest assertion for the delta plane.
+// packet front, over every way in: two PacketBatchers, an Update
+// writer and an UpdateBatch writer deal concurrently while OutputTo,
+// Checkpoint and WriteChain (delta capture) hold shard locks, so a
+// flush can find a shard busy and skip to the next. Under
+// hierarchy.Flows (H = 1) with V = H every packet is a Full update of
+// its one prefix, so with a window larger than the stream each flow's
+// merged estimate is its exact count plus a constant offset,
+// calibrated by a sentinel flow sent once. Under -race this is also
+// the read-during-ingest assertion for the delta plane.
 func TestPacketBatcherExactlyOnce(t *testing.T) {
 	const writers = 4
 	const perWriter = 1 << 14
@@ -108,39 +110,62 @@ func TestPacketBatcherExactlyOnce(t *testing.T) {
 			defer writerWg.Done()
 			counts := make(map[uint32]float64)
 			src := rng.New(uint64(300 + w))
-			b := s.NewBatcher(64)
+			var add func(hierarchy.Packet)
+			var flush func()
+			switch w {
+			case 0, 1:
+				b := s.NewBatcher(64)
+				add, flush = b.Add, b.Flush
+			case 2:
+				add, flush = s.Update, func() {}
+			case 3:
+				batch := make([]hierarchy.Packet, 0, 37)
+				flush = func() {
+					s.UpdateBatch(batch)
+					batch = batch[:0]
+				}
+				add = func(p hierarchy.Packet) {
+					if batch = append(batch, p); len(batch) == cap(batch) {
+						flush()
+					}
+				}
+			}
 			for i := 0; i < perWriter; i++ {
 				a := uint32(src.Intn(64))
 				if src.Intn(4) == 0 {
 					a = 64 + uint32(src.Intn(448))
 				}
-				b.Add(hierarchy.Packet{Src: a})
+				add(hierarchy.Packet{Src: a})
 				counts[a]++
 			}
-			b.Flush()
+			flush()
 			exactCounts[w] = counts
 		}(w)
 	}
 	stop := make(chan struct{})
-	readerWg.Add(1)
-	go func() {
-		defer readerWg.Done()
-		var out []core.HeavyPrefix
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	reader := func(read func() error) {
+		readerWg.Add(1)
+		go func() {
+			defer readerWg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Errorf("read under ingest: %v", err)
+					return
+				}
 			}
-			out = s.OutputTo(0.05, out[:0])
-			// WriteChain is single-caller: this is the only goroutine
-			// writing chains.
-			if _, err := s.WriteChain(io.Discard, false); err != nil {
-				t.Errorf("WriteChain under ingest: %v", err)
-				return
-			}
-		}
-	}()
+		}()
+	}
+	var out []core.HeavyPrefix
+	reader(func() error { out = s.OutputTo(0.05, out[:0]); return nil })
+	reader(func() error { return s.Checkpoint(io.Discard) })
+	// WriteChain is single-caller: this is the only goroutine writing
+	// chains.
+	reader(func() error { _, err := s.WriteChain(io.Discard, false); return err })
 	writerWg.Wait()
 	close(stop)
 	readerWg.Wait()
@@ -170,11 +195,128 @@ func TestPacketBatcherExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestHHHMergedAccuracy paces four shards exactly and checks that
-// summed prefix estimates track the exact ground truth: one-sided
-// from below (no false negatives) and within N× the per-shard
-// overshoot from above. V=H (the τ=1 analog) isolates the merge from
-// sampling noise.
+// shardUpdates reads every shard's update count.
+func shardUpdates(s *HHH) []uint64 {
+	out := make([]uint64, len(s.shards))
+	for i := range s.shards {
+		sl := &s.shards[i]
+		sl.mu.Lock()
+		out[i] = sl.hh.Sketch().Updates()
+		sl.mu.Unlock()
+	}
+	return out
+}
+
+// TestPacketBatcherDealsEvenly pins the window-alignment invariant of
+// dealing (DESIGN.md §4): with one batcher and no readers every
+// TryLock succeeds, so the shards take buffers strictly in turn and
+// their update counts never differ by more than one buffer — after
+// every flush a full buffer triggers, and after a final partial Flush.
+func TestPacketBatcherDealsEvenly(t *testing.T) {
+	const size = 16
+	for _, shards := range []int{1, 3, 4} {
+		s := MustNewHHH(HHHConfig{
+			Core: core.HHHConfig{
+				Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 64 * 5, V: 20, Seed: 31,
+			},
+			Shards: shards,
+		})
+		buffer := uint64(shards * size)
+		check := func(when string) {
+			t.Helper()
+			u := shardUpdates(s)
+			lo, hi := slices.Min(u), slices.Max(u)
+			if hi-lo > buffer {
+				t.Fatalf("shards=%d %s: per-shard updates %v differ by %d, more than one %d-packet buffer",
+					shards, when, u, hi-lo, buffer)
+			}
+		}
+		src := rng.New(32)
+		b := s.NewBatcher(size)
+		const n = 1<<12 + 7
+		for i := 1; i <= n; i++ {
+			b.Add(hierarchy.Packet{Src: uint32(src.Intn(1 << 16))})
+			if uint64(i)%buffer == 0 {
+				check(fmt.Sprintf("after %d packets", i))
+			}
+		}
+		b.Flush()
+		check("after the final Flush")
+		if got := s.Updates(); got != n {
+			t.Fatalf("shards=%d: Updates() = %d, want %d", shards, got, n)
+		}
+	}
+}
+
+// TestDealtBoundsHoldOnFlood audits dealt shards against
+// internal/exact on the benchmark's kind of stream: a backbone trace
+// carrying a flood from ten /8 subnets, fed through one batcher, so
+// every flow's packets spread over all four shards. Over the last
+// window, the merged bounds widened by the merged compensation must
+// hold the exact count of every prefix at every level of the
+// hierarchy. The seeds are fixed, so the (1−δ) guarantee is a
+// deterministic check here.
+func TestDealtBoundsHoldOnFlood(t *testing.T) {
+	hier := hierarchy.OneD{}
+	const window = 1 << 17
+	s := MustNewHHH(HHHConfig{
+		Core: core.HHHConfig{
+			Hierarchy: hier, Window: window, Counters: 256 * hier.H(), Seed: 41,
+		},
+		Shards: 4,
+	})
+	base := trace.MustNewGenerator(trace.Backbone, 42).Generate(2*window, nil)
+	fl, err := trace.Inject(base, trace.FloodConfig{Subnets: 10, Rate: 0.7, Start: window, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make([]*exact.SlidingWindow[hierarchy.Prefix], hier.H())
+	for i := range oracle {
+		oracle[i] = exact.MustNewSlidingWindow[hierarchy.Prefix](s.EffectiveWindow())
+	}
+	b := s.NewBatcher(0)
+	for _, p := range fl.Packets {
+		b.Add(p)
+		for i, o := range oracle {
+			o.Add(hier.Prefix(p, i))
+		}
+	}
+	b.Flush()
+
+	comp := s.Compensation()
+	checked, binding := 0, 0
+	for _, o := range oracle {
+		o.Each(func(p hierarchy.Prefix, c int) bool {
+			upper, lower := s.QueryBounds(p)
+			if n := float64(c); n > upper+comp || n < lower-comp {
+				t.Errorf("%v: exact %d outside [%.0f, %.0f] (bounds ± compensation %.0f)",
+					p, c, lower-comp, upper+comp, comp)
+			}
+			checked++
+			if lower-comp > 0 {
+				binding++
+			}
+			return true
+		})
+	}
+	// The lower side must bind somewhere, or the check is only the
+	// one-sided overshoot; the flood subnets are what make it bind.
+	for _, subnet := range fl.Subnets {
+		if upper, lower := s.QueryBounds(hierarchy.Prefix{Src: subnet, SrcLen: 1}); lower-comp <= 0 {
+			t.Errorf("flood subnet %v: lower bound %.0f does not clear the compensation %.0f (upper %.0f)",
+				hierarchy.Prefix{Src: subnet, SrcLen: 1}, lower, comp, upper)
+		}
+	}
+	if checked == 0 || binding < len(fl.Subnets) {
+		t.Fatalf("test vacuous: %d prefixes checked, %d with a binding lower bound", checked, binding)
+	}
+}
+
+// TestHHHMergedAccuracy deals 256-packet batches from one caller, so
+// the four shards take them strictly in turn, and checks that summed
+// prefix estimates track the exact ground truth: one-sided from below
+// (no false negatives) and within N× the per-shard overshoot from
+// above. V=H (the τ=1 analog) isolates the merge from sampling noise.
 func TestHHHMergedAccuracy(t *testing.T) {
 	hier := hierarchy.OneD{}
 	h := hier.H()
@@ -185,7 +327,6 @@ func TestHHHMergedAccuracy(t *testing.T) {
 			Hierarchy: hier, Window: window, Counters: counters, V: h, Seed: 5,
 		},
 		Shards: 4,
-		Hash:   pacedPacketHash,
 	})
 	oracle := exact.MustNewSlidingWindow[hierarchy.Prefix](s.EffectiveWindow())
 	src := rng.New(404)
@@ -195,7 +336,7 @@ func TestHHHMergedAccuracy(t *testing.T) {
 		hot := src.Intn(4) > 0
 		var srcAddr uint32
 		if hot {
-			srcAddr = uint32(src.Intn(8)*4 + i%4) // 32 heavy flows, paced
+			srcAddr = uint32(src.Intn(8)*4 + i%4) // 32 heavy flows
 		} else {
 			srcAddr = uint32(src.Intn(1<<16)*4 + i%4)
 		}

@@ -1,42 +1,46 @@
 // Package shard is the concurrent front-end over the single-threaded
-// Memento structures in internal/core: a hash-partitioned array of
-// independently-locked sketches that makes the library usable from
-// many goroutines at line rate.
+// Memento structures in internal/core: an array of independently-locked
+// sketches that makes the library usable from many goroutines at line
+// rate.
 //
 // The design follows the paper's own scaling story. A Memento sketch
 // is deliberately single-writer (constant-time updates, no atomics on
 // the hot path); the network-wide setting (Section 4.3) already scales
 // by splitting the stream across m measurement points and merging at
-// query time. shard.Sketch applies the same split inside one process:
-// keys are hash-partitioned across N shards, each shard maintains a
-// sliding window of W/N of *its* substream — which, under uniform
-// hashing, spans approximately the last W packets of the global
-// stream — and queries merge across shards. A flow's packets all land
-// in one shard, so point queries touch a single lock; HeavyHitters
-// and Overflowed aggregate all shards against the global window.
+// query time. This package applies the same split inside one process:
+// each of N shards maintains a sliding window of W/N of *its*
+// substream — which, when every shard receives 1/N of the traffic,
+// spans approximately the last W packets of the global stream — and
+// queries merge across shards. The two fronts split differently:
 //
-// Hash partitioning is not uniform when the stream is not: an
-// elephant flow concentrates its packets on one shard, whose
-// fixed-size window then spans *fewer* global packets, deflating raw
-// estimates for exactly the keys that matter. Queries therefore apply
-// a skew correction: the sketch counts globally ingested packets (one
-// atomic add per batch) and rescales each shard's estimate by the
-// share of traffic that shard received (scaleFor), which is exactly 1
-// under uniform hashing and restores the global-window interpretation
-// under skew, assuming the shard's mix is stationary across its
-// window.
+//   - HHH deals whole batches: a staged batch goes to the first shard
+//     whose lock is free, so ingest hashes nothing and producers do not
+//     queue behind each other. Its queries read every shard anyway (a
+//     prefix aggregates many flows), so a flow may span all of them.
+//   - Sketch hash-partitions keys: a key's packets all land in one
+//     shard, so a point Query touches a single lock; HeavyHitters and
+//     Overflowed aggregate all shards against the global window.
+//
+// Neither split is exactly even: a flush that skipped a busy shard,
+// or an elephant key's hash, gives one shard more than 1/N of the
+// stream, and its fixed-size window then spans *fewer* global
+// packets, deflating raw estimates. Queries therefore apply a skew
+// correction (scaleFrom): each shard's estimate is rescaled by the
+// share of traffic that shard received, which is exactly 1 for equal
+// shares and restores the global-window interpretation otherwise,
+// assuming the shard's mix is stationary across its window.
 //
 // Two mechanisms amortize synchronization:
 //
 //   - Batched ingestion. core.Sketch.UpdateBatch draws the geometric
 //     "packets until the next Full update" count once per Full update
 //     instead of flipping a Bernoulli coin per packet, and slides the
-//     window in bulk between them. Sketch.UpdateBatch partitions a
-//     caller's batch by shard and takes each shard lock once per
-//     batch, not once per packet.
-//   - Per-goroutine Batchers. A Batcher accumulates a goroutine's
-//     stream locally (no synchronization at all) and flushes through
-//     UpdateBatch, the intended high-rate ingestion path.
+//     window in bulk between them. The shard layer takes a shard lock
+//     once per batch, not once per packet.
+//   - Per-goroutine Batchers. A Batcher (PacketBatcher for HHH)
+//     accumulates a goroutine's stream locally (no synchronization at
+//     all) and flushes it a batch at a time, the intended high-rate
+//     ingestion path.
 //
 // Lock-per-flush is the only ingest engine. The common packet is a
 // few-nanosecond Window update, so a cross-core hand-off has no
@@ -226,9 +230,6 @@ func shardOf(h uint64, n int) int {
 	return int(((h >> 32) * uint64(n)) >> 32)
 }
 
-// shardIndex maps a key to its shard.
-func (s *Sketch[K]) shardIndex(x K) int { return s.shardFromHash(s.hash(x)) }
-
 // shardFromHash maps a key hash to its shard.
 func (s *Sketch[K]) shardFromHash(h uint64) int { return shardOf(h, len(s.shards)) }
 
@@ -317,13 +318,14 @@ func (s *Sketch[K]) putPartition(part *partition[K]) {
 // scaleFrom returns the skew correction for one shard: the ratio
 // between the substream packets that fall inside the global window
 // (share·W, capped at what the shard has seen) and the span the
-// shard's own window covers. Under uniform hashing every shard's
-// share is 1/N and the scale is exactly 1; a shard hot with an
-// elephant flow gets scale > 1 (its window spans less global time
-// than W), a cold shard gets scale < 1. updates and effWindow come
-// either from a locked live shard (point queries) or from a captured
-// snapshot (multi-shard reads); total is the global packet count the
-// share is measured against.
+// shard's own window covers. When every shard's share is 1/N — a
+// lone HHH producer deals exactly that — the scale is exactly 1; a
+// shard that received more (a flush that skipped a busy shard, or an
+// elephant key's hash in Sketch) gets scale > 1 (its window spans
+// less global time than W), a cold shard gets scale < 1. updates and
+// effWindow come either from a locked live shard (point queries) or
+// from a captured snapshot (multi-shard reads); total is the global
+// packet count the share is measured against.
 func scaleFrom(updates uint64, effWindow int, total uint64, globalWindow int) float64 {
 	if total == 0 || updates == 0 {
 		return 1

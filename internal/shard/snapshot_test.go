@@ -286,7 +286,7 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 	}
 }
 
-// TestPartitionPoolCapsRetainedCapacity pins the pool hygiene fix:
+// TestPartitionPoolCapsRetainedCapacity pins Sketch's pool hygiene:
 // after a bursty batch, recycled per-shard sub-buffers above the cap
 // are dropped rather than pinned.
 func TestPartitionPoolCapsRetainedCapacity(t *testing.T) {
@@ -308,38 +308,5 @@ func TestPartitionPoolCapsRetainedCapacity(t *testing.T) {
 	if cap(part.keys[1]) != 64 || len(part.keys[1]) != 0 {
 		t.Fatalf("small sub-buffer not recycled in place: len %d cap %d",
 			len(part.keys[1]), cap(part.keys[1]))
-	}
-
-	hh := MustNewHHH(HHHConfig{
-		Core: core.HHHConfig{
-			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 64 * 5, Seed: 26,
-		},
-		Shards: 2,
-	})
-	ppart := hh.pool.Get().(*[][]hierarchy.Packet)
-	(*ppart)[0] = make([]hierarchy.Packet, 0, 4*maxRetainedBatchCap)
-	hh.putPartition(ppart)
-	if (*ppart)[0] != nil {
-		t.Fatalf("oversized packet sub-buffer retained with cap %d", cap((*ppart)[0]))
-	}
-}
-
-// TestHHHDefaultHashRoutesByFlow pins the PrefixHasher routing
-// default: packets sharing the hierarchy's flow identity (same source
-// under OneD, whatever the destination) land on one shard.
-func TestHHHDefaultHashRoutesByFlow(t *testing.T) {
-	s := MustNewHHH(HHHConfig{
-		Core: core.HHHConfig{
-			Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 64 * 5, Seed: 27,
-		},
-		Shards: 8,
-	})
-	for a := uint32(0); a < 64; a++ {
-		want := s.shardIndex(hierarchy.Packet{Src: a})
-		for d := uint32(1); d < 4; d++ {
-			if got := s.shardIndex(hierarchy.Packet{Src: a, Dst: d}); got != want {
-				t.Fatalf("src %d routed to shard %d with dst %d, %d with dst 0", a, got, d, want)
-			}
-		}
 	}
 }
