@@ -11,15 +11,15 @@
 //     time per packet): the paper's contribution. Both expose a batched
 //     hot path (UpdateBatch, WindowAdvance) that draws the geometric
 //     skip count once per Full update and slides the window in bulk.
-//   - internal/shard — the concurrent ingestion layer: hash-partitioned
-//     shard.Sketch and shard.HHH over independently-locked core
-//     instances, fed by per-goroutine Batchers, with skew-corrected
-//     merged queries. This is the entry point for multi-goroutine,
-//     line-rate use.
+//   - internal/shard — the concurrent ingestion layer: shard.HHH over
+//     independently-locked core.HHH instances, fed by per-goroutine
+//     PacketBatchers that deal whole batches to whichever shard is
+//     free, with skew-corrected merged queries. This is the entry
+//     point for multi-goroutine, line-rate use.
 //   - internal/keyidx — the flat, pointer-free key index under every
 //     hot path: slab-backed open addressing with O(1) generation-stamp
-//     Flush and a caller-supplied hasher, shared so that the shard
-//     layer hashes each packet exactly once. The Space Saving index,
+//     Flush and a caller-supplied hasher, shared so that a sketch
+//     hashes each key once for all its indexes. The Space Saving index,
 //     the Memento overflow table and all query scratch sets run on it,
 //     which is what makes the per-packet Update path allocation-free
 //     end to end (CI gates on 0 allocs/op).

@@ -3,7 +3,7 @@
 //
 //	<package>:<BenchmarkName>:<benchtime>[:<max allocs/op>]
 //
-// e.g. ./internal/shard:BenchmarkIngestSingle:200000x. The bound
+// e.g. ./internal/core:BenchmarkIngestSingle:200000x. The bound
 // defaults to 0 — the hot-path gates; a path that allocates by design
 // (materializing a fresh snapshot) pins its count with an explicit
 // bound instead. For every spec it runs

@@ -6,11 +6,11 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	g, err := parseSpec("./internal/shard:BenchmarkIngestSingle:200000x")
+	g, err := parseSpec("./internal/core:BenchmarkIngestSingle:200000x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.pkg != "./internal/shard" || g.bench != "BenchmarkIngestSingle" || g.time != "200000x" || g.max != 0 {
+	if g.pkg != "./internal/core" || g.bench != "BenchmarkIngestSingle" || g.time != "200000x" || g.max != 0 {
 		t.Fatalf("parsed %+v", g)
 	}
 	if g, err = parseSpec("./internal/delta:BenchmarkDeltaApplyMaterialize:200x:12"); err != nil || g.max != 12 {

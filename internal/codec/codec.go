@@ -1,18 +1,20 @@
 // Package codec defines the durable binary format shared by every
-// layer that moves sketch state out of a process: checkpoint files
-// written by internal/shard, snapshot frames shipped over the
-// network-wide protocol (internal/netwide), and the offline files
-// cmd/mementoctl saves, merges and diffs.
+// layer that moves sketch state out of a process: shard.HHH checkpoint
+// files and delta chains (internal/shard, internal/delta), snapshot
+// and delta frames shipped over the network-wide protocol
+// (internal/netwide), and the offline files cmd/mementoctl saves,
+// merges and diffs.
 //
 // The format is versioned and self-describing. Every record starts
 // with a fixed 16-byte header:
 //
 //	u32 magic   — 'M''S''K''T' (0x4D534B54)
 //	u8  version — format version (Version; currently 1)
-//	u8  kind    — record kind (KindSketch, KindHHH, KindSketchSet,
-//	              KindHHHSet)
+//	u8  kind    — record kind (KindSketch, KindHHH, KindHHHSet,
+//	              KindHHHDelta, KindHHHDeltaSet)
 //	u16 flags   — FlagRestore when the restore plane (block ring,
-//	              frame position, update breakdown) is present
+//	              frame position, update breakdown) is present; chain
+//	              records add FlagBase and FlagClearMonitored
 //	u64 digest  — seed-independent configuration digest; decoders
 //	              verify it against the expected configuration before
 //	              touching the body
@@ -55,26 +57,22 @@ const Magic = uint32(0x4D534B54)
 // readers keep working.
 const Version = 1
 
-// Record kinds.
+// Record kinds. Values 3 and 5 are retired (a keyed-sketch set and a
+// keyed-sketch delta that nothing wrote) and must not be reused.
 const (
 	// KindSketch is a single core.Snapshot[K] record.
 	KindSketch = uint8(1)
 	// KindHHH is a single core.HHHSnapshot record.
 	KindHHH = uint8(2)
-	// KindSketchSet is a sharded checkpoint: N KindSketch blobs.
-	KindSketchSet = uint8(3)
 	// KindHHHSet is a sharded checkpoint: N KindHHH blobs.
 	KindHHHSet = uint8(4)
-	// KindDelta is an epoch-stamped replication record for a single
-	// core sketch: either a chain base (FlagBase, embedding a full
-	// KindSketch record) or an incremental delta carrying only the
+	// KindHHHDelta is an epoch-stamped replication record for an
+	// H-Memento instance: either a chain base (FlagBase, embedding a
+	// full KindHHH record) or an incremental delta carrying only the
 	// counters that changed since the previous epoch (internal/delta).
-	KindDelta = uint8(5)
-	// KindHHHDelta is KindDelta for an H-Memento instance (prefix
-	// keys; bases embed KindHHH records).
 	KindHHHDelta = uint8(6)
 	// KindHHHDeltaSet is a sharded delta checkpoint: N KindHHHDelta
-	// blobs advancing one chain in lockstep (shard.CheckpointDelta).
+	// blobs advancing one chain in lockstep (shard.HHH.WriteChain).
 	KindHHHDeltaSet = uint8(7)
 )
 
@@ -92,12 +90,6 @@ const (
 	// in-frame flush (frame boundary or Reset): the applier clears the
 	// monitored counter set before installing the carried entries.
 	FlagClearMonitored = uint16(1 << 2)
-	// FlagClearOverflow marks a delta whose interval cleared the
-	// overflow table wholesale: the applier clears it before
-	// installing entries. Reserved — the current encoder re-bases on
-	// the only event that clears B (a full Reset) instead of emitting
-	// this flag.
-	FlagClearOverflow = uint16(1 << 3)
 )
 
 // HeaderSize is the fixed encoded size of a Header.
@@ -260,25 +252,6 @@ func (Uint64Keys) DecodeKey(src []byte) (uint64, error) {
 		return 0, Corruptf("uint64 key needs 8 bytes, have %d", len(src))
 	}
 	return binary.BigEndian.Uint64(src), nil
-}
-
-// Uint32Keys encodes uint32 keys big-endian.
-type Uint32Keys struct{}
-
-// Width implements KeyCodec.
-func (Uint32Keys) Width() int { return 4 }
-
-// AppendKey implements KeyCodec.
-func (Uint32Keys) AppendKey(dst []byte, k uint32) []byte {
-	return binary.BigEndian.AppendUint32(dst, k)
-}
-
-// DecodeKey implements KeyCodec.
-func (Uint32Keys) DecodeKey(src []byte) (uint32, error) {
-	if len(src) < 4 {
-		return 0, Corruptf("uint32 key needs 4 bytes, have %d", len(src))
-	}
-	return binary.BigEndian.Uint32(src), nil
 }
 
 // PrefixKeys encodes hierarchy.Prefix keys (10 bytes: src, dst,

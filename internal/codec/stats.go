@@ -17,13 +17,12 @@ package codec
 import "memento/internal/obs"
 
 // kindNames maps record kinds to the stable metric name components
-// used by RegisterMetrics. Index 0 collects out-of-range kinds.
+// used by RegisterMetrics. Index 0 collects out-of-range kinds; the
+// retired kinds' slots stay empty and register nothing.
 var kindNames = [...]string{
 	KindSketch:      "sketch",
 	KindHHH:         "hhh",
-	KindSketchSet:   "sketch_set",
 	KindHHHSet:      "hhh_set",
-	KindDelta:       "delta",
 	KindHHHDelta:    "hhh_delta",
 	KindHHHDeltaSet: "hhh_delta_set",
 }

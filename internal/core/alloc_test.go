@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"memento/internal/obs"
 	"memento/internal/rng"
 )
 
@@ -44,5 +45,62 @@ func TestUpdateBatchZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() { s.UpdateBatch(batch) })
 	if allocs != 0 {
 		t.Fatalf("UpdateBatch allocs/op = %v, want 0", allocs)
+	}
+}
+
+// benchKeys builds a mildly skewed key stream shared by the ingestion
+// benchmarks (power-of-two length for cheap wraparound indexing).
+func benchKeys(n int) []uint64 {
+	src := rng.New(8)
+	keys := make([]uint64, n)
+	for i := range keys {
+		k := src.Intn(1 << 8)
+		if src.Intn(4) == 0 {
+			k = 1<<8 + src.Intn(1<<16)
+		}
+		keys[i] = uint64(k)
+	}
+	return keys
+}
+
+const benchWindow = 1 << 18
+const benchTau = 1.0 / 64
+
+// BenchmarkIngestSingle is the per-packet ingest baseline: one
+// goroutine, Update on a bare Sketch. CI alloc-gates it at 0 allocs/op.
+func BenchmarkIngestSingle(b *testing.B) {
+	keys := benchKeys(1 << 20)
+	s := MustNew[uint64](Config{
+		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Update(keys[i&(len(keys)-1)])
+	}
+}
+
+// BenchmarkInstrumentedIngest is BenchmarkIngestSingle with the full
+// obs plane attached — registry-backed core instruments (block
+// slides, frame flushes, evictions, overflow residency) and a live
+// trace ring receiving window-slide events. It should run within 3% of
+// the uninstrumented baseline, and CI alloc-gates it at 0 allocs/op:
+// instruments ride block granularity, so the per-packet cost is one
+// nil compare that this benchmark makes non-nil.
+func BenchmarkInstrumentedIngest(b *testing.B) {
+	keys := benchKeys(1 << 20)
+	s := MustNew[uint64](Config{
+		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
+	})
+	reg := obs.NewRegistry()
+	trace := obs.NewTrace(256)
+	s.Instrument(NewInstruments(reg, trace, "bench"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Update(keys[i&(len(keys)-1)])
+	}
+	b.StopTimer()
+	if reg.Counter("memento_core_block_slides_total").Load() == 0 && b.N > benchWindow {
+		b.Fatal("instruments attached but never fired")
 	}
 }

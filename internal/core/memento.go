@@ -30,8 +30,9 @@
 // algorithmic error at εa·W independent of τ, matching Theorem 5.2
 // (ε = εa + εs) and the empirical behaviour in Figure 5.
 //
-// Sketch is not safe for concurrent use; shard by flow or guard with a
-// mutex at a higher layer.
+// Sketch is not safe for concurrent use; split the stream across
+// independently-locked instances (internal/shard does, for H-Memento)
+// or guard it with a mutex at a higher layer.
 //
 //memento:deterministic
 //memento:nopanic Decode*
@@ -154,10 +155,9 @@ func New[K comparable](cfg Config) (*Sketch[K], error) { return NewWithHash[K](c
 
 // NewWithHash is New with a caller-supplied key hasher (nil selects
 // New's default): a sketch has exactly one, shared by the in-frame
-// Space Saving index and the overflow table. Layers that already hash
-// every key (internal/shard routes by hash) pass the same function
-// here and feed the *Hashed update variants, so one hash computation
-// per packet serves shard routing and both indexes.
+// Space Saving index and the overflow table, so one hash computation
+// per Full update or query serves both indexes. H-Memento passes a
+// seeded hierarchy.PrefixHasher here.
 func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], error) {
 	if hash == nil {
 		hash = keyidx.DefaultHasher[K]()
@@ -278,19 +278,6 @@ func (s *Sketch[K]) Update(x K) {
 	}
 }
 
-// UpdateHashed is Update with a caller-computed hash of x, which must
-// come from the sketch's hasher (NewWithHash); internal/shard hashes
-// each key once for shard routing and passes the same value here.
-//
-//memento:noalloc
-func (s *Sketch[K]) UpdateHashed(x K, h uint64) {
-	if s.sample() {
-		s.FullUpdateHashed(x, h)
-	} else {
-		s.WindowUpdate()
-	}
-}
-
 // UpdateBatch processes a batch of packets. It is distributionally
 // equivalent to calling Update once per packet — each packet is a Full
 // update with probability τ — but instead of flipping a coin per
@@ -309,28 +296,7 @@ func (s *Sketch[K]) UpdateHashed(x K, h uint64) {
 // if exact point-process equality matters.
 //
 //memento:noalloc
-func (s *Sketch[K]) UpdateBatch(xs []K) { s.updateBatch(xs, nil) }
-
-// UpdateBatchHashed is UpdateBatch with caller-computed hashes of the
-// keys (hs[i] must equal the construction hasher applied to xs[i]).
-// The sharded front-end already hashes every key once to partition a
-// batch; carrying the (key, hash) pairs here means the sampled
-// τ-fraction of keys that reach a Full update is not hashed a second
-// time inside the core indexes. With mismatched slice lengths it falls
-// back to UpdateBatch.
-//
-//memento:noalloc
-func (s *Sketch[K]) UpdateBatchHashed(xs []K, hs []uint64) {
-	if len(hs) != len(xs) {
-		hs = nil
-	}
-	s.updateBatch(xs, hs)
-}
-
-// updateBatch is the one geometric-skip loop behind both batched
-// entry points; hs is consulted only in the sampled Full-update
-// branch, off the per-packet path.
-func (s *Sketch[K]) updateBatch(xs []K, hs []uint64) {
+func (s *Sketch[K]) UpdateBatch(xs []K) {
 	i := 0
 	for i < len(xs) {
 		if s.skip < 0 {
@@ -344,11 +310,7 @@ func (s *Sketch[K]) updateBatch(xs []K, hs []uint64) {
 		s.windowAdvance(uint64(s.skip))
 		i += s.skip
 		s.skip = -1
-		if hs != nil {
-			s.FullUpdateHashed(xs[i], hs[i])
-		} else {
-			s.FullUpdate(xs[i])
-		}
+		s.FullUpdate(xs[i])
 		i++
 	}
 }
@@ -473,17 +435,12 @@ func (s *Sketch[K]) forgetOverflow(id K) {
 // FullUpdate slides the window and admits x (Algorithm 1, lines 12-18):
 // x is counted by the in-frame Space Saving instance, and if its
 // counter crosses a multiple of the sampled block size the overflow is
-// recorded in the current block's queue and in B.
+// recorded in the current block's queue and in B. x is hashed once;
+// the value serves both the Space Saving index and the overflow table.
 //
 //memento:noalloc
-func (s *Sketch[K]) FullUpdate(x K) { s.FullUpdateHashed(x, s.hash(x)) }
-
-// FullUpdateHashed is FullUpdate with a caller-computed hash of x
-// under the sketch's hasher; the one hash value serves both the Space
-// Saving index and the overflow table.
-//
-//memento:noalloc
-func (s *Sketch[K]) FullUpdateHashed(x K, h uint64) {
+func (s *Sketch[K]) FullUpdate(x K) {
+	h := s.hash(x)
 	s.WindowUpdate()
 	s.fullCount++
 	c := s.y.AddHashed(x, h)

@@ -304,42 +304,6 @@ func TestSnapshotIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchHashedEquivalent pins that carrying precomputed
-// hashes through the batched path changes nothing — same Full-update
-// point process, same estimates — whichever hasher each sketch has.
-func TestUpdateBatchHashedEquivalent(t *testing.T) {
-	hash := keyidx.DefaultHasher[uint64]()
-	plain := MustNew[uint64](snapshotConfig) // its own default hasher
-	hashed, err := NewWithHash[uint64](snapshotConfig, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(14)
-	batch := make([]uint64, 0, 200)
-	hs := make([]uint64, 0, 200)
-	for round := 0; round < 200; round++ {
-		batch = batch[:0]
-		hs = hs[:0]
-		n := 1 + src.Intn(cap(batch))
-		for i := 0; i < n; i++ {
-			k := uint64(src.Intn(350))
-			batch = append(batch, k)
-			hs = append(hs, hash(k))
-		}
-		plain.UpdateBatch(batch)
-		hashed.UpdateBatchHashed(batch, hs)
-	}
-	if plain.FullUpdates() != hashed.FullUpdates() || plain.Updates() != hashed.Updates() {
-		t.Fatalf("diverged: %d/%d full updates, %d/%d updates",
-			plain.FullUpdates(), hashed.FullUpdates(), plain.Updates(), hashed.Updates())
-	}
-	for k := uint64(0); k < 350; k++ {
-		if plain.Query(k) != hashed.Query(k) {
-			t.Fatalf("Query(%d) = %v plain, %v hashed", k, plain.Query(k), hashed.Query(k))
-		}
-	}
-}
-
 // TestSharedHasherQueryEquivalent pins that the hasher changes only
 // table layout, never estimates: two sketches fed identically, one
 // under New's default hasher and one under a caller-supplied function,

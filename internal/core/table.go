@@ -131,15 +131,8 @@ func (t *table[K]) OverflowEntries() int { return t.overflow.Len() }
 // packet), so the saved hash is measurable.
 //
 //memento:noalloc
-func (t *table[K]) Query(x K) float64 { return t.QueryHashed(x, t.hash(x)) }
-
-// QueryHashed is Query with a caller-computed hash of x under the
-// construction hasher; internal/shard routes a point query by hash and
-// passes the same value here, so one hash serves shard selection, the
-// overflow table, and the Space Saving index.
-//
-//memento:noalloc
-func (t *table[K]) QueryHashed(x K, h uint64) float64 {
+func (t *table[K]) Query(x K) float64 {
+	h := t.hash(x)
 	c := t.y.QueryHashed(x, h)
 	if b, ok := t.overflow.GetH(x, h); ok {
 		return t.overflowUpper(b, c)
@@ -168,11 +161,6 @@ func (t *table[K]) monitoredUpper(c uint64) float64 {
 //memento:noalloc
 func (t *table[K]) QueryBounds(x K) (upper, lower float64) {
 	return t.boundsFrom(t.Query(x))
-}
-
-// QueryBoundsHashed is QueryBounds with a caller-computed hash.
-func (t *table[K]) QueryBoundsHashed(x K, h uint64) (upper, lower float64) {
-	return t.boundsFrom(t.QueryHashed(x, h))
 }
 
 // Bounds implements hhhset.Estimator.

@@ -73,10 +73,9 @@
 //
 // FlagClearMonitored (set when the interval crossed a frame boundary)
 // tells the applier to clear the monitored set before installing
-// entries; FlagClearOverflow does the same for the overflow table —
-// the applier honors it, but the current Tracker never emits it (a
-// Reset, the only event that clears B wholesale, forces a fresh base
-// instead), so it is reserved format surface.
+// entries. Nothing clears the overflow table in a delta: a Reset, the
+// only event that empties B wholesale, forces a fresh base instead.
+// Any other header flag bit is refused as corruption.
 //
 //memento:deterministic
 //memento:nopanic Apply* Decode*
@@ -99,6 +98,9 @@ var ErrEpochGap = errors.New("delta: epoch gap, resync required")
 // maxQueueLen bounds restore-plane ring entries per queue, mirroring
 // core's decode backstop.
 const maxQueueLen = 1 << 24
+
+// knownFlags are the header flags a chain record may carry.
+const knownFlags = codec.FlagRestore | codec.FlagBase | codec.FlagClearMonitored
 
 // prefixKeys is the shared key codec of every HHH delta record.
 var prefixKeys = codec.PrefixKeys{}

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -496,6 +497,67 @@ func TestTruncatedDeltaUnbasesState(t *testing.T) {
 	}
 	if _, err := st.Snapshot(); err == nil {
 		t.Fatal("snapshot of unbased state succeeded")
+	}
+}
+
+// TestUnknownFlagsRejected pins that Apply refuses a record carrying a
+// header flag outside FlagRestore|FlagBase|FlagClearMonitored as
+// corruption before touching the state: the epoch and every answer
+// stay as they were, and the same record with its flags intact still
+// applies.
+func TestUnknownFlagsRejected(t *testing.T) {
+	hh := newHHH(t, 1<<10, 32, 29)
+	tr, err := NewTracker(hh, TrackerConfig{Chain: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState()
+	for i := uint64(1); i <= 2; i++ { // a base, then a delta
+		hh.UpdateBatch(skewedPackets(500, i))
+		rec, _, err := tr.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := make([]hierarchy.Prefix, 0, 16)
+	for i := 0; i < 16; i++ {
+		probes = append(probes, hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, byte(1+i)), SrcLen: 4})
+	}
+	before, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := st.Epoch()
+
+	hh.UpdateBatch(skewedPackets(500, 3))
+	next, base, err := tr.Append(nil)
+	if err != nil || base {
+		t.Fatalf("next record: base=%v err=%v", base, err)
+	}
+	for _, bit := range []uint16{1 << 3, 1 << 15} {
+		bad := append([]byte(nil), next...)
+		flags := binary.BigEndian.Uint16(bad[6:8]) | bit
+		binary.BigEndian.PutUint16(bad[6:8], flags)
+		if err := st.Apply(bad); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("flag %#x: Apply = %v, want ErrCorrupt", bit, err)
+		}
+		if !st.Based() || st.Epoch() != epoch {
+			t.Fatalf("flag %#x: based=%v epoch %d, want based at epoch %d", bit, st.Based(), st.Epoch(), epoch)
+		}
+		after, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotEqualOutputs(t, fmt.Sprintf("flag %#x", bit), after, before, probes)
+	}
+	if err := st.Apply(next); err != nil {
+		t.Fatalf("valid record after rejected ones: %v", err)
+	}
+	if st.Epoch() != epoch+1 {
+		t.Fatalf("epoch %d after the valid record, want %d", st.Epoch(), epoch+1)
 	}
 }
 

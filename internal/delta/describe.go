@@ -18,8 +18,8 @@ type Info struct {
 	Restore bool
 	// Chain and Epoch position the record in its chain.
 	Chain, Epoch uint64
-	// ClearMonitored/ClearOverflow are the delta's structural flags.
-	ClearMonitored, ClearOverflow bool
+	// ClearMonitored is the delta's structural flag.
+	ClearMonitored bool
 	// Entries is the per-key entry count (0 for bases).
 	Entries int
 	// Updates is the absolute replicated update count (0 for bases —
@@ -44,7 +44,6 @@ func Describe(data []byte) (Info, error) {
 		Base:           h.Flags&codec.FlagBase != 0,
 		Restore:        h.Flags&codec.FlagRestore != 0,
 		ClearMonitored: h.Flags&codec.FlagClearMonitored != 0,
-		ClearOverflow:  h.Flags&codec.FlagClearOverflow != 0,
 		Chain:          c.Uint64(),
 		Epoch:          c.Uint64(),
 	}

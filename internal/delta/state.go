@@ -138,7 +138,8 @@ func (st *State) Reset() {
 }
 
 // Apply validates and applies one chain record (base or delta). On
-// ErrEpochGap or codec.ErrConfigMismatch the state is untouched; on a
+// ErrEpochGap or codec.ErrConfigMismatch the state is untouched, as it
+// is on a header flag outside knownFlags (codec.ErrCorrupt); on a
 // corruption error discovered mid-delta the state is unusable for
 // queries and Based() turns false, so the follower resyncs either
 // way.
@@ -149,6 +150,9 @@ func (st *State) Apply(data []byte) error {
 	}
 	if h.Kind != codec.KindHHHDelta {
 		return fmt.Errorf("%w: kind %d, want hhh delta", codec.ErrKind, h.Kind)
+	}
+	if unknown := h.Flags &^ knownFlags; unknown != 0 {
+		return codec.Corruptf("unknown header flags %#x", unknown)
 	}
 	c := codec.NewCursor(body)
 	chain := c.Uint64()
@@ -262,9 +266,6 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 	// patched, which Apply's contract covers by unbasing below.
 	if h.Flags&codec.FlagClearMonitored != 0 {
 		st.clearMonitored()
-	}
-	if h.Flags&codec.FlagClearOverflow != 0 {
-		st.over.Flush()
 	}
 	st.updates, st.items = updates, items
 	for i := 0; i < nEntries; i++ {

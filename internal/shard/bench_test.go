@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,120 +9,14 @@ import (
 	"memento/internal/audit"
 	"memento/internal/core"
 	"memento/internal/hierarchy"
-	"memento/internal/obs"
 	"memento/internal/rng"
 )
 
-// benchKeys builds a mildly skewed key stream shared by the ingestion
-// benchmarks (power-of-two length for cheap wraparound indexing).
-func benchKeys(n int) []uint64 {
-	src := rng.New(8)
-	keys := make([]uint64, n)
-	for i := range keys {
-		k := src.Intn(1 << 8)
-		if src.Intn(4) == 0 {
-			k = 1<<8 + src.Intn(1<<16)
-		}
-		keys[i] = uint64(k)
-	}
-	return keys
-}
-
 const benchWindow = 1 << 18
-const benchTau = 1.0 / 64
 
-// BenchmarkIngestSingle is the baseline the acceptance criterion
-// compares against: one goroutine, per-packet Update on a bare
-// core.Sketch.
-func BenchmarkIngestSingle(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	s := core.MustNew[uint64](core.Config{
-		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Update(keys[i&(len(keys)-1)])
-	}
-}
-
-// BenchmarkInstrumentedIngest is BenchmarkIngestSingle with the full
-// obs plane attached — registry-backed core instruments (block
-// slides, frame flushes, evictions, overflow residency) and a live
-// trace ring receiving window-slide events. The acceptance criterion
-// pins it within 3% of the uninstrumented baseline and CI alloc-gates
-// it at 0 allocs/op: instruments ride block granularity, so the
-// per-packet cost is one nil compare that this benchmark makes
-// non-nil.
-func BenchmarkInstrumentedIngest(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	s := core.MustNew[uint64](core.Config{
-		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
-	})
-	reg := obs.NewRegistry()
-	trace := obs.NewTrace(256)
-	s.Instrument(core.NewInstruments(reg, trace, "bench"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Update(keys[i&(len(keys)-1)])
-	}
-	b.StopTimer()
-	if reg.Counter("memento_core_block_slides_total").Load() == 0 && b.N > benchWindow {
-		b.Fatal("instruments attached but never fired")
-	}
-}
-
-// BenchmarkIngestSharded sweeps shard count and batch size over the
-// concurrent front-end; RunParallel drives it from GOMAXPROCS
-// goroutines through per-goroutine Batchers, the intended ingestion
-// path.
-func BenchmarkIngestSharded(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	for _, shards := range []int{1, 4, 8} {
-		for _, batch := range []int{64, 256, 1024} {
-			b.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(b *testing.B) {
-				s := MustNew[uint64](SketchConfig[uint64]{
-					Core:   core.Config{Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1},
-					Shards: shards,
-				})
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					bt := s.NewBatcher(batch)
-					i := 0
-					for pb.Next() {
-						bt.Add(keys[i&(len(keys)-1)])
-						i++
-					}
-					bt.Flush()
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkIngestShardedSerial isolates the batching win from the
-// parallelism win: a single goroutine feeding the sharded sketch
-// through UpdateBatch.
-func BenchmarkIngestShardedSerial(b *testing.B) {
-	keys := benchKeys(1 << 20)
-	for _, batch := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			s := MustNew[uint64](SketchConfig[uint64]{
-				Core:   core.Config{Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1},
-				Shards: 4,
-			})
-			b.ResetTimer()
-			bt := s.NewBatcher(batch)
-			for i := 0; i < b.N; i++ {
-				bt.Add(keys[i&(len(keys)-1)])
-			}
-			bt.Flush()
-		})
-	}
-}
-
-// benchPackets is the packet analog of benchKeys: a mildly skewed 1D
-// source stream for the H-Memento batcher benchmarks.
+// benchPackets is a mildly skewed 1D source stream for the H-Memento
+// batcher benchmarks (power-of-two length for cheap wraparound
+// indexing).
 func benchPackets(n int) []hierarchy.Packet {
 	src := rng.New(8)
 	ps := make([]hierarchy.Packet, n)
@@ -362,7 +255,7 @@ func BenchmarkOutputLockPerBounds(b *testing.B) {
 }
 
 // BenchmarkOutputUnderIngestion is the contended variant: GOMAXPROCS-1
-// writer goroutines ingest through Batchers while the benchmark
+// writer goroutines ingest through PacketBatchers while the benchmark
 // goroutine queries, approximating a monitoring probe against a
 // loaded collector.
 func BenchmarkOutputUnderIngestion(b *testing.B) {

@@ -142,70 +142,6 @@ func TestHHHRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestSketchCheckpointRestore(t *testing.T) {
-	cfg := SketchConfig[uint64]{
-		Core:   core.Config{Window: 1 << 13, Counters: 256, Tau: 1.0 / 8, Seed: 131},
-		Shards: 4,
-		Hash:   func(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 },
-	}
-	s := MustNew(cfg)
-	src := rng.New(137)
-	b := s.NewBatcher(128)
-	for i := 0; i < 1<<15; i++ {
-		k := uint64(src.Intn(1 << 18))
-		if src.Intn(3) > 0 {
-			k = uint64(src.Intn(24))
-		}
-		b.Add(k)
-	}
-	b.Flush()
-
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf, codec.Uint64Keys{}); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Core.Seed = 777
-	restored := MustNew(cfg)
-	if err := restored.Restore(bytes.NewReader(buf.Bytes()), codec.Uint64Keys{}); err != nil {
-		t.Fatal(err)
-	}
-
-	if s.Updates() != restored.Updates() {
-		t.Fatalf("Updates %d, want %d", restored.Updates(), s.Updates())
-	}
-	// The global ingestion counter feeds the skew correction; point
-	// queries only match if it survived the round trip.
-	for k := uint64(0); k < 256; k++ {
-		if w, g := s.Query(k), restored.Query(k); w != g {
-			t.Fatalf("Query(%d) = %g, want %g", k, g, w)
-		}
-		wu, wl := s.QueryBounds(k)
-		gu, gl := restored.QueryBounds(k)
-		if wu != gu || wl != gl {
-			t.Fatalf("QueryBounds(%d) = (%g,%g), want (%g,%g)", k, gu, gl, wu, wl)
-		}
-	}
-	for _, theta := range []float64{0.005, 0.02, 0.1} {
-		w := s.HeavyHitters(theta, nil)
-		g := restored.HeavyHitters(theta, nil)
-		if len(w) != len(g) {
-			t.Fatalf("theta=%v: %d heavy hitters, want %d", theta, len(g), len(w))
-		}
-		wm := map[uint64]float64{}
-		for _, it := range w {
-			wm[it.Key] = it.Estimate
-		}
-		for _, it := range g {
-			if wm[it.Key] != it.Estimate {
-				t.Fatalf("theta=%v: key %d estimate %g, want %g", theta, it.Key, it.Estimate, wm[it.Key])
-			}
-		}
-	}
-	if len(s.HeavyHitters(0.005, nil)) == 0 {
-		t.Fatal("test vacuous: no heavy hitters")
-	}
-}
-
 // TestCheckpointUnderIngestion pins, under -race, that Checkpoint is
 // an ordinary read-plane citizen: batched writers at full rate while
 // checkpoints stream out, and every captured stream restores into a

@@ -91,7 +91,7 @@ func (s *HHH) WriteChain(w io.Writer, rebase bool) (bool, error) {
 			tr.ForceBase()
 		}
 	}
-	if _, err := w.Write(appendEnvelope(nil, codec.KindHHHDeltaSet, len(s.shards), 0)); err != nil {
+	if _, err := w.Write(appendEnvelope(nil, codec.KindHHHDeltaSet, len(s.shards))); err != nil {
 		return base, err
 	}
 	var buf []byte
@@ -121,7 +121,7 @@ func (s *HHH) WriteChain(w io.Writer, rebase bool) (bool, error) {
 // follow internal/delta.State.Apply's contract (ErrEpochGap on chain
 // discontinuity, codec typed errors on corruption).
 func ApplyHHHDeltaSet(r io.Reader, sts []*delta.State) ([]*delta.State, error) {
-	shards, _, err := readEnvelope(r, codec.KindHHHDeltaSet)
+	shards, err := readEnvelope(r, codec.KindHHHDeltaSet)
 	if err != nil {
 		return sts, err
 	}

@@ -113,7 +113,8 @@ type HHH struct {
 	swept, admitted obs.Counter
 }
 
-// hhhSlot pads to a full 64-byte cache line like slot.
+// hhhSlot pads each shard to a full 64-byte cache line (8B mutex + 8B
+// pointer + 48B pad) so neighboring shards' locks don't false-share.
 type hhhSlot struct {
 	mu sync.Mutex
 	hh *core.HHH // guarded by mu
@@ -148,9 +149,8 @@ type pointProbe struct {
 }
 
 // maxRetainedQueryCap bounds the candidate/entry capacity a pooled
-// hhhQuery keeps between uses, mirroring maxRetainedBatchCap for the
-// ingest-side pools: one pathological query (e.g. during an overflow
-// table blow-up) must not pin its high-water scratch forever.
+// hhhQuery keeps between uses: one pathological query (e.g. during an
+// overflow table blow-up) must not pin its high-water scratch forever.
 const maxRetainedQueryCap = 1 << 14
 
 // NewHHH validates cfg and builds a sharded H-Memento.

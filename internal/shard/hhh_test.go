@@ -28,6 +28,33 @@ func TestHHHConfigValidation(t *testing.T) {
 	}
 }
 
+// TestHHHCountersDivided pins the memory contract: the global counter
+// budget is split across shards, floored at minShardCounters per
+// hierarchy level, and a budget given as EpsilonA is resolved to
+// counters for the global window before the split.
+func TestHHHCountersDivided(t *testing.T) {
+	hier := hierarchy.OneD{}
+	h := hier.H()
+	for _, tc := range []struct {
+		name string
+		cfg  core.HHHConfig
+		want int
+	}{
+		{"divided", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 4096 * h}, 1024 * h},
+		{"floored", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 64}, minShardCounters * h},
+		// 4·H/εa + 1 = 2001 global counters, ⌈2001/4⌉ per shard — not
+		// the 2000 each shard would resolve from εa on its own.
+		{"epsilon", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, EpsilonA: 0.01}, 501},
+	} {
+		s := MustNewHHH(HHHConfig{Core: tc.cfg, Shards: 4})
+		for i := range s.shards {
+			if got := s.shards[i].hh.Sketch().Counters(); got != tc.want {
+				t.Errorf("%s: shard %d counters = %d, want %d", tc.name, i, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestHHHConcurrent is the -race assertion for the sharded H-Memento:
 // concurrent batched writers, Observe calls and Query/Output readers.
 func TestHHHConcurrent(t *testing.T) {
@@ -81,9 +108,11 @@ func TestHHHConcurrent(t *testing.T) {
 	}
 }
 
-// TestPacketBatcherExactlyOnce is TestBatcherExactlyOnce for the
-// packet front, over every way in: two PacketBatchers, an Update
-// writer and an UpdateBatch writer deal concurrently while OutputTo,
+// TestPacketBatcherExactlyOnce is the conservation property of the
+// ingest front: every packet is counted exactly once, however the
+// flushes interleave at the shard locks, over every way in. Two
+// PacketBatchers, an Update writer and an UpdateBatch writer deal
+// concurrently while OutputTo,
 // Checkpoint and WriteChain (delta capture) hold shard locks, so a
 // flush can find a shard busy and skip to the next. Under
 // hierarchy.Flows (H = 1) with V = H every packet is a Full update of
@@ -364,6 +393,52 @@ func TestHHHMergedAccuracy(t *testing.T) {
 		truth := float64(oracle.Count(p))
 		if est-truth > band || truth-est > band {
 			t.Errorf("Query(src=%d) = %v, exact %v, band %v", a, est, truth, band)
+		}
+	}
+}
+
+// TestHeavyHittersNoFalseNegatives checks the merged Output keeps
+// Memento's one-sided guarantee across dealt shards: under
+// hierarchy.Flows (the HHH set is the heavy-hitter set) with V = H,
+// every exact heavy flow of the global window is reported, though
+// each one's packets spread over all four shards. No light flow is
+// reported either, so the check is not passing on a degenerate
+// sizing that admits every tracked key.
+func TestHeavyHittersNoFalseNegatives(t *testing.T) {
+	hier := hierarchy.Flows{}
+	const window = 1 << 16
+	s := MustNewHHH(HHHConfig{
+		Core:   core.HHHConfig{Hierarchy: hier, Window: window, Counters: 4096, Seed: 3},
+		Shards: 4,
+	})
+	oracle := exact.MustNewSlidingWindow[hierarchy.Prefix](s.EffectiveWindow())
+	src := rng.New(2002)
+	b := s.NewBatcher(16)
+	for i := 0; i < 3*window; i++ {
+		q := src.Intn(8)
+		if src.Intn(2) == 0 {
+			q = 8 + src.Intn(512)
+		}
+		p := hierarchy.Packet{Src: uint32(q)}
+		b.Add(p)
+		oracle.Add(hier.Fully(p))
+	}
+	b.Flush()
+	const theta = 0.05
+	got := map[hierarchy.Prefix]bool{}
+	for _, e := range s.Output(theta) {
+		got[e.Prefix] = true
+		if c := oracle.Count(e.Prefix); float64(c) < theta*window/2 {
+			t.Errorf("light flow %v (exact %d) reported", e.Prefix, c)
+		}
+	}
+	heavy := oracle.HeavyHitters(theta)
+	if len(heavy) == 0 {
+		t.Fatal("test vacuous: no exact heavy hitters")
+	}
+	for p := range heavy {
+		if !got[p] {
+			t.Errorf("exact heavy hitter %v missing from the merged Output", p)
 		}
 	}
 }

@@ -12,26 +12,10 @@ import (
 
 // Instrument attaches a shared core instrument set (block slides,
 // frame flushes, evictions, overflow residency, window-slide trace
-// events) to every shard and registers the sketch's ingest ledger in
-// r. Nil-safe: with a nil registry the instruments are disabled.
-// Call before ingest starts; returns the set for reuse.
-func (s *Sketch[K]) Instrument(r *obs.Registry, t *obs.Trace, actor string) *core.Instruments {
-	ins := core.NewInstruments(r, t, actor)
-	for i := range s.shards {
-		sl := &s.shards[i]
-		sl.mu.Lock()
-		sl.s.Instrument(ins)
-		sl.mu.Unlock()
-	}
-	r.RegisterFunc("memento_shard_ingested_total",
-		func() float64 { return float64(s.ingested.Load()) })
-	r.RegisterFunc("memento_shard_count",
-		func() float64 { return float64(len(s.shards)) })
-	return ins
-}
-
-// Instrument is the H-Memento analog of Sketch.Instrument. It also
-// exports the query-plane SLO histogram, named by the hierarchy's
+// events) to every shard and registers the instance's update ledger
+// and shard count in r. Nil-safe: with a nil registry the instruments
+// are disabled. Call before ingest starts; returns the set for reuse.
+// It also exports the query-plane SLO histogram, named by the hierarchy's
 // dimensionality (memento_shard_query_1d_ns / memento_shard_query_2d_ns)
 // so 1D scans and 2D glb-fallback scans stay separately observable,
 // the share of each query spent capturing under the shard locks

@@ -218,18 +218,13 @@ func TestOutputMatchesLockPerBoundsReference(t *testing.T) {
 }
 
 // TestReadPlaneUnderIngestion is the -race assertion for the snapshot
-// query plane: Output/OutputTo and the sketch-side HeavyHitters/
-// Overflowed hammered from several readers while batched writers
-// ingest at full rate.
+// query plane: OutputTo and the point probes hammered from several
+// readers while batched writers ingest at full rate.
 func TestReadPlaneUnderIngestion(t *testing.T) {
 	hh := MustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 64 * 5, V: 15, Seed: 23,
 		},
-		Shards: 4,
-	})
-	sk := MustNew[uint64](SketchConfig[uint64]{
-		Core:   core.Config{Window: 1 << 13, Counters: 256, Tau: 1.0 / 8, Seed: 24},
 		Shards: 4,
 	})
 
@@ -242,14 +237,10 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 			defer writerWg.Done()
 			src := rng.New(uint64(id + 50))
 			pb := hh.NewBatcher(128)
-			kb := sk.NewBatcher(128)
 			for i := 0; i < perWriter; i++ {
-				k := uint64(src.Intn(512))
-				pb.Add(hierarchy.Packet{Src: uint32(k)})
-				kb.Add(k)
+				pb.Add(hierarchy.Packet{Src: uint32(src.Intn(512))})
 			}
 			pb.Flush()
-			kb.Flush()
 		}(w)
 	}
 	stop := make(chan struct{})
@@ -258,7 +249,6 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 		go func(id int) {
 			defer readerWg.Done()
 			var out []core.HeavyPrefix
-			var items []core.Item[uint64]
 			probe := hierarchy.Prefix{Src: uint32(id), SrcLen: 4}
 			for {
 				select {
@@ -269,9 +259,6 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 				out = hh.OutputTo(0.01, out[:0])
 				_ = hh.Query(probe)
 				_, _ = hh.QueryBounds(probe)
-				items = sk.HeavyHitters(0.01, items[:0])
-				sk.Overflowed(func(k uint64, n int32) bool { return true })
-				_ = sk.Query(uint64(id))
 			}
 		}(r)
 	}
@@ -280,33 +267,5 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 	readerWg.Wait()
 	if got := hh.Updates(); got != writers*perWriter {
 		t.Fatalf("hh.Updates() = %d, want %d", got, writers*perWriter)
-	}
-	if got := sk.Updates(); got != writers*perWriter {
-		t.Fatalf("sk.Updates() = %d, want %d", got, writers*perWriter)
-	}
-}
-
-// TestPartitionPoolCapsRetainedCapacity pins Sketch's pool hygiene:
-// after a bursty batch, recycled per-shard sub-buffers above the cap
-// are dropped rather than pinned.
-func TestPartitionPoolCapsRetainedCapacity(t *testing.T) {
-	s := MustNew[uint64](SketchConfig[uint64]{
-		Core:   core.Config{Window: 1 << 12, Counters: 64, Seed: 25},
-		Shards: 2,
-		Hash:   func(k uint64) uint64 { return 0 }, // everything to shard 0
-	})
-	part := s.pool.Get().(*partition[uint64])
-	part.keys[0] = make([]uint64, 0, 4*maxRetainedBatchCap)
-	part.hashes[0] = make([]uint64, 0, 4*maxRetainedBatchCap)
-	part.keys[1] = make([]uint64, 8, 64)
-	part.hashes[1] = make([]uint64, 8, 64)
-	s.putPartition(part)
-	if part.keys[0] != nil || part.hashes[0] != nil {
-		t.Fatalf("oversized sub-buffer retained with cap %d (limit %d)",
-			cap(part.keys[0]), maxRetainedBatchCap)
-	}
-	if cap(part.keys[1]) != 64 || len(part.keys[1]) != 0 {
-		t.Fatalf("small sub-buffer not recycled in place: len %d cap %d",
-			len(part.keys[1]), cap(part.keys[1]))
 	}
 }
