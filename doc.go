@@ -13,8 +13,10 @@
 //     skip count once per Full update and slides the window in bulk.
 //   - internal/shard — the concurrent ingestion layer: shard.HHH over
 //     independently-locked core.HHH instances, fed by per-goroutine
-//     PacketBatchers that deal whole batches to whichever shard is
-//     free, with skew-corrected merged queries. This is the entry
+//     PacketBatchers that deal whole batches, each to its own
+//     allotment of shards (re-derived once per window from the
+//     producers' rates) and to whichever shard is free when those are
+//     busy, with skew-corrected merged queries. This is the entry
 //     point for multi-goroutine, line-rate use.
 //   - internal/keyidx — the flat, pointer-free key index under every
 //     hot path: slab-backed open addressing with O(1) generation-stamp

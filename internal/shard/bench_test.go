@@ -68,9 +68,12 @@ func BenchmarkHHHIngestBatched(b *testing.B) {
 
 // BenchmarkHHHIngestParallel is BenchmarkHHHIngestBatched from
 // GOMAXPROCS producers, one PacketBatcher each: the contended path,
-// where a full buffer skips to the next free shard instead of waiting.
-// CI alloc-gates it at 0 allocs/op, so dealing never allocates however
-// the producers collide.
+// where each producer deals to its own allotment of shards once the
+// first epoch (benchWindow dealt packets) has closed, and a full
+// buffer skips to the next free shard instead of waiting. CI
+// alloc-gates it at 0 allocs/op over at least two epochs, so neither
+// dealing nor re-deriving the allotments allocates however the
+// producers collide; it fails if a run that long closed fewer.
 func BenchmarkHHHIngestParallel(b *testing.B) {
 	pkts := benchPackets(1 << 20)
 	s := benchIngestHHH()
@@ -86,6 +89,12 @@ func BenchmarkHHHIngestParallel(b *testing.B) {
 		}
 		bt.Flush()
 	})
+	b.StopTimer()
+	epochs := s.dealing.epoch.Load()
+	if b.N >= 2*s.EffectiveWindow() && epochs < 2 {
+		b.Fatalf("benchmark vacuous: %d packets closed %d epochs, want at least 2", b.N, epochs)
+	}
+	b.ReportMetric(float64(epochs), "epochs")
 }
 
 // BenchmarkAuditedIngest is BenchmarkHHHIngestBatched with the

@@ -1,13 +1,15 @@
 // Sharded H-Memento: N independently-locked core.HHH instances fed
 // disjoint slices of one stream. Batches, not packets, are the unit of
-// partitioning: a staged batch goes whole to whichever shard's lock is
-// free, so ingest never hashes a packet and a second producer takes a
-// different shard instead of waiting. Every query reads the shards as
-// one estimator — prefix bounds SUM the per-shard bounds (the merge
-// the network-wide controller performs across measurement points,
-// Section 4.3) and the HHH output is computed over the union of
-// per-shard candidate sets — so nothing needs a flow to live in one
-// shard.
+// partitioning, so ingest never hashes a packet. A PacketBatcher deals
+// a staged batch whole into its own allotment of shards, re-derived
+// once per window of dealt packets from every producer's rate, so a
+// producer's shards stay in its core's cache; when they are all busy it
+// takes whichever shard's lock is free instead of waiting. Every query
+// reads the shards as one estimator — prefix bounds SUM the per-shard
+// bounds (the merge the network-wide controller performs across
+// measurement points, Section 4.3) and the HHH output is computed over
+// the union of per-shard candidate sets — so nothing needs a flow to
+// live in one shard.
 //
 // Every multi-shard read runs on the snapshot query plane: the
 // shard's queryable state is captured under exactly one lock
@@ -67,6 +69,10 @@ type HHH struct {
 	// UpdateBatch start looking for a free shard, and where each new
 	// PacketBatcher's own cursor starts.
 	next atomic.Uint64
+
+	// dealing clocks the epochs of home-first dealing and hands out
+	// the PacketBatchers' allotments.
+	dealing dealing
 
 	// queryPool recycles the working state of multi-shard reads
 	// (per-shard snapshots, skew corrections, HHH-set scratch) across
@@ -299,20 +305,27 @@ func (s *HHH) nextShard() int { return int((s.next.Add(1) - 1) % uint64(len(s.sh
 func (s *HHH) deal(ps []hierarchy.Packet, start int) int {
 	n := len(s.shards)
 	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		sl := &s.shards[i]
-		if !sl.mu.TryLock() {
-			continue
+		if i := (start + k) % n; s.tryDeal(ps, i) {
+			return i
 		}
-		sl.hh.UpdateBatch(ps)
-		sl.mu.Unlock()
-		return i
 	}
 	sl := &s.shards[start]
 	sl.mu.Lock()
 	sl.hh.UpdateBatch(ps)
 	sl.mu.Unlock()
 	return start
+}
+
+// tryDeal ingests ps into shard i if its lock is free, and reports
+// whether it did.
+func (s *HHH) tryDeal(ps []hierarchy.Packet, i int) bool {
+	sl := &s.shards[i]
+	if !sl.mu.TryLock() {
+		return false
+	}
+	sl.hh.UpdateBatch(ps)
+	sl.mu.Unlock()
+	return true
 }
 
 // lockShardRead takes one read-plane lock, feeding the test probe.
@@ -486,28 +499,121 @@ func (s *HHH) Reset() {
 
 // PacketBatcher is the per-goroutine ingestion buffer for HHH: Add
 // stages packets in one buffer with no synchronization and no hash,
-// and a full buffer is dealt whole to the first free shard from the
-// batcher's own round-robin cursor. Not safe for concurrent use; call
-// Flush before discarding.
+// and a full buffer is dealt whole to a shard. A batcher deals first
+// to its allotment, the shards the instance gave it for this epoch,
+// so its shards' state stays in its own core's cache; without one it
+// deals to the first free shard from its own round-robin cursor. Not
+// safe for concurrent use; call Flush before discarding.
 type PacketBatcher struct {
 	s    *HHH
 	buf  []hierarchy.Packet //memento:reused (N·size packets, the budget of N per-shard buffers)
-	next int                // shard the next deal starts at
+	next int                // shard the next round-robin deal starts at
 	aud  *audit.Auditor     // optional accuracy-plane tee; nil when unaudited
+
+	// Home-first dealing (DESIGN.md §4). The owner alone touches
+	// epoch, home, credit and cursor.
+	id     uint64    // creation order: where the batcher lies on the ring
+	epoch  uint64    // the epoch home is for
+	home   allotment // the shards this batcher deals to first; empty: round robin
+	credit []int64   //memento:reused per home shard: packets owed × weight sum
+	cursor int       // the home shard a tie goes to
+
+	// dealt counts the packets this batcher has dealt; the boundary
+	// reads it to measure the batcher's share of an epoch. joined,
+	// share, offer and offerEpoch are read and written under the
+	// instance's dealing.mu.
+	dealt      atomic.Uint64
+	joined     uint64    // dealt when the batcher joined the current epoch
+	share      uint64    // packets dealt in the epoch a boundary closes
+	offer      allotment // home for epoch offerEpoch, left by the boundary before it
+	offerEpoch uint64
+}
+
+// dealing is the instance side of home-first dealing (DESIGN.md §4).
+// An epoch is every global window of packets the batchers deal; at
+// each boundary the batchers that dealt in the closing epoch are laid
+// along the shard ring, in creation order, by their shares of it. dealt
+// moves on every flush, so it has a cache line to itself, away from the
+// instance fields every flush reads; the rest changes once per epoch.
+type dealing struct {
+	_     [64]byte
+	dealt atomic.Uint64 // packets dealt by PacketBatchers
+	_     [56]byte
+	epoch atomic.Uint64 // epochs begun; a batcher re-joins when it moves
+	ids   atomic.Uint64 // PacketBatchers created
+	mu    sync.Mutex
+
+	// active lists, in creation order, the batchers that dealt in the
+	// current epoch, and grain sums their buffers: a boundary falls
+	// between deals, so it measures their shares to that many packets.
+	active []*PacketBatcher //memento:reused guarded by mu
+	grain  uint64           // guarded by mu
+}
+
+// allotment is a batcher's run of shards for one epoch: the shards
+// from first on, each dealt to in proportion to its weight. Empty
+// means none: the batcher deals round robin over every shard.
+type allotment struct {
+	first  int
+	weight []int64 //memento:reused (at most N entries; capacity N from NewBatcher)
+	sum    int64   // Σ weight
+}
+
+// weightUnit is what a batcher's allotment weights sum to, up to
+// rounding: fine enough for any shard count, small enough that a
+// credit (weight × buffer) cannot overflow.
+const weightUnit = 1 << 16
+
+// lay sets a to the shards the ring interval [lo, hi) overlaps, in
+// units where a shard is width wide, each weighted by its overlap. An
+// empty interval, or the whole ring (a lone batcher), leaves a empty,
+// so a lone batcher deals round robin exactly as one without an
+// allotment does.
+func (a *allotment) lay(lo, hi, width uint64, shards int) {
+	a.reset()
+	if lo == hi || hi-lo == uint64(shards)*width {
+		return
+	}
+	for j := lo / width; j*width < hi; j++ {
+		w := int64((min(hi, (j+1)*width) - max(lo, j*width)) * weightUnit / (hi - lo))
+		if w == 0 {
+			continue // a sliver at either end of the run
+		}
+		if len(a.weight) == 0 {
+			a.first = int(j)
+		}
+		a.weight = append(a.weight, w)
+		a.sum += w
+	}
+}
+
+// reset empties a.
+func (a *allotment) reset() { a.first, a.weight, a.sum = 0, a.weight[:0], 0 }
+
+// set copies o into a.
+func (a *allotment) set(o *allotment) {
+	a.first, a.weight, a.sum = o.first, append(a.weight[:0], o.weight...), o.sum
 }
 
 // NewBatcher returns a packet ingestion buffer of N·size packets
 // flushing into s, N the shard count. size <= 0 selects
 // DefaultBatchSize. Its cursor starts where the instance's does, so
-// batchers made one after another start on different shards.
+// batchers made one after another start on different shards. It has
+// no allotment until a boundary finds it dealt in the epoch before.
 func (s *HHH) NewBatcher(size int) *PacketBatcher {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
+	n := len(s.shards)
 	return &PacketBatcher{
-		s:    s,
-		buf:  make([]hierarchy.Packet, 0, len(s.shards)*size),
-		next: s.nextShard(),
+		s:      s,
+		buf:    make([]hierarchy.Packet, 0, n*size),
+		next:   s.nextShard(),
+		id:     s.dealing.ids.Add(1),
+		epoch:  math.MaxUint64, // none yet: the first flush joins
+		home:   allotment{weight: make([]int64, 0, n)},
+		credit: make([]int64, 0, n),
+		offer:  allotment{weight: make([]int64, 0, n)},
 	}
 }
 
@@ -534,15 +640,127 @@ func (b *PacketBatcher) Add(p hierarchy.Packet) {
 	}
 }
 
-// Flush deals the staged packets to the first free shard from the
-// batcher's cursor, and moves the cursor past the shard that took
-// them.
+// Flush deals the staged packets: into the batcher's allotment if it
+// has one, else to the first free shard from its cursor, which moves
+// past the shard that took them. The flush that completes an epoch
+// derives every batcher's allotment for the next one.
 //
 //memento:noalloc
 func (b *PacketBatcher) Flush() {
 	if len(b.buf) == 0 {
 		return
 	}
-	b.next = (b.s.deal(b.buf, b.next) + 1) % len(b.s.shards)
+	s := b.s
+	if s.dealing.epoch.Load() != b.epoch {
+		b.join()
+	}
+	var i int
+	if len(b.home.weight) == 0 {
+		i = s.deal(b.buf, b.next)
+	} else {
+		i = b.dealHome()
+	}
+	b.next = (i + 1) % len(s.shards)
+	n := uint64(len(b.buf))
 	b.buf = b.buf[:0]
+	b.dealt.Add(n)
+	w := uint64(s.window)
+	if d := s.dealing.dealt.Add(n); (d-n)/w != d/w {
+		s.nextEpoch()
+	}
+}
+
+// dealHome deals the buffer within the allotment: to the home shard
+// owed the most packets for its weight (ties in turn from the cursor),
+// else to any free home shard, and only if all of them are busy by
+// deal's full cycle, which blocks last, on the preferred one.
+func (b *PacketBatcher) dealHome() int {
+	h, s := &b.home, b.s
+	n, run := int64(len(b.buf)), len(h.weight)
+	for k, w := range h.weight {
+		b.credit[k] += w * n
+	}
+	pick := b.cursor
+	for k := 1; k < run; k++ {
+		if j := (b.cursor + k) % run; b.credit[j] > b.credit[pick] {
+			pick = j
+		}
+	}
+	took := -1
+	for k := 0; k < run && took < 0; k++ {
+		if i := h.first + (pick+k)%run; s.tryDeal(b.buf, i) {
+			took = i
+		}
+	}
+	if took < 0 {
+		took = s.deal(b.buf, h.first+pick)
+	}
+	if j := took - h.first; j >= 0 && j < run {
+		b.credit[j] -= h.sum * n
+		b.cursor = (j + 1) % run
+	}
+	return took
+}
+
+// join enters the batcher in the current epoch: it takes the allotment
+// the last boundary left it, none if it did not deal in the epoch
+// before, and is listed for the next boundary.
+func (b *PacketBatcher) join() {
+	d := &b.s.dealing
+	d.mu.Lock()
+	b.epoch = d.epoch.Load()
+	if b.offerEpoch == b.epoch {
+		b.home.set(&b.offer)
+	} else {
+		b.home.reset()
+	}
+	b.credit = b.credit[:len(b.home.weight)]
+	clear(b.credit)
+	b.cursor = 0
+	b.joined = b.dealt.Load()
+	d.grain += uint64(cap(b.buf))
+	d.active = append(d.active, b)
+	for k := len(d.active) - 1; k > 0 && d.active[k-1].id > b.id; k-- {
+		d.active[k], d.active[k-1] = d.active[k-1], d.active[k]
+	}
+	d.mu.Unlock()
+}
+
+// nextEpoch closes the current epoch. It lays the batchers that dealt
+// in it along the shard ring, batcher i over [N·Sᵢ₋₁, N·Sᵢ) in shard
+// units, Sᵢ the running sum of their shares of what they dealt, so
+// every shard is owed 1/N of the traffic; leaves each its allotment
+// for the next epoch; and opens that epoch. An end of a run that lies
+// within the shares' resolution of a shard edge moves onto it, so
+// equal rates give disjoint runs wherever the boundary fell.
+func (s *HHH) nextEpoch() {
+	d := &s.dealing
+	d.mu.Lock()
+	e := d.epoch.Load() + 1
+	var total uint64
+	for _, b := range d.active {
+		b.share = b.dealt.Load() - b.joined
+		total += b.share
+	}
+	// With total 0 (batchers joined, no deal counted yet) nobody gets
+	// an allotment.
+	n := uint64(len(s.shards))
+	var at, lo uint64 // ring positions, in units where a shard is total wide
+	for _, b := range d.active {
+		if total == 0 {
+			break
+		}
+		at += n * b.share
+		hi := at
+		if edge := (at + total/2) / total * total; max(at, edge)-min(at, edge) <= n*d.grain {
+			hi = edge
+		}
+		b.offer.lay(lo, hi, total, len(s.shards))
+		b.offerEpoch = e
+		lo = hi
+	}
+	clear(d.active)
+	d.active, d.grain = d.active[:0], 0
+	d.epoch.Store(e)
+	d.mu.Unlock()
 }

@@ -236,108 +236,260 @@ func shardUpdates(s *HHH) []uint64 {
 	return out
 }
 
+// grewOn returns the one shard whose update count differs between
+// before and after, or -1 unless exactly one does.
+func grewOn(before, after []uint64) int {
+	shard := -1
+	for i := range after {
+		if after[i] != before[i] {
+			if shard >= 0 {
+				return -1
+			}
+			shard = i
+		}
+	}
+	return shard
+}
+
 // TestPacketBatcherDealsEvenly pins the window-alignment invariant of
-// dealing (DESIGN.md §4): with one batcher and no readers every
-// TryLock succeeds, so the shards take buffers strictly in turn and
-// their update counts never differ by more than one buffer — after
-// every flush a full buffer triggers, and after a final partial Flush.
+// dealing (DESIGN.md §4) with no readers, so every TryLock succeeds.
+// A lone batcher deals plain round robin over more than two epochs:
+// its allotment is the whole ring, so the shards take buffers strictly
+// in turn from its cursor and their update counts never differ by more
+// than one buffer, after every flush a full buffer triggers and after
+// a final partial Flush. Two batchers at equal rates over four shards
+// each keep to their own two shards once the first epoch has closed,
+// and the counts stay within one buffer per epoch.
 func TestPacketBatcherDealsEvenly(t *testing.T) {
 	const size = 16
-	for _, shards := range []int{1, 3, 4} {
-		s := MustNewHHH(HHHConfig{
+	newHHH := func(shards int) *HHH {
+		return MustNewHHH(HHHConfig{
 			Core: core.HHHConfig{
 				Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 64 * 5, V: 20, Seed: 31,
 			},
 			Shards: shards,
 		})
-		buffer := uint64(shards * size)
-		check := func(when string) {
-			t.Helper()
-			u := shardUpdates(s)
-			lo, hi := slices.Min(u), slices.Max(u)
-			if hi-lo > buffer {
-				t.Fatalf("shards=%d %s: per-shard updates %v differ by %d, more than one %d-packet buffer",
-					shards, when, u, hi-lo, buffer)
-			}
+	}
+	// spread fails if the shards' update counts differ by more than
+	// limit packets.
+	spread := func(s *HHH, limit uint64, when string) {
+		t.Helper()
+		u := shardUpdates(s)
+		if lo, hi := slices.Min(u), slices.Max(u); hi-lo > limit {
+			t.Fatalf("shards=%d %s: per-shard updates %v differ by %d, more than %d",
+				len(u), when, u, hi-lo, limit)
 		}
+	}
+	for _, shards := range []int{1, 3, 4} {
+		s := newHHH(shards)
+		buffer := uint64(shards * size)
 		src := rng.New(32)
 		b := s.NewBatcher(size)
-		const n = 1<<12 + 7
+		n := 3*s.EffectiveWindow() + 7
+		want, before := 0, shardUpdates(s) // the first batcher's cursor starts on shard 0
+		flushed := func(when string) {
+			t.Helper()
+			after := shardUpdates(s)
+			if got := grewOn(before, after); got != want {
+				t.Fatalf("shards=%d %s (epoch %d): buffer went to shard %d, want %d in turn",
+					shards, when, s.dealing.epoch.Load(), got, want)
+			}
+			want, before = (want+1)%shards, after
+			spread(s, buffer, when)
+		}
 		for i := 1; i <= n; i++ {
 			b.Add(hierarchy.Packet{Src: uint32(src.Intn(1 << 16))})
 			if uint64(i)%buffer == 0 {
-				check(fmt.Sprintf("after %d packets", i))
+				flushed(fmt.Sprintf("after %d packets", i))
 			}
 		}
 		b.Flush()
-		check("after the final Flush")
-		if got := s.Updates(); got != n {
+		flushed("after the final Flush")
+		if got := s.Updates(); got != uint64(n) {
 			t.Fatalf("shards=%d: Updates() = %d, want %d", shards, got, n)
+		}
+		if e := s.dealing.epoch.Load(); e < 2 {
+			t.Fatalf("shards=%d: test vacuous: %d epochs closed, want at least 2", shards, e)
+		}
+	}
+
+	const shards, producers = 4, 2
+	s := newHHH(shards)
+	buffer := uint64(shards * size)
+	src := rng.New(33)
+	var bs [producers]*PacketBatcher
+	var homes [producers]map[int]bool
+	for k := range bs {
+		bs[k], homes[k] = s.NewBatcher(size), map[int]bool{}
+	}
+	before := shardUpdates(s)
+	for i := 0; i < 4*s.EffectiveWindow(); i++ {
+		b := bs[i%producers]
+		b.Add(hierarchy.Packet{Src: uint32(src.Intn(1 << 16))})
+		if len(b.buf) > 0 {
+			continue
+		}
+		after := shardUpdates(s)
+		shard := grewOn(before, after)
+		before = after
+		if b.epoch > 0 {
+			homes[i%producers][shard] = true
+		}
+		spread(s, buffer*(producers+s.dealing.epoch.Load()), fmt.Sprintf("two batchers, after %d packets", i+1))
+	}
+	if e := s.dealing.epoch.Load(); e < 3 {
+		t.Fatalf("two batchers: test vacuous: %d epochs closed, want at least 3", e)
+	}
+	for k, home := range homes {
+		if len(home) != shards/producers {
+			t.Errorf("batcher %d dealt to shards %v after the first epoch, want %d of them", k, home, shards/producers)
+		}
+		for shard := range home {
+			if homes[1-k][shard] {
+				t.Errorf("batchers %d and %d both dealt to shard %d after the first epoch", k, 1-k, shard)
+			}
 		}
 	}
 }
 
 // TestDealtBoundsHoldOnFlood audits dealt shards against
 // internal/exact on the benchmark's kind of stream: a backbone trace
-// carrying a flood from ten /8 subnets, fed through one batcher, so
-// every flow's packets spread over all four shards. Over the last
-// window, the merged bounds widened by the merged compensation must
-// hold the exact count of every prefix at every level of the
-// hierarchy. The seeds are fixed, so the (1−δ) guarantee is a
-// deterministic check here.
+// carrying a flood from ten /8 subnets, so every flow's packets spread
+// over several of the four shards. Over the last window, the merged
+// bounds widened by the merged compensation must hold the exact count
+// of every prefix at every level of the hierarchy, and every shard
+// must have taken its W/N share of that window (the tiling of DESIGN.md
+// §4; a starved shard fails it). The producers take turns from one
+// goroutine, each adding its rate's packets per round until its stream
+// ends, so the seeds make the (1−δ) guarantee a deterministic check:
+//
+//   - one batcher, dealing round robin;
+//   - two batchers at 3:1 rates, the flood carried by the slow one
+//     alone, which is wrong by half over its shards unless the
+//     allotments follow the rates (an equal split gives it two shards
+//     whose windows span twice the global one);
+//   - two equal batchers, one stopping halfway through the stream:
+//     its shards starve until a boundary hands them to the survivor,
+//     which then carries the flood.
 func TestDealtBoundsHoldOnFlood(t *testing.T) {
 	hier := hierarchy.OneD{}
 	const window = 1 << 17
-	s := MustNewHHH(HHHConfig{
-		Core: core.HHHConfig{
-			Hierarchy: hier, Window: window, Counters: 256 * hier.H(), Seed: 41,
-		},
-		Shards: 4,
-	})
-	base := trace.MustNewGenerator(trace.Backbone, 42).Generate(2*window, nil)
-	fl, err := trace.Inject(base, trace.FloodConfig{Subnets: 10, Rate: 0.7, Start: window, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
+	type producer struct {
+		rate, length int // packets per round; length 0: the whole trace
+		flood        int // where the flood starts in its trace; 0: none
+		subnets      int // how many /8s flood
 	}
-	oracle := make([]*exact.SlidingWindow[hierarchy.Prefix], hier.H())
-	for i := range oracle {
-		oracle[i] = exact.MustNewSlidingWindow[hierarchy.Prefix](s.EffectiveWindow())
-	}
-	b := s.NewBatcher(0)
-	for _, p := range fl.Packets {
-		b.Add(p)
-		for i, o := range oracle {
-			o.Add(hier.Prefix(p, i))
-		}
-	}
-	b.Flush()
+	for _, tc := range []struct {
+		name      string
+		producers []producer
+	}{
+		{"one batcher", []producer{{rate: 1, flood: window, subnets: 10}}},
+		{"3:1, flood on the slow one", []producer{
+			{rate: 3, length: 3 * window / 2},
+			{rate: 1, length: window / 2, flood: window / 4, subnets: 2},
+		}},
+		{"one stops halfway", []producer{
+			{rate: 1, length: 5 * window / 4},
+			{rate: 1, length: 15 * window / 4, flood: 5 * window / 4, subnets: 10},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustNewHHH(HHHConfig{
+				Core: core.HHHConfig{
+					Hierarchy: hier, Window: window, Counters: 256 * hier.H(), Seed: 41,
+				},
+				Shards: 4,
+			})
+			streams := make([][]hierarchy.Packet, len(tc.producers))
+			var subnets []uint32
+			total := 0
+			for k, pr := range tc.producers {
+				base := trace.MustNewGenerator(trace.Backbone, uint64(42+2*k)).Generate(max(2*window, pr.length), nil)
+				streams[k] = base
+				if pr.flood > 0 {
+					fl, err := trace.Inject(base, trace.FloodConfig{Subnets: pr.subnets, Rate: 0.7, Start: pr.flood, Seed: 43})
+					if err != nil {
+						t.Fatal(err)
+					}
+					streams[k], subnets = fl.Packets, fl.Subnets
+				}
+				if pr.length > 0 {
+					streams[k] = streams[k][:pr.length]
+				}
+				total += len(streams[k])
+			}
+			oracle := make([]*exact.SlidingWindow[hierarchy.Prefix], hier.H())
+			for i := range oracle {
+				oracle[i] = exact.MustNewSlidingWindow[hierarchy.Prefix](s.EffectiveWindow())
+			}
+			bs := make([]*PacketBatcher, len(tc.producers))
+			for k := range bs {
+				bs[k] = s.NewBatcher(0)
+			}
+			// The oracle needs only the last window of the stream. The
+			// per-shard updates when it began are counted in packets
+			// added; the batchers' staged packets blur that line by at
+			// most a buffer each.
+			lastWindow := total - s.EffectiveWindow()
+			var atLastWindow []uint64
+			for added, pos := 0, make([]int, len(bs)); added < total; {
+				for k, b := range bs {
+					for r := 0; r < tc.producers[k].rate && pos[k] < len(streams[k]); r++ {
+						if added == lastWindow {
+							atLastWindow = shardUpdates(s)
+						}
+						p := streams[k][pos[k]]
+						b.Add(p)
+						if added >= lastWindow {
+							for i, o := range oracle {
+								o.Add(hier.Prefix(p, i))
+							}
+						}
+						pos[k]++
+						added++
+					}
+				}
+			}
+			for _, b := range bs {
+				b.Flush()
+			}
 
-	comp := s.Compensation()
-	checked, binding := 0, 0
-	for _, o := range oracle {
-		o.Each(func(p hierarchy.Prefix, c int) bool {
-			upper, lower := s.QueryBounds(p)
-			if n := float64(c); n > upper+comp || n < lower-comp {
-				t.Errorf("%v: exact %d outside [%.0f, %.0f] (bounds ± compensation %.0f)",
-					p, c, lower-comp, upper+comp, comp)
+			comp := s.Compensation()
+			checked, binding := 0, 0
+			for _, o := range oracle {
+				o.Each(func(p hierarchy.Prefix, c int) bool {
+					upper, lower := s.QueryBounds(p)
+					if n := float64(c); n > upper+comp || n < lower-comp {
+						t.Errorf("%v: exact %d outside [%.0f, %.0f] (bounds ± compensation %.0f)",
+							p, c, lower-comp, upper+comp, comp)
+					}
+					checked++
+					if lower-comp > 0 {
+						binding++
+					}
+					return true
+				})
 			}
-			checked++
-			if lower-comp > 0 {
-				binding++
+			// The lower side must bind somewhere, or the check is only
+			// the one-sided overshoot; the flood subnets are what make
+			// it bind.
+			for _, subnet := range subnets {
+				if upper, lower := s.QueryBounds(hierarchy.Prefix{Src: subnet, SrcLen: 1}); lower-comp <= 0 {
+					t.Errorf("flood subnet %v: lower bound %.0f does not clear the compensation %.0f (upper %.0f)",
+						hierarchy.Prefix{Src: subnet, SrcLen: 1}, lower, comp, upper)
+				}
 			}
-			return true
+			if checked == 0 || binding < len(subnets) {
+				t.Fatalf("test vacuous: %d prefixes checked, %d with a binding lower bound", checked, binding)
+			}
+			share := float64(s.EffectiveWindow() / s.Shards())
+			slack := float64(2 * len(bs) * s.Shards() * DefaultBatchSize)
+			for i, u := range shardUpdates(s) {
+				if got := float64(u - atLastWindow[i]); math.Abs(got-share) > slack {
+					t.Errorf("shard %d took %.0f packets of the last window, want %.0f ± %.0f", i, got, share, slack)
+				}
+			}
 		})
-	}
-	// The lower side must bind somewhere, or the check is only the
-	// one-sided overshoot; the flood subnets are what make it bind.
-	for _, subnet := range fl.Subnets {
-		if upper, lower := s.QueryBounds(hierarchy.Prefix{Src: subnet, SrcLen: 1}); lower-comp <= 0 {
-			t.Errorf("flood subnet %v: lower bound %.0f does not clear the compensation %.0f (upper %.0f)",
-				hierarchy.Prefix{Src: subnet, SrcLen: 1}, lower, comp, upper)
-		}
-	}
-	if checked == 0 || binding < len(fl.Subnets) {
-		t.Fatalf("test vacuous: %d prefixes checked, %d with a binding lower bound", checked, binding)
 	}
 }
 

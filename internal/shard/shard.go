@@ -11,20 +11,28 @@
 // each of N shards maintains a sliding window of W/N of *its*
 // substream — which, when every shard receives 1/N of the traffic,
 // spans approximately the last W packets of the global stream — and
-// queries merge across shards. Ingest deals whole batches: a staged
-// batch goes to the first shard whose lock is free, so ingest hashes
-// nothing and producers do not queue behind each other. Queries read
+// queries merge across shards. Ingest deals whole batches, so it
+// hashes nothing. Each producer's PacketBatcher deals first to its own
+// allotment, a run of shards the instance re-derives once per epoch
+// (every W packets dealt) from the producers' shares of the last one,
+// laid along the shard ring so that every shard is owed 1/N of the
+// traffic. A producer's shards thus stay in its own core's cache, the
+// way each measurement point of Section 4.3 keeps its own sketch. A
+// lone producer's allotment is every shard, dealt in turn. When all
+// its shards are busy, a batch goes to the first shard whose lock is
+// free, so producers do not queue behind each other. Queries read
 // every shard anyway (a prefix aggregates many flows), so a flow may
 // span all of them.
 //
 // The split is not always exactly even: a flush that skipped a busy
-// shard gives one shard more than 1/N of the stream, and its
-// fixed-size window then spans *fewer* global packets, deflating raw
-// estimates. Queries therefore apply a skew correction (scaleFrom):
-// each shard's estimate is rescaled by the share of traffic that shard
-// received, which is exactly 1 for equal shares and restores the
-// global-window interpretation otherwise, assuming the shard's mix is
-// stationary across its window.
+// shard, or a producer whose rate changed since the last epoch, gives
+// one shard more than 1/N of the stream, and its fixed-size window
+// then spans *fewer* global packets, deflating raw estimates. Queries
+// therefore apply a skew correction (scaleFrom): each shard's estimate
+// is rescaled by the share of traffic that shard received, which is
+// exactly 1 for equal shares and restores the global-window
+// interpretation otherwise, assuming the shard's mix is stationary
+// across its window. DESIGN.md §4 bounds what it does not absorb.
 //
 // Two mechanisms amortize synchronization:
 //
