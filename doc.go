@@ -18,13 +18,15 @@
 //     producers' rates) and to whichever shard is free when those are
 //     busy, with skew-corrected merged queries. This is the entry
 //     point for multi-goroutine, line-rate use.
-//   - internal/keyidx — the flat, pointer-free key index under every
-//     hot path: slab-backed open addressing with O(1) generation-stamp
-//     Flush and a caller-supplied hasher, shared so that a sketch
-//     hashes each key once for all its indexes. The Space Saving index,
-//     the Memento overflow table and all query scratch sets run on it,
-//     which is what makes the per-packet Update path allocation-free
-//     end to end (CI gates on 0 allocs/op).
+//   - internal/keyidx — the flat, pointer-free key tables under the
+//     hot paths: slab-backed open addressing with a caller-supplied
+//     hasher, shared so that a sketch hashes each key once for all its
+//     indexes. The Memento overflow table runs on its Counts, which
+//     journals its mutations so a query's capture replays only what
+//     changed; the query scratch sets run on its Index, with O(1)
+//     generation-stamp Flush. Together with Space Saving's own packed
+//     position index, they make the per-packet Update path
+//     allocation-free end to end (CI gates on 0 allocs/op).
 //   - internal/codec — the durable plane: a versioned, fuzz-hardened
 //     binary format for full sketch state. core snapshots encode
 //     (AppendTo, 0 allocs/op) and decode (strict validation, typed

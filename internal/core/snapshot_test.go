@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -151,6 +152,43 @@ func TestSnapshotMatchesLive(t *testing.T) {
 					t.Fatalf("SnapshotInto: Slot(%d) = %+v, live %+v", i, got, want)
 				}
 			}
+
+			// Capturing again into the used snapshot catches B up from its
+			// journal. After a burst that overflows and forgets, the result
+			// must be the capture a zero snapshot takes, slab for slab — and
+			// so after Reset and RestoreFrom too, where only a full copy can
+			// be right (the journal records no Flush).
+			recapture := func(stage string, burst int) {
+				t.Helper()
+				s.SnapshotInto(&snap)
+				before := s.OverflowEntries()
+				for i := 0; i < burst; i++ {
+					s.Update(uint64(src.Intn(10)))
+				}
+				if burst > 0 && s.OverflowEntries() == before {
+					t.Fatalf("%s: test vacuous: the burst left B at %d entries", stage, before)
+				}
+				s.SnapshotInto(&snap)
+				var fresh Snapshot[uint64]
+				s.SnapshotInto(&fresh)
+				if got, want := fmt.Sprintf("%+v", snap.table), fmt.Sprintf("%+v", fresh.table); got != want {
+					t.Fatalf("%s: re-capture diverges from a fresh one:\n got %s\nwant %s", stage, got, want)
+				}
+				if got, want := readTable(&snap, keys), readTable(s, keys); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: re-capture diverges from the live sketch:\n got %+v\nwant %+v", stage, got, want)
+				}
+			}
+			recapture("burst", 512)
+			s.SnapshotInto(&snap)
+			s.Reset()
+			recapture("reset", 0)
+			recapture("reset+burst", 512)
+			s.SnapshotInto(&snap)
+			if err := s.RestoreFrom(&cp); err != nil {
+				t.Fatal(err)
+			}
+			recapture("restore", 0)
+			recapture("restore+burst", 512)
 		})
 	}
 }

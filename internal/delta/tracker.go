@@ -67,12 +67,15 @@ type TrackerConfig struct {
 }
 
 // slotShadow is what the encoder knows about the key in one Space
-// Saving slot. Shipped: the follower holds this counter and this
-// overflow-table value for it. Held: the key was kept local — below
-// the fidelity floor and absent from the overflow table, which stays
-// true until the overflow log names the key, so the next diff need not
-// probe the table again while the slot keeps its key. The zero value
-// knows nothing.
+// Saving slot: either it was shipped — the follower holds this counter
+// and this overflow-table value for it — or, as the zero value,
+// nothing. A key kept local (below the fidelity floor and absent from
+// the overflow table) leaves no trace, so the next diff that finds its
+// slot marked probes the overflow table for it again. Remembering such
+// keys would not pay: on a flood nearly every marked unshipped slot has
+// been re-keyed by an eviction since the previous diff (on the
+// fleet-delta-flood agent geometry, ≈ 20 of the ≈ 1 750 unshipped
+// slots a diff probes still hold the key they held at the last one).
 type slotShadow struct {
 	key        hierarchy.Prefix
 	count, err uint64

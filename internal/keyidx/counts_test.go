@@ -2,6 +2,7 @@ package keyidx
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"memento/internal/rng"
@@ -321,6 +322,124 @@ func TestCountsCopyIsIndependent(t *testing.T) {
 	}
 }
 
+// sameSlabs fails unless got holds want's entries and buckets element
+// for element: the same answers, sweep order and probe layout.
+func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
+	t.Helper()
+	if !slices.Equal(got.entries, want.entries) {
+		t.Fatalf("%s: entries %v, source %v", tag, got.entries, want.entries)
+	}
+	if !slices.Equal(got.buckets, want.buckets) {
+		t.Fatalf("%s: buckets %v, source %v", tag, got.buckets, want.buckets)
+	}
+}
+
+// TestCountsJournalReplay drives random Inc/Dec/Put/Delete/Flush
+// sequences, growing past the reserve, into a source and three
+// destinations that copy from it at different rates: often, now and
+// then, and so rarely that the 64-op journal has moved past them. One
+// destination is sometimes written to between copies, which must cost
+// it its replay. After every CopyInto the destination's slabs equal the
+// source's element for element, whichever path it took, and both paths
+// must have run.
+func TestCountsJournalReplay(t *testing.T) {
+	for _, hash := range []func(uint64) uint64{collide, nil} {
+		for _, seed := range []uint64{1, 2, 3, 99, 1234567} {
+			src := rng.New(seed)
+			c := MustNewCounts[uint64](27, hash)
+			if len(c.log.ops) != 64 {
+				t.Fatalf("journal holds %d ops, want 64", len(c.log.ops))
+			}
+			var dsts [3]Counts[uint64]
+			every := [3]int{4, 24, 200}
+			replays, full := 0, 0
+			for op := 0; op < 30000; op++ {
+				k := uint64(src.Intn(128))
+				switch src.Intn(20) {
+				case 0, 1, 2:
+					c.Put(k, int32(1+src.Intn(1000)))
+				case 3, 4, 5:
+					c.DeleteH(k, c.Hash(k))
+				case 6, 7, 8, 9, 10, 11:
+					c.Inc(k, int32(1+src.Intn(3)))
+				case 12, 13, 14, 15, 16, 17:
+					c.Dec(k)
+				case 18:
+					if src.Intn(50) == 0 {
+						c.Flush()
+					}
+				case 19:
+					if src.Intn(10) == 0 {
+						dsts[1].Put(k, 7) // a written copy must not be replayed onto
+					}
+				}
+				for i := range dsts {
+					if src.Intn(every[i]) != 0 {
+						continue
+					}
+					d := &dsts[i]
+					if d.from == c.log.id && c.log.seq-d.at <= uint64(len(c.log.ops)) {
+						replays++
+					} else {
+						full++
+					}
+					c.CopyInto(d)
+					sameSlabs(t, "destination", d, c)
+				}
+			}
+			if len(c.buckets) == 54 {
+				t.Fatalf("seed %d: never grew past the reserve", seed)
+			}
+			if replays == 0 || full == 0 {
+				t.Fatalf("seed %d: %d replays, %d full copies: a path never ran", seed, replays, full)
+			}
+		}
+	}
+}
+
+// TestCountsValueCopyLeavesJournal: a Counts copied by assignment
+// shares the original's journal pointer but never writes to it — it
+// stops journaling and copies out in full — while the original keeps
+// journaling and its destinations keep replaying.
+func TestCountsValueCopyLeavesJournal(t *testing.T) {
+	c := MustNewCounts[uint64](64, nil)
+	for k := uint64(0); k < 40; k++ {
+		c.Inc(k, 2)
+	}
+	var d Counts[uint64]
+	c.CopyInto(&d)
+	id, seq, ring := c.log.id, c.log.seq, slices.Clone(c.log.ops)
+
+	cp := *c
+	cp.entries, cp.buckets = slices.Clone(c.entries), slices.Clone(c.buckets) // own slabs, shared journal
+	cp.Inc(999, 1)
+	cp.Dec(3)
+	cp.DeleteH(4, cp.Hash(4))
+	cp.Put(5, 9)
+	cp.Flush()
+	cp.Inc(6, 1)
+	if c.log.id != id || c.log.seq != seq || !slices.Equal(c.log.ops, ring) {
+		t.Fatal("the copy wrote into the original's journal")
+	}
+	if cp.log != nil {
+		t.Fatal("the copy still holds the original's journal")
+	}
+	var e Counts[uint64]
+	cp.CopyInto(&e)
+	sameSlabs(t, "copy's destination", &e, &cp)
+	if e.from != 0 {
+		t.Fatal("a destination of an unjournaled table is marked replayable")
+	}
+
+	c.Inc(7, 1)
+	c.Dec(8)
+	c.CopyInto(&d) // replays the original's two ops
+	if d.from != id || d.at != seq+2 {
+		t.Fatalf("destination at (%d, %d), want (%d, %d)", d.from, d.at, id, seq+2)
+	}
+	sameSlabs(t, "original's destination", &d, c)
+}
+
 // TestCountsZeroAllocSteadyState: no operation within the reserved
 // capacity allocates, and neither does a repeated CopyInto.
 func TestCountsZeroAllocSteadyState(t *testing.T) {
@@ -359,44 +478,55 @@ func hashPrefixLike(p prefixLike) uint64 {
 
 // BenchmarkCopyRange is one shard's share of a dev2d-query capture and
 // sweep at the table level: copy a table of 28 000 prefix-sized keys
-// (reserved for 40 000, as H·k sizes it) and read every count. "index"
-// is the slot layout B used before Counts, at the 65 536 slots it had
-// grown to by then.
+// (reserved for 40 000, as H·k sizes it) and read every count. "full"
+// copies both slabs every time, the fallback when the journal cannot
+// serve; "replay" catches one destination up after 25 overflow/forget
+// pairs, a shard's churn between two dev2d-query queries.
 func BenchmarkCopyRange(b *testing.B) {
 	const live, reserve = 28000, 40000
 	key := func(i int) prefixLike {
 		return prefixLike{src: uint32(i) * 2654435761, dst: uint32(i) << 8, srcLen: 4, dstLen: uint8(i % 5)}
 	}
-	b.Run("counts", func(b *testing.B) {
+	fill := func() *Counts[prefixLike] {
 		c := MustNewCounts(reserve, hashPrefixLike)
 		for i := 0; i < live; i++ {
 			c.Inc(key(i), int32(1+i%7))
 		}
+		return c
+	}
+	sweep := func(snap *Counts[prefixLike]) (sum int64) {
+		for _, e := range snap.Entries() {
+			sum += int64(e.Val)
+		}
+		return sum
+	}
+	b.Run("full", func(b *testing.B) {
+		c := fill()
 		var snap Counts[prefixLike]
 		var sum int64
 		b.ReportAllocs()
 		for b.Loop() {
+			snap.from = 0 // as if mutated: no replay
 			c.CopyInto(&snap)
-			for _, e := range snap.Entries() {
-				sum += int64(e.Val)
-			}
+			sum += sweep(&snap)
 		}
 		_ = sum
 	})
-	b.Run("index", func(b *testing.B) {
-		x := MustNew(live, hashPrefixLike)
-		for i := 0; i < live; i++ {
-			x.Inc(key(i), int32(1+i%7))
-		}
-		var snap Index[prefixLike]
+	b.Run("replay", func(b *testing.B) {
+		c := fill()
+		var snap Counts[prefixLike]
+		c.CopyInto(&snap)
 		var sum int64
 		b.ReportAllocs()
+		i := 0
 		for b.Loop() {
-			x.CopyInto(&snap)
-			snap.Iterate(func(_ prefixLike, v int32) bool {
-				sum += int64(v)
-				return true
-			})
+			for range 25 {
+				c.Inc(key(i%live), 1)
+				c.Dec(key(i % live))
+				i += 7
+			}
+			c.CopyInto(&snap)
+			sum += sweep(&snap)
 		}
 		_ = sum
 	})

@@ -16,21 +16,24 @@
 // probing, and write-barrier bookkeeping. The two types split those
 // jobs by what each is asked to do most:
 //
-//   - Index maps keys to int32 slot numbers in one slab of {hash, key,
-//     value, generation} slots. A lookup touches one slot, and Flush is
-//     O(1): emptying the index bumps the live generation, which Space
-//     Saving exploits at every frame boundary (the seed's map-based
-//     Flush was O(k)). It serves Space Saving's position index and the
-//     query planes' dedup and scratch sets, which are probed and flushed
-//     far more often than they are copied or walked.
+//   - Index maps keys to int32 values in one slab of {hash, key, value,
+//     generation} slots. A lookup touches one slot, and Flush is O(1):
+//     emptying the index bumps the live generation. It serves the
+//     scratch sets — query dedup, the delta encoder's overflow-log
+//     tally, Space Saving's Merge — which are probed and flushed far
+//     more often than they are walked, and never copied. (Space
+//     Saving's position index is a packed fingerprint table of its
+//     own, with the key kept only in the counter slab.)
 //   - Counts maps keys to positive counts and keeps the live entries
 //     packed: a dense {key, count} slab behind a bucket array of int32
 //     positions. It is the overflow table B, which every query copies
-//     under a shard lock and then reads end to end: the copy moves one
-//     entry per key held plus four bytes per bucket, and the sweep is a
-//     range over the slab. It stores no hash (rehashing from the key on
-//     delete and growth only) and has no generations (B is flushed only
-//     by Reset).
+//     under a shard lock and then reads end to end. A Counts journals
+//     its mutations, so a copy into the destination it copied into
+//     last replays the few that happened since; a full copy moves one
+//     entry per key held plus four bytes per bucket. The sweep is a
+//     range over the slab. It stores no hash (rehashing from the key
+//     on delete and growth only) and has no generations (B is flushed
+//     only by Reset).
 //
 // Instances are not safe for concurrent use, matching the
 // single-writer design of the structures they index.
@@ -192,31 +195,6 @@ func (x *Index[K]) Flush() {
 		}
 		x.live = 1
 	}
-}
-
-// CopyInto overwrites dst with a point-in-time copy of x, reusing
-// dst's slot slab when it is large enough. The copy is a straight
-// memmove of the flat slabs — no per-entry work — which is what makes
-// it cheap enough to run under a shard lock: the snapshot query plane
-// (internal/shard) captures each shard's Space Saving index this way
-// once per query and then reads the copy lock-free. dst may be a zero
-// Index; after CopyInto it answers Get/GetH/Iterate/Len exactly like
-// x did at copy time. Writing to a copy is allowed but pointless (it
-// shares nothing with x).
-func (x *Index[K]) CopyInto(dst *Index[K]) {
-	if cap(dst.slots) < len(x.slots) {
-		//memento:allow alloc "snapshot slab grows to the live table's footprint once; reused across captures"
-		dst.slots = make([]slot[K], len(x.slots))
-	} else {
-		dst.slots = dst.slots[:len(x.slots)]
-	}
-	copy(dst.slots, x.slots)
-	dst.mask = x.mask
-	dst.shift = x.shift
-	dst.live = x.live
-	dst.n = x.n
-	dst.hash = x.hash
-	dst.seed = x.seed
 }
 
 // Get returns the value stored for key.

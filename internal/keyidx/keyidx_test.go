@@ -293,56 +293,3 @@ func BenchmarkGetHitMulHash(b *testing.B) {
 		x.Get(uint64(i) & 1023)
 	}
 }
-
-// TestCopyIntoMatchesSource pins the snapshot primitive: a copy
-// answers exactly like the source at copy time, stays valid after the
-// source mutates, and reuses its slab across repeated copies.
-func TestCopyIntoMatchesSource(t *testing.T) {
-	src := rng.New(21)
-	x := MustNew[uint64](64, nil)
-	o := oracle{}
-	for op := 0; op < 500; op++ {
-		k := uint64(src.Intn(128))
-		v := int32(src.Intn(1000))
-		x.Put(k, v)
-		o[k] = v
-		if src.Intn(8) == 0 {
-			x.Delete(k)
-			delete(o, k)
-		}
-	}
-
-	var snap Index[uint64] // zero value: CopyInto must make it usable
-	x.CopyInto(&snap)
-	checkAgainst(t, &snap, o)
-
-	// Mutating the source must not disturb the copy (and vice versa).
-	frozen := oracle{}
-	for k, v := range o {
-		frozen[k] = v
-	}
-	for op := 0; op < 500; op++ {
-		x.Put(uint64(src.Intn(128)), int32(op))
-	}
-	x.Flush()
-	checkAgainst(t, &snap, frozen)
-	snap.Put(999, 1)
-	if _, ok := x.Get(999); ok {
-		t.Fatal("writing to the copy leaked into the source")
-	}
-}
-
-// TestCopyIntoReusesSlab asserts steady-state CopyInto allocates
-// nothing once the destination slab fits the source.
-func TestCopyIntoReusesSlab(t *testing.T) {
-	x := MustNew[uint64](64, nil)
-	for k := uint64(0); k < 60; k++ {
-		x.Put(k, int32(k))
-	}
-	var snap Index[uint64]
-	x.CopyInto(&snap) // first copy sizes the slab
-	allocs := testing.AllocsPerRun(100, func() { x.CopyInto(&snap) })
-	if allocs != 0 {
-		t.Fatalf("steady-state CopyInto allocs/op = %v, want 0", allocs)
-	}
-}

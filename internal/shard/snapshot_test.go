@@ -269,3 +269,69 @@ func TestReadPlaneUnderIngestion(t *testing.T) {
 		t.Fatalf("hh.Updates() = %d, want %d", got, writers*perWriter)
 	}
 }
+
+// overflowSweep is a snapshot's overflow table in sweep order.
+func overflowSweep(snap *core.HHHSnapshot) []core.Item[hierarchy.Prefix] {
+	var out []core.Item[hierarchy.Prefix]
+	snap.Sketch().Overflowed(func(p hierarchy.Prefix, n int32) bool {
+		out = append(out, core.Item[hierarchy.Prefix]{Key: p, Estimate: float64(n)})
+		return true
+	})
+	return out
+}
+
+// TestOutputWarmQueryMatchesCold: a pooled query re-captures each shard
+// into the snapshots it captured last time, which catches the overflow
+// tables up from their journals (or copies them in full when a burst
+// has outrun the journal). After random ingest between queries, OutputTo
+// through the warm query must equal the output of a never-used one, and
+// each shard's overflow table must sweep in the same order.
+func TestOutputWarmQueryMatchesCold(t *testing.T) {
+	s := hammerHHH2D(t, 31)
+	src := rng.New(32)
+	b := s.NewBatcher(64)
+	warm := s.getQuery()
+	reported := 0
+	for round := 0; round < 24; round++ {
+		for i, n := 0, 1+src.Intn(1<<src.Intn(14)); i < n; i++ {
+			p := hierarchy.Packet{
+				Src: hierarchy.IPv4(10+byte(src.Intn(3)), byte(src.Intn(2)), byte(src.Intn(4)), byte(src.Intn(8))),
+				Dst: hierarchy.IPv4(20+byte(src.Intn(3)), byte(src.Intn(2)), byte(src.Intn(2)), byte(src.Intn(8))),
+			}
+			if src.Intn(3) == 0 {
+				p.Src = hierarchy.IPv4(10, 1, 1, byte(src.Intn(2)))
+			}
+			b.Add(p)
+		}
+		b.Flush()
+		got := s.OutputTo(0.1, nil) // through the pooled query kept warm since round 0
+		s.snapshotAll(warm)
+		cold := s.queryPool.New().(*hhhQuery)
+		s.snapshotAll(cold)
+		want := cold.m.Output(s.hier, cold.views, 0.1, nil)
+		reported += len(want)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: warm output has %d entries, cold %d:\n%v\n%v", round, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: entry %d warm %+v, cold %+v", round, i, got[i], want[i])
+			}
+		}
+		for i := range cold.shards {
+			w, c := overflowSweep(&warm.shards[i]), overflowSweep(&cold.shards[i])
+			if len(w) != len(c) {
+				t.Fatalf("round %d shard %d: warm overflow table holds %d entries, cold %d", round, i, len(w), len(c))
+			}
+			for j := range c {
+				if w[j] != c[j] {
+					t.Fatalf("round %d shard %d: sweep position %d warm %+v, cold %+v", round, i, j, w[j], c[j])
+				}
+			}
+		}
+	}
+	s.putQuery(warm)
+	if reported == 0 {
+		t.Fatal("test vacuous: no round reported a heavy prefix")
+	}
+}

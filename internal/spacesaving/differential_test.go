@@ -8,8 +8,8 @@ import (
 
 // mapSketch is the seed implementation's Space Saving: identical
 // stream-summary bucket logic, but with the key index held in a Go
-// map. It serves as the differential oracle for the keyidx-backed
-// Sketch — the index swap must not change any observable output,
+// map. It serves as the differential oracle for the Sketch's flat
+// position index — the index swap must not change any observable output,
 // because eviction order depends only on the bucket lists.
 type mapSketch[K comparable] struct {
 	counters []mapCounter[K]
@@ -213,7 +213,7 @@ func (s *mapSketch[K]) entries() []Counter[K] {
 }
 
 // TestDifferentialKeyidxVsMap feeds identical skewed streams (fixed
-// seed) through the keyidx-backed Sketch and the map-indexed seed
+// seed) through the flat-indexed Sketch and the map-indexed seed
 // implementation, interleaving flushes, and requires exact agreement:
 // same returned count per Add, same Min, same per-key bounds, same
 // Entries sequence. Returned Add counts increasing by exactly 1 per

@@ -16,17 +16,20 @@
 //
 // The implementation is slab-backed and allocation-free after
 // construction: counters and buckets live in fixed arrays linked by
-// int32 indices, and the key→counter index is a keyidx.Index — a flat
-// open-addressing table instead of a Go map — so updates touch no
-// pointers the GC cares about and Flush is O(1) via generation stamps,
-// which Memento exploits at every frame boundary. Instances are not
-// safe for concurrent use.
+// int32 indices, so updates touch no pointers the GC cares about. The
+// key→counter index is a packed open-addressing table of 8-byte
+// {fingerprint, slot} buckets over the counter slab: the key lives only
+// in its counter, which also caches the fingerprint, so an eviction
+// finds the outgoing key's bucket without re-hashing it, a capture
+// copies 8 bytes per bucket, and Flush — once per Memento frame —
+// clears about 16·k bytes. Instances are not safe for concurrent use.
 package spacesaving
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"memento/internal/keyidx"
@@ -35,10 +38,20 @@ import (
 
 const nilIdx = int32(-1)
 
+// fibMul spreads a caller hash before its high word becomes the
+// fingerprint: the golden-ratio multiplier internal/keyidx uses, so the
+// bucket a key homes to is the top bits of h·fibMul as there.
+const fibMul = 0x9e3779b97f4a7c15
+
+// fingerprint is the 32-bit value a key's hash h is indexed under: the
+// high word of h·fibMul. Its top bits pick the home bucket.
+func fingerprint(h uint64) uint32 { return uint32((h * fibMul) >> 32) }
+
 // counter is one monitored (key, count) pair. Counters with equal
 // counts are chained into the doubly linked list of their bucket.
 type counter[K comparable] struct {
 	key        K
+	fp         uint32 // fingerprint of key (in the padding after a 12-byte key)
 	err        uint64 // value of the evicted minimum when (re)allocated
 	prev, next int32  // neighbours within the bucket's counter list
 	bucket     int32  // owning bucket slab index
@@ -53,16 +66,29 @@ type bucket struct {
 	prev, next int32 // neighbouring buckets (ascending by count)
 }
 
+// posBucket is one position-index bucket: the fingerprint of the key
+// monitored in counter slot-1, or slot 0 for an empty bucket.
+type posBucket struct {
+	fp   uint32
+	slot int32
+}
+
 // Sketch is a Space Saving instance with a fixed number of counters.
 // Construct with New or NewWithHash.
 type Sketch[K comparable] struct {
-	counters []counter[K]
-	buckets  []bucket
-	idx      *keyidx.Index[K]
-	headB    int32 // min bucket, nilIdx when empty
-	freeB    int32 // bucket free list head
-	used     int32 // counters in use (monotone until Flush)
+	counters []counter[K] //memento:reused (k counters from construction; a capture destination sizes once)
+	buckets  []bucket     //memento:reused (k+2 buckets from construction; a capture destination sizes once)
+	headB    int32        // min bucket, nilIdx when empty
+	freeB    int32        // bucket free list head
+	used     int32        // counters in use (monotone until Flush)
 	items    uint64
+
+	// pos is the position index: a power-of-two array of at least 2k
+	// buckets (load ≤ ½), linear probe, backward-shift delete; a key
+	// homes at the top bits of its fingerprint, pos[fp>>shift].
+	pos   []posBucket //memento:reused (sized at construction; a capture destination sizes once)
+	shift uint
+	hash  func(K) uint64
 
 	// Merge scratch, lazily sized on first Merge and reused after.
 	mergeBuf []mergeEntry[K]
@@ -97,7 +123,8 @@ func New[K comparable](k int) (*Sketch[K], error) { return NewWithHash[K](k, nil
 // NewWithHash is New with a caller-supplied key hash for the internal
 // index. Layers that already hash every key (internal/shard partitions
 // by hash) pass the same function here so one hash computation serves
-// both, via AddHashed. hash may be nil, selecting the default.
+// both, via AddHashed. hash may be nil, selecting
+// keyidx.DefaultHasher.
 func NewWithHash[K comparable](k int, hash func(K) uint64) (*Sketch[K], error) {
 	if k <= 0 {
 		return nil, errors.New("spacesaving: capacity must be positive")
@@ -106,14 +133,16 @@ func NewWithHash[K comparable](k int, hash func(K) uint64) (*Sketch[K], error) {
 	if k > maxK {
 		return nil, fmt.Errorf("spacesaving: capacity %d exceeds maximum %d", k, maxK)
 	}
-	idx, err := keyidx.New[K](k, hash)
-	if err != nil {
-		return nil, err
+	if hash == nil {
+		hash = keyidx.DefaultHasher[K]()
 	}
+	logN := max(3, bits.Len(uint(2*k-1))) // at least 2k index buckets, at least 8
 	s := &Sketch[K]{
 		counters: make([]counter[K], k),
 		buckets:  make([]bucket, k+2),
-		idx:      idx,
+		pos:      make([]posBucket, 1<<logN),
+		shift:    uint(32 - logN),
+		hash:     hash,
 	}
 	s.reset()
 	return s, nil
@@ -121,7 +150,7 @@ func NewWithHash[K comparable](k int, hash func(K) uint64) (*Sketch[K], error) {
 
 // Hash returns the sketch's hash of key, for callers feeding the
 // hashed fast paths.
-func (s *Sketch[K]) Hash(key K) uint64 { return s.idx.Hash(key) }
+func (s *Sketch[K]) Hash(key K) uint64 { return s.hash(key) }
 
 // MustNew is New for statically valid capacities; it panics on error.
 func MustNew[K comparable](k int) *Sketch[K] {
@@ -154,13 +183,67 @@ func (s *Sketch[K]) Len() int { return int(s.used) }
 func (s *Sketch[K]) Items() uint64 { return s.items }
 
 // Flush empties the sketch, retaining and reusing all memory. It is
-// O(k) in the slab bookkeeping but the key index clears in O(1) via
-// its generation stamp.
+// O(k): the slab bookkeeping and one clear of the position index.
 //
 //memento:noalloc
 func (s *Sketch[K]) Flush() {
-	s.idx.Flush()
+	clear(s.pos)
 	s.reset()
+}
+
+// find probes the position index for key, whose hash has fingerprint
+// fp: the bucket holding it, or the empty one ending its probe run, and
+// its counter slot, nilIdx if key is not monitored.
+func (s *Sketch[K]) find(key K, fp uint32) (i uint32, ci int32) {
+	mask := uint32(len(s.pos) - 1)
+	for i = fp >> s.shift; ; i = (i + 1) & mask {
+		b := s.pos[i]
+		if b.slot == 0 {
+			return i, nilIdx
+		}
+		if b.fp == fp && s.counters[b.slot-1].key == key {
+			return i, b.slot - 1
+		}
+	}
+}
+
+// lookup returns the slot monitoring key (hash h), nilIdx if none.
+func (s *Sketch[K]) lookup(key K, h uint64) int32 {
+	_, ci := s.find(key, fingerprint(h))
+	return ci
+}
+
+// index points a bucket at counter ci, whose key has fingerprint fp and
+// is not indexed yet.
+func (s *Sketch[K]) index(ci int32, fp uint32) {
+	mask := uint32(len(s.pos) - 1)
+	i := fp >> s.shift
+	for s.pos[i].slot != 0 {
+		i = (i + 1) & mask
+	}
+	s.pos[i] = posBucket{fp: fp, slot: ci + 1}
+}
+
+// unindex removes counter ci's bucket, found from the fingerprint the
+// counter caches rather than by re-hashing its key. The probe run is
+// closed by backward shift, so no tombstones are needed: each following
+// bucket moves into the hole unless it already sits at (or probes no
+// further than) its home.
+func (s *Sketch[K]) unindex(ci int32) {
+	mask := uint32(len(s.pos) - 1)
+	i := s.counters[ci].fp >> s.shift
+	for s.pos[i].slot != ci+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.pos[j].slot != 0; j = (j + 1) & mask {
+		// Entries whose home lies after i stay put, but the scan goes
+		// on: the run can still hold movable entries.
+		if (j-s.pos[j].fp>>s.shift)&mask >= (j-i)&mask {
+			s.pos[i] = s.pos[j]
+			i = j
+		}
+	}
+	s.pos[i] = posBucket{}
 }
 
 // allocBucket takes a bucket from the free list.
@@ -253,7 +336,7 @@ func (s *Sketch[K]) increment(ci int32) uint64 {
 // resident key, which Memento's overflow detection relies on.
 //
 //memento:noalloc
-func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.idx.Hash(key)) }
+func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.hash(key)) }
 
 // AddHashed is Add with a caller-computed hash (which must equal
 // Hash(key)); callers that already hashed the key for routing avoid a
@@ -262,7 +345,9 @@ func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.idx.Hash(key))
 //memento:noalloc
 func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 	s.items++
-	if ci, ok := s.idx.GetH(key, h); ok {
+	fp := fingerprint(h)
+	i, ci := s.find(key, fp)
+	if ci >= 0 {
 		s.mark(ci)
 		return s.increment(ci)
 	}
@@ -272,6 +357,7 @@ func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 		s.mark(ci)
 		c := &s.counters[ci]
 		c.key = key
+		c.fp = fp
 		c.err = 0
 		// The count-1 bucket is the head bucket or a new head.
 		if s.headB != nilIdx && s.buckets[s.headB].count == 1 {
@@ -286,21 +372,22 @@ func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 			s.headB = bi
 			s.attach(ci, bi)
 		}
-		s.idx.PutH(key, ci, h)
+		s.pos[i] = posBucket{fp: fp, slot: ci + 1} // the empty bucket ending key's probe run
 		return 1
 	}
 	// Full: evict one counter from the minimum bucket.
-	ci := s.buckets[s.headB].head
+	ci = s.buckets[s.headB].head
 	c := &s.counters[ci]
 	minCount := s.buckets[s.headB].count
 	s.evictObs.Inc()
 	if s.onEvict != nil {
 		s.onEvict(c.key)
 	}
-	s.idx.Delete(c.key)
+	s.unindex(ci)
 	c.key = key
+	c.fp = fp
 	c.err = minCount
-	s.idx.PutH(key, ci, h)
+	s.index(ci, fp)
 	s.mark(ci)
 	return s.increment(ci)
 }
@@ -326,7 +413,7 @@ func (s *Sketch[K]) Min() uint64 {
 // monitored, otherwise Min().
 //
 //memento:noalloc
-func (s *Sketch[K]) Query(key K) uint64 { return s.QueryHashed(key, s.idx.Hash(key)) }
+func (s *Sketch[K]) Query(key K) uint64 { return s.QueryHashed(key, s.hash(key)) }
 
 // QueryHashed is Query with a caller-computed hash (which must equal
 // Hash(key)); query paths that probe both the Memento overflow table
@@ -334,7 +421,7 @@ func (s *Sketch[K]) Query(key K) uint64 { return s.QueryHashed(key, s.idx.Hash(k
 //
 //memento:noalloc
 func (s *Sketch[K]) QueryHashed(key K, h uint64) uint64 {
-	if ci, ok := s.idx.GetH(key, h); ok {
+	if ci := s.lookup(key, h); ci >= 0 {
 		return s.buckets[s.counters[ci].bucket].count
 	}
 	return s.Min()
@@ -386,12 +473,7 @@ func (s *Sketch[K]) Slot(i int) Counter[K] {
 // caller-computed hash (which must equal Hash(key)).
 //
 //memento:noalloc
-func (s *Sketch[K]) SlotOfHashed(key K, h uint64) int {
-	if ci, ok := s.idx.GetH(key, h); ok {
-		return int(ci)
-	}
-	return -1
-}
+func (s *Sketch[K]) SlotOfHashed(key K, h uint64) int { return int(s.lookup(key, h)) }
 
 // SetEvictCounter installs c as the eviction counter (nil disables):
 // every saturated Add increments it. Orthogonal to SetEvictHook so
@@ -402,7 +484,7 @@ func (s *Sketch[K]) SetEvictCounter(c *obs.Counter) { s.evictObs = c }
 // distinguishes "monitored with count c" from "absent, Min() = c" and
 // carries the per-counter error term.
 func (s *Sketch[K]) Lookup(key K) (Counter[K], bool) {
-	return s.LookupHashed(key, s.idx.Hash(key))
+	return s.LookupHashed(key, s.hash(key))
 }
 
 // LookupHashed is Lookup with a caller-computed hash (which must
@@ -410,8 +492,8 @@ func (s *Sketch[K]) Lookup(key K) (Counter[K], bool) {
 //
 //memento:noalloc
 func (s *Sketch[K]) LookupHashed(key K, h uint64) (Counter[K], bool) {
-	ci, ok := s.idx.GetH(key, h)
-	if !ok {
+	ci := s.lookup(key, h)
+	if ci < 0 {
 		return Counter[K]{}, false
 	}
 	c := &s.counters[ci]
@@ -422,12 +504,12 @@ func (s *Sketch[K]) LookupHashed(key K, h uint64) (Counter[K], bool) {
 // upper = counter value (or Min for unmonitored keys), lower =
 // upper − Err (0 for unmonitored keys).
 func (s *Sketch[K]) QueryBounds(key K) (upper, lower uint64) {
-	return s.QueryBoundsHashed(key, s.idx.Hash(key))
+	return s.QueryBoundsHashed(key, s.hash(key))
 }
 
 // QueryBoundsHashed is QueryBounds with a caller-computed hash.
 func (s *Sketch[K]) QueryBoundsHashed(key K, h uint64) (upper, lower uint64) {
-	if ci, ok := s.idx.GetH(key, h); ok {
+	if ci := s.lookup(key, h); ci >= 0 {
 		c := &s.counters[ci]
 		upper = s.buckets[c.bucket].count
 		lower = upper - c.err
@@ -437,32 +519,17 @@ func (s *Sketch[K]) QueryBoundsHashed(key K, h uint64) (upper, lower uint64) {
 }
 
 // CopyInto overwrites dst with a point-in-time copy of s, reusing
-// dst's slabs when they are large enough. Like keyidx.Index.CopyInto
-// it is three slab memmoves plus scalars — cheap enough to run under
-// a shard lock — and the copy then answers Query/QueryBounds/Min/
-// Iterate/Entries lock-free exactly as s did at copy time. dst may be
-// a zero Sketch. Merge scratch is not copied; merging on a copy
-// allocates its own.
+// dst's slabs when they are large enough: three slab memmoves plus
+// scalars — cheap enough to run under a shard lock — after which the
+// copy answers Query/QueryBounds/Min/Iterate/Entries lock-free exactly
+// as s did at copy time. dst may be a zero Sketch. Merge scratch is
+// not copied; merging on a copy allocates its own.
 func (s *Sketch[K]) CopyInto(dst *Sketch[K]) {
-	if cap(dst.counters) < len(s.counters) {
-		//memento:allow alloc "snapshot slab grows to the live sketch's footprint once; reused across captures"
-		dst.counters = make([]counter[K], len(s.counters))
-	} else {
-		dst.counters = dst.counters[:len(s.counters)]
-	}
-	copy(dst.counters, s.counters)
-	if cap(dst.buckets) < len(s.buckets) {
-		//memento:allow alloc "snapshot slab grows to the live sketch's footprint once; reused across captures"
-		dst.buckets = make([]bucket, len(s.buckets))
-	} else {
-		dst.buckets = dst.buckets[:len(s.buckets)]
-	}
-	copy(dst.buckets, s.buckets)
-	if dst.idx == nil {
-		//memento:allow alloc "zero-value destination initialized once; reused across captures"
-		dst.idx = &keyidx.Index[K]{}
-	}
-	s.idx.CopyInto(dst.idx)
+	dst.counters = append(dst.counters[:0], s.counters...)
+	dst.buckets = append(dst.buckets[:0], s.buckets...)
+	dst.pos = append(dst.pos[:0], s.pos...)
+	dst.shift = s.shift
+	dst.hash = s.hash
 	dst.headB = s.headB
 	dst.freeB = s.freeB
 	dst.used = s.used
@@ -488,8 +555,8 @@ func (s *Sketch[K]) RestoreEntry(key K, count, err uint64) error {
 	if err >= count {
 		return fmt.Errorf("spacesaving: restored error %d not below count %d", err, count)
 	}
-	h := s.idx.Hash(key)
-	if _, ok := s.idx.GetH(key, h); ok {
+	h := s.hash(key)
+	if s.lookup(key, h) >= 0 {
 		return errors.New("spacesaving: duplicate restored key")
 	}
 	s.insertAt(key, count, err, h)
@@ -577,7 +644,7 @@ func (s *Sketch[K]) Merge(other *Sketch[K]) {
 		return true
 	})
 	s.Iterate(func(c Counter[K]) bool {
-		if _, ok := other.idx.Get(c.Key); !ok {
+		if other.lookup(c.Key, other.hash(c.Key)) < 0 {
 			pos, _ := s.mergeIdx.Get(c.Key)
 			buf[pos].count += oMin
 			buf[pos].err += oMin
@@ -598,7 +665,7 @@ func (s *Sketch[K]) Merge(other *Sketch[K]) {
 		limit = len(buf)
 	}
 	for i := len(buf) - limit; i < len(buf); i++ {
-		s.insertAt(buf[i].key, buf[i].count, buf[i].err, s.idx.Hash(buf[i].key))
+		s.insertAt(buf[i].key, buf[i].count, buf[i].err, s.hash(buf[i].key))
 	}
 	s.mergeBuf = buf[:0]
 }
@@ -613,8 +680,9 @@ func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	s.used++
 	c := &s.counters[ci]
 	c.key = key
+	c.fp = fingerprint(h)
 	c.err = err
-	s.idx.PutH(key, ci, h)
+	s.index(ci, c.fp)
 	// Find the insert position. Both callers feed ascending counts, so
 	// the walk starts at the bucket of the counter allocated just before
 	// this one (live by construction: slots fill in order and a counter

@@ -290,15 +290,22 @@ func TestMergeKeepsLargest(t *testing.T) {
 func TestBucketInvariant(t *testing.T) {
 	// Internal structural check: bucket list counts strictly ascend and
 	// every counter's bucket back-reference is consistent.
-	r := rng.New(5)
-	s := MustNew[uint64](32)
-	for i := 0; i < 50000; i++ {
-		s.Add(r.Uint64() % 64)
-		if i%997 == 0 {
-			checkStructure(t, s)
+	// The second hasher has five values, so every index probe run is
+	// long and every eviction's backward shift moves buckets.
+	for _, hash := range []func(uint64) uint64{nil, func(k uint64) uint64 { return k % 5 }} {
+		r := rng.New(5)
+		s, err := NewWithHash[uint64](32, hash)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < 50000; i++ {
+			s.Add(r.Uint64() % 64)
+			if i%997 == 0 {
+				checkStructure(t, s)
+			}
+		}
+		checkStructure(t, s)
 	}
-	checkStructure(t, s)
 }
 
 func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
@@ -325,8 +332,31 @@ func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
 	if seen != s.Len() {
 		t.Fatalf("structure holds %d counters, Len() = %d", seen, s.Len())
 	}
-	if s.idx.Len() != s.Len() {
-		t.Fatalf("index size %d != Len %d", s.idx.Len(), s.Len())
+	// The position index points exactly once at every counter in use,
+	// under the fingerprint of its key, at or after its home.
+	pointed := map[int32]bool{}
+	mask := uint32(len(s.pos) - 1)
+	for i, b := range s.pos {
+		if b.slot == 0 {
+			continue
+		}
+		ci := b.slot - 1
+		if ci >= s.used || pointed[ci] {
+			t.Fatalf("index bucket %d names slot %d: unused or named twice (%d in use)", i, ci, s.used)
+		}
+		pointed[ci] = true
+		c := s.counters[ci]
+		if b.fp != c.fp || c.fp != fingerprint(s.hash(c.key)) {
+			t.Fatalf("index bucket %d: fingerprint %#x, counter caches %#x", i, b.fp, c.fp)
+		}
+		for j := b.fp >> s.shift; j != uint32(i); j = (j + 1) & mask {
+			if s.pos[j].slot == 0 {
+				t.Fatalf("index bucket %d unreachable: empty bucket %d in its probe run", i, j)
+			}
+		}
+	}
+	if len(pointed) != s.Len() {
+		t.Fatalf("index size %d != Len %d", len(pointed), s.Len())
 	}
 }
 
