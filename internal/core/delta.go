@@ -312,6 +312,11 @@ func BuildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[
 	return buildHHHSnapshot(hier, comp, spec.detached())
 }
 
+// prefixHash is hierarchy.PrefixHasher(0), the hasher HHH snapshots
+// built from outside state index under, made once: building the
+// closure per snapshot would cost every materialized one an allocation.
+var prefixHash = hierarchy.PrefixHasher(0)
+
 // buildHHHSnapshot is BuildHHHSnapshot taking ownership of spec's
 // slabs (see Snapshot.build).
 func buildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[hierarchy.Prefix]) (*HHHSnapshot, error) {
@@ -322,7 +327,7 @@ func buildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[
 		return nil, codec.Corruptf("negative compensation %g", comp)
 	}
 	snap := &HHHSnapshot{hier: hier, comp: comp}
-	if err := snap.build(spec, hierarchy.PrefixHasher(0)); err != nil {
+	if err := snap.build(spec, prefixHash); err != nil {
 		return nil, err
 	}
 	return snap, nil

@@ -328,7 +328,7 @@ func DecodeHHHSnapshot(data []byte) (*HHHSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := parseBody(c, h.Flags, codec.PrefixKeys{}, hierarchy.PrefixHasher(0))
+	spec, err := parseBody(c, h.Flags, codec.PrefixKeys{}, prefixHash)
 	if err != nil {
 		return nil, err
 	}

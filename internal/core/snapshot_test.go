@@ -193,14 +193,132 @@ func TestSnapshotMatchesLive(t *testing.T) {
 	}
 }
 
+// sweepCall is one key ForEachAbove hands to fn, with its bounds.
+type sweepCall struct {
+	Key          uint64
+	Upper, Lower float64
+}
+
+// sweepReader is what the sweep differential reads of a built table.
+type sweepReader interface {
+	tableReader
+	Monitored(func(spacesaving.Counter[uint64]) bool)
+	ForEachAbove(float64, func(uint64, float64, float64) bool) int
+	sweptTable() *table[uint64]
+}
+
+// sweptTable exposes the table a Sketch or Snapshot embeds to the sweep
+// differential.
+func (t *table[K]) sweptTable() *table[K] { return t }
+
+// fullSweep is ForEachAbove by its definition, ranging every entry:
+// each overflow entry in slab order, then each monitored counter whose
+// key has no overflow entry in Iterate's order, judged on its own
+// QueryBounds. It stops after stop calls (never, if stop < 0) and
+// returns the calls and the entries judged up to there.
+func fullSweep(r sweepReader, floor float64, stop int) (calls []sweepCall, swept int) {
+	judge := func(k uint64) bool {
+		swept++
+		if u, l := r.QueryBounds(k); u >= floor {
+			calls = append(calls, sweepCall{k, u, l})
+		}
+		return len(calls) != stop
+	}
+	r.Overflowed(func(k uint64, _ int32) bool { return judge(k) })
+	if len(calls) == stop {
+		return calls, swept
+	}
+	r.Monitored(func(c spacesaving.Counter[uint64]) bool {
+		if r.OverflowCount(c.Key) > 0 {
+			swept++
+			return true
+		}
+		return judge(c.Key)
+	})
+	return calls, swept
+}
+
+// checkSweep holds r's ForEachAbove to fullSweep call for call — keys,
+// bounds and order — and entry count for entry count, at floors on
+// every distinct upper bound and one ulp either side, and at ±Inf,
+// with and without an early stop; and HeavyHitters to a scan of every
+// overflow entry at the thresholds the same bounds give. It reports
+// whether some floor that admitted a key passed overflow entries over
+// in bulk, so the tier range was put to the test.
+func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (bulk bool) {
+	t.Helper()
+	tb := r.sweptTable()
+	floors := []float64{math.Inf(-1), math.Inf(1)}
+	for _, u := range slices.Compact(slices.Clone(uppers)) {
+		floors = append(floors, math.Nextafter(u, math.Inf(-1)), u, math.Nextafter(u, math.Inf(1)))
+	}
+	for _, floor := range floors {
+		want, wantSwept := fullSweep(r, floor, -1)
+		var got []sweepCall
+		swept := r.ForEachAbove(floor, func(k uint64, u, l float64) bool {
+			got = append(got, sweepCall{k, u, l})
+			return true
+		})
+		if entries := r.OverflowEntries() + r.Slots(); !slices.Equal(got, want) || swept != wantSwept || swept != entries {
+			t.Fatalf("%s: floor %v: ForEachAbove swept %d entries (table entries %d) and called\n%v\nfull range swept %d and called\n%v",
+				tag, floor, swept, entries, got, wantSwept, want)
+		}
+		if len(want) == 0 {
+			continue
+		}
+		ranged := 0
+		tb.overflow.ForEachAtLeast(tb.overflowCut(floor), func(int, keyidx.Count[uint64]) bool { ranged++; return true })
+		bulk = bulk || ranged < tb.overflow.Len()
+		stop := len(want)/2 + 1
+		want, wantSwept = fullSweep(r, floor, stop)
+		got = got[:0]
+		swept = r.ForEachAbove(floor, func(k uint64, u, l float64) bool {
+			got = append(got, sweepCall{k, u, l})
+			return len(got) != stop
+		})
+		if !slices.Equal(got, want) || swept != wantSwept {
+			t.Fatalf("%s: floor %v, stopped at call %d: ForEachAbove swept %d and called %v; full range swept %d and called %v",
+				tag, floor, stop, swept, got, wantSwept, want)
+		}
+	}
+	window := float64(r.EffectiveWindow())
+	for _, u := range uppers {
+		for _, theta := range []float64{math.Nextafter(u/window, 0), u / window, math.Nextafter(u/window, 1)} {
+			var want []Item[uint64]
+			r.Overflowed(func(k uint64, _ int32) bool {
+				if est := r.Query(k); est >= theta*window {
+					want = append(want, Item[uint64]{Key: k, Estimate: est})
+				}
+				return true
+			})
+			if got := r.HeavyHitters(theta, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s: HeavyHitters(%v) = %v, scan of B %v", tag, theta, got, want)
+			}
+		}
+	}
+	return bulk
+}
+
 // checkSnapshotAgainstLive captures s and holds every read the merged
 // query plane makes of the capture — Query, TrackedBounds, ForEachAbove
-// — to the live sketch's own answers. It returns how many keys the
-// sketch tracks.
-func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) int {
+// — to the live sketch's own answers, and ForEachAbove and
+// HeavyHitters on the capture, on a sketch restored from its checkpoint
+// and on a snapshot decoded from it to their full-range definitions. It
+// returns how many keys the sketch tracks and whether the sweeps passed
+// overflow entries over in bulk (see checkSweep).
+func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) (int, bool) {
 	t.Helper()
-	var snap Snapshot[uint64]
+	var snap, cp Snapshot[uint64]
 	s.SnapshotInto(&snap)
+	s.CheckpointInto(&cp)
+	restored := MustNew[uint64](Config{Window: s.EffectiveWindow(), Counters: s.Counters(), Tau: s.Tau()})
+	if err := restored.RestoreFrom(&cp); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	decoded, err := DecodeSnapshot[uint64](cp.AppendTo(nil, codec.Uint64Keys{}), codec.Uint64Keys{}, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
 	// entries counts table entries, so a key both overflowed and
 	// monitored counts twice — what ForEachAbove reports as swept.
 	tracked, entries := map[uint64]bool{}, s.Slots()
@@ -232,40 +350,30 @@ func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys 
 		t.Fatalf("%s: probed %d tracked keys of %d — widen the key range", tag, len(uppers), len(tracked))
 	}
 	slices.Sort(uppers)
-	floors := []float64{math.Inf(-1), math.Inf(1)}
-	if n := len(uppers); n > 0 {
-		floors = append(floors, uppers[0], uppers[n/2], uppers[n-1], uppers[n-1]+1)
-	}
-	for _, floor := range floors {
-		want := 0
-		for _, u := range uppers {
-			if u >= floor {
-				want++
-			}
-		}
-		visited := map[uint64]bool{}
-		swept := snap.ForEachAbove(floor, func(k uint64, u, l float64) bool {
-			if visited[k] {
-				t.Fatalf("%s: floor %v: key %d visited twice", tag, floor, k)
-			}
-			visited[k] = true
-			if lu, ll := s.QueryBounds(k); u != lu || l != ll || u < floor {
-				t.Fatalf("%s: floor %v: key %d reported (%v, %v), live (%v, %v)", tag, floor, k, u, l, lu, ll)
-			}
-			return true
-		})
-		if len(visited) != want || swept != entries {
-			t.Fatalf("%s: floor %v: visited %d keys (want %d), swept %d (table entries %d)",
-				tag, floor, len(visited), want, swept, entries)
+	// The full-range reference itself: on the capture it visits what it
+	// visits live, every tracked key once at -Inf and none at +Inf.
+	for floor, visits := range map[float64]int{math.Inf(-1): len(tracked), math.Inf(1): 0} {
+		want, swept := fullSweep(s, floor, -1)
+		got, snapSwept := fullSweep(&snap, floor, -1)
+		if !slices.Equal(got, want) || len(got) != visits || swept != entries || snapSwept != entries {
+			t.Fatalf("%s: floor %v: capture's full range %v (%d entries), live %v (%d; table entries %d, %d tracked keys)",
+				tag, floor, got, snapSwept, want, swept, entries, len(tracked))
 		}
 	}
-	return len(tracked)
+	bulk := false
+	for name, r := range map[string]sweepReader{"SnapshotInto": &snap, "RestoreFrom": restored, "DecodeSnapshot": decoded} {
+		if checkSweep(t, tag+"/"+name, r, uppers) {
+			bulk = true
+		}
+	}
+	return len(tracked), bulk
 }
 
 // TestSnapshotDifferentialAcrossResetAndRestore runs that differential
 // at every stage of a sketch's life: loaded, emptied by Reset, loaded
 // again, rehydrated from an earlier checkpoint, and sliding on from it.
 func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
+	tiered := false // some sweep passed overflow entries over in bulk
 	for name, hash := range map[string]func(uint64) uint64{
 		"default-hashers": nil,
 		"shared-hasher":   keyidx.DefaultHasher[uint64](),
@@ -289,34 +397,42 @@ func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
 				}
 			}
 			feed(3 << 12)
-			if n := checkSnapshotAgainstLive(t, name+"/loaded", s, keys); n == 0 || s.OverflowEntries() == 0 {
+			n, bulk := checkSnapshotAgainstLive(t, name+"/loaded", s, keys)
+			if n == 0 || s.OverflowEntries() == 0 {
 				t.Fatalf("%s tau=%v: test vacuous: %d tracked keys, %d overflow entries", name, tau, n, s.OverflowEntries())
 			}
+			tiered = tiered || bulk
 			var cp Snapshot[uint64]
 			s.CheckpointInto(&cp)
 
 			s.Reset()
-			if n := checkSnapshotAgainstLive(t, name+"/reset", s, keys); n != 0 {
+			if n, _ := checkSnapshotAgainstLive(t, name+"/reset", s, keys); n != 0 {
 				t.Fatalf("%s tau=%v: %d keys tracked after Reset", name, tau, n)
 			}
 			feed(1 << 12)
-			checkSnapshotAgainstLive(t, name+"/reloaded", s, keys)
+			_, bulk = checkSnapshotAgainstLive(t, name+"/reloaded", s, keys)
+			tiered = tiered || bulk
 
 			if err := s.RestoreFrom(&cp); err != nil {
 				t.Fatal(err)
 			}
-			checkSnapshotAgainstLive(t, name+"/restored", s, keys)
+			_, bulk = checkSnapshotAgainstLive(t, name+"/restored", s, keys)
+			tiered = tiered || bulk
 			for k := uint64(0); k < keys; k++ { // and the restored sketch is the checkpoint
 				if got, want := s.Query(k), cp.Query(k); got != want {
 					t.Fatalf("%s tau=%v: restored Query(%d) = %v, checkpoint %v", name, tau, k, got, want)
 				}
 			}
 			feed(2 << 12)
-			checkSnapshotAgainstLive(t, name+"/sliding", s, keys)
+			_, bulk = checkSnapshotAgainstLive(t, name+"/sliding", s, keys)
+			tiered = tiered || bulk
 			if s.ForcedDrains() != 0 {
 				t.Fatalf("%s tau=%v: %d forced drains after restore", name, tau, s.ForcedDrains())
 			}
 		}
+	}
+	if !tiered {
+		t.Fatal("test vacuous: no sweep took the overflow tier past a lighter entry")
 	}
 }
 

@@ -198,16 +198,55 @@ func (t *table[K]) Monitored(fn func(c spacesaving.Counter[K]) bool) {
 
 // HeavyHitters appends to dst every key whose estimated window
 // frequency is at least theta·EffectiveWindow(), with its estimate,
-// and returns dst. theta is the paper's θ ∈ (0, 1).
+// and returns dst, in overflow-table order. theta is the paper's
+// θ ∈ (0, 1). Like ForEachAbove it visits only the overflow entries
+// whose b can reach the threshold and rejects on b alone before the
+// Space Saving probe.
 func (t *table[K]) HeavyHitters(theta float64, dst []Item[K]) []Item[K] {
 	threshold := theta * float64(t.window)
-	for _, e := range t.overflow.Entries() {
+	block := t.scale * float64(t.blockCounts)
+	t.overflow.ForEachAtLeast(t.overflowCut(threshold), func(_ int, e keyidx.Count[K]) bool {
+		if block*float64(e.Val+3) < threshold {
+			return true
+		}
 		// Query(e.Key) without probing B again for the entry in hand.
 		if est := t.overflowUpper(e.Val, t.y.Query(e.Key)); est >= threshold {
 			dst = append(dst, Item[K]{Key: e.Key, Estimate: est})
 		}
-	}
+		return true
+	})
 	return dst
+}
+
+// overflowCut returns a count of overflows below which no overflow
+// entry's upper bound reaches floor. A key with b overflows has upper <
+// scale·blockCounts·(b+3), so b < floor/(scale·blockCounts) − 3 fails;
+// one less again absorbs the rounding of that quotient. It is only a
+// lower bound: callers keep the exact test on every entry they visit,
+// so rounding can make them visit more entries, never drop one.
+func (t *table[K]) overflowCut(floor float64) int32 {
+	cut := floor/(t.scale*float64(t.blockCounts)) - 4
+	switch {
+	case cut >= math.MaxInt32:
+		return math.MaxInt32
+	case cut > math.MinInt32:
+		return int32(cut)
+	}
+	return math.MinInt32 // and NaN: no cut
+}
+
+// monitoredCut returns a counter value below which no monitored
+// counter's upper bound, scale·(2·blockCounts + count), reaches floor,
+// less one for rounding (see overflowCut).
+func (t *table[K]) monitoredCut(floor float64) uint64 {
+	cut := floor/t.scale - 2*float64(t.blockCounts) - 1
+	switch {
+	case cut >= 1<<63:
+		return 1 << 63
+	case cut > 0:
+		return uint64(cut)
+	}
+	return 0 // and NaN: no cut
 }
 
 // ForEachEstimate calls fn once for every key the table has state
@@ -220,35 +259,48 @@ func (t *table[K]) ForEachEstimate(fn func(key K, upper, lower float64) bool) {
 
 // ForEachAbove is ForEachEstimate restricted to the keys whose upper
 // bound is at least floor, and returns the number of table entries it
-// swept: every overflow entry and every monitored counter, so a key
-// in both counts twice (TrackedKeys(), unless fn stopped it). It is
-// phase 1 of the merged read plane: one linear pass per partition
-// that hands on only the keys heavy enough to matter, and rejects
-// most entries on the entry alone. An overflow key with b overflows
-// has upper < scale·blockCounts·(b+3), tested before its Space Saving
-// probe; a monitored counter's own estimate is tested before its B
-// probe.
+// judged: every overflow entry and every monitored counter, so a key
+// in both counts twice (TrackedKeys()), whether judged one by one or
+// rejected in bulk. If fn stops it, the count runs to that key, in
+// ForEachEstimate's order. It is phase 1 of the merged read plane: one
+// pass per partition that hands on only the keys heavy enough to
+// matter, and it visits only the entries that can pass. An overflow
+// key with b overflows has upper < scale·blockCounts·(b+3), so when
+// the floor asks for more overflows than B's heavy tier starts at,
+// only the tier is ranged; every entry visited is tested on b before
+// its Space Saving probe. A monitored counter's estimate grows with its
+// count, so Space Saving is walked down from its largest count to the
+// first that fails, and each counter visited is tested on its own
+// estimate before its B probe. fn sees the keys in the order a range
+// over every entry would hand them on.
 func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float64) bool) (swept int) {
 	block := t.scale * float64(t.blockCounts)
 	// Overflow keys first, straight off the entry slab: their estimate
 	// combines b with the in-frame count, and only the few that pass the
 	// test on b are hashed for the Space Saving probe.
-	for _, e := range t.overflow.Entries() {
-		swept++
+	done := t.overflow.ForEachAtLeast(t.overflowCut(floor), func(p int, e keyidx.Count[K]) bool {
 		if block*float64(e.Val+3) < floor {
-			continue
+			return true
 		}
 		u, l := t.boundsFrom(t.overflowUpper(e.Val, t.y.Query(e.Key)))
 		if u >= floor && !fn(e.Key, u, l) {
-			return swept
+			swept = p + 1
+			return false
 		}
+		return true
+	})
+	if !done {
+		return swept
 	}
+	swept = t.overflow.Len()
 	// Monitored counters not already covered by the overflow pass. One
 	// below the floor is skipped before the B probe: if it has no
 	// overflow entry its bound is this one, and if it has, the overflow
 	// pass above already handled it.
-	t.y.Iterate(func(c spacesaving.Counter[K]) bool {
-		swept++
+	minCount := t.monitoredCut(floor)
+	visited, stopped := 0, false
+	t.y.IterateAtLeast(minCount, func(c spacesaving.Counter[K]) bool {
+		visited++
 		u, l := t.boundsFrom(t.monitoredUpper(c.Count))
 		if u < floor {
 			return true
@@ -256,9 +308,16 @@ func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float
 		if _, inOverflow := t.overflow.Get(c.Key); inOverflow {
 			return true
 		}
-		return fn(c.Key, u, l)
+		stopped = !fn(c.Key, u, l)
+		return !stopped
 	})
-	return swept
+	if stopped {
+		// Iterate's order puts every counter the walk skipped first.
+		passing := 0
+		t.y.IterateAtLeast(minCount, func(spacesaving.Counter[K]) bool { passing++; return true })
+		return swept + t.y.Len() - passing + visited
+	}
+	return swept + t.y.Len()
 }
 
 // TrackedBounds returns QueryBounds(x) and true when the table has

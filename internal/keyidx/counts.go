@@ -28,16 +28,27 @@ type Count[K comparable] struct {
 //
 // A table built by NewCounts journals its mutations in a ring (see
 // journal), so CopyInto brings a destination it copied before up to
-// date by replaying what changed since, and copies in full — two
-// memmoves, 4 bytes per bucket and one entry per key held — only when
-// the ring no longer reaches back that far.
+// date by replaying what changed since, and copies in full — three
+// memmoves, 4 bytes per bucket, one entry per key held and one tier bit
+// per reserved entry — only when the ring no longer reaches back that
+// far.
+//
+// A bitmap over the entry slab marks the heavy tier, the entries whose
+// count has reached tierMin, and every mutator keeps it exact in O(1).
+// ForEachAtLeast ranges only the marked positions when asked for counts
+// no lighter than that, so a read that wants the few heavy entries of a
+// large table does not walk the rest.
 //
 // Construct with NewCounts; the zero value is only a CopyInto
 // destination. Not safe for concurrent use.
 type Counts[K comparable] struct {
 	entries []Count[K] //memento:reused (reserved at construction; growth past it is the cold path)
 	buckets []int32    //memento:reused (doubles only when entries outgrow the reserved capacity)
-	hash    func(K) uint64
+	// tier has bit p set iff entries[p].Val ≥ tierMin; it holds one bit
+	// per reserved entry (half the bucket count), so its length follows
+	// from the buckets alone and a replayed copy matches a full one.
+	tier []uint64 //memento:reused (grows with the buckets)
+	hash func(K) uint64
 
 	// log is the mutation ring CopyInto replays from; nil on a CopyInto
 	// destination, and dropped by a copy made by assignment once the
@@ -88,6 +99,22 @@ type journal[K comparable] struct {
 	owner *Counts[K]
 }
 
+// tierMin is the count from which an entry belongs to the heavy tier.
+// It is a constant of the table, not an option: what it trades is
+// how many entries the tier holds (bits a mutator flips, entries a
+// tier range visits) against how low a floor can still take the tier
+// path, and one overflow table's count distribution is steep. On a
+// 2D sketch of 256·H counters under a 0.5 Mpkt/s stream (the
+// benchmark's dev2d-query), each shard's B holds ≈ 28 000 entries, of
+// which 94 % hold 1, ≈ 535 hold at least 4 and ≈ 205 at least 8, and
+// no phase-1 sweep there asked for fewer than 9 overflows. So 4 keeps
+// a tier range near 2 % of the table with room below every floor seen.
+const tierMin = 4
+
+// tierWords returns the tier bitmap length, in words, for a table of
+// the given bucket count: one bit per reserved entry.
+func tierWords(buckets int) int { return (buckets/2 + 63) / 64 }
+
 // journalIDs numbers journal states process-wide, so a destination
 // copied from one table (or one epoch of it) never replays another's
 // ring, whatever addresses the tables have.
@@ -129,6 +156,7 @@ func NewCounts[K comparable](capacity int, hash func(K) uint64) (*Counts[K], err
 	return &Counts[K]{
 		entries: make([]Count[K], 0, capacity),
 		buckets: make([]int32, 2*capacity),
+		tier:    make([]uint64, tierWords(2*capacity)),
 		hash:    hash,
 		log:     log,
 	}, nil
@@ -179,11 +207,49 @@ func (c *Counts[K]) Len() int { return len(c.entries) }
 // slice is the table's own: read-only, valid until the next mutation.
 func (c *Counts[K]) Entries() []Count[K] { return c.entries }
 
+// ForEachAtLeast calls fn, in entry order, with the position and value
+// of a superset of the entries holding at least min, until fn returns
+// false, and reports whether it ran to the end. With min at or above
+// the tier threshold the superset is the heavy tier; below it, every
+// entry. Each entry it passes over holds less than min, so a caller
+// that still tests each entry it is handed sees, in the same order,
+// what a range over Entries would show it. The entries are read-only
+// for the duration.
+func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool) bool {
+	if min < tierMin {
+		for p, e := range c.entries {
+			if !fn(p, e) {
+				return false
+			}
+		}
+		return true
+	}
+	for w, word := range c.tier {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if !fn(p, c.entries[p]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// retier flips entry pos's tier bit when its count moved from old to
+// val across tierMin.
+func (c *Counts[K]) retier(pos int32, old, val int32) {
+	if (old >= tierMin) != (val >= tierMin) {
+		c.tier[pos>>6] ^= 1 << (pos & 63)
+	}
+}
+
 // Flush empties the table, keeping its memory. Its journal starts a new
 // state, so every destination copies the emptied table in full.
 func (c *Counts[K]) Flush() {
 	c.entries = c.entries[:0]
 	clear(c.buckets)
+	clear(c.tier)
 	c.from = 0
 	if j := c.writer(); j != nil {
 		j.restart()
@@ -224,7 +290,7 @@ func (c *Counts[K]) record(op opKind, key K, val int32) {
 // When dst was last copied from c, has not been mutated since, and c's
 // journal still holds every op since that copy, those ops are replayed
 // on dst (one hash and probe each); otherwise the copy is one memmove
-// of the buckets and one of the live entries.
+// each of the buckets, the live entries and the tier bitmap.
 //
 //memento:noalloc
 func (c *Counts[K]) CopyInto(dst *Counts[K]) {
@@ -241,6 +307,7 @@ func (c *Counts[K]) CopyInto(dst *Counts[K]) {
 	} else {
 		dst.buckets = append(dst.buckets[:0], c.buckets...)
 		dst.entries = append(dst.entries[:0], c.entries...)
+		dst.tier = append(dst.tier[:0], c.tier...)
 		dst.hash = c.hash
 	}
 	dst.from = 0
@@ -307,6 +374,7 @@ func (c *Counts[K]) PutH(key K, val int32, h uint64) {
 func (c *Counts[K]) put(key K, val int32, h uint64) {
 	i, pos := c.find(key, h)
 	if pos >= 0 {
+		c.retier(pos, c.entries[pos].Val, val)
 		c.entries[pos].Val = val
 		return
 	}
@@ -329,8 +397,11 @@ func (c *Counts[K]) IncH(key K, delta int32, h uint64) int32 {
 func (c *Counts[K]) inc(key K, delta int32, h uint64) int32 {
 	i, pos := c.find(key, h)
 	if pos >= 0 {
-		c.entries[pos].Val += delta
-		return c.entries[pos].Val
+		e := &c.entries[pos]
+		old := e.Val
+		e.Val += delta
+		c.retier(pos, old, e.Val)
+		return e.Val
 	}
 	c.place(i, key, delta)
 	return delta
@@ -357,8 +428,10 @@ func (c *Counts[K]) dec(key K, h uint64) bool {
 	if pos < 0 {
 		return false
 	}
-	c.entries[pos].Val--
-	if c.entries[pos].Val <= 0 {
+	e := &c.entries[pos]
+	e.Val--
+	c.retier(pos, e.Val+1, e.Val)
+	if e.Val <= 0 {
 		c.remove(i, pos)
 	}
 	return true
@@ -386,14 +459,17 @@ func (c *Counts[K]) del(key K, h uint64) bool {
 	return true
 }
 
-// place appends a new entry behind the known-empty bucket i and grows
-// the buckets past load ½.
+// place appends a new entry behind the known-empty bucket i, grows
+// the buckets past load ½ and marks the entry if it starts in the
+// heavy tier.
 func (c *Counts[K]) place(i uint64, key K, val int32) {
 	c.entries = append(c.entries, Count[K]{Key: key, Val: val})
-	c.buckets[i] = int32(len(c.entries))
+	pos := int32(len(c.entries) - 1)
+	c.buckets[i] = pos + 1
 	if 2*len(c.entries) > len(c.buckets) {
 		c.grow()
 	}
+	c.retier(pos, 0, val)
 }
 
 // grow doubles the bucket array and reinserts every entry. It runs only
@@ -401,6 +477,9 @@ func (c *Counts[K]) place(i uint64, key K, val int32) {
 func (c *Counts[K]) grow() {
 	c.buckets = append(c.buckets, c.buckets...) // twice the length; contents rebuilt below
 	clear(c.buckets)
+	for len(c.tier) < tierWords(len(c.buckets)) {
+		c.tier = append(c.tier, 0)
+	}
 	for pos := range c.entries {
 		i := c.home(c.hash(c.entries[pos].Key))
 		for c.buckets[i] != 0 {
@@ -414,7 +493,8 @@ func (c *Counts[K]) grow() {
 // run is closed by backward shift, so no tombstones are needed: each
 // following bucket moves into the hole unless its entry already sits
 // at (or probes no further than) its home. The slab stays dense by
-// moving the last entry into pos and re-pointing its bucket.
+// moving the last entry, and its tier bit, into pos and re-pointing its
+// bucket.
 func (c *Counts[K]) remove(i uint64, pos int32) {
 	for j := c.next(i); c.buckets[j] != 0; j = c.next(j) {
 		// Distance the entry behind j has probed from its home; it may
@@ -430,6 +510,11 @@ func (c *Counts[K]) remove(i uint64, pos int32) {
 	c.buckets[i] = 0
 
 	last := int32(len(c.entries) - 1)
+	// pos takes the last entry's tier bit, then the vacated last
+	// position is cleared (which, when pos is last, clears pos).
+	heavy := c.tier[last>>6] >> (last & 63) & 1
+	c.tier[pos>>6] = c.tier[pos>>6]&^(1<<(pos&63)) | heavy<<(pos&63)
+	c.tier[last>>6] &^= 1 << (last & 63)
 	if pos != last {
 		moved := c.entries[last]
 		c.entries[pos] = moved

@@ -14,7 +14,8 @@ func collide(k uint64) uint64 { return (k % 5) * 0x9e3779b97f4a7c15 }
 
 // checkCounts verifies the table against the oracle: sizes agree, every
 // oracle key resolves to its count, Entries holds every live key
-// exactly once, and every occupied bucket points at a distinct entry.
+// exactly once, every occupied bucket points at a distinct entry, and
+// the tier bitmap marks exactly the entries at or above tierMin.
 func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
 	t.Helper()
 	if c.Len() != len(o) {
@@ -50,6 +51,42 @@ func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
 	}
 	if 2*c.Len() > len(c.buckets) {
 		t.Fatalf("load %d/%d above 1/2", c.Len(), len(c.buckets))
+	}
+	checkTier(t, c)
+}
+
+// checkTier verifies the tier bitmap: sized from the bucket count, bit p
+// set iff entries[p].Val ≥ tierMin, no bit at or past Len(); and
+// ForEachAtLeast hands over, in entry order, every entry below the
+// threshold and the marked ones at or above it.
+func checkTier(t *testing.T, c *Counts[uint64]) {
+	t.Helper()
+	if want := tierWords(len(c.buckets)); len(c.tier) != want {
+		t.Fatalf("tier holds %d words, %d buckets want %d", len(c.tier), len(c.buckets), want)
+	}
+	for p := 0; p < 64*len(c.tier); p++ {
+		set := c.tier[p>>6]>>(p&63)&1 == 1
+		if heavy := p < c.Len() && c.entries[p].Val >= tierMin; set != heavy {
+			t.Fatalf("tier bit %d = %v; %d entries, entry heavy: %v", p, set, c.Len(), heavy)
+		}
+	}
+	for _, min := range []int32{-1, tierMin - 1, tierMin, tierMin + 5} {
+		var want, got []int
+		for p, e := range c.entries {
+			if min < tierMin || e.Val >= tierMin {
+				want = append(want, p)
+			}
+		}
+		c.ForEachAtLeast(min, func(p int, e Count[uint64]) bool {
+			if e != c.entries[p] {
+				t.Fatalf("ForEachAtLeast(%d) handed %+v for entry %d = %+v", min, e, p, c.entries[p])
+			}
+			got = append(got, p)
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("ForEachAtLeast(%d) visited %v, want %v", min, got, want)
+		}
 	}
 }
 
@@ -282,12 +319,15 @@ func TestCountsDecToZeroRepointsSwapped(t *testing.T) {
 func TestCountsGrowthPastReserve(t *testing.T) {
 	c := MustNewCounts[uint64](8, nil)
 	const n = 1000
+	o := oracle{}
 	for k := uint64(0); k < n; k++ {
 		c.Put(k, int32(k)+1)
+		o[k] = int32(k) + 1
 	}
 	if c.Len() != n {
 		t.Fatalf("Len %d, want %d entries held", c.Len(), n)
 	}
+	checkCounts(t, c, o)
 	for k := uint64(0); k < n; k++ {
 		if v, ok := c.Get(k); !ok || v != int32(k)+1 {
 			t.Fatalf("Get(%d) = (%d, %v)", k, v, ok)
@@ -322,8 +362,8 @@ func TestCountsCopyIsIndependent(t *testing.T) {
 	}
 }
 
-// sameSlabs fails unless got holds want's entries and buckets element
-// for element: the same answers, sweep order and probe layout.
+// sameSlabs fails unless got holds want's entries, buckets and tier
+// element for element: the same answers, sweep order and probe layout.
 func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 	t.Helper()
 	if !slices.Equal(got.entries, want.entries) {
@@ -331,6 +371,9 @@ func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 	}
 	if !slices.Equal(got.buckets, want.buckets) {
 		t.Fatalf("%s: buckets %v, source %v", tag, got.buckets, want.buckets)
+	}
+	if !slices.Equal(got.tier, want.tier) {
+		t.Fatalf("%s: tier %x, source %x", tag, got.tier, want.tier)
 	}
 }
 

@@ -27,13 +27,16 @@
 //   - Counts maps keys to positive counts and keeps the live entries
 //     packed: a dense {key, count} slab behind a bucket array of int32
 //     positions. It is the overflow table B, which every query copies
-//     under a shard lock and then reads end to end. A Counts journals
-//     its mutations, so a copy into the destination it copied into
-//     last replays the few that happened since; a full copy moves one
-//     entry per key held plus four bytes per bucket. The sweep is a
-//     range over the slab. It stores no hash (rehashing from the key
-//     on delete and growth only) and has no generations (B is flushed
-//     only by Reset).
+//     under a shard lock and then sweeps for its heavy keys. A Counts
+//     journals its mutations, so a copy into the destination it copied
+//     into last replays the few that happened since; a full copy moves
+//     one entry per key held, four bytes per bucket and one bit per
+//     reserved entry. That bit marks the heavy tier, the entries whose
+//     count has reached a fixed threshold, so a sweep for counts at or
+//     above it ranges only the marked positions, and any other sweep
+//     ranges the slab. It stores no hash (rehashing from the key on
+//     delete and growth only) and has no generations (B is flushed only
+//     by Reset).
 //
 // Instances are not safe for concurrent use, matching the
 // single-writer design of the structures they index.

@@ -598,7 +598,12 @@ func (c *Controller) account(name string, kind reportKind, bytes, covered uint64
 	st := c.agentLocked(name)
 	st.bytes += bytes
 	st.lastReport = now
-	requalified := st.stale
+	if st.stale {
+		// Recorded before snapMu is released (the trace mutex is a leaf
+		// lock), so a reader that sees the agent fresh also sees the
+		// event that re-admitted it.
+		c.trace.Record(obs.EvRequalify, name, 0)
+	}
 	st.stale = false
 	switch kind {
 	case kindSnapshot:
@@ -614,9 +619,6 @@ func (c *Controller) account(name string, kind reportKind, bytes, covered uint64
 		st.covered += covered
 	}
 	c.snapMu.Unlock()
-	if requalified {
-		c.trace.Record(obs.EvRequalify, name, 0)
-	}
 }
 
 // accountBytes adds wire bytes to an agent's ledger without counting
@@ -850,10 +852,10 @@ func (c *Controller) stale(st *agentState, now time.Time) bool {
 // MergedSnapshots. A stale agent is skipped — a dead agent's frozen
 // window must not haunt merged outputs forever — until its next report
 // re-admits it; OutputMerged's scan (quarantine set) also marks and
-// traces an agent it finds stale for the first time.
+// traces an agent it finds stale for the first time, under snapMu like
+// the requalify edge in account.
 func (c *Controller) mergedSnapshots(dst []*core.HHHSnapshot, quarantine bool) []*core.HHHSnapshot {
 	now := time.Now()
-	var quarantined []string // first-time quarantines this scan, traced after unlock
 	c.snapMu.Lock()
 	for name, st := range c.agents {
 		switch {
@@ -862,13 +864,10 @@ func (c *Controller) mergedSnapshots(dst []*core.HHHSnapshot, quarantine bool) [
 			dst = append(dst, st.snap)
 		case quarantine && !st.stale && c.trace != nil:
 			st.stale = true
-			quarantined = append(quarantined, name)
+			c.trace.Record(obs.EvQuarantine, name, 0)
 		}
 	}
 	c.snapMu.Unlock()
-	for _, name := range quarantined {
-		c.trace.Record(obs.EvQuarantine, name, 0)
-	}
 	return dst
 }
 

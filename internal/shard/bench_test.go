@@ -209,8 +209,9 @@ func bench2DPacket(src *rng.Source) hierarchy.Packet {
 // ones, so it stays under maxRetainedQueryCap and the pool keeps it.
 // Nothing is ingested between queries, so every capture finds the
 // overflow tables unchanged and replays nothing: this times the Space
-// Saving copy, the sweep and the HHH-set computation, not B's capture
-// (BenchmarkSnapshotCapture2DIngest times that).
+// Saving copy, phase 1 (each shard's B heavy tier and the top of its
+// Space Saving buckets, not every entry) and the HHH-set computation,
+// not B's capture (BenchmarkSnapshotCapture2DIngest times that).
 func BenchmarkOutputSteadyState2D(b *testing.B) {
 	s := benchHHH2D(b)
 	var out []core.HeavyPrefix

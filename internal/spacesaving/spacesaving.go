@@ -22,7 +22,10 @@
 // in its counter, which also caches the fingerprint, so an eviction
 // finds the outgoing key's bucket without re-hashing it, a capture
 // copies 8 bytes per bucket, and Flush — once per Memento frame —
-// clears about 16·k bytes. Instances are not safe for concurrent use.
+// clears about 16·k bytes. The sketch keeps both ends of its bucket
+// list, so IterateAtLeast reaches the counters at or above a count by
+// walking down from the largest bucket, at a cost in the buckets that
+// pass rather than in k. Instances are not safe for concurrent use.
 package spacesaving
 
 import (
@@ -79,6 +82,7 @@ type Sketch[K comparable] struct {
 	counters []counter[K] //memento:reused (k counters from construction; a capture destination sizes once)
 	buckets  []bucket     //memento:reused (k+2 buckets from construction; a capture destination sizes once)
 	headB    int32        // min bucket, nilIdx when empty
+	tailB    int32        // max bucket, nilIdx when empty
 	freeB    int32        // bucket free list head
 	used     int32        // counters in use (monotone until Flush)
 	items    uint64
@@ -164,6 +168,7 @@ func MustNew[K comparable](k int) *Sketch[K] {
 // reset rebuilds the free lists without allocating.
 func (s *Sketch[K]) reset() {
 	s.headB = nilIdx
+	s.tailB = nilIdx
 	s.used = 0
 	s.items = 0
 	for i := range s.buckets {
@@ -259,7 +264,8 @@ func (s *Sketch[K]) allocBucket(count uint64) int32 {
 }
 
 // freeBucket unlinks bucket bi from the ascending list and returns it
-// to the free list.
+// to the free list. bi is never the tail: increment frees a bucket only
+// once its counter has moved to the bucket after it, so tailB stands.
 func (s *Sketch[K]) freeBucket(bi int32) {
 	b := &s.buckets[bi]
 	if b.prev != nilIdx {
@@ -267,9 +273,7 @@ func (s *Sketch[K]) freeBucket(bi int32) {
 	} else {
 		s.headB = b.next
 	}
-	if b.next != nilIdx {
-		s.buckets[b.next].prev = b.prev
-	}
+	s.buckets[b.next].prev = b.prev
 	b.next = s.freeB
 	s.freeB = bi
 }
@@ -321,6 +325,8 @@ func (s *Sketch[K]) increment(ci int32) uint64 {
 		s.buckets[bi].next = target
 		if next != nilIdx {
 			s.buckets[next].prev = target
+		} else {
+			s.tailB = target
 		}
 	}
 	s.detach(ci)
@@ -368,6 +374,8 @@ func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
 			b.next = s.headB
 			if s.headB != nilIdx {
 				s.buckets[s.headB].prev = bi
+			} else {
+				s.tailB = bi
 			}
 			s.headB = bi
 			s.attach(ci, bi)
@@ -531,6 +539,7 @@ func (s *Sketch[K]) CopyInto(dst *Sketch[K]) {
 	dst.shift = s.shift
 	dst.hash = s.hash
 	dst.headB = s.headB
+	dst.tailB = s.tailB
 	dst.freeB = s.freeB
 	dst.used = s.used
 	dst.items = s.items
@@ -577,8 +586,29 @@ type Counter[K comparable] struct {
 // Iterate calls fn for every monitored counter until fn returns false.
 // The iteration order is unspecified. The sketch must not be mutated
 // during iteration.
-func (s *Sketch[K]) Iterate(fn func(Counter[K]) bool) {
-	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
+func (s *Sketch[K]) Iterate(fn func(Counter[K]) bool) { s.iterateFrom(s.headB, fn) }
+
+// IterateAtLeast is Iterate restricted to the counters whose count is
+// at least min, handed to fn in Iterate's order. It walks down from the
+// largest bucket to the first below min and iterates upward from there,
+// so it costs the passing counters plus one bucket, whatever k is.
+func (s *Sketch[K]) IterateAtLeast(min uint64, fn func(Counter[K]) bool) {
+	bi := s.headB
+	if bi != nilIdx && s.buckets[bi].count < min {
+		// Some bucket is below min, the head at least: start right above
+		// the largest such one.
+		lo := s.tailB
+		for s.buckets[lo].count >= min {
+			lo = s.buckets[lo].prev
+		}
+		bi = s.buckets[lo].next
+	}
+	s.iterateFrom(bi, fn)
+}
+
+// iterateFrom is Iterate starting at bucket bi.
+func (s *Sketch[K]) iterateFrom(bi int32, fn func(Counter[K]) bool) {
+	for ; bi != nilIdx; bi = s.buckets[bi].next {
 		count := s.buckets[bi].count
 		for ci := s.buckets[bi].head; ci != nilIdx; ci = s.counters[ci].next {
 			c := &s.counters[ci]
@@ -715,6 +745,8 @@ func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	}
 	if bi != nilIdx {
 		s.buckets[bi].prev = nb
+	} else {
+		s.tailB = nb
 	}
 	s.attach(ci, nb)
 }

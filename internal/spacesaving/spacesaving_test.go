@@ -313,12 +313,16 @@ func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
 	prev := uint64(0)
 	first := true
 	seen := 0
+	last := nilIdx // the bucket tailB must name
 	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
 		b := s.buckets[bi]
 		if !first && b.count <= prev {
 			t.Fatalf("bucket counts not strictly ascending: %d after %d", b.count, prev)
 		}
-		prev, first = b.count, false
+		if b.prev != last {
+			t.Fatalf("bucket %d: prev %d, the list reached it from %d", bi, b.prev, last)
+		}
+		prev, first, last = b.count, false, bi
 		if b.head == nilIdx {
 			t.Fatal("live bucket with no counters")
 		}
@@ -331,6 +335,9 @@ func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
 	}
 	if seen != s.Len() {
 		t.Fatalf("structure holds %d counters, Len() = %d", seen, s.Len())
+	}
+	if s.tailB != last {
+		t.Fatalf("tailB = %d, the largest bucket is %d", s.tailB, last)
 	}
 	// The position index points exactly once at every counter in use,
 	// under the fingerprint of its key, at or after its home.
@@ -535,4 +542,89 @@ func TestRestoreEntryAnyOrder(t *testing.T) {
 	if shuffled.Min() != ascending.Min() {
 		t.Fatalf("Min %d vs %d", shuffled.Min(), ascending.Min())
 	}
+}
+
+// checkIterateAtLeast holds IterateAtLeast to Iterate filtered by
+// count, in order, at every count boundary the sketch holds (and one
+// past the largest), and stopping where fn stops it.
+func checkIterateAtLeast(t *testing.T, tag string, s *Sketch[uint64]) {
+	t.Helper()
+	var all []Counter[uint64]
+	s.Iterate(func(c Counter[uint64]) bool { all = append(all, c); return true })
+	mins := []uint64{0, 1}
+	for _, c := range all {
+		mins = append(mins, c.Count, c.Count+1)
+	}
+	for _, min := range mins {
+		var want, got []Counter[uint64]
+		for _, c := range all {
+			if c.Count >= min {
+				want = append(want, c)
+			}
+		}
+		s.IterateAtLeast(min, func(c Counter[uint64]) bool { got = append(got, c); return true })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: IterateAtLeast(%d) = %v, Iterate filtered %v", tag, min, got, want)
+		}
+		if len(want) < 2 {
+			continue
+		}
+		stop := len(want) / 2
+		got = got[:0]
+		s.IterateAtLeast(min, func(c Counter[uint64]) bool { got = append(got, c); return len(got) <= stop })
+		if !slices.Equal(got, want[:stop+1]) {
+			t.Fatalf("%s: IterateAtLeast(%d) stopped after %d: %v, want %v", tag, min, stop+1, got, want[:stop+1])
+		}
+	}
+}
+
+// TestIterateAtLeastFiltersIterate walks the top-down start through a
+// sketch's whole life: filling, saturated and evicting, merged into,
+// restored entry by entry, flushed, and copied.
+func TestIterateAtLeastFiltersIterate(t *testing.T) {
+	r := rng.New(33)
+	s := MustNew[uint64](48)
+	checkIterateAtLeast(t, "empty", s)
+	for i := 0; i < 20000; i++ {
+		k := r.Uint64() % 200
+		if r.Intn(3) == 0 {
+			k %= 6 // a heavy few climb well above the churn
+		}
+		s.Add(k)
+		if i == 30 {
+			checkIterateAtLeast(t, "filling", s)
+		}
+	}
+	checkStructure(t, s)
+	checkIterateAtLeast(t, "evicting", s)
+
+	other := MustNew[uint64](48)
+	for i := 0; i < 5000; i++ {
+		other.Add(r.Uint64() % 90)
+	}
+	s.Merge(other)
+	checkStructure(t, s)
+	checkIterateAtLeast(t, "merged", s)
+
+	restored := MustNew[uint64](64)
+	for _, c := range s.Entries(nil) { // descending: the walk from the minimum
+		if err := restored.RestoreEntry(c.Key, c.Count, c.Err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkStructure(t, restored)
+	checkIterateAtLeast(t, "restored", restored)
+
+	var cp Sketch[uint64]
+	s.CopyInto(&cp)
+	checkIterateAtLeast(t, "copied", &cp)
+
+	s.Flush()
+	checkStructure(t, s)
+	checkIterateAtLeast(t, "flushed", s)
+	for i := 0; i < 300; i++ {
+		s.Add(r.Uint64() % 10)
+	}
+	checkStructure(t, s)
+	checkIterateAtLeast(t, "refilled", s)
 }
