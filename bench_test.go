@@ -18,6 +18,7 @@ import (
 	"memento/internal/experiments"
 	"memento/internal/hierarchy"
 	"memento/internal/netsim"
+	"memento/internal/netwide"
 	"memento/internal/trace"
 )
 
@@ -246,8 +247,9 @@ func BenchmarkFig9_NetsimFeed(b *testing.B) {
 	for _, m := range []netsim.Method{netsim.Aggregation, netsim.Sample, netsim.Batch} {
 		b.Run(m.String(), func(b *testing.B) {
 			sim, err := netsim.New(netsim.Config{
-				Method: m, BatchSize: 44, Points: 10, Budget: 1,
-				Window: benchWindow, Hier: hierarchy.OneD{}, Counters: 4096, Seed: 7,
+				Method: m, Points: 10,
+				Params: netwide.Params{Budget: 1, BatchSize: 44, Window: benchWindow},
+				Hier:   hierarchy.OneD{}, Counters: 4096, Seed: 7,
 			})
 			if err != nil {
 				b.Fatal(err)

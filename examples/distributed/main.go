@@ -16,6 +16,7 @@ import (
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
 	"memento/internal/netsim"
+	"memento/internal/netwide"
 	"memento/internal/trace"
 )
 
@@ -40,8 +41,9 @@ func main() {
 		"method", "estimate", "truth", "error", "bytes/pkt")
 	for _, method := range []netsim.Method{netsim.Aggregation, netsim.Sample, netsim.Batch} {
 		sim, err := netsim.New(netsim.Config{
-			Method: method, BatchSize: opt.BatchSize, Points: points,
-			Budget: budget, Window: window, Hier: hierarchy.OneD{},
+			Method: method, Points: points,
+			Params:   netwide.Params{Budget: budget, BatchSize: opt.BatchSize, Window: window},
+			Hier:     hierarchy.OneD{},
 			Counters: 4096, Seed: 11,
 		})
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
 	"memento/internal/netsim"
+	"memento/internal/netwide"
 	"memento/internal/obs"
 	"memento/internal/trace"
 )
@@ -69,8 +70,9 @@ func Figure9(cfg Fig9Config) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, method := range []netsim.Method{netsim.Aggregation, netsim.Sample, netsim.Batch} {
 		sim, err := netsim.New(netsim.Config{
-			Method: method, BatchSize: cfg.BatchSize, Points: cfg.Points,
-			Budget: cfg.Budget, Window: cfg.Window, Hier: hier,
+			Method: method, Points: cfg.Points,
+			Params:   netwide.Params{Budget: cfg.Budget, BatchSize: cfg.BatchSize, Window: cfg.Window},
+			Hier:     hier,
 			Counters: cfg.Counters, Seed: cfg.Seed + 7,
 		})
 		if err != nil {
@@ -199,8 +201,9 @@ func Figure10(cfg Fig10Config) ([]Fig10Result, error) {
 	}
 	mk := func(method netsim.Method) (estimator, error) {
 		sim, err := netsim.New(netsim.Config{
-			Method: method, BatchSize: cfg.BatchSize, Points: cfg.Points,
-			Budget: cfg.Budget, Window: cfg.Window, Hier: hierarchy.OneD{},
+			Method: method, Points: cfg.Points,
+			Params:   netwide.Params{Budget: cfg.Budget, BatchSize: cfg.BatchSize, Window: cfg.Window},
+			Hier:     hierarchy.OneD{},
 			Counters: cfg.Counters, Seed: cfg.Seed + 9,
 		})
 		if err != nil {

@@ -15,10 +15,11 @@
 //     merges with no accuracy loss. All of its error comes from
 //     staleness, exactly as the paper constructs it.
 //
-// The controller runs D-Memento / D-H-Memento: a single (H-)Memento
-// instance driven externally — Full updates for reported samples,
-// Window updates for the packets the report covers (Section 4.3
-// "Controller algorithm").
+// Sample and Batch run the fleet protocol's own code: each measurement
+// point is a netwide.Sampler, and the controller runs netwide's
+// absorber (D-Memento / D-H-Memento: Full updates for reported
+// samples, Window updates for the packets the report covers, Section
+// 4.3 "Controller algorithm"), exchanging batches in memory.
 //
 // Time is the global packet index; report delivery is immediate
 // (Section 5.2: in-datacenter RTT is negligible against window sizes).
@@ -28,12 +29,11 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"memento/internal/core"
 	"memento/internal/exact"
 	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
+	"memento/internal/netwide"
 	"memento/internal/obs"
 	"memento/internal/rng"
 )
@@ -68,17 +68,10 @@ type Config struct {
 	Method Method
 	// Points is m, the number of measurement points.
 	Points int
-	// Budget is B, the control bandwidth in bytes per ingress packet.
-	Budget float64
-	// BatchSize is b for the Batch method; Sample forces 1.
-	BatchSize int
-	// OverheadBytes is O, the per-message header cost (default 64).
-	OverheadBytes float64
-	// SampleBytes is E, bytes per reported sample (default 4 for 1D
-	// hierarchies, 8 for 2D).
-	SampleBytes float64
-	// Window is W, the network-wide window in packets.
-	Window int
+	// Params are the fleet's deployment constants: budget B, overhead
+	// O, sample size E, batch size b (Batch only; Sample forces 1) and
+	// window W, with netwide's defaults.
+	Params netwide.Params
 	// Hier is the prefix domain (hierarchy.Flows for plain HH).
 	Hier hierarchy.Hierarchy
 	// Counters sizes the controller sketch (Sample/Batch).
@@ -91,9 +84,7 @@ type Config struct {
 
 // agent is one measurement point.
 type agent struct {
-	// Sample/Batch state.
-	buf      []hierarchy.Packet
-	observed int // local packets since the last report
+	sampler *netwide.Sampler // Sample/Batch
 	// Aggregation state.
 	win    *exact.SlidingWindow[hierarchy.Packet]
 	credit float64
@@ -104,14 +95,11 @@ type agent struct {
 type Sim struct {
 	cfg    Config
 	hier   hierarchy.Hierarchy
-	h      int
 	tau    float64
-	b      int
 	agents []agent
 	rr     int
-	src    *rng.Source
 
-	hh *core.HHH // controller sketch (Sample/Batch)
+	abs *netwide.Absorber // controller (Sample/Batch)
 
 	packets   uint64
 	reports   uint64
@@ -126,33 +114,19 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Points <= 0 {
 		return nil, errors.New("netsim: need at least one measurement point")
 	}
-	if cfg.Budget <= 0 {
-		return nil, errors.New("netsim: budget must be positive")
-	}
-	if cfg.Window <= 0 {
-		return nil, errors.New("netsim: window must be positive")
-	}
-	if cfg.OverheadBytes == 0 {
-		cfg.OverheadBytes = 64
-	}
-	if cfg.SampleBytes == 0 {
-		if cfg.Hier.Dims() == 2 {
-			cfg.SampleBytes = 8
-		} else {
-			cfg.SampleBytes = 4
-		}
-	}
-	b := 1
 	switch cfg.Method {
 	case Sample:
+		cfg.Params.BatchSize = 1
 	case Batch:
-		b = cfg.BatchSize
-		if b <= 0 {
+		if cfg.Params.BatchSize <= 0 {
 			return nil, errors.New("netsim: Batch needs BatchSize > 0")
 		}
 	case Aggregation:
 	default:
 		return nil, fmt.Errorf("netsim: unknown method %v", cfg.Method)
+	}
+	if err := cfg.Params.Normalize(cfg.Hier.Dims()); err != nil {
+		return nil, err
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -161,38 +135,23 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:    cfg,
 		hier:   cfg.Hier,
-		h:      cfg.Hier.H(),
-		b:      b,
 		agents: make([]agent, cfg.Points),
-		src:    rng.New(seed),
 	}
 	switch cfg.Method {
 	case Sample, Batch:
-		s.tau = cfg.Budget * float64(b) / (cfg.OverheadBytes + cfg.SampleBytes*float64(b))
-		if s.tau > 1 {
-			s.tau = 1
-		}
-		if cfg.Counters <= 0 {
-			return nil, errors.New("netsim: Sample/Batch need controller Counters")
-		}
-		v := int(math.Round(float64(s.h) / s.tau))
-		if v < s.h {
-			v = s.h
-		}
-		hh, err := core.NewHHH(core.HHHConfig{
-			Hierarchy: cfg.Hier,
-			Window:    cfg.Window,
-			Counters:  cfg.Counters,
-			V:         v,
-			Delta:     cfg.Delta,
-			Seed:      seed + 1,
-		})
+		// One source for every coin and pattern draw, in stream order.
+		src := rng.New(seed)
+		abs, err := netwide.NewAbsorber(cfg.Hier, cfg.Params, cfg.Counters, cfg.Delta, seed+1, src)
 		if err != nil {
 			return nil, err
 		}
-		s.hh = hh
+		s.abs = abs
+		s.tau = cfg.Params.Tau()
+		for i := range s.agents {
+			s.agents[i].sampler = netwide.NewSampler(cfg.Params, src)
+		}
 	case Aggregation:
-		local := cfg.Window / cfg.Points
+		local := cfg.Params.Window / cfg.Points
 		if local < 1 {
 			local = 1
 		}
@@ -266,42 +225,20 @@ func (s *Sim) Feed(p hierarchy.Packet) {
 	}
 	switch s.cfg.Method {
 	case Sample, Batch:
-		a.observed++
-		if s.src.Float64() < s.tau {
-			a.buf = append(a.buf, p)
-		}
-		if len(a.buf) >= s.b {
-			s.deliverSamples(a)
+		if a.sampler.Observe(p) {
+			b := a.sampler.Cut()
+			s.reports++
+			s.bytesSent += s.cfg.Params.OverheadBytes + s.cfg.Params.SampleBytes*float64(len(b.Samples))
+			s.abs.Absorb(b)
 		}
 	case Aggregation:
 		a.win.Add(p)
-		a.credit += s.cfg.Budget
-		cost := s.cfg.OverheadBytes + s.cfg.SampleBytes*float64(a.win.Distinct())
+		a.credit += s.cfg.Params.Budget
+		cost := s.cfg.Params.OverheadBytes + s.cfg.Params.SampleBytes*float64(a.win.Distinct())
 		if a.credit >= cost {
 			s.deliverTable(a, cost)
 		}
 	}
-}
-
-// deliverSamples sends a Sample/Batch report: the controller performs
-// one Full update per sample (on a uniformly chosen prefix pattern, so
-// each pattern is sampled at rate τ/H = 1/V) and Window updates for
-// the remaining packets the report covers.
-func (s *Sim) deliverSamples(a *agent) {
-	s.reports++
-	s.bytesSent += s.cfg.OverheadBytes + s.cfg.SampleBytes*float64(len(a.buf))
-	for _, pkt := range a.buf {
-		i := 0
-		if s.h > 1 {
-			i = s.src.Intn(s.h)
-		}
-		s.hh.FullUpdatePrefix(s.hier.Prefix(pkt, i))
-	}
-	// The packets the report covers but did not sample slide the
-	// window in one bulk advance instead of per-packet calls.
-	s.hh.WindowAdvance(a.observed - len(a.buf))
-	a.buf = a.buf[:0]
-	a.observed = 0
 }
 
 // deliverTable ships an agent's full exact table (Aggregation): the
@@ -314,7 +251,7 @@ func (s *Sim) deliverTable(a *agent, cost float64) {
 	clear(a.view)
 	a.win.Each(func(pkt hierarchy.Packet, c int) bool {
 		hp := hierarchy.Packet{Src: pkt.Src, Dst: pkt.Dst}
-		for i := 0; i < s.h; i++ {
+		for i := range s.hier.H() {
 			a.view[s.hier.Prefix(hp, i)] += float64(c)
 		}
 		return true
@@ -326,7 +263,7 @@ func (s *Sim) deliverTable(a *agent, cost float64) {
 func (s *Sim) Estimate(p hierarchy.Prefix) float64 {
 	switch s.cfg.Method {
 	case Sample, Batch:
-		return s.hh.Query(p)
+		return s.abs.Sketch().Query(p)
 	default:
 		total := 0.0
 		for i := range s.agents {
@@ -340,7 +277,7 @@ func (s *Sim) Estimate(p hierarchy.Prefix) float64 {
 func (s *Sim) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 	switch s.cfg.Method {
 	case Sample, Batch:
-		return s.hh.QueryBounds(p)
+		return s.abs.Sketch().QueryBounds(p)
 	default:
 		e := s.Estimate(p)
 		return e, e
@@ -352,7 +289,7 @@ func (s *Sim) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 func (s *Sim) Output(theta float64) []hhhset.Entry {
 	switch s.cfg.Method {
 	case Sample, Batch:
-		return s.hh.Output(theta)
+		return s.abs.Sketch().Output(theta)
 	default:
 		seen := map[hierarchy.Prefix]struct{}{}
 		var cands []hierarchy.Prefix
@@ -364,6 +301,6 @@ func (s *Sim) Output(theta float64) []hhhset.Entry {
 				}
 			}
 		}
-		return hhhset.Compute(s.hier, s, cands, theta*float64(s.cfg.Window), 0)
+		return hhhset.Compute(s.hier, s, cands, theta*float64(s.cfg.Params.Window), 0)
 	}
 }

@@ -6,20 +6,21 @@ import (
 
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
+	"memento/internal/netwide"
 	"memento/internal/trace"
 )
 
 func TestConfigValidation(t *testing.T) {
 	base := Config{
-		Method: Sample, Points: 10, Budget: 1, Window: 1000,
-		Hier: hierarchy.OneD{}, Counters: 100,
+		Method: Sample, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
+		Params: netwide.Params{Budget: 1, Window: 1000},
 	}
 	bad := []func(Config) Config{
 		func(c Config) Config { c.Hier = nil; return c },
 		func(c Config) Config { c.Points = 0; return c },
-		func(c Config) Config { c.Budget = 0; return c },
-		func(c Config) Config { c.Window = 0; return c },
-		func(c Config) Config { c.Method = Batch; c.BatchSize = 0; return c },
+		func(c Config) Config { c.Params.Budget = 0; return c },
+		func(c Config) Config { c.Params.Window = 0; return c },
+		func(c Config) Config { c.Method = Batch; c.Params.BatchSize = 0; return c },
 		func(c Config) Config { c.Method = Method(9); return c },
 		func(c Config) Config { c.Counters = 0; return c },
 	}
@@ -35,16 +36,16 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTauFromBudget(t *testing.T) {
 	s := MustNew(Config{
-		Method: Sample, Points: 10, Budget: 1, Window: 1000,
-		Hier: hierarchy.OneD{}, Counters: 100,
+		Method: Sample, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
+		Params: netwide.Params{Budget: 1, Window: 1000},
 	})
 	// τ = B/(O+E) = 1/68.
 	if math.Abs(s.Tau()-1.0/68) > 1e-12 {
 		t.Fatalf("Sample tau = %v, want 1/68", s.Tau())
 	}
 	s = MustNew(Config{
-		Method: Batch, BatchSize: 100, Points: 10, Budget: 1, Window: 1000,
-		Hier: hierarchy.OneD{}, Counters: 100,
+		Method: Batch, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
+		Params: netwide.Params{Budget: 1, BatchSize: 100, Window: 1000},
 	})
 	// τ = B·b/(O+E·b) = 100/464.
 	if math.Abs(s.Tau()-100.0/464) > 1e-12 {
@@ -52,8 +53,8 @@ func TestTauFromBudget(t *testing.T) {
 	}
 	// 2D defaults E to 8.
 	s = MustNew(Config{
-		Method: Sample, Points: 10, Budget: 1, Window: 1000,
-		Hier: hierarchy.TwoD{}, Counters: 100,
+		Method: Sample, Points: 10, Hier: hierarchy.TwoD{}, Counters: 100,
+		Params: netwide.Params{Budget: 1, Window: 1000},
 	})
 	if math.Abs(s.Tau()-1.0/72) > 1e-12 {
 		t.Fatalf("2D Sample tau = %v, want 1/72", s.Tau())
@@ -66,8 +67,8 @@ func TestBandwidthBudgetRespected(t *testing.T) {
 	gen := trace.MustNewGenerator(trace.Backbone, 5)
 	for _, m := range []Method{Aggregation, Sample, Batch} {
 		s := MustNew(Config{
-			Method: m, BatchSize: 44, Points: 10, Budget: 1, Window: 1 << 15,
-			Hier: hierarchy.OneD{}, Counters: 1000, Seed: 3,
+			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 1000, Seed: 3,
+			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: 1 << 15},
 		})
 		for i := 0; i < 1<<17; i++ {
 			s.Feed(gen.Next())
@@ -95,8 +96,8 @@ func TestReportCadence(t *testing.T) {
 	counts := map[Method]uint64{}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
 		s := MustNew(Config{
-			Method: m, BatchSize: 44, Points: 10, Budget: 1, Window: 1 << 15,
-			Hier: hierarchy.OneD{}, Counters: 1000, Seed: 4,
+			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 1000, Seed: 4,
+			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: 1 << 15},
 		})
 		for i := 0; i < n; i++ {
 			s.Feed(gen.Next())
@@ -149,8 +150,8 @@ func TestEstimatesTrackTruth(t *testing.T) {
 	heavy := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
 		s := MustNew(Config{
-			Method: m, BatchSize: 44, Points: 10, Budget: 1, Window: window,
-			Hier: hierarchy.OneD{}, Counters: 2000, Seed: 9,
+			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 2000, Seed: 9,
+			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 		})
 		oracle := exact.MustNewSlidingWindow[hierarchy.Prefix](window)
 		subnetShareWorkload(s, oracle, n)
@@ -172,8 +173,8 @@ func TestOutputFindsHeavySubnet(t *testing.T) {
 	heavy := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
 		s := MustNew(Config{
-			Method: m, BatchSize: 44, Points: 10, Budget: 1, Window: window,
-			Hier: hierarchy.OneD{}, Counters: 2000, Seed: 10,
+			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 2000, Seed: 10,
+			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 		})
 		subnetShareWorkload(s, nil, 4*window)
 		out := s.Output(0.2)
@@ -194,8 +195,8 @@ func TestFlowsHierarchyDMemento(t *testing.T) {
 	// must be tracked.
 	const window = 1 << 14
 	s := MustNew(Config{
-		Method: Batch, BatchSize: 44, Points: 5, Budget: 1, Window: window,
-		Hier: hierarchy.Flows{}, Counters: 512, Seed: 11,
+		Method: Batch, Points: 5, Hier: hierarchy.Flows{}, Counters: 512, Seed: 11,
+		Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 	})
 	gen := trace.MustNewGenerator(trace.Edge, 12)
 	heavySrc := hierarchy.IPv4(99, 1, 2, 3)
@@ -216,8 +217,8 @@ func TestFlowsHierarchyDMemento(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	mk := func() float64 {
 		s := MustNew(Config{
-			Method: Batch, BatchSize: 20, Points: 4, Budget: 1, Window: 1 << 13,
-			Hier: hierarchy.OneD{}, Counters: 500, Seed: 13,
+			Method: Batch, Points: 4, Hier: hierarchy.OneD{}, Counters: 500, Seed: 13,
+			Params: netwide.Params{Budget: 1, BatchSize: 20, Window: 1 << 13},
 		})
 		gen := trace.MustNewGenerator(trace.Datacenter, 14)
 		for i := 0; i < 1<<15; i++ {
@@ -235,8 +236,8 @@ func TestAggregationViewsReplaceNotAccumulate(t *testing.T) {
 	// not summed forever.
 	const window = 1 << 12
 	s := MustNew(Config{
-		Method: Aggregation, Points: 2, Budget: 4, Window: window,
-		Hier: hierarchy.Flows{}, Seed: 15,
+		Method: Aggregation, Points: 2, Hier: hierarchy.Flows{}, Seed: 15,
+		Params: netwide.Params{Budget: 4, Window: window},
 	})
 	key := hierarchy.Prefix{Src: hierarchy.IPv4(1, 2, 3, 4), SrcLen: 4}
 	// Saturate with one flow, then flush it out with another and give

@@ -1,31 +1,25 @@
 // Agent: the measurement-point side of the network-wide protocol.
 //
-// Agents run in one of three report modes. ReportSampled is the
-// paper's budget-constrained protocol: each observed packet is sampled
-// with probability τ and full batches ship as MsgBatch frames.
-// ReportSnapshot is the full-fidelity mode: the agent maintains a
-// complete local H-Memento over its ingress and ships the encoded
-// sketch state (MsgSnapshot) at a configurable cadence — the paper's
-// "send everything" baseline turned into a live operating point, so
-// the accuracy-vs-bandwidth trade-off becomes a deployment knob
-// rather than a thought experiment. ReportDelta keeps the same local
-// sketch and ships an internal/delta chain instead (MsgDelta: one
-// base, then only the counters that changed each cadence; a dropped
-// record or a controller MsgResync re-bases it), which the controller
-// follows to the same merged answer the snapshot fleet gives
-// (TestDeltaMatchesSnapshotFleet uses the snapshot fleet as its
-// reference). In every mode Observe never blocks on the network:
-// reports queue to a bounded channel and drop (counted) under
-// backpressure.
+// Agents run in one of two report modes. ReportSampled is the paper's
+// budget-constrained protocol (Section 4.3): a Sampler τ-samples each
+// observed packet and full batches ship as MsgBatch frames.
+// ReportDelta keeps a complete local H-Memento over the agent's
+// ingress and ships an internal/delta chain of its state (MsgDelta:
+// one base, then only the counters that changed each cadence; a
+// dropped record or a controller MsgResync re-bases it), which the
+// controller follows to the agent's own state (TestDeltaMatchesSnapshotFleet
+// holds it to the local snapshots). In both modes Observe never blocks
+// on the network: reports queue to a bounded channel and drop
+// (counted) under backpressure.
 //
 // Transport fault tolerance (DESIGN.md §10): an agent built with
 // DialAgent and Reconnect redials through a supervised loop with
 // exponential backoff, jitter and an optional retry budget. Reports
 // queued before an outage survive it (the writer retries the in-hand
 // frame on the next connection generation); reports that overflow the
-// bounded queue during it are dropped and counted, and because
-// state-shipping modes report *cumulative* coverage, the ledger heals
-// as soon as any later report lands — nothing is silently lost.
+// bounded queue during it are dropped and counted, and because chain
+// records report *cumulative* coverage, the ledger heals as soon as
+// any later record lands — nothing is silently lost.
 // Heartbeats (MsgPing/MsgPong) keep idle connections alive and detect
 // one-way partitions; when the controller stays unreachable past
 // DegradedAfter, Degraded() reports it so callers can fail over to
@@ -56,17 +50,12 @@ const (
 	// ReportSampled ships τ-sampled packets in batches (the paper's
 	// Sample/Batch methods): cheap, approximate, budget-bounded.
 	ReportSampled ReportMode = iota
-	// ReportSnapshot maintains a full local sketch and ships its
-	// encoded state every SnapshotEvery packets: every packet
-	// contributes to the controller's view at full fidelity, at a
-	// bandwidth cost proportional to sketch size over cadence.
-	ReportSnapshot
-	// ReportDelta maintains the same full local sketch but ships an
-	// internal/delta replication chain instead of complete snapshots:
-	// one base, then per-cadence records carrying only the counters
-	// that changed. Snapshot-level fidelity for heavy state at a
-	// fraction of the bytes; a dropped report or controller resync
-	// request transparently re-bases the chain.
+	// ReportDelta maintains a full local sketch and ships an
+	// internal/delta replication chain of it: one base, then
+	// per-cadence records carrying only the counters that changed.
+	// Every packet reaches the controller's view at full fidelity; a
+	// dropped report or controller resync request transparently
+	// re-bases the chain.
 	ReportDelta
 )
 
@@ -89,20 +78,23 @@ type AgentConfig struct {
 
 	// Report selects the reporting mode (default ReportSampled).
 	Report ReportMode
-	// Hier is the prefix domain of the local sketch in ReportSnapshot
-	// mode; defaults to OneD (TwoD when Dims == 2). Use
-	// hierarchy.Flows for plain network-wide heavy hitters.
+	// Hier is the prefix domain of ReportDelta's local sketch; defaults
+	// to OneD (TwoD when Dims == 2). Use hierarchy.Flows for plain
+	// network-wide heavy hitters.
 	Hier hierarchy.Hierarchy
-	// SnapshotWindow is the local sliding window in ReportSnapshot
-	// mode. With m agents splitting the traffic, Params.Window/m makes
-	// the merged window match the network-wide one, mirroring the
-	// shard layer's window split. Defaults to Params.Window.
+	// SnapshotWindow is the local sketch's sliding window
+	// (ReportDelta). With m agents splitting the traffic,
+	// Params.Window/m makes the merged window match the network-wide
+	// one, mirroring the shard layer's window split. Defaults to
+	// Params.Window.
 	SnapshotWindow int
-	// SnapshotCounters sizes the local sketch (default 512·H).
+	// SnapshotCounters sizes the local sketch (ReportDelta; default
+	// 512·H). A chain base carries the whole sketch, so it must fit a
+	// MaxFrame frame.
 	SnapshotCounters int
-	// SnapshotEvery is the report cadence in observed packets
-	// (default SnapshotWindow/4). Smaller is fresher and costs more
-	// bytes; the encoded snapshot must fit a MaxFrame frame.
+	// SnapshotEvery is the chain's report cadence in observed packets
+	// (ReportDelta; default SnapshotWindow/4). Smaller is fresher and
+	// costs more bytes.
 	SnapshotEvery int
 	// DeltaFloor is ReportDelta's fidelity floor: monitored counters
 	// whose guaranteed count stays below it and that never shipped
@@ -174,7 +166,6 @@ type AgentConfig struct {
 type Agent struct {
 	name string
 	tau  float64
-	b    int
 	mode ReportMode
 
 	addr       string // redial target; "" for NewAgent-wrapped conns
@@ -193,13 +184,11 @@ type Agent struct {
 	bsrc          *rng.Source // backoff jitter; supervisor goroutine only
 
 	mu        sync.Mutex
-	src       *rng.Source
-	buf       []hierarchy.Packet
-	observed  uint64 // packets since the last capture (cadence / batch counter)
-	total     uint64 // ReportSnapshot/ReportDelta: cumulative packets observed
+	sampler   *Sampler // ReportSampled; nil in ReportDelta
+	observed  uint64   // ReportDelta: packets since the last capture
+	total     uint64   // ReportDelta: cumulative packets observed
 	hh        *core.HHH
-	snap      core.HHHSnapshot
-	tracker   *delta.Tracker
+	tracker   *delta.Tracker // ReportDelta; nil in ReportSampled
 	every     uint64
 	chainBuf  []byte // ReportDelta: recycled record scratch
 	reportSeq uint64 // guarded by mu: per-agent report sequence (tracing)
@@ -255,7 +244,7 @@ type generation struct {
 }
 
 // outFrame is one queued report: either a batch to encode on the
-// writer goroutine, or a pre-encoded payload (snapshots are encoded
+// writer goroutine, or a pre-encoded payload (chain records are cut
 // under the observe lock so the sketch state is consistent). Reports
 // carry their capture stamp (seq, capture) from the moment the state
 // was cut; whether the stamp ships depends on the connection's
@@ -343,7 +332,6 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 	a := &Agent{
 		name:          cfg.Name,
 		tau:           cfg.Params.Tau(),
-		b:             cfg.Params.BatchSize,
 		mode:          cfg.Report,
 		dial:          dial,
 		clk:           clk,
@@ -364,7 +352,6 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 		degradedAfter: cfg.DegradedAfter,
 		retryBudget:   cfg.RetryBudget,
 		bsrc:          rng.New(seed + 0xb0ff),
-		src:           rng.New(seed),
 		upCh:          make(chan struct{}),
 		redial:        make(chan struct{}, 1),
 		sendq:         make(chan outFrame, qlen),
@@ -389,7 +376,9 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 	if a.hbEvery == 0 {
 		a.hbEvery = time.Second
 	}
-	if cfg.Report == ReportSnapshot || cfg.Report == ReportDelta {
+	if cfg.Report != ReportDelta {
+		a.sampler = NewSampler(cfg.Params, rng.New(seed))
+	} else {
 		hier := cfg.Hier
 		if hier == nil {
 			if cfg.Dims == 2 {
@@ -406,10 +395,11 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 		if counters <= 0 {
 			counters = 512 * hier.H()
 		}
-		// Worst-case encoded size of a query-plane snapshot: ~30 bytes
-		// per monitored counter plus ~30 per nominal overflow entry
-		// and a fixed preamble. A budget whose snapshots can never fit
-		// a frame must fail here, not wedge silently at every cadence.
+		// Worst-case encoded size of a chain base, which embeds the whole
+		// sketch: ~30 bytes per monitored counter plus ~30 per nominal
+		// overflow entry and a fixed preamble. A budget whose bases can
+		// never fit a frame must fail here, not wedge silently at every
+		// cadence.
 		if worst := 60*counters + 1024; worst > MaxFrame-5 {
 			return nil, fmt.Errorf("netwide: %d-counter snapshot (~%d bytes worst case) cannot fit a %d-byte frame",
 				counters, worst, MaxFrame)
@@ -429,21 +419,19 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 			every = max(hh.EffectiveWindow()/4, 1)
 		}
 		a.every = uint64(every)
-		if cfg.Report == ReportDelta {
-			floor := uint64(0)
-			switch {
-			case cfg.DeltaFloor > 0:
-				floor = uint64(cfg.DeltaFloor)
-			case cfg.DeltaFloor == 0:
-				floor = hh.Sketch().BlockCounts()
-			}
-			a.tracker, err = delta.NewTracker(hh, delta.TrackerConfig{Floor: floor})
-			if err != nil {
-				return nil, fmt.Errorf("netwide: agent chain encoder: %w", err)
-			}
+		floor := uint64(0)
+		switch {
+		case cfg.DeltaFloor > 0:
+			floor = uint64(cfg.DeltaFloor)
+		case cfg.DeltaFloor == 0:
+			floor = hh.Sketch().BlockCounts()
+		}
+		a.tracker, err = delta.NewTracker(hh, delta.TrackerConfig{Floor: floor})
+		if err != nil {
+			return nil, fmt.Errorf("netwide: agent chain encoder: %w", err)
 		}
 	}
-	hello, err := encodeHello(Hello{Name: cfg.Name, Tau: a.tau, Batch: uint32(a.b)})
+	hello, err := encodeHello(Hello{Name: cfg.Name, Tau: a.tau, Batch: uint32(cfg.Params.BatchSize)})
 	if err != nil {
 		return nil, err
 	}
@@ -714,31 +702,41 @@ func (a *Agent) Tau() float64 { return a.tau }
 // Mode returns the agent's report mode.
 func (a *Agent) Mode() ReportMode { return a.mode }
 
-// Observe records one observed packet. In ReportSampled mode it is
-// sampled with probability τ and, once a full batch accumulates, a
-// report is queued for transmission; in ReportSnapshot mode it feeds
-// the local sketch, whose encoded state is queued every SnapshotEvery
-// packets. Safe for concurrent use; never blocks on the network.
+// Observe records one observed packet. In ReportSampled mode the
+// sampler τ-samples it and, once a full batch accumulates, a report is
+// queued for transmission; in ReportDelta mode it feeds the local
+// sketch, whose next chain record is queued every SnapshotEvery
+// packets. Reports are cut AND queued under the lock, so the queue
+// holds them in capture order: chain records are ordered by epoch (a
+// later record overtaking an earlier one would cost a spurious resync
+// round trip) and trace sequence numbers stay monotone. The enqueue
+// itself never blocks. Safe for concurrent use; never blocks on the
+// network.
 func (a *Agent) Observe(p hierarchy.Packet) {
-	if a.mode == ReportSnapshot || a.mode == ReportDelta {
-		a.observeSnapshot(p)
-		return
-	}
 	a.mu.Lock()
-	a.observed++
-	if a.src.Float64() < a.tau {
-		a.buf = append(a.buf, p)
+	if a.tracker == nil {
+		if a.sampler.Observe(p) {
+			a.enqueue(a.cutLocked())
+		}
+	} else {
+		a.observed++
+		a.total++
+		a.hh.Update(p)
+		if a.observed >= a.every {
+			a.shipDeltaLocked()
+		}
 	}
-	if len(a.buf) < a.b {
-		a.mu.Unlock()
-		return
-	}
-	batch := Batch{Covered: a.observed, Samples: a.buf}
-	a.buf = make([]hierarchy.Packet, 0, a.b)
-	a.observed = 0
-	seq, capture := a.stampLocked()
 	a.mu.Unlock()
-	a.enqueue(outFrame{typ: MsgBatch, batch: batch, seq: seq, capture: capture})
+}
+
+// cutLocked cuts the sampler's pending batch into a stamped report;
+// the caller holds a.mu.
+//
+//memento:locked mu
+func (a *Agent) cutLocked() outFrame {
+	f := outFrame{typ: MsgBatch, batch: a.sampler.Cut()}
+	f.seq, f.capture = a.stampLocked()
+	return f
 }
 
 // stampLocked cuts the next report's capture stamp: its sequence
@@ -751,79 +749,18 @@ func (a *Agent) stampLocked() (uint64, int64) {
 	return a.reportSeq, time.Now().UnixNano()
 }
 
-// observeSnapshot is Observe's local-sketch path (ReportSnapshot and
-// ReportDelta share it; only the capture differs).
-func (a *Agent) observeSnapshot(p hierarchy.Packet) {
-	a.mu.Lock()
-	a.observed++
-	a.total++
-	a.hh.Update(p)
-	if a.observed < a.every {
-		a.mu.Unlock()
-		return
-	}
-	if a.mode == ReportDelta {
-		// Capture AND enqueue under the lock: chain records are
-		// ordered by epoch, and a concurrent Observe sneaking its
-		// later record into the queue first would cost a spurious
-		// resync round trip. The enqueue itself never blocks.
-		a.shipDeltaLocked()
-		a.mu.Unlock()
-		return
-	}
-	frame, ok := a.captureLocked()
-	a.mu.Unlock()
-	if ok {
-		a.enqueue(frame)
-	}
-}
-
-// shipDeltaLocked advances the chain one record and queues it; the
-// caller holds a.mu. A record that cannot be queued (backpressure)
-// breaks the chain, so the next capture re-bases; the cumulative
-// coverage total makes the ledger whole on its own.
+// shipDeltaLocked advances the replication chain one record and
+// queues it; the caller holds a.mu. The tracker decides base vs delta
+// itself (first report, forced re-base, detected reset). A delta is
+// diffed straight from the live sketch — a scan of the counter slots
+// the interval touched, no copy — which is why it can run on the
+// Observe path under the lock; only a base copies the sketch. A record
+// that cannot be encoded or queued (backpressure) breaks the chain, so
+// the next capture re-bases; the cumulative coverage total makes the
+// ledger whole on its own.
 //
 //memento:locked mu
 func (a *Agent) shipDeltaLocked() {
-	frame, ok := a.captureDeltaLocked()
-	if ok && !a.enqueue(frame) {
-		a.tracker.ForceBase()
-	}
-}
-
-// captureLocked snapshots and encodes the local sketch; the caller
-// holds a.mu. Encoding under the lock keeps the frame a consistent
-// point-in-time state; the cost is a few slab copies per cadence, not
-// per packet.
-//
-//memento:locked mu
-func (a *Agent) captureLocked() (outFrame, bool) {
-	a.observed = 0
-	a.hh.SnapshotInto(&a.snap)
-	payload, err := encodeSnapshotReport(a.total, &a.snap, nil)
-	if err != nil {
-		// The sketch state is cumulative and the coverage total rides
-		// every report, so nothing is owed forward — surface the
-		// failure as an error plus a dropped report; the constructor's
-		// size guard makes this reachable only via pathological
-		// overflow-table growth.
-		a.dataErr.Store(err)
-		a.dropped.Add(1)
-		return outFrame{}, false
-	}
-	seq, capture := a.stampLocked()
-	return outFrame{typ: MsgSnapshot, payload: payload, seq: seq, capture: capture}, true
-}
-
-// captureDeltaLocked advances the replication chain one record; the
-// caller holds a.mu. The tracker decides base vs delta itself (first
-// report, forced re-base, detected reset). A delta is diffed straight
-// from the live sketch — a scan of the counter slots the interval
-// touched, no copy — which is why it can run on the Observe path under
-// the lock; only a base copies the sketch.
-//
-//memento:locked mu
-func (a *Agent) captureDeltaLocked() (outFrame, bool) {
 	a.observed = 0
 	record, _, err := a.tracker.Append(a.chainBuf[:0])
 	a.chainBuf = record
@@ -832,46 +769,33 @@ func (a *Agent) captureDeltaLocked() (outFrame, bool) {
 		payload, err = encodeDeltaReport(a.total, record, nil)
 	}
 	if err != nil {
-		// Re-base: the un-shipped record already advanced the chain.
 		a.tracker.ForceBase()
 		a.dataErr.Store(err)
 		a.dropped.Add(1)
-		return outFrame{}, false
+		return
 	}
 	seq, capture := a.stampLocked()
-	return outFrame{typ: MsgDelta, payload: payload, seq: seq, capture: capture}, true
+	if !a.enqueue(outFrame{typ: MsgDelta, payload: payload, seq: seq, capture: capture}) {
+		a.tracker.ForceBase()
+	}
 }
 
 // Flush ships the current partial report immediately: the pending
-// sampled batch, or a fresh snapshot covering the packets observed
+// sampled batch, or a chain record covering the packets observed
 // since the last one. Call it before reading final results from the
 // controller (or before shutdown) so the tail of the stream is not
 // stranded in the agent.
 func (a *Agent) Flush() {
 	a.mu.Lock()
-	if a.observed == 0 {
-		a.mu.Unlock()
-		return
-	}
-	if a.mode == ReportDelta {
-		a.shipDeltaLocked()
-		a.mu.Unlock()
-		return
-	}
-	var frame outFrame
-	ok := true
-	if a.mode == ReportSnapshot {
-		frame, ok = a.captureLocked()
-	} else {
-		frame = outFrame{typ: MsgBatch, batch: Batch{Covered: a.observed, Samples: a.buf}}
-		frame.seq, frame.capture = a.stampLocked()
-		a.buf = make([]hierarchy.Packet, 0, a.b)
-		a.observed = 0
+	switch {
+	case a.tracker != nil:
+		if a.observed > 0 {
+			a.shipDeltaLocked()
+		}
+	case a.sampler.Pending() > 0:
+		a.enqueue(a.cutLocked())
 	}
 	a.mu.Unlock()
-	if ok {
-		a.enqueue(frame)
-	}
 }
 
 // enqueue hands a report to the writer, dropping under backpressure;
@@ -1130,7 +1054,7 @@ func (a *Agent) reader(g *generation) {
 				a.pongs.Add(1)
 			}
 		case MsgResync:
-			if a.mode != ReportDelta {
+			if a.tracker == nil {
 				continue
 			}
 			a.trace.Record(obs.EvResync, a.name, 0)

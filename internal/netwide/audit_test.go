@@ -14,12 +14,13 @@ import (
 	"memento/internal/shard"
 )
 
-// TestFleetAuditNoViolations drives a traced snapshot-shipping fleet
-// over loopback with an audit.Auditor teed on the same stream. At each
-// checkpoint the fleet is quiesced — every agent force-ships its live
-// sketch and the controller absorbs everything written — so the
-// oracle's exact window counts and the merged snapshots describe the
-// same stream position, and the merged bounds are audited key by key.
+// TestFleetAuditNoViolations drives a traced fleet of exact
+// (DeltaFloor < 0) delta agents over loopback with an audit.Auditor
+// teed on the same stream. At each checkpoint the fleet is quiesced —
+// every agent force-ships a record of its live sketch and the
+// controller applies everything written — so the oracle's exact window
+// counts and the merged snapshots describe the same stream position,
+// and the merged bounds are audited key by key.
 func TestFleetAuditNoViolations(t *testing.T) {
 	const (
 		window      = 1 << 16
@@ -55,7 +56,8 @@ func TestFleetAuditNoViolations(t *testing.T) {
 			Name:             fmt.Sprintf("audit-%d", i),
 			Params:           params,
 			Seed:             uint64(i + 1),
-			Report:           ReportSnapshot,
+			Report:           ReportDelta,
+			DeltaFloor:       -1,
 			Hier:             hier,
 			SnapshotWindow:   window / agents,
 			SnapshotCounters: counters,
@@ -106,7 +108,7 @@ func TestFleetAuditNoViolations(t *testing.T) {
 				}
 				sent += st.Sent
 			}
-			return ctrl.Snapshots() >= sent
+			return ctrl.Deltas()+ctrl.Resyncs() >= sent
 		})
 
 		aud.Flush()

@@ -1,8 +1,9 @@
 // Chaos acceptance test for the fleet fault-tolerance plane: a delta
 // fleet driven through faultnet injectors — frame drops, a one-way
 // partition, controller-side resets — must reconverge after heal to
-// the exact OutputMerged of a fault-free snapshot fleet on the same
-// trace, with the coverage ledger accounting for every packet.
+// the exact merge of the agents' own final snapshots, which is what a
+// fault-free snapshot fleet would answer on the same trace, with the
+// coverage ledger accounting for every packet.
 
 package netwide
 
@@ -82,23 +83,20 @@ func TestChaosFleetConverges(t *testing.T) {
 	const agents = 4
 	params := Params{Budget: 0.5, BatchSize: 16, Window: window}
 
-	// The reference: a fault-free snapshot fleet on clean TCP.
-	refCtrl, refAgents := deltaFleet(t, hierarchy.OneD{}, params, 2048, agents, ReportSnapshot, 0)
 	// The subject: a delta fleet with fault injection on every path.
 	ctrl, as, ctrlInj, injs := chaosFleet(t, params, agents)
 
 	perAgent := make([]uint64, agents)
 	drive := func(n int, seed uint64) {
 		for i, p := range fleetStream(n, seed) {
-			refAgents[i%agents].Observe(p)
 			as[i%agents].Observe(p)
 			perAgent[i%agents]++
 		}
 	}
 	settle := func() { time.Sleep(150 * time.Millisecond) } // let in-flight frames meet the faults
 
-	// Scripted fault schedule. Each leg drives identical traffic into
-	// both fleets while only the chaos fleet's transport misbehaves.
+	// Scripted fault schedule. Each leg drives traffic while the
+	// fleet's transport misbehaves.
 	drive(2048, 9) // clean warm-up
 
 	// Leg 1 — frame drops on two agents: whole frames vanish, so the
@@ -127,9 +125,8 @@ func TestChaosFleetConverges(t *testing.T) {
 
 	// Post-heal tail on a clean network, then flush everything.
 	drive(2048, 13)
-	for i := 0; i < agents; i++ {
-		refAgents[i].Flush()
-		as[i].Flush()
+	for _, a := range as {
+		a.Flush()
 	}
 
 	// Convergence gate: the cumulative coverage ledger must land on
@@ -148,12 +145,6 @@ func TestChaosFleetConverges(t *testing.T) {
 		i, a := i, a
 		waitFor(t, fmt.Sprintf("%s coverage to converge", a.Name()), func() bool {
 			return covered(ctrl, a.Name()) == perAgent[i]
-		})
-	}
-	for i, a := range refAgents {
-		i, a := i, a
-		waitFor(t, fmt.Sprintf("reference %s coverage", a.Name()), func() bool {
-			return covered(refCtrl, a.Name()) == perAgent[i]
 		})
 	}
 	for _, a := range as {
@@ -188,12 +179,15 @@ func TestChaosFleetConverges(t *testing.T) {
 	}
 
 	// The acceptance bar: after heal, the chaos fleet's merged HHH
-	// output is indistinguishable from the fault-free fleet's.
+	// output is indistinguishable from a fault-free fleet's — the merge
+	// of the snapshots its agents hold now that the stream is over.
+	ref := newSnapshotFleet(as)
+	ref.capture(t, as)
 	for _, theta := range []float64{0.02, 0.05, 0.15} {
 		entriesEqual(t, fmt.Sprintf("chaos theta %g", theta),
-			ctrl.OutputMerged(theta), refCtrl.OutputMerged(theta))
+			ctrl.OutputMerged(theta), ref.output(hierarchy.OneD{}, theta))
 	}
-	if ctrl.MergedWindow() != refCtrl.MergedWindow() {
-		t.Fatalf("merged windows %d vs %d", ctrl.MergedWindow(), refCtrl.MergedWindow())
+	if ctrl.MergedWindow() != ref.m.Window() {
+		t.Fatalf("merged windows %d vs %d", ctrl.MergedWindow(), ref.m.Window())
 	}
 }

@@ -102,7 +102,7 @@ func TestBroadcastDuringChurn(t *testing.T) {
 func TestOutputMergedBesideDeltaApply(t *testing.T) {
 	hier := hierarchy.OneD{}
 	params := Params{Budget: 1, BatchSize: 1, Window: 1 << 12}
-	ctrl, agents := deltaFleet(t, hier, params, 256, 2, ReportDelta, 0)
+	ctrl, agents := deltaFleet(t, hier, params, 256, 2, 0)
 	stream := fleetStream(1<<14, 11)
 
 	stop := make(chan struct{})

@@ -90,11 +90,9 @@ type ControllerConfig struct {
 type Controller struct {
 	cfg  ControllerConfig
 	hier hierarchy.Hierarchy
-	h    int
 
 	mu  sync.Mutex
-	hh  *core.HHH
-	src *rng.Source
+	abs *Absorber // Section 4.3's fold of sampled batches; used under mu
 
 	// outMu guards the reusable query snapshot. Output holds mu only
 	// for the snapshot copy, so absorbing agent reports never stalls
@@ -107,11 +105,11 @@ type Controller struct {
 	conns     map[*agentConn]string
 	listeners []net.Listener
 
-	// snapMu guards the per-agent state of the snapshot-shipping mode:
-	// each agent's latest decoded sketch and the per-agent transfer
-	// ledger. Snapshots are keyed by agent name and survive
-	// disconnects, so merged outputs keep covering nodes that just
-	// went away (their windows go stale, they don't vanish).
+	// snapMu guards the per-agent state: each delta agent's latest
+	// materialized sketch and every agent's transfer ledger. Entries
+	// are keyed by agent name and survive disconnects, so merged
+	// outputs keep covering nodes that just went away (their windows
+	// go stale, they don't vanish).
 	snapMu sync.Mutex
 	agents map[string]*agentState
 
@@ -123,16 +121,15 @@ type Controller struct {
 	// The transfer ledger: always-allocated obs counters (cache-line
 	// padded, nil-safe by construction here) so the same cells back
 	// both the accessor API and the Obs registry export.
-	reports   *obs.Counter
-	snapshots *obs.Counter
-	deltas    *obs.Counter
-	resyncs   *obs.Counter
-	pings     *obs.Counter
-	bytesIn   *obs.Counter
-	rejected  *obs.Counter
-	dropped   *obs.Counter // agents dropped for missing a Broadcast deadline
-	tracedIn  *obs.Counter // MsgTraced envelopes unwrapped
-	trace     *obs.Trace   // nil when tracing is disabled
+	reports  *obs.Counter
+	deltas   *obs.Counter
+	resyncs  *obs.Counter
+	pings    *obs.Counter
+	bytesIn  *obs.Counter
+	rejected *obs.Counter
+	dropped  *obs.Counter // agents dropped for missing a Broadcast deadline
+	tracedIn *obs.Counter // traced reports applied
+	trace    *obs.Trace   // nil when tracing is disabled
 
 	// captureApply is the end-to-end report span histogram: capture
 	// stamp (agent clock) to apply time (controller clock), nanoseconds.
@@ -173,12 +170,11 @@ func (c *agentConn) writeFrameTimeout(d time.Duration, msgType byte, payload []b
 // agentState is the controller-side ledger of one agent (by name).
 type agentState struct {
 	reports    uint64
-	snapshots  uint64
 	deltas     uint64
 	resyncs    uint64
 	bytes      uint64
 	covered    uint64
-	snap       *core.HHHSnapshot // latest applied sketch state, nil in sampled mode
+	snap       *core.HHHSnapshot // latest applied chain state, nil in sampled mode
 	lastReport time.Time         // when the last state-bearing report arrived (stale TTL input)
 	stale      bool              // quarantine edge-detector for trace events (OutputMerged sets, account clears)
 
@@ -192,15 +188,14 @@ type agentState struct {
 
 // AgentStat reports one agent's transfer ledger.
 type AgentStat struct {
-	Name      string
-	Reports   uint64 // sampled batches absorbed
-	Snapshots uint64 // snapshot frames absorbed
-	Deltas    uint64 // chain records applied
-	Resyncs   uint64 // chain re-bases the controller had to request
-	Bytes     uint64 // wire bytes received (frames incl. framing overhead)
+	Name    string
+	Reports uint64 // sampled batches absorbed
+	Deltas  uint64 // chain records applied
+	Resyncs uint64 // chain re-bases the controller had to request
+	Bytes   uint64 // wire bytes received (frames incl. framing overhead)
 	// Covered is the packets the agent reported covering. Sampled
-	// batches accumulate it; state-shipping modes report a cumulative
-	// total, so for them it is exactly the packets the agent has
+	// batches accumulate it; chain records carry a cumulative total,
+	// so for a delta agent it is exactly the packets the agent has
 	// observed — frames lost in flight leave no permanent hole.
 	Covered uint64
 	// SinceReport is the age of the agent's last state-bearing report;
@@ -224,9 +219,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if err := cfg.Params.Normalize(cfg.Hier.Dims()); err != nil {
 		return nil, err
 	}
-	if cfg.Counters <= 0 {
-		return nil, errors.New("netwide: controller needs Counters")
-	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -234,20 +226,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if seed == 0 {
 		seed = 0x636f6e74726f6c // "control"
 	}
-	h := cfg.Hier.H()
-	tau := cfg.Params.Tau()
-	v := int(math.Round(float64(h) / tau))
-	if v < h {
-		v = h
-	}
-	hh, err := core.NewHHH(core.HHHConfig{
-		Hierarchy: cfg.Hier,
-		Window:    cfg.Params.Window,
-		Counters:  cfg.Counters,
-		V:         v,
-		Delta:     cfg.Delta,
-		Seed:      seed + 1,
-	})
+	abs, err := NewAbsorber(cfg.Hier, cfg.Params, cfg.Counters, cfg.Delta, seed+1, rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -261,28 +240,24 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		cfg.ReadTimeout = 90 * time.Second
 	}
 	c := &Controller{
-		cfg:       cfg,
-		hier:      cfg.Hier,
-		h:         h,
-		hh:        hh,
-		src:       rng.New(seed),
-		conns:     map[*agentConn]string{},
-		agents:    map[string]*agentState{},
-		done:      make(chan struct{}),
-		reports:   &obs.Counter{},
-		snapshots: &obs.Counter{},
-		deltas:    &obs.Counter{},
-		resyncs:   &obs.Counter{},
-		pings:     &obs.Counter{},
-		bytesIn:   &obs.Counter{},
-		rejected:  &obs.Counter{},
-		dropped:   &obs.Counter{},
-		tracedIn:  &obs.Counter{},
-		trace:     cfg.Trace,
+		cfg:      cfg,
+		hier:     cfg.Hier,
+		abs:      abs,
+		conns:    map[*agentConn]string{},
+		agents:   map[string]*agentState{},
+		done:     make(chan struct{}),
+		reports:  &obs.Counter{},
+		deltas:   &obs.Counter{},
+		resyncs:  &obs.Counter{},
+		pings:    &obs.Counter{},
+		bytesIn:  &obs.Counter{},
+		rejected: &obs.Counter{},
+		dropped:  &obs.Counter{},
+		tracedIn: &obs.Counter{},
+		trace:    cfg.Trace,
 	}
 	if r := cfg.Obs; r != nil {
 		r.RegisterCounter("memento_controller_reports_total", c.reports)
-		r.RegisterCounter("memento_controller_snapshots_total", c.snapshots)
 		r.RegisterCounter("memento_controller_deltas_total", c.deltas)
 		r.RegisterCounter("memento_controller_resyncs_total", c.resyncs)
 		r.RegisterCounter("memento_controller_pings_total", c.pings)
@@ -396,7 +371,7 @@ func (c *Controller) handle(conn net.Conn) {
 		if cn != wc && name == hello.Name {
 			c.connMu.Unlock()
 			c.rejected.Inc()
-			// Per-agent state (latest snapshot, byte ledger) is keyed
+			// Per-agent state (latest chain state, byte ledger) is keyed
 			// by name, so a second live connection with the same name
 			// would silently overwrite the first agent's sketch and
 			// conflate the ledgers. Reconnecting after a disconnect is
@@ -422,7 +397,7 @@ func (c *Controller) handle(conn net.Conn) {
 	// chain is this connection's replication follower state (delta
 	// report mode). It lives with the connection: a reconnecting agent
 	// restarts its chain with a base, while the last materialized
-	// sketch state survives in the per-name ledger like snapshots do.
+	// sketch state survives in the per-name ledger.
 	var chain *delta.State
 
 	for {
@@ -458,7 +433,6 @@ func (c *Controller) handle(conn net.Conn) {
 				return
 			}
 			msgType, payload, tc, traced = inner, innerPayload, ctx, true
-			c.tracedIn.Inc()
 		}
 		switch msgType {
 		case MsgPing:
@@ -491,25 +465,8 @@ func (c *Controller) handle(conn net.Conn) {
 			}
 			c.reports.Inc()
 			c.bytesIn.Add(frameBytes)
-			c.account(hello.Name, kindSampled, frameBytes, batch.Covered, nil)
+			c.account(hello.Name, frameBytes, batch.Covered, nil)
 			c.absorb(batch)
-			if traced {
-				c.completeTrace(hello.Name, tc)
-			}
-		case MsgSnapshot:
-			rep, err := decodeSnapshotReport(payload)
-			if err != nil {
-				log.Warn("bad snapshot", "agent", hello.Name, "err", err)
-				return
-			}
-			if !hierarchy.Same(rep.Snap.Hierarchy(), c.hier) {
-				log.Warn("snapshot hierarchy mismatch",
-					"agent", hello.Name, "got", rep.Snap.Hierarchy().String(), "want", c.hier.String())
-				return
-			}
-			c.snapshots.Inc()
-			c.bytesIn.Add(frameBytes)
-			c.account(hello.Name, kindSnapshot, frameBytes, rep.Covered, rep.Snap)
 			if traced {
 				c.completeTrace(hello.Name, tc)
 			}
@@ -527,13 +484,13 @@ func (c *Controller) handle(conn net.Conn) {
 			if err := chain.Apply(rep.Record); err != nil {
 				if !errors.Is(err, delta.ErrEpochGap) {
 					// Corrupt or misconfigured: same contract as a bad
-					// snapshot — drop the connection.
+					// batch — drop the connection.
 					log.Warn("bad chain record", "agent", hello.Name, "err", err)
 					return
 				}
 				// A lost record (backpressure on either side): ask for
 				// a fresh base and keep the stale applied state
-				// queryable, exactly like a disconnected snapshot.
+				// queryable, exactly like a disconnected agent's.
 				c.resyncs.Inc()
 				c.accountResync(hello.Name)
 				c.trace.Record(obs.EvResync, hello.Name, 0)
@@ -566,7 +523,7 @@ func (c *Controller) handle(conn net.Conn) {
 				return
 			}
 			c.deltas.Inc()
-			c.account(hello.Name, kindDelta, 0, rep.Covered, snap)
+			c.account(hello.Name, 0, rep.Covered, snap)
 			if traced {
 				c.completeTrace(hello.Name, tc)
 			}
@@ -577,22 +534,13 @@ func (c *Controller) handle(conn net.Conn) {
 	}
 }
 
-// reportKind tags ledger entries by how the state arrived.
-type reportKind uint8
-
-const (
-	kindSampled reportKind = iota
-	kindSnapshot
-	kindDelta
-)
-
-// account updates an agent's transfer ledger and, for snapshot and
-// delta reports, installs its latest applied sketch state. Sampled
-// batches carry per-report coverage and accumulate; state-shipping
-// reports carry a cumulative total and the ledger keeps the max, so a
-// report lost in flight leaves no permanent hole once a later one
-// lands.
-func (c *Controller) account(name string, kind reportKind, bytes, covered uint64, snap *core.HHHSnapshot) {
+// account updates an agent's transfer ledger for one report: a sampled
+// batch (snap nil) or a chain record, whose applied sketch state snap
+// becomes the agent's latest. Sampled batches carry per-report coverage
+// and accumulate; chain records carry a cumulative total and the
+// ledger keeps the max, so a record lost in flight leaves no permanent
+// hole once a later one lands.
+func (c *Controller) account(name string, bytes, covered uint64, snap *core.HHHSnapshot) {
 	now := time.Now()
 	c.snapMu.Lock()
 	st := c.agentLocked(name)
@@ -605,16 +553,11 @@ func (c *Controller) account(name string, kind reportKind, bytes, covered uint64
 		c.trace.Record(obs.EvRequalify, name, 0)
 	}
 	st.stale = false
-	switch kind {
-	case kindSnapshot:
-		st.snapshots++
-		st.snap = snap
-		st.covered = max(st.covered, covered)
-	case kindDelta:
+	if snap != nil {
 		st.deltas++
 		st.snap = snap
 		st.covered = max(st.covered, covered)
-	default:
+	} else {
 		st.reports++
 		st.covered += covered
 	}
@@ -653,6 +596,10 @@ func (c *Controller) completeTrace(name string, tc codec.TraceContext) {
 	c.snapMu.Lock()
 	st := c.agentLocked(name)
 	st.traced++
+	// Counted last, once the report applied and its span is in the
+	// histogram and the ledger: a reader that sees TracedReports() = n
+	// sees at least n spans in both.
+	c.tracedIn.Inc()
 	st.lastCapture = tc.CaptureNanos
 	register := !st.freshReg && c.cfg.Obs != nil
 	st.freshReg = st.freshReg || register
@@ -702,29 +649,11 @@ func (c *Controller) agentLocked(name string) *agentState {
 	return st
 }
 
-// absorb folds one report into the sketch (Section 4.3's controller
-// algorithm): a Full update per sample on a uniformly chosen prefix
-// pattern, then Window updates for the remaining covered packets.
+// absorb folds one sampled batch into the controller's sketch.
 func (c *Controller) absorb(b Batch) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, pkt := range b.Samples {
-		i := 0
-		if c.h > 1 {
-			i = c.src.Intn(c.h)
-		}
-		c.hh.FullUpdatePrefix(c.hier.Prefix(pkt, i))
-	}
-	// Covered is a u64 read off the wire, so the slide one frame buys
-	// under c.mu is bounded here: W + W/k packets without a Full update
-	// rotate every ring queue out, which empties B, and flush y; from
-	// there on only the frame position (pos + n) mod W depends on n
-	// (core's TestLongSlideLeavesOnlyPosition).
-	n := b.Covered - uint64(len(b.Samples))
-	if w := uint64(c.hh.EffectiveWindow()); n > 3*w {
-		n = 2*w + n%w
-	}
-	c.hh.WindowAdvance(int(n))
+	c.abs.Absorb(b)
+	c.mu.Unlock()
 }
 
 // Estimate returns the network-wide window frequency estimate for a
@@ -732,7 +661,7 @@ func (c *Controller) absorb(b Batch) {
 func (c *Controller) Estimate(p hierarchy.Prefix) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hh.Query(p)
+	return c.abs.hh.Query(p)
 }
 
 // Output returns the network-wide HHH set at threshold theta. The
@@ -742,7 +671,7 @@ func (c *Controller) Output(theta float64) []hhhset.Entry {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
 	c.mu.Lock()
-	c.hh.SnapshotInto(&c.snap)
+	c.abs.hh.SnapshotInto(&c.snap)
 	c.mu.Unlock()
 	return c.snap.OutputTo(theta, nil)
 }
@@ -808,7 +737,7 @@ func VerdictsFrom(entries []hhhset.Entry, threshold float64, act Action, dst []V
 // action for every subnet VerdictsFrom selects from it (the DDoS
 // application of Section 6.4). It returns the verdicts sent.
 func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
-	vs := VerdictsFrom(c.Output(theta), theta*float64(c.hh.EffectiveWindow()), act, nil)
+	vs := VerdictsFrom(c.Output(theta), theta*float64(c.abs.hh.EffectiveWindow()), act, nil)
 	if len(vs) == 0 {
 		return nil, nil
 	}
@@ -819,7 +748,7 @@ func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
 }
 
 // OutputMerged returns the network-wide HHH set computed from the
-// latest snapshot each snapshot-shipping agent delivered, merged with
+// latest state each delta agent's chain delivered, merged with
 // the shard layer's estimate math (shard.Merger): the global window
 // is the sum of the agents' windows, each agent's contribution is
 // skew-corrected by its share of the captured update counts, and the
@@ -835,7 +764,7 @@ func (c *Controller) OutputMerged(theta float64) []hhhset.Entry {
 }
 
 // MergedSnapshots appends the latest applied snapshot of every
-// non-stale state-shipping agent to dst — the same set OutputMerged
+// non-stale delta agent to dst — the same set OutputMerged
 // merges — and returns it. The snapshots are immutable; the audit
 // plane feeds them to a shard.Merger (Prepare/Bounds/Release) to
 // compare exact per-key counts against the merged fleet bounds.
@@ -880,8 +809,8 @@ func (c *Controller) MergedWindow() int {
 	return c.merger.Window()
 }
 
-// AgentStats returns the per-agent transfer ledger: reports,
-// snapshots, wire bytes and covered packets, the controller-side half
+// AgentStats returns the per-agent transfer ledger: reports, chain
+// records, wire bytes and covered packets, the controller-side half
 // of the accuracy-vs-bandwidth accounting. Entries survive
 // disconnects.
 func (c *Controller) AgentStats() []AgentStat {
@@ -896,7 +825,7 @@ func (c *Controller) AgentStats() []AgentStat {
 			fresh = time.Duration(now.UnixNano() - st.lastCapture)
 		}
 		out = append(out, AgentStat{
-			Name: name, Reports: st.reports, Snapshots: st.snapshots,
+			Name: name, Reports: st.reports,
 			Deltas: st.deltas, Resyncs: st.resyncs,
 			Bytes: st.bytes, Covered: st.covered,
 			SinceReport:   age,
@@ -920,7 +849,7 @@ func (c *Controller) EnableDeltaCheckpoints(chain uint64) error {
 	// The tracker hooks the sketch's delta plane; take the ingest lock
 	// so enabling never races an absorb.
 	c.mu.Lock()
-	tr, err := delta.NewTracker(c.hh, delta.TrackerConfig{Chain: chain, Restore: true})
+	tr, err := delta.NewTracker(c.abs.hh, delta.TrackerConfig{Chain: chain, Restore: true})
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -988,7 +917,7 @@ func (c *Controller) RestoreChain(base io.Reader, deltas ...io.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hh.RestoreFrom(snap)
+	return c.abs.hh.RestoreFrom(snap)
 }
 
 // Agents returns the number of connected agents (handshake complete).
@@ -1007,8 +936,11 @@ func (c *Controller) Agents() int {
 // Reports returns the number of sampled reports absorbed.
 func (c *Controller) Reports() uint64 { return c.reports.Load() }
 
-// Snapshots returns the number of snapshot reports absorbed.
-func (c *Controller) Snapshots() uint64 { return c.snapshots.Load() }
+// Snapshots always returns 0: the snapshot report mode is retired, and
+// Deltas counts the chain records that carry the same state.
+//
+// Deprecated: use Deltas.
+func (c *Controller) Snapshots() uint64 { return 0 }
 
 // Deltas returns the number of chain records applied.
 func (c *Controller) Deltas() uint64 { return c.deltas.Load() }
@@ -1019,7 +951,8 @@ func (c *Controller) Resyncs() uint64 { return c.resyncs.Load() }
 // Pings returns the number of heartbeat pings answered.
 func (c *Controller) Pings() uint64 { return c.pings.Load() }
 
-// TracedReports returns the number of MsgTraced envelopes unwrapped.
+// TracedReports returns the number of traced reports applied: one per
+// span in CaptureApply.
 func (c *Controller) TracedReports() uint64 { return c.tracedIn.Load() }
 
 // CaptureApply snapshots the capture→apply latency histogram (traced
@@ -1030,7 +963,7 @@ func (c *Controller) CaptureApply() obs.HistSnapshot {
 	return s
 }
 
-// StaleAgents returns how many state-shipping agents are currently
+// StaleAgents returns how many delta agents are currently
 // quarantined out of OutputMerged by the stale TTL.
 func (c *Controller) StaleAgents() int {
 	now := time.Now()

@@ -1,6 +1,7 @@
 // Tests for the delta (chain-replication) report mode: the
-// differential acceptance contract against snapshot shipping, the
-// base/delta/resync handshake, and the controller warm-restart chain.
+// differential acceptance contract against the agents' own snapshots,
+// the base/delta/resync handshake, and the controller warm-restart
+// chain.
 
 package netwide
 
@@ -11,14 +12,16 @@ import (
 	"net"
 	"testing"
 
+	"memento/internal/core"
 	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
+	"memento/internal/shard"
 )
 
-// deltaFleet starts one controller and a fleet of agents in the given
-// mode over real TCP.
-func deltaFleet(t *testing.T, hier hierarchy.Hierarchy, params Params, counters, agents int, mode ReportMode, floor int) (*Controller, []*Agent) {
+// deltaFleet starts one controller and a fleet of delta agents over
+// real TCP.
+func deltaFleet(t *testing.T, hier hierarchy.Hierarchy, params Params, counters, agents int, floor int) (*Controller, []*Agent) {
 	t.Helper()
 	ctrl, err := NewController(ControllerConfig{
 		Hier: hier, Params: params, Counters: counters, Seed: 42,
@@ -39,7 +42,7 @@ func deltaFleet(t *testing.T, hier hierarchy.Hierarchy, params Params, counters,
 			Name:             fmt.Sprintf("agent-%d", i),
 			Params:           params,
 			Seed:             uint64(i + 1),
-			Report:           mode,
+			Report:           ReportDelta,
 			Hier:             hier,
 			SnapshotWindow:   params.Window / agents,
 			SnapshotCounters: 256,
@@ -102,36 +105,81 @@ func drainDelta(t *testing.T, ctrl *Controller, frames uint64) {
 	})
 }
 
-// drainSnapshots is drainDelta for a snapshot fleet.
-func drainSnapshots(t *testing.T, ctrl *Controller, frames uint64) {
+// snapshotFleet is what a fleet shipping its whole sketch every
+// cadence would carry, computed in process: each agent's local
+// snapshot as of its latest cadence, and the wire bytes of those
+// frames (the covered count, the encoded snapshot and the framing)
+// plus every agent's Hello.
+type snapshotFleet struct {
+	snaps []*core.HHHSnapshot
+	bytes uint64
+	buf   []byte
+	m     shard.Merger
+}
+
+func newSnapshotFleet(as []*Agent) *snapshotFleet {
+	f := &snapshotFleet{snaps: make([]*core.HHHSnapshot, len(as))}
+	for i, a := range as {
+		f.snaps[i] = new(core.HHHSnapshot)
+		f.bytes += uint64(len(a.hello)) + 9
+	}
+	return f
+}
+
+// capture takes every agent's local snapshot under its observe lock
+// and charges one full-state frame for it.
+func (f *snapshotFleet) capture(t *testing.T, as []*Agent) {
 	t.Helper()
-	waitFor(t, "snapshots to drain", func() bool {
-		return ctrl.Snapshots() >= frames
-	})
+	for i, a := range as {
+		a.mu.Lock()
+		a.hh.SnapshotInto(f.snaps[i])
+		a.mu.Unlock()
+		rec, err := f.snaps[i].AppendTo(f.buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.buf = rec
+		f.bytes += 8 + uint64(len(rec)) + 9
+	}
+}
+
+// output merges the captured snapshots as OutputMerged does.
+func (f *snapshotFleet) output(hier hierarchy.Hierarchy, theta float64) []hhhset.Entry {
+	return f.m.Output(hier, f.snaps, theta, nil)
+}
+
+// driveCadences feeds packets round robin in chunks of one cadence per
+// agent and captures the snapshot fleet after each chunk, where every
+// agent has just shipped a record. len(packets) must be a multiple of
+// the chunk.
+func driveCadences(t *testing.T, as []*Agent, ref *snapshotFleet, cadence int, packets []hierarchy.Packet) {
+	t.Helper()
+	chunk := cadence * len(as)
+	for lo := 0; lo < len(packets); lo += chunk {
+		for i, p := range packets[lo : lo+chunk] {
+			as[i%len(as)].Observe(p)
+		}
+		ref.capture(t, as)
+	}
 }
 
 // TestDeltaMatchesSnapshotFleet is the subsystem's differential
 // acceptance test: a controller following exact (Floor < 0) delta
 // chains answers OutputMerged identically — same prefixes, same
-// estimates, same conditioned frequencies — to a controller receiving
-// a full snapshot at every cadence, including after a forced epoch
-// gap and the resync that heals it.
+// estimates, same conditioned frequencies — to a merge of the full
+// snapshots the agents hold at every cadence, including after a forced
+// epoch gap and the resync that heals it, and costs fewer bytes than
+// shipping those snapshots would.
 func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 	const window = 1 << 13
 	const agents = 4
 	params := Params{Budget: 0.5, BatchSize: 16, Window: window}
-	snapCtrl, snapAgents := deltaFleet(t, hierarchy.OneD{}, params, 2048, agents, ReportSnapshot, 0)
-	chainCtrl, chainAgents := deltaFleet(t, hierarchy.OneD{}, params, 2048, agents, ReportDelta, -1)
+	chainCtrl, chainAgents := deltaFleet(t, hierarchy.OneD{}, params, 2048, agents, -1)
+	ref := newSnapshotFleet(chainAgents)
 
-	phase := func(packets []hierarchy.Packet) {
-		for i, p := range packets {
-			snapAgents[i%agents].Observe(p)
-			chainAgents[i%agents].Observe(p)
-		}
-	}
 	total := 0
 	drive := func(n int, seed uint64) {
-		phase(fleetStream(n, seed))
+		driveCadences(t, chainAgents, ref, window/agents/2, fleetStream(n, seed))
 		total += n
 	}
 	drive(1<<15, 9)
@@ -164,8 +212,7 @@ func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 		return 0
 	}
 	frozen := deltasOf(broken.Name())
-	// Keep both fleets moving (identical streams) until the re-base
-	// applies; how many cadences that takes depends on when the
+	// Keep the fleet moving until the re-base applies; how many cadences that takes depends on when the
 	// MsgResync round trip lands relative to the capture clock.
 	for try := uint64(0); deltasOf(broken.Name()) <= frozen; try++ {
 		if try > 200 {
@@ -175,16 +222,15 @@ func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 	}
 	// A full post-heal phase so every agent ends on fresh state.
 	drive(1<<15, 11)
-	for _, a := range append(append([]*Agent{}, snapAgents...), chainAgents...) {
+	for _, a := range chainAgents {
 		a.Flush()
 		if err := a.Err(); err != nil {
 			t.Fatalf("agent %s: %v", a.Name(), err)
 		}
 	}
 	// Every agent saw the same packet count; the cadence divides it
-	// exactly, so each fleet ships a known frame total.
+	// exactly, so the fleet ships a known frame total.
 	frames := uint64(total / agents / (window / agents / 2) * agents)
-	drainSnapshots(t, snapCtrl, frames)
 	drainDelta(t, chainCtrl, frames)
 	if chainCtrl.Resyncs() == 0 {
 		t.Fatal("forced gap produced no resync")
@@ -203,20 +249,20 @@ func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 
 	for _, theta := range []float64{0.02, 0.05, 0.15} {
 		entriesEqual(t, fmt.Sprintf("theta %g", theta),
-			chainCtrl.OutputMerged(theta), snapCtrl.OutputMerged(theta))
+			chainCtrl.OutputMerged(theta), ref.output(hierarchy.OneD{}, theta))
 	}
-	if chainCtrl.MergedWindow() != snapCtrl.MergedWindow() {
-		t.Fatalf("merged windows %d vs %d", chainCtrl.MergedWindow(), snapCtrl.MergedWindow())
+	if chainCtrl.MergedWindow() != ref.m.Window() {
+		t.Fatalf("merged windows %d vs %d", chainCtrl.MergedWindow(), ref.m.Window())
 	}
 
 	// The chain fleet must also be the cheaper one, even at exact
 	// fidelity on this stream, and the ledger stays consistent.
-	if chainCtrl.BytesIn() >= snapCtrl.BytesIn() {
-		t.Fatalf("delta fleet cost %d bytes vs snapshot %d", chainCtrl.BytesIn(), snapCtrl.BytesIn())
+	if chainCtrl.BytesIn() >= ref.bytes {
+		t.Fatalf("delta fleet cost %d bytes vs snapshot %d", chainCtrl.BytesIn(), ref.bytes)
 	}
 	var ledger uint64
 	for _, st := range chainCtrl.AgentStats() {
-		if st.Deltas == 0 || st.Snapshots != 0 || st.Reports != 0 {
+		if st.Deltas == 0 || st.Reports != 0 {
 			t.Fatalf("delta agent ledger wrong: %+v", st)
 		}
 		ledger += st.Bytes
@@ -234,27 +280,23 @@ func TestDeltaFloorSavesBytes(t *testing.T) {
 	const window = 1 << 13
 	const agents = 2
 	params := Params{Budget: 0.5, BatchSize: 16, Window: window}
-	snapCtrl, snapAgents := deltaFleet(t, hierarchy.Flows{}, params, 2048, agents, ReportSnapshot, 0)
-	floorCtrl, floorAgents := deltaFleet(t, hierarchy.Flows{}, params, 2048, agents, ReportDelta, 0)
+	floorCtrl, floorAgents := deltaFleet(t, hierarchy.Flows{}, params, 2048, agents, 0)
+	ref := newSnapshotFleet(floorAgents)
 
 	stream := fleetStream(1<<15, 21)
-	for i, p := range stream {
-		snapAgents[i%agents].Observe(p)
-		floorAgents[i%agents].Observe(p)
-	}
-	for _, a := range append(append([]*Agent{}, snapAgents...), floorAgents...) {
+	driveCadences(t, floorAgents, ref, window/agents/2, stream)
+	for _, a := range floorAgents {
 		a.Flush()
 		if err := a.Err(); err != nil {
 			t.Fatalf("agent %s: %v", a.Name(), err)
 		}
 	}
 	frames := uint64(len(stream)) / (window / agents / 2)
-	drainSnapshots(t, snapCtrl, frames)
 	drainDelta(t, floorCtrl, frames)
 
-	if floorCtrl.BytesIn()*2 >= snapCtrl.BytesIn() {
+	if floorCtrl.BytesIn()*2 >= ref.bytes {
 		t.Fatalf("floored delta fleet: %d bytes vs snapshot %d (want <1/2)",
-			floorCtrl.BytesIn(), snapCtrl.BytesIn())
+			floorCtrl.BytesIn(), ref.bytes)
 	}
 	// Compare actionable heavy hitters (the Mitigate rule: estimate
 	// itself reaches the threshold), not sampling-margin members whose
@@ -262,17 +304,17 @@ func TestDeltaFloorSavesBytes(t *testing.T) {
 	// churn-dependent on both sides.
 	const theta = 0.05
 	threshold := theta * float64(window)
-	actionable := func(c *Controller) map[hierarchy.Prefix]bool {
+	actionable := func(entries []hhhset.Entry) map[hierarchy.Prefix]bool {
 		out := map[hierarchy.Prefix]bool{}
-		for _, e := range c.OutputMerged(theta) {
+		for _, e := range entries {
 			if e.Estimate >= threshold {
 				out[e.Prefix] = true
 			}
 		}
 		return out
 	}
-	want := actionable(snapCtrl)
-	got := actionable(floorCtrl)
+	want := actionable(ref.output(hierarchy.Flows{}, theta))
+	got := actionable(floorCtrl.OutputMerged(theta))
 	if len(want) == 0 {
 		t.Fatal("snapshot merge found no actionable heavy hitters")
 	}

@@ -1,5 +1,5 @@
-// Tests for the snapshot-shipping report mode and the Broadcast
-// write-deadline fix.
+// Fleet tests: state shipping end to end, mixed fleets, duplicate
+// names and the Broadcast write-deadline fix.
 
 package netwide
 
@@ -15,70 +15,11 @@ import (
 	"memento/internal/trace"
 )
 
-func TestSnapshotReportCodec(t *testing.T) {
-	a := agentForSnapshotTest(t)
-	defer a.Close()
-	// Feed enough to populate the local sketch, then capture a frame
-	// payload directly.
-	src := rng.New(5)
-	for i := 0; i < 4096; i++ {
-		a.hh.Update(hierarchy.Packet{Src: uint32(src.Intn(64))})
-	}
-	a.mu.Lock()
-	a.total = 4096
-	frame, ok := a.captureLocked()
-	a.mu.Unlock()
-	if !ok {
-		t.Fatalf("capture failed: %v", a.Err())
-	}
-	rep, err := decodeSnapshotReport(frame.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Covered != 4096 {
-		t.Fatalf("covered %d, want 4096", rep.Covered)
-	}
-	if rep.Snap.Updates() != 4096 {
-		t.Fatalf("snapshot updates %d, want 4096", rep.Snap.Updates())
-	}
-	// Malformed variants are rejected.
-	for _, bad := range [][]byte{nil, frame.payload[:7], frame.payload[:20], append(append([]byte{}, frame.payload...), 1)} {
-		if _, err := decodeSnapshotReport(bad); err == nil {
-			t.Fatalf("malformed snapshot report of %d bytes accepted", len(bad))
-		}
-	}
-}
-
-// agentForSnapshotTest builds a snapshot-mode agent over a discarded
-// pipe (frames drain to a sink reader).
-func agentForSnapshotTest(t *testing.T) *Agent {
-	t.Helper()
-	client, server := net.Pipe()
-	go func() { // sink: swallow whatever the agent writes
-		buf := make([]byte, 4096)
-		for {
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	a, err := NewAgent(client, AgentConfig{
-		Name:   "snap-test",
-		Params: Params{Budget: 4, BatchSize: 10, Window: 1 << 12},
-		Report: ReportSnapshot,
-		Hier:   hierarchy.OneD{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// TestSnapshotShippingEndToEnd drives sampled and snapshot-shipping
-// fleets over the same skewed stream and pins the subsystem's reason
-// to exist: the merged snapshot view reconstructs the heavy hitter
-// set essentially exactly, at a byte cost the ledger accounts for.
-func TestSnapshotShippingEndToEnd(t *testing.T) {
+// TestDeltaShippingEndToEnd drives a delta-reporting fleet over a
+// skewed stream and pins the subsystem's reason to exist: the merged
+// view of the agents' chains reconstructs the heavy hitter set
+// essentially exactly, at a byte cost the ledger accounts for.
+func TestDeltaShippingEndToEnd(t *testing.T) {
 	const window = 1 << 13
 	const agents = 4
 	params := Params{Budget: 0.5, BatchSize: 16, Window: window}
@@ -90,7 +31,7 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 			Name:   string(rune('A' + i)),
 			Params: params,
 			Seed:   uint64(i + 1),
-			Report: ReportSnapshot,
+			Report: ReportDelta,
 			Hier:   hierarchy.OneD{},
 			// Split the network window across the fleet so the merged
 			// window matches it, mirroring the shard layer. The counter
@@ -127,12 +68,12 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 			t.Fatalf("agent %s transport error: %v", a.Name(), a.Err())
 		}
 	}
-	waitFor(t, "snapshots to drain", func() bool {
+	waitFor(t, "chain records to drain", func() bool {
 		var sent uint64
 		for _, a := range as {
 			sent += a.Sent()
 		}
-		return sent > 0 && ctrl.Snapshots() >= sent
+		return sent > 0 && ctrl.Deltas()+ctrl.Resyncs() >= sent
 	})
 
 	if got := ctrl.MergedWindow(); got != 0 {
@@ -151,7 +92,7 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 		if e.Prefix == subnet {
 			found = true
 			exactCount := float64(oracle.Count(subnet))
-			// Full-fidelity state: the merged estimate must sit within
+			// Full-fidelity heavy state: the merged estimate must sit within
 			// the algorithmic band of the exact count, far tighter than
 			// any sampled protocol at this budget.
 			if e.Estimate < 0.8*exactCount || e.Estimate > 1.3*exactCount {
@@ -170,11 +111,11 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 	}
 	var ledger uint64
 	for _, st := range stats {
-		if st.Snapshots == 0 || st.Bytes == 0 {
+		if st.Deltas == 0 || st.Bytes == 0 {
 			t.Fatalf("agent %s ledger empty: %+v", st.Name, st)
 		}
 		if st.Reports != 0 {
-			t.Fatalf("agent %s has sampled reports in snapshot mode: %+v", st.Name, st)
+			t.Fatalf("agent %s has sampled reports in delta mode: %+v", st.Name, st)
 		}
 		ledger += st.Bytes
 	}
@@ -266,7 +207,7 @@ func TestBroadcastDropsStalledAgent(t *testing.T) {
 }
 
 // TestDuplicateAgentNameRejected pins the per-agent state contract:
-// snapshots and ledgers are keyed by name, so a second live
+// chain state and ledgers are keyed by name, so a second live
 // connection claiming an in-use name is refused instead of silently
 // overwriting the first agent's sketch.
 func TestDuplicateAgentNameRejected(t *testing.T) {
@@ -301,8 +242,8 @@ func TestDuplicateAgentNameRejected(t *testing.T) {
 	waitFor(t, "reconnect to join", func() bool { return ctrl.Agents() == 1 })
 }
 
-// TestMixedFleet verifies sampled and snapshot agents coexist on one
-// controller: the sampled sketch and the merged snapshot view answer
+// TestMixedFleet verifies sampled and delta agents coexist on one
+// controller: the sampled sketch and the merged chain view answer
 // independently.
 func TestMixedFleet(t *testing.T) {
 	const window = 1 << 12
@@ -314,20 +255,20 @@ func TestMixedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sampled.Close()
-	snapper, err := DialAgent(addr, AgentConfig{
-		Name: "snapper", Params: params, Seed: 12,
-		Report: ReportSnapshot, Hier: hierarchy.OneD{},
+	chainer, err := DialAgent(addr, AgentConfig{
+		Name: "chainer", Params: params, Seed: 12,
+		Report: ReportDelta, Hier: hierarchy.OneD{},
 		SnapshotWindow: window, SnapshotEvery: window / 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snapper.Close()
+	defer chainer.Close()
 	waitFor(t, "agents to join", func() bool { return ctrl.Agents() == 2 })
 
 	src := rng.New(13)
 	var wg sync.WaitGroup
-	for _, a := range []*Agent{sampled, snapper} {
+	for _, a := range []*Agent{sampled, chainer} {
 		wg.Add(1)
 		go func(a *Agent) {
 			defer wg.Done()
@@ -341,20 +282,20 @@ func TestMixedFleet(t *testing.T) {
 	wg.Wait()
 	_ = src
 	waitFor(t, "both report kinds to arrive", func() bool {
-		return ctrl.Reports() > 0 && ctrl.Snapshots() > 0
+		return ctrl.Reports() > 0 && ctrl.Deltas() > 0
 	})
 	if out := ctrl.OutputMerged(0.001); len(out) == 0 {
-		t.Fatal("merged output empty despite snapshot agent")
+		t.Fatal("merged output empty despite delta agent")
 	}
 	stats := ctrl.AgentStats()
 	byName := map[string]AgentStat{}
 	for _, st := range stats {
 		byName[st.Name] = st
 	}
-	if byName["sampled"].Reports == 0 || byName["sampled"].Snapshots != 0 {
+	if byName["sampled"].Reports == 0 || byName["sampled"].Deltas != 0 {
 		t.Fatalf("sampled ledger wrong: %+v", byName["sampled"])
 	}
-	if byName["snapper"].Snapshots == 0 || byName["snapper"].Reports != 0 {
-		t.Fatalf("snapper ledger wrong: %+v", byName["snapper"])
+	if byName["chainer"].Deltas == 0 || byName["chainer"].Reports != 0 {
+		t.Fatalf("chainer ledger wrong: %+v", byName["chainer"])
 	}
 }

@@ -3,12 +3,14 @@ package netwide
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"net"
 	"slices"
 	"testing"
 	"time"
 
+	"memento/internal/core"
 	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
@@ -383,6 +385,78 @@ func TestAgentValidation(t *testing.T) {
 	defer c2.Close()
 	if _, err := NewAgent(c1, AgentConfig{Name: "x", Params: Params{}}); err == nil {
 		t.Fatal("invalid params should fail")
+	}
+	// A batch larger than one report can carry would pass the Hello and
+	// then fail to encode every report.
+	full := Params{Budget: 1, BatchSize: maxSamplesPerMsg, Window: 1024}
+	if err := full.Normalize(1); err != nil {
+		t.Fatalf("a batch of %d samples fits a report: %v", maxSamplesPerMsg, err)
+	}
+	over := Params{Budget: 1, BatchSize: maxSamplesPerMsg + 1, Window: 1024}
+	if _, err := NewAgent(c1, AgentConfig{Name: "x", Params: over}); err == nil {
+		t.Fatal("a batch no report can carry should fail")
+	}
+	if _, err := NewController(ControllerConfig{Hier: hierarchy.OneD{}, Params: over, Counters: 64}); err == nil {
+		t.Fatal("controller accepted a batch no report can carry")
+	}
+}
+
+// TestRetiredSnapshotFrameDropsConnection: frame type 4, the retired
+// MsgSnapshot, is an unknown type like any other. The controller drops
+// the connection and charges nothing for the frame: only the Hello
+// reaches the ledger.
+func TestRetiredSnapshotFrameDropsConnection(t *testing.T) {
+	params := Params{Budget: 1, BatchSize: 4, Window: 1 << 12}
+	if err := params.Normalize(1); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, addr := startController(t, params, 512)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := encodeHello(Hello{Name: "legacy", Tau: params.Tau(), Batch: uint32(params.BatchSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, MsgHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "agent to join", func() bool { return ctrl.Agents() == 1 })
+	// What a snapshot agent shipped: the covered count, then an encoded
+	// sketch.
+	hh := core.MustNewHHH(core.HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 64})
+	for i := 0; i < 1000; i++ {
+		hh.Update(hierarchy.Packet{Src: uint32(i % 7)})
+	}
+	var snap core.HHHSnapshot
+	hh.SnapshotInto(&snap)
+	payload, err := snap.AppendTo(binary.BigEndian.AppendUint64(nil, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, 4, payload); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a type-4 frame: %v, want the controller to close (EOF)", err)
+	}
+	waitFor(t, "agent to be dropped", func() bool { return ctrl.Agents() == 0 })
+	helloBytes := uint64(len(hello)) + 9
+	if got := ctrl.BytesIn(); got != helloBytes {
+		t.Fatalf("BytesIn %d, want the Hello's %d only", got, helloBytes)
+	}
+	stats := ctrl.AgentStats()
+	if len(stats) != 1 {
+		t.Fatalf("AgentStats has %d entries, want 1", len(stats))
+	}
+	if st := stats[0]; st.Reports != 0 || st.Deltas != 0 || st.Covered != 0 || st.Bytes != helloBytes {
+		t.Fatalf("type-4 frame reached the ledger: %+v", st)
+	}
+	if ctrl.Reports() != 0 || ctrl.Deltas() != 0 || len(ctrl.MergedSnapshots(nil)) != 0 {
+		t.Fatal("type-4 frame was applied")
 	}
 }
 

@@ -45,7 +45,7 @@ func TestFaultAgentStatsMonotonicUnderReconnect(t *testing.T) {
 	inj := faultnet.NewInjector(77)
 	a, err := DialAgent(ln.Addr().String(), AgentConfig{
 		Name: "flapper", Params: params, Seed: 3,
-		Report: ReportSnapshot, Hier: hierarchy.OneD{},
+		Report: ReportDelta, Hier: hierarchy.OneD{},
 		SnapshotWindow: window, SnapshotCounters: 256, SnapshotEvery: 64,
 		QueueLen:       1 << 10,
 		Reconnect:      true,
@@ -84,7 +84,7 @@ func TestFaultAgentStatsMonotonicUnderReconnect(t *testing.T) {
 			}
 			for _, st := range ctrl.AgentStats() {
 				p := prev[st.Name]
-				if st.Reports < p.Reports || st.Snapshots < p.Snapshots ||
+				if st.Reports < p.Reports ||
 					st.Deltas < p.Deltas || st.Resyncs < p.Resyncs ||
 					st.Bytes < p.Bytes || st.Covered < p.Covered {
 					t.Errorf("controller ledger regressed: %+v -> %+v", p, st)
@@ -141,7 +141,7 @@ func TestFaultAgentStatsMonotonicUnderReconnect(t *testing.T) {
 		a.Flush()
 	}
 	ship(512)
-	waitFor(t, "first snapshot", func() bool { return ctrl.Snapshots() > 0 })
+	waitFor(t, "first chain record", func() bool { return ctrl.Deltas() > 0 })
 
 	// Flap the transport: resets kill connections mid-frame while the
 	// stream keeps flowing, forcing redials under scrape pressure.

@@ -31,7 +31,6 @@ import (
 	"math"
 
 	"memento/internal/codec"
-	"memento/internal/core"
 	"memento/internal/hierarchy"
 )
 
@@ -43,17 +42,15 @@ const (
 	MsgBatch = byte(2)
 	// MsgVerdict carries mitigation actions from the controller.
 	MsgVerdict = byte(3)
-	// MsgSnapshot ships an agent's full local sketch state: covered
-	// packet count plus an encoded core.HHHSnapshot (internal/codec
-	// KindHHH record). The snapshot-shipping report mode realizes the
-	// paper's "send everything" baseline as a live accuracy-vs-bytes
-	// operating point.
-	MsgSnapshot = byte(4)
+	// Type 4 was MsgSnapshot, a whole encoded sketch per report; a
+	// delta chain carries the same state. It stays reserved and is
+	// never reused: a peer that sends it is dropped like any other
+	// unknown type.
+
 	// MsgDelta ships one replication chain record (internal/delta,
 	// codec KindHHHDelta): covered packet count plus either a chain
 	// base embedding a full snapshot or an incremental delta carrying
-	// only changed counters. The delta report mode keeps the
-	// controller at snapshot fidelity for a fraction of the bytes.
+	// only changed counters.
 	MsgDelta = byte(5)
 	// MsgResync is the controller→agent half of the chain handshake:
 	// the controller detected a chain discontinuity (delta.ErrEpochGap
@@ -72,7 +69,7 @@ const (
 	MsgPong = byte(8)
 	// MsgTraced is a traced report envelope: a codec.TraceContext
 	// (agent id, report sequence, capture-time nanos) wrapped around a
-	// MsgBatch, MsgSnapshot or MsgDelta payload. Agents only send it
+	// MsgBatch or MsgDelta payload. Agents only send it
 	// after the trace probe handshake succeeded (see traceProbeSeq), so
 	// untraced v1 controllers — which drop connections on unknown frame
 	// types — never see one.
@@ -350,60 +347,14 @@ func decodePing(p []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
-// SnapshotReport is one decoded MsgSnapshot payload.
-type SnapshotReport struct {
-	// Covered is the cumulative number of packets the agent has
-	// observed — a running total, not a per-report increment, so a
-	// report lost in flight costs the coverage ledger nothing once a
-	// later one lands (the state itself is cumulative too). The merged
-	// output derives window positions from the snapshot itself.
-	Covered uint64
-	// Snap is the agent's decoded sketch state.
-	Snap *core.HHHSnapshot
-}
-
-// encodeSnapshotReport serializes a MsgSnapshot payload into buf
-// (reused when large enough): the covered count followed by the
-// snapshot's self-contained codec record.
-func encodeSnapshotReport(covered uint64, snap *core.HHHSnapshot, buf []byte) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf[:0], covered)
-	buf, err := snap.AppendTo(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf)+5 > MaxFrame {
-		return nil, fmt.Errorf("%w: %d-byte snapshot (size the local sketch to fit)",
-			ErrFrameTooLarge, len(buf))
-	}
-	return buf, nil
-}
-
-// decodeSnapshotReport parses a MsgSnapshot payload. The embedded
-// record goes through the strict internal/codec decoder, so malformed
-// or version-skewed snapshots are rejected without panicking and
-// without unbounded allocation.
-func decodeSnapshotReport(p []byte) (SnapshotReport, error) {
-	if len(p) < 8+codec.HeaderSize {
-		return SnapshotReport{}, errors.New("netwide: snapshot report too short")
-	}
-	covered := binary.BigEndian.Uint64(p[:8])
-	snap, err := core.DecodeHHHSnapshot(p[8:])
-	if err != nil {
-		return SnapshotReport{}, fmt.Errorf("netwide: snapshot record: %w", err)
-	}
-	if covered == 0 && snap.Updates() > 0 {
-		return SnapshotReport{}, errors.New("netwide: non-empty snapshot covering zero packets")
-	}
-	return SnapshotReport{Covered: covered, Snap: snap}, nil
-}
-
 // DeltaReport is one decoded MsgDelta payload. The chain record is
 // left encoded: applying it to the per-agent delta.State — which
 // validates header, digest, epoch and every entry strictly — is the
 // decode.
 type DeltaReport struct {
 	// Covered is the cumulative number of packets the agent has
-	// observed (same running-total semantics as SnapshotReport).
+	// observed: a running total, so a record lost in flight costs the
+	// coverage ledger nothing once a later one lands.
 	Covered uint64
 	// Record is the KindHHHDelta chain record (a subslice of the frame
 	// payload; consumed before the next frame is read).
@@ -431,13 +382,15 @@ func decodeDeltaReport(p []byte) (DeltaReport, error) {
 	return DeltaReport{Covered: binary.BigEndian.Uint64(p[:8]), Record: p[8:]}, nil
 }
 
+// traceable reports whether a message type is a report, the only
+// payload a MsgTraced envelope may carry.
+func traceable(typ byte) bool { return typ == MsgBatch || typ == MsgDelta }
+
 // encodeTracedReport serializes a MsgTraced payload into buf (reused
 // when large enough): the inner message type, the trace context, then
 // the inner payload verbatim.
 func encodeTracedReport(inner byte, tc codec.TraceContext, payload, buf []byte) ([]byte, error) {
-	switch inner {
-	case MsgBatch, MsgSnapshot, MsgDelta:
-	default:
+	if !traceable(inner) {
 		return nil, fmt.Errorf("netwide: message type %d cannot be traced", inner)
 	}
 	buf = append(buf[:0], inner)
@@ -459,9 +412,7 @@ func decodeTracedReport(p []byte) (byte, codec.TraceContext, []byte, error) {
 		return 0, codec.TraceContext{}, nil, errors.New("netwide: empty traced report")
 	}
 	inner := p[0]
-	switch inner {
-	case MsgBatch, MsgSnapshot, MsgDelta:
-	default:
+	if !traceable(inner) {
 		return 0, codec.TraceContext{}, nil, fmt.Errorf("netwide: traced inner type %d invalid", inner)
 	}
 	tc, rest, err := codec.DecodeTraceContext(p[1:])
@@ -507,6 +458,11 @@ func (p *Params) Normalize(dims int) error {
 	}
 	if p.BatchSize <= 0 {
 		p.BatchSize = 1
+	}
+	if p.BatchSize > maxSamplesPerMsg {
+		// Every report would fail encodeBatch, after a Hello the
+		// controller accepts.
+		return fmt.Errorf("netwide: batch size %d exceeds the %d samples a report carries", p.BatchSize, maxSamplesPerMsg)
 	}
 	if p.Window <= 0 {
 		return errors.New("netwide: window must be positive")

@@ -107,37 +107,6 @@ func FuzzDecodeVerdicts(f *testing.F) {
 	})
 }
 
-func FuzzDecodeSnapshotReport(f *testing.F) {
-	// One valid frame from a real local sketch seeds the corpus; the
-	// embedded record exercises the full internal/codec decoder.
-	hh := core.MustNewHHH(core.HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 8, Counters: 16 * 5, Seed: 5})
-	src := rng.New(6)
-	for i := 0; i < 1<<10; i++ {
-		hh.Update(hierarchy.Packet{Src: uint32(src.Intn(64))})
-	}
-	var snap core.HHHSnapshot
-	hh.SnapshotInto(&snap)
-	frame, err := encodeSnapshotReport(1024, &snap, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame)
-	f.Add([]byte{})
-	f.Add(make([]byte, 8))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := decodeSnapshotReport(data)
-		if err != nil {
-			return
-		}
-		if rep.Snap == nil {
-			t.Fatal("accepted report with nil snapshot")
-		}
-		// Accepted snapshots answer queries without panicking.
-		_ = rep.Snap.Query(hierarchy.Prefix{Src: 1, SrcLen: 4})
-		_ = rep.Snap.OutputTo(0.1, nil)
-	})
-}
-
 func FuzzDecodeDeltaReport(f *testing.F) {
 	// A real chain base and delta seed the corpus; the framing decoder
 	// is thin, the applied-state pipeline behind it is what must never
@@ -221,8 +190,10 @@ func FuzzDecodeTracedReport(f *testing.F) {
 	if wire, err := encodeTracedReport(MsgBatch, tc, inner, nil); err == nil {
 		f.Add(wire)
 	}
-	if wire, err := encodeTracedReport(MsgSnapshot, codec.TraceContext{AgentID: "x"}, nil, nil); err == nil {
+	if wire, err := encodeTracedReport(MsgDelta, codec.TraceContext{AgentID: "x"}, nil, nil); err == nil {
 		f.Add(wire)
+		// The same envelope around the retired snapshot type 4.
+		f.Add(append([]byte{4}, wire[1:]...))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{MsgHello, 0})
@@ -233,7 +204,7 @@ func FuzzDecodeTracedReport(f *testing.F) {
 			return
 		}
 		switch typ {
-		case MsgBatch, MsgSnapshot, MsgDelta:
+		case MsgBatch, MsgDelta:
 		default:
 			t.Fatalf("accepted untraceable inner type %d", typ)
 		}

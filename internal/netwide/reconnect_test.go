@@ -334,7 +334,7 @@ func TestFaultStaleAgentQuarantine(t *testing.T) {
 	})
 	a, err := DialAgent(addr, AgentConfig{
 		Name: "mayfly", Params: params, Seed: 3,
-		Report: ReportSnapshot, Hier: hierarchy.OneD{},
+		Report: ReportDelta, Hier: hierarchy.OneD{},
 		SnapshotWindow: window, SnapshotCounters: 256, SnapshotEvery: 64,
 		HeartbeatEvery: 10 * time.Millisecond, // liveness ≠ freshness: pings must not defeat the TTL
 	})
@@ -350,7 +350,7 @@ func TestFaultStaleAgentQuarantine(t *testing.T) {
 		a.Flush()
 	}
 	ship()
-	waitFor(t, "first snapshot", func() bool { return ctrl.Snapshots() > 0 })
+	waitFor(t, "first chain record", func() bool { return ctrl.Deltas() > 0 })
 	if out := ctrl.OutputMerged(0.05); len(out) == 0 {
 		t.Fatal("merged output empty while fresh")
 	}
@@ -418,7 +418,7 @@ func TestShutdownDrainDeadlineExpiry(t *testing.T) {
 	clk := &autoClock{now: time.Unix(1000, 0)}
 	a, err := NewAgent(client, AgentConfig{
 		Name: "stuck", Params: Params{Budget: 4, BatchSize: 8, Window: 1 << 10},
-		Report: ReportSnapshot, Hier: hierarchy.OneD{},
+		Report: ReportDelta, Hier: hierarchy.OneD{},
 		SnapshotWindow: 1 << 10, SnapshotCounters: 64, SnapshotEvery: 1,
 		Clock:          clk,
 		HeartbeatEvery: -1, // the instant-fire clock would spin the ticker hot
@@ -454,7 +454,7 @@ func TestShutdownDrainsQueueHealthy(t *testing.T) {
 	ctrl, addr := startController(t, params, 1024)
 	a, err := DialAgent(addr, AgentConfig{
 		Name: "graceful", Params: params, Seed: 5,
-		Report: ReportSnapshot, Hier: hierarchy.OneD{},
+		Report: ReportDelta, Hier: hierarchy.OneD{},
 		SnapshotWindow: 1 << 10, SnapshotCounters: 256, SnapshotEvery: 64,
 	})
 	if err != nil {
@@ -471,6 +471,6 @@ func TestShutdownDrainsQueueHealthy(t *testing.T) {
 		t.Fatalf("shutdown left %d of %d reports unshipped", queued-sent, queued)
 	}
 	waitFor(t, "controller to absorb the tail", func() bool {
-		return ctrl.Snapshots() >= a.Sent()
+		return ctrl.Deltas()+ctrl.Resyncs() >= a.Sent()
 	})
 }

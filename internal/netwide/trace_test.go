@@ -45,9 +45,18 @@ func driveTraced(t *testing.T, ctrl *Controller, addr string, trace bool) *Agent
 		t.Fatalf("agent transport error: %v", a.Err())
 	}
 	waitFor(t, "reports to drain", func() bool {
-		return a.Sent() > 0 && ctrl.Reports() >= a.Sent()
+		return drained(a, ctrl.Reports()) && ctrl.TracedReports() == a.Stats().TracedReports
 	})
 	return a
+}
+
+// drained reports whether everything a queued has been written and
+// handled: the writer holds nothing (it counts a frame only once its
+// write returns), and the controller has handled as many reports as
+// were written.
+func drained(a *Agent, handled uint64) bool {
+	st := a.Stats()
+	return st.Sent > 0 && st.Sent == st.Queued && handled >= st.Sent
 }
 
 // TestTracedReportingRoundTrip: a tracing agent against a tracing
@@ -144,5 +153,70 @@ func TestUntracedAgentTracedController(t *testing.T) {
 	stats := ctrl.AgentStats()
 	if len(stats) != 1 || stats[0].Freshness != 0 {
 		t.Fatalf("untraced agent should report zero freshness: %+v", stats)
+	}
+}
+
+// TestTracedDeltaGapCountsApplied: a traced chain record that lands on
+// an epoch gap is answered with a resync, not applied, so it must not
+// count as a traced report. The counter, the capture→apply histogram
+// and the per-agent ledger stay in step through the gap and the heal.
+func TestTracedDeltaGapCountsApplied(t *testing.T) {
+	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
+	ctrl, addr := startControllerCfg(t, ControllerConfig{
+		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
+	})
+	a, err := DialAgent(addr, AgentConfig{
+		Name: "edge-gap", Params: params, Seed: 3,
+		Report: ReportDelta, Hier: hierarchy.OneD{},
+		SnapshotWindow: 1 << 12, SnapshotCounters: 256, SnapshotEvery: 256,
+		TraceReports: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	waitFor(t, "tracing to be negotiated", func() bool { return a.Stats().Traced })
+	src := rng.New(9)
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			a.Observe(hierarchy.Packet{Src: src.Uint32() >> 20})
+		}
+	}
+	feed(2048)
+	// Break the chain: advance the tracker past a record that never
+	// ships, as a drop under backpressure does.
+	a.mu.Lock()
+	if _, _, err := a.tracker.Append(nil); err != nil {
+		a.mu.Unlock()
+		t.Fatal(err)
+	}
+	a.mu.Unlock()
+	feed(2048)
+	waitFor(t, "controller to request a resync", func() bool { return ctrl.Resyncs() >= 1 })
+	feed(2048)
+	a.Flush()
+	waitFor(t, "chain to drain", func() bool {
+		return drained(a, ctrl.Deltas()+ctrl.Resyncs()) &&
+			ctrl.TracedReports()+ctrl.Resyncs() >= a.Stats().TracedReports
+	})
+
+	st := a.Stats()
+	got := ctrl.TracedReports()
+	if got != ctrl.Deltas() {
+		t.Fatalf("controller counted %d traced reports, applied %d chain records", got, ctrl.Deltas())
+	}
+	if want := st.TracedReports - ctrl.Resyncs(); got != want {
+		t.Fatalf("controller counted %d traced reports; agent shipped %d, %d of them into a gap",
+			got, st.TracedReports, ctrl.Resyncs())
+	}
+	if n := ctrl.CaptureApply().Count; n != got {
+		t.Fatalf("capture→apply histogram holds %d spans, TracedReports %d", n, got)
+	}
+	var ledger uint64
+	for _, as := range ctrl.AgentStats() {
+		ledger += as.TracedReports
+	}
+	if ledger != got {
+		t.Fatalf("per-agent ledger holds %d traced reports, TracedReports %d", ledger, got)
 	}
 }
