@@ -25,7 +25,7 @@
 // live sharded instance purely from the file (configuration is
 // derived from the per-shard snapshots); merge combines independent
 // nodes' checkpoints with the shard layer's merged-estimate math,
-// exactly as the controller merges snapshot-shipping agents.
+// exactly as the controller merges delta-reporting agents.
 package main
 
 import (
@@ -551,7 +551,7 @@ func runMerge(args []string) error {
 		all = append(all, snaps...)
 	}
 	// The same merged-estimate math the shard front-end and the
-	// snapshot-shipping controller use: the files' partitions become
+	// controller's delta-agent merge use: the files' partitions become
 	// one partition set covering the union of the nodes' traffic.
 	var m shard.Merger
 	entries := m.Output(all[0].Hierarchy(), all, *theta, nil)

@@ -34,8 +34,9 @@
 //
 // A Tracker with Floor = 0 replicates exactly: the follower's
 // materialized state answers every query — including the full
-// OutputMerged HHH-set computation — identically to a follower
-// receiving complete snapshots at the same cadence. Floor > 0 trades
+// OutputMerged HHH-set computation — identically to a snapshot of the
+// source sketch taken at the same cadence (netwide's
+// TestDeltaMatchesSnapshotFleet merges those snapshots in process). Floor > 0 trades
 // fidelity for bytes: monitored counters whose guaranteed count
 // (count − error term) is below the floor and that were never shipped
 // (and do not touch the overflow table) stay local, so the churning

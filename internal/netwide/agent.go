@@ -7,10 +7,10 @@
 // ingress and ships an internal/delta chain of its state (MsgDelta:
 // one base, then only the counters that changed each cadence; a
 // dropped record or a controller MsgResync re-bases it), which the
-// controller follows to the agent's own state (TestDeltaMatchesSnapshotFleet
-// holds it to the local snapshots). In both modes Observe never blocks
-// on the network: reports queue to a bounded channel and drop
-// (counted) under backpressure.
+// controller follows to the agent's own state
+// (TestDeltaMatchesSnapshotFleet holds it to the local snapshots). In
+// both modes Observe never blocks on the network: reports queue to a
+// bounded channel and drop (counted) under backpressure.
 //
 // Transport fault tolerance (DESIGN.md §10): an agent built with
 // DialAgent and Reconnect redials through a supervised loop with

@@ -1,8 +1,8 @@
 // Merger: the merged-estimate math behind every multi-partition HHH
 // read, factored out of the shard front-end so that any collection of
 // independent H-Memento snapshots can be combined the same way — this
-// process's shards (HHH.OutputTo), snapshot reports from remote
-// agents (netwide's snapshot-shipping mode), or checkpoint files
+// process's shards (HHH.OutputTo), chain states of remote agents
+// (netwide's delta report mode), or checkpoint files
 // saved by independent nodes (cmd/mementoctl merge).
 
 package shard
