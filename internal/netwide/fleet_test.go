@@ -15,11 +15,12 @@ import (
 	"memento/internal/trace"
 )
 
-// TestDeltaShippingEndToEnd drives a delta-reporting fleet over a
-// skewed stream and pins the subsystem's reason to exist: the merged
-// view of the agents' chains reconstructs the heavy hitter set
-// essentially exactly, at a byte cost the ledger accounts for.
-func TestDeltaShippingEndToEnd(t *testing.T) {
+// TestSnapshotShippingEndToEnd drives a fleet shipping its sketch
+// state (as delta chains) over a skewed stream and pins the
+// subsystem's reason to exist: the merged view of the agents' states
+// reconstructs the heavy hitter set essentially exactly, at a byte
+// cost the ledger accounts for.
+func TestSnapshotShippingEndToEnd(t *testing.T) {
 	const window = 1 << 13
 	const agents = 4
 	params := Params{Budget: 0.5, BatchSize: 16, Window: window}

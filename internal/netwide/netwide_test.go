@@ -592,3 +592,30 @@ func TestHostileCoveredFrameIsBounded(t *testing.T) {
 		t.Fatal("controller ingest lock still held 10s after a hostile Covered frame")
 	}
 }
+
+// TestSamplerCoinMatchesFloat64: the sampler's integer coin makes the
+// same decision as rng's Float64() < τ on every draw, so agents and
+// netsim keep the τ-coin answers they had before the threshold form.
+func TestSamplerCoinMatchesFloat64(t *testing.T) {
+	for _, budget := range []float64{1e-6, 0.05, 1, 4, 1e9} {
+		p := Params{Budget: budget, BatchSize: 44, Window: 1024}
+		if err := p.Normalize(1); err != nil {
+			t.Fatal(err)
+		}
+		tau, coin := p.Tau(), NewSampler(p, nil).coin
+		// At the threshold itself: the largest draw below coin samples,
+		// coin itself does not.
+		if x := coin - 1; !(float64(x)*(1.0/(1<<53)) < tau) {
+			t.Fatalf("tau %v: draw %d below the coin fails Float64 < tau", tau, x)
+		}
+		if x := coin; x < 1<<53 && float64(x)*(1.0/(1<<53)) < tau {
+			t.Fatalf("tau %v: draw %d at the coin passes Float64 < tau", tau, x)
+		}
+		a, b := rng.New(7), rng.New(7)
+		for i := 0; i < 1<<12; i++ {
+			if (a.Uint64()>>11 < coin) != (b.Float64() < tau) {
+				t.Fatalf("tau %v: draw %d decides differently", tau, i)
+			}
+		}
+	}
+}

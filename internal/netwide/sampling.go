@@ -16,7 +16,7 @@ import (
 // of b samples (b = 1 is the Sample method). Not safe for concurrent
 // use; Agent holds its sampler under its observe lock.
 type Sampler struct {
-	tau      float64
+	coin     uint64 // ⌈τ·2⁵³⌉: Uint64()>>11 < coin is Float64() < τ, minus a call
 	b        int
 	src      *rng.Source
 	buf      []hierarchy.Packet
@@ -26,14 +26,14 @@ type Sampler struct {
 // NewSampler returns a sampler for normalized params p whose coins
 // come from src.
 func NewSampler(p Params, src *rng.Source) *Sampler {
-	return &Sampler{tau: p.Tau(), b: p.BatchSize, src: src}
+	return &Sampler{coin: uint64(math.Ceil(p.Tau() * (1 << 53))), b: p.BatchSize, src: src}
 }
 
 // Observe counts one packet, samples it with probability τ, and
 // reports whether the batch is full and due for Cut.
 func (s *Sampler) Observe(p hierarchy.Packet) bool {
 	s.observed++
-	if s.src.Float64() < s.tau {
+	if s.src.Uint64()>>11 < s.coin {
 		s.buf = append(s.buf, p)
 	}
 	return len(s.buf) >= s.b
