@@ -24,7 +24,9 @@
 //     semantics are unchanged — this exercises the peer's short-read
 //     (io.ReadFull across segment boundaries) paths.
 //   - Reset: half the buffer is written, then the connection closes
-//     and the Write errors — a mid-frame RST.
+//     and the Write errors — a mid-frame RST. Like a TCP write, the
+//     Write reports the bytes that went out before the error, so a
+//     writer that coalesces frames can tell which ones arrived whole.
 //   - Partition: one-way cuts relative to the wrapped endpoint.
 //     Outbound cut: writes are blackholed (reported successful).
 //     Inbound cut: reads stall as an unreachable peer would — but
@@ -47,7 +49,8 @@ type Fault struct {
 	// Drop is the probability a Write is silently discarded.
 	Drop float64
 	// Reset is the probability a Write turns into a half-written
-	// buffer followed by a connection close and an error.
+	// buffer followed by a connection close and an error; the Write
+	// returns the count of bytes it wrote.
 	Reset float64
 	// Delay is the probability a Write is delayed; DelayBound bounds
 	// the rng-drawn sleep (uniform in (0, DelayBound]).
@@ -264,9 +267,9 @@ func (c *conn) Write(p []byte) (int, error) {
 	case dropWrite, blackholeWrite:
 		return len(p), nil
 	case resetConn:
-		c.Conn.Write(p[:len(p)/2])
+		n, _ := c.Conn.Write(p[:len(p)/2])
 		c.Close()
-		return 0, errReset
+		return n, errReset
 	case segmentWrite:
 		half := (len(p) + 1) / 2
 		n, err := c.Conn.Write(p[:half])

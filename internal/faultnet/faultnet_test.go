@@ -73,9 +73,21 @@ func TestFaultDropDiscardsWrites(t *testing.T) {
 func TestFaultResetClosesConn(t *testing.T) {
 	inj := NewInjector(2)
 	inj.SetFault(Fault{Reset: 1})
-	client, _ := pipePair(t, inj)
-	if _, err := client.Write(make([]byte, 64)); err == nil {
+	client, server := pipePair(t, inj)
+	msg := bytes.Repeat([]byte("reset me"), 8)
+	n, err := client.Write(msg)
+	if err == nil {
 		t.Fatal("reset write succeeded")
+	}
+	// Like a TCP write cut by an RST, the reset reports the half it
+	// wrote, and exactly that half reaches the peer before EOF.
+	if n != len(msg)/2 {
+		t.Fatalf("reset write reported %d bytes, want the %d it wrote", n, len(msg)/2)
+	}
+	server.SetReadDeadline(time.Now().Add(2 * time.Second))
+	got, err := io.ReadAll(server)
+	if err != nil || !bytes.Equal(got, msg[:n]) {
+		t.Fatalf("peer read %q (%v), want %q then EOF", got, err, msg[:n])
 	}
 	// The connection is dead for good, even after heal.
 	inj.Heal()
