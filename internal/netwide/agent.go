@@ -15,8 +15,8 @@
 // Transport fault tolerance (DESIGN.md §10): an agent built with
 // DialAgent and Reconnect redials through a supervised loop with
 // exponential backoff, jitter and an optional retry budget. Reports
-// queued before an outage survive it (the writer retries the in-hand
-// frame on the next connection generation); reports that overflow the
+// queued before an outage survive it (the writer retries the frames
+// in hand on the next connection generation); reports that overflow the
 // bounded queue during it are dropped and counted, and because chain
 // records report *cumulative* coverage, the ledger heals as soon as
 // any later record lands — nothing is silently lost.
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,7 +173,7 @@ type Agent struct {
 	redialable bool
 	dial       func(addr string, timeout time.Duration) (net.Conn, error)
 	clk        Clock
-	hello      []byte // pre-encoded Hello payload, re-sent every generation
+	handshake  []byte // pre-encoded Hello frame, then the trace probe if asked; re-sent every generation
 
 	dialTimeout   time.Duration
 	hsTimeout     time.Duration
@@ -230,8 +231,21 @@ type Agent struct {
 	trace     *obs.Trace
 	dataErr   atomic.Value // error: a report failed to encode (not transport)
 
-	traceReports bool   // config: probe for tracing each generation
-	traceBuf     []byte // writer goroutine only: recycled MsgTraced scratch
+	traceReports bool        // config: probe for tracing each generation
+	wbuf         []byte      // writer goroutine only: the recycled coalesced write
+	marks        []frameMark // writer goroutine only: where each frame in wbuf ends
+}
+
+// wireCap bounds a coalesced write: the writer stops draining the
+// queue once this many bytes of frames are in hand. A single larger
+// frame (a chain base) still goes whole.
+const wireCap = 64 << 10
+
+// frameMark is where one frame of a coalesced write ends, and the type
+// it shipped as.
+type frameMark struct {
+	end int
+	typ byte
 }
 
 // generation is one connection's lifetime. The writer, the
@@ -435,7 +449,12 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.hello = hello
+	if a.handshake, err = appendFrame(nil, MsgHello, hello); err != nil {
+		return nil, err
+	}
+	if a.traceReports {
+		a.handshake, _ = appendFrame(a.handshake, MsgPing, encodePing(traceProbeSeq))
+	}
 	if r := cfg.Obs; r != nil {
 		r.RegisterCounter("memento_agent_queued_total", a.queued)
 		r.RegisterCounter("memento_agent_sent_total", a.sent)
@@ -501,25 +520,19 @@ func (a *Agent) dialOnce() (net.Conn, error) {
 	return conn, nil
 }
 
-// sendHello writes the Hello frame under the handshake deadline,
-// immediately followed by the trace probe when tracing is requested —
-// writing it here, before the generation installs, guarantees the
-// probe precedes every report of the generation on the wire.
+// sendHello writes the Hello frame under the handshake deadline, in
+// one write with the trace probe when tracing is requested — writing
+// it here, before the generation installs, guarantees the probe
+// precedes every report of the generation on the wire.
 func (a *Agent) sendHello(conn net.Conn) error {
 	if a.hsTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(a.hsTimeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	if err := writeFrame(conn, MsgHello, a.hello); err != nil {
+	if _, err := conn.Write(a.handshake); err != nil {
 		return fmt.Errorf("netwide: sending hello: %w", err)
 	}
-	a.sentBytes.Add(uint64(len(a.hello)) + 9)
-	if a.traceReports {
-		if err := writeFrame(conn, MsgPing, encodePing(traceProbeSeq)); err != nil {
-			return fmt.Errorf("netwide: sending trace probe: %w", err)
-		}
-		a.sentBytes.Add(8 + 9)
-	}
+	a.sentBytes.Add(uint64(len(a.handshake)))
 	return nil
 }
 
@@ -942,69 +955,143 @@ func (a *Agent) Err() error {
 }
 
 // writer drains the report queue onto the current connection, one
-// goroutine for the agent's whole lifetime. On a write failure it
-// declares the generation dead and retries the same frame on the next
-// one — a report that made it into the queue is never lost to an
-// outage, only to final Close.
+// goroutine for the agent's whole lifetime. Each wake takes every frame
+// already queued, up to wireCap bytes, and ships them in one write. A
+// failed write credits the frames that lie wholly inside the bytes it
+// reports written, declares the generation dead and retries the rest,
+// whole, on the next one — a report that made it into the queue is
+// never lost to an outage, only to final Close.
 func (a *Agent) writer() {
+	var held []outFrame // off the queue, not yet written whole; in queue order
 	for {
-		select {
-		case <-a.done:
-			return
-		case f := <-a.sendq:
-			payload := f.payload
-			var err error
-			if f.typ == MsgBatch {
-				payload, err = encodeBatch(f.batch)
-			}
-			if err != nil {
-				a.dataErr.Store(err)
-				a.dropped.Add(1)
-				continue
-			}
-			if !a.ship(f, payload) {
+		if len(held) == 0 {
+			select {
+			case <-a.done:
 				return
+			case f := <-a.sendq:
+				held = append(held, f)
 			}
+		}
+		g, traced := a.awaitConn()
+		if g == nil {
+			return
+		}
+		// Frames are encoded per attempt, against this generation's
+		// negotiated tracing state: a report captured while traced but
+		// retried against an untraced successor ships bare, and vice
+		// versa, so mixed fleets never see an envelope they cannot parse.
+		a.wbuf, a.marks = a.wbuf[:0], a.marks[:0]
+		kept := held[:0]
+		for _, f := range held {
+			if a.appendOut(f, traced) {
+				kept = append(kept, f)
+			}
+		}
+		held = kept
+	drain:
+		for len(a.wbuf) < wireCap {
+			select {
+			case f := <-a.sendq:
+				if a.appendOut(f, traced) {
+					held = append(held, f)
+				}
+			default:
+				break drain
+			}
+		}
+		if len(held) == 0 {
+			continue
+		}
+		n, err := g.conn.Write(a.wbuf)
+		held = slices.Delete(held, 0, a.credit(n))
+		if cap(a.wbuf) > keepBuf {
+			a.wbuf = nil
+		}
+		if err != nil {
+			a.failGen(g, err)
 		}
 	}
 }
 
-// ship writes one frame, waiting out connection gaps and retrying
-// across generations; false means the agent closed first. Whether the
-// report ships traced is decided here, per attempt, against the
-// current generation's negotiated state — a report captured while
-// traced but retried against an untraced successor ships bare, and
-// vice versa, so mixed fleets never see an envelope they cannot parse.
-func (a *Agent) ship(f outFrame, payload []byte) bool {
+// awaitConn waits out a connection gap, returning the current
+// generation and whether it negotiated tracing; nil once the agent
+// closed.
+func (a *Agent) awaitConn() (*generation, bool) {
 	for {
 		a.stateMu.Lock()
 		g, up, traced := a.cur, a.upCh, a.traced
 		a.stateMu.Unlock()
-		if g == nil {
-			select {
-			case <-a.done:
-				return false
-			case <-up:
-				continue
-			}
+		if g != nil {
+			return g, traced
 		}
-		typ, wire := f.typ, payload
-		if traced && f.capture != 0 {
-			buf, err := encodeTracedReport(f.typ, codec.TraceContext{
-				AgentID: a.name, Seq: f.seq, CaptureNanos: f.capture,
-			}, payload, a.traceBuf)
-			if err == nil {
-				a.traceBuf = buf
-				typ, wire = MsgTraced, buf
-			}
-			// Envelope failure (a report at the frame ceiling): ship bare
-			// rather than lose data to instrumentation.
+		select {
+		case <-a.done:
+			return nil, false
+		case <-up:
 		}
-		if err := writeFrame(g.conn, typ, wire); err != nil {
-			a.failGen(g, err)
-			continue
+	}
+}
+
+// appendOut appends f to the coalesced write as one frame — a report in
+// a MsgTraced envelope when traced — and marks where it ends. False
+// means f cannot be encoded at all: it is dropped, counted, and Err
+// reports why.
+func (a *Agent) appendOut(f outFrame, traced bool) bool {
+	typ := f.typ
+	if traced && f.capture != 0 {
+		typ = MsgTraced
+	}
+	buf, err := a.appendFrameOf(f, typ)
+	if err != nil && typ == MsgTraced {
+		// Envelope failure (a report at the frame ceiling): ship bare
+		// rather than lose data to instrumentation.
+		typ = f.typ
+		buf, err = a.appendFrameOf(f, typ)
+	}
+	if err != nil {
+		a.dataErr.Store(err)
+		a.dropped.Add(1)
+		return false
+	}
+	a.wbuf = buf
+	a.marks = append(a.marks, frameMark{end: len(buf), typ: typ})
+	return true
+}
+
+// appendFrameOf returns the coalesced write with f appended as one
+// frame of type typ, f's own type or MsgTraced; a.wbuf itself keeps
+// its length.
+func (a *Agent) appendFrameOf(f outFrame, typ byte) ([]byte, error) {
+	start := len(a.wbuf)
+	buf := openFrame(a.wbuf, typ)
+	var err error
+	if typ == MsgTraced {
+		buf, err = appendTracedHead(buf, f.typ, codec.TraceContext{
+			AgentID: a.name, Seq: f.seq, CaptureNanos: f.capture,
+		})
+	}
+	switch {
+	case err != nil:
+	case f.typ == MsgBatch:
+		buf, err = appendBatch(buf, f.batch)
+	default:
+		buf = append(buf, f.payload...)
+	}
+	if err != nil {
+		return buf[:start], err
+	}
+	return sealFrame(buf, start)
+}
+
+// credit counts the frames of the coalesced write that lie wholly
+// inside its first n bytes as sent, and returns how many there are.
+func (a *Agent) credit(n int) int {
+	k, prev := 0, 0
+	for _, m := range a.marks {
+		if m.end > n {
+			break
 		}
-		switch typ {
+		switch m.typ {
 		case MsgPing:
 			// Pings are liveness, not reports: they keep their own
 			// counter so report-drain conditions (Sent vs controller
@@ -1015,17 +1102,19 @@ func (a *Agent) ship(f outFrame, payload []byte) bool {
 		default:
 			a.sent.Add(1)
 		}
-		a.sentBytes.Add(uint64(len(wire)) + 9)
-		return true
+		a.sentBytes.Add(uint64(m.end - prev))
+		k, prev = k+1, m.end
 	}
+	return k
 }
 
 // reader consumes frames from one connection generation: verdicts,
 // pongs and resync requests.
 func (a *Agent) reader(g *generation) {
 	defer a.readerWg.Done()
+	fr := newFrameReader(g.conn)
 	for {
-		msgType, payload, err := readFrame(g.conn)
+		msgType, payload, err := fr.next()
 		if err != nil {
 			a.failGen(g, err)
 			return

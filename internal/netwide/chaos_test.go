@@ -191,3 +191,100 @@ func TestChaosFleetConverges(t *testing.T) {
 		t.Fatalf("merged windows %d vs %d", ctrl.MergedWindow(), ref.m.Window())
 	}
 }
+
+// TestFaultSampledResetsCoverExactly: a sampled agent whose own writes
+// are reset mid-write and split in two must leave the controller's
+// coverage ledger at exactly the packets it observed. The writer ships
+// each drained queue in one write; a reset reports the bytes that went
+// out, the frames wholly inside them reached the controller, and only
+// the rest may be sent again. A writer that re-sends a frame the
+// controller already absorbed overshoots the ledger; one that credits a
+// frame the reset cut leaves it short.
+func TestFaultSampledResetsCoverExactly(t *testing.T) {
+	params := Params{Budget: 8, BatchSize: 4, Window: 1 << 12} // τ = 0.4: a frame per ~10 packets
+	ctrl, addr := startControllerCfg(t, ControllerConfig{
+		Hier: hierarchy.OneD{}, Params: params, Counters: 512, Seed: 42,
+	})
+	inj := faultnet.NewInjector(300)
+	a, err := DialAgent(addr, AgentConfig{
+		Name:        "edge",
+		Params:      params,
+		Seed:        5,
+		QueueLen:    1 << 12,
+		Reconnect:   true,
+		BackoffBase: 5 * time.Millisecond,
+		BackoffMax:  50 * time.Millisecond,
+		// Nothing flows back to the agent, so its reset closes cleanly
+		// behind the bytes it wrote.
+		HeartbeatEvery: -1,
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			// Redial only once the controller has let go of the old
+			// connection: a Hello under a name still held is refused,
+			// and the frames written behind it are lost (checked below).
+			for deadline := time.Now().Add(5 * time.Second); ctrl.Agents() > 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			c, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return inj.WrapConn(c), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	waitFor(t, "agent to join", func() bool { return ctrl.Agents() == 1 })
+
+	covered := func() uint64 {
+		for _, st := range ctrl.AgentStats() {
+			if st.Name == a.Name() {
+				return st.Covered
+			}
+		}
+		return 0
+	}
+	inj.SetFault(faultnet.Fault{Reset: 0.15, Partial: 0.3})
+	var observed uint64
+	queueEmpty := func() bool {
+		st := a.Stats()
+		return st.Sent == st.Queued
+	}
+	for chunk := uint64(0); chunk < 40; chunk++ {
+		// Each chunk queues ~200 frames faster than the writer drains
+		// them, so writes carry many frames; waiting for the queue to
+		// drain keeps a redial gap from overflowing it.
+		for _, p := range fleetStream(2000, 100+chunk) {
+			a.Observe(p)
+			observed++
+		}
+		waitFor(t, "agent queue to drain", queueEmpty)
+	}
+	inj.Heal()
+	a.Flush()
+	waitFor(t, "agent queue to drain", queueEmpty)
+	// Every report the agent counts as sent is one the controller must
+	// absorb exactly once: it gets there only by absorbing them all,
+	// and a re-sent frame takes it past.
+	sent := a.Sent()
+	waitFor(t, "controller to absorb the sent reports", func() bool {
+		return ctrl.Reports() >= sent || ctrl.Rejected() > 0
+	})
+	if n := ctrl.Rejected(); n > 0 {
+		t.Fatalf("%d redials rejected as duplicate names; the frames behind them were lost", n)
+	}
+	if got := covered(); got != observed || ctrl.Reports() != sent {
+		t.Fatalf("controller absorbed %d reports covering %d packets; the agent sent %d covering %d",
+			ctrl.Reports(), got, sent, observed)
+	}
+	st := a.Stats()
+	if st.Dropped != 0 || a.Err() != nil {
+		t.Fatalf("agent dropped %d reports (err %v): the test needs every report queued", st.Dropped, a.Err())
+	}
+	fs := inj.Stats()
+	t.Logf("faults %+v, %d reconnects", fs, st.Reconnects)
+	if fs.Resets == 0 || fs.Partials == 0 || st.Reconnects == 0 {
+		t.Fatalf("faults never fired: %+v, %d reconnects", fs, st.Reconnects)
+	}
+}

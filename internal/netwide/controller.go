@@ -153,7 +153,8 @@ type Controller struct {
 // per-conn deadline exists to prevent.
 type agentConn struct {
 	net.Conn
-	wmu sync.Mutex
+	wmu  sync.Mutex
+	wbuf []byte // guarded by wmu: the recycled outgoing frame
 }
 
 // writeFrameTimeout writes one frame under the connection's write
@@ -161,8 +162,13 @@ type agentConn struct {
 func (c *agentConn) writeFrameTimeout(d time.Duration, msgType byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	frame, err := appendFrame(c.wbuf[:0], msgType, payload)
+	if err != nil {
+		return err
+	}
+	c.wbuf = frame
 	c.SetWriteDeadline(time.Now().Add(d))
-	err := writeFrame(c.Conn, msgType, payload)
+	_, err = c.Write(frame)
 	c.SetWriteDeadline(time.Time{})
 	return err
 }
@@ -335,12 +341,15 @@ func (c *Controller) handle(conn net.Conn) {
 		c.connMu.Unlock()
 	}()
 
-	// The handshake read runs under its own deadline: a connection
-	// that never sends a Hello must not park this goroutine forever.
+	// One frame reader serves the connection's whole life: bytes it
+	// buffered past the Hello belong to the steady loop. The handshake
+	// read runs under its own deadline: a connection that never sends
+	// a Hello must not park this goroutine forever.
+	fr := newFrameReader(conn)
 	if c.cfg.HandshakeTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
 	}
-	msgType, payload, err := readFrame(conn)
+	msgType, payload, err := fr.next()
 	if err != nil {
 		log.Warn("handshake read failed", "err", err)
 		return
@@ -399,6 +408,9 @@ func (c *Controller) handle(conn net.Conn) {
 	// restarts its chain with a base, while the last materialized
 	// sketch state survives in the per-name ledger.
 	var chain *delta.State
+	// samples is this connection's recycled batch decode scratch: a
+	// batch is absorbed before the next frame is read.
+	var samples []hierarchy.Packet
 
 	for {
 		// Steady-state reads run under ReadTimeout: agents heartbeat,
@@ -408,7 +420,9 @@ func (c *Controller) handle(conn net.Conn) {
 		if c.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
 		}
-		msgType, payload, err := readFrame(conn)
+		// The payload is valid until the next read: everything below
+		// consumes it (or copies out of it) before the loop comes back.
+		msgType, payload, err := fr.next()
 		if err != nil {
 			log.Info("agent left", "agent", hello.Name, "err", err)
 			return
@@ -458,11 +472,12 @@ func (c *Controller) handle(conn net.Conn) {
 				return
 			}
 		case MsgBatch:
-			batch, err := decodeBatch(payload)
+			batch, err := decodeBatch(payload, samples)
 			if err != nil {
 				log.Warn("bad batch", "agent", hello.Name, "err", err)
 				return
 			}
+			samples = batch.Samples
 			c.reports.Inc()
 			c.bytesIn.Add(frameBytes)
 			c.account(hello.Name, frameBytes, batch.Covered, nil)

@@ -109,7 +109,7 @@ func drainDelta(t *testing.T, ctrl *Controller, frames uint64) {
 // cadence would carry, computed in process: each agent's local
 // snapshot as of its latest cadence, and the wire bytes of those
 // frames (the covered count, the encoded snapshot and the framing)
-// plus every agent's Hello.
+// plus every agent's handshake (its Hello frame).
 type snapshotFleet struct {
 	snaps []*core.HHHSnapshot
 	bytes uint64
@@ -121,7 +121,7 @@ func newSnapshotFleet(as []*Agent) *snapshotFleet {
 	f := &snapshotFleet{snaps: make([]*core.HHHSnapshot, len(as))}
 	for i, a := range as {
 		f.snaps[i] = new(core.HHHSnapshot)
-		f.bytes += uint64(len(a.hello)) + 9
+		f.bytes += uint64(len(a.handshake))
 	}
 	return f
 }

@@ -166,7 +166,7 @@ func TestBroadcastDropsStalledAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(stalledClient, MsgHello, hello); err != nil {
+	if err := sendFrame(stalledClient, MsgHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	defer stalledClient.Close()

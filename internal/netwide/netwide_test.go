@@ -8,6 +8,7 @@ import (
 	"net"
 	"slices"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"memento/internal/core"
@@ -17,13 +18,23 @@ import (
 	"memento/internal/trace"
 )
 
+// sendFrame writes one frame to w in one write.
+func sendFrame(w io.Writer, msgType byte, payload []byte) error {
+	frame, err := appendFrame(nil, msgType, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, MsgBatch, payload); err != nil {
+	frame, err := appendFrame(nil, MsgBatch, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
+	typ, got, err := newFrameReader(bytes.NewReader(frame)).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +44,12 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, MsgBatch, []byte("hello world")); err != nil {
+	raw, err := appendFrame(nil, MsgBatch, []byte("hello world"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	raw[7] ^= 0xff // flip a payload byte
-	if _, _, err := readFrame(bytes.NewReader(raw)); err != ErrBadChecksum {
+	if _, _, err := newFrameReader(bytes.NewReader(raw)).next(); err != ErrBadChecksum {
 		t.Fatalf("corrupted frame: err = %v, want ErrBadChecksum", err)
 	}
 }
@@ -47,11 +57,101 @@ func TestFrameCorruptionDetected(t *testing.T) {
 func TestFrameSizeLimit(t *testing.T) {
 	var head [4]byte
 	binary.BigEndian.PutUint32(head[:], MaxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(head[:])); err != ErrFrameTooLarge {
+	if _, _, err := newFrameReader(bytes.NewReader(head[:])).next(); err != ErrFrameTooLarge {
 		t.Fatalf("oversized frame: err = %v", err)
 	}
-	if err := writeFrame(&bytes.Buffer{}, MsgBatch, make([]byte, MaxFrame)); err != ErrFrameTooLarge {
+	dst := []byte("kept")
+	out, err := appendFrame(dst, MsgBatch, make([]byte, MaxFrame))
+	if err != ErrFrameTooLarge {
 		t.Fatalf("oversized write: err = %v", err)
+	}
+	if string(out) != "kept" {
+		t.Fatalf("oversized write left %d bytes in dst, want the 4 it had", len(out))
+	}
+}
+
+// TestFrameStreamSegments: frames coalesced into one buffer come back
+// one by one, identical, however the reads segment the stream; a
+// corrupt frame fails at exactly that frame; and a payload held across
+// the next read is overwritten — the reader's lifetime contract.
+func TestFrameStreamSegments(t *testing.T) {
+	src := rng.New(7)
+	type frame struct {
+		typ     byte
+		payload []byte
+	}
+	var frames []frame
+	var stream []byte
+	var ends []int
+	for i := 0; i < 300; i++ {
+		n := src.Intn(600)
+		if i%50 == 7 {
+			n = 3*frameReadBuf + 5 // larger than the read buffer
+		}
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(src.Uint64())
+		}
+		f := frame{typ: byte(1 + src.Intn(9)), payload: p}
+		frames = append(frames, f)
+		var err error
+		if stream, err = appendFrame(stream, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(stream))
+	}
+	readers := map[string]func([]byte) io.Reader{
+		"whole":   func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"onebyte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"half":    func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+	}
+	for name, wrap := range readers {
+		fr := newFrameReader(wrap(stream))
+		for i, want := range frames {
+			typ, got, err := fr.next()
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if typ != want.typ || !bytes.Equal(got, want.payload) {
+				t.Fatalf("%s: frame %d came back as type %d, %d bytes; want type %d, %d bytes",
+					name, i, typ, len(got), want.typ, len(want.payload))
+			}
+		}
+		if _, _, err := fr.next(); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+
+		// Corrupt one payload byte of frame bad: every frame before it
+		// reads clean, and it fails with ErrBadChecksum.
+		const bad = 123
+		corrupt := slices.Clone(stream)
+		corrupt[ends[bad-1]+5] ^= 0x40
+		fr = newFrameReader(wrap(corrupt))
+		for i := 0; i < bad; i++ {
+			if _, _, err := fr.next(); err != nil {
+				t.Fatalf("%s: frame %d before the corrupt one: %v", name, i, err)
+			}
+		}
+		if _, _, err := fr.next(); err != ErrBadChecksum {
+			t.Fatalf("%s: corrupt frame %d: err = %v, want ErrBadChecksum", name, bad, err)
+		}
+	}
+
+	// Lifetime: two same-sized frames; the first payload, held across
+	// the second read, now reads as the second.
+	a, b := []byte("first payload"), []byte("other payload")
+	two, _ := appendFrame(nil, MsgBatch, a)
+	two, _ = appendFrame(two, MsgBatch, b)
+	fr := newFrameReader(bytes.NewReader(two))
+	_, held, err := fr.next()
+	if err != nil || !bytes.Equal(held, a) {
+		t.Fatalf("first frame: %q, %v", held, err)
+	}
+	if _, _, err := fr.next(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, b) {
+		t.Fatalf("held payload reads %q after the next read; the body buffer is not recycled", held)
 	}
 }
 
@@ -95,11 +195,11 @@ func TestBatchCodec(t *testing.T) {
 		Covered: 1000,
 		Samples: []hierarchy.Packet{{Src: 1, Dst: 2}, {Src: 0xffffffff, Dst: 0}},
 	}
-	p, err := encodeBatch(in)
+	p, err := appendBatch(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeBatch(p)
+	out, err := decodeBatch(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +208,11 @@ func TestBatchCodec(t *testing.T) {
 		t.Fatalf("round trip: %+v", out)
 	}
 	// Sample count exceeding covered packets is nonsense.
-	evil, _ := encodeBatch(Batch{Covered: 1, Samples: in.Samples})
-	if _, err := decodeBatch(evil); err == nil {
+	evil, _ := appendBatch(nil, Batch{Covered: 1, Samples: in.Samples})
+	if _, err := decodeBatch(evil, nil); err == nil {
 		t.Fatal("samples > covered should fail")
 	}
-	if _, err := decodeBatch(p[:len(p)-3]); err == nil {
+	if _, err := decodeBatch(p[:len(p)-3], nil); err == nil {
 		t.Fatal("truncated batch should fail")
 	}
 }
@@ -420,7 +520,7 @@ func TestRetiredSnapshotFrameDropsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, MsgHello, hello); err != nil {
+	if err := sendFrame(conn, MsgHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "agent to join", func() bool { return ctrl.Agents() == 1 })
@@ -436,7 +536,7 @@ func TestRetiredSnapshotFrameDropsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, 4, payload); err != nil {
+	if err := sendFrame(conn, 4, payload); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -468,7 +568,7 @@ func TestAgentBackpressureDrops(t *testing.T) {
 	defer c2.Close()
 	helloRead := make(chan struct{})
 	go func() { // consume the hello, then stall forever
-		readFrame(c2)
+		newFrameReader(c2).next()
 		close(helloRead)
 	}()
 	a, err := NewAgent(c1, AgentConfig{
@@ -553,7 +653,7 @@ func TestHostileCoveredFrameIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, msgType, payload); err != nil {
+		if err := sendFrame(conn, msgType, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,7 +664,7 @@ func TestHostileCoveredFrameIsBounded(t *testing.T) {
 	subnet := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
 	unseen := hierarchy.Prefix{Src: hierarchy.IPv4(77, 0, 0, 0), SrcLen: 1}
 	for i := 0; i < 200; i++ { // benign reports first: the subnet becomes heavy
-		p, err := encodeBatch(Batch{Covered: 4, Samples: []hierarchy.Packet{heavy, heavy, heavy, heavy}})
+		p, err := appendBatch(nil, Batch{Covered: 4, Samples: []hierarchy.Packet{heavy, heavy, heavy, heavy}})
 		send(MsgBatch, p, err)
 	}
 	waitFor(t, "benign reports", func() bool { return ctrl.Reports() == 200 })
@@ -573,7 +673,7 @@ func TestHostileCoveredFrameIsBounded(t *testing.T) {
 	}
 
 	for _, covered := range []uint64{1 << 62, math.MaxUint64} {
-		p, err := encodeBatch(Batch{Covered: covered})
+		p, err := appendBatch(nil, Batch{Covered: covered})
 		send(MsgBatch, p, err)
 	}
 	done := make(chan [2]float64, 1)

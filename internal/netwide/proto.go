@@ -23,12 +23,14 @@
 package netwide
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"memento/internal/codec"
 	"memento/internal/hierarchy"
@@ -170,44 +172,92 @@ func (v Verdict) Prefix() hierarchy.Prefix {
 	return hierarchy.Prefix{Src: hierarchy.MaskBytes(v.Subnet, v.PrefixBytes), SrcLen: v.PrefixBytes}
 }
 
-// writeFrame emits one frame.
-func writeFrame(w io.Writer, msgType byte, payload []byte) error {
-	if len(payload)+5 > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	frame := make([]byte, 4+1+len(payload)+4)
-	binary.BigEndian.PutUint32(frame[0:4], uint32(1+len(payload)+4))
-	frame[4] = msgType
-	copy(frame[5:], payload)
-	crc := crc32.ChecksumIEEE(frame[4 : 5+len(payload)])
-	binary.BigEndian.PutUint32(frame[5+len(payload):], crc)
-	_, err := w.Write(frame)
-	return err
+// frameReadBuf sizes a connection's read buffer. Sampled reports are a
+// few hundred bytes, so one read syscall picks up a burst of them; a
+// frame larger than the buffer is read straight into the body.
+const frameReadBuf = 4 << 10
+
+// keepBuf bounds the buffers a connection keeps between frames: the
+// frame reader's body and an agent's coalesced write. Reports, chain
+// deltas and a control tick's burst of them fit; a chain base (≈ 60 KB
+// for a 2048-counter agent) gets a buffer of its own that the collector
+// takes back, so one base does not pin its size to a connection for
+// life.
+const keepBuf = 32 << 10
+
+// appendFrame appends one frame carrying msgType and payload to dst.
+// On error dst is returned unchanged.
+func appendFrame(dst []byte, msgType byte, payload []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(openFrame(dst, msgType), payload...)
+	return sealFrame(dst, start)
 }
 
-// readFrame reads one frame, returning its type and payload.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// openFrame appends a frame header for msgType to dst, leaving the
+// length blank; the caller appends the payload and seals the frame with
+// sealFrame(dst, start), where start is len(dst) before the call.
+func openFrame(dst []byte, msgType byte) []byte {
+	return append(dst, 0, 0, 0, 0, msgType)
+}
+
+// sealFrame completes the frame opened at dst[start:]: it fills in the
+// length prefix and appends the CRC. A frame over MaxFrame is cut off
+// again, and dst[:start] is returned with ErrFrameTooLarge.
+func sealFrame(dst []byte, start int) ([]byte, error) {
+	body := dst[start+4:]
+	if len(body)+4 > MaxFrame {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)+4))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body)), nil
+}
+
+// frameReader reads the frames of one connection for its whole life,
+// through a small read buffer so a burst of frames costs one read
+// syscall, not two per frame. The frame body is recycled (up to
+// keepBuf): a payload is valid only until the next call to next.
+type frameReader struct {
+	br   *bufio.Reader
+	head [4]byte
+	body []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameReadBuf)}
+}
+
+// next reads one frame, returning its type and payload. The payload
+// aliases the reader's body buffer and is overwritten by the next call.
+func (fr *frameReader) next() (byte, []byte, error) {
+	if _, err := io.ReadFull(fr.br, fr.head[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(head[:])
+	n := binary.BigEndian.Uint32(fr.head[:])
 	if n < 5 {
 		return 0, nil, errors.New("netwide: short frame")
 	}
 	if n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body := fr.body
+	if uint32(cap(body)) < n {
+		body = make([]byte, n)
+		if n <= keepBuf {
+			fr.body = body
+		}
+	}
+	body = body[:n]
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a stream cut after a length prefix is not a clean end
+		}
 		return 0, nil, err
 	}
-	payload := body[1 : n-4]
 	want := binary.BigEndian.Uint32(body[n-4:])
 	if crc32.ChecksumIEEE(body[:n-4]) != want {
 		return 0, nil, ErrBadChecksum
 	}
-	return body[0], payload, nil
+	return body[0], body[1 : n-4], nil
 }
 
 // encodeHello serializes a Hello payload.
@@ -244,23 +294,24 @@ func decodeHello(p []byte) (Hello, error) {
 	return h, nil
 }
 
-// encodeBatch serializes a Batch payload.
-func encodeBatch(b Batch) ([]byte, error) {
+// appendBatch appends a Batch payload to dst.
+func appendBatch(dst []byte, b Batch) ([]byte, error) {
 	if len(b.Samples) > maxSamplesPerMsg {
-		return nil, errors.New("netwide: too many samples in one report")
+		return dst, errors.New("netwide: too many samples in one report")
 	}
-	buf := make([]byte, 0, 8+4+8*len(b.Samples))
-	buf = binary.BigEndian.AppendUint64(buf, b.Covered)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Samples)))
+	dst = binary.BigEndian.AppendUint64(dst, b.Covered)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Samples)))
 	for _, s := range b.Samples {
-		buf = binary.BigEndian.AppendUint32(buf, s.Src)
-		buf = binary.BigEndian.AppendUint32(buf, s.Dst)
+		dst = binary.BigEndian.AppendUint32(dst, s.Src)
+		dst = binary.BigEndian.AppendUint32(dst, s.Dst)
 	}
-	return buf, nil
+	return dst, nil
 }
 
-// decodeBatch parses a Batch payload.
-func decodeBatch(p []byte) (Batch, error) {
+// decodeBatch parses a Batch payload, decoding its samples into
+// scratch (reused when large enough): the batch is valid until scratch
+// is reused.
+func decodeBatch(p []byte, scratch []hierarchy.Packet) (Batch, error) {
 	if len(p) < 12 {
 		return Batch{}, errors.New("netwide: batch too short")
 	}
@@ -275,7 +326,7 @@ func decodeBatch(p []byte) (Batch, error) {
 	if uint64(n) > b.Covered {
 		return Batch{}, fmt.Errorf("netwide: %d samples exceed %d covered packets", n, b.Covered)
 	}
-	b.Samples = make([]hierarchy.Packet, n)
+	b.Samples = slices.Grow(scratch[:0], int(n))[:n]
 	for i := range b.Samples {
 		off := 12 + i*8
 		b.Samples[i] = hierarchy.Packet{
@@ -386,20 +437,14 @@ func decodeDeltaReport(p []byte) (DeltaReport, error) {
 // payload a MsgTraced envelope may carry.
 func traceable(typ byte) bool { return typ == MsgBatch || typ == MsgDelta }
 
-// encodeTracedReport serializes a MsgTraced payload into buf (reused
-// when large enough): the inner message type, the trace context, then
-// the inner payload verbatim.
-func encodeTracedReport(inner byte, tc codec.TraceContext, payload, buf []byte) ([]byte, error) {
+// appendTracedHead appends the head of a MsgTraced payload to dst: the
+// inner message type and the trace context. The inner payload follows
+// it verbatim; sealFrame bounds the whole.
+func appendTracedHead(dst []byte, inner byte, tc codec.TraceContext) ([]byte, error) {
 	if !traceable(inner) {
-		return nil, fmt.Errorf("netwide: message type %d cannot be traced", inner)
+		return dst, fmt.Errorf("netwide: message type %d cannot be traced", inner)
 	}
-	buf = append(buf[:0], inner)
-	buf = codec.AppendTraceContext(buf, tc)
-	buf = append(buf, payload...)
-	if len(buf)+5 > MaxFrame {
-		return nil, fmt.Errorf("%w: %d-byte traced report", ErrFrameTooLarge, len(buf))
-	}
-	return buf, nil
+	return codec.AppendTraceContext(append(dst, inner), tc), nil
 }
 
 // decodeTracedReport parses a MsgTraced payload, returning the inner

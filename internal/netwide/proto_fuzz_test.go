@@ -6,8 +6,11 @@
 package netwide
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"memento/internal/codec"
 	"memento/internal/core"
@@ -50,13 +53,13 @@ func FuzzDecodeHello(f *testing.F) {
 }
 
 func FuzzDecodeBatch(f *testing.F) {
-	if p, err := encodeBatch(Batch{Covered: 100, Samples: []hierarchy.Packet{{Src: 1, Dst: 2}}}); err == nil {
+	if p, err := appendBatch(nil, Batch{Covered: 100, Samples: []hierarchy.Packet{{Src: 1, Dst: 2}}}); err == nil {
 		f.Add(p)
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, 12))
 	for _, covered := range []uint64{1 << 62, math.MaxUint64} { // hostile: a slide no loop finishes
-		if p, err := encodeBatch(Batch{Covered: covered, Samples: []hierarchy.Packet{{Src: 3}}}); err == nil {
+		if p, err := appendBatch(nil, Batch{Covered: covered, Samples: []hierarchy.Packet{{Src: 3}}}); err == nil {
 			f.Add(p)
 		}
 	}
@@ -67,7 +70,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBatch(data)
+		b, err := decodeBatch(data, nil)
 		if err != nil {
 			return
 		}
@@ -182,15 +185,15 @@ func FuzzDecodePing(f *testing.F) {
 // and accept only envelopes whose inner type is a report and whose
 // trace context round-trips exactly.
 func FuzzDecodeTracedReport(f *testing.F) {
-	inner, err := encodeBatch(Batch{Covered: 64, Samples: []hierarchy.Packet{{Src: 1, Dst: 2}}})
+	inner, err := appendBatch(nil, Batch{Covered: 64, Samples: []hierarchy.Packet{{Src: 1, Dst: 2}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	tc := codec.TraceContext{AgentID: "edge-1", Seq: 7, CaptureNanos: 1 << 40}
-	if wire, err := encodeTracedReport(MsgBatch, tc, inner, nil); err == nil {
-		f.Add(wire)
+	if wire, err := appendTracedHead(nil, MsgBatch, tc); err == nil {
+		f.Add(append(wire, inner...))
 	}
-	if wire, err := encodeTracedReport(MsgDelta, codec.TraceContext{AgentID: "x"}, nil, nil); err == nil {
+	if wire, err := appendTracedHead(nil, MsgDelta, codec.TraceContext{AgentID: "x"}); err == nil {
 		f.Add(wire)
 		// The same envelope around the retired snapshot type 4.
 		f.Add(append([]byte{4}, wire[1:]...))
@@ -212,12 +215,81 @@ func FuzzDecodeTracedReport(f *testing.F) {
 			t.Fatalf("accepted agent id %q", got.AgentID)
 		}
 		// The accepted envelope re-encodes to the identical wire form.
-		rt, err := encodeTracedReport(typ, got, payload, nil)
+		rt, err := appendTracedHead(nil, typ, got)
+		rt = append(rt, payload...)
 		if err != nil {
 			t.Fatalf("re-encode of accepted traced report failed: %v", err)
 		}
 		if string(rt) != string(data) {
 			t.Fatalf("round trip changed envelope: % x vs % x", rt, data)
+		}
+	})
+}
+
+// FuzzFrameStream feeds arbitrary bytes to a connection's frame reader:
+// it must never panic, never hold a body past MaxFrame, and a stream
+// that reads cleanly to EOF must re-encode, frame by frame, to exactly
+// the input bytes. The seeds are valid streams and must decode as the
+// frames they were built from.
+func FuzzFrameStream(f *testing.F) {
+	type frame struct {
+		typ     byte
+		payload []byte
+	}
+	ping := encodePing(9)
+	batch, _ := appendBatch(nil, Batch{Covered: 300, Samples: []hierarchy.Packet{{Src: 1}, {Src: 2, Dst: 3}}})
+	verdicts, _ := encodeVerdicts([]Verdict{{Subnet: 0x0a000000, PrefixBytes: 1, Act: ActionDeny}})
+	seeds := [][]frame{
+		{{MsgPing, ping}},
+		{{MsgBatch, batch}, {MsgBatch, batch}, {MsgPong, ping}, {MsgResync, nil}},
+		{{MsgVerdict, verdicts}, {MsgBatch, make([]byte, 2*frameReadBuf)}, {MsgPing, ping}},
+	}
+	for _, frames := range seeds {
+		var stream []byte
+		for _, fr := range frames {
+			stream, _ = appendFrame(stream, fr.typ, fr.payload)
+		}
+		r := newFrameReader(bytes.NewReader(stream))
+		for i, want := range frames {
+			typ, got, err := r.next()
+			if err != nil || typ != want.typ || !bytes.Equal(got, want.payload) {
+				f.Fatalf("seed frame %d: type %d, %d bytes, %v; want type %d, %d bytes",
+					i, typ, len(got), err, want.typ, len(want.payload))
+			}
+		}
+		if _, _, err := r.next(); err != io.EOF {
+			f.Fatalf("seed stream: %v after its last frame, want io.EOF", err)
+		}
+		f.Add(stream)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 4, MsgPing})
+	f.Add([]byte{0, 0, 0x30, 0x30}) // a length prefix and nothing behind it
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var src io.Reader = bytes.NewReader(data)
+		if len(data)%2 == 1 {
+			src = iotest.HalfReader(src)
+		}
+		r := newFrameReader(src)
+		var again []byte
+		for {
+			typ, payload, err := r.next()
+			if cap(r.body) > MaxFrame {
+				t.Fatalf("frame body grew to %d bytes, past MaxFrame", cap(r.body))
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return
+			}
+			if again, err = appendFrame(again, typ, payload); err != nil {
+				t.Fatalf("re-encode of a decoded frame: %v", err)
+			}
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("clean stream of %d bytes re-encodes to %d different bytes", len(data), len(again))
 		}
 	})
 }
