@@ -243,9 +243,9 @@ func fullSweep(r sweepReader, floor float64, stop int) (calls []sweepCall, swept
 // every distinct upper bound and one ulp either side, and at ±Inf,
 // with and without an early stop; and HeavyHitters to a scan of every
 // overflow entry at the thresholds the same bounds give. It reports
-// whether some floor that admitted a key passed overflow entries over
-// in bulk, so the tier range was put to the test.
-func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (bulk bool) {
+// how far some floor that admitted a key took the tier range (see
+// sweepReach).
+func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (reach sweepReach) {
 	t.Helper()
 	tb := r.sweptTable()
 	floors := []float64{math.Inf(-1), math.Inf(1)}
@@ -266,9 +266,10 @@ func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (bulk
 		if len(want) == 0 {
 			continue
 		}
-		ranged := 0
+		ranged, lowest := 0, 0
 		tb.overflow.ForEachAtLeast(tb.overflowCut(floor), func(int, keyidx.Count[uint64]) bool { ranged++; return true })
-		bulk = bulk || ranged < tb.overflow.Len()
+		tb.overflow.ForEachAtLeast(4, func(int, keyidx.Count[uint64]) bool { lowest++; return true })
+		reach.add(sweepReach{bulk: ranged < tb.overflow.Len(), ladder: ranged < lowest})
 		stop := len(want)/2 + 1
 		want, wantSwept = fullSweep(r, floor, stop)
 		got = got[:0]
@@ -296,7 +297,17 @@ func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (bulk
 			}
 		}
 	}
-	return bulk
+	return reach
+}
+
+// sweepReach records what the sweeps of a test put to the test: bulk,
+// that some floor passed overflow entries over, and ladder, that some
+// floor ranged fewer entries than B's lowest tier rung (b ≥ 4) holds.
+type sweepReach struct{ bulk, ladder bool }
+
+func (r *sweepReach) add(o sweepReach) {
+	r.bulk = r.bulk || o.bulk
+	r.ladder = r.ladder || o.ladder
 }
 
 // checkSnapshotAgainstLive captures s and holds every read the merged
@@ -304,9 +315,9 @@ func checkSweep(t *testing.T, tag string, r sweepReader, uppers []float64) (bulk
 // — to the live sketch's own answers, and ForEachAbove and
 // HeavyHitters on the capture, on a sketch restored from its checkpoint
 // and on a snapshot decoded from it to their full-range definitions. It
-// returns how many keys the sketch tracks and whether the sweeps passed
-// overflow entries over in bulk (see checkSweep).
-func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) (int, bool) {
+// returns how many keys the sketch tracks and how far the sweeps took
+// the tier range (see sweepReach).
+func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) (int, sweepReach) {
 	t.Helper()
 	var snap, cp Snapshot[uint64]
 	s.SnapshotInto(&snap)
@@ -360,20 +371,19 @@ func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys 
 				tag, floor, got, snapSwept, want, swept, entries, len(tracked))
 		}
 	}
-	bulk := false
+	var reach sweepReach
 	for name, r := range map[string]sweepReader{"SnapshotInto": &snap, "RestoreFrom": restored, "DecodeSnapshot": decoded} {
-		if checkSweep(t, tag+"/"+name, r, uppers) {
-			bulk = true
-		}
+		reach.add(checkSweep(t, tag+"/"+name, r, uppers))
 	}
-	return len(tracked), bulk
+	return len(tracked), reach
 }
 
 // TestSnapshotDifferentialAcrossResetAndRestore runs that differential
 // at every stage of a sketch's life: loaded, emptied by Reset, loaded
-// again, rehydrated from an earlier checkpoint, and sliding on from it.
+// again, rehydrated from an earlier checkpoint, sliding on from it, and
+// under an elephant heavy enough to reach B's top tier rung.
 func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
-	tiered := false // some sweep passed overflow entries over in bulk
+	var tiered sweepReach
 	for name, hash := range map[string]func(uint64) uint64{
 		"default-hashers": nil,
 		"shared-hasher":   keyidx.DefaultHasher[uint64](),
@@ -397,11 +407,11 @@ func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
 				}
 			}
 			feed(3 << 12)
-			n, bulk := checkSnapshotAgainstLive(t, name+"/loaded", s, keys)
+			n, reach := checkSnapshotAgainstLive(t, name+"/loaded", s, keys)
 			if n == 0 || s.OverflowEntries() == 0 {
 				t.Fatalf("%s tau=%v: test vacuous: %d tracked keys, %d overflow entries", name, tau, n, s.OverflowEntries())
 			}
-			tiered = tiered || bulk
+			tiered.add(reach)
 			var cp Snapshot[uint64]
 			s.CheckpointInto(&cp)
 
@@ -410,29 +420,41 @@ func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
 				t.Fatalf("%s tau=%v: %d keys tracked after Reset", name, tau, n)
 			}
 			feed(1 << 12)
-			_, bulk = checkSnapshotAgainstLive(t, name+"/reloaded", s, keys)
-			tiered = tiered || bulk
+			_, reach = checkSnapshotAgainstLive(t, name+"/reloaded", s, keys)
+			tiered.add(reach)
 
 			if err := s.RestoreFrom(&cp); err != nil {
 				t.Fatal(err)
 			}
-			_, bulk = checkSnapshotAgainstLive(t, name+"/restored", s, keys)
-			tiered = tiered || bulk
+			_, reach = checkSnapshotAgainstLive(t, name+"/restored", s, keys)
+			tiered.add(reach)
 			for k := uint64(0); k < keys; k++ { // and the restored sketch is the checkpoint
 				if got, want := s.Query(k), cp.Query(k); got != want {
 					t.Fatalf("%s tau=%v: restored Query(%d) = %v, checkpoint %v", name, tau, k, got, want)
 				}
 			}
 			feed(2 << 12)
-			_, bulk = checkSnapshotAgainstLive(t, name+"/sliding", s, keys)
-			tiered = tiered || bulk
+			_, reach = checkSnapshotAgainstLive(t, name+"/sliding", s, keys)
+			tiered.add(reach)
 			if s.ForcedDrains() != 0 {
 				t.Fatalf("%s tau=%v: %d forced drains after restore", name, tau, s.ForcedDrains())
 			}
+
+			// An elephant takes half the stream: its overflows climb past
+			// every rung while the heavy keys' stay near the lowest.
+			for i := 0; i < 1<<12; i++ {
+				s.Update(keys - 1)
+				feed(1)
+			}
+			_, reach = checkSnapshotAgainstLive(t, name+"/elephant", s, keys)
+			tiered.add(reach)
 		}
 	}
-	if !tiered {
+	if !tiered.bulk {
 		t.Fatal("test vacuous: no sweep took the overflow tier past a lighter entry")
+	}
+	if !tiered.ladder {
+		t.Fatal("test vacuous: no sweep ranged a tier rung above the lowest")
 	}
 }
 

@@ -29,24 +29,28 @@ type Count[K comparable] struct {
 // A table built by NewCounts journals its mutations in a ring (see
 // journal), so CopyInto brings a destination it copied before up to
 // date by replaying what changed since, and copies in full — three
-// memmoves, 4 bytes per bucket, one entry per key held and one tier bit
-// per reserved entry — only when the ring no longer reaches back that
-// far.
+// memmoves, 4 bytes per bucket, one entry per key held and one bit per
+// reserved entry for each tier rung — only when the ring no longer
+// reaches back that far.
 //
-// A bitmap over the entry slab marks the heavy tier, the entries whose
-// count has reached tierMin, and every mutator keeps it exact in O(1).
-// ForEachAtLeast ranges only the marked positions when asked for counts
-// no lighter than that, so a read that wants the few heavy entries of a
-// large table does not walk the rest.
+// A ladder of bitmaps over the entry slab marks the heavy tier: one
+// bitmap per rung, marking the entries whose count has reached that
+// rung's threshold (tierMin, 2·tierMin, … ; see tierRungs), and every
+// mutator keeps every rung exact in O(1). ForEachAtLeast ranges only
+// the positions marked on the highest rung a request reaches, so a read
+// that wants the few heavy entries of a large table does not walk the
+// rest, and one that wants fewer still walks fewer.
 //
 // Construct with NewCounts; the zero value is only a CopyInto
 // destination. Not safe for concurrent use.
 type Counts[K comparable] struct {
 	entries []Count[K] //memento:reused (reserved at construction; growth past it is the cold path)
 	buckets []int32    //memento:reused (doubles only when entries outgrow the reserved capacity)
-	// tier has bit p set iff entries[p].Val ≥ tierMin; it holds one bit
-	// per reserved entry (half the bucket count), so its length follows
-	// from the buckets alone and a replayed copy matches a full one.
+	// tier is the ladder: tierRungs bitmaps of tierWords(len(buckets))
+	// words each, rung r first at word r·tierWords. Rung r has bit p set
+	// iff entries[p].Val ≥ tierMin<<r. Each holds one bit per reserved
+	// entry (half the bucket count), so the length follows from the
+	// buckets alone and a replayed copy matches a full one.
 	tier []uint64 //memento:reused (grows with the buckets)
 	hash func(K) uint64
 
@@ -99,20 +103,30 @@ type journal[K comparable] struct {
 	owner *Counts[K]
 }
 
-// tierMin is the count from which an entry belongs to the heavy tier.
-// It is a constant of the table, not an option: what it trades is
-// how many entries the tier holds (bits a mutator flips, entries a
-// tier range visits) against how low a floor can still take the tier
-// path, and one overflow table's count distribution is steep. On a
-// 2D sketch of 256·H counters under a 0.5 Mpkt/s stream (the
-// benchmark's dev2d-query), each shard's B holds ≈ 28 000 entries, of
-// which 94 % hold 1, ≈ 535 hold at least 4 and ≈ 205 at least 8, and
-// no phase-1 sweep there asked for fewer than 9 overflows. So 4 keeps
-// a tier range near 2 % of the table with room below every floor seen.
-const tierMin = 4
+// tierMin is the count from which an entry belongs to the heavy tier,
+// and the threshold of the ladder's lowest rung; each of the
+// tierRungs−1 rungs above doubles it, to 8, 16 and 32. Both are
+// constants of the table, not options: what they trade is how many
+// entries a rung holds (entries a tier range visits) against how low a
+// floor can still take the tier path, and bits a mutator flips against
+// a range's reach. On a 2D sketch of 256·H counters under a 0.5 Mpkt/s
+// stream (the benchmark's dev2d-query), each shard's B holds ≈ 28 000
+// entries, of which 94 % hold 1 and ≈ 540 at least 4, and the cuts of
+// its phase-1 sweeps run 9–41 (all 602 428 shard sweeps of a 20 s
+// seed-1 run); on dev1d-ingest they run up to 5. tierMin = 4 keeps the
+// lowest rung near 2 % of the table with room below every 2D cut, but
+// a single tier there handed a sweep ≈ 540 entries of which ≈ 90 %
+// then failed the test on b. The rungs above follow the cut: 8–15
+// ranges the 8 rung, 16–31 the 16 rung, 32 and up the 32 rung, and the
+// same run ranged 80 entries a sweep. A ±1 change crosses at most one
+// threshold, so it flips at most one bit.
+const (
+	tierMin   = 4
+	tierRungs = 4
+)
 
-// tierWords returns the tier bitmap length, in words, for a table of
-// the given bucket count: one bit per reserved entry.
+// tierWords returns the length, in words, of one rung's bitmap for a
+// table of the given bucket count: one bit per reserved entry.
 func tierWords(buckets int) int { return (buckets/2 + 63) / 64 }
 
 // journalIDs numbers journal states process-wide, so a destination
@@ -156,7 +170,7 @@ func NewCounts[K comparable](capacity int, hash func(K) uint64) (*Counts[K], err
 	return &Counts[K]{
 		entries: make([]Count[K], 0, capacity),
 		buckets: make([]int32, 2*capacity),
-		tier:    make([]uint64, tierWords(2*capacity)),
+		tier:    make([]uint64, tierRungs*tierWords(2*capacity)),
 		hash:    hash,
 		log:     log,
 	}, nil
@@ -210,11 +224,11 @@ func (c *Counts[K]) Entries() []Count[K] { return c.entries }
 // ForEachAtLeast calls fn, in entry order, with the position and value
 // of a superset of the entries holding at least min, until fn returns
 // false, and reports whether it ran to the end. With min at or above
-// the tier threshold the superset is the heavy tier; below it, every
-// entry. Each entry it passes over holds less than min, so a caller
-// that still tests each entry it is handed sees, in the same order,
-// what a range over Entries would show it. The entries are read-only
-// for the duration.
+// tierMin the superset is the highest tier rung whose threshold min
+// reaches; below it, every entry. Each entry it passes over holds less
+// than min, so a caller that still tests each entry it is handed sees,
+// in the same order, what a range over Entries would show it. The
+// entries are read-only for the duration.
 func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool) bool {
 	if min < tierMin {
 		for p, e := range c.entries {
@@ -224,9 +238,13 @@ func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool)
 		}
 		return true
 	}
-	for w, word := range c.tier {
+	r := bits.Len32(uint32(min/tierMin)) - 1 // the highest rung with tierMin<<r ≤ min
+	if r >= tierRungs {
+		r = tierRungs - 1
+	}
+	for i, word := range c.rung(r) {
 		for word != 0 {
-			p := w<<6 | bits.TrailingZeros64(word)
+			p := i<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
 			if !fn(p, c.entries[p]) {
 				return false
@@ -236,11 +254,22 @@ func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool)
 	return true
 }
 
-// retier flips entry pos's tier bit when its count moved from old to
-// val across tierMin.
+// rung returns the bitmap of tier rung r.
+func (c *Counts[K]) rung(r int) []uint64 {
+	w := len(c.tier) / tierRungs
+	return c.tier[r*w : (r+1)*w]
+}
+
+// retier flips entry pos's bit on every rung whose threshold its count
+// crossed moving from old to val.
 func (c *Counts[K]) retier(pos int32, old, val int32) {
-	if (old >= tierMin) != (val >= tierMin) {
-		c.tier[pos>>6] ^= 1 << (pos & 63)
+	if old < tierMin && val < tierMin {
+		return // below every rung: the bulk of the table
+	}
+	for r := range tierRungs {
+		if m := int32(tierMin) << r; (old >= m) != (val >= m) {
+			c.rung(r)[pos>>6] ^= 1 << (pos & 63)
+		}
 	}
 }
 
@@ -290,7 +319,7 @@ func (c *Counts[K]) record(op opKind, key K, val int32) {
 // When dst was last copied from c, has not been mutated since, and c's
 // journal still holds every op since that copy, those ops are replayed
 // on dst (one hash and probe each); otherwise the copy is one memmove
-// each of the buckets, the live entries and the tier bitmap.
+// each of the buckets, the live entries and the tier ladder.
 //
 //memento:noalloc
 func (c *Counts[K]) CopyInto(dst *Counts[K]) {
@@ -460,8 +489,8 @@ func (c *Counts[K]) del(key K, h uint64) bool {
 }
 
 // place appends a new entry behind the known-empty bucket i, grows
-// the buckets past load ½ and marks the entry if it starts in the
-// heavy tier.
+// the buckets past load ½ and marks the entry on every tier rung its
+// count starts on.
 func (c *Counts[K]) place(i uint64, key K, val int32) {
 	c.entries = append(c.entries, Count[K]{Key: key, Val: val})
 	pos := int32(len(c.entries) - 1)
@@ -477,8 +506,17 @@ func (c *Counts[K]) place(i uint64, key K, val int32) {
 func (c *Counts[K]) grow() {
 	c.buckets = append(c.buckets, c.buckets...) // twice the length; contents rebuilt below
 	clear(c.buckets)
-	for len(c.tier) < tierWords(len(c.buckets)) {
+	// Each rung keeps its bits and moves to its new stride, the top rung
+	// first so that none is overwritten before it has moved.
+	w, nw := len(c.tier)/tierRungs, tierWords(len(c.buckets))
+	for len(c.tier) < tierRungs*nw {
 		c.tier = append(c.tier, 0)
+	}
+	for r := tierRungs - 1; r > 0; r-- {
+		copy(c.tier[r*nw:r*nw+w], c.tier[r*w:(r+1)*w])
+	}
+	for r := range tierRungs {
+		clear(c.tier[r*nw+w : (r+1)*nw])
 	}
 	for pos := range c.entries {
 		i := c.home(c.hash(c.entries[pos].Key))
@@ -493,8 +531,8 @@ func (c *Counts[K]) grow() {
 // run is closed by backward shift, so no tombstones are needed: each
 // following bucket moves into the hole unless its entry already sits
 // at (or probes no further than) its home. The slab stays dense by
-// moving the last entry, and its tier bit, into pos and re-pointing its
-// bucket.
+// moving the last entry, and its bit on every tier rung, into pos and
+// re-pointing its bucket.
 func (c *Counts[K]) remove(i uint64, pos int32) {
 	for j := c.next(i); c.buckets[j] != 0; j = c.next(j) {
 		// Distance the entry behind j has probed from its home; it may
@@ -510,11 +548,14 @@ func (c *Counts[K]) remove(i uint64, pos int32) {
 	c.buckets[i] = 0
 
 	last := int32(len(c.entries) - 1)
-	// pos takes the last entry's tier bit, then the vacated last
+	// On each rung pos takes the last entry's bit, then the vacated last
 	// position is cleared (which, when pos is last, clears pos).
-	heavy := c.tier[last>>6] >> (last & 63) & 1
-	c.tier[pos>>6] = c.tier[pos>>6]&^(1<<(pos&63)) | heavy<<(pos&63)
-	c.tier[last>>6] &^= 1 << (last & 63)
+	for r := range tierRungs {
+		t := c.rung(r)
+		heavy := t[last>>6] >> (last & 63) & 1
+		t[pos>>6] = t[pos>>6]&^(1<<(pos&63)) | heavy<<(pos&63)
+		t[last>>6] &^= 1 << (last & 63)
+	}
 	if pos != last {
 		moved := c.entries[last]
 		c.entries[pos] = moved

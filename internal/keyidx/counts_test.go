@@ -15,7 +15,7 @@ func collide(k uint64) uint64 { return (k % 5) * 0x9e3779b97f4a7c15 }
 // checkCounts verifies the table against the oracle: sizes agree, every
 // oracle key resolves to its count, Entries holds every live key
 // exactly once, every occupied bucket points at a distinct entry, and
-// the tier bitmap marks exactly the entries at or above tierMin.
+// every tier rung marks exactly the entries at or above its threshold.
 func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
 	t.Helper()
 	if c.Len() != len(o) {
@@ -55,25 +55,43 @@ func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
 	checkTier(t, c)
 }
 
-// checkTier verifies the tier bitmap: sized from the bucket count, bit p
-// set iff entries[p].Val ≥ tierMin, no bit at or past Len(); and
-// ForEachAtLeast hands over, in entry order, every entry below the
-// threshold and the marked ones at or above it.
+// checkTier verifies the tier ladder: every rung's bitmap sized from
+// the bucket count, bit p of rung r set iff entries[p].Val ≥ tierMin<<r,
+// no bit at or past Len(); and ForEachAtLeast hands over, in entry
+// order, every entry below tierMin, and at one below, at and one above
+// every rung's threshold the entries marked on the highest rung that
+// threshold reaches.
 func checkTier(t *testing.T, c *Counts[uint64]) {
 	t.Helper()
-	if want := tierWords(len(c.buckets)); len(c.tier) != want {
-		t.Fatalf("tier holds %d words, %d buckets want %d", len(c.tier), len(c.buckets), want)
+	w := tierWords(len(c.buckets))
+	if len(c.tier) != tierRungs*w {
+		t.Fatalf("tier holds %d words, %d buckets want %d rungs of %d", len(c.tier), len(c.buckets), tierRungs, w)
 	}
-	for p := 0; p < 64*len(c.tier); p++ {
-		set := c.tier[p>>6]>>(p&63)&1 == 1
-		if heavy := p < c.Len() && c.entries[p].Val >= tierMin; set != heavy {
-			t.Fatalf("tier bit %d = %v; %d entries, entry heavy: %v", p, set, c.Len(), heavy)
+	rungMin := func(r int) int32 { return int32(tierMin) << r }
+	for r := range tierRungs {
+		for p := 0; p < 64*w; p++ {
+			set := c.rung(r)[p>>6]>>(p&63)&1 == 1
+			if heavy := p < c.Len() && c.entries[p].Val >= rungMin(r); set != heavy {
+				t.Fatalf("rung %d (≥ %d) bit %d = %v; %d entries, entry at or above: %v", r, rungMin(r), p, set, c.Len(), heavy)
+			}
 		}
 	}
-	for _, min := range []int32{-1, tierMin - 1, tierMin, tierMin + 5} {
+	mins := []int32{-1, 0}
+	for r := range tierRungs {
+		mins = append(mins, rungMin(r)-1, rungMin(r), rungMin(r)+1)
+	}
+	mins = append(mins, rungMin(tierRungs-1)*4)
+	for _, min := range mins {
+		// The rung ranged is the highest whose threshold min reaches.
+		floor := int32(-1 << 31)
+		for r := range tierRungs {
+			if rungMin(r) <= min {
+				floor = rungMin(r)
+			}
+		}
 		var want, got []int
 		for p, e := range c.entries {
-			if min < tierMin || e.Val >= tierMin {
+			if e.Val >= floor {
 				want = append(want, p)
 			}
 		}
@@ -362,8 +380,9 @@ func TestCountsCopyIsIndependent(t *testing.T) {
 	}
 }
 
-// sameSlabs fails unless got holds want's entries, buckets and tier
-// element for element: the same answers, sweep order and probe layout.
+// sameSlabs fails unless got holds want's entries, buckets and every
+// tier rung element for element: the same answers, sweep order and
+// probe layout.
 func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 	t.Helper()
 	if !slices.Equal(got.entries, want.entries) {
@@ -372,8 +391,13 @@ func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 	if !slices.Equal(got.buckets, want.buckets) {
 		t.Fatalf("%s: buckets %v, source %v", tag, got.buckets, want.buckets)
 	}
-	if !slices.Equal(got.tier, want.tier) {
-		t.Fatalf("%s: tier %x, source %x", tag, got.tier, want.tier)
+	if len(got.tier) != len(want.tier) {
+		t.Fatalf("%s: tier holds %d words, source %d", tag, len(got.tier), len(want.tier))
+	}
+	for r := range tierRungs {
+		if g, s := got.rung(r), want.rung(r); !slices.Equal(g, s) {
+			t.Fatalf("%s: tier rung %d %x, source %x", tag, r, g, s)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"memento/internal/keyidx"
 	"memento/internal/obs"
@@ -87,6 +88,19 @@ type Sketch[K comparable] struct {
 	used     int32        // counters in use (monotone until Flush)
 	items    uint64
 
+	// owner, id and n name the sketch's state: the n-th mutation under
+	// state id, which the sketch drew from stateIDs the first time it
+	// mutated as owner (owner == the sketch itself). A copy by
+	// assignment carries its original's owner, so its first mutation
+	// draws a fresh id instead of writing states under the original's.
+	owner *Sketch[K]
+	id, n uint64
+	// fromID and fromN name the state this sketch was last copied as by
+	// CopyInto: source state fromID after its fromN-th mutation. 0 (no
+	// state id is 0) once the sketch has mutated since, so only an
+	// untouched copy ever skips its slab copy.
+	fromID, fromN uint64
+
 	// pos is the position index: a power-of-two array of at least 2k
 	// buckets (load ≤ ½), linear probe, backward-shift delete; a key
 	// homes at the top bits of its fingerprint, pos[fp>>shift].
@@ -114,6 +128,11 @@ type Sketch[K comparable] struct {
 	// counter is disabled (one compare inside Add's eviction branch).
 	evictObs *obs.Counter
 }
+
+// stateIDs numbers sketch states process-wide, so a destination copied
+// from one sketch never mistakes another's state for the one it holds,
+// whatever addresses the sketches have.
+var stateIDs atomic.Uint64
 
 // mergeEntry accumulates one key's merged count during Merge.
 type mergeEntry[K comparable] struct {
@@ -192,8 +211,22 @@ func (s *Sketch[K]) Items() uint64 { return s.items }
 //
 //memento:noalloc
 func (s *Sketch[K]) Flush() {
+	s.touch()
 	clear(s.pos)
 	s.reset()
+}
+
+// touch records one mutation of s's state, first drawing a state id
+// of its own if s has not mutated as owner yet (a new sketch, a copy
+// by assignment or a CopyInto destination).
+func (s *Sketch[K]) touch() {
+	if s.owner != s {
+		s.owner = s
+		s.id = stateIDs.Add(1)
+		s.n = 0
+		s.fromID = 0
+	}
+	s.n++
 }
 
 // find probes the position index for key, whose hash has fingerprint
@@ -350,6 +383,7 @@ func (s *Sketch[K]) Add(key K) uint64 { return s.AddHashed(key, s.hash(key)) }
 //
 //memento:noalloc
 func (s *Sketch[K]) AddHashed(key K, h uint64) uint64 {
+	s.touch()
 	s.items++
 	fp := fingerprint(h)
 	i, ci := s.find(key, fp)
@@ -527,15 +561,21 @@ func (s *Sketch[K]) QueryBoundsHashed(key K, h uint64) (upper, lower uint64) {
 }
 
 // CopyInto overwrites dst with a point-in-time copy of s, reusing
-// dst's slabs when they are large enough: three slab memmoves plus
-// scalars — cheap enough to run under a shard lock — after which the
-// copy answers Query/QueryBounds/Min/Iterate/Entries lock-free exactly
-// as s did at copy time. dst may be a zero Sketch. Merge scratch is
-// not copied; merging on a copy allocates its own.
+// dst's slabs when they are large enough, after which the copy answers
+// Query/QueryBounds/Min/Iterate/Entries/Slot lock-free exactly as s did
+// at copy time. dst may be a zero Sketch. Merge scratch is not copied;
+// merging on a copy allocates its own.
+//
+// When dst was last copied from s's current state and has not been
+// mutated since, its slabs already hold that state and only the
+// scalars are copied; otherwise the copy is three slab memmoves plus
+// scalars — cheap enough to run under a shard lock either way.
 func (s *Sketch[K]) CopyInto(dst *Sketch[K]) {
-	dst.counters = append(dst.counters[:0], s.counters...)
-	dst.buckets = append(dst.buckets[:0], s.buckets...)
-	dst.pos = append(dst.pos[:0], s.pos...)
+	if s.owner != s || dst.fromID != s.id || dst.fromN != s.n {
+		dst.counters = append(dst.counters[:0], s.counters...)
+		dst.buckets = append(dst.buckets[:0], s.buckets...)
+		dst.pos = append(dst.pos[:0], s.pos...)
+	}
 	dst.shift = s.shift
 	dst.hash = s.hash
 	dst.headB = s.headB
@@ -543,6 +583,12 @@ func (s *Sketch[K]) CopyInto(dst *Sketch[K]) {
 	dst.freeB = s.freeB
 	dst.used = s.used
 	dst.items = s.items
+	// dst holds no state of its own now: its next mutation draws an id.
+	dst.owner = nil
+	dst.fromID, dst.fromN = 0, 0
+	if s.owner == s {
+		dst.fromID, dst.fromN = s.id, s.n
+	}
 }
 
 // RestoreEntry installs key with an explicit count and error term
@@ -574,7 +620,10 @@ func (s *Sketch[K]) RestoreEntry(key K, count, err uint64) error {
 
 // SetItems overrides the Add-call count (restore bookkeeping only;
 // Add maintains it itself).
-func (s *Sketch[K]) SetItems(n uint64) { s.items = n }
+func (s *Sketch[K]) SetItems(n uint64) {
+	s.touch()
+	s.items = n
+}
 
 // Counter reports one monitored entry.
 type Counter[K comparable] struct {
@@ -706,6 +755,7 @@ func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	if int(s.used) >= len(s.counters) {
 		return
 	}
+	s.touch()
 	ci := s.used
 	s.used++
 	c := &s.counters[ci]

@@ -2,6 +2,7 @@ package spacesaving
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -440,6 +441,146 @@ func TestCopyIntoReusesSlabs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state CopyInto allocs/op = %v, want 0", allocs)
 	}
+}
+
+// sameCopy fails unless got holds want's slabs element for element and
+// its scalars, and answers Query, Min, Iterate (in order) and Slot as
+// want does.
+func sameCopy(t *testing.T, tag string, got, want *Sketch[uint64]) {
+	t.Helper()
+	if !slices.Equal(got.counters, want.counters) || !slices.Equal(got.buckets, want.buckets) || !slices.Equal(got.pos, want.pos) {
+		t.Fatalf("%s: slabs differ from a full copy", tag)
+	}
+	if got.headB != want.headB || got.tailB != want.tailB || got.freeB != want.freeB ||
+		got.used != want.used || got.items != want.items || got.shift != want.shift {
+		t.Fatalf("%s: scalars differ from a full copy", tag)
+	}
+	if got.Min() != want.Min() {
+		t.Fatalf("%s: Min %d, full copy %d", tag, got.Min(), want.Min())
+	}
+	for k := uint64(0); k < 20; k++ {
+		if got.Query(k) != want.Query(k) {
+			t.Fatalf("%s: Query(%d) = %d, full copy %d", tag, k, got.Query(k), want.Query(k))
+		}
+	}
+	var g, w []Counter[uint64]
+	got.Iterate(func(c Counter[uint64]) bool { g = append(g, c); return true })
+	want.Iterate(func(c Counter[uint64]) bool { w = append(w, c); return true })
+	if !slices.Equal(g, w) {
+		t.Fatalf("%s: Iterate %v, full copy %v", tag, g, w)
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.Slot(i) != want.Slot(i) {
+			t.Fatalf("%s: Slot(%d) = %+v, full copy %+v", tag, i, got.Slot(i), want.Slot(i))
+		}
+	}
+}
+
+// copyIdentityOps replays ops as a capture-identity op stream over two
+// sources and three destinations, each destination copying from one
+// source. A byte's low four bits pick the op and its high four bits are
+// the operand: Add, Flush, RestoreEntry, Merge and SetItems on a
+// source; a source replaced by a copy by assignment of the other (own
+// slabs, shared identity fields) that then adds a key; a write to a
+// destination; switching a destination's source; zeroing a
+// destination; and CopyInto. After every CopyInto the destination must
+// equal a fresh full copy of its source. It reports how many copies
+// skipped the slabs and how many copied them.
+func copyIdentityOps(t *testing.T, ops []byte) (skipped, full int) {
+	t.Helper()
+	collide := func(k uint64) uint64 { return k % 3 } // long probe runs
+	srcs := [2]*Sketch[uint64]{}
+	for i := range srcs {
+		s, err := NewWithHash[uint64](4+i, collide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = s
+	}
+	var dsts [3]Sketch[uint64]
+	var from [3]int
+	for n, b := range ops {
+		arg := int(b >> 4)
+		s := srcs[arg&1]
+		d := arg % len(dsts)
+		switch b & 15 {
+		case 0, 1, 2, 3, 4:
+			s.Add(uint64(arg >> 1))
+		case 5:
+			s.Flush()
+		case 6:
+			_ = s.RestoreEntry(uint64(8+arg>>1), uint64(1+arg), uint64(arg>>2)) // full or duplicate: no-op
+		case 7:
+			s.Merge(srcs[1-arg&1])
+		case 8:
+			s.SetItems(uint64(arg) * 3)
+		case 9:
+			cp := *srcs[1-arg&1]
+			cp.counters, cp.buckets, cp.pos = slices.Clone(cp.counters), slices.Clone(cp.buckets), slices.Clone(cp.pos)
+			cp.mergeBuf, cp.mergeIdx = nil, nil
+			cp.Add(uint64(arg >> 1))
+			srcs[arg&1] = &cp
+		case 10:
+			if len(dsts[d].counters) > 0 { // a zero Sketch cannot take an Add
+				dsts[d].Add(uint64(arg >> 2))
+			}
+		case 11:
+			from[d] ^= 1
+		case 12:
+			dsts[d] = Sketch[uint64]{}
+		default:
+			src := srcs[from[d]]
+			if src.owner == src && dsts[d].fromID == src.id && dsts[d].fromN == src.n {
+				skipped++
+			} else {
+				full++
+			}
+			src.CopyInto(&dsts[d])
+			var ref Sketch[uint64]
+			src.CopyInto(&ref)
+			sameCopy(t, fmt.Sprintf("op %d (%#x), destination %d", n, b, d), &dsts[d], &ref)
+		}
+	}
+	return skipped, full
+}
+
+// copyIdentitySeeds are streams that break a capture identity that
+// forgets a destination was written to (the first) or lets a copy by
+// assignment keep writing states under its original's id (the second).
+var copyIdentitySeeds = [][]byte{
+	{0x20, 0x0d, 0xca, 0x0d},
+	{0x20, 0x0d, 0xb9, 0x40, 0x0b, 0x0d, 0x0b, 0x0d},
+}
+
+// TestCopyIntoIdentity drives copyIdentityOps with the seeds and with
+// random streams, and requires both CopyInto paths to have run.
+func TestCopyIntoIdentity(t *testing.T) {
+	skipped, full := 0, 0
+	for _, ops := range copyIdentitySeeds {
+		s, f := copyIdentityOps(t, ops)
+		skipped, full = skipped+s, full+f
+	}
+	src := rng.New(36)
+	for range 300 {
+		ops := make([]byte, 400)
+		for i := range ops {
+			ops[i] = byte(src.Intn(256))
+		}
+		s, f := copyIdentityOps(t, ops)
+		skipped, full = skipped+s, full+f
+	}
+	if skipped == 0 || full == 0 {
+		t.Fatalf("%d skipped copies, %d full: a path never ran", skipped, full)
+	}
+}
+
+// FuzzCopyIntoIdentity is TestCopyIntoIdentity over fuzzer-chosen
+// streams.
+func FuzzCopyIntoIdentity(f *testing.F) {
+	for _, ops := range copyIdentitySeeds {
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { copyIdentityOps(t, ops) })
 }
 
 // TestHashedQueryVariantsMatch pins QueryHashed/QueryBoundsHashed
