@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"memento/internal/hierarchy"
 	"memento/internal/obs"
 	"memento/internal/rng"
 )
@@ -102,5 +103,41 @@ func BenchmarkInstrumentedIngest(b *testing.B) {
 	b.StopTimer()
 	if reg.Counter("memento_core_block_slides_total").Load() == 0 && b.N > benchWindow {
 		b.Fatal("instruments attached but never fired")
+	}
+}
+
+// BenchmarkHHHOutputLive measures OutputTo on a live H-Memento, the way
+// the network-wide controller queries its sketch: the sparse read plane
+// over a view of the live table, with a recycled result buffer. A
+// flood from ten /8 subnets makes a few prefixes heavy over a churning
+// tail; 64 packets land between queries with the timer stopped, so each
+// query reads a table that changed since the last. CI gates 0
+// allocs/op.
+func BenchmarkHHHOutputLive(b *testing.B) {
+	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: benchWindow, Counters: 512 * 5, Seed: 2})
+	src := rng.New(3)
+	packets := make([]hierarchy.Packet, 1<<16)
+	for i := range packets {
+		packets[i] = hierarchy.Packet{Src: src.Uint32()}
+		if src.Intn(10) < 7 {
+			packets[i].Src = hierarchy.IPv4(byte(100+src.Intn(10)), byte(src.Intn(256)), byte(src.Intn(256)), byte(src.Intn(256)))
+		}
+	}
+	for i := 0; i < 2*benchWindow; i += len(packets) {
+		hh.UpdateBatch(packets)
+	}
+	var out []HeavyPrefix
+	out = hh.OutputTo(0.05, out[:0]) // size the read plane's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		off := i * 64 & (len(packets) - 1)
+		hh.UpdateBatch(packets[off : off+64])
+		b.StartTimer()
+		out = hh.OutputTo(0.05, out[:0])
+	}
+	if len(out) == 0 {
+		b.Fatal("benchmark vacuous: Output reported nothing")
 	}
 }

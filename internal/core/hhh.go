@@ -67,8 +67,13 @@ type HHH struct {
 	geo  *rng.Geometric
 	skip int // batched path: packets left until the next sampled prefix (-1: not drawn)
 
-	candidates []hierarchy.Prefix // scratch buffer for Output
-	sc         hhhset.Scratch     // reusable HHH-set computation state
+	// OutputTo's read plane: view is a shallow copy of mem's table,
+	// taken at call time and zeroed before OutputTo returns. Its slabs
+	// alias the live ones, so it is never handed out and never a copy
+	// destination; zeroing it keeps a slab that growth replaced from
+	// being pinned.
+	view HHHSnapshot
+	solo soloSet
 }
 
 // NewHHH validates cfg and returns a ready H-Memento.
@@ -243,21 +248,26 @@ func (hh *HHH) QueryBounds(p hierarchy.Prefix) (upper, lower float64) {
 // the 2·Z·√(VW) sampling compensation) reaches theta·W.
 func (hh *HHH) Output(theta float64) []HeavyPrefix { return hh.OutputTo(theta, nil) }
 
-// OutputTo is Output appending to caller-provided dst: the whole
-// computation runs through scratch owned by hh, so callers that
-// recycle dst query without allocating. The returned set is the same
-// as Output's.
+// OutputTo is Output appending to caller-provided dst. It is the read
+// plane every snapshot answers through (SnapshotSet.Output over one
+// member) run on a view of the live table, so the sweep hands on only
+// the prefixes that can reach θ·W − compensation and nothing is
+// copied; callers that recycle dst query without allocating. Call it
+// under the lock guarding hh.
 func (hh *HHH) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefix {
-	threshold := theta * float64(hh.mem.EffectiveWindow())
-	hh.candidates = hh.Candidates(hh.candidates[:0])
-	return hhhset.ComputeInto(hh.hier, hh.mem, hh.candidates, threshold, hh.comp, &hh.sc, dst)
+	hh.view.table = hh.mem.table
+	hh.view.hier = hh.hier
+	hh.view.comp = hh.comp
+	dst = hh.solo.output(&hh.view, theta, dst)
+	hh.view = HHHSnapshot{}
+	return dst
 }
 
 // Candidates appends every prefix the sketch currently tracks — the
 // overflow table (every heavy hitter is guaranteed to be there) plus
-// the monitored counters, for robustness on short streams — and
-// returns the extended slice. The sharded front-end merges candidate
-// sets across shards to compute a global HHH output.
+// the monitored counters — and returns the extended slice; a key in
+// both appears twice. It is the full candidate list the read plane's
+// differential tests scan as their reference.
 func (hh *HHH) Candidates(dst []hierarchy.Prefix) []hierarchy.Prefix {
 	hh.mem.Overflowed(func(p hierarchy.Prefix, _ int32) bool {
 		dst = append(dst, p)
@@ -324,18 +334,19 @@ func (snap *HHHSnapshot) Compensation() float64 { return snap.comp }
 
 // OutputTo computes the approximate HHH set for threshold theta from
 // the captured state, appending to dst — HHH.OutputTo with the entire
-// scan, estimation, and HHH-set computation running lock-free. The
-// network-wide controller snapshots under its ingest lock and runs
-// OutputTo outside it, so absorbing reports never stalls on a query.
-// It is the merged read plane (SnapshotSet.Output) over this one
-// snapshot: the sweep hands on only the prefixes that reach θ·W −
-// compensation before conditioning.
+// scan, estimation, and HHH-set computation running lock-free on the
+// copy. Both are the merged read plane (SnapshotSet.Output) over one
+// member.
 func (snap *HHHSnapshot) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefix {
 	if snap.solo == nil {
-		snap.solo = &soloSet{weights: [1]float64{1}}
+		snap.solo = &soloSet{}
 	}
-	q := snap.solo
-	q.snaps[0] = snap
+	return snap.solo.output(snap, theta, dst)
+}
+
+// output is SnapshotSet.Output over snap alone at weight 1.
+func (q *soloSet) output(snap *HHHSnapshot, theta float64, dst []HeavyPrefix) []HeavyPrefix {
+	q.snaps[0], q.weights[0] = snap, 1
 	q.set.Reset(q.snaps[:], q.weights[:])
 	return q.set.Output(snap.hier, theta*float64(snap.window), snap.comp, dst)
 }

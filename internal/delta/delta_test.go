@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"memento/internal/codec"
@@ -611,6 +612,68 @@ func TestForceBaseAgainstPendingCapture(t *testing.T) {
 		}
 		if !step(false) {
 			t.Fatalf("restore=%v: record after an abandoned capture is not a base", restore)
+		}
+	}
+}
+
+// TestBaseReleasesCapture pins the tracker's memory between bases: a
+// query-plane chain drops its copy of the sketch once the base is
+// encoded (its deltas diff the live sketch), and a forced re-base after
+// that captures afresh and still replicates exactly. A restore-plane
+// chain keeps its copy, which every one of its records reads.
+func TestBaseReleasesCapture(t *testing.T) {
+	for _, restore := range []bool{false, true} {
+		hh := newHHH(t, 1<<12, 64, 29)
+		tr, err := NewTracker(hh, TrackerConfig{Chain: 37, Restore: restore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewState()
+		packets := skewedPackets(1<<14, 101)
+		probes := make([]hierarchy.Prefix, 0, 16)
+		for i := 0; i < 16; i++ {
+			probes = append(probes, hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, byte(1+i)), SrcLen: 4})
+		}
+		const cadence = 1 << 10
+		var buf, wire []byte
+		var full core.HHHSnapshot
+		bases := 0
+		for step, off := 0, 0; off < len(packets); step, off = step+1, off+cadence {
+			hh.UpdateBatch(packets[off : off+cadence])
+			if step == 5 || step == 11 {
+				tr.ForceBase()
+			}
+			var base bool
+			buf, base, err = tr.Append(buf[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base {
+				bases++
+			}
+			if held := !reflect.ValueOf(&tr.snap).Elem().IsZero(); held != restore {
+				t.Fatalf("restore=%v step %d (base=%v): tracker holds a capture: %v", restore, step, base, held)
+			}
+			if err := st.Apply(buf); err != nil {
+				t.Fatalf("restore=%v: apply at offset %d: %v", restore, off, err)
+			}
+			hh.SnapshotInto(&full)
+			wire, err = full.AppendTo(wire[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.DecodeHHHSnapshot(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mat, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshotEqualOutputs(t, fmt.Sprintf("restore=%v offset %d", restore, off), mat, ref, probes)
+		}
+		if bases != 3 {
+			t.Fatalf("restore=%v: %d bases, want the first and two forced", restore, bases)
 		}
 	}
 }

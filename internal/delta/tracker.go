@@ -102,6 +102,8 @@ type Tracker struct {
 	hierID uint8
 	digest uint64
 
+	// snap is the copied state; a query-plane chain zeroes it once its
+	// base is encoded, so it holds no copy of the sketch between bases.
 	snap  core.HHHSnapshot
 	dirty core.DirtySet[hierarchy.Prefix]
 
@@ -287,6 +289,11 @@ func (t *Tracker) appendBase(dst []byte) ([]byte, error) {
 	}
 	t.based = true
 	t.force = false
+	if !t.cfg.Restore {
+		// Query-plane deltas diff the live sketch against the shadow and
+		// never read the copy again; the next base captures afresh.
+		t.snap = core.HHHSnapshot{}
+	}
 	codec.AccountEncode(codec.KindHHHDelta, len(dst)-start)
 	return dst, nil
 }

@@ -11,7 +11,10 @@ import (
 )
 
 // TestAgentConcurrentObserve hammers Observe from many goroutines while
-// the controller consumes; run with -race to validate the locking.
+// the controller consumes, and reads the controller's sketch the whole
+// time: Estimate and Output from four goroutines and Mitigate from one
+// more, all under the ingest lock the absorbing handler takes. Run with
+// -race to validate the locking.
 func TestAgentConcurrentObserve(t *testing.T) {
 	params := Params{Budget: 2, BatchSize: 8, Window: 1 << 12}
 	ctrl, addr := startController(t, params, 512)
@@ -21,6 +24,39 @@ func TestAgentConcurrentObserve(t *testing.T) {
 	}
 	t.Cleanup(func() { a.Close() })
 	waitFor(t, "join", func() bool { return ctrl.Agents() == 1 })
+
+	// Estimates, outputs and verdicts must be readable while reports
+	// land; each reader runs at least 100 rounds, and keeps going until
+	// the observers are done.
+	observed := make(chan struct{})
+	var q sync.WaitGroup
+	reader := func(read func(i int)) {
+		q.Add(1)
+		go func() {
+			defer q.Done()
+			for i := 0; ; i++ {
+				if i >= 100 {
+					select {
+					case <-observed:
+						return
+					default:
+					}
+				}
+				read(i)
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		reader(func(i int) {
+			_ = ctrl.Estimate(hierarchy.Prefix{Src: uint32(i) << 24, SrcLen: 1})
+			_ = ctrl.Output(0.5)
+		})
+	}
+	reader(func(int) {
+		if _, err := ctrl.Mitigate(0.05, ActionDeny); err != nil {
+			t.Errorf("Mitigate: %v", err)
+		}
+	})
 
 	const workers = 8
 	const perWorker = 20000
@@ -39,18 +75,7 @@ func TestAgentConcurrentObserve(t *testing.T) {
 		t.Fatalf("transport error under concurrency: %v", a.Err())
 	}
 	waitFor(t, "some reports", func() bool { return ctrl.Reports() > 0 })
-	// Estimates must be readable while reports continue to land.
-	var q sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		q.Add(1)
-		go func() {
-			defer q.Done()
-			for i := 0; i < 100; i++ {
-				_ = ctrl.Estimate(hierarchy.Prefix{Src: uint32(i) << 24, SrcLen: 1})
-				_ = ctrl.Output(0.5)
-			}
-		}()
-	}
+	close(observed)
 	q.Wait()
 }
 

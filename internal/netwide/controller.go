@@ -94,13 +94,6 @@ type Controller struct {
 	mu  sync.Mutex
 	abs *Absorber // Section 4.3's fold of sampled batches; used under mu
 
-	// outMu guards the reusable query snapshot. Output holds mu only
-	// for the snapshot copy, so absorbing agent reports never stalls
-	// behind a running HHH-set computation (and vice versa: queries
-	// run lock-free on the captured state).
-	outMu sync.Mutex
-	snap  core.HHHSnapshot
-
 	connMu    sync.Mutex
 	conns     map[*agentConn]string
 	listeners []net.Listener
@@ -679,16 +672,14 @@ func (c *Controller) Estimate(p hierarchy.Prefix) float64 {
 	return c.abs.hh.Query(p)
 }
 
-// Output returns the network-wide HHH set at threshold theta. The
-// sketch is captured under the ingest lock (a few slab copies); the
-// set computation itself runs on the snapshot, lock-free.
+// Output returns the network-wide HHH set at threshold theta. It runs
+// the sparse read plane on the live sketch under the ingest lock: the
+// sweep visits only the entries that can reach θ·W, which costs less
+// than copying the sketch out would.
 func (c *Controller) Output(theta float64) []hhhset.Entry {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
 	c.mu.Lock()
-	c.abs.hh.SnapshotInto(&c.snap)
-	c.mu.Unlock()
-	return c.snap.OutputTo(theta, nil)
+	defer c.mu.Unlock()
+	return c.abs.hh.OutputTo(theta, nil)
 }
 
 // Broadcast pushes verdicts to every connected agent, returning the

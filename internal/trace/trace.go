@@ -20,6 +20,8 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
@@ -138,6 +140,7 @@ func (g *Generator) Next() hierarchy.Packet {
 
 // Generate appends n packets to dst and returns it.
 func (g *Generator) Generate(n int, dst []hierarchy.Packet) []hierarchy.Packet {
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, g.Next())
 	}
@@ -212,8 +215,14 @@ func Inject(base []hierarchy.Packet, cfg FloodConfig) (*Flood, error) {
 		seen[b] = true
 		f.Subnets = append(f.Subnets, uint32(b)<<24)
 	}
-	f.Packets = append(f.Packets, base[:start]...)
-	f.IsFlood = make([]bool, start, len(base)*2)
+	// Each line after start is a flood packet with probability Rate, so
+	// the base's rest stretches to (len(base)−start)/(1−Rate) lines on
+	// average; reserve that plus four standard deviations of the flood
+	// count, so the output is sized once rather than grown by doubling.
+	rest := float64(len(base) - start)
+	n := start + int(math.Ceil((rest+4*math.Sqrt(rest*cfg.Rate))/(1-cfg.Rate)))
+	f.Packets = append(make([]hierarchy.Packet, 0, n), base[:start]...)
+	f.IsFlood = make([]bool, start, n)
 	for next := start; next < len(base); {
 		if src.Float64() < cfg.Rate {
 			subnet := f.Subnets[src.Intn(len(f.Subnets))]

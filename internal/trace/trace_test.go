@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -204,5 +206,33 @@ func TestInjectRandomStart(t *testing.T) {
 	}
 	if f.Start < 0 || f.Start >= 1000 {
 		t.Fatalf("random start %d outside [0, 1000)", f.Start)
+	}
+}
+
+// TestFloodTraceGolden pins one seed's combined trace, the packets and
+// their IsFlood marks, to a hash: a change to how the generator or the
+// injector sizes or fills its output must leave the stream byte for
+// byte as it was.
+func TestFloodTraceGolden(t *testing.T) {
+	base := MustNewGenerator(Backbone, 1).Generate(1<<17, nil)
+	f, err := Inject(base, FloodConfig{Subnets: 50, Rate: 0.7, Start: -1, StartMax: 1 << 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var rec [9]byte
+	for i, p := range f.Packets {
+		binary.BigEndian.PutUint32(rec[0:], p.Src)
+		binary.BigEndian.PutUint32(rec[4:], p.Dst)
+		rec[8] = 0
+		if f.IsFlood[i] {
+			rec[8] = 1
+		}
+		h.Write(rec[:])
+	}
+	const want = 0xb454c2f319462953
+	if len(f.IsFlood) != len(f.Packets) || h.Sum64() != want {
+		t.Fatalf("flood trace: %d packets, %d marks, start %d, hash %#x; want hash %#x",
+			len(f.Packets), len(f.IsFlood), f.Start, h.Sum64(), uint64(want))
 	}
 }
