@@ -37,7 +37,7 @@ func main() {
 		counters  = flag.Int("counters", 1<<14, "controller sketch counters")
 		budget    = flag.Float64("budget", 1, "bandwidth budget B bytes/packet")
 		batch     = flag.Int("batch", 44, "batch size b")
-		theta     = flag.Float64("theta", 0.01, "HHH threshold θ")
+		theta     = flag.Float64("theta", 0.05, "HHH threshold θ (θ·W must exceed the sampling compensation)")
 		mitigate  = flag.Bool("mitigate", false, "broadcast deny verdicts for heavy subnets")
 		tarpit    = flag.Bool("tarpit", false, "tarpit instead of deny")
 		interval  = flag.Duration("interval", 2*time.Second, "reporting/mitigation cadence")
@@ -74,6 +74,9 @@ func main() {
 		Trace:            trace,
 	})
 	if err != nil {
+		fatal(err)
+	}
+	if err := checkTheta(*theta, *window, ctrl.Compensation()); err != nil {
 		fatal(err)
 	}
 	if *debugAddr != "" {
@@ -175,6 +178,19 @@ func main() {
 			return
 		}
 	}
+}
+
+// checkTheta refuses a threshold the sampled sketch cannot resolve:
+// with θ·W at or below the sampling compensation, every prefix the
+// sketch tracks reaches the threshold, so each Output selects them all
+// and holds the ingest lock for the whole scan. It is the rule the
+// repository benchmark sizes its workloads by.
+func checkTheta(theta float64, window int, comp float64) error {
+	if theta*float64(window) > comp {
+		return nil
+	}
+	return fmt.Errorf("-theta %g is degenerate: θ·W = %.0f is not above the sampling compensation %.0f; use -theta above %.4g (-window %d)",
+		theta, theta*float64(window), comp, comp/float64(window), window)
 }
 
 // restoreChain opens a discovered chain's files and replays them into

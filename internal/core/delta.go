@@ -24,15 +24,19 @@
 //
 // This file also provides the inverse of the diff: BuildSnapshot
 // assembles a queryable Snapshot from explicit state, which is how a
-// delta chain's applied state materializes back into something
-// Query/OutputTo/RestoreFrom understand. It is also the one validator
-// of state that arrives from outside the process: the wire decoder
-// (persist.go) parses a record into a SnapshotSpec and hands it here.
+// chain base (and a canonical copy of an applied chain) becomes
+// something Query/OutputTo/RestoreFrom understand, and ApplyPatch
+// writes one delta's entries into such a snapshot in place, which is
+// how a follower keeps one live replica of a chain. The two are the
+// validators of state that arrives from outside the process: the wire
+// decoder (persist.go) parses a record into a SnapshotSpec and hands it
+// to BuildSnapshot, and internal/delta parses a delta into a Patch.
 
 package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"memento/internal/codec"
@@ -151,8 +155,9 @@ type RestoreSpec[K comparable] struct {
 }
 
 // SnapshotSpec is the explicit state BuildSnapshot assembles into a
-// queryable Snapshot — the materialization path for applied delta
-// chains (internal/delta.State).
+// queryable Snapshot — the path by which a decoded record, or the
+// canonical copy of an applied delta chain (internal/delta.State),
+// becomes one.
 type SnapshotSpec[K comparable] struct {
 	// Window, Counters, BlockCounts and Scale are the seed-independent
 	// configuration (EffectiveWindow, k, τ·W/k, query scale).
@@ -181,10 +186,10 @@ type SnapshotSpec[K comparable] struct {
 // budget for an allocation) and its index is built under hash, which
 // must be the function spec.Overflow was built under (nil: that
 // function, or the keyidx default without a table). Every invariant of
-// state that arrives from outside the process is stated here and
-// nowhere else — wire records, chain bases and materialized delta
-// chains all pass through — and a violation is a wrapped
-// codec.ErrCorrupt. The snapshot takes copies of spec.Overflow and the
+// a whole state that arrives from outside the process is stated here —
+// wire records, chain bases and canonical copies of applied chains all
+// pass through; ApplyPatch checks a delta against the same rules — and
+// a violation is a wrapped codec.ErrCorrupt. The snapshot takes copies of spec.Overflow and the
 // restore queues; the caller keeps its own.
 func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Snapshot[K], error) {
 	snap := new(Snapshot[K])
@@ -283,23 +288,11 @@ func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error 
 	if r == nil {
 		return nil
 	}
-	blockPackets := spec.Window / k
-	if r.UntilBlock == 0 || r.UntilBlock > blockPackets {
-		return codec.Corruptf("frame position %d outside block of %d", r.UntilBlock, blockPackets)
-	}
-	if r.BlocksLeft <= 0 || uint64(r.BlocksLeft) > k {
-		return codec.Corruptf("blocks left %d outside 1..%d", r.BlocksLeft, k)
-	}
-	if uint64(len(r.Queues)) != k+1 {
-		return codec.Corruptf("%d ring queues, want %d", len(r.Queues), k+1)
+	if err := snap.checkRestore(r); err != nil {
+		return err
 	}
 	snap.full = true
-	snap.frame = frame{
-		untilBlock:   r.UntilBlock,
-		blocksLeft:   r.BlocksLeft,
-		fullCount:    r.FullUpdates,
-		forcedDrains: r.ForcedDrains,
-	}
+	snap.setFrame(r)
 	snap.queues = r.Queues
 	return nil
 }
@@ -331,4 +324,246 @@ func buildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[
 		return nil, err
 	}
 	return snap, nil
+}
+
+// PatchEntry is one key's replicated state in a Patch: its monitored
+// counter (Count 0: not monitored) and its overflow-table value (B 0:
+// absent).
+type PatchEntry[K comparable] struct {
+	Key        K
+	Count, Err uint64
+	B          int32
+
+	h uint64 // the key's hash, computed once by ApplyPatch
+}
+
+// Patch is one delta record's worth of replicated state, which
+// ApplyPatch writes into a snapshot in place. Its slices are the
+// caller's, reused from record to record.
+type Patch[K comparable] struct {
+	// ClearMonitored empties the monitored set before the entries
+	// install (the interval crossed a frame boundary).
+	ClearMonitored bool
+	// Updates and Items replace the captured counters.
+	Updates, Items uint64
+	// Entries are the keys whose state changed; a monitored key may be
+	// named once.
+	Entries []PatchEntry[K]
+	// Restore replaces the restore plane; it is present exactly when
+	// the snapshot carries one.
+	Restore *RestoreSpec[K]
+
+	seen []uint64 // scratch: the monitored slots Entries name
+}
+
+// ApplyPatch writes p into the snapshot in place, so a follower keeps
+// one live replica of a chain's state instead of building a snapshot
+// per record. It validates all of p against the snapshot before it
+// changes anything — each entry's error term below its count, the
+// restore plane as BuildSnapshot checks it, no monitored key named
+// twice, and no more monitored counters than the counter budget once
+// the entries install — and on failure returns a wrapped
+// codec.ErrCorrupt with the snapshot unchanged.
+//
+// Removals install before counts, so the monitored set never passes
+// the budget on its way to a state within it. Space Saving grows with
+// what the entries carry, never past the budget, and keeps a free
+// counter while fewer than k are monitored, so Min() reads 0 exactly
+// when a snapshot built from the same state would.
+//
+// The snapshot stops being immutable: whoever reads it while patches
+// land must hold the lock the patching goroutine holds.
+func (snap *Snapshot[K]) ApplyPatch(p *Patch[K]) error {
+	if (p.Restore != nil) != snap.full {
+		return codec.Corruptf("restore plane disagrees with the replicated state")
+	}
+	if p.Restore != nil {
+		if err := snap.checkRestore(p.Restore); err != nil {
+			return err
+		}
+	}
+	used := snap.y.Len()
+	if p.ClearMonitored {
+		used = 0
+	} else {
+		p.seen = append(p.seen[:0], make([]uint64, (used+63)/64)...)
+	}
+	for i := range p.Entries {
+		e := &p.Entries[i]
+		if e.Count > 0 && e.Err >= e.Count {
+			return codec.Corruptf("entry error %d not below count %d", e.Err, e.Count)
+		}
+		if e.B < 0 {
+			return codec.Corruptf("overflow count %d out of range", e.B)
+		}
+		e.h = snap.hash(e.Key)
+		slot := -1
+		if !p.ClearMonitored {
+			slot = snap.y.SlotOfHashed(e.Key, e.h)
+		}
+		switch {
+		case slot < 0:
+			if e.Count > 0 {
+				used++ // an unmonitored key named twice counts twice: over, never under
+			}
+		case p.seen[slot>>6]&(1<<(slot&63)) != 0:
+			return codec.Corruptf("monitored key named twice")
+		default:
+			p.seen[slot>>6] |= 1 << (slot & 63)
+			if e.Count == 0 {
+				used--
+			}
+		}
+	}
+	if used > snap.k {
+		return codec.Corruptf("%d monitored counters exceed budget %d", used, snap.k)
+	}
+
+	// Valid: from here nothing fails.
+	if p.ClearMonitored {
+		snap.y.Flush()
+	}
+	if want := min(used+1, snap.k); want > snap.y.Cap() {
+		snap.y.Grow(max(want, min(2*snap.y.Cap(), snap.k)))
+	}
+	snap.updates = p.Updates
+	snap.y.SetItems(p.Items)
+	for _, e := range p.Entries {
+		if e.Count == 0 {
+			snap.y.RemoveHashed(e.Key, e.h)
+			snap.patchOverflow(e)
+		}
+	}
+	for _, e := range p.Entries {
+		if e.Count > 0 {
+			_ = snap.y.SetHashed(e.Key, e.h, e.Count, e.Err) // checked above
+			snap.patchOverflow(e)
+		}
+	}
+	if r := p.Restore; r != nil {
+		snap.setFrame(r)
+		if cap(snap.queues) < len(r.Queues) {
+			snap.queues = make([][]K, len(r.Queues))
+		}
+		snap.queues = snap.queues[:len(r.Queues)]
+		for i, q := range r.Queues {
+			snap.queues[i] = append(snap.queues[i][:0], q...)
+		}
+	}
+	return nil
+}
+
+// patchOverflow installs one entry's overflow-table value.
+func (snap *Snapshot[K]) patchOverflow(e PatchEntry[K]) {
+	if e.B > 0 {
+		snap.overflow.PutH(e.Key, e.B, e.h)
+	} else {
+		snap.overflow.DeleteH(e.Key, e.h)
+	}
+}
+
+// checkRestore validates a restore plane against the snapshot's
+// configuration.
+func (snap *Snapshot[K]) checkRestore(r *RestoreSpec[K]) error {
+	k := uint64(snap.k)
+	blockPackets := snap.window / k
+	if r.UntilBlock == 0 || r.UntilBlock > blockPackets {
+		return codec.Corruptf("frame position %d outside block of %d", r.UntilBlock, blockPackets)
+	}
+	if r.BlocksLeft <= 0 || uint64(r.BlocksLeft) > k {
+		return codec.Corruptf("blocks left %d outside 1..%d", r.BlocksLeft, k)
+	}
+	if uint64(len(r.Queues)) != k+1 {
+		return codec.Corruptf("%d ring queues, want %d", len(r.Queues), k+1)
+	}
+	return nil
+}
+
+// setFrame installs a validated restore plane's frame position.
+func (snap *Snapshot[K]) setFrame(r *RestoreSpec[K]) {
+	snap.frame = frame{
+		untilBlock:   r.UntilBlock,
+		blocksLeft:   r.BlocksLeft,
+		fullCount:    r.FullUpdates,
+		forcedDrains: r.ForcedDrains,
+	}
+}
+
+// Validate checks the invariants every snapshot holds, whether it was
+// captured, built or patched: Space Saving's structure
+// (spacesaving.Sketch.Validate), at most k monitored counters, a free
+// counter while fewer than k are monitored (the rule Min() answers
+// by), positive overflow-table values and, with the restore plane, a
+// frame position and ring that fit the configuration. Tests and
+// fuzzers of ApplyPatch call it.
+func (snap *Snapshot[K]) Validate() error {
+	if err := snap.y.Validate(); err != nil {
+		return err
+	}
+	n, c := snap.y.Len(), snap.y.Cap()
+	if n > snap.k || c > snap.k {
+		return fmt.Errorf("core: %d monitored counters of capacity %d, budget %d", n, c, snap.k)
+	}
+	if n < snap.k && n == c {
+		return fmt.Errorf("core: %d monitored counters fill the capacity below budget %d: Min() would not read 0", n, snap.k)
+	}
+	for _, e := range snap.overflow.Entries() {
+		if e.Val <= 0 {
+			return fmt.Errorf("core: overflow count %d", e.Val)
+		}
+		if got, ok := snap.overflow.Get(e.Key); !ok || got != e.Val {
+			return fmt.Errorf("core: overflow entry %v indexed as %d, %v", e.Key, got, ok)
+		}
+	}
+	if snap.full {
+		return snap.checkRestore(&RestoreSpec[K]{UntilBlock: snap.untilBlock, BlocksLeft: snap.blocksLeft, Queues: snap.queues})
+	}
+	return nil
+}
+
+// Clone returns a copy of the snapshot that shares nothing with it:
+// what a reader keeps of a replica after releasing the replica's lock.
+func (snap *HHHSnapshot) Clone() *HHHSnapshot {
+	c := &HHHSnapshot{hier: snap.hier, comp: snap.comp}
+	snap.table.copyInto(&c.table)
+	c.full, c.frame = snap.full, snap.frame
+	if snap.full {
+		c.queues = make([][]hierarchy.Prefix, len(snap.queues))
+		for i, q := range snap.queues {
+			c.queues[i] = append([]hierarchy.Prefix(nil), q...)
+		}
+	}
+	return c
+}
+
+// Spec returns the snapshot's state as a SnapshotSpec, from which
+// BuildSnapshot makes a copy in its own layout: Overflow aliases the
+// snapshot's table and Restore its ring queues (BuildSnapshot copies
+// both), and Monitored is the counters appended to buf in Iterate
+// order.
+func (snap *Snapshot[K]) Spec(buf []spacesaving.Counter[K]) SnapshotSpec[K] {
+	snap.y.Iterate(func(c spacesaving.Counter[K]) bool {
+		buf = append(buf, c)
+		return true
+	})
+	spec := SnapshotSpec[K]{
+		Window:      snap.window,
+		Counters:    snap.k,
+		BlockCounts: snap.blockCounts,
+		Scale:       snap.scale,
+		Updates:     snap.updates,
+		Items:       snap.y.Items(),
+		Overflow:    &snap.overflow,
+		Monitored:   buf,
+	}
+	if snap.full {
+		spec.Restore = &RestoreSpec[K]{
+			UntilBlock:   snap.untilBlock,
+			BlocksLeft:   snap.blocksLeft,
+			FullUpdates:  snap.fullCount,
+			ForcedDrains: snap.forcedDrains,
+			Queues:       snap.queues,
+		}
+	}
+	return spec
 }

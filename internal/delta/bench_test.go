@@ -121,11 +121,11 @@ func BenchmarkDeltaEncodeChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaApplyMaterialize measures the follower's side of the
-// same chain: Apply one delta record, then Snapshot. Materializing
-// allocates the published snapshot's slabs by design (a snapshot handed
-// out stays immutable), so CI pins allocs/op at a bound instead of 0.
-func BenchmarkDeltaApplyMaterialize(b *testing.B) {
+// churnRecords returns a follower that has applied the churn agent's
+// first records, up to a saturated table, and the n records after
+// them.
+func churnRecords(b *testing.B, n int) (*State, [][]byte) {
+	b.Helper()
 	a := newChurnAgent(b)
 	st := NewState()
 	next := func() []byte {
@@ -141,10 +141,35 @@ func BenchmarkDeltaApplyMaterialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	records := make([][]byte, b.N)
+	records := make([][]byte, n)
 	for i := range records {
 		records[i] = next()
 	}
+	return st, records
+}
+
+// BenchmarkDeltaApply measures the controller's per-record path on the
+// same chain: Apply one delta record into the live replica, which
+// merged reads then query in place. CI gates 0 allocs/op: the record
+// parses into reused scratch and patches the replica's slabs.
+func BenchmarkDeltaApply(b *testing.B) {
+	st, records := churnRecords(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, rec := range records {
+		if err := st.Apply(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeltaApplyMaterialize is BenchmarkDeltaApply plus the
+// canonical copy the tools take (Snapshot): mementoctl, shard chain
+// restores and a controller's warm restart. The copy allocates its
+// slabs by design (it is the caller's to keep), so CI pins allocs/op
+// at a bound instead of 0.
+func BenchmarkDeltaApplyMaterialize(b *testing.B) {
+	st, records := churnRecords(b, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, rec := range records {

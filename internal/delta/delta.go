@@ -33,7 +33,7 @@
 // # Fidelity floor
 //
 // A Tracker with Floor = 0 replicates exactly: the follower's
-// materialized state answers every query — including the full
+// replica answers every query — including the full
 // OutputMerged HHH-set computation — identically to a snapshot of the
 // source sketch taken at the same cadence (netwide's
 // TestDeltaMatchesSnapshotFleet merges those snapshots in process). Floor > 0 trades

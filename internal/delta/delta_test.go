@@ -501,6 +501,76 @@ func TestTruncatedDeltaUnbasesState(t *testing.T) {
 	}
 }
 
+// TestInvalidDeltaLeavesReplica pins that a delta which parses but
+// would break the replica is refused before it writes anything: one
+// that names a monitored key twice, and one whose entries would leave
+// more monitored counters than the counter budget. Each unbases the
+// chain, and the replica keeps answering with the last good state.
+func TestInvalidDeltaLeavesReplica(t *testing.T) {
+	hh := newHHH(t, 1<<10, 32, 37)
+	tr, err := NewTracker(hh, TrackerConfig{Chain: 39})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hh.UpdateBatch(skewedPackets(2000, 1))
+	base, _, err := tr.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, body, err := codec.ReadHeader(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := hh.Sketch()
+	if mem.Slots() < 2 {
+		t.Fatalf("base monitors %d keys, need two", mem.Slots())
+	}
+	monitored := mem.Slot(0)
+	// record builds the next delta of the chain around the given entries.
+	record := func(n int, entries []byte) []byte {
+		rec := codec.AppendHeader(nil, codec.Header{Version: codec.Version, Kind: codec.KindHHHDelta, Digest: h.Digest})
+		rec = append(rec, body[:8]...)
+		rec = binary.BigEndian.AppendUint64(rec, binary.BigEndian.Uint64(body[8:16])+1)
+		rec = binary.BigEndian.AppendUint64(rec, mem.Updates())
+		rec = binary.BigEndian.AppendUint64(rec, mem.Items())
+		rec = binary.AppendUvarint(rec, uint64(n))
+		return append(rec, entries...)
+	}
+	twice := appendEntry(nil, monitored.Key, monitored.Count+1, 0, 0)
+	twice = appendEntry(twice, monitored.Key, monitored.Count+2, 0, 0)
+	var over []byte
+	for i := 0; i <= mem.Counters(); i++ {
+		over = appendEntry(over, hierarchy.Prefix{Src: hierarchy.IPv4(192, 0, 2, byte(i)), SrcLen: 4}, 3, 0, 0)
+	}
+	probes := []hierarchy.Prefix{monitored.Key, mem.Slot(1).Key, {Src: hierarchy.IPv4(192, 0, 2, 1), SrcLen: 4}}
+	for _, c := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"key named twice", record(2, twice)},
+		{"over budget", record(mem.Counters()+1, over)},
+	} {
+		st := NewState()
+		if err := st.Apply(base); err != nil {
+			t.Fatal(err)
+		}
+		before, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Apply(c.rec); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: Apply = %v, want ErrCorrupt", c.name, err)
+		}
+		if st.Based() {
+			t.Fatalf("%s: chain still based", c.name)
+		}
+		if err := st.Replica().Sketch().Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		snapshotEqualOutputs(t, c.name, st.Replica(), before, probes)
+	}
+}
+
 // TestUnknownFlagsRejected pins that Apply refuses a record carrying a
 // header flag outside FlagRestore|FlagBase|FlagClearMonitored as
 // corruption before touching the state: the epoch and every answer

@@ -3,6 +3,7 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"memento/internal/codec"
@@ -295,37 +296,40 @@ func (p *followerPair) step() bool {
 // monitored counters and overflow table.
 func requireSameState(t *testing.T, tag string, a, b *State) {
 	t.Helper()
-	if a.epoch != b.epoch || a.updates != b.updates || a.items != b.items {
-		t.Fatalf("%s: scalars (%d,%d,%d) vs (%d,%d,%d)", tag, a.epoch, a.updates, a.items, b.epoch, b.updates, b.items)
+	ra, rb := a.Replica().Sketch(), b.Replica().Sketch()
+	if a.epoch != b.epoch || ra.Updates() != rb.Updates() || ra.Items() != rb.Items() {
+		t.Fatalf("%s: scalars (%d,%d,%d) vs (%d,%d,%d)", tag, a.epoch, ra.Updates(), ra.Items(), b.epoch, rb.Updates(), rb.Items())
 	}
-	if len(a.mon) != len(b.mon) {
-		t.Fatalf("%s: %d monitored vs %d", tag, len(a.mon), len(b.mon))
+	if ra.Slots() != rb.Slots() {
+		t.Fatalf("%s: %d monitored vs %d", tag, ra.Slots(), rb.Slots())
 	}
-	for _, c := range a.mon {
-		pos, ok := b.monIdx.Get(c.Key)
-		if !ok || b.mon[pos] != c {
+	for i := range ra.Slots() {
+		c := ra.Slot(i)
+		if j := rb.SlotOf(c.Key); j < 0 || rb.Slot(j) != c {
 			t.Fatalf("%s: monitored %+v missing or different in reference follower", tag, c)
 		}
 	}
-	if a.over.Len() != b.over.Len() {
-		t.Fatalf("%s: %d overflow entries vs %d", tag, a.over.Len(), b.over.Len())
+	if ra.OverflowEntries() != rb.OverflowEntries() {
+		t.Fatalf("%s: %d overflow entries vs %d", tag, ra.OverflowEntries(), rb.OverflowEntries())
 	}
-	for _, e := range a.over.Entries() {
-		if w, ok := b.over.Get(e.Key); !ok || w != e.Val {
-			t.Fatalf("%s: overflow[%v] = %d, reference follower has %d (present %v)", tag, e.Key, e.Val, w, ok)
+	ra.Overflowed(func(key hierarchy.Prefix, val int32) bool {
+		if w := rb.OverflowCount(key); w != val {
+			t.Fatalf("%s: overflow[%v] = %d, reference follower has %d", tag, key, val, w)
 		}
+		return true
+	})
+	if a.Restorable() != b.Restorable() {
+		t.Fatalf("%s: restorable %v vs %v", tag, a.Restorable(), b.Restorable())
 	}
-	if a.restorable != b.restorable {
-		t.Fatalf("%s: restorable %v vs %v", tag, a.restorable, b.restorable)
-	}
-	if a.restorable {
-		if a.untilBlock != b.untilBlock || a.blocksLeft != b.blocksLeft || a.fullUpdates != b.fullUpdates || len(a.queues) != len(b.queues) {
+	if a.Restorable() {
+		if ra.UntilBlock() != rb.UntilBlock() || ra.BlocksLeft() != rb.BlocksLeft() || ra.FullUpdates() != rb.FullUpdates() {
 			t.Fatalf("%s: restore planes differ", tag)
 		}
-		for i := range a.queues {
-			if fmt.Sprint(a.queues[i]) != fmt.Sprint(b.queues[i]) {
-				t.Fatalf("%s: ring queue %d differs", tag, i)
-			}
+		var qa, qb []string
+		ra.Queues(func(q []hierarchy.Prefix) bool { qa = append(qa, fmt.Sprint(q)); return true })
+		rb.Queues(func(q []hierarchy.Prefix) bool { qb = append(qb, fmt.Sprint(q)); return true })
+		if !slices.Equal(qa, qb) {
+			t.Fatalf("%s: ring queues differ", tag)
 		}
 	}
 }
@@ -334,17 +338,17 @@ func requireSameState(t *testing.T, tag string, a, b *State) {
 // precisely the live sketch's counters and overflow table.
 func requireMirrorsLive(t *testing.T, tag string, st *State, hh *core.HHH) {
 	t.Helper()
-	mem := hh.Sketch()
-	if len(st.mon) != mem.Slots() || st.over.Len() != mem.OverflowEntries() {
+	mem, rep := hh.Sketch(), st.Replica().Sketch()
+	if rep.Slots() != mem.Slots() || rep.OverflowEntries() != mem.OverflowEntries() {
 		t.Fatalf("%s: follower has %d counters, %d overflow entries; live sketch %d, %d",
-			tag, len(st.mon), st.over.Len(), mem.Slots(), mem.OverflowEntries())
+			tag, rep.Slots(), rep.OverflowEntries(), mem.Slots(), mem.OverflowEntries())
 	}
 	for i := range mem.Slots() {
 		c := mem.Slot(i)
-		if pos, ok := st.monIdx.Get(c.Key); !ok || st.mon[pos] != c {
+		if j := rep.SlotOf(c.Key); j < 0 || rep.Slot(j) != c {
 			t.Fatalf("%s: live counter %+v missing or different in follower", tag, c)
 		}
-		if b, _ := st.over.Get(c.Key); b != mem.OverflowCount(c.Key) {
+		if b := rep.OverflowCount(c.Key); b != mem.OverflowCount(c.Key) {
 			t.Fatalf("%s: overflow[%v] = %d, live %d", tag, c.Key, b, mem.OverflowCount(c.Key))
 		}
 	}

@@ -1,11 +1,13 @@
 // State: the apply side of a replication chain. A follower feeds
 // every received record to Apply — bases install, deltas patch — and
-// materializes a queryable core.HHHSnapshot on demand. Validation is
+// reads the applied state from one live replica, a core.HHHSnapshot
+// the base decodes into and every delta patches in place. Validation is
 // strict: chain/epoch discontinuities surface ErrEpochGap (the
 // follower must resync from a fresh base), configuration drift
 // surfaces codec.ErrConfigMismatch, and malformed bytes the codec's
-// typed corruption errors. A record that fails to apply leaves the
-// state unchanged, except where noted on Apply.
+// typed corruption errors. A record is validated in full before it
+// changes anything, so a record that fails to apply leaves the replica
+// as it was.
 
 package delta
 
@@ -18,98 +20,39 @@ import (
 	"memento/internal/codec"
 	"memento/internal/core"
 	"memento/internal/hierarchy"
-	"memento/internal/keyidx"
 	"memento/internal/spacesaving"
 )
 
 // State is the applied base+delta chain state for one replicated
-// H-Memento instance. The zero value is unusable; construct with
-// NewState. Not safe for concurrent use.
+// H-Memento instance. The zero value awaits its first base, as does
+// NewState's. Not safe for concurrent use: Apply patches the replica
+// in place, so a reader on another goroutine shares a lock with Apply.
 type State struct {
-	based      bool
-	chain      uint64
-	epoch      uint64
-	digest     uint64
-	restorable bool
+	based  bool
+	chain  uint64
+	epoch  uint64
+	digest uint64
 
-	hier   hierarchy.Hierarchy
-	hierID uint8
-	comp   float64
+	// rep is the live replica: the last state that applied in full.
+	// Bases replace it, deltas patch it in place, and a record that
+	// fails leaves it untouched, so it outlives an unbasing failure
+	// until Reset or the next base.
+	rep *core.HHHSnapshot
 
-	// Seed-independent configuration, pinned by the base.
-	window      uint64
-	counters    int
-	blockCounts uint64
-	scale       float64
+	// Apply scratch: one delta parsed, then validated against rep and
+	// written into it.
+	patch   core.Patch[hierarchy.Prefix]
+	restore core.RestoreSpec[hierarchy.Prefix]
 
-	// Replicated dynamic state, held flat: the monitored counters are a
-	// slab (order free, swap-removed) indexed by monIdx, the overflow
-	// table is the same keyidx.Counts a sketch keeps it in. Both tables
-	// hash with hierarchy.PrefixHasher(0) — the hasher
-	// core.BuildHHHSnapshot builds under — so materializing the overflow
-	// table is a slab copy.
-	updates, items uint64
-	mon            []spacesaving.Counter[hierarchy.Prefix]
-	monIdx         *keyidx.Index[hierarchy.Prefix]
-	over           *keyidx.Counts[hierarchy.Prefix]
-
-	// Restore plane (checkpoint chains only).
-	untilBlock   uint64
-	blocksLeft   int
-	fullUpdates  uint64
-	forcedDrains uint64
-	queues       [][]hierarchy.Prefix
-
-	// Materialization scratch: the monitored slab in wire order.
+	// Snapshot scratch: the monitored counters in wire order.
 	monBuf []spacesaving.Counter[hierarchy.Prefix]
 }
 
 // NewState returns an empty follower state awaiting its first base.
-func NewState() *State {
-	// Both tables start small and grow with what records carry, so an
-	// empty or hostile chain never sizes an allocation.
-	hash := hierarchy.PrefixHasher(0)
-	return &State{
-		monIdx: keyidx.MustNew(8, hash),
-		over:   keyidx.MustNewCounts(8, hash),
-	}
-}
+func NewState() *State { return &State{} }
 
-// setEntry installs one key's replicated state: a monitored counter
-// (count 0: not monitored) and an overflow-table value (0: absent).
-func (st *State) setEntry(key hierarchy.Prefix, count, errTerm uint64, b int32) {
-	h := st.monIdx.Hash(key)
-	pos, monitored := st.monIdx.GetH(key, h)
-	switch {
-	case count > 0 && monitored:
-		st.mon[pos].Count, st.mon[pos].Err = count, errTerm
-	case count > 0:
-		st.monIdx.PutH(key, int32(len(st.mon)), h)
-		st.mon = append(st.mon, spacesaving.Counter[hierarchy.Prefix]{Key: key, Count: count, Err: errTerm})
-	case monitored:
-		// Swap-remove: the last counter takes the freed position.
-		last := len(st.mon) - 1
-		if moved := st.mon[last]; int(pos) != last {
-			st.mon[pos] = moved
-			st.monIdx.Put(moved.Key, pos)
-		}
-		st.mon = st.mon[:last]
-		st.monIdx.DeleteH(key, h)
-	}
-	if b > 0 {
-		st.over.PutH(key, b, h)
-	} else {
-		st.over.DeleteH(key, h)
-	}
-}
-
-// clearMonitored empties the monitored set.
-func (st *State) clearMonitored() {
-	st.mon = st.mon[:0]
-	st.monIdx.Flush()
-}
-
-// Based reports whether a base has been applied.
+// Based reports whether a base has been applied and every record since
+// applied in order: whether the next delta can apply.
 func (st *State) Based() bool { return st.based }
 
 // Chain returns the applied chain identity (0 before any base).
@@ -119,30 +62,48 @@ func (st *State) Chain() uint64 { return st.chain }
 func (st *State) Epoch() uint64 { return st.epoch }
 
 // Restorable reports whether the chain carries the restore plane, so
-// the materialized snapshot can rehydrate a live instance.
-func (st *State) Restorable() bool { return st.restorable }
+// the canonical snapshot can rehydrate a live instance.
+func (st *State) Restorable() bool { return st.rep != nil && st.rep.Restorable() }
 
 // Updates returns the replicated update count.
-func (st *State) Updates() uint64 { return st.updates }
+func (st *State) Updates() uint64 {
+	if st.rep == nil {
+		return 0
+	}
+	return st.rep.Updates()
+}
 
 // Hierarchy returns the replicated prefix domain (nil before a base).
-func (st *State) Hierarchy() hierarchy.Hierarchy { return st.hier }
+func (st *State) Hierarchy() hierarchy.Hierarchy {
+	if st.rep == nil {
+		return nil
+	}
+	return st.rep.Hierarchy()
+}
+
+// Replica returns the live replica, nil before the first base and
+// after Reset. It answers every query the canonical Snapshot does,
+// identically, without a copy — and stays the last state that applied
+// in full after a failed record unbases the chain. The next Apply
+// patches it in place (or a base replaces it), so a reader on another
+// goroutine must hold the lock Apply runs under for as long as it
+// reads.
+func (st *State) Replica() *core.HHHSnapshot { return st.rep }
 
 // Reset forgets everything; the next record must be a base.
 func (st *State) Reset() {
 	st.based = false
 	st.chain, st.epoch = 0, 0
-	st.clearMonitored()
-	st.over.Flush()
-	st.queues = nil
+	st.rep = nil
 }
 
-// Apply validates and applies one chain record (base or delta). On
-// ErrEpochGap or codec.ErrConfigMismatch the state is untouched, as it
-// is on a header flag outside knownFlags (codec.ErrCorrupt); on a
-// corruption error discovered mid-delta the state is unusable for
-// queries and Based() turns false, so the follower resyncs either
-// way.
+// Apply validates and applies one chain record (base or delta). A
+// record that fails leaves the replica untouched. On ErrEpochGap,
+// codec.ErrConfigMismatch, or a header flag outside knownFlags
+// (codec.ErrCorrupt) the chain position is untouched too; a delta body
+// that fails validation unbases the chain (Based() turns false) while
+// the replica keeps answering with the last good state, so the
+// follower resyncs either way.
 func (st *State) Apply(data []byte) error {
 	h, body, err := codec.ReadHeader(data)
 	if err != nil {
@@ -172,7 +133,7 @@ func (st *State) Apply(data []byte) error {
 }
 
 // applyBase installs an embedded full snapshot as the new chain
-// state.
+// state: it becomes the replica.
 func (st *State) applyBase(h codec.Header, c *codec.Cursor, chain, epoch uint64) error {
 	n := c.Count(codec.MaxRecord, 1)
 	if err := c.Err(); err != nil {
@@ -189,8 +150,7 @@ func (st *State) applyBase(h codec.Header, c *codec.Cursor, chain, epoch uint64)
 	if err != nil {
 		return fmt.Errorf("delta: embedded base: %w", err)
 	}
-	restorable := snap.Sketch().Restorable()
-	if (h.Flags&codec.FlagRestore != 0) != restorable {
+	if (h.Flags&codec.FlagRestore != 0) != snap.Restorable() {
 		return codec.Corruptf("restore flag disagrees with embedded record")
 	}
 	id, err := codec.HierID(snap.Hierarchy())
@@ -202,47 +162,14 @@ func (st *State) applyBase(h codec.Header, c *codec.Cursor, chain, epoch uint64)
 	if digest != h.Digest {
 		return fmt.Errorf("%w: base digest %#x, embedded %#x", codec.ErrConfigMismatch, h.Digest, digest)
 	}
-
 	st.based = true
 	st.chain, st.epoch = chain, epoch
 	st.digest = digest
-	st.restorable = restorable
-	st.hier, st.hierID = snap.Hierarchy(), id
-	st.comp = snap.Compensation()
-	st.window = uint64(mem.EffectiveWindow())
-	st.counters = mem.Counters()
-	st.blockCounts = mem.BlockCounts()
-	st.scale = mem.Scale()
-	st.updates = mem.Updates()
-	st.items = mem.Items()
-	st.clearMonitored()
-	st.over.Flush()
-	mem.Monitored(func(cn spacesaving.Counter[hierarchy.Prefix]) bool {
-		st.monIdx.Put(cn.Key, int32(len(st.mon)))
-		st.mon = append(st.mon, cn)
-		return true
-	})
-	mem.Overflowed(func(key hierarchy.Prefix, b int32) bool {
-		st.over.Put(key, b)
-		return true
-	})
-	if restorable {
-		st.untilBlock = mem.UntilBlock()
-		st.blocksLeft = mem.BlocksLeft()
-		st.fullUpdates = mem.FullUpdates()
-		st.forcedDrains = mem.ForcedDrains()
-		st.queues = st.queues[:0]
-		mem.Queues(func(q []hierarchy.Prefix) bool {
-			st.queues = append(st.queues, append([]hierarchy.Prefix(nil), q...))
-			return true
-		})
-	} else {
-		st.queues = nil
-	}
+	st.rep = snap
 	return nil
 }
 
-// applyDelta patches the state with one incremental record.
+// applyDelta patches the replica with one incremental record.
 func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64) error {
 	if !st.based || chain != st.chain || epoch != st.epoch+1 {
 		if st.based && chain == st.chain {
@@ -253,7 +180,7 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 	if h.Digest != st.digest {
 		return fmt.Errorf("%w: delta digest %#x, base %#x", codec.ErrConfigMismatch, h.Digest, st.digest)
 	}
-	if (h.Flags&codec.FlagRestore != 0) != st.restorable {
+	if (h.Flags&codec.FlagRestore != 0) != st.rep.Restorable() {
 		return codec.Corruptf("restore flag disagrees with chain base")
 	}
 	updates := c.Uint64()
@@ -262,12 +189,29 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 	if err := c.Err(); err != nil {
 		return err
 	}
-	// Mutation begins here: a corrupt tail leaves the state partially
-	// patched, which Apply's contract covers by unbasing below.
-	if h.Flags&codec.FlagClearMonitored != 0 {
-		st.clearMonitored()
+	// A body that fails from here on breaks the chain: the record is
+	// lost, so the follower must resync. The replica is patched only
+	// once the whole body has validated.
+	err := st.parsePatch(c, h.Flags, updates, items, nEntries)
+	if err == nil {
+		err = st.rep.ApplyPatch(&st.patch)
 	}
-	st.updates, st.items = updates, items
+	if err != nil {
+		st.based = false
+		return err
+	}
+	st.epoch = epoch
+	return nil
+}
+
+// parsePatch reads a delta body's entries and restore plane into
+// st.patch, checking what the bytes alone can violate.
+func (st *State) parsePatch(c *codec.Cursor, flags uint16, updates, items uint64, nEntries int) error {
+	p := &st.patch
+	p.ClearMonitored = flags&codec.FlagClearMonitored != 0
+	p.Updates, p.Items = updates, items
+	p.Entries = p.Entries[:0]
+	p.Restore = nil
 	for i := 0; i < nEntries; i++ {
 		key := codec.Key(c, prefixKeys)
 		count := c.Uvarint()
@@ -277,78 +221,65 @@ func (st *State) applyDelta(h codec.Header, c *codec.Cursor, chain, epoch uint64
 		}
 		b := c.Uvarint()
 		if err := c.Err(); err != nil {
-			st.based = false
 			return err
-		}
-		if count > 0 && errTerm >= count {
-			st.based = false
-			return codec.Corruptf("entry error %d not below count %d", errTerm, count)
 		}
 		if b > math.MaxInt32 {
-			st.based = false
 			return codec.Corruptf("overflow count %d out of range", b)
 		}
-		st.setEntry(key, count, errTerm, int32(b))
+		p.Entries = append(p.Entries, core.PatchEntry[hierarchy.Prefix]{Key: key, Count: count, Err: errTerm, B: int32(b)})
 	}
-	if st.restorable {
-		if err := st.applyRestorePlane(c); err != nil {
-			st.based = false
+	if flags&codec.FlagRestore != 0 {
+		if err := st.parseRestorePlane(c); err != nil {
 			return err
 		}
+		p.Restore = &st.restore
 	}
 	if c.Remaining() != 0 {
-		st.based = false
 		return codec.Corruptf("%d trailing bytes", c.Remaining())
 	}
-	st.epoch = epoch
 	return nil
 }
 
-// applyRestorePlane replaces the ring/frame-position section.
-func (st *State) applyRestorePlane(c *codec.Cursor) error {
-	untilBlock := c.Uint64()
-	blocksLeft := c.Uvarint()
-	fullUpdates := c.Uint64()
-	forcedDrains := c.Uint64()
-	nq := c.Count(st.counters+1, 1)
+// parseRestorePlane reads the ring/frame-position section into
+// st.restore, reusing its queues.
+func (st *State) parseRestorePlane(c *codec.Cursor) error {
+	r := &st.restore
+	r.UntilBlock = c.Uint64()
+	r.BlocksLeft = int(min(c.Uvarint(), math.MaxInt))
+	r.FullUpdates = c.Uint64()
+	r.ForcedDrains = c.Uint64()
+	k := st.rep.Counters()
+	nq := c.Count(k+1, 1)
 	if err := c.Err(); err != nil {
 		return err
 	}
-	if nq != st.counters+1 {
-		return codec.Corruptf("%d ring queues, want %d", nq, st.counters+1)
+	if nq != k+1 {
+		return codec.Corruptf("%d ring queues, want %d", nq, k+1)
 	}
-	if cap(st.queues) < nq {
-		st.queues = make([][]hierarchy.Prefix, nq)
-	} else {
-		st.queues = st.queues[:nq]
+	if cap(r.Queues) < nq {
+		r.Queues = make([][]hierarchy.Prefix, nq)
 	}
-	for i := 0; i < nq; i++ {
+	r.Queues = r.Queues[:nq]
+	for i := range r.Queues {
 		qlen := c.Count(maxQueueLen, prefixKeys.Width())
 		if err := c.Err(); err != nil {
 			return err
 		}
-		q := st.queues[i][:0]
+		q := r.Queues[i][:0]
 		for j := 0; j < qlen; j++ {
 			q = append(q, codec.Key(c, prefixKeys))
 		}
-		st.queues[i] = q
+		r.Queues[i] = q
 	}
-	if err := c.Err(); err != nil {
-		return err
-	}
-	st.untilBlock = untilBlock
-	st.blocksLeft = int(blocksLeft)
-	st.fullUpdates = fullUpdates
-	st.forcedDrains = forcedDrains
-	return nil
+	return c.Err()
 }
 
-// Snapshot materializes the applied state into a queryable
+// Snapshot returns a canonical copy of the applied state as a fresh
 // core.HHHSnapshot — for a Floor-0 chain, byte-for-byte the estimates
-// a follower decoding full snapshot records would compute. Fails
-// before the first base or when the accumulated state violates a
-// sketch invariant (more monitored entries than the counter budget,
-// say), which only a corrupt or adversarial chain can produce.
+// a follower decoding full snapshot records would compute — for
+// callers that keep it, encode it or restore from it (mementoctl,
+// shard.RestoreHHHChain, a controller's warm restart). It fails while
+// the chain is not based.
 func (st *State) Snapshot() (*core.HHHSnapshot, error) {
 	if !st.based {
 		return nil, fmt.Errorf("%w: no base applied", ErrEpochGap)
@@ -357,33 +288,15 @@ func (st *State) Snapshot() (*core.HHHSnapshot, error) {
 	// the full key, so replicas that reached the same state through
 	// different chains materialize the same bytes. The overflow table
 	// needs no order — it goes over as a slab copy.
-	st.monBuf = append(st.monBuf[:0], st.mon...)
-	slices.SortFunc(st.monBuf, func(a, b spacesaving.Counter[hierarchy.Prefix]) int {
+	spec := st.rep.Spec(st.monBuf[:0])
+	slices.SortFunc(spec.Monitored, func(a, b spacesaving.Counter[hierarchy.Prefix]) int {
 		if c := cmp.Compare(a.Count, b.Count); c != 0 {
 			return c
 		}
 		return comparePrefix(a.Key, b.Key)
 	})
-	spec := core.SnapshotSpec[hierarchy.Prefix]{
-		Window:      st.window,
-		Counters:    st.counters,
-		BlockCounts: st.blockCounts,
-		Scale:       st.scale,
-		Updates:     st.updates,
-		Items:       st.items,
-		Overflow:    st.over,
-		Monitored:   st.monBuf,
-	}
-	if st.restorable {
-		spec.Restore = &core.RestoreSpec[hierarchy.Prefix]{
-			UntilBlock:   st.untilBlock,
-			BlocksLeft:   st.blocksLeft,
-			FullUpdates:  st.fullUpdates,
-			ForcedDrains: st.forcedDrains,
-			Queues:       st.queues,
-		}
-	}
-	return core.BuildHHHSnapshot(st.hier, st.comp, spec)
+	st.monBuf = spec.Monitored
+	return core.BuildHHHSnapshot(st.rep.Hierarchy(), st.rep.Compensation(), spec)
 }
 
 // comparePrefix is the canonical total order on prefixes, used

@@ -354,25 +354,30 @@ func (t *Tracker) diff() {
 
 	// Keys whose overflow entry moved: always an entry, carrying the
 	// key's monitored counter as the follower should see it. The slot
-	// scan then finds their slot already current.
-	t.moved.Iterate(func(key hierarchy.Prefix, net int32) bool {
-		if net == 0 {
-			return true
+	// scan then finds their slot already current. The log is walked
+	// rather than the index, whose slots outnumber an interval's log
+	// many times over once it has grown: each key is handled at its
+	// first occurrence, and its net change zeroed so later ones skip.
+	for _, oc := range t.dirty.OverflowChanges() {
+		h := t.moved.Hash(oc.Key)
+		if net, _ := t.moved.GetH(oc.Key, h); net == 0 {
+			continue
 		}
+		t.moved.PutH(oc.Key, 0, h)
+		key := oc.Key
 		slot, b := mem.DeltaProbe(key)
 		if slot < 0 {
 			t.emit(key, 0, 0, b)
-			return true
+			continue
 		}
 		cur, sh := mem.Slot(slot), &t.shadow[slot]
 		if !sh.shipped && b == 0 && cur.Count-cur.Err < t.cfg.Floor {
 			t.emit(key, 0, 0, 0) // stays local; only the overflow entry goes
-			return true
+			continue
 		}
 		t.emit(key, cur.Count, cur.Err, b)
 		*sh = slotShadow{key: key, count: cur.Count, err: cur.Err, b: b, shipped: true}
-		return true
-	})
+	}
 
 	// The slot scan: everything else that changed is a counter in a
 	// marked slot whose overflow entry did not move.

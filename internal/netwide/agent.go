@@ -567,11 +567,11 @@ func (a *Agent) install(conn net.Conn) bool {
 		a.trace.Record(obs.EvConnect, a.name, gen)
 	}
 	if rejoined && a.mode == ReportDelta {
-		// The controller's chain follower died with the old
-		// connection. Re-base and ship immediately — waiting for the
-		// next cadence would leave the controller's view of this agent
-		// stale for up to a full cadence after the outage, or forever
-		// if traffic stopped.
+		// Records in flight when the old connection died may never
+		// have reached the controller's chain follower. Re-base and
+		// ship immediately — waiting for the next cadence would leave
+		// the controller's view of this agent stale for up to a full
+		// cadence after the outage, or forever if traffic stopped.
 		a.mu.Lock()
 		a.tracker.ForceBase()
 		a.shipDeltaLocked()

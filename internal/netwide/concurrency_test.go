@@ -115,15 +115,15 @@ func TestBroadcastDuringChurn(t *testing.T) {
 	_ = net.IPv4len
 }
 
-// TestOutputMergedBesideDeltaApply runs OutputMerged while the agent
-// handlers apply chain records as fast as two agents can produce them.
-// A snapshot the controller has published is immutable: the handler
-// installs a fresh one per record and never patches the old one,
-// whatever delta.State reuses internally. The reader fingerprints every
-// published snapshot before and after a merge over it; a handler
-// writing into published memory changes the fingerprint and, under
-// -race, is reported as a data race. The agents keep reporting until
-// the reader has watched snapshots being replaced under it.
+// TestOutputMergedBesideDeltaApply runs OutputMerged and
+// MergedSnapshots while the agent handlers patch their replicas in
+// place, as fast as two agents can produce records. Both read a
+// replica under its follower's lock, the lock Apply runs under: under
+// -race a read outside it is reported as a data race, and every copy
+// MergedSnapshots hands out must be a whole state, never one caught
+// mid-patch — it holds every sketch invariant, and a merge running
+// beside later records does not change it. The reader keeps going
+// until records have applied during sixteen of its rounds.
 func TestOutputMergedBesideDeltaApply(t *testing.T) {
 	hier := hierarchy.OneD{}
 	params := Params{Budget: 1, BatchSize: 1, Window: 1 << 12}
@@ -170,22 +170,28 @@ func TestOutputMergedBesideDeltaApply(t *testing.T) {
 	}
 	var snaps []*core.HHHSnapshot
 	var before []float64
-	seen := map[*core.HHHSnapshot]bool{}
-	for deadline := time.Now().Add(30 * time.Second); len(seen) < 16; {
+	overlapped := 0
+	for deadline := time.Now().Add(30 * time.Second); overlapped < 16; {
 		if time.Now().After(deadline) {
-			t.Fatalf("reader saw %d distinct snapshots (%d records applied)", len(seen), ctrl.Deltas())
+			t.Fatalf("records applied during %d reader rounds (%d records applied)", overlapped, ctrl.Deltas())
 		}
+		applied := ctrl.Deltas()
 		snaps = ctrl.MergedSnapshots(snaps[:0])
 		before = before[:0]
 		for _, snap := range snaps {
+			if err := snap.Sketch().Validate(); err != nil {
+				t.Fatalf("copied replica: %v", err)
+			}
 			before = append(before, fingerprint(snap))
-			seen[snap] = true
 		}
 		ctrl.OutputMerged(0.05)
 		for i, snap := range snaps {
 			if got := fingerprint(snap); got != before[i] {
-				t.Fatalf("published snapshot changed under a merge: fingerprint %g, was %g", got, before[i])
+				t.Fatalf("copied replica changed under a merge: fingerprint %g, was %g", got, before[i])
 			}
+		}
+		if ctrl.Deltas() > applied {
+			overlapped++
 		}
 	}
 }

@@ -98,17 +98,20 @@ type Controller struct {
 	conns     map[*agentConn]string
 	listeners []net.Listener
 
-	// snapMu guards the per-agent state: each delta agent's latest
-	// materialized sketch and every agent's transfer ledger. Entries
-	// are keyed by agent name and survive disconnects, so merged
-	// outputs keep covering nodes that just went away (their windows
-	// go stale, they don't vanish).
+	// snapMu guards the per-agent state: every agent's transfer ledger
+	// and each delta agent's follower. Entries are keyed by agent name
+	// and survive disconnects, so merged outputs keep covering nodes
+	// that just went away (their windows go stale, they don't vanish).
+	// Lock order: snapMu before a follower's mu, and nothing takes
+	// snapMu while it holds a follower's mu.
 	snapMu sync.Mutex
 	agents map[string]*agentState
 
-	// mergeMu guards the reusable Merger behind OutputMerged.
+	// mergeMu guards the reusable Merger behind OutputMerged and its
+	// scratch: the followers merged and their replicas.
 	mergeMu sync.Mutex
 	merger  shard.Merger
+	mfols   []*follower
 	msnaps  []*core.HHHSnapshot
 
 	// The transfer ledger: always-allocated obs counters (cache-line
@@ -173,9 +176,9 @@ type agentState struct {
 	resyncs    uint64
 	bytes      uint64
 	covered    uint64
-	snap       *core.HHHSnapshot // latest applied chain state, nil in sampled mode
-	lastReport time.Time         // when the last state-bearing report arrived (stale TTL input)
-	stale      bool              // quarantine edge-detector for trace events (OutputMerged sets, account clears)
+	fol        *follower // the agent's chain state, nil in sampled mode
+	lastReport time.Time // when the last state-bearing report arrived (stale TTL input)
+	stale      bool      // quarantine edge-detector for trace events (OutputMerged sets, account clears)
 
 	// Report-tracing ledger: traced counts applied MsgTraced reports,
 	// lastCapture is the capture stamp of the newest one — "now −
@@ -183,6 +186,15 @@ type agentState struct {
 	traced      uint64
 	lastCapture int64
 	freshReg    bool // per-agent freshness gauge registered (first-wins)
+}
+
+// follower is one delta agent's chain state. Its replica is the only
+// copy of the agent's sketch the controller keeps: the agent's
+// connection handler patches it in place record by record, and merged
+// reads run over it, all under mu.
+type follower struct {
+	mu    sync.Mutex
+	chain *delta.State // guarded by mu
 }
 
 // AgentStat reports one agent's transfer ledger.
@@ -396,11 +408,10 @@ func (c *Controller) handle(conn net.Conn) {
 	c.bytesIn.Add(helloBytes)
 	c.accountBytes(hello.Name, helloBytes)
 
-	// chain is this connection's replication follower state (delta
-	// report mode). It lives with the connection: a reconnecting agent
-	// restarts its chain with a base, while the last materialized
-	// sketch state survives in the per-name ledger.
-	var chain *delta.State
+	// fol is the agent's chain follower (delta report mode), kept by
+	// name: a reconnecting agent re-bases the chain it left, and its
+	// last applied state stays in the merge until then.
+	var fol *follower
 	// samples is this connection's recycled batch decode scratch: a
 	// batch is absorbed before the next frame is read.
 	var samples []hierarchy.Packet
@@ -473,7 +484,7 @@ func (c *Controller) handle(conn net.Conn) {
 			samples = batch.Samples
 			c.reports.Inc()
 			c.bytesIn.Add(frameBytes)
-			c.account(hello.Name, frameBytes, batch.Covered, nil)
+			c.account(hello.Name, frameBytes, batch.Covered, false)
 			c.absorb(batch)
 			if traced {
 				c.completeTrace(hello.Name, tc)
@@ -486,10 +497,33 @@ func (c *Controller) handle(conn net.Conn) {
 			}
 			c.bytesIn.Add(frameBytes)
 			c.accountBytes(hello.Name, frameBytes)
-			if chain == nil {
-				chain = delta.NewState()
+			if fol == nil {
+				fol = c.follower(hello.Name)
 			}
-			if err := chain.Apply(rep.Record); err != nil {
+			// The record patches the replica in place under the
+			// follower's lock, so a merged read sees it before or after,
+			// never half-applied: Apply validates a record in full
+			// before it writes, and a base of another hierarchy is
+			// dropped before the lock is released. No snapshot is built
+			// per record: on the fleet benchmark's agent (2048 counters,
+			// ~5 500 overflow entries, one ~9 KB record per 8192
+			// packets; 2-vCPU host) a record's apply reads ≈ 105 µs,
+			// the per-record snapshot this replaced cost ≈ 115–130 µs
+			// more, and the flush-to-covered wait of a control tick
+			// went 0.43 → 0.25 ms without it.
+			fol.mu.Lock()
+			err = fol.chain.Apply(rep.Record)
+			mismatch := err == nil && !hierarchy.Same(fol.chain.Hierarchy(), c.hier)
+			if mismatch {
+				log.Warn("chain hierarchy mismatch",
+					"agent", hello.Name, "got", fol.chain.Hierarchy().String(), "want", c.hier.String())
+				fol.chain.Reset()
+			}
+			fol.mu.Unlock()
+			if mismatch {
+				return
+			}
+			if err != nil {
 				if !errors.Is(err, delta.ErrEpochGap) {
 					// Corrupt or misconfigured: same contract as a bad
 					// batch — drop the connection.
@@ -509,29 +543,8 @@ func (c *Controller) handle(conn net.Conn) {
 				}
 				continue
 			}
-			if !hierarchy.Same(chain.Hierarchy(), c.hier) {
-				log.Warn("chain hierarchy mismatch",
-					"agent", hello.Name, "got", chain.Hierarchy().String(), "want", c.hier.String())
-				return
-			}
-			// Materializing per record keeps the chain state
-			// handler-local (lazy materialization at OutputMerged time
-			// would share the State across goroutines) and hands
-			// OutputMerged a fresh immutable snapshot. It is the larger
-			// half of a record's cost here, so it is kept flat: on the
-			// fleet benchmark's agent (2048 counters, ~5 500 overflow
-			// entries, one ~9 KB record per 8192 packets) Apply went
-			// 110 → 52 µs and Snapshot 1044 → 216 µs per record when
-			// State dropped its Go maps and the overflow sort (decoding
-			// the same agent's full snapshot frame: 253 µs), and the
-			// flush-to-covered wait of a control tick 1.31 → 0.42 ms.
-			snap, err := chain.Snapshot()
-			if err != nil {
-				log.Warn("chain state failed to materialize", "agent", hello.Name, "err", err)
-				return
-			}
 			c.deltas.Inc()
-			c.account(hello.Name, 0, rep.Covered, snap)
+			c.account(hello.Name, 0, rep.Covered, true)
 			if traced {
 				c.completeTrace(hello.Name, tc)
 			}
@@ -543,12 +556,11 @@ func (c *Controller) handle(conn net.Conn) {
 }
 
 // account updates an agent's transfer ledger for one report: a sampled
-// batch (snap nil) or a chain record, whose applied sketch state snap
-// becomes the agent's latest. Sampled batches carry per-report coverage
-// and accumulate; chain records carry a cumulative total and the
-// ledger keeps the max, so a record lost in flight leaves no permanent
-// hole once a later one lands.
-func (c *Controller) account(name string, bytes, covered uint64, snap *core.HHHSnapshot) {
+// batch or an applied chain record. Sampled batches carry per-report
+// coverage and accumulate; chain records carry a cumulative total and
+// the ledger keeps the max, so a record lost in flight leaves no
+// permanent hole once a later one lands.
+func (c *Controller) account(name string, bytes, covered uint64, chain bool) {
 	now := time.Now()
 	c.snapMu.Lock()
 	st := c.agentLocked(name)
@@ -561,15 +573,26 @@ func (c *Controller) account(name string, bytes, covered uint64, snap *core.HHHS
 		c.trace.Record(obs.EvRequalify, name, 0)
 	}
 	st.stale = false
-	if snap != nil {
+	if chain {
 		st.deltas++
-		st.snap = snap
 		st.covered = max(st.covered, covered)
 	} else {
 		st.reports++
 		st.covered += covered
 	}
 	c.snapMu.Unlock()
+}
+
+// follower returns name's chain follower, creating it on the agent's
+// first chain record.
+func (c *Controller) follower(name string) *follower {
+	c.snapMu.Lock()
+	defer c.snapMu.Unlock()
+	st := c.agentLocked(name)
+	if st.fol == nil {
+		st.fol = &follower{chain: delta.NewState()}
+	}
+	return st.fol
 }
 
 // accountBytes adds wire bytes to an agent's ledger without counting
@@ -739,6 +762,11 @@ func VerdictsFrom(entries []hhhset.Entry, threshold float64, act Action, dst []V
 	return dst
 }
 
+// Compensation returns the sampling compensation 2·Z_{1−δ}·√(V·W)
+// of the controller's sketch: Output selects every prefix it tracks
+// unless θ·W exceeds it.
+func (c *Controller) Compensation() float64 { return c.abs.hh.Compensation() }
+
 // Mitigate computes the HHH set at theta and broadcasts the given
 // action for every subnet VerdictsFrom selects from it (the DDoS
 // application of Section 6.4). It returns the verdicts sent.
@@ -760,22 +788,45 @@ func (c *Controller) Mitigate(theta float64, act Action) ([]Verdict, error) {
 // skew-corrected by its share of the captured update counts, and the
 // sampling compensations combine as a root sum of squares. Agents in
 // sampled mode contribute nothing here — query Output for the sampled
-// sketch. The merge runs entirely on the stored immutable snapshots:
-// absorbing new reports is never blocked by an output computation.
+// sketch. The merge reads each agent's replica in place under its
+// follower's lock, so a record for that agent applies before or after
+// the merge, never during it; agents' records do not wait on each
+// other.
 func (c *Controller) OutputMerged(theta float64) []hhhset.Entry {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
-	c.msnaps = c.mergedSnapshots(c.msnaps[:0], true)
-	return c.merger.Output(c.hier, c.msnaps, theta, nil)
+	c.mfols = c.mergedFollowers(c.mfols[:0], true)
+	for _, f := range c.mfols {
+		f.mu.Lock()
+		if rep := f.chain.Replica(); rep != nil {
+			c.msnaps = append(c.msnaps, rep)
+		}
+	}
+	out := c.merger.Output(c.hier, c.msnaps, theta, nil)
+	for _, f := range c.mfols {
+		f.mu.Unlock()
+	}
+	clear(c.msnaps) // pin no replica a base has since replaced
+	c.msnaps = c.msnaps[:0]
+	clear(c.mfols)
+	return out
 }
 
-// MergedSnapshots appends the latest applied snapshot of every
-// non-stale delta agent to dst — the same set OutputMerged
-// merges — and returns it. The snapshots are immutable; the audit
-// plane feeds them to a shard.Merger (Prepare/Bounds/Release) to
-// compare exact per-key counts against the merged fleet bounds.
+// MergedSnapshots appends a copy of the latest applied state of every
+// non-stale delta agent to dst — the set OutputMerged merges, as it
+// stands when each agent's copy is taken — and returns it. The copies
+// are the caller's: the audit plane feeds them to a shard.Merger
+// (Prepare/Bounds/Release) to compare exact per-key counts against the
+// merged fleet bounds.
 func (c *Controller) MergedSnapshots(dst []*core.HHHSnapshot) []*core.HHHSnapshot {
-	return c.mergedSnapshots(dst, false)
+	for _, f := range c.mergedFollowers(nil, false) {
+		f.mu.Lock()
+		if rep := f.chain.Replica(); rep != nil {
+			dst = append(dst, rep.Clone())
+		}
+		f.mu.Unlock()
+	}
+	return dst
 }
 
 // stale reports whether st's last report has aged past the StaleTTL.
@@ -783,20 +834,21 @@ func (c *Controller) stale(st *agentState, now time.Time) bool {
 	return c.cfg.StaleTTL > 0 && now.Sub(st.lastReport) > c.cfg.StaleTTL
 }
 
-// mergedSnapshots is the one collector behind OutputMerged and
-// MergedSnapshots. A stale agent is skipped — a dead agent's frozen
+// mergedFollowers is the one collector behind OutputMerged and
+// MergedSnapshots: the followers of the delta agents whose chains have
+// applied a record. A stale agent is skipped — a dead agent's frozen
 // window must not haunt merged outputs forever — until its next report
 // re-admits it; OutputMerged's scan (quarantine set) also marks and
 // traces an agent it finds stale for the first time, under snapMu like
 // the requalify edge in account.
-func (c *Controller) mergedSnapshots(dst []*core.HHHSnapshot, quarantine bool) []*core.HHHSnapshot {
+func (c *Controller) mergedFollowers(dst []*follower, quarantine bool) []*follower {
 	now := time.Now()
 	c.snapMu.Lock()
 	for name, st := range c.agents {
 		switch {
-		case st.snap == nil:
+		case st.deltas == 0:
 		case !c.stale(st, now):
-			dst = append(dst, st.snap)
+			dst = append(dst, st.fol)
 		case quarantine && !st.stale && c.trace != nil:
 			st.stale = true
 			c.trace.Record(obs.EvQuarantine, name, 0)
@@ -977,7 +1029,7 @@ func (c *Controller) StaleAgents() int {
 	defer c.snapMu.Unlock()
 	n := 0
 	for _, st := range c.agents {
-		if st.snap != nil && c.stale(st, now) {
+		if st.deltas > 0 && c.stale(st, now) {
 			n++
 		}
 	}

@@ -7,12 +7,16 @@ package netwide
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"testing"
+	"time"
 
+	"memento/internal/codec"
 	"memento/internal/core"
+	"memento/internal/delta"
 	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
@@ -407,4 +411,132 @@ func TestDecodeDeltaReportFraming(t *testing.T) {
 	if len(rep.Record) != 16 {
 		t.Fatalf("record length %d", len(rep.Record))
 	}
+}
+
+// TestCorruptChainRecordNeverHalfApplied feeds the controller, over a
+// raw connection, a chain whose third record goes bad partway through
+// its body: its first entry is a valid heavy key, its second has an
+// error term above its count. The controller drops the connection,
+// and neither OutputMerged nor MergedSnapshots ever reflects the
+// valid half — not while the record is being applied (a reader polls
+// both the whole time) and not after, when the agent's last good state
+// stays in the merge.
+func TestCorruptChainRecordNeverHalfApplied(t *testing.T) {
+	params := Params{Budget: 1, BatchSize: 4, Window: 1 << 12}
+	if err := params.Normalize(1); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, addr := startController(t, params, 512)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := encodeHello(Hello{Name: "torn", Tau: params.Tau(), Batch: uint32(params.BatchSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sendFrame(conn, MsgHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	hh := core.MustNewHHH(core.HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 64, Seed: 5})
+	tr, err := delta.NewTracker(hh, delta.TrackerConfig{Chain: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(rec []byte, covered uint64) {
+		t.Helper()
+		payload, err := encodeDeltaReport(covered, rec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sendFrame(conn, MsgDelta, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := fleetStream(1<<11, 3)
+	var last []byte
+	for i, half := range [][]hierarchy.Packet{stream[:1<<10], stream[1<<10:]} {
+		hh.UpdateBatch(half)
+		if last, _, err = tr.Append(nil); err != nil {
+			t.Fatal(err)
+		}
+		send(last, uint64(len(half)*(i+1)))
+	}
+	waitFor(t, "both records to apply", func() bool { return ctrl.Deltas() == 2 })
+
+	// The next delta, by hand: the chain's header and position, then
+	// one valid entry for a key heavy enough to top the HHH set, then a
+	// corrupt one.
+	h, body, err := codec.ReadHeader(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy := hierarchy.Prefix{Src: hierarchy.IPv4(203, 0, 113, 7), SrcLen: 4}
+	rec := codec.AppendHeader(nil, codec.Header{Version: codec.Version, Kind: codec.KindHHHDelta, Digest: h.Digest})
+	rec = append(rec, body[:8]...) // chain
+	rec = binary.BigEndian.AppendUint64(rec, binary.BigEndian.Uint64(body[8:16])+1)
+	rec = binary.BigEndian.AppendUint64(rec, hh.Sketch().Updates())
+	rec = binary.BigEndian.AppendUint64(rec, hh.Sketch().Items())
+	rec = binary.AppendUvarint(rec, 2)
+	rec = codec.PrefixKeys{}.AppendKey(rec, heavy)
+	rec = binary.AppendUvarint(rec, 900) // count
+	rec = binary.AppendUvarint(rec, 0)   // err
+	rec = binary.AppendUvarint(rec, 50)  // overflows
+	rec = codec.PrefixKeys{}.AppendKey(rec, hierarchy.Prefix{Src: 1, SrcLen: 4})
+	rec = binary.AppendUvarint(rec, 5) // count
+	rec = binary.AppendUvarint(rec, 9) // err ≥ count: corrupt
+	rec = binary.AppendUvarint(rec, 0)
+
+	const theta = 0.05
+	reflects := func(out []hhhset.Entry, snaps []*core.HHHSnapshot) bool {
+		for _, e := range out {
+			if e.Prefix == heavy {
+				return true
+			}
+		}
+		for _, snap := range snaps {
+			if snap.Sketch().SlotOf(heavy) >= 0 || snap.Sketch().OverflowCount(heavy) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	want := ctrl.OutputMerged(theta)
+	if reflects(want, ctrl.MergedSnapshots(nil)) {
+		t.Fatal("heavy key present before the corrupt record")
+	}
+	stop := make(chan struct{})
+	saw := make(chan bool)
+	go func() {
+		for {
+			if reflects(ctrl.OutputMerged(theta), ctrl.MergedSnapshots(nil)) {
+				saw <- true
+				return
+			}
+			select {
+			case <-stop:
+				saw <- false
+				return
+			default:
+			}
+		}
+	}()
+	send(rec, 1<<12)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a corrupt record: %v, want the controller to close (EOF)", err)
+	}
+	close(stop)
+	if <-saw {
+		t.Fatal("a merged read reflected half of the corrupt record")
+	}
+	if ctrl.Deltas() != 2 {
+		t.Fatalf("Deltas %d after the corrupt record, want 2", ctrl.Deltas())
+	}
+	snaps := ctrl.MergedSnapshots(nil)
+	if len(snaps) != 1 {
+		t.Fatalf("%d merged snapshots, want the agent's last good state", len(snaps))
+	}
+	entriesEqual(t, "after the corrupt record", ctrl.OutputMerged(theta), want)
 }

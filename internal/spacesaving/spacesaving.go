@@ -800,3 +800,256 @@ func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	}
 	s.attach(ci, nb)
 }
+
+// SetHashed makes key's counter read count, with error term err: a
+// monitored key moves from its own bucket to the bucket holding count,
+// walking the bucket list from there, and an unmonitored one takes the
+// next free counter, placed by a walk up from the minimum (where a
+// replicated newcomer usually lands). h must equal Hash(key). It fails,
+// leaving the sketch unchanged, on a zero count, an error term not
+// below the count, or a new key when every counter is in use. It
+// serves followers that patch a replica in place (internal/delta); like
+// Merge and RestoreEntry it does not mark slots.
+//
+//memento:noalloc
+func (s *Sketch[K]) SetHashed(key K, h uint64, count, err uint64) error {
+	if count == 0 || err >= count {
+		return errSetCount
+	}
+	fp := fingerprint(h)
+	i, ci := s.find(key, fp)
+	if ci < 0 {
+		if int(s.used) >= len(s.counters) {
+			return errSetFull
+		}
+		s.touch()
+		ci = s.used
+		s.used++
+		c := &s.counters[ci]
+		c.key, c.fp, c.err = key, fp, err
+		s.pos[i] = posBucket{fp: fp, slot: ci + 1} // the empty bucket ending key's probe run
+		s.settle(ci, nilIdx, count)
+		return nil
+	}
+	s.touch()
+	c := &s.counters[ci]
+	c.err = err
+	bi := c.bucket
+	if s.buckets[bi].count == count {
+		return nil
+	}
+	s.detach(ci)
+	s.settle(ci, bi, count)
+	if s.buckets[bi].head == nilIdx {
+		s.unlinkBucket(bi)
+	}
+	return nil
+}
+
+// SetHashed's rejections.
+var (
+	errSetCount = errors.New("spacesaving: set count must be positive, with an error term below it")
+	errSetFull  = errors.New("spacesaving: set of a new key with every counter in use")
+)
+
+// settle attaches the detached counter ci to the bucket holding count,
+// creating it if needed. The walk starts at bucket from — the counter's
+// old bucket, which stays linked (even when emptied) until the caller
+// frees it — or at the minimum when from is nilIdx, and moves toward
+// count one bucket at a time.
+func (s *Sketch[K]) settle(ci, from int32, count uint64) {
+	// Find the neighbours prev.count < count ≤ next.count.
+	prev, next := nilIdx, s.headB
+	if from != nilIdx {
+		if s.buckets[from].count < count {
+			prev, next = from, s.buckets[from].next
+		} else {
+			prev, next = s.buckets[from].prev, from
+		}
+	}
+	for next != nilIdx && s.buckets[next].count < count {
+		prev, next = next, s.buckets[next].next
+	}
+	for prev != nilIdx && s.buckets[prev].count >= count {
+		prev, next = s.buckets[prev].prev, prev
+	}
+	if next != nilIdx && s.buckets[next].count == count {
+		s.attach(ci, next)
+		return
+	}
+	nb := s.allocBucket(count)
+	b := &s.buckets[nb]
+	b.prev, b.next = prev, next
+	if prev != nilIdx {
+		s.buckets[prev].next = nb
+	} else {
+		s.headB = nb
+	}
+	if next != nilIdx {
+		s.buckets[next].prev = nb
+	} else {
+		s.tailB = nb
+	}
+	s.attach(ci, nb)
+}
+
+// unlinkBucket removes the empty bucket bi from the ascending list,
+// wherever it sits, and returns it to the free list.
+func (s *Sketch[K]) unlinkBucket(bi int32) {
+	b := &s.buckets[bi]
+	if b.prev != nilIdx {
+		s.buckets[b.prev].next = b.next
+	} else {
+		s.headB = b.next
+	}
+	if b.next != nilIdx {
+		s.buckets[b.next].prev = b.prev
+	} else {
+		s.tailB = b.prev
+	}
+	b.next = s.freeB
+	s.freeB = bi
+}
+
+// RemoveHashed stops monitoring key and reports whether it was
+// monitored; h must equal Hash(key). The last slot in use moves into
+// the freed one, so slot numbers stay dense: like SetHashed it serves
+// replicas, never a sketch whose slots are tracked.
+//
+//memento:noalloc
+func (s *Sketch[K]) RemoveHashed(key K, h uint64) bool {
+	_, ci := s.find(key, fingerprint(h))
+	if ci < 0 {
+		return false
+	}
+	s.touch()
+	bi := s.counters[ci].bucket
+	s.detach(ci)
+	if s.buckets[bi].head == nilIdx {
+		s.unlinkBucket(bi)
+	}
+	s.unindex(ci)
+	last := s.used - 1
+	s.used--
+	if ci == last {
+		return true
+	}
+	// Move the last counter into slot ci: its list neighbours and its
+	// index bucket follow it.
+	c := &s.counters[ci]
+	*c = s.counters[last]
+	if c.prev != nilIdx {
+		s.counters[c.prev].next = ci
+	} else {
+		s.buckets[c.bucket].head = ci
+	}
+	if c.next != nilIdx {
+		s.counters[c.next].prev = ci
+	}
+	mask := uint32(len(s.pos) - 1)
+	i := c.fp >> s.shift
+	for s.pos[i].slot != last+1 {
+		i = (i + 1) & mask
+	}
+	s.pos[i].slot = ci + 1
+	return true
+}
+
+// Grow raises the sketch's capacity to n counters, keeping every
+// counter in its slot; a smaller n does nothing. Min() reads 0 while
+// fewer counters than the capacity are in use, so a replica that sizes
+// itself by what it holds grows before it would read as saturated.
+// Like SetHashed it serves replicas, never a sketch whose slots are
+// tracked.
+func (s *Sketch[K]) Grow(n int) {
+	if n <= len(s.counters) {
+		return
+	}
+	s.touch()
+	s.counters = append(s.counters, make([]counter[K], n-len(s.counters))...)
+	// The new buckets join the free list ahead of the old free ones.
+	old := int32(len(s.buckets))
+	s.buckets = append(s.buckets, make([]bucket, n+2-len(s.buckets))...)
+	for i := old; i < int32(len(s.buckets)); i++ {
+		s.buckets[i].next = i + 1
+	}
+	s.buckets[len(s.buckets)-1].next = s.freeB
+	s.freeB = old
+	if logN := max(3, bits.Len(uint(2*n-1))); 1<<logN > len(s.pos) {
+		s.pos = make([]posBucket, 1<<logN)
+		s.shift = uint(32 - logN)
+		for ci := int32(0); ci < s.used; ci++ {
+			s.index(ci, s.counters[ci].fp)
+		}
+	}
+}
+
+// Validate checks the stream summary's structure: bucket counts
+// strictly ascending from headB to tailB with consistent back links,
+// no empty bucket in the list, every counter in use on the list of the
+// bucket it names with its error term below the count, and the
+// position index naming each counter in use exactly once, under its
+// key's fingerprint and reachable from its home. It returns the first
+// violation. Tests and fuzzers of the in-place mutators call it.
+func (s *Sketch[K]) Validate() error {
+	seen := 0
+	last := nilIdx
+	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
+		b := &s.buckets[bi]
+		if last != nilIdx && b.count <= s.buckets[last].count {
+			return fmt.Errorf("spacesaving: bucket counts not strictly ascending: %d after %d", b.count, s.buckets[last].count)
+		}
+		if b.prev != last {
+			return fmt.Errorf("spacesaving: bucket %d links back to %d, reached from %d", bi, b.prev, last)
+		}
+		if b.head == nilIdx {
+			return fmt.Errorf("spacesaving: bucket %d (count %d) holds no counter", bi, b.count)
+		}
+		prevC := nilIdx
+		for ci := b.head; ci != nilIdx; ci = s.counters[ci].next {
+			c := &s.counters[ci]
+			switch {
+			case ci >= s.used:
+				return fmt.Errorf("spacesaving: bucket %d lists unused slot %d", bi, ci)
+			case c.bucket != bi:
+				return fmt.Errorf("spacesaving: slot %d names bucket %d, listed in %d", ci, c.bucket, bi)
+			case c.prev != prevC:
+				return fmt.Errorf("spacesaving: slot %d links back to %d, reached from %d", ci, c.prev, prevC)
+			case c.err >= b.count:
+				return fmt.Errorf("spacesaving: slot %d error %d not below count %d", ci, c.err, b.count)
+			}
+			prevC = ci
+			if seen++; seen > int(s.used) {
+				return fmt.Errorf("spacesaving: bucket lists hold more than the %d counters in use", s.used)
+			}
+		}
+		last = bi
+	}
+	if seen != int(s.used) {
+		return fmt.Errorf("spacesaving: bucket lists hold %d counters, %d in use", seen, s.used)
+	}
+	if s.tailB != last {
+		return fmt.Errorf("spacesaving: tailB is %d, the largest bucket %d", s.tailB, last)
+	}
+	indexed := 0
+	for _, b := range s.pos {
+		if b.slot != 0 {
+			indexed++
+		}
+	}
+	if indexed != int(s.used) {
+		return fmt.Errorf("spacesaving: index holds %d slots, %d in use", indexed, s.used)
+	}
+	// With as many index buckets as counters, finding each counter's own
+	// bucket means every counter is named exactly once.
+	for ci := int32(0); ci < s.used; ci++ {
+		c := &s.counters[ci]
+		if c.fp != fingerprint(s.hash(c.key)) {
+			return fmt.Errorf("spacesaving: slot %d caches fingerprint %#x, its key hashes to %#x", ci, c.fp, fingerprint(s.hash(c.key)))
+		}
+		if _, at := s.find(c.key, c.fp); at != ci {
+			return fmt.Errorf("spacesaving: slot %d's key is indexed at slot %d", ci, at)
+		}
+	}
+	return nil
+}

@@ -311,60 +311,8 @@ func TestBucketInvariant(t *testing.T) {
 
 func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
 	t.Helper()
-	prev := uint64(0)
-	first := true
-	seen := 0
-	last := nilIdx // the bucket tailB must name
-	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
-		b := s.buckets[bi]
-		if !first && b.count <= prev {
-			t.Fatalf("bucket counts not strictly ascending: %d after %d", b.count, prev)
-		}
-		if b.prev != last {
-			t.Fatalf("bucket %d: prev %d, the list reached it from %d", bi, b.prev, last)
-		}
-		prev, first, last = b.count, false, bi
-		if b.head == nilIdx {
-			t.Fatal("live bucket with no counters")
-		}
-		for ci := b.head; ci != nilIdx; ci = s.counters[ci].next {
-			if s.counters[ci].bucket != bi {
-				t.Fatal("counter bucket back-reference wrong")
-			}
-			seen++
-		}
-	}
-	if seen != s.Len() {
-		t.Fatalf("structure holds %d counters, Len() = %d", seen, s.Len())
-	}
-	if s.tailB != last {
-		t.Fatalf("tailB = %d, the largest bucket is %d", s.tailB, last)
-	}
-	// The position index points exactly once at every counter in use,
-	// under the fingerprint of its key, at or after its home.
-	pointed := map[int32]bool{}
-	mask := uint32(len(s.pos) - 1)
-	for i, b := range s.pos {
-		if b.slot == 0 {
-			continue
-		}
-		ci := b.slot - 1
-		if ci >= s.used || pointed[ci] {
-			t.Fatalf("index bucket %d names slot %d: unused or named twice (%d in use)", i, ci, s.used)
-		}
-		pointed[ci] = true
-		c := s.counters[ci]
-		if b.fp != c.fp || c.fp != fingerprint(s.hash(c.key)) {
-			t.Fatalf("index bucket %d: fingerprint %#x, counter caches %#x", i, b.fp, c.fp)
-		}
-		for j := b.fp >> s.shift; j != uint32(i); j = (j + 1) & mask {
-			if s.pos[j].slot == 0 {
-				t.Fatalf("index bucket %d unreachable: empty bucket %d in its probe run", i, j)
-			}
-		}
-	}
-	if len(pointed) != s.Len() {
-		t.Fatalf("index size %d != Len %d", len(pointed), s.Len())
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -768,4 +716,83 @@ func TestIterateAtLeastFiltersIterate(t *testing.T) {
 	}
 	checkStructure(t, s)
 	checkIterateAtLeast(t, "refilled", s)
+}
+
+// TestSetRemoveMatchModel drives SetHashed, RemoveHashed and Grow —
+// the in-place mutators a replica is patched with — against a map of
+// key → (count, err), on a hasher with long probe runs, and checks the
+// structure, every key's counter, Min's saturated/unsaturated rule and
+// that Add and CopyInto still work on the patched sketch.
+func TestSetRemoveMatchModel(t *testing.T) {
+	for _, hash := range []func(uint64) uint64{nil, func(k uint64) uint64 { return k % 7 }} {
+		r := rng.New(17)
+		s, err := NewWithHash[uint64](2, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const limit = 48
+		model := map[uint64]Counter[uint64]{}
+		for op := 0; op < 20000; op++ {
+			key := r.Uint64() % 80
+			h := s.Hash(key)
+			switch r.Uint64() % 4 {
+			case 0:
+				if got, want := s.RemoveHashed(key, h), model[key].Count > 0; got != want {
+					t.Fatalf("op %d: RemoveHashed(%d) = %v, model has it: %v", op, key, got, want)
+				}
+				delete(model, key)
+			default:
+				count := 1 + r.Uint64()%24
+				errTerm := r.Uint64() % count
+				if _, ok := model[key]; !ok && s.Len() == s.Cap() {
+					if s.Cap() == limit {
+						if s.SetHashed(key, h, count, errTerm) == nil {
+							t.Fatalf("op %d: set past a full sketch succeeded", op)
+						}
+						continue
+					}
+					s.Grow(min(2*s.Cap(), limit))
+				}
+				if err := s.SetHashed(key, h, count, errTerm); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				model[key] = Counter[uint64]{Key: key, Count: count, Err: errTerm}
+			}
+			if op%13 == 0 {
+				checkStructure(t, s)
+			}
+		}
+		checkStructure(t, s)
+		if s.Len() != len(model) {
+			t.Fatalf("Len %d, model holds %d", s.Len(), len(model))
+		}
+		for key := uint64(0); key < 80; key++ {
+			got, ok := s.Lookup(key)
+			if want, in := model[key]; ok != in || (in && got != want) {
+				t.Fatalf("Lookup(%d) = %+v %v, model %+v %v", key, got, ok, want, in)
+			}
+		}
+		wantMin := uint64(0)
+		if s.Len() == s.Cap() {
+			wantMin = ^uint64(0)
+			for _, c := range model {
+				wantMin = min(wantMin, c.Count)
+			}
+		}
+		if s.Min() != wantMin {
+			t.Fatalf("Min %d, want %d (%d of %d in use)", s.Min(), wantMin, s.Len(), s.Cap())
+		}
+		var cp Sketch[uint64]
+		s.CopyInto(&cp)
+		for i := 0; i < 500; i++ {
+			s.Add(r.Uint64() % 80)
+		}
+		checkStructure(t, s)
+		checkStructure(t, &cp)
+		for key, want := range model {
+			if got, _ := cp.Lookup(key); got != want {
+				t.Fatalf("copy Lookup(%d) = %+v, want %+v", key, got, want)
+			}
+		}
+	}
 }
