@@ -1,86 +1,27 @@
 // Command mementovet runs the internal/analyzers suite (noalloc,
-// lockguard, nopanic, nodet — see DESIGN.md §8) in two modes:
+// lockguard, nodet — see DESIGN.md §8):
 //
-//	mementovet [-json] [-analyzers a,b] [packages]
+//	mementovet [-json] [packages]
 //
-// Standalone: load the named packages (default ./...) from source and
-// print findings. -json emits a machine-readable report including
-// every //memento:allow waiver in the analyzed tree and the waiver
-// count, so suppressions are never silent.
-//
-//	go vet -vettool=$(which mementovet) ./...
-//
-// Unit-checker: invoked by the go command once per package with a
-// .cfg file; also answers the go command's -V=full and -flags
-// handshakes. This is the CI gate.
+// It loads the named packages (default ./...) of the module in the
+// current directory from source and prints findings; the exit status
+// is 2 if there are any. -json emits a machine-readable report
+// including every //memento:allow waiver in the analyzed tree and the
+// waiver count, so suppressions are never silent.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"memento/internal/analyzers"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	// go vet handshakes, before normal flag parsing.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			return printVersion()
-		case args[0] == "-flags":
-			// No forwardable vet flags: mementovet's own flags are
-			// standalone-mode only.
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return analyzers.RunUnit(args[0], analyzers.All(), os.Stderr)
-		}
-	}
-
-	fs := flag.NewFlagSet("mementovet", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit findings and waivers as JSON on stdout")
-	sel := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	dir := fs.String("C", ".", "change to directory before loading packages")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: mementovet [-json] [-analyzers noalloc,lockguard,nopanic,nodet] [packages]\n")
-		fs.PrintDefaults()
-		fmt.Fprintf(fs.Output(), "\nanalyzers:\n")
-		for _, a := range analyzers.All() {
-			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
-		}
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	suite := analyzers.All()
-	if *sel != "" {
-		suite = nil
-		for _, name := range strings.Split(*sel, ",") {
-			a := analyzers.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "mementovet: unknown analyzer %q\n", name)
-				return 2
-			}
-			suite = append(suite, a)
-		}
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	return standalone(*dir, patterns, suite, *jsonOut, os.Stdout, os.Stderr)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // jsonReport is the -json output shape.
@@ -106,47 +47,57 @@ type jsonWaiver struct {
 	Used     bool   `json:"used"`
 }
 
-func standalone(dir string, patterns []string, suite []*analyzers.Analyzer, jsonOut bool, stdout, stderr io.Writer) int {
-	units, modulePath, err := analyzers.Load(dir, patterns)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mementovet", flag.ContinueOnError)
+	jsonOut := fs.Bool("json", false, "emit findings and waivers as JSON on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: mementovet [-json] [packages]\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(fs.Output(), "\nanalyzers:\n")
+		for _, a := range analyzers.All() {
+			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+
+	rep, err := analyzers.Check(".", patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "mementovet: %v\n", err)
 		return 1
 	}
-	store := analyzers.NewFactStore()
 	report := jsonReport{
 		Diagnostics: []jsonDiagnostic{},
 		Waivers:     []jsonWaiver{},
+		WaiverCount: len(rep.Waivers),
 	}
-	for _, u := range units {
-		res, err := analyzers.AnalyzePackage(u.Fset, u.Files, u.Pkg, u.Info, modulePath, store, suite)
-		if err != nil {
-			fmt.Fprintf(stderr, "mementovet: %s: %v\n", u.ImportPath, err)
-			return 1
-		}
-		for _, d := range res.Diagnostics {
-			report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-			if !jsonOut {
-				fmt.Fprintf(stderr, "%s\n", d)
-			}
-		}
-		for _, w := range res.Waivers {
-			report.Waivers = append(report.Waivers, jsonWaiver{
-				File:     w.Pos.Filename,
-				Line:     w.Pos.Line,
-				Category: w.Category,
-				Reason:   w.Reason,
-				Used:     w.Used,
-			})
+	for _, d := range rep.Diagnostics {
+		report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
+			File:     d.Pos.Filename,
+			Line:     d.Pos.Line,
+			Column:   d.Pos.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+		})
+		if !*jsonOut {
+			fmt.Fprintf(stderr, "%s\n", d)
 		}
 	}
-	report.WaiverCount = len(report.Waivers)
-	if jsonOut {
+	for _, w := range rep.Waivers {
+		report.Waivers = append(report.Waivers, jsonWaiver{
+			File:     w.Pos.Filename,
+			Line:     w.Pos.Line,
+			Category: w.Category,
+			Reason:   w.Reason,
+			Used:     w.Used,
+		})
+	}
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
@@ -159,21 +110,5 @@ func standalone(dir string, patterns []string, suite []*analyzers.Analyzer, json
 	if len(report.Diagnostics) > 0 {
 		return 2
 	}
-	return 0
-}
-
-// printVersion answers `mementovet -V=full` in the shape the go
-// command's tool-ID parser accepts for external vettools: the last
-// field after "version devel" must be a buildID, which we derive from
-// the executable so vet results cache correctly across rebuilds.
-func printVersion() int {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("mementovet version devel buildID=%x\n", h.Sum(nil))
 	return 0
 }

@@ -57,10 +57,9 @@
 //   - internal/experiments, internal/analysis, internal/detect — the
 //     drivers that regenerate every figure of the paper's evaluation.
 //   - internal/analyzers, cmd/mementovet — the static-invariant suite:
-//     four //memento:-annotation-driven analyzers (noalloc, lockguard,
-//     nopanic, nodet) that enforce the allocation-free hot path, the
-//     per-shard lock discipline, panic-free decoders and deterministic
-//     encoders at type-check time, run in CI via go vet -vettool.
+//     three //memento:-annotation-driven analyzers (noalloc, lockguard,
+//     nodet) that enforce the allocation-free hot path, the per-shard
+//     lock discipline and deterministic encoders at type-check time.
 //   - internal/obs — the observability core (mementoscope): stdlib-only
 //     padded atomic counters/gauges, constant-memory log-linear
 //     histograms with mergeable snapshots, a ring-buffered lifecycle

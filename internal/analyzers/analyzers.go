@@ -1,18 +1,17 @@
-// Package analyzers is mementovet's static-analysis suite: four
+// Package analyzers is mementovet's static-analysis suite: three
 // analyzers that move this repository's load-bearing runtime
 // invariants — the allocation-free hot path, the per-shard lock
-// discipline, panic-free decoders, and bit-deterministic encoders —
-// into the type-check loop, driven by machine-readable //memento:
-// annotations (DESIGN.md §8).
+// discipline, and bit-deterministic encoders — into the type-check
+// loop, driven by machine-readable //memento: annotations
+// (DESIGN.md §8).
 //
 // The suite deliberately depends only on the standard library
 // (go/ast, go/types): the module is dependency-free and stays that
 // way. The framework mirrors the golang.org/x/tools/go/analysis shape
 // — an Analyzer runs over a type-checked Pass and reports Diagnostics
-// — but is scoped to exactly what the four checks need, including a
-// string-keyed cross-package fact store that serializes into the
-// `go vet -vettool` .vetx files (see unitchecker.go) and flows
-// in-memory in the standalone driver (see driver.go).
+// — but is scoped to exactly what the three checks need, including a
+// string-keyed cross-package fact store that Check threads through
+// the module's packages in dependency order (see driver.go).
 //
 // # Analyzers
 //
@@ -21,11 +20,6 @@
 //     every module function they call.
 //   - lockguard (category "lock"): struct fields annotated
 //     "guarded by mu" may only be touched while mu is held.
-//   - nopanic (category "panic"): annotated functions (and exported
-//     functions matched by a package-level //memento:nopanic glob list)
-//     must not reach panic, unchecked type assertions, or unguarded
-//     indexing, transitively through module callees for explicit
-//     panics.
 //   - nodet (category "det"): packages annotated
 //     //memento:deterministic must not read wall clocks, global
 //     randomness, or iterate maps (map order leaks into encoders).
@@ -52,23 +46,12 @@ type Analyzer struct {
 	// Doc is a one-paragraph description (mementovet help).
 	Doc string
 	// Run performs the check, reporting findings through pass.Report.
-	Run func(pass *Pass) error
+	Run func(pass *Pass)
 }
 
 // All returns the full suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{NoAlloc, LockGuard, NoPanic, NoDet}
-}
-
-// ByName resolves analyzer names (comma-separated lists are the
-// caller's concern); nil if unknown.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{NoAlloc, LockGuard, NoDet}
 }
 
 // A Diagnostic is one finding, positioned in the analyzed source.
@@ -90,11 +73,9 @@ type Pass struct {
 	Info  *types.Info
 
 	// ModulePath is the module under analysis ("memento" in this
-	// repository); InModule reports whether Pkg belongs to it.
-	// Analyzers compute and export facts only for module packages and
-	// treat everything outside as an opaque allowlisted surface.
+	// repository). Every analyzed package belongs to it; calls outside
+	// it are an opaque allowlisted surface.
 	ModulePath string
-	InModule   bool
 
 	// Ann holds the package's parsed //memento: annotations.
 	Ann *Annotations
@@ -119,10 +100,8 @@ func (p *Pass) reportf(analyzer string, pos token.Pos, format string, args ...an
 }
 
 // FuncFact is the cross-package summary of one function, keyed by
-// FuncKey. Both propagation-based analyzers (noalloc, nopanic) store
-// their verdicts here; the zero value means "never analyzed", which
-// callers outside the module surface as "unknown, assume the worst
-// for noalloc / the best for nopanic" per their own documentation.
+// FuncKey. noalloc stores its verdicts here; the zero value means
+// "never analyzed", which noalloc treats as dirty.
 type FuncFact struct {
 	// Analyzed distinguishes a computed fact from an absent one.
 	Analyzed bool
@@ -137,11 +116,6 @@ type FuncFact struct {
 	// package already diagnosed any dirtiness, so callers do not
 	// re-report it.
 	NoAllocAnnotated bool
-	// Panics reports that the function contains, or transitively
-	// calls (within the module), an explicit panic statement that is
-	// not waived; PanicsWhy names the site.
-	Panics    bool
-	PanicsWhy string
 }
 
 // FieldFact is the cross-package summary of one struct field, keyed
@@ -151,33 +125,13 @@ type FieldFact struct {
 	Reused bool
 }
 
-// FactStore accumulates facts across packages in dependency order.
-// The standalone driver threads one store through the whole module;
-// the unitchecker driver decodes dependency .vetx files into a fresh
-// store and serializes the merged result out (facts re-export
-// transitively, exactly like go/analysis facts, so `go vet` only has
-// to supply direct dependencies' files).
+// FactStore accumulates facts across packages in dependency order;
+// Check threads one store through the whole module. Keys are strings
+// because importers see a package through its export data, whose
+// types.Func objects are not the ones its own analysis saw.
 type FactStore struct {
 	Funcs  map[string]FuncFact
 	Fields map[string]FieldFact
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{
-		Funcs:  make(map[string]FuncFact),
-		Fields: make(map[string]FieldFact),
-	}
-}
-
-// Merge copies every fact in other into s.
-func (s *FactStore) Merge(other *FactStore) {
-	for k, v := range other.Funcs {
-		s.Funcs[k] = v
-	}
-	for k, v := range other.Fields {
-		s.Fields[k] = v
-	}
 }
 
 // FuncKey canonicalizes a function or method object into a stable

@@ -5,11 +5,6 @@
 //	//memento:noalloc
 //	    Function-level. The function must be allocation-free in
 //	    steady state, transitively through module callees.
-//	//memento:nopanic [Glob ...]
-//	    Function-level with no arguments: the function must not reach
-//	    a panic. Package-level (in the package doc block) with glob
-//	    arguments: every exported function whose name matches a glob
-//	    (path.Match syntax) is checked, e.g. //memento:nopanic Decode* Apply*.
 //	//memento:deterministic
 //	    Package-level: the package must not read wall clocks or
 //	    global randomness, nor iterate maps. Also accepted on a
@@ -26,8 +21,8 @@
 //	    Field-level (doc or trailing comment): the slice buffer is
 //	    pooled/reused, so noalloc accepts amortized append growth.
 //	//memento:allow <category> "reason"
-//	    Line-level waiver: suppresses <category> (alloc, lock, panic,
-//	    det) diagnostics on the comment's line and the next line. The
+//	    Line-level waiver: suppresses <category> (alloc, lock, det)
+//	    diagnostics on the comment's line and the next line. The
 //	    quoted reason is mandatory; unused waivers are diagnosed.
 //
 // Guarded fields use the human idiom the codebase already speaks: a
@@ -35,8 +30,11 @@
 // is protected by the named sibling mutex field.
 //
 // ParseAnnotations is strict: anything starting //memento: that does
-// not parse is a diagnostic, never silently ignored — a typo like
-// //memento:noaloc must fail the build, not disable a check.
+// not parse, or that sits where no check reads it (a function-level
+// directive outside a function's doc comment), is a diagnostic, never
+// silently ignored — a typo like //memento:noaloc, or a declaration
+// slipped between a directive and its function, must fail the build,
+// not disable a check.
 
 package analyzers
 
@@ -45,19 +43,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path"
 	"regexp"
 	"strconv"
 	"strings"
 )
-
-// Waiver categories, one per analyzer.
-var categories = map[string]bool{
-	"alloc": true,
-	"lock":  true,
-	"panic": true,
-	"det":   true,
-}
 
 // LockSpec names a parameter and the mutex field acquired on it.
 type LockSpec struct {
@@ -68,7 +57,6 @@ type LockSpec struct {
 // FuncAnn is the parsed annotation set of one function.
 type FuncAnn struct {
 	NoAlloc       bool
-	NoPanic       bool
 	Deterministic bool
 	Locked        []string   // receiver mutex fields held at entry
 	Locks         []LockSpec // param mutexes held at return
@@ -86,9 +74,8 @@ type Waiver struct {
 type Annotations struct {
 	Funcs map[*ast.FuncDecl]*FuncAnn
 
-	// PkgDeterministic and PkgNoPanic are the package-level markers.
+	// PkgDeterministic is the package-level marker.
 	PkgDeterministic bool
-	PkgNoPanic       []string // exported-function globs
 
 	// Reused and Guarded map field objects to their markers; Guarded
 	// values name the protecting sibling mutex field.
@@ -116,11 +103,26 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 		Waivers: make(map[string]map[int]*Waiver),
 	}
 	for _, f := range files {
+		// Directives are read only from a function's or the package's
+		// doc comment (parseFuncDoc, parsePackageMarker).
+		docs := make(map[*ast.Comment]bool)
+		if f.Doc != nil {
+			for _, c := range f.Doc.List {
+				docs[c] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Doc != nil {
+				for _, c := range d.Doc.List {
+					docs[c] = true
+				}
+			}
+		}
 		// Waivers and malformed-marker detection scan every comment
 		// in the file, wherever it hangs in the AST.
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				ann.parseComment(fset, c)
+				ann.parseComment(fset, c, docs[c])
 			}
 		}
 		// Package-level markers live in the package doc block.
@@ -175,8 +177,10 @@ func directive(c *ast.Comment) (verb, rest string, ok bool) {
 	return verb, strings.TrimSpace(rest), true
 }
 
-// parseComment handles waivers and flags malformed directives.
-func (ann *Annotations) parseComment(fset *token.FileSet, c *ast.Comment) {
+// parseComment handles waivers and flags malformed directives; inDoc
+// reports whether the comment sits in a function's or the package's
+// doc comment.
+func (ann *Annotations) parseComment(fset *token.FileSet, c *ast.Comment, inDoc bool) {
 	verb, rest, ok := directive(c)
 	if !ok {
 		return
@@ -198,8 +202,8 @@ func (ann *Annotations) parseComment(fset *token.FileSet, c *ast.Comment) {
 			fail(`malformed waiver %q: want //memento:allow <category> "reason"`, c.Text)
 			return
 		}
-		if !categories[cat] {
-			fail("unknown waiver category %q (want alloc, lock, panic or det)", cat)
+		if !isCategory(cat) {
+			fail("unknown waiver category %q (want alloc, lock or det)", cat)
 			return
 		}
 		if reason == "" {
@@ -212,13 +216,28 @@ func (ann *Annotations) parseComment(fset *token.FileSet, c *ast.Comment) {
 			ann.Waivers[pos.Filename] = byLine
 		}
 		byLine[pos.Line] = &Waiver{Pos: pos, Category: cat, Reason: reason}
-	case "noalloc", "nopanic", "deterministic", "locked", "locks", "reused":
-		// Validated in context (parseFuncDoc / parsePackageMarker /
-		// parseFields); here we only catch stray argument shapes that
-		// no context would accept.
+	case "noalloc", "deterministic", "locked", "locks":
+		// Arguments are validated in context (parseFuncDoc /
+		// parsePackageMarker); here we catch a directive no check
+		// reads.
+		if !inDoc {
+			fail("//memento:%s is outside any function or package doc comment, so no check reads it", verb)
+		}
+	case "reused":
+		// Validated in context (parseFuncDoc / parseFields).
 	default:
 		fail("unknown //memento: directive %q", verb)
 	}
+}
+
+// isCategory reports whether cat is an analyzer's waiver category.
+func isCategory(cat string) bool {
+	for _, a := range All() {
+		if a.Category == cat {
+			return true
+		}
+	}
+	return false
 }
 
 // parseAllow splits `<category> "reason"`.
@@ -250,21 +269,6 @@ func (ann *Annotations) parsePackageMarker(fset *token.FileSet, c *ast.Comment) 
 			return
 		}
 		ann.PkgDeterministic = true
-	case "nopanic":
-		globs := strings.Fields(rest)
-		if len(globs) == 0 {
-			ann.Errors = append(ann.Errors, Diagnostic{Pos: pos, Analyzer: "annot",
-				Message: "package-level //memento:nopanic needs function-name globs"})
-			return
-		}
-		for _, g := range globs {
-			if _, err := path.Match(g, "x"); err != nil {
-				ann.Errors = append(ann.Errors, Diagnostic{Pos: pos, Analyzer: "annot",
-					Message: fmt.Sprintf("bad glob %q in //memento:nopanic", g)})
-				return
-			}
-		}
-		ann.PkgNoPanic = append(ann.PkgNoPanic, globs...)
 	default:
 		ann.Errors = append(ann.Errors, Diagnostic{Pos: pos, Analyzer: "annot",
 			Message: fmt.Sprintf("//memento:%s is not a package-level directive", verb)})
@@ -301,12 +305,6 @@ func (ann *Annotations) parseFuncDoc(fset *token.FileSet, d *ast.FuncDecl) *Func
 				continue
 			}
 			get().NoAlloc = true
-		case "nopanic":
-			if rest != "" {
-				fail("function-level //memento:nopanic takes no arguments")
-				continue
-			}
-			get().NoPanic = true
 		case "deterministic":
 			if rest != "" {
 				fail("//memento:deterministic takes no arguments")
@@ -414,23 +412,6 @@ func (ann *Annotations) waive(category string, pos token.Position) bool {
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
 		if w := byLine[line]; w != nil && w.Category == category {
 			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// NoPanicScope reports whether the function is in nopanic's scope:
-// annotated directly, or exported and matching a package glob.
-func (ann *Annotations) NoPanicScope(d *ast.FuncDecl) bool {
-	if fa := ann.Funcs[d]; fa != nil && fa.NoPanic {
-		return true
-	}
-	if !d.Name.IsExported() {
-		return false
-	}
-	for _, g := range ann.PkgNoPanic {
-		if ok, _ := path.Match(g, d.Name.Name); ok {
 			return true
 		}
 	}

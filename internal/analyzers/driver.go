@@ -1,52 +1,79 @@
-// driver.go runs the whole suite over one type-checked package and
-// owns the policy both drivers (standalone and unitchecker) share:
-// test files are excluded, annotation parse errors are diagnostics,
-// waivers suppress findings in category, and an unused waiver is
-// itself a finding — a suppression must pay rent.
+// driver.go runs the whole suite over a module and owns the policy
+// every caller (mementovet, the tests) shares: annotation parse errors
+// are diagnostics, waivers suppress findings in category, and an
+// unused waiver is itself a finding — a suppression must pay rent.
 
 package analyzers
 
 import (
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// A Result is the outcome of analyzing one package.
-type Result struct {
+// A Report is the outcome of analyzing a module.
+type Report struct {
+	// Units are the analyzed packages, dependencies first.
+	Units      []*Unit
+	ModulePath string
+	// Diagnostics are sorted by position, then message.
 	Diagnostics []Diagnostic
-	// Waivers lists every //memento:allow in the package, used or not
-	// (mementovet -json surfaces them so suppressions stay visible).
+	// Waivers lists every //memento:allow in the module, used or not,
+	// sorted by position (mementovet -json surfaces them so
+	// suppressions stay visible).
 	Waivers []*Waiver
 }
 
-// AnalyzePackage parses annotations and runs every analyzer over one
-// package, accumulating facts into store (which must already hold the
-// facts of all module dependencies).
-func AnalyzePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, modulePath string, store *FactStore, analyzers []*Analyzer) (*Result, error) {
-	files = WithoutTestFiles(fset, files)
-	ann := ParseAnnotations(fset, files, info)
-	res := &Result{}
-	res.Diagnostics = append(res.Diagnostics, ann.Errors...)
+// Check loads patterns in dir (see Load) and runs the suite over every
+// module package in dependency order, so each package reads the facts
+// its dependencies exported.
+func Check(dir string, patterns []string) (*Report, error) {
+	units, modulePath, err := Load(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	r := &Report{Units: units, ModulePath: modulePath}
+	store := &FactStore{Funcs: make(map[string]FuncFact), Fields: make(map[string]FieldFact)}
+	for _, u := range units {
+		r.analyze(u, store)
+	}
+	sort.Slice(r.Waivers, func(i, j int) bool {
+		a, b := r.Waivers[i].Pos, r.Waivers[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	sort.Slice(r.Diagnostics, func(i, j int) bool {
+		a, b := r.Diagnostics[i].Pos, r.Diagnostics[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return r.Diagnostics[i].Message < r.Diagnostics[j].Message
+	})
+	return r, nil
+}
 
-	inModule := modulePath != "" &&
-		(pkg.Path() == modulePath || strings.HasPrefix(pkg.Path(), modulePath+"/"))
-
+// analyze parses one package's annotations, runs every analyzer over
+// it, and adds its findings and waivers to r.
+func (r *Report) analyze(u *Unit, store *FactStore) {
+	ann := ParseAnnotations(u.Fset, u.Files, u.Info)
+	r.Diagnostics = append(r.Diagnostics, ann.Errors...)
 	pass := &Pass{
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		Info:       info,
-		ModulePath: modulePath,
-		InModule:   inModule,
+		Fset:       u.Fset,
+		Files:      u.Files,
+		Pkg:        u.Pkg,
+		Info:       u.Info,
+		ModulePath: r.ModulePath,
 		Ann:        ann,
 		Facts:      store,
 		Report: func(d Diagnostic) {
-			res.Diagnostics = append(res.Diagnostics, d)
+			r.Diagnostics = append(r.Diagnostics, d)
 		},
 	}
 
@@ -54,68 +81,27 @@ func AnalyzePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, 
 	// analyzer runs, so cross-package append destinations resolve.
 	exportFieldFacts(pass)
 
-	for _, a := range analyzers {
-		if err := a.Run(pass); err != nil {
-			return nil, err
-		}
+	for _, a := range All() {
+		a.Run(pass)
 	}
 
-	// Unused waivers, in deterministic order.
 	for _, byLine := range ann.Waivers {
 		for _, w := range byLine {
-			res.Waivers = append(res.Waivers, w)
+			r.Waivers = append(r.Waivers, w)
+			if !w.Used {
+				r.Diagnostics = append(r.Diagnostics, Diagnostic{
+					Pos:      w.Pos,
+					Analyzer: "annot",
+					Message:  "unused //memento:allow " + w.Category + " waiver (reason: " + w.Reason + ") — remove it or re-justify",
+				})
+			}
 		}
 	}
-	sort.Slice(res.Waivers, func(i, j int) bool {
-		a, b := res.Waivers[i].Pos, res.Waivers[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	for _, w := range res.Waivers {
-		if !w.Used {
-			res.Diagnostics = append(res.Diagnostics, Diagnostic{
-				Pos:      w.Pos,
-				Analyzer: "annot",
-				Message:  "unused //memento:allow " + w.Category + " waiver (reason: " + w.Reason + ") — remove it or re-justify",
-			})
-		}
-	}
-
-	sort.Slice(res.Diagnostics, func(i, j int) bool {
-		a, b := res.Diagnostics[i].Pos, res.Diagnostics[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return res.Diagnostics[i].Message < res.Diagnostics[j].Message
-	})
-	return res, nil
-}
-
-// WithoutTestFiles drops _test.go files: the analyzers target
-// production invariants, and go vet feeds test-augmented packages.
-func WithoutTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
-	out := files[:0:0]
-	for _, f := range files {
-		name := filepath.Base(fset.Position(f.Pos()).Filename)
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }
 
 // exportFieldFacts publishes the package's //memento:reused fields so
 // dependent packages' noalloc runs can accept appends to them.
 func exportFieldFacts(pass *Pass) {
-	if !pass.InModule {
-		return
-	}
 	for v, reused := range pass.Ann.Reused {
 		if !reused {
 			continue

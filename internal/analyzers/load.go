@@ -1,4 +1,4 @@
-// load.go is the standalone driver's package loader. It shells out to
+// load.go is the driver's package loader. It shells out to
 // `go list -export -deps -json`, which works fully offline (export
 // data comes from the build cache), parses the module's own packages
 // from source with comments (annotations live in comments), and
@@ -129,18 +129,7 @@ func parseAndCheck(fset *token.FileSet, p *listedPackage, imp types.Importer) (*
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(p.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
-	}
-	return &Unit{ImportPath: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// NewInfo allocates the types.Info maps every analyzer relies on.
-func NewInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -149,4 +138,10 @@ func NewInfo() *types.Info {
 		Instances:  make(map[*ast.Ident]types.Instance),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(p.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
+	}
+	return &Unit{ImportPath: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -80,12 +80,9 @@ type lockguardPass struct {
 	declAnn map[*types.Func]*FuncAnn
 }
 
-func runLockGuard(pass *Pass) error {
-	if !pass.InModule {
-		return nil
-	}
+func runLockGuard(pass *Pass) {
 	if len(pass.Ann.Guarded) == 0 {
-		return nil
+		return
 	}
 	lp := &lockguardPass{pass: pass, declAnn: make(map[*types.Func]*FuncAnn)}
 	for decl, fa := range pass.Ann.Funcs {
@@ -109,7 +106,6 @@ func runLockGuard(pass *Pass) error {
 			lp.walkStmts(d.Body.List, held)
 		}
 	}
-	return nil
 }
 
 // walkStmts interprets a statement sequence, returning the lock state

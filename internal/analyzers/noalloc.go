@@ -38,8 +38,8 @@
 // deliberate soundness gap; it keeps the annotation burden at zero
 // for the pervasive `s.hash(x)` idiom.
 //
-// Deferred calls are accepted (open-coded defers do not allocate);
-// panic/recover belong to nopanic.
+// Deferred calls are accepted (open-coded defers do not allocate), and
+// so are panic and recover.
 
 package analyzers
 
@@ -75,53 +75,54 @@ type funcInfo struct {
 	decl    *ast.FuncDecl
 	obj     *types.Func
 	sites   []allocSite
-	callees map[*funcInfo][]token.Pos // same-package static calls
+	callees []callEdge // same-package static calls, in source order
 	clean   bool
 	why     string
 }
 
-func runNoAlloc(pass *Pass) error {
-	if !pass.InModule {
-		return nil
-	}
-	infos := collectFuncs(pass)
+// callEdge is one static call to a same-package function.
+type callEdge struct {
+	callee *funcInfo
+	pos    token.Pos
+}
+
+func runNoAlloc(pass *Pass) {
+	infos, byObj := collectFuncs(pass)
 
 	// Intrinsic pass: direct allocation sites plus cross-package
 	// verdicts (facts are final for dependencies).
 	for _, fi := range infos {
-		collectAllocSites(pass, fi, infos)
+		collectAllocSites(pass, fi, byObj)
 	}
 
 	// Same-package fixpoint: dirtiness propagates up call edges until
-	// stable (handles recursion and any visit order). Each edge is
-	// consumed the first sweep its callee is known dirty, so sites are
-	// recorded exactly once; a waived call site accepts the allocation
-	// and does not dirty the caller.
+	// stable (handles recursion). Each edge is consumed the first sweep
+	// its callee is known dirty, so sites are recorded exactly once; a
+	// waived call site accepts the allocation and does not dirty the
+	// caller. Functions are swept in declaration order and edges in
+	// source order, so the chain a report names is the same every run.
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range infos {
-			for callee, sites := range fi.callees {
-				if callee.clean {
+			kept := fi.callees[:0]
+			for _, e := range fi.callees {
+				if e.callee.clean {
+					kept = append(kept, e)
 					continue
 				}
-				delete(fi.callees, callee)
-				msg := fmt.Sprintf("calls %s, which allocates: %s", callee.obj.Name(), callee.why)
-				ann := pass.Ann.Funcs[callee.decl]
-				suppress := ann != nil && ann.NoAlloc
-				marked := false
-				for _, pos := range sites {
-					if pass.Ann.waive("alloc", pass.Fset.Position(pos)) {
-						continue
-					}
-					marked = true
-					fi.sites = append(fi.sites, allocSite{pos: pos, msg: msg, suppress: suppress})
+				if pass.Ann.waive("alloc", pass.Fset.Position(e.pos)) {
+					continue
 				}
-				if marked && fi.clean {
+				msg := fmt.Sprintf("calls %s, which allocates: %s", e.callee.obj.Name(), e.callee.why)
+				ann := pass.Ann.Funcs[e.callee.decl]
+				fi.sites = append(fi.sites, allocSite{pos: e.pos, msg: msg, suppress: ann != nil && ann.NoAlloc})
+				if fi.clean {
 					fi.clean = false
 					fi.why = msg
 					changed = true
 				}
 			}
+			fi.callees = kept
 		}
 	}
 
@@ -144,12 +145,13 @@ func runNoAlloc(pass *Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
-// collectFuncs indexes every function declaration with a body.
-func collectFuncs(pass *Pass) map[*types.Func]*funcInfo {
-	infos := make(map[*types.Func]*funcInfo)
+// collectFuncs lists every function declaration with a body, in
+// declaration order, and indexes them by object.
+func collectFuncs(pass *Pass) ([]*funcInfo, map[*types.Func]*funcInfo) {
+	var infos []*funcInfo
+	byObj := make(map[*types.Func]*funcInfo)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
@@ -160,22 +162,19 @@ func collectFuncs(pass *Pass) map[*types.Func]*funcInfo {
 			if !ok {
 				continue
 			}
-			infos[obj] = &funcInfo{
-				decl:    d,
-				obj:     obj,
-				callees: make(map[*funcInfo][]token.Pos),
-				clean:   true,
-			}
+			fi := &funcInfo{decl: d, obj: obj, clean: true}
+			infos = append(infos, fi)
+			byObj[obj] = fi
 		}
 	}
-	return infos
+	return infos, byObj
 }
 
 // collectAllocSites walks one function body recording intrinsic
 // allocation sites (waived ones excluded) and same-package call
 // edges. Nested closure bodies are not descended into: the closure
 // literal itself is the allocation, and calling it is indirect.
-func collectAllocSites(pass *Pass, fi *funcInfo, infos map[*types.Func]*funcInfo) {
+func collectAllocSites(pass *Pass, fi *funcInfo, byObj map[*types.Func]*funcInfo) {
 	rooted := paramRootedVars(pass, fi.decl)
 	dirty := func(pos token.Pos, format string, args ...any) {
 		if pass.Ann.waive("alloc", pass.Fset.Position(pos)) {
@@ -226,7 +225,7 @@ func collectAllocSites(pass *Pass, fi *funcInfo, infos map[*types.Func]*funcInfo
 			}
 			checkImplicitBoxing(pass, n, dirty)
 		case *ast.CallExpr:
-			checkCall(pass, fi, infos, n, rooted, dirty)
+			checkCall(pass, fi, byObj, n, rooted, dirty)
 		}
 		return true
 	}
@@ -239,7 +238,7 @@ func collectAllocSites(pass *Pass, fi *funcInfo, infos map[*types.Func]*funcInfo
 }
 
 // checkCall classifies one call expression.
-func checkCall(pass *Pass, fi *funcInfo, infos map[*types.Func]*funcInfo, call *ast.CallExpr, rooted map[*types.Var]bool, dirty func(token.Pos, string, ...any)) {
+func checkCall(pass *Pass, fi *funcInfo, byObj map[*types.Func]*funcInfo, call *ast.CallExpr, rooted map[*types.Var]bool, dirty func(token.Pos, string, ...any)) {
 	if isConversion(pass.Info, call) {
 		checkConversion(pass, call, dirty)
 		return
@@ -280,8 +279,8 @@ func checkCall(pass *Pass, fi *funcInfo, infos map[*types.Func]*funcInfo, call *
 	}
 	if pass.inModulePath(pkg.Path()) {
 		if pkg == pass.Pkg {
-			if callee, ok := infos[fn.Origin()]; ok {
-				fi.callees[callee] = append(fi.callees[callee], call.Pos())
+			if callee, ok := byObj[fn.Origin()]; ok {
+				fi.callees = append(fi.callees, callEdge{callee, call.Pos()})
 			}
 			return
 		}

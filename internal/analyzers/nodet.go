@@ -35,10 +35,7 @@ var NoDet = &Analyzer{
 	Run: runNoDet,
 }
 
-func runNoDet(pass *Pass) error {
-	if !pass.InModule {
-		return nil
-	}
+func runNoDet(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
@@ -55,7 +52,6 @@ func runNoDet(pass *Pass) error {
 			checkDeterminism(pass, d)
 		}
 	}
-	return nil
 }
 
 func checkDeterminism(pass *Pass, d *ast.FuncDecl) {
@@ -93,5 +89,4 @@ func checkDeterminism(pass *Pass, d *ast.FuncDecl) {
 		}
 		return true
 	})
-	return
 }

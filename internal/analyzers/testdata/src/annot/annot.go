@@ -14,3 +14,11 @@ func BadWaiver() {}
 // want+1 `unknown waiver category "perf"`
 //memento:allow perf "not a category"
 func BadCategory() {}
+
+// A declaration slipped between a directive and its function leaves
+// the directive on the declaration, where no check reads it.
+// want+1 `//memento:noalloc is outside any function or package doc comment`
+//memento:noalloc
+var misplaced int
+
+func Misplaced() int { return misplaced }

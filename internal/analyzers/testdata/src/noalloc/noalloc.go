@@ -150,3 +150,19 @@ func waived() []int {
 // want+1 `unused //memento:allow alloc waiver`
 //memento:allow alloc "stale: nothing on the next line allocates"
 func quiet() { sink++ }
+
+// chainA and chainB both allocate and twoWays reaches both: the report
+// names the chain through the first call in source order, every run.
+func chainA() []int { return make([]int, 1) }
+
+func chainB() *Point { return new(Point) }
+
+func twoWays() {
+	sink = len(chainA())
+	_ = chainB()
+}
+
+//memento:noalloc
+func reachesTwo() {
+	twoWays() // want `calls twoWays, which allocates: calls chainA, which allocates: make allocates`
+}

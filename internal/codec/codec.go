@@ -36,7 +36,6 @@
 // trusting the source's slot layout.
 //
 //memento:deterministic
-//memento:nopanic Decode* Read*
 package codec
 
 import (

@@ -35,7 +35,6 @@
 // or guard it with a mutex at a higher layer.
 //
 //memento:deterministic
-//memento:nopanic Decode*
 package core
 
 import (

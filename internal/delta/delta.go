@@ -79,7 +79,6 @@
 // Any other header flag bit is refused as corruption.
 //
 //memento:deterministic
-//memento:nopanic Apply* Decode*
 package delta
 
 import (

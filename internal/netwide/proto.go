@@ -18,8 +18,6 @@
 // Frames above MaxFrame bytes are rejected; a corrupt CRC closes the
 // connection. These two rules bound memory and fail fast on framing
 // bugs, per the usual discipline for binary TCP protocols.
-//
-//memento:nopanic Decode* Apply*
 package netwide
 
 import (
