@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,41 +48,69 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "save":
-		err = runSave(os.Args[2:])
-	case "load":
-		err = runLoad(os.Args[2:])
-	case "inspect":
-		err = runInspect(os.Args[2:])
-	case "merge":
-		err = runMerge(os.Args[2:])
-	case "diff":
-		err = runDiff(os.Args[2:])
-	case "materialize":
-		err = runMaterialize(os.Args[2:])
-	case "top":
-		err = runTop(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
 	default:
-		fmt.Fprintf(os.Stderr, "mementoctl: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "mementoctl:", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// errUsage marks a command line that run has already answered with
+// usage text on stderr; main exits 2 without printing it again.
+var errUsage = errors.New("usage")
+
+// run executes one mementoctl command line (args without the program
+// name), writing results to stdout and diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		usage(stderr)
+		return errUsage
+	}
+	var cmd func(args []string, stdout, stderr io.Writer) error
+	switch args[0] {
+	case "save":
+		cmd = runSave
+	case "load":
+		cmd = runLoad
+	case "inspect":
+		cmd = runInspect
+	case "merge":
+		cmd = runMerge
+	case "diff":
+		cmd = runDiff
+	case "materialize":
+		cmd = runMaterialize
+	case "top":
+		cmd = runTop
+	case "-h", "--help", "help":
+		usage(stderr)
+		return nil
+	default:
+		fmt.Fprintf(stderr, "mementoctl: unknown command %q\n", args[0])
+		usage(stderr)
+		return errUsage
+	}
+	return cmd(args[1:], stdout, stderr)
+}
+
+// parseFlags parses a subcommand's flags, reporting to stderr. A bad
+// flag comes back as errUsage, already reported with the flag
+// defaults; -h comes back as flag.ErrHelp.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", errUsage, err)
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   mementoctl save    -out FILE [flags]   ingest a trace and checkpoint it
   mementoctl load    -in FILE [-theta T] restore a live instance, print its HHH set
   mementoctl inspect -in FILE            describe a checkpoint's layout
@@ -103,71 +132,102 @@ func hierFromFlags(twod, flows bool) hierarchy.Hierarchy {
 	}
 }
 
-func runSave(args []string) error {
-	fs := flag.NewFlagSet("save", flag.ExitOnError)
+// saveSpec is the instance and trace that save's flags select.
+type saveSpec struct {
+	hier                                 hierarchy.Hierarchy
+	profile                              string
+	packets, window, counters, v, shards int
+	heavy                                float64
+	seed                                 uint64
+}
+
+func runSave(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("save", flag.ContinueOnError)
+	var sp saveSpec
 	out := fs.String("out", "", "output checkpoint file (required)")
-	profile := fs.String("trace", "Backbone", "trace profile (Edge, Datacenter, Backbone)")
-	packets := fs.Int("packets", 1<<20, "packets to ingest before checkpointing")
-	window := fs.Int("window", 1<<18, "global sliding window W")
-	counters := fs.Int("counters", 512, "per-pattern counter budget (total is counters*H)")
-	v := fs.Int("v", 0, "sampling ratio V (0: H, i.e. full fidelity — offline saves aren't rate-bound)")
-	shards := fs.Int("shards", 4, "shard count")
+	fs.StringVar(&sp.profile, "trace", "Backbone", "trace profile (Edge, Datacenter, Backbone)")
+	fs.IntVar(&sp.packets, "packets", 1<<20, "packets to ingest before checkpointing")
+	fs.IntVar(&sp.window, "window", 1<<18, "global sliding window W")
+	fs.IntVar(&sp.counters, "counters", 512, "per-pattern counter budget (total is counters*H)")
+	fs.IntVar(&sp.v, "v", 0, "sampling ratio V (0: H, i.e. full fidelity — offline saves aren't rate-bound)")
+	fs.IntVar(&sp.shards, "shards", 4, "shard count")
 	twod := fs.Bool("twod", false, "2D src×dst hierarchy")
 	flows := fs.Bool("flows", false, "flows hierarchy (plain heavy hitters)")
-	heavy := fs.Float64("heavy", 0, "inject this fraction of packets as a heavy 10.0.0.0/8 flood")
-	seed := fs.Uint64("seed", 1, "deterministic seed")
-	fs.Parse(args)
+	fs.Float64Var(&sp.heavy, "heavy", 0, "inject this fraction of packets as a heavy 10.0.0.0/8 flood")
+	fs.Uint64Var(&sp.seed, "seed", 1, "deterministic seed")
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("save: -out is required")
 	}
-	hier := hierFromFlags(*twod, *flows)
-	sampleV := *v
-	if sampleV == 0 {
-		sampleV = hier.H()
+	sp.hier = hierFromFlags(*twod, *flows)
+	s, err := sp.ingest()
+	if err != nil {
+		return err
+	}
+	size, err := writeCheckpoint(*out, s)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "saved %s: %d shards, hierarchy %s, window %d, %d packets, %d bytes\n",
+		*out, s.Shards(), sp.hier, s.EffectiveWindow(), sp.packets, size)
+	return nil
+}
+
+// ingest builds the sharded H-Memento that sp selects and feeds it
+// sp's trace.
+func (sp saveSpec) ingest() (*shard.HHH, error) {
+	v := sp.v
+	if v == 0 {
+		v = sp.hier.H()
 	}
 	s, err := shard.NewHHH(shard.HHHConfig{
 		Core: core.HHHConfig{
-			Hierarchy: hier, Window: *window,
-			Counters: *counters * hier.H(), V: sampleV, Seed: *seed + 1,
+			Hierarchy: sp.hier, Window: sp.window,
+			Counters: sp.counters * sp.hier.H(), V: v, Seed: sp.seed + 1,
 		},
-		Shards: *shards,
+		Shards: sp.shards,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	prof, err := trace.ProfileByName(*profile)
+	prof, err := trace.ProfileByName(sp.profile)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	gen, err := trace.NewGenerator(prof, *seed)
+	gen, err := trace.NewGenerator(prof, sp.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b := s.NewBatcher(0)
-	flood := newFloodMixer(*heavy, *seed+7)
-	for i := 0; i < *packets; i++ {
+	flood := newFloodMixer(sp.heavy, sp.seed+7)
+	for i := 0; i < sp.packets; i++ {
 		b.Add(flood.mix(gen.Next()))
 	}
 	b.Flush()
+	return s, nil
+}
 
-	f, err := os.Create(*out)
+// writeCheckpoint writes s's checkpoint to path and returns the file
+// size.
+func writeCheckpoint(path string, s *shard.HHH) (int64, error) {
+	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
 	if err := s.Checkpoint(f); err != nil {
-		return err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
-	info, err := os.Stat(*out)
+	info, err := os.Stat(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	fmt.Printf("saved %s: %d shards, hierarchy %s, window %d, %d packets, %d bytes\n",
-		*out, s.Shards(), hier, s.EffectiveWindow(), *packets, info.Size())
-	return nil
+	return info.Size(), nil
 }
 
 // floodMixer deterministically replaces a fraction of packets with a
@@ -200,11 +260,13 @@ func (m *floodMixer) mix(p hierarchy.Packet) hierarchy.Packet {
 	return p
 }
 
-func runLoad(args []string) error {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
+func runLoad(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	in := fs.String("in", "", "checkpoint file (required)")
 	theta := fs.Float64("theta", 0.01, "HHH threshold for the printed set")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" {
 		return fmt.Errorf("load: -in is required")
 	}
@@ -217,16 +279,18 @@ func runLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("restored %s: %d shards, hierarchy %s, window %d, %d updates\n",
+	fmt.Fprintf(stdout, "restored %s: %d shards, hierarchy %s, window %d, %d updates\n",
 		*in, s.Shards(), s.Hierarchy(), s.EffectiveWindow(), s.Updates())
-	printEntries(s.Output(*theta), *theta, s.EffectiveWindow())
+	printEntries(stdout, s.Output(*theta), *theta, s.EffectiveWindow())
 	return nil
 }
 
-func runInspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
+func runInspect(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	in := fs.String("in", "", "checkpoint file, chain record, or chain directory (required)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" {
 		return fmt.Errorf("inspect: -in is required")
 	}
@@ -235,7 +299,7 @@ func runInspect(args []string) error {
 		return err
 	}
 	if info.IsDir() {
-		return inspectChainDir(*in)
+		return inspectChainDir(stdout, *in)
 	}
 	kind, err := peekKind(*in)
 	if err != nil {
@@ -243,9 +307,9 @@ func runInspect(args []string) error {
 	}
 	switch kind {
 	case codec.KindHHHDelta:
-		return inspectDeltaRecord(*in)
+		return inspectDeltaRecord(stdout, *in)
 	case codec.KindHHHDeltaSet:
-		return inspectDeltaSet(*in)
+		return inspectDeltaSet(stdout, *in)
 	default:
 		f, err := os.Open(*in)
 		if err != nil {
@@ -256,16 +320,16 @@ func runInspect(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: format v%d, %d shards, hierarchy %s\n",
+		fmt.Fprintf(stdout, "%s: format v%d, %d shards, hierarchy %s\n",
 			*in, codec.Version, len(snaps), snaps[0].Hierarchy())
-		return printShardTable(snaps)
+		return printShardTable(stdout, snaps)
 	}
 }
 
 // printShardTable renders the per-shard state table shared by every
 // inspect flavor.
-func printShardTable(snaps []*core.HHHSnapshot) error {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printShardTable(stdout io.Writer, snaps []*core.HHHSnapshot) error {
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "shard\twindow\tupdates\tfull\tcounters\toverflow\ttracked\tV\tcomp\trestorable")
 	for i, snap := range snaps {
 		mem := snap.Sketch()
@@ -296,7 +360,7 @@ func peekKind(path string) (uint8, error) {
 }
 
 // describeRecord renders one chain record's framing line.
-func describeRecord(tag string, rec []byte) (delta.Info, error) {
+func describeRecord(stdout io.Writer, tag string, rec []byte) (delta.Info, error) {
 	inf, err := delta.Describe(rec)
 	if err != nil {
 		return inf, err
@@ -305,23 +369,23 @@ func describeRecord(tag string, rec []byte) (delta.Info, error) {
 	if inf.Base {
 		flavor = "base"
 	}
-	fmt.Printf("%s: %s, chain %#x, epoch %d, restore=%v", tag, flavor, inf.Chain, inf.Epoch, inf.Restore)
+	fmt.Fprintf(stdout, "%s: %s, chain %#x, epoch %d, restore=%v", tag, flavor, inf.Chain, inf.Epoch, inf.Restore)
 	if inf.Base {
-		fmt.Printf(", embedded %d bytes\n", inf.EmbeddedBytes)
+		fmt.Fprintf(stdout, ", embedded %d bytes\n", inf.EmbeddedBytes)
 	} else {
-		fmt.Printf(", %d entries, updates %d, clearMon=%v\n", inf.Entries, inf.Updates, inf.ClearMonitored)
+		fmt.Fprintf(stdout, ", %d entries, updates %d, clearMon=%v\n", inf.Entries, inf.Updates, inf.ClearMonitored)
 	}
 	return inf, nil
 }
 
 // inspectDeltaRecord describes a single KindHHHDelta file (a
 // cmd/controller chain step) and, for bases, the embedded state.
-func inspectDeltaRecord(path string) error {
+func inspectDeltaRecord(stdout io.Writer, path string) error {
 	rec, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	inf, err := describeRecord(path, rec)
+	inf, err := describeRecord(stdout, path, rec)
 	if err != nil {
 		return err
 	}
@@ -334,14 +398,14 @@ func inspectDeltaRecord(path string) error {
 		if err != nil {
 			return err
 		}
-		return printShardTable([]*core.HHHSnapshot{snap})
+		return printShardTable(stdout, []*core.HHHSnapshot{snap})
 	}
 	return nil
 }
 
 // inspectDeltaSet describes one KindHHHDeltaSet file's per-shard
 // records; a base set also materializes its state table.
-func inspectDeltaSet(path string) error {
+func inspectDeltaSet(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -351,7 +415,7 @@ func inspectDeltaSet(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w (a delta step applies only after its chain; inspect the directory instead)", path, err)
 	}
-	fmt.Printf("%s: format v%d, %d shards, chain %#x, epoch %d (base step)\n",
+	fmt.Fprintf(stdout, "%s: format v%d, %d shards, chain %#x, epoch %d (base step)\n",
 		path, codec.Version, len(sts), sts[0].Chain(), sts[0].Epoch())
 	snaps := make([]*core.HHHSnapshot, len(sts))
 	for i, st := range sts {
@@ -359,7 +423,7 @@ func inspectDeltaSet(path string) error {
 			return err
 		}
 	}
-	return printShardTable(snaps)
+	return printShardTable(stdout, snaps)
 }
 
 // loadChainStates applies the newest chain in dir and returns its
@@ -410,18 +474,18 @@ func loadChainStates(dir string) ([]*delta.State, *delta.Chain, error) {
 
 // inspectChainDir applies the newest chain in a checkpoint directory
 // and shows the materialized per-shard state.
-func inspectChainDir(dir string) error {
+func inspectChainDir(stdout io.Writer, dir string) error {
 	sts, chain, err := loadChainStates(dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: chain %#x at epoch %d (base %s + %d deltas), %d partitions\n",
+	fmt.Fprintf(stdout, "%s: chain %#x at epoch %d (base %s + %d deltas), %d partitions\n",
 		dir, sts[0].Chain(), sts[0].Epoch(), filepath.Base(chain.Base), len(chain.Deltas), len(sts))
 	// Staleness: how long ago the chain last advanced. A warm-restart
 	// or replication chain that stopped stepping is stale state a
 	// restore would silently serve — surface its age next to the epoch.
 	if age, newest, err := chainAge(chain); err == nil {
-		fmt.Printf("  last step %s ago (%s)\n", age.Round(time.Second), filepath.Base(newest))
+		fmt.Fprintf(stdout, "  last step %s ago (%s)\n", age.Round(time.Second), filepath.Base(newest))
 	}
 	snaps := make([]*core.HHHSnapshot, len(sts))
 	for i, st := range sts {
@@ -429,7 +493,7 @@ func inspectChainDir(dir string) error {
 			return err
 		}
 	}
-	return printShardTable(snaps)
+	return printShardTable(stdout, snaps)
 }
 
 // chainAge returns how long ago the chain's newest file (base or
@@ -485,10 +549,12 @@ func restoreAny(path string) (*shard.HHH, error) {
 	return s, nil
 }
 
-func runMaterialize(args []string) error {
-	fs := flag.NewFlagSet("materialize", flag.ExitOnError)
+func runMaterialize(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("materialize", flag.ContinueOnError)
 	out := fs.String("out", "", "output plain checkpoint file (required)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *out == "" || fs.NArg() != 1 {
 		return fmt.Errorf("materialize: need -out FILE and exactly one chain directory")
 	}
@@ -496,23 +562,12 @@ func runMaterialize(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
+	size, err := writeCheckpoint(*out, s)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := s.Checkpoint(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("materialized %s -> %s: %d shards, window %d, %d updates, %d bytes\n",
-		fs.Arg(0), *out, s.Shards(), s.EffectiveWindow(), s.Updates(), info.Size())
+	fmt.Fprintf(stdout, "materialized %s -> %s: %d shards, window %d, %d updates, %d bytes\n",
+		fs.Arg(0), *out, s.Shards(), s.EffectiveWindow(), s.Updates(), size)
 	return nil
 }
 
@@ -530,13 +585,15 @@ func loadCheckpointSnapshots(path string) ([]*core.HHHSnapshot, error) {
 	return snaps, nil
 }
 
-func runMerge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
+func runMerge(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
 	theta := fs.Float64("theta", 0.01, "HHH threshold for the merged set")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	files := fs.Args()
-	if len(files) < 2 {
-		return fmt.Errorf("merge: need at least two checkpoint files")
+	if len(files) == 0 {
+		return fmt.Errorf("merge: need at least one checkpoint file")
 	}
 	var all []*core.HHHSnapshot
 	for _, path := range files {
@@ -555,16 +612,18 @@ func runMerge(args []string) error {
 	// one partition set covering the union of the nodes' traffic.
 	var m shard.Merger
 	entries := m.Output(all[0].Hierarchy(), all, *theta, nil)
-	fmt.Printf("merged %d files (%d partitions): window %d, compensation %.1f\n",
+	fmt.Fprintf(stdout, "merged %d files (%d partitions): window %d, compensation %.1f\n",
 		len(files), len(all), m.Window(), m.Compensation())
-	printEntries(entries, *theta, m.Window())
+	printEntries(stdout, entries, *theta, m.Window())
 	return nil
 }
 
-func runDiff(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+func runDiff(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	theta := fs.Float64("theta", 0.01, "HHH threshold for the compared sets")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	files := fs.Args()
 	if len(files) != 2 {
 		return fmt.Errorf("diff: need exactly two checkpoint files")
@@ -598,9 +657,9 @@ func runDiff(args []string) error {
 	}
 	sort.Slice(union, func(i, j int) bool { return union[i].String() < union[j].String() })
 
-	fmt.Printf("%s: %d entries; %s: %d entries (theta %.4g)\n",
+	fmt.Fprintf(stdout, "%s: %d entries; %s: %d entries (theta %.4g)\n",
 		files[0], len(outA), files[1], len(outB), *theta)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "prefix\tin\testimate A\testimate B\tdelta")
 	for _, p := range union {
 		ea, inA := setA[p]
@@ -628,9 +687,9 @@ func runDiff(args []string) error {
 }
 
 // printEntries renders an HHH set, largest estimates first.
-func printEntries(entries []core.HeavyPrefix, theta float64, window int) {
+func printEntries(stdout io.Writer, entries []core.HeavyPrefix, theta float64, window int) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Estimate > entries[j].Estimate })
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "prefix\testimate\tconditioned\tshare of W=%d\n", window)
 	for _, e := range entries {
 		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.2f%%\n",

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -33,14 +32,16 @@ type topEvents struct {
 	Events  []topEvent `json:"events"`
 }
 
-func runTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
+func runTop(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9700", "debug address of the target process (-debug-addr)")
 	watch := fs.Bool("watch", false, "redraw continuously instead of printing once")
 	every := fs.Duration("every", 2*time.Second, "refresh interval with -watch")
 	events := fs.Int("events", 10, "recent trace events to show (0 hides the section)")
 	asJSON := fs.Bool("json", false, "emit one machine-readable JSON document per snapshot instead of the table")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *every <= 0 {
 		return fmt.Errorf("top: -every must be positive, got %v", *every)
 	}
@@ -54,13 +55,13 @@ func runTop(args []string) error {
 			// ANSI clear + home: good enough for a status loop without
 			// pulling in a terminal library. JSON mode never clears —
 			// with -watch it emits one document per line for scrapers.
-			fmt.Print("\x1b[2J\x1b[H")
+			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
 		}
-		if err := topOnce(client, base, *events, *asJSON); err != nil {
+		if err := topOnce(stdout, client, base, *events, *asJSON); err != nil {
 			if !*watch {
 				return err
 			}
-			fmt.Fprintln(os.Stderr, "mementoctl top:", err)
+			fmt.Fprintln(stderr, "mementoctl top:", err)
 		}
 		if !*watch {
 			return nil
@@ -71,7 +72,7 @@ func runTop(args []string) error {
 
 // topOnce fetches and renders one snapshot of the target's metrics
 // and recent events, as a table or (asJSON) a single JSON document.
-func topOnce(client *http.Client, addr string, nEvents int, asJSON bool) error {
+func topOnce(stdout io.Writer, client *http.Client, addr string, nEvents int, asJSON bool) error {
 	metrics := map[string]json.RawMessage{}
 	if err := topGet(client, "http://"+addr+"/debug/metrics?format=json", &metrics); err != nil {
 		return err
@@ -89,10 +90,10 @@ func topOnce(client *http.Client, addr string, nEvents int, asJSON bool) error {
 			}
 			doc.Events = &ev
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		return enc.Encode(doc)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "# %s at %s\n", addr, time.Now().Format(time.TimeOnly))
 	names := make([]string, 0, len(metrics))
 	for name := range metrics {
@@ -123,13 +124,13 @@ func topOnce(client *http.Client, addr string, nEvents int, asJSON bool) error {
 	if err := topGet(client, fmt.Sprintf("http://%s/debug/events?n=%d", addr, nEvents), &ev); err != nil {
 		return err
 	}
-	fmt.Printf("\nevents (seq %d, dropped %d):\n", ev.Seq, ev.Dropped)
+	fmt.Fprintf(stdout, "\nevents (seq %d, dropped %d):\n", ev.Seq, ev.Dropped)
 	if len(ev.Events) == 0 {
-		fmt.Println("  (none)")
+		fmt.Fprintln(stdout, "  (none)")
 	}
 	for _, e := range ev.Events {
 		ts := time.Unix(0, e.Nanos).Format(time.TimeOnly)
-		fmt.Printf("  %6d  %s  %-14s %s value=%d\n", e.Seq, ts, e.Kind, e.Actor, e.Value)
+		fmt.Fprintf(stdout, "  %6d  %s  %-14s %s value=%d\n", e.Seq, ts, e.Kind, e.Actor, e.Value)
 	}
 	return nil
 }
