@@ -1,34 +1,37 @@
-// Command mementoctl operates on durable sketch checkpoints: save a
-// sharded H-Memento's state to a file, restore and query it offline,
-// inspect a file's layout, merge checkpoints from independent nodes
-// into one network-wide HHH view, and diff two checkpoints.
+// Command mementoctl operates on durable sketch state: save a sharded
+// H-Memento's state to a file, restore and query it offline, inspect
+// its layout, merge the state of independent nodes into one
+// network-wide HHH view, and diff two states.
 //
 // Usage:
 //
 //	mementoctl save -out sketch.mckpt [-trace Backbone] [-packets N]
 //	        [-window W] [-counters C] [-v V] [-shards N] [-twod|-flows]
 //	        [-heavy F] [-seed S]
-//	mementoctl load -in sketch.mckpt [-theta T]
-//	mementoctl inspect -in sketch.mckpt|chain-dir|chain-file
-//	mementoctl merge -theta T a.mckpt b.mckpt ...
-//	mementoctl diff -theta T a.mckpt b.mckpt
-//	mementoctl materialize -out plain.mckpt chain-dir
-//	mementoctl top -addr host:port [-watch] [-every D] [-events N]
+//	mementoctl load -in sketch.mckpt|chain-dir [-theta T]
+//	mementoctl inspect -in sketch.mckpt|chain-dir|chain-record
+//	mementoctl merge [-theta T] a.mckpt|chain-dir ...
+//	mementoctl diff [-theta T] a.mckpt|chain-dir b.mckpt|chain-dir
+//	mementoctl materialize -out plain.mckpt chain-dir|base-file
+//	mementoctl top -addr host:port [-watch] [-every D] [-events N] [-json]
 //
-// Files are internal/codec records: KindHHHSet checkpoints (the bytes
-// shard.HHH.Checkpoint streams), KindHHHDeltaSet chain steps written
-// by the warm-restart checkpointer (internal/delta), and single
-// KindHHHDelta records from cmd/controller's chain. inspect and diff
-// accept any of them — pass a chain directory and the newest
-// base+delta chain is applied first — and materialize folds a chain
-// back into a plain KindHHHSet checkpoint offline. load rebuilds a
-// live sharded instance purely from the file (configuration is
-// derived from the per-shard snapshots); merge combines independent
-// nodes' checkpoints with the shard layer's merged-estimate math,
-// exactly as the controller merges delta-reporting agents.
+// State has one form on disk, the chains of internal/delta. A
+// checkpoint (what save and materialize write: shard.HHH.Checkpoint)
+// is a KindHHHDeltaSet step holding one chain base per shard. The
+// warm-restart directories of cmd/lbproxy hold such a base step and
+// the delta steps after it; cmd/controller's hold single KindHHHDelta
+// records. Every command that reads state takes a base file or a chain
+// directory, whose newest chain it applies, and rebuilds the state
+// from the records alone (configuration derives from the
+// per-partition snapshots); inspect also describes a lone chain
+// record. merge combines independent nodes' partitions with the shard
+// layer's merged-estimate math, exactly as the controller merges
+// delta-reporting agents. A file of the retired sharded checkpoint
+// kind (4) fails with codec.ErrKind.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -111,13 +114,14 @@ func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  mementoctl save    -out FILE [flags]   ingest a trace and checkpoint it
-  mementoctl load    -in FILE [-theta T] restore a live instance, print its HHH set
-  mementoctl inspect -in FILE            describe a checkpoint's layout
-  mementoctl merge   -theta T FILES...   merge checkpoints from independent nodes
-  mementoctl diff    -theta T A B        compare two checkpoints (or chain dirs)
-  mementoctl materialize -out FILE CHAIN fold a base+delta chain into a plain checkpoint
-  mementoctl top     -addr HOST:PORT [-watch] live metrics/events of a -debug-addr process`)
+  mementoctl save    -out FILE [flags]    ingest a trace and checkpoint it
+  mementoctl load    -in IN [-theta T]    restore a live instance, print its HHH set
+  mementoctl inspect -in IN|RECORD        describe a checkpoint's or chain's layout
+  mementoctl merge   -theta T IN...       merge the state of independent nodes
+  mementoctl diff    -theta T IN IN       compare two HHH sets
+  mementoctl materialize -out FILE IN     fold a chain into one checkpoint file
+  mementoctl top     -addr HOST:PORT [-watch] live metrics/events of a -debug-addr process
+IN is a checkpoint file or a chain directory.`)
 }
 
 // hierFromFlags resolves the hierarchy selection flags.
@@ -262,7 +266,7 @@ func (m *floodMixer) mix(p hierarchy.Packet) hierarchy.Packet {
 
 func runLoad(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
-	in := fs.String("in", "", "checkpoint file (required)")
+	in := fs.String("in", "", "checkpoint file or chain directory (required)")
 	theta := fs.Float64("theta", 0.01, "HHH threshold for the printed set")
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
@@ -270,12 +274,7 @@ func runLoad(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("load: -in is required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	s, err := shard.RestoreHHH(f)
+	s, err := restoreInput(*in)
 	if err != nil {
 		return err
 	}
@@ -283,6 +282,101 @@ func runLoad(args []string, stdout, stderr io.Writer) error {
 		*in, s.Shards(), s.Hierarchy(), s.EffectiveWindow(), s.Updates())
 	printEntries(stdout, s.Output(*theta), *theta, s.EffectiveWindow())
 	return nil
+}
+
+// input is the state a command reads: a file holding a chain base, or
+// the newest chain of a directory, applied into one state per
+// partition.
+type input struct {
+	path  string
+	kind  uint8        // the base's record kind
+	chain *delta.Chain // nil for a file
+	sts   []*delta.State
+}
+
+// loadInput applies path: a base file (a checkpoint, a set base step
+// or a single base record) or a chain directory, whose newest base is
+// applied with the deltas that follow it. Both chain layouts load:
+// sharded KindHHHDeltaSet steps (shard.HHH) and single KindHHHDelta
+// records (cmd/controller's chain, one partition). Every command that
+// reads state goes through here.
+func loadInput(path string) (*input, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	in := &input{path: path}
+	files := []string{path}
+	if info.IsDir() {
+		if in.chain, err = delta.FindChain(path); err != nil {
+			return nil, err
+		}
+		if in.chain == nil {
+			return nil, fmt.Errorf("%s: no chain base found", path)
+		}
+		files = append([]string{in.chain.Base}, in.chain.Deltas...)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		if err := in.apply(data); err != nil {
+			if in.chain == nil && errors.Is(err, delta.ErrEpochGap) {
+				return nil, fmt.Errorf("%s: %w (a delta step applies only after its chain; pass the chain directory)", file, err)
+			}
+			return nil, fmt.Errorf("%s: %w", file, err)
+		}
+	}
+	return in, nil
+}
+
+// apply applies one chain file's bytes; the first fixes the layout.
+func (in *input) apply(data []byte) error {
+	if in.sts == nil {
+		h, _, err := codec.ReadHeader(data)
+		if err != nil {
+			return err
+		}
+		if in.kind = h.Kind; in.kind == codec.KindHHHDelta {
+			in.sts = []*delta.State{delta.NewState()}
+		}
+	}
+	if in.kind == codec.KindHHHDelta {
+		return in.sts[0].Apply(data)
+	}
+	var err error
+	in.sts, err = shard.ApplyHHHDeltaSet(bytes.NewReader(data), in.sts)
+	return err
+}
+
+// snapshots returns each partition's canonical snapshot.
+func (in *input) snapshots() ([]*core.HHHSnapshot, error) {
+	snaps := make([]*core.HHHSnapshot, len(in.sts))
+	for i, st := range in.sts {
+		var err error
+		if snaps[i], err = st.Snapshot(); err != nil {
+			return nil, fmt.Errorf("%s: partition %d: %w", in.path, i, err)
+		}
+	}
+	return snaps, nil
+}
+
+// restoreInput rebuilds a live sharded instance from path.
+func restoreInput(path string) (*shard.HHH, error) {
+	in, err := loadInput(path)
+	if err != nil {
+		return nil, err
+	}
+	snaps, err := in.snapshots()
+	if err != nil {
+		return nil, err
+	}
+	s, err := shard.RestoreHHHFromSnapshots(snaps)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }
 
 func runInspect(args []string, stdout, stderr io.Writer) error {
@@ -294,40 +388,40 @@ func runInspect(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("inspect: -in is required")
 	}
-	info, err := os.Stat(*in)
+	// A single chain record (cmd/controller's layout) shows its framing
+	// first; a delta record cannot apply without its chain, so that is
+	// all it shows.
+	if rec, err := os.ReadFile(*in); err == nil {
+		if inf, err := describeRecord(stdout, *in, rec); err == nil && !inf.Base {
+			return nil
+		}
+	}
+	src, err := loadInput(*in)
 	if err != nil {
 		return err
 	}
-	if info.IsDir() {
-		return inspectChainDir(stdout, *in)
+	switch {
+	case src.chain != nil:
+		fmt.Fprintf(stdout, "%s: chain %#x at epoch %d (base %s + %d deltas), %d partitions\n",
+			*in, src.sts[0].Chain(), src.sts[0].Epoch(), filepath.Base(src.chain.Base), len(src.chain.Deltas), len(src.sts))
+		// Staleness: how long ago the chain last advanced. A warm-restart
+		// or replication chain that stopped stepping is stale state a
+		// restore would silently serve — surface its age next to the epoch.
+		if age, newest, err := chainAge(src.chain); err == nil {
+			fmt.Fprintf(stdout, "  last step %s ago (%s)\n", age.Round(time.Second), filepath.Base(newest))
+		}
+	case src.kind == codec.KindHHHDeltaSet:
+		fmt.Fprintf(stdout, "%s: format v%d, %d shards, chain %#x, epoch %d (base step)\n",
+			*in, codec.Version, len(src.sts), src.sts[0].Chain(), src.sts[0].Epoch())
 	}
-	kind, err := peekKind(*in)
+	snaps, err := src.snapshots()
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case codec.KindHHHDelta:
-		return inspectDeltaRecord(stdout, *in)
-	case codec.KindHHHDeltaSet:
-		return inspectDeltaSet(stdout, *in)
-	default:
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		snaps, err := shard.DecodeHHHCheckpoint(f)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: format v%d, %d shards, hierarchy %s\n",
-			*in, codec.Version, len(snaps), snaps[0].Hierarchy())
-		return printShardTable(stdout, snaps)
-	}
+	return printShardTable(stdout, snaps)
 }
 
-// printShardTable renders the per-shard state table shared by every
-// inspect flavor.
+// printShardTable renders the per-partition state table.
 func printShardTable(stdout io.Writer, snaps []*core.HHHSnapshot) error {
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "shard\twindow\tupdates\tfull\tcounters\toverflow\ttracked\tV\tcomp\trestorable")
@@ -339,24 +433,6 @@ func printShardTable(stdout io.Writer, snaps []*core.HHHSnapshot) error {
 			mem.Scale(), snap.Compensation(), snap.Restorable())
 	}
 	return w.Flush()
-}
-
-// peekKind reads a file's record kind from its codec header.
-func peekKind(path string) (uint8, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	head := make([]byte, codec.HeaderSize)
-	if _, err := io.ReadFull(f, head); err != nil {
-		return 0, fmt.Errorf("%s: reading header: %w", path, err)
-	}
-	h, _, err := codec.ReadHeader(head)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return h.Kind, nil
 }
 
 // describeRecord renders one chain record's framing line.
@@ -378,124 +454,6 @@ func describeRecord(stdout io.Writer, tag string, rec []byte) (delta.Info, error
 	return inf, nil
 }
 
-// inspectDeltaRecord describes a single KindHHHDelta file (a
-// cmd/controller chain step) and, for bases, the embedded state.
-func inspectDeltaRecord(stdout io.Writer, path string) error {
-	rec, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	inf, err := describeRecord(stdout, path, rec)
-	if err != nil {
-		return err
-	}
-	if inf.Base {
-		st := delta.NewState()
-		if err := st.Apply(rec); err != nil {
-			return err
-		}
-		snap, err := st.Snapshot()
-		if err != nil {
-			return err
-		}
-		return printShardTable(stdout, []*core.HHHSnapshot{snap})
-	}
-	return nil
-}
-
-// inspectDeltaSet describes one KindHHHDeltaSet file's per-shard
-// records; a base set also materializes its state table.
-func inspectDeltaSet(stdout io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sts, err := shard.ApplyHHHDeltaSet(f, nil)
-	if err != nil {
-		return fmt.Errorf("%s: %w (a delta step applies only after its chain; inspect the directory instead)", path, err)
-	}
-	fmt.Fprintf(stdout, "%s: format v%d, %d shards, chain %#x, epoch %d (base step)\n",
-		path, codec.Version, len(sts), sts[0].Chain(), sts[0].Epoch())
-	snaps := make([]*core.HHHSnapshot, len(sts))
-	for i, st := range sts {
-		if snaps[i], err = st.Snapshot(); err != nil {
-			return err
-		}
-	}
-	return printShardTable(stdout, snaps)
-}
-
-// loadChainStates applies the newest chain in dir and returns its
-// per-partition states plus the chain layout. Both chain flavors are
-// handled: sharded KindHHHDeltaSet steps (cmd/lbproxy) and bare
-// KindHHHDelta records (cmd/controller's single-instance chain, which
-// loads as one partition).
-func loadChainStates(dir string) ([]*delta.State, *delta.Chain, error) {
-	chain, err := delta.FindChain(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if chain == nil {
-		return nil, nil, fmt.Errorf("%s: no chain base found", dir)
-	}
-	kind, err := peekKind(chain.Base)
-	if err != nil {
-		return nil, chain, err
-	}
-	files := append([]string{chain.Base}, chain.Deltas...)
-	if kind == codec.KindHHHDelta {
-		st := delta.NewState()
-		for _, path := range files {
-			rec, err := os.ReadFile(path)
-			if err != nil {
-				return nil, chain, err
-			}
-			if err := st.Apply(rec); err != nil {
-				return nil, chain, fmt.Errorf("%s: %w", path, err)
-			}
-		}
-		return []*delta.State{st}, chain, nil
-	}
-	var sts []*delta.State
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, chain, err
-		}
-		sts, err = shard.ApplyHHHDeltaSet(f, sts)
-		f.Close()
-		if err != nil {
-			return nil, chain, fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	return sts, chain, nil
-}
-
-// inspectChainDir applies the newest chain in a checkpoint directory
-// and shows the materialized per-shard state.
-func inspectChainDir(stdout io.Writer, dir string) error {
-	sts, chain, err := loadChainStates(dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s: chain %#x at epoch %d (base %s + %d deltas), %d partitions\n",
-		dir, sts[0].Chain(), sts[0].Epoch(), filepath.Base(chain.Base), len(chain.Deltas), len(sts))
-	// Staleness: how long ago the chain last advanced. A warm-restart
-	// or replication chain that stopped stepping is stale state a
-	// restore would silently serve — surface its age next to the epoch.
-	if age, newest, err := chainAge(chain); err == nil {
-		fmt.Fprintf(stdout, "  last step %s ago (%s)\n", age.Round(time.Second), filepath.Base(newest))
-	}
-	snaps := make([]*core.HHHSnapshot, len(sts))
-	for i, st := range sts {
-		if snaps[i], err = st.Snapshot(); err != nil {
-			return err
-		}
-	}
-	return printShardTable(stdout, snaps)
-}
-
 // chainAge returns how long ago the chain's newest file (base or
 // delta) was written, and that file's path.
 func chainAge(chain *delta.Chain) (time.Duration, string, error) {
@@ -513,52 +471,16 @@ func chainAge(chain *delta.Chain) (time.Duration, string, error) {
 	return time.Since(newestMod), newest, nil
 }
 
-// restoreAny rebuilds a live sharded instance from a plain checkpoint
-// file or a chain directory.
-func restoreAny(path string) (*shard.HHH, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.IsDir() {
-		sts, _, err := loadChainStates(path)
-		if err != nil {
-			return nil, err
-		}
-		snaps := make([]*core.HHHSnapshot, len(sts))
-		for i, st := range sts {
-			if snaps[i], err = st.Snapshot(); err != nil {
-				return nil, fmt.Errorf("%s: partition %d: %w", path, i, err)
-			}
-		}
-		s, err := shard.RestoreHHHFromSnapshots(snaps)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := shard.RestoreHHH(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
 func runMaterialize(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("materialize", flag.ContinueOnError)
-	out := fs.String("out", "", "output plain checkpoint file (required)")
+	out := fs.String("out", "", "output checkpoint file (required)")
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if *out == "" || fs.NArg() != 1 {
-		return fmt.Errorf("materialize: need -out FILE and exactly one chain directory")
+		return fmt.Errorf("materialize: need -out FILE and exactly one chain directory or file")
 	}
-	s, err := restoreAny(fs.Arg(0))
+	s, err := restoreInput(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -569,20 +491,6 @@ func runMaterialize(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "materialized %s -> %s: %d shards, window %d, %d updates, %d bytes\n",
 		fs.Arg(0), *out, s.Shards(), s.EffectiveWindow(), s.Updates(), size)
 	return nil
-}
-
-// loadCheckpointSnapshots decodes every per-shard snapshot of a file.
-func loadCheckpointSnapshots(path string) ([]*core.HHHSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	snaps, err := shard.DecodeHHHCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snaps, nil
 }
 
 func runMerge(args []string, stdout, stderr io.Writer) error {
@@ -597,7 +505,11 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	}
 	var all []*core.HHHSnapshot
 	for _, path := range files {
-		snaps, err := loadCheckpointSnapshots(path)
+		in, err := loadInput(path)
+		if err != nil {
+			return err
+		}
+		snaps, err := in.snapshots()
 		if err != nil {
 			return err
 		}
@@ -628,11 +540,11 @@ func runDiff(args []string, stdout, stderr io.Writer) error {
 	if len(files) != 2 {
 		return fmt.Errorf("diff: need exactly two checkpoint files")
 	}
-	a, err := restoreAny(files[0])
+	a, err := restoreInput(files[0])
 	if err != nil {
 		return err
 	}
-	b, err := restoreAny(files[1])
+	b, err := restoreInput(files[1])
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -385,6 +386,29 @@ func TestInspectForms(t *testing.T) {
 	}
 }
 
+func TestRetiredKindFailsLoudly(t *testing.T) {
+	const retired = 4 // the sharded checkpoint of bare KindHHH records
+	old := codec.AppendHeader(nil, codec.Header{
+		Version: codec.Version,
+		Kind:    retired,
+		Flags:   codec.FlagRestore,
+		Digest:  codec.SetDigest(retired, 1),
+	})
+	old = binary.BigEndian.AppendUint32(old, 1) // shards
+	old = binary.BigEndian.AppendUint64(old, 0) // reserved
+	path := filepath.Join(t.TempDir(), "old.mckpt")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"load", "-in", path}, {"inspect", "-in", path}} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if !errors.Is(err, codec.ErrKind) || !strings.Contains(err.Error(), "kind 4") {
+			t.Fatalf("%s of a kind-4 file: %v, want ErrKind naming kind 4", args[0], err)
+		}
+	}
+}
+
 func TestTopRendersRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("memento_test_requests_total").Add(7)
@@ -502,8 +526,8 @@ func TestUsageNamesEveryCommand(t *testing.T) {
 	var b bytes.Buffer
 	usage(&b)
 	var cmds []string
-	for _, line := range strings.Split(b.String(), "\n")[1:] {
-		if f := strings.Fields(line); len(f) > 1 {
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "mementoctl" {
 			cmds = append(cmds, f[1])
 		}
 	}

@@ -10,8 +10,8 @@
 //
 //	u32 magic   — 'M''S''K''T' (0x4D534B54)
 //	u8  version — format version (Version; currently 1)
-//	u8  kind    — record kind (KindSketch, KindHHH, KindHHHSet,
-//	              KindHHHDelta, KindHHHDeltaSet)
+//	u8  kind    — record kind (KindSketch, KindHHH, KindHHHDelta,
+//	              KindHHHDeltaSet)
 //	u16 flags   — FlagRestore when the restore plane (block ring,
 //	              frame position, update breakdown) is present; chain
 //	              records add FlagBase and FlagClearMonitored
@@ -56,22 +56,21 @@ const Magic = uint32(0x4D534B54)
 // readers keep working.
 const Version = 1
 
-// Record kinds. Values 3 and 5 are retired (a keyed-sketch set and a
-// keyed-sketch delta that nothing wrote) and must not be reused.
+// Record kinds. Values 3, 4 and 5 are retired (a keyed-sketch set, a
+// sharded checkpoint of bare KindHHH records, a keyed-sketch delta)
+// and must not be reused.
 const (
 	// KindSketch is a single core.Snapshot[K] record.
 	KindSketch = uint8(1)
 	// KindHHH is a single core.HHHSnapshot record.
 	KindHHH = uint8(2)
-	// KindHHHSet is a sharded checkpoint: N KindHHH blobs.
-	KindHHHSet = uint8(4)
 	// KindHHHDelta is an epoch-stamped replication record for an
 	// H-Memento instance: either a chain base (FlagBase, embedding a
 	// full KindHHH record) or an incremental delta carrying only the
 	// counters that changed since the previous epoch (internal/delta).
 	KindHHHDelta = uint8(6)
-	// KindHHHDeltaSet is a sharded delta checkpoint: N KindHHHDelta
-	// blobs advancing one chain in lockstep (shard.HHH.WriteChain).
+	// KindHHHDeltaSet is a sharded checkpoint: one KindHHHDelta blob
+	// per shard, the shards' chains advancing in lockstep (shard.HHH).
 	KindHHHDeltaSet = uint8(7)
 )
 

@@ -22,7 +22,6 @@ import "memento/internal/obs"
 var kindNames = [...]string{
 	KindSketch:      "sketch",
 	KindHHH:         "hhh",
-	KindHHHSet:      "hhh_set",
 	KindHHHDelta:    "hhh_delta",
 	KindHHHDeltaSet: "hhh_delta_set",
 }

@@ -86,6 +86,7 @@ import (
 	"errors"
 
 	"memento/internal/codec"
+	"memento/internal/core"
 	"memento/internal/hierarchy"
 )
 
@@ -119,4 +120,58 @@ func appendEntry(dst []byte, key hierarchy.Prefix, count, err uint64, b int32) [
 // captured sketch state.
 func hhhDigest(hierID uint8, window uint64, counters int, blockCounts uint64, scale float64) uint64 {
 	return codec.HHHDigest(hierID, window, uint64(counters), blockCounts, scale)
+}
+
+// snapDigest returns the config digest of snap's state; it fails only
+// when the hierarchy has no wire identifier.
+func snapDigest(snap *core.HHHSnapshot) (uint64, error) {
+	id, err := codec.HierID(snap.Hierarchy())
+	if err != nil {
+		return 0, err
+	}
+	mem := snap.Sketch()
+	return hhhDigest(id, uint64(mem.EffectiveWindow()), mem.Counters(), mem.BlockCounts(), mem.Scale()), nil
+}
+
+// AppendBase appends a chain base at (chain, epoch) embedding snap to
+// dst. Every base is written here: a Tracker's, and each shard's of
+// shard.HHH.Checkpoint, a base that no delta follows. The record
+// carries the restore plane iff snap does.
+func AppendBase(dst []byte, snap *core.HHHSnapshot, chain, epoch uint64) ([]byte, error) {
+	start := len(dst)
+	digest, err := snapDigest(snap)
+	if err != nil {
+		return dst, err
+	}
+	flags := codec.FlagBase
+	if snap.Restorable() {
+		flags |= codec.FlagRestore
+	}
+	dst = codec.AppendHeader(dst, codec.Header{
+		Version: codec.Version,
+		Kind:    codec.KindHHHDelta,
+		Flags:   flags,
+		Digest:  digest,
+	})
+	dst = binary.BigEndian.AppendUint64(dst, chain)
+	dst = binary.BigEndian.AppendUint64(dst, epoch)
+	// Length-prefixed embedded record: reserve a maximal uvarint
+	// prefix, encode in place, then shift the record back over the
+	// unused prefix bytes (bases are control-plane rate; the move is
+	// cheaper than encoding twice).
+	prefixAt := len(dst)
+	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
+	recAt := len(dst)
+	dst, err = snap.AppendTo(dst)
+	if err != nil {
+		return dst[:start], err
+	}
+	recLen := len(dst) - recAt
+	var lenBuf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lenBuf[:], uint64(recLen))
+	copy(dst[prefixAt:], lenBuf[:n])
+	copy(dst[prefixAt+n:], dst[recAt:])
+	dst = dst[:prefixAt+n+recLen]
+	codec.AccountEncode(codec.KindHHHDelta, len(dst)-start)
+	return dst, nil
 }

@@ -153,12 +153,10 @@ func (st *State) applyBase(h codec.Header, c *codec.Cursor, chain, epoch uint64)
 	if (h.Flags&codec.FlagRestore != 0) != snap.Restorable() {
 		return codec.Corruptf("restore flag disagrees with embedded record")
 	}
-	id, err := codec.HierID(snap.Hierarchy())
+	digest, err := snapDigest(snap)
 	if err != nil {
 		return codec.Corruptf("%v", err)
 	}
-	mem := snap.Sketch()
-	digest := hhhDigest(id, uint64(mem.EffectiveWindow()), mem.Counters(), mem.BlockCounts(), mem.Scale())
 	if digest != h.Digest {
 		return fmt.Errorf("%w: base digest %#x, embedded %#x", codec.ErrConfigMismatch, h.Digest, digest)
 	}

@@ -99,7 +99,6 @@ type Tracker struct {
 	// (diffed), a copy of its state in snap (see copied), or both.
 	captured, diffed bool
 
-	hierID uint8
 	digest uint64
 
 	// snap is the copied state; a query-plane chain zeroes it once its
@@ -125,8 +124,7 @@ type Tracker struct {
 // NewTracker binds a Tracker to hh and enables delta tracking on it.
 // Fails only when the hierarchy has no wire identifier.
 func NewTracker(hh *core.HHH, cfg TrackerConfig) (*Tracker, error) {
-	id, err := codec.HierID(hh.Hierarchy())
-	if err != nil {
+	if _, err := codec.HierID(hh.Hierarchy()); err != nil {
 		return nil, err
 	}
 	if cfg.Chain == 0 {
@@ -139,7 +137,6 @@ func NewTracker(hh *core.HHH, cfg TrackerConfig) (*Tracker, error) {
 		cfg:    cfg,
 		chain:  cfg.Chain,
 		epoch:  cfg.Epoch,
-		hierID: id,
 		shadow: make([]slotShadow, hh.Sketch().Counters()),
 		moved:  keyidx.MustNew(64, hierarchy.PrefixHasher(0)),
 	}, nil
@@ -235,48 +232,15 @@ func (t *Tracker) Append(dst []byte) (out []byte, base bool, err error) {
 	return t.AppendCaptured(dst)
 }
 
-// snapDigest returns the captured state's config digest.
-func (t *Tracker) snapDigest() uint64 {
-	mem := t.snap.Sketch()
-	return hhhDigest(t.hierID, uint64(mem.EffectiveWindow()), mem.Counters(), mem.BlockCounts(), mem.Scale())
-}
-
 // appendBase emits a chain base embedding the full captured snapshot
 // and resets the shadow to it.
 func (t *Tracker) appendBase(dst []byte) ([]byte, error) {
-	start := len(dst)
 	t.epoch++
-	t.digest = t.snapDigest()
-	flags := codec.FlagBase
-	if t.cfg.Restore {
-		flags |= codec.FlagRestore
-	}
-	dst = codec.AppendHeader(dst, codec.Header{
-		Version: codec.Version,
-		Kind:    codec.KindHHHDelta,
-		Flags:   flags,
-		Digest:  t.digest,
-	})
-	dst = binary.BigEndian.AppendUint64(dst, t.chain)
-	dst = binary.BigEndian.AppendUint64(dst, t.epoch)
-	// Length-prefixed embedded record: reserve a maximal uvarint
-	// prefix, encode in place, then shift the record back over the
-	// unused prefix bytes (bases are control-plane rate; the move is
-	// cheaper than encoding twice).
-	prefixAt := len(dst)
-	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
-	recAt := len(dst)
-	var err error
-	dst, err = t.snap.AppendTo(dst)
+	dst, err := AppendBase(dst, &t.snap, t.chain, t.epoch)
 	if err != nil {
-		return dst[:prefixAt], err
+		return dst, err
 	}
-	recLen := len(dst) - recAt
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(recLen))
-	copy(dst[prefixAt:], lenBuf[:n])
-	copy(dst[prefixAt+n:], dst[recAt:])
-	dst = dst[:prefixAt+n+recLen]
+	t.digest, _ = snapDigest(&t.snap) // AppendBase resolved the hierarchy
 
 	// The shadow becomes exactly the embedded state. The copy kept the
 	// source's slot numbers, so it lines up with the live sketch's
@@ -294,7 +258,6 @@ func (t *Tracker) appendBase(dst []byte) ([]byte, error) {
 		// never read the copy again; the next base captures afresh.
 		t.snap = core.HHHSnapshot{}
 	}
-	codec.AccountEncode(codec.KindHHHDelta, len(dst)-start)
 	return dst, nil
 }
 

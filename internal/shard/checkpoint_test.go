@@ -1,24 +1,28 @@
 // Tests for sharded checkpoint/restore: answer-identical rehydration
 // (the differential contract), the one-lock-pass capture discipline,
 // config-mismatch rejection, and behavior under concurrent ingestion.
+// Chain steps beyond a base are in delta_test.go.
 
 package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"memento/internal/codec"
 	"memento/internal/core"
+	"memento/internal/delta"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
 )
 
-// hammerCfg is the configuration hammerHHH builds, restated so restore
-// targets can be constructed identically.
+// hammerCfg is the configuration hammerHHH builds, restated so tests
+// can build instances of the same or a varied configuration.
 func hammerCfg(seed uint64) HHHConfig {
 	return HHHConfig{
 		Core: core.HHHConfig{
@@ -66,31 +70,43 @@ func sameHHHAnswers(t *testing.T, want, got *HHH) {
 }
 
 // TestHHHCheckpointRestoreDifferential is the acceptance contract: a
-// restored 4-shard instance answers Query, QueryBounds and Output
-// exactly as the original did at capture time.
+// 4-shard instance restored from its checkpoint answers Query,
+// QueryBounds and Output exactly as the original did at capture time,
+// whether restored as a chain of one or from the decoded bases, and a
+// second checkpoint of the same state writes the same bytes.
 func TestHHHCheckpointRestoreDifferential(t *testing.T) {
 	s := hammerHHH(t, 121)
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := MustNewHHH(hammerCfg(999)) // different seed: RNG is not state
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	sameHHHAnswers(t, s, restored)
-
-	// RestoreHHH constructs an equivalent instance from the stream
-	// alone (config derived from the per-shard snapshots).
-	fromFile, err := RestoreHHH(bytes.NewReader(buf.Bytes()))
+	restored, err := RestoreHHHChain(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromFile.Shards() != s.Shards() || fromFile.EffectiveWindow() != s.EffectiveWindow() {
-		t.Fatalf("RestoreHHH shape: %d shards window %d, want %d/%d",
-			fromFile.Shards(), fromFile.EffectiveWindow(), s.Shards(), s.EffectiveWindow())
+	if restored.Shards() != s.Shards() || restored.EffectiveWindow() != s.EffectiveWindow() {
+		t.Fatalf("restored shape: %d shards window %d, want %d/%d",
+			restored.Shards(), restored.EffectiveWindow(), s.Shards(), s.EffectiveWindow())
 	}
-	sameHHHAnswers(t, s, fromFile)
+	sameHHHAnswers(t, s, restored)
+
+	snaps, err := DecodeHHHCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBases, err := RestoreHHHFromSnapshots(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHHHAnswers(t, s, fromBases)
+
+	var again bytes.Buffer
+	if err := s.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("two checkpoints of one state differ")
+	}
 }
 
 // TestHHHCheckpointOneLockPassPerShard extends the read-plane lock
@@ -108,6 +124,28 @@ func TestHHHCheckpointOneLockPassPerShard(t *testing.T) {
 	}
 }
 
+// TestCheckpointLeavesUpdatePathUntracked pins that a checkpoint
+// builds no chain encoder: the shards' sketches take no delta marking
+// on later updates.
+func TestCheckpointLeavesUpdatePathUntracked(t *testing.T) {
+	s := hammerHHH(t, 124)
+	if err := s.Checkpoint(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if s.trackers != nil {
+		t.Fatal("Checkpoint enabled delta checkpoints")
+	}
+	var dirty core.DirtySet[hierarchy.Prefix]
+	for i := range s.shards {
+		if err := s.shards[i].hh.DeltaDrainInto(&dirty); err == nil {
+			t.Fatalf("shard %d tracks deltas after Checkpoint", i)
+		}
+	}
+}
+
+// TestHHHRestoreRejectsMismatch pins that a restore refuses a chain
+// whose records disagree on configuration, and fails every truncation
+// of a checkpoint with a typed error, never a panic.
 func TestHHHRestoreRejectsMismatch(t *testing.T) {
 	s := hammerHHH(t, 123)
 	var buf bytes.Buffer
@@ -115,30 +153,80 @@ func TestHHHRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wrongShards := MustNewHHH(HHHConfig{Core: hammerCfg(1).Core, Shards: 2})
-	if err := wrongShards.Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, codec.ErrConfigMismatch) {
+	// Shards over different hierarchies in one set.
+	var mixed bytes.Buffer
+	snaps := []*core.HHHSnapshot{new(core.HHHSnapshot), new(core.HHHSnapshot)}
+	s.shards[0].hh.CheckpointInto(snaps[0])
+	hammerHHH2D(t, 125).shards[0].hh.CheckpointInto(snaps[1])
+	if err := writeSet(&mixed, 2, func(i int, dst []byte) ([]byte, error) {
+		return delta.AppendBase(dst, snaps[i], checkpointChain, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreHHHChain(&mixed); !errors.Is(err, codec.ErrConfigMismatch) {
+		t.Fatalf("mixed hierarchies: %v", err)
+	}
+
+	// A step with another shard count than its base.
+	two := MustNewHHH(HHHConfig{Core: hammerCfg(1).Core, Shards: 2})
+	var step bytes.Buffer
+	if err := two.Checkpoint(&step); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreHHHChain(bytes.NewReader(buf.Bytes()), &step); !errors.Is(err, codec.ErrConfigMismatch) {
 		t.Fatalf("shard-count mismatch: %v", err)
 	}
 
+	// A delta that continues the chain position of a base of another
+	// window.
 	cfg := hammerCfg(1)
 	cfg.Core.Window = 1 << 12
-	wrongWindow := MustNewHHH(cfg)
-	if err := wrongWindow.Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, codec.ErrConfigMismatch) {
+	var base, other, next bytes.Buffer
+	for i, c := range []HHHConfig{hammerCfg(1), cfg} {
+		h := MustNewHHH(c)
+		if err := h.EnableDeltaCheckpoints(9); err != nil {
+			t.Fatal(err)
+		}
+		w := &base
+		if i == 1 {
+			w = &other
+		}
+		if _, err := h.WriteChain(w, false); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, err := h.WriteChain(&next, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := RestoreHHHChain(&base, &next); !errors.Is(err, codec.ErrConfigMismatch) {
 		t.Fatalf("window mismatch: %v", err)
 	}
 
-	// Truncations fail with a typed error, never a panic, and leave
-	// the target untouched.
 	raw := buf.Bytes()
 	for _, cut := range []int{0, 10, envelopeSize - 1, envelopeSize + 2, len(raw) / 2, len(raw) - 1} {
-		target := MustNewHHH(hammerCfg(2))
-		err := target.Restore(bytes.NewReader(raw[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, err := RestoreHHHChain(bytes.NewReader(raw[:cut])); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("truncation at %d: %v, want ErrCorrupt", cut, err)
 		}
-		if target.Updates() != 0 {
-			t.Fatalf("truncation at %d mutated the target", cut)
-		}
+	}
+}
+
+// TestDecodeHHHCheckpointRejectsRetiredKind pins that a file of the
+// retired sharded-checkpoint kind (4) fails loudly, with ErrKind.
+func TestDecodeHHHCheckpointRejectsRetiredKind(t *testing.T) {
+	const retired = 4
+	old := codec.AppendHeader(nil, codec.Header{
+		Version: codec.Version,
+		Kind:    retired,
+		Flags:   codec.FlagRestore,
+		Digest:  codec.SetDigest(retired, 1),
+	})
+	old = binary.BigEndian.AppendUint32(old, 1)
+	old = binary.BigEndian.AppendUint64(old, 0)
+	old = append(old, 0, 0, 0, 1, 0)
+	if _, err := DecodeHHHCheckpoint(bytes.NewReader(old)); !errors.Is(err, codec.ErrKind) {
+		t.Fatalf("kind 4: %v, want ErrKind", err)
 	}
 }
 
@@ -180,8 +268,7 @@ func TestCheckpointUnderIngestion(t *testing.T) {
 				t.Errorf("checkpoint under ingestion: %v", err)
 				return
 			}
-			restored := MustNewHHH(hammerCfg(142))
-			if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			if _, err := RestoreHHHChain(&buf); err != nil {
 				t.Errorf("restore under ingestion: %v", err)
 				return
 			}

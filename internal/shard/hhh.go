@@ -226,7 +226,8 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 	return s, nil
 }
 
-// initPools wires the query pool; shared by NewHHH and RestoreHHH.
+// initPools wires the query pool; shared by NewHHH and
+// RestoreHHHFromSnapshots.
 func (s *HHH) initPools() {
 	n := len(s.shards)
 	s.queryPool.New = func() any {
