@@ -119,12 +119,19 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 			}
 		}
 		// Waivers and malformed-marker detection scan every comment
-		// in the file, wherever it hangs in the AST.
+		// in the file, wherever it hangs in the AST. A //memento:reused
+		// outside a doc comment must be claimed by a struct field
+		// (parseFields), or it marks nothing.
+		var strays []*ast.Comment
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				ann.parseComment(fset, c, docs[c])
+				if verb, _, _ := directive(c); verb == "reused" && !docs[c] {
+					strays = append(strays, c)
+				}
 			}
 		}
+		claimed := make(map[*ast.Comment]bool)
 		// Package-level markers live in the package doc block.
 		if f.Doc != nil {
 			for _, c := range f.Doc.List {
@@ -145,10 +152,16 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 							continue
 						}
 						if st, ok := ts.Type.(*ast.StructType); ok {
-							ann.parseFields(fset, info, st)
+							ann.parseFields(info, st, claimed)
 						}
 					}
 				}
+			}
+		}
+		for _, c := range strays {
+			if !claimed[c] {
+				ann.Errors = append(ann.Errors, Diagnostic{Pos: fset.Position(c.Pos()), Analyzer: "annot",
+					Message: "//memento:reused marks nothing here: it belongs on a named struct field"})
 			}
 		}
 	}
@@ -224,7 +237,8 @@ func (ann *Annotations) parseComment(fset *token.FileSet, c *ast.Comment, inDoc 
 			fail("//memento:%s is outside any function or package doc comment, so no check reads it", verb)
 		}
 	case "reused":
-		// Validated in context (parseFuncDoc / parseFields).
+		// Validated in context (parseFuncDoc, parseFields, and the
+		// stray check in ParseAnnotations).
 	default:
 		fail("unknown //memento: directive %q", verb)
 	}
@@ -269,10 +283,10 @@ func (ann *Annotations) parsePackageMarker(fset *token.FileSet, c *ast.Comment) 
 			return
 		}
 		ann.PkgDeterministic = true
-	default:
+	case "noalloc", "locked", "locks", "reused":
 		ann.Errors = append(ann.Errors, Diagnostic{Pos: pos, Analyzer: "annot",
 			Message: fmt.Sprintf("//memento:%s is not a package-level directive", verb)})
-	}
+	} // an unknown verb was reported by parseComment
 }
 
 // parseFuncDoc extracts a function's annotation set from its doc
@@ -359,8 +373,9 @@ func hasParam(d *ast.FuncDecl, name string) bool {
 }
 
 // parseFields extracts field-level markers: //memento:reused and the
-// "guarded by mu" idiom, from field doc or trailing comments.
-func (ann *Annotations) parseFields(fset *token.FileSet, info *types.Info, st *ast.StructType) {
+// "guarded by mu" idiom, from field doc or trailing comments. It adds
+// the //memento:reused comments a named field takes to claimed.
+func (ann *Annotations) parseFields(info *types.Info, st *ast.StructType, claimed map[*ast.Comment]bool) {
 	for _, field := range st.Fields.List {
 		// CommentGroup.Text() strips directive-style comments — which
 		// is exactly what //memento: markers are — so walk the raw
@@ -372,6 +387,9 @@ func (ann *Annotations) parseFields(fset *token.FileSet, info *types.Info, st *a
 			}
 			for _, c := range cg.List {
 				text += c.Text + "\n"
+				if verb, _, _ := directive(c); verb == "reused" && len(field.Names) > 0 {
+					claimed[c] = true
+				}
 			}
 		}
 		if text == "" {

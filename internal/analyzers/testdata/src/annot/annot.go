@@ -1,6 +1,10 @@
 // Package annot exercises the annotation parser: malformed markers
 // are findings, never silent no-ops — a typo'd directive must fail
-// the build, not disable a check.
+// the build, not disable a check. An unknown verb in the package doc
+// is reported once, as unknown.
+//
+// want+1 `unknown //memento: directive "bogus"`
+//memento:bogus
 package annot
 
 // want+1 `unknown //memento: directive "noaloc"`
@@ -22,3 +26,19 @@ func BadCategory() {}
 var misplaced int
 
 func Misplaced() int { return misplaced }
+
+// A //memento:reused marker anywhere but on a named struct field
+// marks nothing.
+// want+1 `//memento:reused marks nothing here`
+//memento:reused
+var scratch []byte
+
+// want+1 `//memento:reused marks nothing here`
+//memento:reused
+type buffers struct {
+	held []byte //memento:reused
+	// want+1 `//memento:reused marks nothing here`
+	ints //memento:reused
+}
+
+type ints []int
