@@ -291,8 +291,9 @@ func TestMergeOrderFree(t *testing.T) {
 				t.Fatalf("order %v drops %s", order, p)
 			}
 			// The printed estimate has one decimal; the float sums
-			// behind it differ in input order only in the last bits.
-			if math.Abs(g-est) > 0.1 {
+			// behind it differ in input order only in the last bits,
+			// which can move the print by one step.
+			if math.Abs(g-est) > 0.15 {
 				t.Fatalf("order %v: %s estimate %.1f, want %.1f", order, p, g, est)
 			}
 		}

@@ -9,9 +9,10 @@
 //
 // # Chain model
 //
-// A chain is identified by a random 64-bit chain id and advances in
-// epochs. Every record is a codec.KindHHHDelta record carrying
-// (chain, epoch):
+// A chain is identified by a 64-bit chain id, which a Tracker draws at
+// random (a checkpoint, a chain of one base, uses a fixed one), and
+// advances in epochs. Every record is a codec.KindHHHDelta record
+// carrying (chain, epoch):
 //
 //   - A base (codec.FlagBase) embeds a complete, self-contained
 //     KindHHH snapshot record and (re)starts the chain at its epoch.
