@@ -8,6 +8,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"memento/internal/baseline"
+	"memento/internal/core"
+	"memento/internal/hhhset"
+	"memento/internal/hierarchy"
+	"memento/internal/shard"
 	"memento/internal/trace"
 )
 
@@ -57,12 +62,89 @@ func TestFleetFiguresGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "fleet_figures.golden")
+	checkGolden(t, "fleet_figures.golden", "fleet figures", out.Bytes())
+}
+
+// TestHHHSetsGolden pins every HHH set the repository computes, the
+// sets every figure's accuracy is scored on: H-Memento (core.HHH), the
+// sharded front (two shards, one producer) and the MST, RHHH and window
+// Baseline, each in one and two dimensions over one fixed Datacenter
+// stream of 16 Ki packets, at θ ∈ {0.1, 0.02, 0.005}, every entry at
+// full precision. δ = 0.49 keeps the sampling compensation small enough
+// that the larger θs select only part of what is tracked; one more 2D
+// H-Memento sizing, at the default δ, has a compensation above θ·W at
+// every θ, so every prefix it tracks is admitted to the scan. A change
+// to the level-by-level scan (hhhset) or to what any algorithm feeds
+// it that moves one bit of one answer fails here. Re-pin with
+// -update-golden only for an intended change, and say why.
+func TestHHHSetsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every HHH algorithm over a 16 Ki-packet stream")
+	}
+	const packets, window, seed = 1 << 14, 1 << 13, 1
+	stream := trace.MustNewGenerator(trace.Datacenter, seed).Generate(packets, nil)
+	thetas := []float64{0.1, 0.02, 0.005}
+	var out bytes.Buffer
+	emit := func(name string, h hierarchy.Hierarchy, output func(theta float64) []hhhset.Entry) {
+		for _, theta := range thetas {
+			set := output(theta)
+			fmt.Fprintf(&out, "%s %s θ=%v: %d\n", name, h, theta, len(set))
+			for _, e := range set {
+				fmt.Fprintf(&out, "  %v %v %v\n", e.Prefix, e.Estimate, e.Conditioned)
+			}
+		}
+	}
+	hmemento := func(h hierarchy.Hierarchy, counters int, delta float64) core.HHHConfig {
+		return core.HHHConfig{Hierarchy: h, Window: window, Counters: counters, Delta: delta, Seed: seed}
+	}
+	for _, h := range []hierarchy.Hierarchy{hierarchy.OneD{}, hierarchy.TwoD{}} {
+		H := h.H()
+		cfg := hmemento(h, 16*H, 0.49)
+		hh := core.MustNewHHH(cfg)
+		hh.UpdateBatch(stream)
+		emit("h-memento", h, hh.Output)
+
+		s := shard.MustNewHHH(shard.HHHConfig{Core: cfg, Shards: 2})
+		b := s.NewBatcher(0)
+		for _, p := range stream {
+			b.Add(p)
+		}
+		b.Flush()
+		emit("sharded", h, s.Output)
+
+		mst := baseline.MustNewMST(h, 256)
+		rhhh := baseline.MustNewRHHH(baseline.RHHHConfig{Hierarchy: h, CountersPerInstance: 256, Delta: 0.49, Seed: seed})
+		win := baseline.MustNewWindow(h, window, 256)
+		for _, p := range stream {
+			mst.Update(p)
+			rhhh.Update(p)
+			win.Update(p)
+		}
+		emit("mst", h, mst.Output)
+		emit("rhhh", h, rhhh.Output)
+		emit("window", h, win.Output)
+	}
+	admitAll := core.MustNewHHH(hmemento(hierarchy.TwoD{}, hierarchy.TwoD{}.H(), 0))
+	if comp, floor := admitAll.Compensation(), thetas[0]*float64(admitAll.EffectiveWindow()); comp < floor {
+		t.Fatalf("admit-all sizing: compensation %v below θ·W = %v", comp, floor)
+	}
+	admitAll.UpdateBatch(stream)
+	emit("h-memento-admit-all", hierarchy.TwoD{}, admitAll.Output)
+
+	checkGolden(t, "hhh_sets.golden", "HHH sets", out.Bytes())
+}
+
+// checkGolden compares got with testdata/name, rewriting the file
+// first under -update-golden; what names the pinned output in the
+// failure.
+func checkGolden(t *testing.T, name, what string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,13 +152,13 @@ func TestFleetFiguresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to create)", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got, wantLines := bytes.Split(out.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := range min(len(got), len(wantLines)) {
-			if !bytes.Equal(got[i], wantLines[i]) {
-				t.Fatalf("fleet figures moved at line %d:\n got  %s\n want %s", i+1, got[i], wantLines[i])
+	if !bytes.Equal(got, want) {
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range min(len(gotLines), len(wantLines)) {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("%s moved at line %d:\n got  %s\n want %s", what, i+1, gotLines[i], wantLines[i])
 			}
 		}
-		t.Fatalf("fleet figures moved: %d lines, golden has %d", len(got), len(wantLines))
+		t.Fatalf("%s moved: %d lines, golden has %d", what, len(gotLines), len(wantLines))
 	}
 }
