@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"memento/internal/codec"
 	"memento/internal/core"
@@ -122,23 +123,28 @@ func writeBlob(w io.Writer, blob []byte) error {
 	return err
 }
 
-// readBlob reads one length-prefixed record, reusing buf.
+// readBlob reads one length-prefixed record, reusing buf. It grows buf
+// as the bytes arrive, at most doubling what it holds, so a length
+// prefix that names more than the input carries costs about what the
+// input carries, not the length it names.
 func readBlob(r io.Reader, buf []byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, codec.Corruptf("reading record length: %v", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n == 0 || n > codec.MaxRecord {
 		return nil, codec.Corruptf("record length %d out of range", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, codec.Corruptf("reading %d-byte record: %v", n, err)
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), max(len(buf), 64<<10))
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, codec.Corruptf("reading %d-byte record: %v", n, err)
+		}
 	}
 	return buf, nil
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,6 +228,26 @@ func TestDecodeHHHCheckpointRejectsRetiredKind(t *testing.T) {
 	old = append(old, 0, 0, 0, 1, 0)
 	if _, err := DecodeHHHCheckpoint(bytes.NewReader(old)); !errors.Is(err, codec.ErrKind) {
 		t.Fatalf("kind 4: %v, want ErrKind", err)
+	}
+}
+
+// TestHostileRecordLengthAllocatesLittle pins readBlob's growth: a
+// file of a few dozen bytes whose one record names codec.MaxRecord
+// (64 MiB) is ErrCorrupt, and reading it allocates under 1 MiB.
+func TestHostileRecordLengthAllocatesLittle(t *testing.T) {
+	file := appendEnvelope(nil, 1)
+	file = binary.BigEndian.AppendUint32(file, codec.MaxRecord)
+	file = append(file, make([]byte, 16)...)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := ApplyHHHDeltaSet(bytes.NewReader(file), nil)
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("%d-byte file naming a %d-byte record: %v, want ErrCorrupt", len(file), codec.MaxRecord, err)
+	}
+	if grew := ms.TotalAlloc - before; grew >= 1<<20 {
+		t.Fatalf("%d-byte file allocated %d bytes", len(file), grew)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"memento/internal/codec"
 	"memento/internal/core"
 	"memento/internal/delta"
 	"memento/internal/hierarchy"
@@ -15,7 +14,7 @@ import (
 // and every mementoctl input goes through (readEnvelope, readBlob,
 // ApplyHHHDeltaSet): arbitrary bytes, read as a first file and as the
 // step after a real base, never panic and never allocate more than
-// codec.MaxRecord beyond what their own bytes can hold.
+// their own bytes can hold.
 func FuzzApplyHHHDeltaSet(f *testing.F) {
 	s := MustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 40, Seed: 3},
@@ -54,10 +53,9 @@ func FuzzApplyHHHDeltaSet(f *testing.F) {
 			before := ms.TotalAlloc
 			_, _ = ApplyHHHDeltaSet(bytes.NewReader(data), sts) // any error is fine; a panic is not
 			runtime.ReadMemStats(&ms)
-			// One hostile record length may cost up to MaxRecord before
-			// its bytes turn out to be missing; everything else is
-			// bounded by the bytes present.
-			if grew, limit := ms.TotalAlloc-before, uint64(codec.MaxRecord+allocPerByte*len(data)+1<<20); grew > limit {
+			// A record's buffer grows with the bytes present, so even a
+			// hostile record length is bounded by them.
+			if grew, limit := ms.TotalAlloc-before, uint64(allocPerByte*len(data)+1<<20); grew > limit {
 				t.Fatalf("%s: %d bytes allocated for a %d-byte input, limit %d", what, grew, len(data), limit)
 			}
 		}
