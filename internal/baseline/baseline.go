@@ -36,7 +36,6 @@ type MST struct {
 	n        uint64
 
 	cands []hierarchy.Prefix // Output candidate scratch
-	sc    hhhset.Scratch     // Output computation scratch
 }
 
 // NewMST allocates an MST with countersPerInstance counters in each of
@@ -95,11 +94,10 @@ func (m *MST) Query(p hierarchy.Prefix) float64 {
 }
 
 // Output returns the approximate HHH set at threshold theta relative
-// to the current interval length. Candidate collection and the set
-// computation run through scratch owned by m (reused across calls).
+// to the current interval length.
 func (m *MST) Output(theta float64) []hhhset.Entry {
 	m.cands = collectCandidates(m.sketches, m.cands[:0])
-	return hhhset.ComputeInto(m.hier, m, m.cands, theta*float64(m.n), 0, &m.sc, nil)
+	return hhhset.Compute(m.hier, m, m.cands, theta*float64(m.n), 0)
 }
 
 // collectCandidates appends every monitored prefix across the
@@ -137,7 +135,6 @@ type RHHH struct {
 	z        float64 // Z_{1−δ} for query compensation
 
 	cands []hierarchy.Prefix // Output candidate scratch
-	sc    hhhset.Scratch     // Output computation scratch
 }
 
 // RHHHConfig parameterizes RHHH.
@@ -257,11 +254,11 @@ func (r *RHHH) Query(p hierarchy.Prefix) float64 {
 }
 
 // Output returns the approximate HHH set at threshold theta relative
-// to the current interval length, through scratch owned by r.
+// to the current interval length.
 func (r *RHHH) Output(theta float64) []hhhset.Entry {
 	comp := 2 * r.z * math.Sqrt(float64(r.v)*float64(r.n))
 	r.cands = collectCandidates(r.sketches, r.cands[:0])
-	return hhhset.ComputeInto(r.hier, r, r.cands, theta*float64(r.n), comp, &r.sc, nil)
+	return hhhset.Compute(r.hier, r, r.cands, theta*float64(r.n), comp)
 }
 
 // Reset starts a new measurement interval.
@@ -283,7 +280,6 @@ type Window struct {
 	window   int
 
 	cands []hierarchy.Prefix // Output candidate scratch
-	sc    hhhset.Scratch     // Output computation scratch
 }
 
 // NewWindow allocates the Baseline with countersPerInstance counters
@@ -343,8 +339,7 @@ func (b *Window) Query(p hierarchy.Prefix) float64 {
 	return u
 }
 
-// Output returns the approximate window HHH set at threshold theta,
-// through scratch owned by b.
+// Output returns the approximate window HHH set at threshold theta.
 func (b *Window) Output(theta float64) []hhhset.Entry {
 	cands := b.cands[:0]
 	for _, s := range b.sketches {
@@ -354,7 +349,7 @@ func (b *Window) Output(theta float64) []hhhset.Entry {
 		})
 	}
 	b.cands = cands
-	return hhhset.ComputeInto(b.hier, b, cands, theta*float64(b.window), 0, &b.sc, nil)
+	return hhhset.Compute(b.hier, b, cands, theta*float64(b.window), 0)
 }
 
 // Reset empties all instances.

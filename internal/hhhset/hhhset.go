@@ -7,10 +7,12 @@
 //
 // The algorithms differ only in how they estimate prefix frequencies
 // and which additive compensation accounts for their sampling; both are
-// abstracted behind the Estimator interface. Callers that already hold
-// per-candidate bounds (the snapshot query plane) skip the estimator on
-// the scan via ComputeCandidates, which also scans only the candidates
-// that can still be selected (see there).
+// abstracted behind the Estimator interface. The scan has two intakes:
+// the full scan over a candidate list (Compute, or ComputeCandidates
+// when the caller already holds each candidate's bounds), and
+// ComputeTracked, which takes only the candidates that can reach the
+// threshold on their own and looks up the few others the scan can
+// still select. Both return the same set.
 //
 //memento:deterministic
 package hhhset
@@ -40,7 +42,7 @@ type Entry struct {
 }
 
 // Candidate is one input prefix with its conservative bounds already
-// computed, for ComputeCandidates.
+// computed, for ComputeCandidates and ComputeTracked.
 type Candidate struct {
 	Prefix       hierarchy.Prefix
 	Upper, Lower float64
@@ -48,11 +50,12 @@ type Candidate struct {
 
 // Scratch holds the working state of the HHH-set computation so
 // repeated queries reuse it instead of allocating per call: the
-// per-level candidate buckets, a flat dedup index, the per-candidate
-// bounds cache, the selected-walk buffers, and the ancestor counts of
-// the pre-filter. The zero value is ready; each Estimator-owning
-// algorithm keeps one and passes it to ComputeInto/ComputeCandidates.
-// A Scratch must not be shared between concurrent queries.
+// per-level candidate buckets, the two-dimensional prefix→bounds
+// index and cache, the selected-walk buffers, and ComputeTracked's
+// ancestor counts. The zero value is ready; a caller that queries
+// repeatedly keeps one and passes it to ComputeCandidates or
+// ComputeTracked. A Scratch must not be shared between concurrent
+// queries.
 type Scratch struct {
 	byLevel  [][]Candidate
 	seen     *keyidx.Index[hierarchy.Prefix]
@@ -60,10 +63,9 @@ type Scratch struct {
 	selected []hierarchy.Prefix
 	closest  []hierarchy.Prefix
 
-	// Pre-filter (see ComputeCandidates): below maps a prefix to the
-	// number of retained candidates it strictly generalizes, co lists
-	// the prefixes that reached two, ancestors is the enumeration
-	// buffer.
+	// ComputeTracked's lookups: below maps a prefix to the number of
+	// retained candidates it strictly generalizes, co lists the
+	// prefixes that reached two, ancestors is the enumeration buffer.
 	below     *keyidx.Index[hierarchy.Prefix]
 	co        []hierarchy.Prefix
 	ancestors []hierarchy.Prefix
@@ -89,89 +91,32 @@ type boundsPair struct {
 // first) and returns every prefix whose conservative conditioned
 // frequency, plus compensation, reaches threshold (in packets).
 // Candidates may contain duplicates and prefixes of any level; order
-// does not matter. The returned set is deterministic for a given input.
+// does not matter. The estimator is consulted once per unique
+// candidate, and again only for glbs outside the candidate set. The
+// returned set is deterministic for a given input.
 func Compute(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Prefix, threshold, compensation float64) []Entry {
-	var sc Scratch
-	return ComputeInto(h, est, candidates, threshold, compensation, &sc, nil)
-}
-
-// ComputeInto is Compute through caller-owned scratch: intermediate
-// state lives in sc and the result is appended to dst. After the
-// first call on a given sc, the query path performs no allocation
-// beyond what dst needs. The estimator is consulted exactly once per
-// unique in-domain candidate.
-func ComputeInto(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Prefix, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
-	levels := sc.resetLevels(h)
-	if sc.seen == nil || sc.seen.Cap() < len(candidates) {
-		sc.seen = keyidx.MustNew(max(len(candidates), 16), hierarchy.PrefixHasher(0))
-	} else {
-		sc.seen.Flush()
-	}
-	// Dedup candidates into their levels; each unique in-domain
-	// candidate gets a slot in the bounds cache (seen stores the slot;
-	// -1 marks out-of-domain prefixes that are deduped but never
-	// scanned) and its bounds are computed exactly once, here.
-	sc.bounds = sc.bounds[:0]
+	seen := make(map[hierarchy.Prefix]struct{}, len(candidates))
+	cands := make([]Candidate, 0, len(candidates))
 	for _, p := range candidates {
-		if _, ok := sc.seen.Get(p); ok {
+		if _, dup := seen[p]; dup {
 			continue
 		}
-		d := h.Depth(p)
-		if d >= 0 && d < levels {
-			upper, lower := est.Bounds(p)
-			sc.retain(Candidate{Prefix: p, Upper: upper, Lower: lower}, d, true)
-		} else {
-			sc.seen.Put(p, -1)
-		}
+		seen[p] = struct{}{}
+		upper, lower := est.Bounds(p)
+		cands = append(cands, Candidate{Prefix: p, Upper: upper, Lower: lower})
 	}
-	return scan(h, est, threshold, compensation, sc, dst)
+	var sc Scratch
+	return ComputeCandidates(h, est, cands, threshold, compensation, &sc, nil)
 }
 
-// ComputeCandidates is the scan over candidates whose bounds the
-// caller already computed. Candidates must be pairwise distinct; order
-// does not matter and the output matches ComputeInto over the same
-// set. est must agree with the carried bounds on the candidates; it is
-// consulted only for the two-dimensional glb add-back, and only for
-// prefixes the scan did not retain.
-//
-// Only candidates that can still be selected are bucketed and
-// scanned. A "low" candidate, Upper + compensation < threshold, needs
-// a positive calcPred to be selected. One-dimensional calcPred only
-// subtracts, so low candidates are dropped. Two-dimensional calcPred
-// is positive only through a glb add-back, which takes two selected
-// strict descendants; every selected prefix is high or, by induction
-// on depth, sits above two high ones, so a low candidate is retained
-// exactly when it strictly generalizes two high candidates. Dropped
-// candidates are never selected and so never influence another
-// prefix's conditioned frequency: the result equals the scan over the
-// full list.
+// ComputeCandidates is the full scan over candidates whose bounds the
+// caller already computed, through caller-owned scratch, appending the
+// result to dst. Candidates must be pairwise distinct; order does not
+// matter. est must agree with the carried bounds on the candidates; it
+// is consulted only for the two-dimensional glb add-back, and only for
+// prefixes outside the candidate set.
 func ComputeCandidates(h hierarchy.Hierarchy, est Estimator, candidates []Candidate, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
-	levels, twoD := sc.reset(h)
-	cut := threshold - compensation
-	low := 0
-	for _, c := range candidates {
-		d := h.Depth(c.Prefix)
-		if d < 0 || d >= levels {
-			continue
-		}
-		if c.Upper >= cut {
-			sc.retain(c, d, twoD)
-		} else {
-			low++
-		}
-	}
-	if twoD && low > 0 && sc.coAncestors() > 0 {
-		for _, c := range candidates {
-			if c.Upper >= cut {
-				continue
-			}
-			if n, _ := sc.below.Get(c.Prefix); n >= 2 {
-				if d := h.Depth(c.Prefix); d >= 0 && d < levels {
-					sc.retain(c, d, twoD)
-				}
-			}
-		}
-	}
+	sc.bucket(h, candidates)
 	return scan(h, est, threshold, compensation, sc, dst)
 }
 
@@ -187,19 +132,22 @@ type Tracker interface {
 // ComputeTracked is ComputeCandidates for a caller that cannot afford
 // to list its candidates: high holds at least every candidate with
 // Upper + compensation ≥ threshold, pairwise distinct, and the other
-// candidates the scan can select — the prefixes that strictly
-// generalize two members of high, a few dozen per member at most —
-// are looked up in t. The output matches ComputeCandidates over the
-// full candidate list.
+// candidates the scan can select are looked up in t. The output
+// matches ComputeCandidates over the full candidate list.
+//
+// A "low" candidate, Upper + compensation < threshold, needs a
+// positive calcPred to be selected. One-dimensional calcPred only
+// subtracts, so no low candidate is selected. Two-dimensional calcPred
+// is positive only through a glb add-back, which takes two selected
+// strict descendants; every selected prefix is high or, by induction
+// on depth, sits above two high ones, so the low candidates the scan
+// can select are among the prefixes that strictly generalize two
+// members of high, a few dozen per member at most. Low candidates
+// that are never selected never influence another prefix's
+// conditioned frequency.
 func ComputeTracked(h hierarchy.Hierarchy, t Tracker, high []Candidate, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
-	levels, twoD := sc.reset(h)
-	for _, c := range high {
-		if d := h.Depth(c.Prefix); d >= 0 && d < levels {
-			sc.retain(c, d, twoD)
-		}
-	}
-	if twoD && sc.coAncestors() > 0 {
-		for _, p := range sc.co {
+	if twoD := sc.bucket(h, high); twoD {
+		for _, p := range sc.coAncestors() {
 			if _, ok := sc.seen.Get(p); ok {
 				continue
 			}
@@ -211,11 +159,19 @@ func ComputeTracked(h hierarchy.Hierarchy, t Tracker, high []Candidate, threshol
 	return scan(h, t, threshold, compensation, sc, dst)
 }
 
-// reset clears the per-level buckets and, in two dimensions, the
-// prefix→bounds index the glb cache resolves through (1D never
-// consults it and skips the index maintenance entirely).
-func (sc *Scratch) reset(h hierarchy.Hierarchy) (levels int, twoD bool) {
-	levels = sc.resetLevels(h)
+// bucket clears sc and retains every in-domain candidate of cands. In
+// two dimensions it also rebuilds the prefix→bounds index the glb
+// cache resolves through (1D never consults it and skips the index
+// maintenance entirely); it reports whether h is two-dimensional.
+func (sc *Scratch) bucket(h hierarchy.Hierarchy, cands []Candidate) (twoD bool) {
+	levels := h.Levels()
+	if cap(sc.byLevel) < levels {
+		sc.byLevel = make([][]Candidate, levels)
+	}
+	sc.byLevel = sc.byLevel[:levels]
+	for i := range sc.byLevel {
+		sc.byLevel[i] = sc.byLevel[i][:0]
+	}
 	twoD = h.Dims() == 2
 	if twoD {
 		if sc.seen == nil {
@@ -225,14 +181,19 @@ func (sc *Scratch) reset(h hierarchy.Hierarchy) (levels int, twoD bool) {
 		}
 		sc.bounds = sc.bounds[:0]
 	}
-	return levels, twoD
+	for _, c := range cands {
+		if d := h.Depth(c.Prefix); d >= 0 && d < levels {
+			sc.retain(c, d, twoD)
+		}
+	}
+	return twoD
 }
 
 // coAncestors fills below with, for every strict ancestor of a
 // retained candidate, the number of retained candidates under it, and
 // co with the ancestors that have two or more (each once; they may be
-// retained themselves). It returns len(co).
-func (sc *Scratch) coAncestors() int {
+// retained themselves), and returns co.
+func (sc *Scratch) coAncestors() []hierarchy.Prefix {
 	if sc.below == nil {
 		sc.below = keyidx.MustNew(256, hierarchy.PrefixHasher(0))
 	} else {
@@ -249,7 +210,7 @@ func (sc *Scratch) coAncestors() int {
 			}
 		}
 	}
-	return len(sc.co)
+	return sc.co
 }
 
 // retain buckets c, a candidate of depth d, for the scan; the
@@ -299,19 +260,6 @@ func (sc *Scratch) Trim(limit int) {
 	if cap(sc.gIdx) > limit {
 		sc.gIdx = nil
 	}
-}
-
-// resetLevels sizes and clears the per-level buckets.
-func (sc *Scratch) resetLevels(h hierarchy.Hierarchy) int {
-	levels := h.Levels()
-	if cap(sc.byLevel) < levels {
-		sc.byLevel = make([][]Candidate, levels)
-	}
-	sc.byLevel = sc.byLevel[:levels]
-	for i := range sc.byLevel {
-		sc.byLevel[i] = sc.byLevel[i][:0]
-	}
-	return levels
 }
 
 // scan runs the bottom-up level scan over the bucketed candidates.

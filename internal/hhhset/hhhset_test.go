@@ -1,6 +1,7 @@
 package hhhset
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -216,10 +217,9 @@ func (c *countingEstimator) Bounds(p hierarchy.Prefix) (float64, float64) {
 	return c.m.Bounds(p)
 }
 
-// TestComputeBoundsCalledOncePerCandidate pins the Scratch bounds
-// cache: however many selected descendants a candidate has, the
-// estimator is consulted exactly once per unique candidate. On the
-// sharded front-end every saved call is a saved multi-shard probe.
+// TestComputeBoundsCalledOncePerCandidate pins the bounds cache:
+// however many selected descendants a candidate has, Compute consults
+// the estimator exactly once per unique candidate.
 func TestComputeBoundsCalledOncePerCandidate(t *testing.T) {
 	h := hierarchy.OneD{}
 	// A deep chain: /32 under /24 under /16 under /8, all heavy, so
@@ -240,8 +240,7 @@ func TestComputeBoundsCalledOncePerCandidate(t *testing.T) {
 	for _, p := range cands {
 		est.m[p] = 1000
 	}
-	var sc Scratch
-	got := ComputeInto(h, est, cands, 100, 0, &sc, nil)
+	got := Compute(h, est, cands, 100, 0)
 	if len(got) == 0 {
 		t.Fatal("test vacuous: nothing selected")
 	}
@@ -250,21 +249,30 @@ func TestComputeBoundsCalledOncePerCandidate(t *testing.T) {
 			t.Errorf("Bounds(%v) called %d times, want 1", p, n)
 		}
 	}
-	// The cached run must equal an uncached reference computation.
-	want := Compute(h, est.m, cands, 100, 0)
+	// The cached run must equal the uncached reference computation.
+	sameEntries(t, "cached run", got, referenceCompute(h, est.m, cands, 100, 0))
+}
+
+// sameEntries fails t unless got equals the reference want entry for
+// entry, bit for bit.
+func sameEntries(t *testing.T, what string, got, want []Entry) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("cached run selected %d entries, reference %d", len(got), len(want))
+		t.Fatalf("%s selected %d entries, reference %d\n%v\n%v", what, len(got), len(want), got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("entry %d: cached %+v, reference %+v", i, got[i], want[i])
+			t.Fatalf("%s entry %d: %+v, reference %+v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// referenceCompute is the textbook Algorithm 2/3 scan — generic
-// Closest per candidate, no caching, no cover bits — used to verify
-// the optimized 1D path on random inputs.
+// referenceCompute is the textbook Algorithm 2 scan, sharing no code
+// with the one under test: generic Closest per candidate, Algorithm
+// 3's subtraction of each closest selected descendant's lower bound,
+// Algorithm 4's add-back of each pair's glb unless a third member of
+// G generalizes it (in 1D no two members of G have a glb), every
+// bound read from est, nothing cached.
 func referenceCompute(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Prefix, threshold, compensation float64) []Entry {
 	levels := h.Levels()
 	byLevel := make([][]hierarchy.Prefix, levels)
@@ -291,6 +299,18 @@ func referenceCompute(h hierarchy.Hierarchy, est Estimator, candidates []hierarc
 				_, lower := est.Bounds(g)
 				r -= lower
 			}
+			for i, g := range G {
+				for _, g2 := range G[i+1:] {
+					q, ok := hierarchy.GLB(g, g2)
+					if !ok || slices.ContainsFunc(G, func(h3 hierarchy.Prefix) bool {
+						return h3 != g && h3 != g2 && h3.Generalizes(q)
+					}) {
+						continue
+					}
+					upper, _ := est.Bounds(q)
+					r += upper
+				}
+			}
 			upper, _ := est.Bounds(p)
 			cond := upper + r + compensation
 			if cond >= threshold {
@@ -303,7 +323,7 @@ func referenceCompute(h hierarchy.Hierarchy, est Estimator, candidates []hierarc
 }
 
 // TestCompute1DFastPathMatchesReference drives random 1D candidate
-// sets through ComputeInto and the reference scan; the cover-bit fast
+// sets through Compute and the reference scan; the cover-bit fast
 // path must agree entry for entry.
 func TestCompute1DFastPathMatchesReference(t *testing.T) {
 	h := hierarchy.OneD{}
@@ -325,18 +345,8 @@ func TestCompute1DFastPathMatchesReference(t *testing.T) {
 		}
 		threshold := float64(100 + src.Intn(1000))
 		comp := float64(src.Intn(200))
-		var sc Scratch
-		got := ComputeInto(h, est, cands, threshold, comp, &sc, nil)
-		want := referenceCompute(h, est, cands, threshold, comp)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fast path selected %d, reference %d\n%v\n%v",
-				trial, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d entry %d: fast %+v, reference %+v", trial, i, got[i], want[i])
-			}
-		}
+		got := Compute(h, est, cands, threshold, comp)
+		sameEntries(t, fmt.Sprintf("trial %d: fast path", trial), got, referenceCompute(h, est, cands, threshold, comp))
 	}
 }
 
@@ -360,22 +370,23 @@ func (b boundsTable) Tracked(p hierarchy.Prefix) (float64, float64, bool) {
 	return v[0], v[1], ok
 }
 
-// TestComputeCandidatesPrefilterMatchesFullScan is the soundness
-// property of the pre-filter: over random candidate sets with random
+// TestComputeTrackedMatchesFullScan is the soundness property of
+// ComputeTracked's lookups: over random candidate sets with random
 // bounds — not monotone along the hierarchy, lower anywhere in
-// [0, upper] — ComputeCandidates over the full list, and
-// ComputeTracked over the high candidates alone, must return exactly
-// what the estimator-driven Compute, which scans every candidate,
-// returns. In two dimensions the fixture must exercise the case the
-// filter exists for: a candidate below threshold − compensation
-// selected through a glb add-back, in a trial where the filter did
-// drop candidates.
-func TestComputeCandidatesPrefilterMatchesFullScan(t *testing.T) {
+// [0, upper] — and thresholds down to admit-everything (threshold ≤
+// compensation), ComputeTracked over the high candidates alone,
+// Compute and ComputeCandidates over the full list must all return
+// exactly what the reference scan returns. In two dimensions the
+// fixture must exercise the case the lookups exist for: a candidate
+// below threshold − compensation selected through a glb add-back, in
+// a trial where ComputeTracked retained fewer candidates than the
+// full list holds.
+func TestComputeTrackedMatchesFullScan(t *testing.T) {
 	src := rng.New(17)
 	var sc Scratch // one scratch across all trials: reuse must not leak state
 	for _, h := range []hierarchy.Hierarchy{hierarchy.OneD{}, hierarchy.TwoD{}} {
 		twoD := h.Dims() == 2
-		liftedWhileFiltering := 0
+		lifted, admitAll := 0, 0
 		for trial := 0; trial < 400; trial++ {
 			// A small address pool makes ancestors, descendants and glbs
 			// of candidates likely to be candidates themselves.
@@ -401,40 +412,43 @@ func TestComputeCandidatesPrefilterMatchesFullScan(t *testing.T) {
 				prefixes = append(prefixes, p)
 				cands = append(cands, Candidate{Prefix: p, Upper: upper, Lower: lower})
 			}
-			threshold := float64(src.Intn(2500))
 			comp := float64(src.Intn(400))
+			threshold := float64(src.Intn(2500))
+			if trial%8 == 0 {
+				threshold = float64(src.Intn(int(comp) + 1))
+			}
+			if threshold <= comp {
+				admitAll++
+			}
 
-			want := Compute(h, est, prefixes, threshold, comp)
+			want := referenceCompute(h, est, prefixes, threshold, comp)
+			what := fmt.Sprintf("%v trial %d:", h, trial)
+			sameEntries(t, what+" Compute", Compute(h, est, prefixes, threshold, comp), want)
+			sameEntries(t, what+" ComputeCandidates", ComputeCandidates(h, est, cands, threshold, comp, &sc, nil), want)
 			var high []Candidate
 			for _, c := range cands {
 				if c.Upper+comp >= threshold {
 					high = append(high, c)
 				}
 			}
-			tracked := ComputeTracked(h, est, high, threshold, comp, &sc, nil)
-			got := ComputeCandidates(h, est, cands, threshold, comp, &sc, nil)
-			if len(got) != len(want) || len(tracked) != len(want) {
-				t.Fatalf("%v trial %d: full scan selected %d, filtered list scan %d, tracked scan %d",
-					h, trial, len(want), len(got), len(tracked))
-			}
+			sameEntries(t, what+" ComputeTracked", ComputeTracked(h, est, high, threshold, comp, &sc, nil), want)
 			retained := 0
 			for _, level := range sc.byLevel {
 				retained += len(level)
 			}
-			for i := range want {
-				if got[i] != want[i] || tracked[i] != want[i] {
-					t.Fatalf("%v trial %d entry %d: full %+v, filtered list %+v, tracked %+v",
-						h, trial, i, want[i], got[i], tracked[i])
-				}
-				if retained < len(cands) && want[i].Estimate+comp < threshold {
-					liftedWhileFiltering++
+			for _, e := range want {
+				if retained < len(cands) && e.Estimate+comp < threshold {
+					lifted++
 				}
 			}
 		}
-		if twoD && liftedWhileFiltering == 0 {
-			t.Fatal("test vacuous: no below-threshold candidate was selected through a glb add-back")
+		if admitAll == 0 {
+			t.Fatalf("%v: test vacuous: no trial had threshold ≤ compensation", h)
 		}
-		if !twoD && liftedWhileFiltering != 0 {
+		if twoD && lifted == 0 {
+			t.Fatal("test vacuous: no below-threshold candidate was selected through a glb add-back while ComputeTracked skipped candidates")
+		}
+		if !twoD && lifted != 0 {
 			t.Fatal("a 1D candidate below threshold − compensation was selected: calcPred1D must only subtract")
 		}
 	}

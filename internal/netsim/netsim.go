@@ -291,14 +291,10 @@ func (s *Sim) Output(theta float64) []hhhset.Entry {
 	case Sample, Batch:
 		return s.abs.Sketch().Output(theta)
 	default:
-		seen := map[hierarchy.Prefix]struct{}{}
 		var cands []hierarchy.Prefix
 		for i := range s.agents {
 			for p := range s.agents[i].view {
-				if _, dup := seen[p]; !dup {
-					seen[p] = struct{}{}
-					cands = append(cands, p)
-				}
+				cands = append(cands, p)
 			}
 		}
 		return hhhset.Compute(s.hier, s, cands, theta*float64(s.cfg.Params.Window), 0)

@@ -17,7 +17,7 @@
 // and the merge — including the full HHH-set computation of Output —
 // happens lock-free on the immutable copies. The previous design used
 // the sharded instance itself as the hhhset.Estimator, so every
-// Bounds call inside ComputeInto locked all N shards: O(candidates ×
+// Bounds call of the HHH-set scan locked all N shards: O(candidates ×
 // levels × shards) lock round-trips per Output, stalling ingestion
 // exactly when monitoring queries most.
 

@@ -131,20 +131,18 @@ func (e *lockPerBounds) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 	return upper, lower
 }
 
-// legacyScratch recycles the legacy implementation's working state
-// across calls, mirroring the outPool the pre-snapshot Output used —
-// without it BenchmarkOutputLockPerBounds would pay per-call
-// allocations the real pre-change code never paid, overstating the
-// snapshot plane's speedup.
+// legacyScratch recycles the legacy implementation's candidate list
+// across calls, as the outPool the pre-snapshot Output used did. The
+// scan itself (hhhset.Compute) builds its working state per call: a
+// few allocations beside the O(candidates × levels × shards) lock
+// round-trips BenchmarkOutputLockPerBounds times.
 type legacyScratch struct {
-	cands   []hierarchy.Prefix
-	sc      hhhset.Scratch
-	entries []hhhset.Entry
+	cands []hierarchy.Prefix
 }
 
 // legacyOutput is the pre-snapshot Output: candidates gathered under
-// per-shard locks, then ComputeInto against the lock-per-Bounds
-// merged estimator.
+// per-shard locks, then the full scan (hhhset.Compute) against the
+// lock-per-Bounds merged estimator.
 func legacyOutput(s *HHH, theta float64, ls *legacyScratch, dst []core.HeavyPrefix) []core.HeavyPrefix {
 	ls.cands = ls.cands[:0]
 	for i := range s.shards {
@@ -155,8 +153,7 @@ func legacyOutput(s *HHH, theta float64, ls *legacyScratch, dst []core.HeavyPref
 	}
 	est := &lockPerBounds{s: s, total: s.Updates()}
 	threshold := theta * float64(s.window)
-	ls.entries = hhhset.ComputeInto(s.hier, est, ls.cands, threshold, s.comp, &ls.sc, ls.entries[:0])
-	for _, e := range ls.entries {
+	for _, e := range hhhset.Compute(s.hier, est, ls.cands, threshold, s.comp) {
 		dst = append(dst, core.HeavyPrefix(e))
 	}
 	return dst
@@ -168,7 +165,7 @@ func legacyOutput(s *HHH, theta float64, ls *legacyScratch, dst []core.HeavyPref
 // implementation, across thresholds and in one and two dimensions —
 // the same prefixes in the same order, with estimates matching up to
 // float summation order. The reference scans every tracked prefix
-// (hhhset.ComputeInto has no pre-filter), so an unsound sweep or
+// (hhhset.Compute is the full scan), so an unsound sweep or
 // ancestor rule shows up as a missing entry.
 func TestOutputMatchesLockPerBoundsReference(t *testing.T) {
 	const relTol = 1e-9
