@@ -65,18 +65,18 @@ func TestFleetFiguresGolden(t *testing.T) {
 	checkGolden(t, "fleet_figures.golden", "fleet figures", out.Bytes())
 }
 
-// TestHHHSetsGolden pins every HHH set the repository computes, the
-// sets every figure's accuracy is scored on: H-Memento (core.HHH), the
-// sharded front (two shards, one producer) and the MST, RHHH and window
-// Baseline, each in one and two dimensions over one fixed Datacenter
-// stream of 16 Ki packets, at θ ∈ {0.1, 0.02, 0.005}, every entry at
-// full precision. δ = 0.49 keeps the sampling compensation small enough
-// that the larger θs select only part of what is tracked; one more 2D
-// H-Memento sizing, at the default δ, has a compensation above θ·W at
-// every θ, so every prefix it tracks is admitted to the scan. A change
-// to the level-by-level scan (hhhset) or to what any algorithm feeds
-// it that moves one bit of one answer fails here. Re-pin with
-// -update-golden only for an intended change, and say why.
+// TestHHHSetsGolden pins the HHH set of every algorithm in the
+// repository: H-Memento (core.HHH), the sharded front (two shards, one
+// producer) and the MST, RHHH and window Baseline, each in one and two
+// dimensions over one fixed Datacenter stream of 16 Ki packets, at
+// θ ∈ {0.1, 0.02, 0.005}, every entry at full precision. δ = 0.49 keeps
+// the sampling compensation small enough that the larger θs select
+// only part of what is tracked; one more 2D H-Memento sizing, at the
+// default δ, has a compensation above θ·W at every θ, so every prefix
+// it tracks is admitted to the scan. A change to the level-by-level
+// scan (hhhset) or to what any algorithm feeds it that moves one bit of
+// one answer fails here. Re-pin with -update-golden only for an
+// intended change, and say why.
 func TestHHHSetsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every HHH algorithm over a 16 Ki-packet stream")

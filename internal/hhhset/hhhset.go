@@ -146,13 +146,13 @@ type Tracker interface {
 // that are never selected never influence another prefix's
 // conditioned frequency.
 func ComputeTracked(h hierarchy.Hierarchy, t Tracker, high []Candidate, threshold, compensation float64, sc *Scratch, dst []Entry) []Entry {
-	if twoD := sc.bucket(h, high); twoD {
+	if sc.bucket(h, high) {
 		for _, p := range sc.coAncestors() {
 			if _, ok := sc.seen.Get(p); ok {
 				continue
 			}
 			if upper, lower, ok := t.Tracked(p); ok {
-				sc.retain(Candidate{Prefix: p, Upper: upper, Lower: lower}, h.Depth(p), twoD)
+				sc.retain(Candidate{Prefix: p, Upper: upper, Lower: lower}, h.Depth(p), true)
 			}
 		}
 	}
