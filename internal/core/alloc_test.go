@@ -141,3 +141,34 @@ func BenchmarkHHHOutputLive(b *testing.B) {
 		b.Fatal("benchmark vacuous: Output reported nothing")
 	}
 }
+
+// BenchmarkHHHOutputAdmitAll2D measures OutputTo on a two-dimensional
+// H-Memento sized so its compensation exceeds θ·W: every tracked
+// prefix is admitted, about 5 900 of them are selected, and the HHH-set
+// scan's closest-descendant lists and glb guard carry thousands of
+// members instead of steady traffic's few dozen. W = 8 192, V = H,
+// δ = 0.001, 800 counters, four windows of 40 % liveStream and 60 %
+// uniform {Src, Dst} traffic. CI gates 0 allocs/op.
+func BenchmarkHHHOutputAdmitAll2D(b *testing.B) {
+	const window, theta = 1 << 13, 0.3
+	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.TwoD{}, Window: window, Counters: 800, V: 25, Delta: 0.001, Seed: 1})
+	src := rng.New(1)
+	for i := 0; i < 4*window; i++ {
+		p := hierarchy.Packet{Src: src.Uint32(), Dst: src.Uint32()}
+		if src.Intn(5) < 2 {
+			p = liveStream(src, 2, 0)
+		}
+		hh.Update(p)
+	}
+	if theta*float64(hh.EffectiveWindow()) > hh.Compensation() {
+		b.Fatalf("benchmark vacuous: θ·W = %v above compensation %v", theta*float64(hh.EffectiveWindow()), hh.Compensation())
+	}
+	var out []HeavyPrefix
+	out = hh.OutputTo(theta, out[:0]) // size the read plane's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = hh.OutputTo(theta, out[:0])
+	}
+	b.ReportMetric(float64(len(out)), "selected")
+}

@@ -32,14 +32,26 @@ type SnapshotSet struct {
 	defU, defL           []float64 //memento:reused (one per member)
 	totalDefU, totalDefL float64
 
-	// One Output's working state: the heavy candidates handed to the
-	// HHH-set scan with their merged bounds, and the index that keeps a
-	// prefix several members admit from being resolved into it twice.
-	cands []hhhset.Candidate //memento:reused (query scratch, Trim-capped)
-	held  *keyidx.Index[hierarchy.Prefix]
-	sc    hhhset.Scratch
+	// One Output's working state. Phase 1 lists each admitted prefix
+	// once in pending, in first-admission order (held maps it to its
+	// position), and keeps in admits, n slots per pending prefix, the
+	// bounds each admitting member reported; phase 2 turns them into
+	// the heavy candidates handed to the HHH-set scan.
+	pending []hierarchy.Prefix //memento:reused (query scratch, Trim-capped)
+	admits  []memberBounds     //memento:reused (query scratch, Trim-capped)
+	held    *keyidx.Index[hierarchy.Prefix]
+	cands   []hhhset.Candidate //memento:reused (query scratch, Trim-capped)
+	sc      hhhset.Scratch
 
 	swept, admitted int
+}
+
+// memberBounds is one member's unweighted tracked bounds on a
+// prefix, as its phase-1 sweep reported them; ok is false where the
+// member did not admit the prefix.
+type memberBounds struct {
+	upper, lower float64
+	ok           bool
 }
 
 // Reset points the set at snaps with the given per-member weights
@@ -70,9 +82,22 @@ func (s *SnapshotSet) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 // returns the merged bounds and whether any member has state for p
 // (only such prefixes are HHH candidates).
 func (s *SnapshotSet) Tracked(p hierarchy.Prefix) (upper, lower float64, tracked bool) {
+	return s.merged(p, nil)
+}
+
+// merged sums p's bounds over the members in member order. A member
+// whose known[i].ok is set contributes those bounds, the ones its
+// TrackedBounds returns; every other member is probed.
+func (s *SnapshotSet) merged(p hierarchy.Prefix, known []memberBounds) (upper, lower float64, tracked bool) {
 	var defU, defL float64
 	for i, snap := range s.snaps {
-		u, l, ok := snap.TrackedBounds(p)
+		var u, l float64
+		var ok bool
+		if known != nil && known[i].ok {
+			u, l, ok = known[i].upper, known[i].lower, true
+		} else {
+			u, l, ok = snap.TrackedBounds(p)
+		}
 		if !ok {
 			continue
 		}
@@ -99,10 +124,12 @@ func (s *SnapshotSet) Tracked(p hierarchy.Prefix) (upper, lower float64, tracked
 // part of T − Σd. When T − Σd ≤ 0 every prefix is that heavy and
 // everything is admitted.
 //
-// Phase 2 resolves each admitted prefix against all members and keeps
-// those with upper ≥ T; hhhset.ComputeTracked scans them, looking up
-// here the few lighter prefixes a two-dimensional scan can still
-// select.
+// Phase 2 resolves each admitted prefix once, in first-admission
+// order: the members that admitted it lend the bounds their sweep
+// computed, only the others are probed, and the sum runs in member
+// order as Tracked's does. The prefixes with upper ≥ T are the high
+// candidates; hhhset.ComputeTracked scans them, looking up here the
+// few lighter prefixes a two-dimensional scan can still select.
 func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation float64, dst []HeavyPrefix) []HeavyPrefix {
 	s.swept, s.admitted = 0, 0
 	if len(s.snaps) == 0 {
@@ -114,11 +141,12 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 	} else {
 		s.held.Flush()
 	}
-	s.cands = s.cands[:0]
+	n := len(s.snaps)
+	s.pending, s.admits, s.cands = s.pending[:0], s.admits[:0], s.cands[:0]
 	cut := threshold - compensation
 	share := math.Inf(-1)
 	if spare := cut - s.totalDefU; spare > 0 {
-		share = spare / float64(len(s.snaps))
+		share = spare / float64(n)
 	}
 	for i, snap := range s.snaps {
 		// In the member's own units, less a rounding margin: a key on
@@ -126,29 +154,30 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 		floor := (s.defU[i] + share) / s.weights[i]
 		floor -= 1e-9 * math.Abs(floor)
 		//memento:allow alloc "closure does not escape: ForEachAbove only iterates (BenchmarkOutputSteadyState gates)"
-		s.swept += snap.ForEachAbove(floor, func(p hierarchy.Prefix, _, _ float64) bool {
+		s.swept += snap.ForEachAbove(floor, func(p hierarchy.Prefix, u, l float64) bool {
 			s.admitted++
-			s.hold(p, cut)
+			h := s.held.Hash(p)
+			k, ok := s.held.GetH(p, h)
+			if !ok {
+				k = int32(len(s.pending))
+				s.held.PutH(p, k, h)
+				s.pending = append(s.pending, p)
+				for range n {
+					s.admits = append(s.admits, memberBounds{})
+				}
+			}
+			s.admits[int(k)*n+i] = memberBounds{upper: u, lower: l, ok: true}
 			return true
 		})
 	}
+	for k, p := range s.pending {
+		upper, lower, _ := s.merged(p, s.admits[k*n:(k+1)*n])
+		if upper >= cut {
+			s.cands = append(s.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
+		}
+	}
 	//memento:allow alloc "HHH-set scratch growth amortized by Scratch reuse (BenchmarkOutputSteadyState gates)"
 	return hhhset.ComputeTracked(hier, s, s.cands, threshold, compensation, &s.sc, dst)
-}
-
-// hold makes the admitted prefix p a scan candidate if its merged
-// upper bound reaches cut and it is not one already.
-func (s *SnapshotSet) hold(p hierarchy.Prefix, cut float64) {
-	h := s.held.Hash(p)
-	if _, ok := s.held.GetH(p, h); ok {
-		return
-	}
-	upper, lower, _ := s.Tracked(p)
-	if upper < cut {
-		return
-	}
-	s.held.InsertH(p, h)
-	s.cands = append(s.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
 }
 
 // Selectivity reports the last Output's phase-1 counts: the members'
@@ -161,6 +190,12 @@ func (s *SnapshotSet) Selectivity() (swept, admitted int) { return s.swept, s.ad
 // limit entries, so a pooled set that served one pathologically wide
 // query does not pin its high-water memory.
 func (s *SnapshotSet) Trim(limit int) {
+	if cap(s.pending) > limit {
+		s.pending = nil
+	}
+	if cap(s.admits) > limit {
+		s.admits = nil
+	}
 	if cap(s.cands) > limit {
 		s.cands = nil
 	}

@@ -157,17 +157,88 @@ func TestSnapshotSetOutputMatchesFullScan(t *testing.T) {
 	}
 }
 
+// TestSnapshotSetCandidatesCarryTrackedBounds pins phase 2's
+// resolution: over random member sets (one to four members, unequal
+// weights), every candidate Output hands to the HHH-set scan carries
+// exactly Tracked(p)'s bounds, to the bit, although the members that
+// admitted p lend the bounds their sweep reported and only the others
+// are probed; each candidate appears once, and every tracked prefix
+// whose merged upper bound reaches T is one. Some trial must hold a
+// candidate that a member tracks below its floor, so that the probe
+// and the lent bounds meet in one sum.
+func TestSnapshotSetCandidatesCarryTrackedBounds(t *testing.T) {
+	src := rng.New(45)
+	var set SnapshotSet
+	mixed := 0
+	for _, hier := range []hierarchy.Hierarchy{hierarchy.OneD{}, hierarchy.TwoD{}} {
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + src.Intn(4)
+			comp := float64(src.Intn(500))
+			snaps := make([]*HHHSnapshot, n)
+			weights := make([]float64, n)
+			for i := range snaps {
+				snaps[i] = randomHHHSnapshot(t, src, hier, comp)
+				weights[i] = 0.25 + float64(src.Intn(8))/4 + src.Float64()/16
+			}
+			set.Reset(snaps, weights)
+			absent, _ := set.Bounds(hierarchy.Prefix{Src: 0xdeadbeef, SrcLen: 4, Dst: 0xdeadbeef, DstLen: uint8(4 * (hier.Dims() - 1))})
+			threshold := comp + absent*(0.5+6*src.Float64())
+			set.Output(hier, threshold, comp, nil)
+
+			held := map[hierarchy.Prefix]bool{}
+			for _, c := range set.cands {
+				if held[c.Prefix] {
+					t.Fatalf("%v trial %d: %v handed to the scan twice", hier, trial, c.Prefix)
+				}
+				held[c.Prefix] = true
+				upper, lower, ok := set.Tracked(c.Prefix)
+				if !ok || c.Upper != upper || c.Lower != lower {
+					t.Fatalf("%v trial %d n=%d: candidate %v carries (%v, %v), Tracked says (%v, %v, %v)",
+						hier, trial, n, c.Prefix, c.Upper, c.Lower, upper, lower, ok)
+				}
+			}
+			for k, p := range set.pending {
+				for i, snap := range snaps {
+					if _, _, ok := snap.TrackedBounds(p); ok && !set.admits[k*n+i].ok && held[p] {
+						mixed++
+					}
+				}
+			}
+			for _, snap := range snaps {
+				snap.Sketch().ForEachEstimate(func(p hierarchy.Prefix, _, _ float64) bool {
+					if upper, _, _ := set.Tracked(p); upper >= threshold-comp && !held[p] {
+						t.Fatalf("%v trial %d: %v reaches T = %v with %v but is no candidate", hier, trial, p, threshold-comp, upper)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("test vacuous: no candidate was tracked below the floor on a member that did not admit it")
+	}
+}
+
 // TestSnapshotSetTrim pins the pool hygiene hook: scratch above the
 // limit is dropped, scratch below it is kept.
 func TestSnapshotSetTrim(t *testing.T) {
 	var set SnapshotSet
+	set.pending = make([]hierarchy.Prefix, 0, 64)
+	set.admits = make([]memberBounds, 0, 64)
 	set.cands = make([]hhhset.Candidate, 0, 64)
 	set.held = keyidx.MustNew(8, hierarchy.PrefixHasher(0))
 	set.Trim(32)
-	if set.cands != nil {
-		t.Fatalf("oversized candidate scratch retained with cap %d", cap(set.cands))
+	if set.pending != nil || set.admits != nil || set.cands != nil {
+		t.Fatalf("oversized phase-2 scratch retained: pending cap %d, admits cap %d, candidates cap %d",
+			cap(set.pending), cap(set.admits), cap(set.cands))
 	}
 	if set.held == nil {
 		t.Fatal("small candidate index not kept")
+	}
+	set.pending = make([]hierarchy.Prefix, 0, 16)
+	set.admits = make([]memberBounds, 0, 16)
+	set.Trim(32)
+	if set.pending == nil || set.admits == nil {
+		t.Fatal("small phase-2 scratch not kept")
 	}
 }

@@ -14,6 +14,16 @@
 // threshold on their own and looks up the few others the scan can
 // still select. Both return the same set.
 //
+// Neither calcPred searches the selected set per candidate. In one
+// dimension a cover bit per selected prefix marks those a selected
+// ancestor already shadows (calcPred1D). In two, each candidate keeps
+// the list of its closest selected descendants G, updated as the scan
+// selects each prefix (adopt), and Algorithm 4's guard reads two
+// column masks per member of G instead of testing every third member
+// against every pair (calcPred). The answers are those of the literal
+// algorithms to the bit: G keeps the order the generic
+// hierarchy.Closest returns, so every float sum runs in the same order.
+//
 //memento:deterministic
 package hhhset
 
@@ -50,18 +60,21 @@ type Candidate struct {
 
 // Scratch holds the working state of the HHH-set computation so
 // repeated queries reuse it instead of allocating per call: the
-// per-level candidate buckets, the two-dimensional prefix→bounds
-// index and cache, the selected-walk buffers, and ComputeTracked's
+// retained candidates and their per-level buckets, the
+// two-dimensional prefix→candidate index, the selected-walk buffers,
+// the closest-descendant lists and guard masks, and ComputeTracked's
 // ancestor counts. The zero value is ready; a caller that queries
 // repeatedly keeps one and passes it to ComputeCandidates or
 // ComputeTracked. A Scratch must not be shared between concurrent
 // queries.
 type Scratch struct {
-	byLevel  [][]Candidate
+	// cands holds the retained candidates; byLevel[d] lists the
+	// indices of those at depth d, and in two dimensions seen maps a
+	// candidate's prefix to its index.
+	cands    []Candidate
+	byLevel  [][]int32
 	seen     *keyidx.Index[hierarchy.Prefix]
-	bounds   []boundsPair
 	selected []hierarchy.Prefix
-	closest  []hierarchy.Prefix
 
 	// ComputeTracked's lookups: below maps a prefix to the number of
 	// retained candidates it strictly generalizes, co lists the
@@ -70,21 +83,22 @@ type Scratch struct {
 	co        []hierarchy.Prefix
 	ancestors []hierarchy.Prefix
 
-	// One-dimensional fast path (see calcPred1D): covered[j] records
-	// that selected[j] already has a selected strict ancestor,
-	// selLower[j] caches selected[j]'s lower bound, and gIdx is the
+	// selLower[j] is selected[j]'s lower bound. One-dimensional fast
+	// path (see calcPred1D): covered[j] records that selected[j]
+	// already has a selected strict ancestor, and gIdx is the
 	// per-candidate scratch of closest-descendant indices.
 	covered  []bool
 	selLower []float64
 	gIdx     []int32
-}
 
-// boundsPair caches one candidate's bounds for the two-dimensional
-// calcPred, which needs them when the candidate later appears as a
-// selected descendant or as a glb of two selected prefixes. (The 1D
-// path keeps lower bounds inline with the selected set instead.)
-type boundsPair struct {
-	upper, lower float64
+	// Two-dimensional calcPred (see adopt and calcPred): gLists[k] is
+	// cands[k]'s closest-descendant list so far, as indices into
+	// selected; srcCol and dstCol are the guard's column masks over
+	// one candidate's G; patterns has a bit for each (source,
+	// destination) length pair some retained candidate has.
+	gLists         [][]int32
+	srcCol, dstCol []uint64
+	patterns       uint32
 }
 
 // Compute scans the candidate prefixes level by level (fully specified
@@ -160,18 +174,20 @@ func ComputeTracked(h hierarchy.Hierarchy, t Tracker, high []Candidate, threshol
 }
 
 // bucket clears sc and retains every in-domain candidate of cands. In
-// two dimensions it also rebuilds the prefix→bounds index the glb
-// cache resolves through (1D never consults it and skips the index
-// maintenance entirely); it reports whether h is two-dimensional.
+// two dimensions it also rebuilds the prefix→candidate index that
+// the closest-descendant lists and the glb lookups resolve through (1D
+// never consults it and skips the index maintenance entirely); it
+// reports whether h is two-dimensional.
 func (sc *Scratch) bucket(h hierarchy.Hierarchy, cands []Candidate) (twoD bool) {
 	levels := h.Levels()
 	if cap(sc.byLevel) < levels {
-		sc.byLevel = make([][]Candidate, levels)
+		sc.byLevel = make([][]int32, levels)
 	}
 	sc.byLevel = sc.byLevel[:levels]
 	for i := range sc.byLevel {
 		sc.byLevel[i] = sc.byLevel[i][:0]
 	}
+	sc.cands = sc.cands[:0]
 	twoD = h.Dims() == 2
 	if twoD {
 		if sc.seen == nil {
@@ -179,7 +195,7 @@ func (sc *Scratch) bucket(h hierarchy.Hierarchy, cands []Candidate) (twoD bool) 
 		} else {
 			sc.seen.Flush()
 		}
-		sc.bounds = sc.bounds[:0]
+		sc.patterns = 0
 	}
 	for _, c := range cands {
 		if d := h.Depth(c.Prefix); d >= 0 && d < levels {
@@ -200,27 +216,34 @@ func (sc *Scratch) coAncestors() []hierarchy.Prefix {
 		sc.below.Flush()
 	}
 	sc.co = sc.co[:0]
-	for _, level := range sc.byLevel {
-		for _, c := range level {
-			sc.ancestors = c.Prefix.Ancestors(sc.ancestors[:0])
-			for _, a := range sc.ancestors {
-				if sc.below.Inc(a, 1) == 2 {
-					sc.co = append(sc.co, a)
-				}
+	for _, c := range sc.cands {
+		sc.ancestors = c.Prefix.Ancestors(sc.ancestors[:0])
+		for _, a := range sc.ancestors {
+			if sc.below.Inc(a, 1) == 2 {
+				sc.co = append(sc.co, a)
 			}
 		}
 	}
 	return sc.co
 }
 
-// retain buckets c, a candidate of depth d, for the scan; the
-// two-dimensional calcPred also resolves its bounds through seen.
+// retain buckets c, a candidate of depth d, for the scan. In two
+// dimensions it indexes c's prefix and starts c's empty
+// closest-descendant list.
 func (sc *Scratch) retain(c Candidate, d int, twoD bool) {
+	k := int32(len(sc.cands))
+	sc.cands = append(sc.cands, c)
+	sc.byLevel[d] = append(sc.byLevel[d], k)
 	if twoD {
-		sc.seen.Put(c.Prefix, int32(len(sc.bounds)))
-		sc.bounds = append(sc.bounds, boundsPair{upper: c.Upper, lower: c.Lower})
+		sc.seen.Put(c.Prefix, k)
+		sc.patterns |= patternBit(c.Prefix.SrcLen, c.Prefix.DstLen)
+		if int(k) < cap(sc.gLists) {
+			sc.gLists = sc.gLists[:k+1]
+			sc.gLists[k] = sc.gLists[k][:0]
+		} else {
+			sc.gLists = append(sc.gLists, nil)
+		}
 	}
-	sc.byLevel[d] = append(sc.byLevel[d], c)
 }
 
 // Trim drops any internal buffer whose capacity exceeds limit
@@ -228,6 +251,9 @@ func (sc *Scratch) retain(c Candidate, d int, twoD bool) {
 // query (an overflow-table blow-up) does not pin its high-water
 // memory forever.
 func (sc *Scratch) Trim(limit int) {
+	if cap(sc.cands) > limit {
+		sc.cands = nil
+	}
 	for i := range sc.byLevel {
 		if cap(sc.byLevel[i]) > limit {
 			sc.byLevel[i] = nil
@@ -242,14 +268,8 @@ func (sc *Scratch) Trim(limit int) {
 	if cap(sc.co) > limit {
 		sc.co = nil
 	}
-	if cap(sc.bounds) > limit {
-		sc.bounds = nil
-	}
 	if cap(sc.selected) > limit {
 		sc.selected = nil
-	}
-	if cap(sc.closest) > limit {
-		sc.closest = nil
 	}
 	if cap(sc.covered) > limit {
 		sc.covered = nil
@@ -259,6 +279,18 @@ func (sc *Scratch) Trim(limit int) {
 	}
 	if cap(sc.gIdx) > limit {
 		sc.gIdx = nil
+	}
+	if cap(sc.gLists) > limit {
+		sc.gLists = nil
+	}
+	lists := sc.gLists[:cap(sc.gLists)]
+	for i := range lists {
+		if cap(lists[i]) > limit {
+			lists[i] = nil
+		}
+	}
+	if cap(sc.srcCol) > limit {
+		sc.srcCol, sc.dstCol = nil, nil
 	}
 }
 
@@ -275,18 +307,23 @@ func scan(h hierarchy.Hierarchy, est Estimator, threshold, compensation float64,
 	sc.covered = sc.covered[:0]
 	sc.selLower = sc.selLower[:0]
 	for level := range sc.byLevel {
-		for _, c := range sc.byLevel[level] {
+		for _, k := range sc.byLevel[level] {
+			c := sc.cands[k]
 			var pred float64
+			var G []int32
 			if twoD {
-				pred = calcPred(est, sc, c.Prefix, selected)
+				G = sc.closestOf(k)
+				pred = calcPred(est, sc, G, selected)
 			} else {
 				pred = calcPred1D(sc, c.Prefix, selected)
 			}
 			cond := c.Upper + pred + compensation
 			if cond >= threshold {
-				if !twoD {
-					// c now shadows its closest descendants for every
-					// later (more general) candidate.
+				// c now shadows its closest descendants for every
+				// later (more general) candidate.
+				if twoD {
+					sc.adopt(c.Prefix, int32(len(selected)), G)
+				} else {
 					for _, j := range sc.gIdx {
 						sc.covered[j] = true
 					}
@@ -335,70 +372,189 @@ func calcPred1D(sc *Scratch, p hierarchy.Prefix, selected []hierarchy.Prefix) fl
 	return r
 }
 
-// cachedLower returns h's cached lower bound; every selected prefix
-// was scanned (and cached) at an earlier point of the level scan, so
-// the estimator is only consulted for prefixes outside the candidate
-// set.
-func cachedLower(est Estimator, sc *Scratch, h hierarchy.Prefix) float64 {
-	if slot, ok := sc.seen.Get(h); ok && slot >= 0 {
-		return sc.bounds[slot].lower
+// closestOf returns G(cands[k]|selected) when the scan reaches
+// candidate k: its list with the members adopt struck out removed, so
+// the list is G itself from then on.
+func (sc *Scratch) closestOf(k int32) []int32 {
+	live := sc.gLists[k][:0]
+	for _, m := range sc.gLists[k] {
+		if m >= 0 {
+			live = append(live, m)
+		}
 	}
-	_, lower := est.Bounds(h)
-	return lower
+	sc.gLists[k] = live
+	return live
 }
 
-// calcPred returns the (negative) correction from already-selected
-// descendants in two dimensions: Algorithm 3 subtracts each closest
-// descendant's lower bound; Algorithm 4 additionally adds back
-// unshadowed pairwise glbs. Bounds of candidate prefixes come from
-// the Scratch cache; only non-candidate glb prefixes query the
-// estimator. (One-dimensional hierarchies use calcPred1D, which
-// exploits the chain structure of 1D ancestry.)
-func calcPred(est Estimator, sc *Scratch, p hierarchy.Prefix, selected []hierarchy.Prefix) float64 {
-	sc.closest = hierarchy.Closest(p, selected, sc.closest)
-	G := sc.closest
-	r := 0.0
-	for _, h := range G {
-		r -= cachedLower(est, sc, h)
-	}
-	if len(G) < 2 {
-		return r
-	}
-	for i := 0; i < len(G); i++ {
-		for j := i + 1; j < len(G); j++ {
-			q, ok := hierarchy.GLB(G[i], G[j])
+// adopt records that c, just selected as selected[j] with closest
+// selected descendants G, is a closest selected descendant of each of
+// its strict ancestors a that is a candidate, and that the members of G
+// no longer are. (A member of a's list that c generalizes is in G:
+// anything selected strictly between it and c would also lie strictly
+// between it and a.) Levels scan bottom-up, so no earlier member
+// generalizes c, and a list only grows by appends in selection order:
+// it stays sorted by selected index, in the order hierarchy.Closest
+// returns, and a struck-out member keeps its place as ^m until
+// closestOf drops it. Only the ancestors of a pattern some candidate
+// has are looked up.
+func (sc *Scratch) adopt(c hierarchy.Prefix, j int32, G []int32) {
+	for sl := uint8(0); sl <= c.SrcLen; sl++ {
+		src := hierarchy.MaskBytes(c.Src, sl)
+		for dl := uint8(0); dl <= c.DstLen; dl++ {
+			if sc.patterns&patternBit(sl, dl) == 0 || sl == c.SrcLen && dl == c.DstLen {
+				continue
+			}
+			k, ok := sc.seen.Get(hierarchy.Prefix{Src: src, Dst: hierarchy.MaskBytes(c.Dst, dl), SrcLen: sl, DstLen: dl})
 			if !ok {
 				continue
 			}
-			// Algorithm 4's ∄h3 guard. Note: the paper writes "q ⪯ h3"
-			// (q generalizes h3), which is vacuous — a descendant of
-			// glb(h, h') descends from h, so it can never be another
-			// *maximal* member of G. The inclusion-exclusion-correct
-			// reading, implemented here, skips the add-back when a
-			// third member of G generalizes the glb: the (h, h')
-			// overlap then lies entirely inside h3, and the (h, h3)
-			// and (h', h3) pairs already restore it exactly once.
-			shadowed := false
-			for t, h3 := range G {
-				if t == i || t == j {
-					continue
-				}
-				if h3.Generalizes(q) {
-					shadowed = true
-					break
-				}
+			list := sc.gLists[k]
+			for _, m := range G {
+				strike(list, m)
 			}
-			if !shadowed {
-				if slot, ok := sc.seen.Get(q); ok && slot >= 0 {
-					r += sc.bounds[slot].upper
-				} else {
-					upper, _ := est.Bounds(q)
-					r += upper
-				}
+			sc.gLists[k] = append(list, j)
+		}
+	}
+}
+
+// strike marks member m of list, which is sorted by member with
+// struck-out members m stored as ^m, as struck out.
+func strike(list []int32, m int32) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		v := list[mid]
+		if v < 0 {
+			v = ^v
+		}
+		if v < m {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	list[lo] = ^m
+}
+
+// patternBit is the bit of Scratch.patterns for the prefixes that keep
+// sl source and dl destination bytes.
+func patternBit(sl, dl uint8) uint32 {
+	return 1 << (uint(sl)*(hierarchy.AddrBytes+1) + uint(dl))
+}
+
+// calcPred returns the (negative) correction from already-selected
+// descendants in two dimensions, given G, a candidate's closest
+// selected descendants as indices into selected: Algorithm 3
+// subtracts each member's lower bound; Algorithm 4 additionally adds
+// back the upper bound of each pair's glb unless a third member of G
+// generalizes it. Bounds of candidate glbs come from the retained
+// candidates; only non-candidate glb prefixes query the estimator.
+// (One-dimensional hierarchies use calcPred1D, which exploits the
+// chain structure of 1D ancestry.)
+//
+// Algorithm 4's ∄h3 guard: the paper writes "q ⪯ h3" (q generalizes
+// h3), which is vacuous — a descendant of glb(h, h') descends from h,
+// so it can never be another *maximal* member of G. The
+// inclusion-exclusion-correct reading, implemented here, skips the
+// add-back when a third member of G generalizes the glb: the (h, h')
+// overlap then lies entirely inside h3, and the (h, h3) and (h', h3)
+// pairs already restore it exactly once.
+//
+// The guard runs on column masks: srcCol[a] holds the members whose
+// source part generalizes member a's, dstCol[a] likewise for the
+// destination. glb(h_i, h_j) takes its source from the member with the
+// longer source (k1) and its destination from the one with the longer
+// destination (k2), so the members that generalize it are exactly
+// srcCol[k1] & dstCol[k2]. That set holds i and j iff the glb exists,
+// and any other bit in it is an h3.
+func calcPred(est Estimator, sc *Scratch, G []int32, selected []hierarchy.Prefix) float64 {
+	r := 0.0
+	for _, m := range G {
+		r -= sc.selLower[m]
+	}
+	n := len(G)
+	if n < 2 {
+		return r
+	}
+	words := (n + 63) / 64
+	sc.srcCol = resetMask(sc.srcCol, n*words)
+	sc.dstCol = resetMask(sc.dstCol, n*words)
+	for a, ma := range G {
+		pa := selected[ma]
+		srcRow := sc.srcCol[a*words : (a+1)*words]
+		dstRow := sc.dstCol[a*words : (a+1)*words]
+		for b, mb := range G {
+			pb := selected[mb]
+			bit := uint64(1) << (b & 63)
+			if pb.SrcLen <= pa.SrcLen && hierarchy.MaskBytes(pa.Src, pb.SrcLen) == pb.Src {
+				srcRow[b>>6] |= bit
+			}
+			if pb.DstLen <= pa.DstLen && hierarchy.MaskBytes(pa.Dst, pb.DstLen) == pb.Dst {
+				dstRow[b>>6] |= bit
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		pi := selected[G[i]]
+		for j := i + 1; j < n; j++ {
+			pj := selected[G[j]]
+			k1, k2 := i, i
+			if pj.SrcLen > pi.SrcLen {
+				k1 = j
+			}
+			if pj.DstLen > pi.DstLen {
+				k2 = j
+			}
+			if !onlyPair(sc.srcCol[k1*words:(k1+1)*words], sc.dstCol[k2*words:(k2+1)*words], i, j) {
+				continue
+			}
+			q := hierarchy.Prefix{
+				Src: selected[G[k1]].Src, SrcLen: selected[G[k1]].SrcLen,
+				Dst: selected[G[k2]].Dst, DstLen: selected[G[k2]].DstLen,
+			}
+			if slot, ok := sc.seen.Get(q); ok {
+				r += sc.cands[slot].Upper
+			} else {
+				upper, _ := est.Bounds(q)
+				r += upper
 			}
 		}
 	}
 	return r
+}
+
+// resetMask returns buf resized to n zeroed words, reusing its
+// backing array when it is large enough.
+func resetMask(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// onlyPair reports whether the intersection of the masks src and dst
+// is exactly the bits i and j: the glb of members i and j exists and
+// no third member generalizes it.
+func onlyPair(src, dst []uint64, i, j int) bool {
+	bi, bj := uint64(1)<<(i&63), uint64(1)<<(j&63)
+	if src[i>>6]&dst[i>>6]&bi == 0 || src[j>>6]&dst[j>>6]&bj == 0 {
+		return false
+	}
+	for w := range src {
+		x := src[w] & dst[w]
+		if w == i>>6 {
+			x &^= bi
+		}
+		if w == j>>6 {
+			x &^= bj
+		}
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // prefixCompare orders prefixes deterministically.

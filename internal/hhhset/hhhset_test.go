@@ -268,58 +268,96 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 }
 
 // referenceCompute is the textbook Algorithm 2 scan, sharing no code
-// with the one under test: generic Closest per candidate, Algorithm
-// 3's subtraction of each closest selected descendant's lower bound,
-// Algorithm 4's add-back of each pair's glb unless a third member of
-// G generalizes it (in 1D no two members of G have a glb), every
-// bound read from est, nothing cached.
+// with the one under test: each level's candidates in prefix order,
+// then referenceScan.
 func referenceCompute(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Prefix, threshold, compensation float64) []Entry {
-	levels := h.Levels()
-	byLevel := make([][]hierarchy.Prefix, levels)
+	var unique []hierarchy.Prefix
 	seen := map[hierarchy.Prefix]bool{}
 	for _, p := range candidates {
-		if seen[p] {
-			continue
+		if !seen[p] {
+			seen[p] = true
+			unique = append(unique, p)
 		}
-		seen[p] = true
-		d := h.Depth(p)
-		if d >= 0 && d < levels {
+	}
+	slices.SortFunc(unique, prefixCompare)
+	return referenceScan(h, est, unique, threshold, compensation, nil)
+}
+
+// refStats counts what referenceCalcPred met: the pairs whose glb a
+// third member of G generalizes, and the largest G.
+type refStats struct {
+	shadowed, maxG int
+}
+
+// referenceScan is Algorithm 2 over distinct candidates, scanned
+// level by level in the order given within each level, with
+// referenceCalcPred's correction and every bound read from est. Its
+// entries are sorted like scan's.
+func referenceScan(h hierarchy.Hierarchy, est Estimator, candidates []hierarchy.Prefix, threshold, compensation float64, stats *refStats) []Entry {
+	levels := h.Levels()
+	byLevel := make([][]hierarchy.Prefix, levels)
+	for _, p := range candidates {
+		if d := h.Depth(p); d >= 0 && d < levels {
 			byLevel[d] = append(byLevel[d], p)
 		}
 	}
 	var selected []hierarchy.Prefix
 	var out []Entry
-	for level := 0; level < levels; level++ {
-		cands := byLevel[level]
-		slices.SortFunc(cands, prefixCompare)
-		for _, p := range cands {
-			G := hierarchy.Closest(p, selected, nil)
-			r := 0.0
-			for _, g := range G {
-				_, lower := est.Bounds(g)
-				r -= lower
-			}
-			for i, g := range G {
-				for _, g2 := range G[i+1:] {
-					q, ok := hierarchy.GLB(g, g2)
-					if !ok || slices.ContainsFunc(G, func(h3 hierarchy.Prefix) bool {
-						return h3 != g && h3 != g2 && h3.Generalizes(q)
-					}) {
-						continue
-					}
-					upper, _ := est.Bounds(q)
-					r += upper
-				}
-			}
+	for _, level := range byLevel {
+		for _, p := range level {
 			upper, _ := est.Bounds(p)
-			cond := upper + r + compensation
+			cond := upper + referenceCalcPred(est, p, selected, stats) + compensation
 			if cond >= threshold {
 				selected = append(selected, p)
 				out = append(out, Entry{Prefix: p, Estimate: upper, Conditioned: cond})
 			}
 		}
 	}
+	slices.SortStableFunc(out, func(a, b Entry) int {
+		if da, db := h.Depth(a.Prefix), h.Depth(b.Prefix); da != db {
+			return da - db
+		}
+		return prefixCompare(a.Prefix, b.Prefix)
+	})
 	return out
+}
+
+// referenceCalcPred is calcPred as Algorithms 3 and 4 state it: G from
+// the generic hierarchy.Closest over every selected prefix, each
+// member's lower bound subtracted in G's order, then each pair's glb
+// upper bound added back unless a third member of G generalizes it
+// (the cubic ∄h3 guard; in 1D no two members of G have a glb). Every
+// bound is read from est, nothing cached. stats, if not nil, counts
+// what the guard met.
+func referenceCalcPred(est Estimator, p hierarchy.Prefix, selected []hierarchy.Prefix, stats *refStats) float64 {
+	G := hierarchy.Closest(p, selected, nil)
+	r := 0.0
+	for _, g := range G {
+		_, lower := est.Bounds(g)
+		r -= lower
+	}
+	if stats != nil {
+		stats.maxG = max(stats.maxG, len(G))
+	}
+	for i, g := range G {
+		for _, g2 := range G[i+1:] {
+			q, ok := hierarchy.GLB(g, g2)
+			if !ok {
+				continue
+			}
+			if slices.ContainsFunc(G, func(h3 hierarchy.Prefix) bool {
+				return h3 != g && h3 != g2 && h3.Generalizes(q)
+			}) {
+				if stats != nil {
+					stats.shadowed++
+				}
+				continue
+			}
+			upper, _ := est.Bounds(q)
+			r += upper
+		}
+	}
+	return r
 }
 
 // TestCompute1DFastPathMatchesReference drives random 1D candidate
@@ -451,5 +489,147 @@ func TestComputeTrackedMatchesFullScan(t *testing.T) {
 		if !twoD && lifted != 0 {
 			t.Fatal("a 1D candidate below threshold − compensation was selected: calcPred1D must only subtract")
 		}
+	}
+}
+
+// randomSketch2D is a random two-dimensional sketch's view of a
+// window: the exact counts of a random stream for every prefix of
+// every packet, read through one-sided error — upper = scale·(count +
+// e) with e ∈ [0, slack), lower = max(0, upper − scale·slack) — so
+// the bounds are not integers and float sums depend on their order.
+// The sketch tracks every prefix counted at least twice and a quarter
+// of the others; the rest get the absent default. The stream mixes a
+// few heavy flows, rows and columns over small /16 pools (overlaps
+// whose glbs a third member can generalize), and a tail whose first
+// bytes span wide values, so G(root) can pass 64 members. It returns
+// the bounds, the tracked prefixes in a random order with their
+// bounds, and the window in packets.
+func randomSketch2D(src *rng.Source, packets, wide int) (boundsTable, []Candidate, float64) {
+	scale := 1 + src.Float64()
+	slack := float64(1 + src.Intn(4))
+	counts := map[hierarchy.Prefix]int{}
+	var order []hierarchy.Prefix
+	var h hierarchy.TwoD
+	for i := 0; i < packets; i++ {
+		var p hierarchy.Packet
+		switch src.Intn(4) {
+		case 0: // heavy flows
+			p = hierarchy.Packet{Src: hierarchy.IPv4(1, 1, 1, byte(src.Intn(3))), Dst: hierarchy.IPv4(2, 2, 2, byte(src.Intn(3)))}
+		case 1: // rows and columns over /16 pools
+			p = hierarchy.Packet{
+				Src: hierarchy.IPv4(1, byte(src.Intn(3)), byte(src.Intn(256)), byte(src.Intn(256))),
+				Dst: hierarchy.IPv4(2, byte(src.Intn(3)), byte(src.Intn(256)), byte(src.Intn(256))),
+			}
+		default: // wide tail
+			p = hierarchy.Packet{
+				Src: hierarchy.IPv4(byte(10+src.Intn(wide)), byte(src.Intn(2)), 0, byte(src.Intn(2))),
+				Dst: hierarchy.IPv4(byte(10+src.Intn(wide)), 0, byte(src.Intn(2)), 0),
+			}
+		}
+		for pat := 0; pat < h.H(); pat++ {
+			q := h.Prefix(p, pat)
+			if counts[q] == 0 {
+				order = append(order, q)
+			}
+			counts[q]++
+		}
+	}
+	est := boundsTable{m: map[hierarchy.Prefix][2]float64{}, upper: scale * slack}
+	var cands []Candidate
+	for i := len(order) - 1; i > 0; i-- { // shuffle
+		j := src.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	for _, q := range order {
+		if counts[q] < 2 && src.Intn(4) != 0 {
+			continue
+		}
+		upper := scale * (float64(counts[q]) + slack*src.Float64())
+		lower := max(0, upper-scale*slack)
+		est.m[q] = [2]float64{upper, lower}
+		cands = append(cands, Candidate{Prefix: q, Upper: upper, Lower: lower})
+	}
+	return est, cands, scale * float64(packets)
+}
+
+// TestScan2DMatchesClosestReference holds the two-dimensional scan —
+// closest-descendant lists kept by ancestry, the glb guard on column
+// masks — to referenceCalcPred's generic Closest and cubic guard, entry
+// for entry and bit for bit (Conditioned included: the candidates go
+// to both in the same order, so every float sum must run in the same
+// order), on random sketches from θ = 0.3 down to admit-everything
+// (threshold ≤ compensation). The trials must reach a G of more than
+// 64 members (more than one mask word) and a pair whose glb a third
+// member generalizes, which steady traffic never exercises.
+func TestScan2DMatchesClosestReference(t *testing.T) {
+	var h hierarchy.TwoD
+	src := rng.New(44)
+	var sc Scratch // one scratch across all trials: reuse must not leak state
+	var stats refStats
+	admitAll := 0
+	for trial := 0; trial < 8; trial++ {
+		est, cands, window := randomSketch2D(src, 150+src.Intn(400), 40+src.Intn(120))
+		prefixes := make([]hierarchy.Prefix, len(cands))
+		for i, c := range cands {
+			prefixes[i] = c.Prefix
+		}
+		comp := est.upper * float64(src.Intn(8))
+		for _, theta := range []float64{0.3, 0.1, 0.03, 0.01, 0.003, 0} {
+			threshold := theta * window
+			if theta == 0 {
+				threshold = comp * src.Float64()
+			}
+			if threshold <= comp {
+				admitAll++
+			}
+			want := referenceScan(h, est, prefixes, threshold, comp, &stats)
+			got := ComputeCandidates(h, est, cands, threshold, comp, &sc, nil)
+			sameEntries(t, fmt.Sprintf("trial %d θ %v threshold %v:", trial, theta, threshold), got, want)
+		}
+	}
+	if admitAll == 0 || stats.maxG <= 64 || stats.shadowed == 0 {
+		t.Fatalf("test vacuous: %d admit-everything queries, largest G %d, %d shadowed pairs",
+			admitAll, stats.maxG, stats.shadowed)
+	}
+	t.Logf("largest G %d, %d shadowed pairs", stats.maxG, stats.shadowed)
+}
+
+// TestScratchTrim pins the pool hygiene hook on the two-dimensional
+// scan's buffers: after a wide query, a generous limit keeps them and
+// a small one drops every retained candidate slab, closest-descendant
+// list (the backing array's spare ones included) and guard mask above
+// it.
+func TestScratchTrim(t *testing.T) {
+	var h hierarchy.TwoD
+	est, cands, _ := randomSketch2D(rng.New(46), 400, 150)
+	var sc Scratch
+	if got := ComputeCandidates(h, est, cands, 0, est.upper, &sc, nil); len(got) == 0 {
+		t.Fatal("test vacuous: nothing selected")
+	}
+	longest := 0
+	for _, l := range sc.gLists {
+		longest = max(longest, cap(l))
+	}
+	if longest <= 64 || cap(sc.srcCol) <= 64 {
+		t.Fatalf("test vacuous: longest list cap %d, mask cap %d", longest, cap(sc.srcCol))
+	}
+	sc.Trim(1 << 30)
+	if sc.cands == nil || sc.gLists == nil || sc.srcCol == nil || sc.dstCol == nil {
+		t.Fatal("buffers under the limit dropped")
+	}
+	sc.Trim(64)
+	if cap(sc.cands) > 64 || sc.gLists != nil || sc.srcCol != nil || sc.dstCol != nil {
+		t.Fatalf("oversized buffers kept: candidates cap %d, lists cap %d, masks cap %d and %d",
+			cap(sc.cands), cap(sc.gLists), cap(sc.srcCol), cap(sc.dstCol))
+	}
+	// Under a kept slab, each long list goes, the spare ones past len
+	// included.
+	sc.gLists = make([][]int32, 2, 8)
+	sc.gLists[0] = make([]int32, 0, 100)
+	sc.gLists[1] = make([]int32, 0, 10)
+	sc.gLists[:8][5] = make([]int32, 0, 100)
+	sc.Trim(64)
+	if spare := sc.gLists[:8][5]; sc.gLists[0] != nil || sc.gLists[1] == nil || spare != nil {
+		t.Fatalf("list caps after trim: %d, %d, spare %d", cap(sc.gLists[0]), cap(sc.gLists[1]), cap(spare))
 	}
 }

@@ -150,8 +150,11 @@ func (p Prefix) Ancestors(dst []Prefix) []Prefix {
 
 // Closest computes G(q|P) (Section 4.2): the subset of P strictly
 // generalized by q that is maximal, i.e. h ∈ P with h ≺ q and no
-// h' ∈ P with h ≺ h' ≺ q. The result reuses the out slice's backing
-// array when possible.
+// h' ∈ P with h ≺ h' ≺ q, in P's order. The result reuses the out
+// slice's backing array when possible. It is the tests' reference
+// definition of G: the HHH-set scan (internal/hhhset) keeps each
+// candidate's G incrementally instead, and the core and hhhset tests
+// hold it to this one.
 func Closest(q Prefix, P []Prefix, out []Prefix) []Prefix {
 	out = out[:0]
 	for _, h := range P {
