@@ -172,3 +172,34 @@ func BenchmarkHHHOutputAdmitAll2D(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(out)), "selected")
 }
+
+// BenchmarkHHHOutputAdmitAll1D is BenchmarkHHHOutputAdmitAll2D in one
+// dimension, sized like the sampled fleet's controller sketch: W = 2²⁰,
+// 4 096 counters, V = 27, δ = 0.001, four windows of 40 % liveStream
+// and 60 % uniform sources, and θ = 0.02, below compensation/W ≈
+// 0.031, so every tracked prefix is admitted and about 11 000 are
+// selected. It is the Output the controller would run under its ingest
+// lock at an admit-everything θ. CI gates 0 allocs/op.
+func BenchmarkHHHOutputAdmitAll1D(b *testing.B) {
+	const window, theta = 1 << 20, 0.02
+	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: window, Counters: 4096, V: 27, Delta: 0.001, Seed: 1})
+	src := rng.New(1)
+	for i := 0; i < 4*window; i++ {
+		p := hierarchy.Packet{Src: src.Uint32()}
+		if src.Intn(5) < 2 {
+			p = liveStream(src, 1, 0)
+		}
+		hh.Update(p)
+	}
+	if theta*float64(hh.EffectiveWindow()) > hh.Compensation() {
+		b.Fatalf("benchmark vacuous: θ·W = %v above compensation %v", theta*float64(hh.EffectiveWindow()), hh.Compensation())
+	}
+	var out []HeavyPrefix
+	out = hh.OutputTo(theta, out[:0]) // size the read plane's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = hh.OutputTo(theta, out[:0])
+	}
+	b.ReportMetric(float64(len(out)), "selected")
+}

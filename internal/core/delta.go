@@ -299,16 +299,12 @@ func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error 
 
 // BuildHHHSnapshot is BuildSnapshot for an H-Memento capture: the
 // assembled snapshot carries the hierarchy and sampling compensation
-// and answers OutputTo like a decoded KindHHH record (indexes built
-// under hierarchy.PrefixHasher(0), matching DecodeHHHSnapshot).
+// and answers OutputTo like a decoded KindHHH record. Its indexes are
+// built under prefixHash, the hasher of every H-Memento table, so
+// spec.Overflow must have been built under it too.
 func BuildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[hierarchy.Prefix]) (*HHHSnapshot, error) {
 	return buildHHHSnapshot(hier, comp, spec.detached())
 }
-
-// prefixHash is hierarchy.PrefixHasher(0), the hasher HHH snapshots
-// built from outside state index under, made once: building the
-// closure per snapshot would cost every materialized one an allocation.
-var prefixHash = hierarchy.PrefixHasher(0)
 
 // buildHHHSnapshot is BuildHHHSnapshot taking ownership of spec's
 // slabs (see Snapshot.build).

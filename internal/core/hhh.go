@@ -76,6 +76,16 @@ type HHH struct {
 	solo soloSet
 }
 
+// prefixHash is the one prefix hasher of every H-Memento table — live
+// (NewHHH, so every shard), captured (SnapshotInto, Clone), decoded,
+// built (BuildHHHSnapshot, ApplyPatch replicas) or restored
+// (RestoreFrom re-inserts under the live table's) — and of
+// SnapshotSet's candidate index. One hasher lets a merged read hash a
+// prefix once and probe every member's B and y with that value. It is
+// hierarchy.PrefixHasher(0), made once: building the closure per
+// snapshot would cost every materialized one an allocation.
+var prefixHash = hierarchy.PrefixHasher(0)
+
 // NewHHH validates cfg and returns a ready H-Memento.
 func NewHHH(cfg HHHConfig) (*HHH, error) {
 	if cfg.Hierarchy == nil {
@@ -113,7 +123,7 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 		Tau:      float64(h) / float64(v),
 		Scale:    float64(v),
 		Seed:     seed + 1,
-	}, hierarchy.PrefixHasher(seed))
+	}, prefixHash)
 	if err != nil {
 		return nil, err
 	}

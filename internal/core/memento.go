@@ -155,8 +155,8 @@ func New[K comparable](cfg Config) (*Sketch[K], error) { return NewWithHash[K](c
 // NewWithHash is New with a caller-supplied key hasher (nil selects
 // New's default): a sketch has exactly one, shared by the in-frame
 // Space Saving index and the overflow table, so one hash computation
-// per Full update or query serves both indexes. H-Memento passes a
-// seeded hierarchy.PrefixHasher here.
+// per Full update or query serves both indexes. H-Memento passes its
+// one prefix hasher (prefixHash) here.
 func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], error) {
 	if hash == nil {
 		hash = keyidx.DefaultHasher[K]()

@@ -19,9 +19,12 @@ import (
 // prefix's bounds are Σ weightᵢ·boundsᵢ(p), where a member that has no
 // state for p contributes its absent-key default. The weights are the
 // caller's (internal/shard derives skew corrections from the captured
-// update counts; a lone snapshot weighs 1). All scratch is owned by
-// the set and reused across calls, so steady-state queries allocate
-// only what the caller's dst needs. Not safe for concurrent use.
+// update counts; a lone snapshot weighs 1). Every H-Memento table
+// indexes under the one prefix hasher (prefixHash), so a read hashes
+// a prefix once and probes every member's B and y with that value. All
+// scratch is owned by the set and reused across calls, so steady-state
+// queries allocate only what the caller's dst needs. Not safe for
+// concurrent use.
 type SnapshotSet struct {
 	snaps   []*HHHSnapshot
 	weights []float64
@@ -33,17 +36,24 @@ type SnapshotSet struct {
 	totalDefU, totalDefL float64
 
 	// One Output's working state. Phase 1 lists each admitted prefix
-	// once in pending, in first-admission order (held maps it to its
-	// position), and keeps in admits, n slots per pending prefix, the
-	// bounds each admitting member reported; phase 2 turns them into
-	// the heavy candidates handed to the HHH-set scan.
-	pending []hierarchy.Prefix //memento:reused (query scratch, Trim-capped)
-	admits  []memberBounds     //memento:reused (query scratch, Trim-capped)
+	// once in pending, with the hash its sweep probed with, in
+	// first-admission order (held maps it to its position), and keeps in
+	// admits, n slots per pending prefix, the bounds each admitting
+	// member reported; phase 2 turns them into the heavy candidates
+	// handed to the HHH-set scan.
+	pending []hashedPrefix //memento:reused (query scratch, Trim-capped)
+	admits  []memberBounds //memento:reused (query scratch, Trim-capped)
 	held    *keyidx.Index[hierarchy.Prefix]
 	cands   []hhhset.Candidate //memento:reused (query scratch, Trim-capped)
 	sc      hhhset.Scratch
 
 	swept, admitted int
+}
+
+// hashedPrefix is a prefix and its prefixHash.
+type hashedPrefix struct {
+	p hierarchy.Prefix
+	h uint64
 }
 
 // memberBounds is one member's unweighted tracked bounds on a
@@ -82,13 +92,14 @@ func (s *SnapshotSet) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 // returns the merged bounds and whether any member has state for p
 // (only such prefixes are HHH candidates).
 func (s *SnapshotSet) Tracked(p hierarchy.Prefix) (upper, lower float64, tracked bool) {
-	return s.merged(p, nil)
+	return s.merged(p, prefixHash(p), nil)
 }
 
 // merged sums p's bounds over the members in member order. A member
 // whose known[i].ok is set contributes those bounds, the ones its
-// TrackedBounds returns; every other member is probed.
-func (s *SnapshotSet) merged(p hierarchy.Prefix, known []memberBounds) (upper, lower float64, tracked bool) {
+// TrackedBounds returns; every other member is probed with h, p's
+// prefixHash.
+func (s *SnapshotSet) merged(p hierarchy.Prefix, h uint64, known []memberBounds) (upper, lower float64, tracked bool) {
 	var defU, defL float64
 	for i, snap := range s.snaps {
 		var u, l float64
@@ -96,7 +107,7 @@ func (s *SnapshotSet) merged(p hierarchy.Prefix, known []memberBounds) (upper, l
 		if known != nil && known[i].ok {
 			u, l, ok = known[i].upper, known[i].lower, true
 		} else {
-			u, l, ok = snap.TrackedBounds(p)
+			u, l, ok = snap.trackedBoundsH(p, h)
 		}
 		if !ok {
 			continue
@@ -126,10 +137,11 @@ func (s *SnapshotSet) merged(p hierarchy.Prefix, known []memberBounds) (upper, l
 //
 // Phase 2 resolves each admitted prefix once, in first-admission
 // order: the members that admitted it lend the bounds their sweep
-// computed, only the others are probed, and the sum runs in member
-// order as Tracked's does. The prefixes with upper ≥ T are the high
-// candidates; hhhset.ComputeTracked scans them, looking up here the
-// few lighter prefixes a two-dimensional scan can still select.
+// computed, only the others are probed, with the hash the sweep
+// computed, and the sum runs in member order as Tracked's does. The
+// prefixes with upper ≥ T are the high candidates;
+// hhhset.ComputeTracked scans them, looking up here the few lighter
+// prefixes a two-dimensional scan can still select.
 func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation float64, dst []HeavyPrefix) []HeavyPrefix {
 	s.swept, s.admitted = 0, 0
 	if len(s.snaps) == 0 {
@@ -137,7 +149,7 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 	}
 	if s.held == nil {
 		//memento:allow alloc "candidate index allocated on a set's first query, then reused"
-		s.held = keyidx.MustNew(256, hierarchy.PrefixHasher(0))
+		s.held = keyidx.MustNew(256, prefixHash)
 	} else {
 		s.held.Flush()
 	}
@@ -154,14 +166,13 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 		floor := (s.defU[i] + share) / s.weights[i]
 		floor -= 1e-9 * math.Abs(floor)
 		//memento:allow alloc "closure does not escape: ForEachAbove only iterates (BenchmarkOutputSteadyState gates)"
-		s.swept += snap.ForEachAbove(floor, func(p hierarchy.Prefix, u, l float64) bool {
+		s.swept += snap.forEachAboveH(floor, func(p hierarchy.Prefix, h uint64, u, l float64) bool {
 			s.admitted++
-			h := s.held.Hash(p)
 			k, ok := s.held.GetH(p, h)
 			if !ok {
 				k = int32(len(s.pending))
 				s.held.PutH(p, k, h)
-				s.pending = append(s.pending, p)
+				s.pending = append(s.pending, hashedPrefix{p, h})
 				for range n {
 					s.admits = append(s.admits, memberBounds{})
 				}
@@ -170,10 +181,10 @@ func (s *SnapshotSet) Output(hier hierarchy.Hierarchy, threshold, compensation f
 			return true
 		})
 	}
-	for k, p := range s.pending {
-		upper, lower, _ := s.merged(p, s.admits[k*n:(k+1)*n])
+	for k, e := range s.pending {
+		upper, lower, _ := s.merged(e.p, e.h, s.admits[k*n:(k+1)*n])
 		if upper >= cut {
-			s.cands = append(s.cands, hhhset.Candidate{Prefix: p, Upper: upper, Lower: lower})
+			s.cands = append(s.cands, hhhset.Candidate{Prefix: e.p, Upper: upper, Lower: lower})
 		}
 	}
 	//memento:allow alloc "HHH-set scratch growth amortized by Scratch reuse (BenchmarkOutputSteadyState gates)"

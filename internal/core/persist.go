@@ -309,7 +309,8 @@ func (snap *HHHSnapshot) AppendTo(dst []byte) ([]byte, error) {
 
 // DecodeHHHSnapshot parses a KindHHH record into a fresh queryable
 // HHHSnapshot, with the same strictness guarantees as DecodeSnapshot.
-// The rebuilt indexes use hierarchy.PrefixHasher(0).
+// The rebuilt indexes use prefixHash, the hasher of every H-Memento
+// table, so the snapshot merges with live-captured ones.
 func DecodeHHHSnapshot(data []byte) (*HHHSnapshot, error) {
 	h, body, err := codec.ReadHeader(data)
 	if err != nil {

@@ -274,6 +274,14 @@ func (t *table[K]) ForEachEstimate(fn func(key K, upper, lower float64) bool) {
 // estimate before its B probe. fn sees the keys in the order a range
 // over every entry would hand them on.
 func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float64) bool) (swept int) {
+	return t.forEachAboveH(floor, func(key K, _ uint64, upper, lower float64) bool {
+		return fn(key, upper, lower)
+	})
+}
+
+// forEachAboveH is ForEachAbove handing fn, with each key, the hash
+// the sweep probed with: the table's own hash of the key.
+func (t *table[K]) forEachAboveH(floor float64, fn func(key K, h uint64, upper, lower float64) bool) (swept int) {
 	block := t.scale * float64(t.blockCounts)
 	// Overflow keys first, straight off the entry slab: their estimate
 	// combines b with the in-frame count, and only the few that pass the
@@ -282,8 +290,9 @@ func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float
 		if block*float64(e.Val+3) < floor {
 			return true
 		}
-		u, l := t.boundsFrom(t.overflowUpper(e.Val, t.y.Query(e.Key)))
-		if u >= floor && !fn(e.Key, u, l) {
+		h := t.hash(e.Key)
+		u, l := t.boundsFrom(t.overflowUpper(e.Val, t.y.QueryHashed(e.Key, h)))
+		if u >= floor && !fn(e.Key, h, u, l) {
 			swept = p + 1
 			return false
 		}
@@ -305,10 +314,11 @@ func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float
 		if u < floor {
 			return true
 		}
-		if _, inOverflow := t.overflow.Get(c.Key); inOverflow {
+		h := t.hash(c.Key)
+		if _, inOverflow := t.overflow.GetH(c.Key, h); inOverflow {
 			return true
 		}
-		stopped = !fn(c.Key, u, l)
+		stopped = !fn(c.Key, h, u, l)
 		return !stopped
 	})
 	if stopped {
@@ -325,7 +335,15 @@ func (t *table[K]) ForEachAbove(floor float64, fn func(key K, upper, lower float
 // ForEachEstimate visits, with the bounds it reports — and false
 // otherwise, when QueryBounds(x) would be AbsentBounds.
 func (t *table[K]) TrackedBounds(x K) (upper, lower float64, ok bool) {
-	h := t.hash(x)
+	return t.trackedBoundsH(x, t.hash(x))
+}
+
+// trackedBoundsH is TrackedBounds with a caller-computed hash, which
+// must equal the table's hash of x: a read over several tables built
+// under one hasher hashes x once for all of them.
+//
+//memento:noalloc
+func (t *table[K]) trackedBoundsH(x K, h uint64) (upper, lower float64, ok bool) {
 	b, overflowed := t.overflow.GetH(x, h)
 	c, monitored := t.y.LookupHashed(x, h)
 	count := t.y.Min() // what Space Saving answers for an unmonitored key

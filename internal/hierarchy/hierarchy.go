@@ -48,7 +48,11 @@ type Prefix struct {
 // finalizer rounds beat the generic maphash path by several
 // nanoseconds per lookup — which matters ×H for the MST/RHHH
 // baselines and for every H-Memento Full update. The seed only
-// perturbs table layout; equal prefixes always hash equal.
+// perturbs table layout; equal prefixes always hash equal. Every
+// H-Memento table, in every shard, replica and decoded snapshot,
+// indexes under PrefixHasher(0), so a read that merges several of
+// them hashes a prefix once for all; the other seeds serve the
+// baselines' per-instance tables and audit sampling.
 func PrefixHasher(seed uint64) func(Prefix) uint64 {
 	return func(p Prefix) uint64 {
 		k1 := uint64(p.Src)<<32 | uint64(p.Dst)

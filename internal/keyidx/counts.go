@@ -29,28 +29,32 @@ type Count[K comparable] struct {
 // A table built by NewCounts journals its mutations in a ring (see
 // journal), so CopyInto brings a destination it copied before up to
 // date by replaying what changed since, and copies in full — three
-// memmoves, 4 bytes per bucket, one entry per key held and one bit per
-// reserved entry for each tier rung — only when the ring no longer
-// reaches back that far.
+// memmoves, 4 bytes per bucket, one entry per key held and, for each
+// tier rung, one bit per reserved entry and one per bitmap word — only
+// when the ring no longer reaches back that far.
 //
 // A ladder of bitmaps over the entry slab marks the heavy tier: one
 // bitmap per rung, marking the entries whose count has reached that
-// rung's threshold (tierMin, 2·tierMin, … ; see tierRungs), and every
-// mutator keeps every rung exact in O(1). ForEachAtLeast ranges only
-// the positions marked on the highest rung a request reaches, so a read
-// that wants the few heavy entries of a large table does not walk the
-// rest, and one that wants fewer still walks fewer.
+// rung's threshold (tierMin, 2·tierMin, … ; see tierRungs), and beside
+// each a word map marking the bitmap's non-zero words. Every mutator
+// keeps every rung and map exact in O(1). ForEachAtLeast ranges only
+// the positions marked on the highest rung a request reaches, reading
+// only the words its map marks, so a read that wants the few heavy
+// entries of a large table walks neither the rest nor the empty words
+// between them, and one that wants fewer still walks fewer.
 //
 // Construct with NewCounts; the zero value is only a CopyInto
 // destination. Not safe for concurrent use.
 type Counts[K comparable] struct {
 	entries []Count[K] //memento:reused (reserved at construction; growth past it is the cold path)
 	buckets []int32    //memento:reused (doubles only when entries outgrow the reserved capacity)
-	// tier is the ladder: tierRungs bitmaps of tierWords(len(buckets))
-	// words each, rung r first at word r·tierWords. Rung r has bit p set
-	// iff entries[p].Val ≥ tierMin<<r. Each holds one bit per reserved
-	// entry (half the bucket count), so the length follows from the
-	// buckets alone and a replayed copy matches a full one.
+	// tier is the ladder: tierRungs bitmaps of w words each, rung r at
+	// word r·w, then tierRungs word maps of m words each, rung r's at
+	// word tierRungs·w + r·m (w, m = tierLayout(len(buckets))). Rung r
+	// has bit p set iff entries[p].Val ≥ tierMin<<r, and its map has
+	// bit i set iff the rung's word i is non-zero. A rung holds one bit
+	// per reserved entry (half the bucket count), so the length follows
+	// from the buckets alone and a replayed copy matches a full one.
 	tier []uint64 //memento:reused (grows with the buckets)
 	hash func(K) uint64
 
@@ -125,9 +129,20 @@ const (
 	tierRungs = 4
 )
 
-// tierWords returns the length, in words, of one rung's bitmap for a
-// table of the given bucket count: one bit per reserved entry.
-func tierWords(buckets int) int { return (buckets/2 + 63) / 64 }
+// tierLayout returns the length, in words, of one rung's bitmap for a
+// table of the given bucket count (w: one bit per reserved entry) and
+// of its word map (m: one bit per bitmap word).
+func tierLayout(buckets int) (w, m int) {
+	w = (buckets/2 + 63) / 64
+	return w, (w + 63) / 64
+}
+
+// tierLen returns the length of the tier slab for a table of the given
+// bucket count: every rung's bitmap and word map.
+func tierLen(buckets int) int {
+	w, m := tierLayout(buckets)
+	return tierRungs * (w + m)
+}
 
 // journalIDs numbers journal states process-wide, so a destination
 // copied from one table (or one epoch of it) never replays another's
@@ -170,7 +185,7 @@ func NewCounts[K comparable](capacity int, hash func(K) uint64) (*Counts[K], err
 	return &Counts[K]{
 		entries: make([]Count[K], 0, capacity),
 		buckets: make([]int32, 2*capacity),
-		tier:    make([]uint64, tierRungs*tierWords(2*capacity)),
+		tier:    make([]uint64, tierLen(2*capacity)),
 		hash:    hash,
 		log:     log,
 	}, nil
@@ -225,10 +240,11 @@ func (c *Counts[K]) Entries() []Count[K] { return c.entries }
 // of a superset of the entries holding at least min, until fn returns
 // false, and reports whether it ran to the end. With min at or above
 // tierMin the superset is the highest tier rung whose threshold min
-// reaches; below it, every entry. Each entry it passes over holds less
-// than min, so a caller that still tests each entry it is handed sees,
-// in the same order, what a range over Entries would show it. The
-// entries are read-only for the duration.
+// reaches, read through its word map; below it, every entry. Each
+// entry it passes over holds less than min, so a caller that still
+// tests each entry it is handed sees, in the same order, what a range
+// over Entries would show it. The entries are read-only for the
+// duration.
 func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool) bool {
 	if min < tierMin {
 		for p, e := range c.entries {
@@ -242,33 +258,45 @@ func (c *Counts[K]) ForEachAtLeast(min int32, fn func(pos int, e Count[K]) bool)
 	if r >= tierRungs {
 		r = tierRungs - 1
 	}
-	for i, word := range c.rung(r) {
-		for word != 0 {
-			p := i<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			if !fn(p, c.entries[p]) {
-				return false
+	rung, words := c.rung(r)
+	for j, occupied := range words {
+		for occupied != 0 {
+			i := j<<6 | bits.TrailingZeros64(occupied)
+			occupied &= occupied - 1
+			for word := rung[i]; word != 0; word &= word - 1 {
+				p := i<<6 | bits.TrailingZeros64(word)
+				if !fn(p, c.entries[p]) {
+					return false
+				}
 			}
 		}
 	}
 	return true
 }
 
-// rung returns the bitmap of tier rung r.
-func (c *Counts[K]) rung(r int) []uint64 {
-	w := len(c.tier) / tierRungs
-	return c.tier[r*w : (r+1)*w]
+// rung returns the bitmap of tier rung r and its word map.
+func (c *Counts[K]) rung(r int) (bitmap, words []uint64) {
+	w, m := tierLayout(len(c.buckets))
+	return c.tier[r*w : (r+1)*w], c.tier[tierRungs*w+r*m : tierRungs*w+(r+1)*m]
 }
 
 // retier flips entry pos's bit on every rung whose threshold its count
-// crossed moving from old to val.
+// crossed moving from old to val, and keeps each flipped word's bit in
+// its rung's word map.
 func (c *Counts[K]) retier(pos int32, old, val int32) {
 	if old < tierMin && val < tierMin {
 		return // below every rung: the bulk of the table
 	}
+	i := pos >> 6
 	for r := range tierRungs {
 		if m := int32(tierMin) << r; (old >= m) != (val >= m) {
-			c.rung(r)[pos>>6] ^= 1 << (pos & 63)
+			rung, words := c.rung(r)
+			rung[i] ^= 1 << (pos & 63)
+			if rung[i] != 0 {
+				words[i>>6] |= 1 << (i & 63)
+			} else {
+				words[i>>6] &^= 1 << (i & 63)
+			}
 		}
 	}
 }
@@ -488,42 +516,37 @@ func (c *Counts[K]) del(key K, h uint64) bool {
 	return true
 }
 
-// place appends a new entry behind the known-empty bucket i, grows
-// the buckets past load ½ and marks the entry on every tier rung its
-// count starts on.
+// place appends a new entry behind the known-empty bucket i and marks
+// it on every tier rung its count starts on, or grows the buckets past
+// load ½, which marks every entry.
 func (c *Counts[K]) place(i uint64, key K, val int32) {
 	c.entries = append(c.entries, Count[K]{Key: key, Val: val})
 	pos := int32(len(c.entries) - 1)
 	c.buckets[i] = pos + 1
 	if 2*len(c.entries) > len(c.buckets) {
 		c.grow()
+		return
 	}
 	c.retier(pos, 0, val)
 }
 
 // grow doubles the bucket array and reinserts every entry. It runs only
-// when the caller exceeds the capacity reserved at construction.
+// when the caller exceeds the capacity reserved at construction. The
+// ladder takes the new layout and is rebuilt from the counts.
 func (c *Counts[K]) grow() {
 	c.buckets = append(c.buckets, c.buckets...) // twice the length; contents rebuilt below
 	clear(c.buckets)
-	// Each rung keeps its bits and moves to its new stride, the top rung
-	// first so that none is overwritten before it has moved.
-	w, nw := len(c.tier)/tierRungs, tierWords(len(c.buckets))
-	for len(c.tier) < tierRungs*nw {
+	for n := tierLen(len(c.buckets)); len(c.tier) < n; {
 		c.tier = append(c.tier, 0)
 	}
-	for r := tierRungs - 1; r > 0; r-- {
-		copy(c.tier[r*nw:r*nw+w], c.tier[r*w:(r+1)*w])
-	}
-	for r := range tierRungs {
-		clear(c.tier[r*nw+w : (r+1)*nw])
-	}
+	clear(c.tier)
 	for pos := range c.entries {
 		i := c.home(c.hash(c.entries[pos].Key))
 		for c.buckets[i] != 0 {
 			i = c.next(i)
 		}
 		c.buckets[i] = int32(pos + 1)
+		c.retier(int32(pos), 0, c.entries[pos].Val)
 	}
 }
 
@@ -548,16 +571,13 @@ func (c *Counts[K]) remove(i uint64, pos int32) {
 	c.buckets[i] = 0
 
 	last := int32(len(c.entries) - 1)
-	// On each rung pos takes the last entry's bit, then the vacated last
-	// position is cleared (which, when pos is last, clears pos).
-	for r := range tierRungs {
-		t := c.rung(r)
-		heavy := t[last>>6] >> (last & 63) & 1
-		t[pos>>6] = t[pos>>6]&^(1<<(pos&63)) | heavy<<(pos&63)
-		t[last>>6] &^= 1 << (last & 63)
-	}
+	// pos leaves every rung it is on; the last entry moves its rungs'
+	// bits from last to pos. Each is a no-op for an entry below tierMin.
+	c.retier(pos, c.entries[pos].Val, 0)
 	if pos != last {
 		moved := c.entries[last]
+		c.retier(last, moved.Val, 0)
+		c.retier(pos, 0, moved.Val)
 		c.entries[pos] = moved
 		j := c.home(c.hash(moved.Key))
 		for c.buckets[j] != last+1 {

@@ -55,24 +55,32 @@ func checkCounts(t *testing.T, c *Counts[uint64], o oracle) {
 	checkTier(t, c)
 }
 
-// checkTier verifies the tier ladder: every rung's bitmap sized from
-// the bucket count, bit p of rung r set iff entries[p].Val ≥ tierMin<<r,
-// no bit at or past Len(); and ForEachAtLeast hands over, in entry
+// checkTier verifies the tier ladder: every rung's bitmap and word map
+// sized from the bucket count, bit p of rung r set iff entries[p].Val ≥
+// tierMin<<r, no bit at or past Len(), bit i of rung r's word map set
+// iff the rung's word i is non-zero; and ForEachAtLeast hands over, in entry
 // order, every entry below tierMin, and at one below, at and one above
 // every rung's threshold the entries marked on the highest rung that
 // threshold reaches.
 func checkTier(t *testing.T, c *Counts[uint64]) {
 	t.Helper()
-	w := tierWords(len(c.buckets))
-	if len(c.tier) != tierRungs*w {
-		t.Fatalf("tier holds %d words, %d buckets want %d rungs of %d", len(c.tier), len(c.buckets), tierRungs, w)
+	w, m := tierLayout(len(c.buckets))
+	if len(c.tier) != tierRungs*(w+m) {
+		t.Fatalf("tier holds %d words, %d buckets want %d rungs of %d + %d", len(c.tier), len(c.buckets), tierRungs, w, m)
 	}
 	rungMin := func(r int) int32 { return int32(tierMin) << r }
 	for r := range tierRungs {
+		rung, words := c.rung(r)
 		for p := 0; p < 64*w; p++ {
-			set := c.rung(r)[p>>6]>>(p&63)&1 == 1
+			set := rung[p>>6]>>(p&63)&1 == 1
 			if heavy := p < c.Len() && c.entries[p].Val >= rungMin(r); set != heavy {
 				t.Fatalf("rung %d (≥ %d) bit %d = %v; %d entries, entry at or above: %v", r, rungMin(r), p, set, c.Len(), heavy)
+			}
+		}
+		for i := 0; i < 64*m; i++ {
+			set := words[i>>6]>>(i&63)&1 == 1
+			if occupied := i < w && rung[i] != 0; set != occupied {
+				t.Fatalf("rung %d word map bit %d = %v; word %d of %d non-zero: %v", r, i, set, i, w, occupied)
 			}
 		}
 	}
@@ -381,8 +389,8 @@ func TestCountsCopyIsIndependent(t *testing.T) {
 }
 
 // sameSlabs fails unless got holds want's entries, buckets and every
-// tier rung element for element: the same answers, sweep order and
-// probe layout.
+// tier rung and word map element for element: the same answers, sweep
+// order and probe layout.
 func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 	t.Helper()
 	if !slices.Equal(got.entries, want.entries) {
@@ -395,8 +403,10 @@ func sameSlabs(t *testing.T, tag string, got, want *Counts[uint64]) {
 		t.Fatalf("%s: tier holds %d words, source %d", tag, len(got.tier), len(want.tier))
 	}
 	for r := range tierRungs {
-		if g, s := got.rung(r), want.rung(r); !slices.Equal(g, s) {
-			t.Fatalf("%s: tier rung %d %x, source %x", tag, r, g, s)
+		g, gw := got.rung(r)
+		s, sw := want.rung(r)
+		if !slices.Equal(g, s) || !slices.Equal(gw, sw) {
+			t.Fatalf("%s: tier rung %d %x (words %x), source %x (words %x)", tag, r, g, gw, s, sw)
 		}
 	}
 }
@@ -460,6 +470,115 @@ func TestCountsJournalReplay(t *testing.T) {
 			if replays == 0 || full == 0 {
 				t.Fatalf("seed %d: %d replays, %d full copies: a path never ran", seed, replays, full)
 			}
+		}
+	}
+}
+
+// TestCountsLadderRandomOps drives a table through the mutations that
+// move tier bits between words — growth to a few thousand entries, so
+// each rung spans several word-map words, deletes of the last entry
+// and of others (the swap-remove), Flush — with counts spread across
+// every rung, and copies it into two destinations, one caught up by
+// journal replay and one so rarely that it takes the memmove. Every
+// 293rd op, and after each rare copy, ForEachAtLeast hands over, at
+// each rung's threshold ± 1 and at random floors, exactly what a range
+// over Entries does once the entries below the floor are dropped, and
+// checkTier holds every rung and word map to the entries.
+func TestCountsLadderRandomOps(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		src := rng.New(seed)
+		c := MustNewCounts[uint64](100, nil)
+		var dsts [2]Counts[uint64]
+		every := [2]int{3, 400}
+		replays, full, lastRemoved, flushes := 0, 0, 0, 0
+		const ops = 30000
+		for op := 0; op < ops; op++ {
+			span := 64 + op*20000/ops // the key space, and so the table, grows
+			k := uint64(src.Intn(span))
+			switch src.Intn(16) {
+			case 0, 1, 2, 3, 4, 5, 6:
+				c.Inc(k, int32(1+src.Intn(9)))
+			case 7, 8:
+				c.Put(k, int32(1+src.Intn(160)))
+			case 9, 10:
+				c.Dec(k)
+			case 11:
+				c.DeleteH(k, c.Hash(k))
+			case 12:
+				if n := c.Len(); n > 0 {
+					last := c.Entries()[n-1]
+					if src.Intn(2) == 0 {
+						c.DeleteH(last.Key, c.Hash(last.Key))
+					} else {
+						for range last.Val {
+							c.Dec(last.Key)
+						}
+					}
+					lastRemoved++
+				}
+			case 13:
+				if src.Intn(1500) == 0 {
+					c.Flush()
+					flushes++
+				}
+			}
+			if op%293 == 0 {
+				checkLadder(t, c, src)
+			}
+			for i := range dsts {
+				if src.Intn(every[i]) != 0 {
+					continue
+				}
+				d := &dsts[i]
+				if d.from == c.log.id && c.log.seq-d.at <= uint64(len(c.log.ops)) {
+					replays++
+				} else {
+					full++
+				}
+				c.CopyInto(d)
+				if i == 1 || op%293 == 0 {
+					sameSlabs(t, "destination", d, c)
+					checkLadder(t, d, src)
+				}
+			}
+		}
+		if _, m := tierLayout(len(c.buckets)); m < 2 {
+			t.Fatalf("seed %d: %d buckets: every rung's word map fits one word", seed, len(c.buckets))
+		}
+		if replays == 0 || full == 0 || lastRemoved == 0 || flushes == 0 {
+			t.Fatalf("seed %d: %d replays, %d full copies, %d removals of the last entry, %d flushes: a path never ran",
+				seed, replays, full, lastRemoved, flushes)
+		}
+	}
+}
+
+// checkLadder holds ForEachAtLeast to a full range over Entries at
+// every rung's threshold ± 1 and a few random floors: after dropping
+// the entries below the floor, both hand over the same positions in
+// the same order. checkTier adds the exact rung and word-map contents.
+func checkLadder(t *testing.T, c *Counts[uint64], src *rng.Source) {
+	t.Helper()
+	checkTier(t, c)
+	mins := []int32{int32(src.Intn(200)), int32(src.Intn(40))}
+	for r := range tierRungs {
+		m := int32(tierMin) << r
+		mins = append(mins, m-1, m, m+1)
+	}
+	for _, min := range mins {
+		var want, got []int
+		for p, e := range c.Entries() {
+			if e.Val >= min {
+				want = append(want, p)
+			}
+		}
+		c.ForEachAtLeast(min, func(p int, e Count[uint64]) bool {
+			if e.Val >= min {
+				got = append(got, p)
+			}
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("ForEachAtLeast(%d) kept %v, full range %v", min, got, want)
 		}
 	}
 }

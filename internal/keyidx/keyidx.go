@@ -30,13 +30,15 @@
 //     under a shard lock and then sweeps for its heavy keys. A Counts
 //     journals its mutations, so a copy into the destination it copied
 //     into last replays the few that happened since; a full copy moves
-//     one entry per key held, four bytes per bucket and one bit per
-//     reserved entry. That bit marks the heavy tier, the entries whose
-//     count has reached a fixed threshold, so a sweep for counts at or
-//     above it ranges only the marked positions, and any other sweep
-//     ranges the slab. It stores no hash (rehashing from the key on
-//     delete and growth only) and has no generations (B is flushed only
-//     by Reset).
+//     one entry per key held, four bytes per bucket and, for each of
+//     the heavy tier's rungs, one bit per reserved entry and one per
+//     bitmap word. A rung marks the entries whose count has reached its
+//     fixed threshold, and its word map the rung's non-zero words, so a
+//     sweep for counts at or above a rung's threshold ranges only the
+//     marked positions, reading only the occupied words, and any other
+//     sweep ranges the slab. It stores no hash (rehashing from the key
+//     on delete and growth only) and has no generations (B is flushed
+//     only by Reset).
 //
 // Instances are not safe for concurrent use, matching the
 // single-writer design of the structures they index.

@@ -334,3 +334,80 @@ func TestMergerMatchesShardOutput(t *testing.T) {
 	}
 	s.putQuery(q)
 }
+
+// TestShardMembersMergeUnderOneHasher: the members a sharded instance
+// hands the merged read plane — its shards' captures, the bases
+// DecodeHHHCheckpoint decodes from its checkpoint, and the shards of
+// the instance RestoreHHHFromSnapshots rehydrates from them — merge in
+// one core.SnapshotSet exactly as a reference that probes each member
+// through its own TrackedBounds, to the bit, on every prefix a member
+// tracks and each of its ancestors. The set hashes a prefix once for
+// every member, so a member indexed under another hasher would read
+// as not tracking its own keys.
+func TestShardMembersMergeUnderOneHasher(t *testing.T) {
+	for _, s := range []*HHH{hammerHHH(t, 161), hammerHHH2D(t, 162)} {
+		q := s.getQuery()
+		s.snapshotAll(q)
+		members := append([]*core.HHHSnapshot(nil), q.views...)
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeHHHCheckpoint(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, decoded...)
+		restored, err := RestoreHHHFromSnapshots(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rq := restored.getQuery()
+		restored.snapshotAll(rq)
+		members = append(members, rq.views...)
+
+		weights := make([]float64, len(members))
+		var totalU, totalL float64
+		for i, m := range members {
+			weights[i] = 0.5 + float64(i)/8
+			du, dl := m.AbsentBounds()
+			totalU += du * weights[i]
+			totalL += dl * weights[i]
+		}
+		var set core.SnapshotSet
+		set.Reset(members, weights)
+		var probes []hierarchy.Prefix
+		for _, m := range members {
+			m.Sketch().ForEachEstimate(func(p hierarchy.Prefix, _, _ float64) bool {
+				probes = p.Ancestors(append(probes, p))
+				return true
+			})
+		}
+		if len(probes) == 0 {
+			t.Fatal("test vacuous: no member tracks a prefix")
+		}
+		for _, p := range probes {
+			var wu, wl, defU, defL float64
+			wok := false
+			for i, m := range members {
+				u, l, ok := m.TrackedBounds(p)
+				if !ok {
+					continue
+				}
+				wok = true
+				du, dl := m.AbsentBounds()
+				wu += u * weights[i]
+				wl += l * weights[i]
+				defU += du * weights[i]
+				defL += dl * weights[i]
+			}
+			wu, wl = wu+(totalU-defU), wl+(totalL-defL)
+			if gu, gl, gok := set.Tracked(p); gu != wu || gl != wl || gok != wok {
+				t.Fatalf("%v: Tracked(%v) = (%v, %v, %v), per-member reference (%v, %v, %v)",
+					s.hier, p, gu, gl, gok, wu, wl, wok)
+			}
+		}
+		s.putQuery(q)
+		restored.putQuery(rq)
+	}
+}
