@@ -44,6 +44,15 @@ func packetsFor(b *testing.B, prof trace.Profile, n int) []hierarchy.Packet {
 	return p
 }
 
+// newSketch is core.New for a benchmark's valid configuration.
+func newSketch(b *testing.B, cfg core.Config) *core.Sketch[uint64] {
+	s, err := core.New[uint64](cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 func keysFor(b *testing.B, prof trace.Profile, n int) []uint64 {
 	pkts := packetsFor(b, prof, n)
 	keys := make([]uint64, len(pkts))
@@ -320,7 +329,7 @@ func BenchmarkAblation_Sampling(b *testing.B) {
 func BenchmarkAblation_WindowVsFull(b *testing.B) {
 	keys := keysFor(b, trace.Backbone, 1<<20)
 	b.Run("WindowUpdate", func(b *testing.B) {
-		s := core.MustNew[uint64](core.Config{Window: benchWindow, Counters: 512, Seed: 10})
+		s := newSketch(b, core.Config{Window: benchWindow, Counters: 512, Seed: 10})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.WindowUpdate()
@@ -328,7 +337,7 @@ func BenchmarkAblation_WindowVsFull(b *testing.B) {
 		reportMpps(b)
 	})
 	b.Run("FullUpdate", func(b *testing.B) {
-		s := core.MustNew[uint64](core.Config{Window: benchWindow, Counters: 512, Seed: 10})
+		s := newSketch(b, core.Config{Window: benchWindow, Counters: 512, Seed: 10})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.FullUpdate(keys[i&(len(keys)-1)])

@@ -8,9 +8,10 @@
 //
 //   - internal/core — Memento (windowed heavy hitters with sampled Full
 //     updates) and H-Memento (hierarchical heavy hitters in constant
-//     time per packet): the paper's contribution. Both expose a batched
-//     hot path (UpdateBatch, WindowAdvance) that draws the geometric
-//     skip count once per Full update and slides the window in bulk.
+//     time per packet): the paper's contribution. H-Memento's batched
+//     hot path (HHH.UpdateBatch, over Sketch.WindowAdvance) draws the
+//     geometric skip count once per sampled packet and slides the
+//     window in bulk.
 //   - internal/shard — the concurrent ingestion layer: shard.HHH over
 //     independently-locked core.HHH instances, fed by per-goroutine
 //     PacketBatchers that deal whole batches, each to its own
@@ -28,7 +29,7 @@
 //     position index, they make the per-packet Update path
 //     allocation-free end to end (CI gates on 0 allocs/op).
 //   - internal/codec — the durable plane: a versioned, fuzz-hardened
-//     binary format for full sketch state. core snapshots encode
+//     binary format for full sketch state. H-Memento snapshots encode
 //     (AppendTo, 0 allocs/op) and decode (strict validation, typed
 //     errors) as self-contained records; shard instances checkpoint
 //     to and restore from io.Writer/io.Reader with answer-identical

@@ -6,7 +6,7 @@
 // construct, and every *module* function it statically calls must be
 // allocation-free too — cleanliness is computed bottom-up per package
 // and flows across packages as facts, so a fmt.Sprintf added three
-// calls below Sketch.UpdateBatch surfaces at the annotated root's
+// calls below HHH.UpdateBatch surfaces at the annotated root's
 // package boundary.
 //
 // Allocating constructs:

@@ -55,15 +55,6 @@ func NewMST(h hierarchy.Hierarchy, countersPerInstance int) (*MST, error) {
 	return m, nil
 }
 
-// MustNewMST panics on error; for tests and examples.
-func MustNewMST(h hierarchy.Hierarchy, countersPerInstance int) *MST {
-	m, err := NewMST(h, countersPerInstance)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Update feeds one packet: every prefix pattern receives an update
 // (the O(H) cost the paper's Figure 6 baseline pays).
 func (m *MST) Update(p hierarchy.Packet) {
@@ -128,7 +119,6 @@ type RHHH struct {
 	sketches []*spacesaving.Sketch[hierarchy.Prefix]
 	v        int
 	n        uint64 // packets seen
-	updates  uint64 // SS updates performed
 	skip     int
 	src      *rng.Source
 	geo      *rng.Geometric
@@ -197,15 +187,6 @@ func NewRHHH(cfg RHHHConfig) (*RHHH, error) {
 	return r, nil
 }
 
-// MustNewRHHH panics on error; for tests and examples.
-func MustNewRHHH(cfg RHHHConfig) *RHHH {
-	r, err := NewRHHH(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Update feeds one packet. Most packets are skipped outright (the
 // geometric sampler pre-computed how many); a sampled packet updates
 // one uniformly chosen prefix pattern.
@@ -218,17 +199,7 @@ func (r *RHHH) Update(p hierarchy.Packet) {
 	r.skip = r.geo.Next()
 	i := r.src.Intn(len(r.sketches))
 	r.sketches[i].Add(r.hier.Prefix(p, i))
-	r.updates++
 }
-
-// Items returns the number of packets in the current interval.
-func (r *RHHH) Items() uint64 { return r.n }
-
-// Updates returns the number of Space Saving updates performed.
-func (r *RHHH) Updates() uint64 { return r.updates }
-
-// V returns the sampling ratio.
-func (r *RHHH) V() int { return r.v }
 
 // Bounds implements hhhset.Estimator: counts scale by V, and a
 // ±Z·√(V·N) sampling envelope keeps the bounds conservative.
@@ -247,28 +218,12 @@ func (r *RHHH) Bounds(p hierarchy.Prefix) (upper, lower float64) {
 	return upper, lower
 }
 
-// Query returns the upper-bound estimate for prefix p.
-func (r *RHHH) Query(p hierarchy.Prefix) float64 {
-	u, _ := r.Bounds(p)
-	return u
-}
-
 // Output returns the approximate HHH set at threshold theta relative
 // to the current interval length.
 func (r *RHHH) Output(theta float64) []hhhset.Entry {
 	comp := 2 * r.z * math.Sqrt(float64(r.v)*float64(r.n))
 	r.cands = collectCandidates(r.sketches, r.cands[:0])
 	return hhhset.Compute(r.hier, r, r.cands, theta*float64(r.n), comp)
-}
-
-// Reset starts a new measurement interval.
-func (r *RHHH) Reset() {
-	for _, s := range r.sketches {
-		s.Flush()
-	}
-	r.n = 0
-	r.updates = 0
-	r.skip = r.geo.Next()
 }
 
 // Window is the paper's "Baseline" sliding-window HHH: MST with the
@@ -304,15 +259,6 @@ func NewWindow(h hierarchy.Hierarchy, w, countersPerInstance int) (*Window, erro
 	return b, nil
 }
 
-// MustNewWindow panics on error; for tests and examples.
-func MustNewWindow(h hierarchy.Hierarchy, w, countersPerInstance int) *Window {
-	b, err := NewWindow(h, w, countersPerInstance)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Update feeds one packet: H Full window updates (the cost H-Memento's
 // single constant-time update removes).
 func (b *Window) Update(p hierarchy.Packet) {
@@ -320,9 +266,6 @@ func (b *Window) Update(p hierarchy.Packet) {
 		b.sketches[i].FullUpdate(b.hier.Prefix(p, i))
 	}
 }
-
-// EffectiveWindow returns the maintained window size.
-func (b *Window) EffectiveWindow() int { return b.window }
 
 // Bounds implements hhhset.Estimator.
 func (b *Window) Bounds(p hierarchy.Prefix) (upper, lower float64) {
@@ -350,11 +293,4 @@ func (b *Window) Output(theta float64) []hhhset.Entry {
 	}
 	b.cands = cands
 	return hhhset.Compute(b.hier, b, cands, theta*float64(b.window), 0)
-}
-
-// Reset empties all instances.
-func (b *Window) Reset() {
-	for _, s := range b.sketches {
-		s.Reset()
-	}
 }

@@ -10,6 +10,32 @@ import (
 	"memento/internal/rng"
 )
 
+// mustNewMST, mustNewRHHH and mustNewWindow are the constructors for
+// configurations the tests know are valid.
+func mustNewMST(h hierarchy.Hierarchy, countersPerInstance int) *MST {
+	m, err := NewMST(h, countersPerInstance)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+func mustNewRHHH(cfg RHHHConfig) *RHHH {
+	r, err := NewRHHH(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func mustNewWindow(h hierarchy.Hierarchy, w, countersPerInstance int) *Window {
+	b, err := NewWindow(h, w, countersPerInstance)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // mix generates the shared test traffic: 40% of packets from hosts
 // inside 10.0.0.0/8, 20% from the single flow 99.1.2.3, the rest noise.
 func mix(seed uint64, n int) []hierarchy.Packet {
@@ -53,7 +79,7 @@ func TestMSTValidation(t *testing.T) {
 }
 
 func TestMSTFindsHHH(t *testing.T) {
-	m := MustNewMST(hierarchy.OneD{}, 512)
+	m := mustNewMST(hierarchy.OneD{}, 512)
 	for _, p := range mix(1, 100000) {
 		m.Update(p)
 	}
@@ -72,7 +98,7 @@ func TestMSTFindsHHH(t *testing.T) {
 }
 
 func TestMSTEstimatesUpperBound(t *testing.T) {
-	m := MustNewMST(hierarchy.OneD{}, 256)
+	m := mustNewMST(hierarchy.OneD{}, 256)
 	oracle := map[hierarchy.Prefix]int{}
 	var hier hierarchy.OneD
 	for _, p := range mix(2, 50000) {
@@ -94,7 +120,7 @@ func TestMSTEstimatesUpperBound(t *testing.T) {
 }
 
 func TestMSTReset(t *testing.T) {
-	m := MustNewMST(hierarchy.OneD{}, 64)
+	m := mustNewMST(hierarchy.OneD{}, 64)
 	for _, p := range mix(3, 1000) {
 		m.Update(p)
 	}
@@ -114,21 +140,25 @@ func TestRHHHValidation(t *testing.T) {
 	if _, err := NewRHHH(RHHHConfig{Hierarchy: hierarchy.OneD{}, CountersPerInstance: 10, V: 2}); err == nil {
 		t.Error("V < H should fail")
 	}
-	r := MustNewRHHH(RHHHConfig{Hierarchy: hierarchy.OneD{}, CountersPerInstance: 10})
-	if r.V() != 5 {
-		t.Fatalf("default V = %d, want H", r.V())
+	r := mustNewRHHH(RHHHConfig{Hierarchy: hierarchy.OneD{}, CountersPerInstance: 10})
+	if r.v != 5 {
+		t.Fatalf("default V = %d, want H", r.v)
 	}
 }
 
 func TestRHHHSamplingRate(t *testing.T) {
-	r := MustNewRHHH(RHHHConfig{
+	r := mustNewRHHH(RHHHConfig{
 		Hierarchy: hierarchy.OneD{}, CountersPerInstance: 64, V: 50, Seed: 4,
 	})
 	const n = 300000
 	for _, p := range mix(5, n) {
 		r.Update(p)
 	}
-	got := float64(r.Updates()) / float64(n)
+	var updates uint64 // Space Saving updates performed
+	for _, s := range r.sketches {
+		updates += s.Items()
+	}
+	got := float64(updates) / float64(n)
 	want := 5.0 / 50
 	if math.Abs(got-want) > 0.005 {
 		t.Fatalf("update rate %v, want ≈ %v", got, want)
@@ -136,7 +166,7 @@ func TestRHHHSamplingRate(t *testing.T) {
 }
 
 func TestRHHHFindsHHH(t *testing.T) {
-	r := MustNewRHHH(RHHHConfig{
+	r := mustNewRHHH(RHHHConfig{
 		Hierarchy: hierarchy.OneD{}, CountersPerInstance: 512, V: 10, Seed: 6,
 	})
 	for _, p := range mix(7, 200000) {
@@ -149,7 +179,7 @@ func TestRHHHFindsHHH(t *testing.T) {
 }
 
 func TestRHHHBoundsBracketTruth(t *testing.T) {
-	r := MustNewRHHH(RHHHConfig{
+	r := mustNewRHHH(RHHHConfig{
 		Hierarchy: hierarchy.OneD{}, CountersPerInstance: 256, V: 20, Seed: 8,
 	})
 	truth := map[hierarchy.Prefix]int{}
@@ -173,7 +203,7 @@ func TestRHHHBoundsBracketTruth(t *testing.T) {
 }
 
 func TestRHHH2D(t *testing.T) {
-	r := MustNewRHHH(RHHHConfig{
+	r := mustNewRHHH(RHHHConfig{
 		Hierarchy: hierarchy.TwoD{}, CountersPerInstance: 256, V: 25, Seed: 10,
 	})
 	src := rng.New(11)
@@ -203,8 +233,8 @@ func TestWindowBaselineSlides(t *testing.T) {
 	// The defining property versus MST: a flow that stops sending
 	// disappears from the window baseline but persists in MST.
 	const w = 20000
-	b := MustNewWindow(hierarchy.OneD{}, w, 128)
-	m := MustNewMST(hierarchy.OneD{}, 128)
+	b := mustNewWindow(hierarchy.OneD{}, w, 128)
+	m := mustNewMST(hierarchy.OneD{}, 128)
 	heavy := hierarchy.Packet{Src: hierarchy.IPv4(99, 1, 2, 3)}
 	r := rng.New(12)
 	for i := 0; i < w; i++ {
@@ -228,7 +258,7 @@ func TestWindowBaselineSlides(t *testing.T) {
 
 func TestWindowBaselineFindsHHH(t *testing.T) {
 	const w = 50000
-	b := MustNewWindow(hierarchy.OneD{}, w, 512)
+	b := mustNewWindow(hierarchy.OneD{}, w, 512)
 	for _, p := range mix(13, 2*w) {
 		b.Update(p)
 	}
@@ -240,8 +270,8 @@ func TestWindowBaselineFindsHHH(t *testing.T) {
 
 func TestWindowBaselineBounds(t *testing.T) {
 	const w = 10000
-	b := MustNewWindow(hierarchy.OneD{}, w, 64)
-	oracle := exact.MustNewSlidingWindow[hierarchy.Prefix](b.EffectiveWindow())
+	b := mustNewWindow(hierarchy.OneD{}, w, 64)
+	oracle := exact.MustNewSlidingWindow[hierarchy.Prefix](b.window)
 	var hier hierarchy.OneD
 	for _, p := range mix(14, 3*w) {
 		b.Update(p)
@@ -254,19 +284,8 @@ func TestWindowBaselineBounds(t *testing.T) {
 	if est < truth {
 		t.Fatalf("window baseline underestimated %v: %v < %v", p24, est, truth)
 	}
-	slack := 4 * float64(b.EffectiveWindow()) / 64
+	slack := 4 * float64(b.window) / 64
 	if est > truth+slack {
 		t.Fatalf("window baseline estimate beyond bound: %v vs %v (+%v)", est, truth, slack)
-	}
-}
-
-func TestWindowBaselineReset(t *testing.T) {
-	b := MustNewWindow(hierarchy.OneD{}, 1000, 32)
-	for _, p := range mix(15, 5000) {
-		b.Update(p)
-	}
-	b.Reset()
-	if out := b.Output(0.01); len(out) != 0 {
-		t.Fatalf("post-reset output: %v", out)
 	}
 }

@@ -10,8 +10,7 @@
 //
 //	u32 magic   — 'M''S''K''T' (0x4D534B54)
 //	u8  version — format version (Version; currently 1)
-//	u8  kind    — record kind (KindSketch, KindHHH, KindHHHDelta,
-//	              KindHHHDeltaSet)
+//	u8  kind    — record kind (KindHHH, KindHHHDelta, KindHHHDeltaSet)
 //	u16 flags   — FlagRestore when the restore plane (block ring,
 //	              frame position, update breakdown) is present; chain
 //	              records add FlagBase and FlagClearMonitored
@@ -26,7 +25,7 @@
 // hostile length field can neither panic a decoder nor balloon its
 // memory, and all failures surface as (wrapped) typed errors —
 // ErrBadMagic, ErrVersion, ErrKind, ErrCorrupt, ErrConfigMismatch —
-// never panics. FuzzDecodeSnapshot and friends pin that contract.
+// never panics. FuzzDecodeHHHSnapshot and friends pin that contract.
 //
 // The digest deliberately excludes seeds and hash-function identities:
 // two processes with the same window/counter/scale configuration (and
@@ -56,12 +55,11 @@ const Magic = uint32(0x4D534B54)
 // readers keep working.
 const Version = 1
 
-// Record kinds. Values 3, 4 and 5 are retired (a keyed-sketch set, a
-// sharded checkpoint of bare KindHHH records, a keyed-sketch delta)
-// and must not be reused.
+// Record kinds. Values 1, 3, 4 and 5 are retired (a keyed sketch, a
+// keyed-sketch set, a sharded checkpoint of bare KindHHH records, a
+// keyed-sketch delta) and must not be reused: a decoder refuses them
+// with ErrKind.
 const (
-	// KindSketch is a single core.Snapshot[K] record.
-	KindSketch = uint8(1)
 	// KindHHH is a single core.HHHSnapshot record.
 	KindHHH = uint8(2)
 	// KindHHHDelta is an epoch-stamped replication record for an
@@ -165,15 +163,10 @@ func Digest(fields ...uint64) uint64 {
 	return d
 }
 
-// SketchDigest is the digest of a Memento sketch configuration: the
-// effective window, counter budget k, overflow threshold in sampled
-// counts, and the query scale factor. Seeds and hash identities are
-// deliberately absent (see the package comment).
-func SketchDigest(window, counters, blockCounts uint64, scale float64) uint64 {
-	return Digest(window, counters, blockCounts, math.Float64bits(scale))
-}
-
-// HHHDigest extends SketchDigest with the hierarchy identity.
+// HHHDigest is the digest of an H-Memento configuration: the hierarchy
+// identity, the effective window, counter budget k, overflow threshold
+// in sampled counts, and the query scale factor. Seeds and hash
+// identities are deliberately absent (see the package comment).
 func HHHDigest(hierID uint8, window, counters, blockCounts uint64, scale float64) uint64 {
 	return Digest(uint64(hierID), window, counters, blockCounts, math.Float64bits(scale))
 }
@@ -220,53 +213,25 @@ func HierByID(id uint8) (hierarchy.Hierarchy, error) {
 	}
 }
 
-// KeyCodec serializes sketch keys of type K with a fixed width, which
-// is what lets decoders bound entry counts by the bytes that remain.
-type KeyCodec[K comparable] interface {
-	// Width is the encoded size of one key in bytes (> 0).
-	Width() int
-	// AppendKey appends k's encoding to dst.
-	AppendKey(dst []byte, k K) []byte
-	// DecodeKey reads one key from the first Width() bytes of src,
-	// which the caller guarantees are present. Implementations
-	// validate key invariants and return wrapped ErrCorrupt.
-	DecodeKey(src []byte) (K, error)
-}
-
-// Uint64Keys encodes uint64 keys big-endian.
-type Uint64Keys struct{}
-
-// Width implements KeyCodec.
-func (Uint64Keys) Width() int { return 8 }
-
-// AppendKey implements KeyCodec.
-func (Uint64Keys) AppendKey(dst []byte, k uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, k)
-}
-
-// DecodeKey implements KeyCodec.
-func (Uint64Keys) DecodeKey(src []byte) (uint64, error) {
-	if len(src) < 8 {
-		return 0, Corruptf("uint64 key needs 8 bytes, have %d", len(src))
-	}
-	return binary.BigEndian.Uint64(src), nil
-}
-
-// PrefixKeys encodes hierarchy.Prefix keys (10 bytes: src, dst,
-// srcLen, dstLen), rejecting non-canonical prefixes on decode.
+// PrefixKeys encodes the sketches' keys, hierarchy.Prefix, with a fixed
+// width, which is what lets decoders bound entry counts by the bytes
+// that remain: 10 bytes (src, dst, srcLen, dstLen), rejecting
+// non-canonical prefixes on decode.
 type PrefixKeys struct{}
 
-// Width implements KeyCodec.
+// Width is the encoded size of one key in bytes.
 func (PrefixKeys) Width() int { return 10 }
 
-// AppendKey implements KeyCodec.
+// AppendKey appends p's encoding to dst.
 func (PrefixKeys) AppendKey(dst []byte, p hierarchy.Prefix) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, p.Src)
 	dst = binary.BigEndian.AppendUint32(dst, p.Dst)
 	return append(dst, p.SrcLen, p.DstLen)
 }
 
-// DecodeKey implements KeyCodec.
+// DecodeKey reads one key from the first Width() bytes of src, which
+// the caller guarantees are present, and returns a wrapped ErrCorrupt
+// for a key no encoder writes.
 func (PrefixKeys) DecodeKey(src []byte) (hierarchy.Prefix, error) {
 	if len(src) < 10 {
 		return hierarchy.Prefix{}, Corruptf("prefix key needs 10 bytes, have %d", len(src))
@@ -347,15 +312,6 @@ func (c *Cursor) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// Uint32 reads a fixed-width big-endian u32.
-func (c *Cursor) Uint32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
 // Byte reads one byte.
 func (c *Cursor) Byte() byte {
 	b := c.take(1)
@@ -413,19 +369,19 @@ func (c *Cursor) Count(limit int, minEntryBytes int) int {
 	return int(v)
 }
 
-// Key reads one key via kc.
-func Key[K comparable](c *Cursor, kc KeyCodec[K]) K {
-	var zero K
+// Key reads one prefix key.
+func (c *Cursor) Key() hierarchy.Prefix {
+	var kc PrefixKeys
 	b := c.take(kc.Width())
 	if b == nil {
-		return zero
+		return hierarchy.Prefix{}
 	}
 	k, err := kc.DecodeKey(b)
 	if err != nil {
 		if c.err == nil {
 			c.err = err
 		}
-		return zero
+		return hierarchy.Prefix{}
 	}
 	return k
 }

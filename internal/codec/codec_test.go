@@ -37,30 +37,30 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if _, _, err := ReadHeader(bad); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	future := AppendHeader(nil, Header{Version: Version + 1, Kind: KindSketch})
+	future := AppendHeader(nil, Header{Version: Version + 1, Kind: KindHHH})
 	if _, _, err := ReadHeader(future); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: %v", err)
 	}
-	zero := AppendHeader(nil, Header{Version: 0, Kind: KindSketch})
+	zero := AppendHeader(nil, Header{Version: 0, Kind: KindHHH})
 	if _, _, err := ReadHeader(zero); !errors.Is(err, ErrVersion) {
 		t.Fatalf("zero version: %v", err)
 	}
 }
 
 func TestDigestDistinguishesConfigs(t *testing.T) {
-	base := SketchDigest(1<<12, 64, 8, 1)
+	base := HHHDigest(HierOneD, 1<<12, 64, 8, 1)
 	for _, other := range []uint64{
-		SketchDigest(1<<13, 64, 8, 1),
-		SketchDigest(1<<12, 128, 8, 1),
-		SketchDigest(1<<12, 64, 16, 1),
-		SketchDigest(1<<12, 64, 8, 2),
-		HHHDigest(HierOneD, 1<<12, 64, 8, 1),
+		HHHDigest(HierOneD, 1<<13, 64, 8, 1),
+		HHHDigest(HierOneD, 1<<12, 128, 8, 1),
+		HHHDigest(HierOneD, 1<<12, 64, 16, 1),
+		HHHDigest(HierOneD, 1<<12, 64, 8, 2),
+		HHHDigest(HierTwoD, 1<<12, 64, 8, 1),
 	} {
 		if other == base {
 			t.Fatalf("digest collision: %#x", base)
 		}
 	}
-	if SketchDigest(1<<12, 64, 8, 1) != base {
+	if HHHDigest(HierOneD, 1<<12, 64, 8, 1) != base {
 		t.Fatal("digest not deterministic")
 	}
 	// Field order matters: swapping two equal-width fields changes it.
@@ -89,7 +89,7 @@ func TestHierIDRoundTrip(t *testing.T) {
 }
 
 func TestCursorBounds(t *testing.T) {
-	buf := AppendHeader(nil, Header{Version: Version, Kind: KindSketch})[:0]
+	buf := AppendHeader(nil, Header{Version: Version, Kind: KindHHH})[:0]
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 7) // u64 = 7
 	buf = append(buf, 0x85, 0x02)             // uvarint 261
 	c := NewCursor(buf)
@@ -103,7 +103,7 @@ func TestCursorBounds(t *testing.T) {
 		t.Fatal(c.Err())
 	}
 	// Reads past the end record an error and return zero values.
-	if v := c.Uint32(); v != 0 || c.Err() == nil {
+	if v := c.Uint64(); v != 0 || c.Err() == nil {
 		t.Fatalf("overread: v=%d err=%v", v, c.Err())
 	}
 	// Subsequent reads stay at the first error.

@@ -20,7 +20,6 @@ import "memento/internal/obs"
 // used by RegisterMetrics. Index 0 collects out-of-range kinds; the
 // retired kinds' slots stay empty and register nothing.
 var kindNames = [...]string{
-	KindSketch:      "sketch",
 	KindHHH:         "hhh",
 	KindHHHDelta:    "hhh_delta",
 	KindHHHDeltaSet: "hhh_delta_set",

@@ -22,8 +22,6 @@ func TestDecodersRejectEveryTruncation(t *testing.T) {
 	}{
 		{"ReadHeader", AppendHeader(nil, Header{Version: Version, Kind: KindHHH, Flags: FlagRestore, Digest: 0xdeadbeefcafef00d}),
 			func(b []byte) error { _, _, err := ReadHeader(b); return err }},
-		{"Uint64Keys.DecodeKey", Uint64Keys{}.AppendKey(nil, 0x0102030405060708),
-			func(b []byte) error { _, err := Uint64Keys{}.DecodeKey(b); return err }},
 		{"PrefixKeys.DecodeKey", PrefixKeys{}.AppendKey(nil, prefix),
 			func(b []byte) error { _, err := PrefixKeys{}.DecodeKey(b); return err }},
 		{"DecodeTraceContext", AppendTraceContext(nil, TraceContext{AgentID: "agent-7", Seq: 42, CaptureNanos: 1_700_000_000_000_000_000}),

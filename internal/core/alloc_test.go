@@ -13,7 +13,7 @@ import (
 // overflow table once), Update must never allocate — no map buckets,
 // no ring growth, nothing.
 func TestUpdateZeroAlloc(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 1 << 14, Counters: 256, Tau: 1.0 / 16, Seed: 3})
+	s := mustNew[uint64](Config{Window: 1 << 14, Counters: 256, Tau: 1.0 / 16, Seed: 3})
 	src := rng.New(9)
 	keys := make([]uint64, 1<<12)
 	for i := range keys {
@@ -32,18 +32,21 @@ func TestUpdateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchZeroAlloc does the same for the batched path.
+// TestUpdateBatchZeroAlloc does the same for the batched path,
+// HHH.UpdateBatch: the geometric skip draws, the bulk window slides
+// and the sampled prefixes' Full updates.
 func TestUpdateBatchZeroAlloc(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 1 << 14, Counters: 256, Tau: 1.0 / 16, Seed: 4})
+	hier := hierarchy.OneD{}
+	hh := MustNewHHH(HHHConfig{Hierarchy: hier, Window: 1 << 14, Counters: 256 * hier.H(), V: 16 * hier.H(), Seed: 4})
 	src := rng.New(10)
-	batch := make([]uint64, 256)
+	batch := make([]hierarchy.Packet, 256)
 	for i := range batch {
-		batch[i] = uint64(src.Intn(1 << 12))
+		batch[i] = hierarchy.Packet{Src: uint32(src.Intn(1 << 12))}
 	}
 	for i := 0; i < 1<<8; i++ {
-		s.UpdateBatch(batch)
+		hh.UpdateBatch(batch)
 	}
-	allocs := testing.AllocsPerRun(2000, func() { s.UpdateBatch(batch) })
+	allocs := testing.AllocsPerRun(2000, func() { hh.UpdateBatch(batch) })
 	if allocs != 0 {
 		t.Fatalf("UpdateBatch allocs/op = %v, want 0", allocs)
 	}
@@ -71,7 +74,7 @@ const benchTau = 1.0 / 64
 // goroutine, Update on a bare Sketch. CI alloc-gates it at 0 allocs/op.
 func BenchmarkIngestSingle(b *testing.B) {
 	keys := benchKeys(1 << 20)
-	s := MustNew[uint64](Config{
+	s := mustNew[uint64](Config{
 		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
 	})
 	b.ResetTimer()
@@ -89,7 +92,7 @@ func BenchmarkIngestSingle(b *testing.B) {
 // nil compare that this benchmark makes non-nil.
 func BenchmarkInstrumentedIngest(b *testing.B) {
 	keys := benchKeys(1 << 20)
-	s := MustNew[uint64](Config{
+	s := mustNew[uint64](Config{
 		Window: benchWindow, Counters: 4096, Tau: benchTau, Seed: 1,
 	})
 	reg := obs.NewRegistry()

@@ -17,8 +17,8 @@ func TestWindowAdvanceMatchesWindowUpdate(t *testing.T) {
 	const window = 1000
 	const k = 8
 	cfg := Config{Window: window, Counters: k, Seed: 11}
-	bulk := MustNew[int](cfg)
-	ref := MustNew[int](cfg)
+	bulk := mustNew[int](cfg)
+	ref := mustNew[int](cfg)
 
 	// Populate overflow queues and the B table identically.
 	feed := func(s *Sketch[int]) {
@@ -68,124 +68,139 @@ func TestWindowAdvanceMatchesWindowUpdate(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchSegmentationInvariant feeds the same stream through
-// different batch segmentations with the same seed: the geometric skip
-// state persists across batches, so the resulting sketches must be
-// identical — including against batch size 1.
+// TestUpdateBatchSegmentationInvariant feeds the same packets through
+// HHH.UpdateBatch under different batch segmentations with the same
+// seed: the geometric skip state persists across batches, so the
+// resulting instances must be identical — including against batch
+// size 1.
 func TestUpdateBatchSegmentationInvariant(t *testing.T) {
 	const window = 4096
 	const n = 3 * window
-	keys := make([]uint64, n)
+	hier := hierarchy.OneD{}
+	pkts := make([]hierarchy.Packet, n)
 	src := rng.New(42)
-	for i := range keys {
-		keys[i] = uint64(src.Intn(200))
+	for i := range pkts {
+		pkts[i] = hierarchy.Packet{Src: uint32(src.Intn(200))}
 	}
-	cfg := Config{Window: window, Counters: 64, Tau: 1.0 / 16, Seed: 77}
+	cfg := HHHConfig{Hierarchy: hier, Window: window, Counters: 64 * hier.H(), V: 16 * hier.H(), Seed: 77}
 
-	run := func(batch int) *Sketch[uint64] {
-		s := MustNew[uint64](cfg)
+	run := func(batch int) *HHH {
+		hh := MustNewHHH(cfg)
 		for i := 0; i < n; i += batch {
-			end := i + batch
-			if end > n {
-				end = n
-			}
-			s.UpdateBatch(keys[i:end])
+			hh.UpdateBatch(pkts[i:min(i+batch, n)])
 		}
-		return s
+		return hh
 	}
 	want := run(1)
+	if want.Sketch().FullUpdates() == 0 || want.Sketch().OverflowEntries() == 0 {
+		t.Fatal("test vacuous: no sampled prefix reached the overflow table")
+	}
 	for _, batch := range []int{3, 64, 1000, n} {
 		got := run(batch)
-		if got.FullUpdates() != want.FullUpdates() || got.Updates() != want.Updates() {
-			t.Fatalf("batch=%d: %d/%d full/total updates, want %d/%d",
-				batch, got.FullUpdates(), got.Updates(), want.FullUpdates(), want.Updates())
+		if got.Sketch().FullUpdates() != want.Sketch().FullUpdates() || got.Sketch().Updates() != want.Sketch().Updates() {
+			t.Fatalf("batch=%d: %d/%d full/total updates, want %d/%d", batch,
+				got.Sketch().FullUpdates(), got.Sketch().Updates(), want.Sketch().FullUpdates(), want.Sketch().Updates())
 		}
-		for k := uint64(0); k < 200; k++ {
-			if got.Query(k) != want.Query(k) {
-				t.Fatalf("batch=%d: Query(%d) = %v, want %v", batch, k, got.Query(k), want.Query(k))
+		for a := uint32(0); a < 200; a++ {
+			for lvl := 0; lvl < hier.H(); lvl++ {
+				p := hier.Prefix(hierarchy.Packet{Src: a}, lvl)
+				if got.Query(p) != want.Query(p) {
+					t.Fatalf("batch=%d: Query(%v) = %v, want %v", batch, p, got.Query(p), want.Query(p))
+				}
 			}
 		}
 	}
 }
 
 // TestUpdateBatchFullRate asserts the distributional contract with
-// Update: the batched geometric sampler must realize the same
-// Full-update rate τ as the per-packet Bernoulli sampler, within a
-// generous multiple of the binomial standard deviation.
+// Update across sampling ratios: the batched geometric sampler must
+// realize the same sampled-prefix rate H/V as the per-packet draw,
+// within a generous multiple of the binomial standard deviation, and
+// at V = H every packet must sample a prefix.
 func TestUpdateBatchFullRate(t *testing.T) {
 	const window = 1 << 14
 	const n = 1 << 19
-	keys := make([]uint64, n)
+	hier := hierarchy.OneD{}
+	h := hier.H()
+	pkts := make([]hierarchy.Packet, n)
 	src := rng.New(5)
-	for i := range keys {
-		keys[i] = uint64(src.Intn(500))
+	for i := range pkts {
+		pkts[i] = hierarchy.Packet{Src: uint32(src.Intn(500))}
 	}
-	for _, tau := range []float64{1, 1.0 / 4, 1.0 / 64, 1.0 / 512} {
-		cfg := Config{Window: window, Counters: 128, Tau: tau, Seed: 13}
-		batched := MustNew[uint64](cfg)
-		perPkt := MustNew[uint64](cfg)
+	for _, v := range []int{h, 4 * h, 64 * h, 512 * h} {
+		cfg := HHHConfig{Hierarchy: hier, Window: window, Counters: 128 * h, V: v, Seed: 13}
+		batched := MustNewHHH(cfg)
+		perPkt := MustNewHHH(cfg)
 		for i := 0; i < n; i += 256 {
-			batched.UpdateBatch(keys[i : i+256])
+			batched.UpdateBatch(pkts[i : i+256])
 		}
-		for _, k := range keys {
-			perPkt.Update(k)
+		for _, p := range pkts {
+			perPkt.Update(p)
 		}
-		if batched.Updates() != n || perPkt.Updates() != n {
-			t.Fatalf("tau=%v: updates %d/%d, want %d", tau, batched.Updates(), perPkt.Updates(), n)
+		if batched.Sketch().Updates() != n || perPkt.Sketch().Updates() != n {
+			t.Fatalf("V=%d: updates %d/%d, want %d", v, batched.Sketch().Updates(), perPkt.Sketch().Updates(), n)
 		}
+		tau := float64(h) / float64(v)
 		sigma := math.Sqrt(float64(n) * tau * (1 - tau))
 		slack := 6*sigma + 1
-		got := float64(batched.FullUpdates())
+		got := float64(batched.Sketch().FullUpdates())
 		want := tau * n
 		if math.Abs(got-want) > slack {
-			t.Errorf("tau=%v: batched full updates %v, want %v ± %v", tau, got, want, slack)
+			t.Errorf("V=%d: batched sampled prefixes %v, want %v ± %v", v, got, want, slack)
 		}
-		ref := float64(perPkt.FullUpdates())
+		ref := float64(perPkt.Sketch().FullUpdates())
 		if math.Abs(ref-want) > slack {
-			t.Errorf("tau=%v: per-packet full updates %v, want %v ± %v", tau, ref, want, slack)
+			t.Errorf("V=%d: per-packet sampled prefixes %v, want %v ± %v", v, ref, want, slack)
 		}
-		if tau == 1 && batched.FullUpdates() != n {
-			t.Errorf("tau=1: every batched update must be Full, got %d/%d", batched.FullUpdates(), n)
+		if v == h && batched.Sketch().FullUpdates() != n {
+			t.Errorf("V=H: every batched packet must sample a prefix, got %d/%d", batched.Sketch().FullUpdates(), n)
 		}
 	}
 }
 
 // TestUpdateBatchAccuracy checks the batched path against the exact
-// oracle: estimates stay one-sided up to sampling noise and within the
-// combined εa+εs error band, mirroring the per-packet accuracy tests.
+// oracle, one sliding window per prefix level: the estimate of every
+// heavy prefix stays within the counting error 4·H·W/k plus ~4σ of
+// sampling noise, 4·√(V·W), mirroring the per-packet accuracy tests.
 func TestUpdateBatchAccuracy(t *testing.T) {
 	const window = 1 << 13
-	const k = 256
-	const tau = 1.0 / 8
-	s := MustNew[uint64](Config{Window: window, Counters: k, Tau: tau, Seed: 3})
-	oracle := exact.MustNewSlidingWindow[uint64](s.EffectiveWindow())
-	src := rng.New(99)
 	const n = 1 << 16
-	batch := make([]uint64, 0, 512)
+	hier := hierarchy.OneD{}
+	h := hier.H()
+	k, v := 256*h, 8*h
+	hh := MustNewHHH(HHHConfig{Hierarchy: hier, Window: window, Counters: k, V: v, Seed: 3})
+	w := hh.EffectiveWindow()
+	oracles := make([]*exact.SlidingWindow[hierarchy.Prefix], h)
+	for lvl := range oracles {
+		oracles[lvl] = exact.MustNewSlidingWindow[hierarchy.Prefix](w)
+	}
+	src := rng.New(99)
+	batch := make([]hierarchy.Packet, 0, 512)
 	for i := 0; i < n; i++ {
-		// Zipf-ish skew: low keys are heavy.
-		key := uint64(src.Intn(32))
+		// Zipf-ish skew: low addresses are heavy.
+		p := hierarchy.Packet{Src: uint32(src.Intn(32))}
 		if src.Intn(4) == 0 {
-			key = uint64(32 + src.Intn(4096))
+			p.Src = uint32(32 + src.Intn(4096))
 		}
-		batch = append(batch, key)
-		oracle.Add(key)
+		batch = append(batch, p)
+		for lvl, o := range oracles {
+			o.Add(hier.Prefix(p, lvl))
+		}
 		if len(batch) == cap(batch) {
-			s.UpdateBatch(batch)
+			hh.UpdateBatch(batch)
 			batch = batch[:0]
 		}
 	}
-	s.UpdateBatch(batch)
+	hh.UpdateBatch(batch)
 
-	w := float64(s.EffectiveWindow())
-	epsA := 4 * float64(s.EffectiveWindow()) / float64(k)
-	epsS := 4 / math.Sqrt(tau*w) * w // ~4σ of sampling noise in packets
-	band := epsA + epsS
-	for key := uint64(0); key < 32; key++ {
-		est := s.Query(key)
-		truth := float64(oracle.Count(key))
-		if est-truth > band || truth-est > band {
-			t.Errorf("Query(%d) = %v, exact %v, |diff| > %v", key, est, truth, band)
+	band := 4*float64(h)*float64(w)/float64(k) + 4*math.Sqrt(float64(v)*float64(w))
+	for a := uint32(0); a < 32; a++ {
+		for lvl, o := range oracles {
+			p := hier.Prefix(hierarchy.Packet{Src: a}, lvl)
+			est, truth := hh.Query(p), float64(o.Count(p))
+			if math.Abs(est-truth) > band {
+				t.Errorf("Query(%v) = %v, exact %v, |diff| > %v", p, est, truth, band)
+			}
 		}
 	}
 }
@@ -264,10 +279,10 @@ func TestLongSlideLeavesOnlyPosition(t *testing.T) {
 		{Window: 64, Counters: 4, Tau: 0.5, Seed: 6},
 	} {
 		const keys = 12
-		w := uint64(MustNew[uint64](cfg).EffectiveWindow())
+		w := uint64(mustNew[uint64](cfg).EffectiveWindow())
 		for start := uint64(0); start < 2*w; start++ {
 			for _, n := range []uint64{3*w + 1, 4 * w, 5*w + w/2, 7*w - 1} {
-				ref, bulk := MustNew[uint64](cfg), MustNew[uint64](cfg)
+				ref, bulk := mustNew[uint64](cfg), mustNew[uint64](cfg)
 				src := rng.New(start + 1)
 				for i := uint64(0); i < 3*w+start; i++ { // load, ending at every frame position
 					k := uint64(src.Intn(keys))

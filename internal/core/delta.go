@@ -22,15 +22,15 @@
 // the overflow and pop branches only, the common WindowUpdate path is
 // untouched, and draining copies ⌈k/64⌉ words plus the log.
 //
-// This file also provides the inverse of the diff: BuildSnapshot
-// assembles a queryable Snapshot from explicit state, which is how a
+// This file also provides the inverse of the diff: BuildHHHSnapshot
+// assembles a queryable snapshot from explicit state, which is how a
 // chain base (and a canonical copy of an applied chain) becomes
 // something Query/OutputTo/RestoreFrom understand, and ApplyPatch
 // writes one delta's entries into such a snapshot in place, which is
 // how a follower keeps one live replica of a chain. The two are the
 // validators of state that arrives from outside the process: the wire
 // decoder (persist.go) parses a record into a SnapshotSpec and hands it
-// to BuildSnapshot, and internal/delta parses a delta into a Patch.
+// to the same validator, and internal/delta parses a delta into a Patch.
 
 package core
 
@@ -154,7 +154,7 @@ type RestoreSpec[K comparable] struct {
 	Queues [][]K
 }
 
-// SnapshotSpec is the explicit state BuildSnapshot assembles into a
+// SnapshotSpec is the explicit state BuildHHHSnapshot assembles into a
 // queryable Snapshot — the path by which a decoded record, or the
 // canonical copy of an applied delta chain (internal/delta.State),
 // becomes one.
@@ -169,8 +169,9 @@ type SnapshotSpec[K comparable] struct {
 	Updates uint64
 	Items   uint64
 	// Overflow is the overflow table B, counts positive, built under
-	// the hasher handed to BuildSnapshot; nil is an empty table. The
-	// built snapshot takes a slab copy — no per-entry work, no order.
+	// prefixHash, the H-Memento tables' hasher; nil is an empty table.
+	// The built snapshot takes a slab copy — no per-entry work, no
+	// order.
 	Overflow *keyidx.Counts[K]
 	// Monitored are the in-frame Space Saving counters in ascending
 	// count order, each with Err < Count.
@@ -178,25 +179,6 @@ type SnapshotSpec[K comparable] struct {
 	// Restore, when non-nil, adds the restore plane: the built
 	// snapshot can rehydrate a live sketch via RestoreFrom.
 	Restore *RestoreSpec[K]
-}
-
-// BuildSnapshot validates spec and assembles a Snapshot over it: the
-// Space Saving slabs are sized by the entries present (preserving the
-// saturated/unsaturated Min() distinction without trusting a declared
-// budget for an allocation) and its index is built under hash, which
-// must be the function spec.Overflow was built under (nil: that
-// function, or the keyidx default without a table). Every invariant of
-// a whole state that arrives from outside the process is stated here —
-// wire records, chain bases and canonical copies of applied chains all
-// pass through; ApplyPatch checks a delta against the same rules — and
-// a violation is a wrapped codec.ErrCorrupt. The snapshot takes copies of spec.Overflow and the
-// restore queues; the caller keeps its own.
-func BuildSnapshot[K comparable](spec SnapshotSpec[K], hash func(K) uint64) (*Snapshot[K], error) {
-	snap := new(Snapshot[K])
-	if err := snap.build(spec.detached(), hash); err != nil {
-		return nil, err
-	}
-	return snap, nil
 }
 
 // detached returns spec holding its own copies of the overflow table
@@ -218,9 +200,18 @@ func (spec SnapshotSpec[K]) detached() SnapshotSpec[K] {
 	return spec
 }
 
-// build is BuildSnapshot into snap, taking ownership of spec.Overflow
-// and the restore queues (the decoder parsed them for this call). On
-// error snap is left partially filled and must be discarded.
+// build validates spec and assembles snap over it, taking ownership of
+// spec.Overflow and the restore queues (the decoder parsed them for
+// this call). The Space Saving slabs are sized by the entries present
+// (preserving the saturated/unsaturated Min() distinction without
+// trusting a declared budget for an allocation) and its index is built
+// under hash, which must be the function spec.Overflow was built under.
+// Every invariant of a whole state that arrives from outside the
+// process is stated here — wire records, chain bases and canonical
+// copies of applied chains all pass through; ApplyPatch checks a delta
+// against the same rules — and a violation is a wrapped
+// codec.ErrCorrupt. On error snap is left partially filled and must be
+// discarded.
 func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error {
 	const maxK = 1 << 28 // spacesaving's own cap
 	k := uint64(spec.Counters)
@@ -235,12 +226,6 @@ func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error 
 	}
 	if !(spec.Scale >= 1) {
 		return codec.Corruptf("scale %g below 1", spec.Scale)
-	}
-	if hash == nil {
-		hash = keyidx.DefaultHasher[K]()
-		if spec.Overflow != nil {
-			hash = spec.Overflow.Hash
-		}
 	}
 	snap.k = int(k)
 	snap.window = spec.Window
@@ -297,11 +282,13 @@ func (snap *Snapshot[K]) build(spec SnapshotSpec[K], hash func(K) uint64) error 
 	return nil
 }
 
-// BuildHHHSnapshot is BuildSnapshot for an H-Memento capture: the
-// assembled snapshot carries the hierarchy and sampling compensation
-// and answers OutputTo like a decoded KindHHH record. Its indexes are
-// built under prefixHash, the hasher of every H-Memento table, so
-// spec.Overflow must have been built under it too.
+// BuildHHHSnapshot validates spec (see Snapshot.build) and assembles an
+// H-Memento snapshot over copies of it, carrying the hierarchy and
+// sampling compensation and answering like a decoded KindHHH record.
+// Its indexes are built under prefixHash, the hasher of every
+// H-Memento table, so spec.Overflow must have been built under it too.
+// The snapshot takes copies of spec.Overflow and the restore queues;
+// the caller keeps its own.
 func BuildHHHSnapshot(hier hierarchy.Hierarchy, comp float64, spec SnapshotSpec[hierarchy.Prefix]) (*HHHSnapshot, error) {
 	return buildHHHSnapshot(hier, comp, spec.detached())
 }
@@ -356,7 +343,7 @@ type Patch[K comparable] struct {
 // one live replica of a chain's state instead of building a snapshot
 // per record. It validates all of p against the snapshot before it
 // changes anything — each entry's error term below its count, the
-// restore plane as BuildSnapshot checks it, no monitored key named
+// restore plane as build checks it, no monitored key named
 // twice, and no more monitored counters than the counter budget once
 // the entries install — and on failure returns a wrapped
 // codec.ErrCorrupt with the snapshot unchanged.
@@ -533,8 +520,8 @@ func (snap *HHHSnapshot) Clone() *HHHSnapshot {
 }
 
 // Spec returns the snapshot's state as a SnapshotSpec, from which
-// BuildSnapshot makes a copy in its own layout: Overflow aliases the
-// snapshot's table and Restore its ring queues (BuildSnapshot copies
+// BuildHHHSnapshot makes a copy in its own layout: Overflow aliases the
+// snapshot's table and Restore its ring queues (BuildHHHSnapshot copies
 // both), and Monitored is the counters appended to buf in Iterate
 // order.
 func (snap *Snapshot[K]) Spec(buf []spacesaving.Counter[K]) SnapshotSpec[K] {

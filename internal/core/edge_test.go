@@ -12,7 +12,7 @@ import (
 func TestFrameBoundaryFlush(t *testing.T) {
 	const window = 200
 	const k = 10
-	s := MustNew[int](Config{Window: window, Counters: k})
+	s := mustNew[int](Config{Window: window, Counters: k})
 	oracle := exact.MustNewSlidingWindow[int](s.EffectiveWindow())
 	slack := 4.0 * float64(s.EffectiveWindow()) / k
 	// Drive exactly to several frame boundaries, querying at W-1, W,
@@ -41,7 +41,7 @@ func TestFrameBoundaryFlush(t *testing.T) {
 // TestMinimalGeometry exercises the smallest legal configurations,
 // where blocks are single packets.
 func TestMinimalGeometry(t *testing.T) {
-	s := MustNew[int](Config{Window: 1, Counters: 1})
+	s := mustNew[int](Config{Window: 1, Counters: 1})
 	if s.EffectiveWindow() != 1 {
 		t.Fatalf("EffectiveWindow = %d", s.EffectiveWindow())
 	}
@@ -61,7 +61,7 @@ func TestMinimalGeometry(t *testing.T) {
 // TestWindowEqualsCounters covers W == k (single-packet blocks).
 func TestWindowEqualsCounters(t *testing.T) {
 	const k = 32
-	s := MustNew[int](Config{Window: k, Counters: k})
+	s := mustNew[int](Config{Window: k, Counters: k})
 	oracle := exact.MustNewSlidingWindow[int](s.EffectiveWindow())
 	for i := 0; i < 10*k; i++ {
 		s.Update(i % 3)
@@ -82,7 +82,7 @@ func TestWindowEqualsCounters(t *testing.T) {
 // TestQueryUnknownKeyIsBounded ensures never-seen keys get the
 // conservative no-overflow estimate, not garbage.
 func TestQueryUnknownKeyIsBounded(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 1000, Counters: 20, Tau: 0.5, Seed: 4})
+	s := mustNew[uint64](Config{Window: 1000, Counters: 20, Tau: 0.5, Seed: 4})
 	for i := uint64(0); i < 5000; i++ {
 		s.Update(i % 10)
 	}
@@ -96,7 +96,7 @@ func TestQueryUnknownKeyIsBounded(t *testing.T) {
 
 // TestHeavyHittersEmptySketch must return no items and not panic.
 func TestHeavyHittersEmptySketch(t *testing.T) {
-	s := MustNew[string](Config{Window: 100, Counters: 4})
+	s := mustNew[string](Config{Window: 100, Counters: 4})
 	if hh := s.HeavyHitters(0.1, nil); len(hh) != 0 {
 		t.Fatalf("empty sketch reported %v", hh)
 	}
@@ -108,7 +108,7 @@ func TestHeavyHittersEmptySketch(t *testing.T) {
 // TestDstBearingKeysInTwoD ensures the generic sketch works with the
 // 2D prefix keys used by H-Memento (regression guard for key packing).
 func TestDstBearingKeysInTwoD(t *testing.T) {
-	s := MustNew[[2]uint64](Config{Window: 500, Counters: 10})
+	s := mustNew[[2]uint64](Config{Window: 500, Counters: 10})
 	a := [2]uint64{1, 2}
 	b := [2]uint64{1, 3}
 	for i := 0; i < 400; i++ {

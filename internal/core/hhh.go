@@ -156,9 +156,6 @@ func MustNewHHH(cfg HHHConfig) *HHH {
 // EffectiveWindow returns the window actually maintained.
 func (hh *HHH) EffectiveWindow() int { return hh.mem.EffectiveWindow() }
 
-// V returns the sampling ratio.
-func (hh *HHH) V() int { return int(hh.v) }
-
 // Hierarchy returns the configured prefix domain.
 func (hh *HHH) Hierarchy() hierarchy.Hierarchy { return hh.hier }
 
@@ -226,23 +223,9 @@ func (hh *HHH) FullUpdatePrefix(p hierarchy.Prefix) {
 	hh.mem.FullUpdate(p)
 }
 
-// WindowUpdate slides the window by one packet.
-func (hh *HHH) WindowUpdate() { hh.mem.WindowUpdate() }
-
 // WindowAdvance slides the window by n packets in bulk — n
 // WindowUpdate calls with per-chunk instead of per-packet expiry.
 func (hh *HHH) WindowAdvance(n int) { hh.mem.WindowAdvance(n) }
-
-// SamplePrefix mimics Update's draw without touching the sketch: it
-// returns the prefix that would be sampled for p, if any. Measurement
-// points in the network-wide setting use it to decide what to report.
-func (hh *HHH) SamplePrefix(p hierarchy.Packet) (hierarchy.Prefix, bool) {
-	i := int(uint64(hh.src.Uint32()) * hh.v >> 32)
-	if i < hh.h {
-		return hh.hier.Prefix(p, i), true
-	}
-	return hierarchy.Prefix{}, false
-}
 
 // Query returns the upper-bound window frequency estimate for prefix p.
 func (hh *HHH) Query(p hierarchy.Prefix) float64 { return hh.mem.Query(p) }
@@ -305,18 +288,14 @@ func (hh *HHH) Reset() {
 // (Query, QueryBounds, EffectiveWindow, Updates, Restorable, …) it
 // answers as is — plus the hierarchy and sampling compensation. Take
 // it under the lock guarding the instance (SnapshotInto is a few slab
-// memmoves); everything afterwards is lock-free. A reused snapshot
-// serves OutputTo allocation-free. Not safe for concurrent use by
-// multiple queries — pool snapshots instead.
+// memmoves); everything afterwards is lock-free. Its HHH set comes
+// from a SnapshotSet over it (the shard front-end's, the fleet
+// controller's). Not safe for concurrent use by multiple queries —
+// pool snapshots instead.
 type HHHSnapshot struct {
 	Snapshot[hierarchy.Prefix]
 	hier hierarchy.Hierarchy
 	comp float64
-
-	// solo is OutputTo's working state, allocated on its first call:
-	// snapshots that only feed someone else's SnapshotSet (the shard
-	// front-end's, the fleet controller's) never carry it.
-	solo *soloSet
 }
 
 // soloSet is a SnapshotSet over one snapshot at weight 1.
@@ -341,18 +320,6 @@ func (snap *HHHSnapshot) Sketch() *Snapshot[hierarchy.Prefix] { return &snap.Sna
 
 // Compensation returns the captured sampling compensation term.
 func (snap *HHHSnapshot) Compensation() float64 { return snap.comp }
-
-// OutputTo computes the approximate HHH set for threshold theta from
-// the captured state, appending to dst — HHH.OutputTo with the entire
-// scan, estimation, and HHH-set computation running lock-free on the
-// copy. Both are the merged read plane (SnapshotSet.Output) over one
-// member.
-func (snap *HHHSnapshot) OutputTo(theta float64, dst []HeavyPrefix) []HeavyPrefix {
-	if snap.solo == nil {
-		snap.solo = &soloSet{}
-	}
-	return snap.solo.output(snap, theta, dst)
-}
 
 // output is SnapshotSet.Output over snap alone at weight 1.
 func (q *soloSet) output(snap *HHHSnapshot, theta float64, dst []HeavyPrefix) []HeavyPrefix {

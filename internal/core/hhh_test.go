@@ -7,6 +7,7 @@ import (
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
 	"memento/internal/rng"
+	"memento/internal/spacesaving"
 )
 
 func TestHHHConfigValidation(t *testing.T) {
@@ -26,8 +27,8 @@ func TestHHHConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid config failed: %v", err)
 	}
-	if h.V() != 5 {
-		t.Fatalf("default V = %d, want H = 5", h.V())
+	if h.v != 5 {
+		t.Fatalf("default V = %d, want H = 5", h.v)
 	}
 	if h.Sketch().Counters() != 200 {
 		t.Fatalf("k = %d, want ⌈4·5/0.1⌉ = 200", h.Sketch().Counters())
@@ -54,30 +55,33 @@ func TestHHHUpdateSamplingRate(t *testing.T) {
 	}
 }
 
+// TestSamplePrefixDistribution: Update samples each of a packet's H
+// prefix patterns with probability 1/V. One packet repeated n times
+// inside one frame of a large sketch leaves each pattern's monitored
+// count equal to the times Update sampled it, binomial(n, 1/V).
 func TestSamplePrefixDistribution(t *testing.T) {
+	const n = 100000
 	h := MustNewHHH(HHHConfig{
-		Hierarchy: hierarchy.OneD{}, Window: 1024, Counters: 100, V: 10, Seed: 6,
+		Hierarchy: hierarchy.OneD{}, Window: 1 << 20, Counters: 1 << 10, V: 10, Seed: 6,
 	})
 	pkt := hierarchy.Packet{Src: hierarchy.IPv4(10, 20, 30, 40)}
-	counts := map[hierarchy.Prefix]int{}
-	const n = 100000
-	sampled := 0
 	for i := 0; i < n; i++ {
-		if p, ok := h.SamplePrefix(pkt); ok {
-			counts[p]++
-			sampled++
-		}
+		h.Update(pkt)
 	}
+	counts := map[hierarchy.Prefix]uint64{}
+	h.mem.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
+		counts[c.Key] = c.Count
+		return true
+	})
 	if len(counts) != 5 {
 		t.Fatalf("sampled %d distinct patterns, want 5", len(counts))
 	}
-	// Each prefix pattern is sampled with probability 1/V = 1/10.
-	for p, c := range counts {
-		if math.Abs(float64(c)-n/10) > 6*math.Sqrt(n/10.0) {
-			t.Fatalf("pattern %v sampled %d times, want ≈ %d", p, c, n/10)
+	for i := 0; i < h.hier.H(); i++ {
+		p := h.hier.Prefix(pkt, i)
+		if c := float64(counts[p]); math.Abs(c-n/10) > 6*math.Sqrt(n/10.0) {
+			t.Fatalf("pattern %v sampled %v times, want ≈ %d", p, c, n/10)
 		}
 	}
-	_ = sampled
 }
 
 // hhhWorkload1D generates the test traffic mix: a heavy subnet
@@ -243,11 +247,11 @@ func TestHHHEstimatesUpperBoundTruth(t *testing.T) {
 	})
 	est := h.Query(subnet)
 	// 5σ sampling envelope below truth is a bug (one-sided estimates).
-	sigma := math.Sqrt(float64(trueSubnet) * float64(h.V()))
+	sigma := math.Sqrt(float64(trueSubnet) * float64(int(h.v)))
 	if est < float64(trueSubnet)-5*sigma {
 		t.Fatalf("estimate %v more than 5σ below truth %d", est, trueSubnet)
 	}
-	slack := 4.0*float64(h.EffectiveWindow())/float64(h.Sketch().Counters()) + 5*sigma + 4*2*float64(h.Sketch().blockCounts)*float64(h.V())
+	slack := 4.0*float64(h.EffectiveWindow())/float64(h.Sketch().Counters()) + 5*sigma + 4*2*float64(h.Sketch().blockCounts)*float64(int(h.v))
 	if est > float64(trueSubnet)+slack {
 		t.Fatalf("estimate %v exceeds truth %d + slack %v", est, trueSubnet, slack)
 	}

@@ -102,8 +102,6 @@ type Sketch[K comparable] struct {
 	src       *rng.Source
 	bern      *rng.Bernoulli
 	coinTable *rng.Table
-	geo       *rng.Geometric
-	skip      int // batched path: packets left until the next Full update (-1: not drawn)
 
 	// Delta plane (nil until EnableDeltaTracking); see delta.go.
 	track *deltaPlane[K]
@@ -233,9 +231,7 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 		blockPackets: blockPackets,
 		tau:          tau,
 		src:          rng.New(seed),
-		skip:         -1,
 	}
-	s.geo = rng.NewGeometric(s.src, tau)
 	s.ring.init(k + 1)
 	if cfg.TableSampling {
 		s.coinTable = rng.NewTable(s.src, 1<<16, tau)
@@ -243,15 +239,6 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 		s.bern = rng.NewBernoulli(s.src, tau)
 	}
 	return s, nil
-}
-
-// MustNew is New for statically valid configurations; panics on error.
-func MustNew[K comparable](cfg Config) *Sketch[K] {
-	s, err := New[K](cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Tau returns the configured sampling probability.
@@ -274,43 +261,6 @@ func (s *Sketch[K]) Update(x K) {
 		s.FullUpdate(x)
 	} else {
 		s.WindowUpdate()
-	}
-}
-
-// UpdateBatch processes a batch of packets. It is distributionally
-// equivalent to calling Update once per packet — each packet is a Full
-// update with probability τ — but instead of flipping a coin per
-// packet it draws the number of packets until the next Full update
-// from a geometric distribution (the skip-count trick RHHH uses, see
-// package rng), and slides the window over the skipped packets in
-// bulk. The pending skip count persists across calls, so a stream fed
-// through any mix of batch sizes produces the same Full-update point
-// process; with a fixed Seed the result is deterministic and
-// independent of how the stream is segmented into batches.
-//
-// One exception: the batched path always uses the exact geometric
-// sampler, so on a TableSampling sketch it does not reproduce the
-// random-number table's quantized (1/2^16-granular) coin flips —
-// don't mix Update and UpdateBatch on a table-sampling configuration
-// if exact point-process equality matters.
-//
-//memento:noalloc
-func (s *Sketch[K]) UpdateBatch(xs []K) {
-	i := 0
-	for i < len(xs) {
-		if s.skip < 0 {
-			s.skip = s.geo.Next()
-		}
-		if rem := len(xs) - i; s.skip >= rem {
-			s.windowAdvance(uint64(rem))
-			s.skip -= rem
-			return
-		}
-		s.windowAdvance(uint64(s.skip))
-		i += s.skip
-		s.skip = -1
-		s.FullUpdate(xs[i])
-		i++
 	}
 }
 
@@ -414,16 +364,6 @@ func (s *Sketch[K]) endBlock() {
 	s.noteBlock(flushed)
 }
 
-// position returns m, the number of packets into the current frame
-// [0, window), for diagnostics and tests.
-func (s *Sketch[K]) position() uint64 {
-	m := (uint64(s.k-s.blocksLeft)+1)*s.blockPackets - s.untilBlock
-	if m == s.window {
-		return 0
-	}
-	return m
-}
-
 // forgetOverflow decrements B[id], deleting exhausted entries.
 func (s *Sketch[K]) forgetOverflow(id K) {
 	if s.overflow.Dec(id) && s.track != nil {
@@ -460,7 +400,6 @@ func (s *Sketch[K]) Reset() {
 	s.ring.reset()
 	s.frame = frame{untilBlock: s.blockPackets, blocksLeft: s.k}
 	s.updates = 0
-	s.skip = -1
 	if s.track != nil {
 		// Everything the previous epoch knew is gone; the next delta
 		// drain sees resets > 0 and must start a fresh chain base.
@@ -569,18 +508,4 @@ func (r *blockRing[K]) restoreFrom(queues [][]K) {
 		r.queues[tgt] = append(r.queues[tgt][:0], q...)
 		r.queued += len(q)
 	}
-}
-
-// pending returns the total number of undrained queued entries
-// (test/diagnostic helper); recomputed from the slices so tests can
-// cross-check the maintained queued counter.
-func (r *blockRing[K]) pending() int {
-	total := 0
-	for i := range r.queues {
-		total += len(r.queues[i]) - r.heads[i]
-	}
-	if total != r.queued {
-		panic("core: blockRing queued counter out of sync")
-	}
-	return total
 }

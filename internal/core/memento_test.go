@@ -9,6 +9,39 @@ import (
 	"memento/internal/rng"
 )
 
+// mustNew is New for configurations the test knows are valid.
+func mustNew[K comparable](cfg Config) *Sketch[K] {
+	s, err := New[K](cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// position returns m, the number of packets into the current frame
+// [0, window).
+func (s *Sketch[K]) position() uint64 {
+	m := (uint64(s.k-s.blocksLeft)+1)*s.blockPackets - s.untilBlock
+	if m == s.window {
+		return 0
+	}
+	return m
+}
+
+// pending returns the total number of undrained queued entries,
+// recomputed from the slices so tests can cross-check the maintained
+// queued counter.
+func (r *blockRing[K]) pending() int {
+	total := 0
+	for i := range r.queues {
+		total += len(r.queues[i]) - r.heads[i]
+	}
+	if total != r.queued {
+		panic("core: blockRing queued counter out of sync")
+	}
+	return total
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{},                                   // no window
@@ -31,23 +64,23 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestCounterSizing(t *testing.T) {
-	s := MustNew[int](Config{Window: 1000, EpsilonA: 0.1})
+	s := mustNew[int](Config{Window: 1000, EpsilonA: 0.1})
 	if s.Counters() != 40 {
 		t.Fatalf("k = %d, want ⌈4/0.1⌉ = 40", s.Counters())
 	}
-	s = MustNew[int](Config{Window: 1000, Counters: 64, EpsilonA: 0.5})
+	s = mustNew[int](Config{Window: 1000, Counters: 64, EpsilonA: 0.5})
 	if s.Counters() != 64 {
 		t.Fatal("Counters must override EpsilonA")
 	}
 }
 
 func TestEffectiveWindowRounding(t *testing.T) {
-	s := MustNew[int](Config{Window: 100, Counters: 7})
+	s := mustNew[int](Config{Window: 100, Counters: 7})
 	// blockPackets = ceil(100/7) = 15, window = 105.
 	if s.EffectiveWindow() != 105 {
 		t.Fatalf("EffectiveWindow = %d, want 105", s.EffectiveWindow())
 	}
-	s = MustNew[int](Config{Window: 1024, Counters: 4})
+	s = mustNew[int](Config{Window: 1024, Counters: 4})
 	if s.EffectiveWindow() != 1024 {
 		t.Fatalf("EffectiveWindow = %d, want 1024", s.EffectiveWindow())
 	}
@@ -55,7 +88,7 @@ func TestEffectiveWindowRounding(t *testing.T) {
 
 func TestBlockUnits(t *testing.T) {
 	// τ = 0.5 halves the overflow threshold but not the block timing.
-	s := MustNew[int](Config{Window: 1024, Counters: 4, Tau: 0.5})
+	s := mustNew[int](Config{Window: 1024, Counters: 4, Tau: 0.5})
 	if s.blockPackets != 256 {
 		t.Fatalf("blockPackets = %d, want 256", s.blockPackets)
 	}
@@ -66,7 +99,7 @@ func TestBlockUnits(t *testing.T) {
 		t.Fatalf("scale = %v, want 2", s.Scale())
 	}
 	// Extreme sampling clamps the threshold at one count.
-	s = MustNew[int](Config{Window: 1024, Counters: 64, Tau: 1.0 / 1024})
+	s = mustNew[int](Config{Window: 1024, Counters: 64, Tau: 1.0 / 1024})
 	if s.blockCounts != 1 {
 		t.Fatalf("blockCounts = %d, want clamp to 1", s.blockCounts)
 	}
@@ -93,7 +126,7 @@ func TestWCSSBoundsAgainstOracle(t *testing.T) {
 	// f ≤ f̂ ≤ f + εa·W with εa·W = 4·W/k (one-sided error like MST).
 	const window = 1000
 	const k = 20
-	s := MustNew[uint64](Config{Window: window, Counters: k})
+	s := mustNew[uint64](Config{Window: window, Counters: k})
 	oracle := exact.MustNewSlidingWindow[uint64](s.EffectiveWindow())
 	stream := zipfStream(42, 8*window, 64)
 	slack := 4.0 * float64(s.EffectiveWindow()) / float64(k)
@@ -122,7 +155,7 @@ func TestWCSSBoundsProperty(t *testing.T) {
 	f := func(keys []uint8, kRaw uint8, wRaw uint16) bool {
 		k := int(kRaw%12) + 4
 		window := int(wRaw%400) + k
-		s := MustNew[uint8](Config{Window: window, Counters: k})
+		s := mustNew[uint8](Config{Window: window, Counters: k})
 		oracle := exact.MustNewSlidingWindow[uint8](s.EffectiveWindow())
 		slack := 4.0 * float64(s.EffectiveWindow()) / float64(k)
 		for _, key := range keys {
@@ -147,7 +180,7 @@ func TestWindowSlides(t *testing.T) {
 	// A flow that stops sending must be forgotten within one window.
 	const window = 500
 	const k = 10
-	s := MustNew[uint64](Config{Window: window, Counters: k})
+	s := mustNew[uint64](Config{Window: window, Counters: k})
 	for i := 0; i < window; i++ {
 		s.Update(1)
 	}
@@ -171,7 +204,7 @@ func TestDeamortizedDrainInvariant(t *testing.T) {
 	// Under Algorithm 1's update pattern the oldest queue is always
 	// empty by rotation time.
 	for _, tau := range []float64{1, 0.25, 1.0 / 64} {
-		s := MustNew[uint64](Config{Window: 512, Counters: 16, Tau: tau, Seed: 9})
+		s := mustNew[uint64](Config{Window: 512, Counters: 16, Tau: tau, Seed: 9})
 		r := rng.New(3)
 		for i := 0; i < 20000; i++ {
 			s.Update(r.Uint64() % 8) // few keys → maximal overflow pressure
@@ -184,7 +217,7 @@ func TestDeamortizedDrainInvariant(t *testing.T) {
 
 func TestOverflowAccounting(t *testing.T) {
 	// ΣB equals the number of queued (undrained) overflow entries.
-	s := MustNew[uint64](Config{Window: 512, Counters: 16})
+	s := mustNew[uint64](Config{Window: 512, Counters: 16})
 	r := rng.New(4)
 	for i := 0; i < 5000; i++ {
 		s.Update(r.Uint64() % 4)
@@ -201,7 +234,7 @@ func TestOverflowAccounting(t *testing.T) {
 
 func TestHeavyHitters(t *testing.T) {
 	const window = 2000
-	s := MustNew[uint64](Config{Window: window, Counters: 50})
+	s := mustNew[uint64](Config{Window: window, Counters: 50})
 	r := rng.New(8)
 	// Key 1: 30%, key 2: 15%, the rest uniform noise over 1000 keys.
 	for i := 0; i < 3*window; i++ {
@@ -245,7 +278,7 @@ func TestSampledEstimatesUnbiasedEnough(t *testing.T) {
 	const window = 1 << 14
 	const k = 64
 	const tau = 1.0 / 16
-	s := MustNew[uint64](Config{Window: window, Counters: k, Tau: tau, Seed: 77})
+	s := mustNew[uint64](Config{Window: window, Counters: k, Tau: tau, Seed: 77})
 	oracle := exact.MustNewSlidingWindow[uint64](s.EffectiveWindow())
 	r := rng.New(5)
 	violations, checks := 0, 0
@@ -289,7 +322,7 @@ func TestSampledEstimatesUnbiasedEnough(t *testing.T) {
 func TestSpeedupMechanism(t *testing.T) {
 	// The whole point of Memento: Full updates happen for ≈ τ of the
 	// packets.
-	s := MustNew[uint64](Config{Window: 4096, Counters: 64, Tau: 1.0 / 32, Seed: 11})
+	s := mustNew[uint64](Config{Window: 4096, Counters: 64, Tau: 1.0 / 32, Seed: 11})
 	const n = 200000
 	r := rng.New(12)
 	for i := 0; i < n; i++ {
@@ -306,7 +339,7 @@ func TestSpeedupMechanism(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *Sketch[uint64] {
-		return MustNew[uint64](Config{Window: 1024, Counters: 32, Tau: 0.25, Seed: 1234})
+		return mustNew[uint64](Config{Window: 1024, Counters: 32, Tau: 0.25, Seed: 1234})
 	}
 	a, b := mk(), mk()
 	r := rng.New(6)
@@ -326,7 +359,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestTableSamplingMode(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 1024, Counters: 32, Tau: 1.0 / 8, Seed: 3, TableSampling: true})
+	s := mustNew[uint64](Config{Window: 1024, Counters: 32, Tau: 1.0 / 8, Seed: 3, TableSampling: true})
 	const n = 100000
 	for i := uint64(0); i < n; i++ {
 		s.Update(i % 64)
@@ -338,7 +371,7 @@ func TestTableSamplingMode(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 256, Counters: 8, Tau: 0.5, Seed: 2})
+	s := mustNew[uint64](Config{Window: 256, Counters: 8, Tau: 0.5, Seed: 2})
 	for i := uint64(0); i < 10000; i++ {
 		s.Update(i % 5)
 	}
@@ -359,7 +392,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestQueryBoundsOrdering(t *testing.T) {
-	s := MustNew[uint64](Config{Window: 512, Counters: 16})
+	s := mustNew[uint64](Config{Window: 512, Counters: 16})
 	for i := uint64(0); i < 2000; i++ {
 		s.Update(i % 20)
 	}

@@ -97,7 +97,7 @@ func (s *SnapshotSet) Tracked(p hierarchy.Prefix) (upper, lower float64, tracked
 
 // merged sums p's bounds over the members in member order. A member
 // whose known[i].ok is set contributes those bounds, the ones its
-// TrackedBounds returns; every other member is probed with h, p's
+// trackedBoundsH returns; every other member is probed with h, p's
 // prefixHash.
 func (s *SnapshotSet) merged(p hierarchy.Prefix, h uint64, known []memberBounds) (upper, lower float64, tracked bool) {
 	var defU, defL float64

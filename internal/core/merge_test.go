@@ -196,7 +196,7 @@ func TestSnapshotSetCandidatesCarryTrackedBounds(t *testing.T) {
 			}
 			for k, e := range set.pending {
 				for i, snap := range snaps {
-					if _, _, ok := snap.TrackedBounds(e.p); ok && !set.admits[k*n+i].ok && held[e.p] {
+					if _, _, ok := snap.trackedBoundsH(e.p, snap.hash(e.p)); ok && !set.admits[k*n+i].ok && held[e.p] {
 						mixed++
 					}
 				}
@@ -301,8 +301,8 @@ func hashedMembers(t *testing.T, hier hierarchy.Hierarchy) (names []string, snap
 	}
 	for _, s := range []*HHHSnapshot{old, cur} {
 		s.Sketch().ForEachEstimate(func(p hierarchy.Prefix, _, _ float64) bool {
-			gu, gl, gok := replica.TrackedBounds(p)
-			wu, wl, wok := cur.TrackedBounds(p)
+			gu, gl, gok := replica.trackedBoundsH(p, replica.hash(p))
+			wu, wl, wok := cur.trackedBoundsH(p, cur.hash(p))
 			if gu != wu || gl != wl || gok != wok {
 				t.Fatalf("patched replica: %v bounds (%v, %v, %v), source (%v, %v, %v)", p, gu, gl, gok, wu, wl, wok)
 			}
@@ -372,7 +372,7 @@ func TestHHHTablesShareOneHasher(t *testing.T) {
 }
 
 // memberBoundsSum is the merged estimator by its definition, probing
-// each member through its own TrackedBounds (its own hasher) and
+// each member through its own trackedBoundsH (under its own hasher) and
 // summing as SnapshotSet does, in member order.
 type memberBoundsSum struct {
 	snaps   []*HHHSnapshot
@@ -392,7 +392,7 @@ func (m memberBoundsSum) Tracked(p hierarchy.Prefix) (upper, lower float64, trac
 		totalL += dl * m.weights[i]
 	}
 	for i, snap := range m.snaps {
-		u, l, ok := snap.TrackedBounds(p)
+		u, l, ok := snap.trackedBoundsH(p, snap.hash(p))
 		if !ok {
 			continue
 		}

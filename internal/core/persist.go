@@ -1,23 +1,23 @@
-// Durable codec bindings: encode a Snapshot/HHHSnapshot into the
-// versioned internal/codec record format, decode one back into a
+// Durable codec bindings: encode an HHHSnapshot into the versioned
+// internal/codec record format (KindHHH), decode one back into a
 // queryable snapshot, and rehydrate a live sketch from a decoded (or
 // same-process) checkpoint.
 //
 // The split of responsibilities: internal/codec owns the format
-// (header, digest, bounded cursor, key codecs); this file owns the
-// sketch-specific body layout. Encoding appends to a caller-provided
+// (header, digest, bounded cursor, prefix key encoding); this file owns
+// the sketch-specific body layout. Encoding appends to a caller-provided
 // buffer and allocates nothing once the buffer has warmed up
 // (BenchmarkSnapshotEncode gates 0 allocs/op in CI). Decoding is
 // strict and in two steps: a parser that validates every count against
 // the bytes that remain before allocating and fills a SnapshotSpec,
-// and BuildSnapshot's validator (delta.go), which states every sketch
+// and Snapshot.build's validator (delta.go), which states every sketch
 // invariant once for all state that arrives from outside the process.
 // A record can only rehydrate a sketch whose seed-independent
 // configuration matches (codec.ErrConfigMismatch otherwise).
 //
-// Decoded snapshots rebuild their key indexes under a caller-chosen
-// hash function instead of trusting the source's slot layout, so
-// records interoperate between processes with different hash seeds.
+// Decoded snapshots rebuild their key indexes under prefixHash instead
+// of trusting the source's slot layout, so records interoperate between
+// processes with different hash seeds.
 
 package core
 
@@ -40,30 +40,13 @@ func (snap *Snapshot[K]) recordFlags() uint16 {
 	return 0
 }
 
-// AppendTo appends the snapshot as a self-contained KindSketch record
-// (header + body) and returns the extended buffer. Keys are encoded
-// through kc. With a reused buffer the call allocates nothing.
-//
-//memento:noalloc
-func (snap *Snapshot[K]) AppendTo(dst []byte, kc codec.KeyCodec[K]) []byte {
-	start := len(dst)
-	dst = codec.AppendHeader(dst, codec.Header{
-		Version: codec.Version,
-		Kind:    codec.KindSketch,
-		Flags:   snap.recordFlags(),
-		Digest:  snap.digest(),
-	})
-	dst = snap.appendBody(dst, kc)
-	codec.AccountEncode(codec.KindSketch, len(dst)-start)
-	return dst
-}
-
 // appendBody appends the sketch section: configuration scalars, the
 // overflow table (slab order; the decoder accepts any), the Space
 // Saving counters (ascending count order — Iterate's bucket order —
 // which the decoder verifies), and, for checkpoint-plane snapshots,
 // the restore plane.
-func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
+func appendBody(dst []byte, snap *Snapshot[hierarchy.Prefix]) []byte {
+	var keys codec.PrefixKeys
 	dst = binary.BigEndian.AppendUint64(dst, snap.window)
 	dst = binary.BigEndian.AppendUint64(dst, snap.updates)
 	dst = binary.BigEndian.AppendUint64(dst, snap.blockCounts)
@@ -72,15 +55,15 @@ func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
 
 	dst = binary.AppendUvarint(dst, uint64(snap.overflow.Len()))
 	for _, e := range snap.overflow.Entries() {
-		dst = kc.AppendKey(dst, e.Key)
+		dst = keys.AppendKey(dst, e.Key)
 		dst = binary.AppendUvarint(dst, uint64(e.Val))
 	}
 
 	dst = binary.AppendUvarint(dst, uint64(snap.y.Len()))
 	dst = binary.BigEndian.AppendUint64(dst, snap.y.Items())
 	//memento:allow alloc "closure does not escape: Iterate only scans (BenchmarkSnapshotEncode gates 0 allocs/op)"
-	snap.y.Iterate(func(c spacesaving.Counter[K]) bool {
-		dst = kc.AppendKey(dst, c.Key)
+	snap.y.Iterate(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
+		dst = keys.AppendKey(dst, c.Key)
 		dst = binary.AppendUvarint(dst, c.Count)
 		dst = binary.AppendUvarint(dst, c.Err)
 		return true
@@ -97,42 +80,10 @@ func (snap *Snapshot[K]) appendBody(dst []byte, kc codec.KeyCodec[K]) []byte {
 	for _, q := range snap.queues {
 		dst = binary.AppendUvarint(dst, uint64(len(q)))
 		for _, key := range q {
-			dst = kc.AppendKey(dst, key)
+			dst = keys.AppendKey(dst, key)
 		}
 	}
 	return dst
-}
-
-// DecodeSnapshot parses a KindSketch record produced by AppendTo into
-// a fresh queryable Snapshot. hash selects the hash function the
-// rebuilt indexes use (nil: the keyidx default); pass the same
-// function the target sketch uses when the snapshot will feed
-// RestoreFrom — any function is correct, a shared one avoids double
-// hashing. Malformed, truncated or version-skewed input is rejected
-// with a wrapped typed error (codec.ErrCorrupt and friends), never a
-// panic, and allocations are bounded by the record size.
-func DecodeSnapshot[K comparable](data []byte, kc codec.KeyCodec[K], hash func(K) uint64) (*Snapshot[K], error) {
-	h, body, err := codec.ReadHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if h.Kind != codec.KindSketch {
-		return nil, fmt.Errorf("%w: kind %d, want sketch", codec.ErrKind, h.Kind)
-	}
-	c := codec.NewCursor(body)
-	spec, err := parseBody(c, h.Flags, kc, hash)
-	if err != nil {
-		return nil, err
-	}
-	snap := new(Snapshot[K])
-	if err := snap.build(spec, hash); err != nil {
-		return nil, err
-	}
-	if snap.digest() != h.Digest {
-		return nil, fmt.Errorf("%w: header digest %#x, body %#x", codec.ErrConfigMismatch, h.Digest, snap.digest())
-	}
-	codec.AccountDecode(codec.KindSketch, len(data))
-	return snap, nil
 }
 
 // maxDecodeQueue bounds restore-plane ring entries per queue as a
@@ -144,9 +95,9 @@ const maxDecodeQueue = 1 << 24
 // the bytes themselves can violate: truncation, counts the remaining
 // bytes cannot hold (so allocations are bounded by the record size),
 // values that do not fit their type, duplicate overflow keys and
-// trailing bytes. The overflow table is built under hash.
-func parseBody[K comparable](c *codec.Cursor, flags uint16, kc codec.KeyCodec[K], hash func(K) uint64) (spec SnapshotSpec[K], err error) {
-	kw := kc.Width()
+// trailing bytes. The overflow table is built under prefixHash.
+func parseBody(c *codec.Cursor, flags uint16) (spec SnapshotSpec[hierarchy.Prefix], err error) {
+	kw := codec.PrefixKeys{}.Width()
 	spec.Window = c.Uint64()
 	spec.Updates = c.Uint64()
 	spec.BlockCounts = c.Uint64()
@@ -159,12 +110,12 @@ func parseBody[K comparable](c *codec.Cursor, flags uint16, kc codec.KeyCodec[K]
 	}
 	// New, not MustNew: the capacity derives from decoded input, so a
 	// constructor failure must surface as a decode error, not a panic.
-	ov, err := keyidx.NewCounts[K](max(ovLen, 1), hash)
+	ov, err := keyidx.NewCounts[hierarchy.Prefix](max(ovLen, 1), prefixHash)
 	if err != nil {
 		return spec, codec.Corruptf("overflow table: %v", err)
 	}
 	for i := 0; i < ovLen; i++ {
-		key := codec.Key(c, kc)
+		key := c.Key()
 		val := c.Uvarint()
 		if err := c.Err(); err != nil {
 			return spec, err
@@ -185,13 +136,13 @@ func parseBody[K comparable](c *codec.Cursor, flags uint16, kc codec.KeyCodec[K]
 	if err := c.Err(); err != nil {
 		return spec, err
 	}
-	spec.Monitored = make([]spacesaving.Counter[K], ssLen)
+	spec.Monitored = make([]spacesaving.Counter[hierarchy.Prefix], ssLen)
 	for i := range spec.Monitored {
-		spec.Monitored[i] = spacesaving.Counter[K]{Key: codec.Key(c, kc), Count: c.Uvarint(), Err: c.Uvarint()}
+		spec.Monitored[i] = spacesaving.Counter[hierarchy.Prefix]{Key: c.Key(), Count: c.Uvarint(), Err: c.Uvarint()}
 	}
 
 	if flags&codec.FlagRestore != 0 {
-		r := &RestoreSpec[K]{UntilBlock: c.Uint64()}
+		r := &RestoreSpec[hierarchy.Prefix]{UntilBlock: c.Uint64()}
 		r.BlocksLeft = int(min(c.Uvarint(), math.MaxInt))
 		r.FullUpdates = c.Uint64()
 		r.ForcedDrains = c.Uint64()
@@ -199,15 +150,15 @@ func parseBody[K comparable](c *codec.Cursor, flags uint16, kc codec.KeyCodec[K]
 		if err := c.Err(); err != nil {
 			return spec, err
 		}
-		r.Queues = make([][]K, nq)
+		r.Queues = make([][]hierarchy.Prefix, nq)
 		for i := range r.Queues {
 			qlen := c.Count(maxDecodeQueue, kw)
 			if err := c.Err(); err != nil {
 				return spec, err
 			}
-			q := make([]K, qlen)
+			q := make([]hierarchy.Prefix, qlen)
 			for j := range q {
-				q[j] = codec.Key(c, kc)
+				q[j] = c.Key()
 			}
 			r.Queues[i] = q
 		}
@@ -242,7 +193,7 @@ func (s *Sketch[K]) RestoreFrom(snap *Snapshot[K]) error {
 			s.window, s.k, s.blockCounts, s.scale)
 	}
 	// Same W and k, and the restore plane came from a live sketch or
-	// through BuildSnapshot: ring size and frame position already hold.
+	// through Snapshot.build: ring size and frame position already hold.
 	s.Reset()
 	var ferr error
 	// Monitored counters re-inserted under the live index's hash
@@ -302,15 +253,19 @@ func (snap *HHHSnapshot) AppendTo(dst []byte) ([]byte, error) {
 	})
 	dst = append(dst, id)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(snap.comp))
-	dst = snap.appendBody(dst, codec.PrefixKeys{})
+	dst = appendBody(dst, &snap.Snapshot)
 	codec.AccountEncode(codec.KindHHH, len(dst)-start)
 	return dst, nil
 }
 
 // DecodeHHHSnapshot parses a KindHHH record into a fresh queryable
-// HHHSnapshot, with the same strictness guarantees as DecodeSnapshot.
-// The rebuilt indexes use prefixHash, the hasher of every H-Memento
-// table, so the snapshot merges with live-captured ones.
+// HHHSnapshot. Malformed, truncated or version-skewed input is rejected
+// with a wrapped typed error (codec.ErrCorrupt and friends), never a
+// panic, and allocations are bounded by the record size; a record of
+// any other kind, the retired keyed-sketch kind 1 among them, fails
+// with codec.ErrKind. The rebuilt indexes use prefixHash, the hasher
+// of every H-Memento table, so the snapshot merges with live-captured
+// ones.
 func DecodeHHHSnapshot(data []byte) (*HHHSnapshot, error) {
 	h, body, err := codec.ReadHeader(data)
 	if err != nil {
@@ -329,7 +284,7 @@ func DecodeHHHSnapshot(data []byte) (*HHHSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := parseBody(c, h.Flags, codec.PrefixKeys{}, prefixHash)
+	spec, err := parseBody(c, h.Flags)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Tests for the durable codec bindings: round-trip answer equality,
 // live-sketch rehydration (including continued sliding), strict
-// rejection of malformed input, the format-v1 golden file, and the
-// encode path's 0 allocs/op contract.
+// rejection of malformed input and of retired record kinds, the
+// format-v1 golden file, and the encode path's 0 allocs/op contract.
 
 package core
 
@@ -49,112 +49,6 @@ func loadedSketch(t testing.TB, tau float64, seed uint64) *Sketch[uint64] {
 	return s
 }
 
-// sameAnswers asserts two query planes agree on every probe that
-// matters: point estimates, bounds, the overflow set, heavy hitters.
-func sameAnswers(t *testing.T, want, got interface {
-	Query(uint64) float64
-	QueryBounds(uint64) (float64, float64)
-	Overflowed(func(uint64, int32) bool)
-	HeavyHitters(float64, []Item[uint64]) []Item[uint64]
-	EffectiveWindow() int
-	Updates() uint64
-}) {
-	t.Helper()
-	if want.EffectiveWindow() != got.EffectiveWindow() {
-		t.Fatalf("EffectiveWindow %d vs %d", got.EffectiveWindow(), want.EffectiveWindow())
-	}
-	if want.Updates() != got.Updates() {
-		t.Fatalf("Updates %d vs %d", got.Updates(), want.Updates())
-	}
-	for k := uint64(0); k < 1<<14; k += 7 {
-		if w, g := want.Query(k), got.Query(k); w != g {
-			t.Fatalf("Query(%d) = %g, want %g", k, g, w)
-		}
-		wu, wl := want.QueryBounds(k)
-		gu, gl := got.QueryBounds(k)
-		if wu != gu || wl != gl {
-			t.Fatalf("QueryBounds(%d) = (%g,%g), want (%g,%g)", k, gu, gl, wu, wl)
-		}
-	}
-	wantOv := map[uint64]int32{}
-	want.Overflowed(func(k uint64, n int32) bool { wantOv[k] = n; return true })
-	gotOv := map[uint64]int32{}
-	got.Overflowed(func(k uint64, n int32) bool { gotOv[k] = n; return true })
-	if len(wantOv) == 0 {
-		t.Fatal("test vacuous: empty overflow table")
-	}
-	if len(wantOv) != len(gotOv) {
-		t.Fatalf("overflow table: %d entries, want %d", len(gotOv), len(wantOv))
-	}
-	for k, n := range wantOv {
-		if gotOv[k] != n {
-			t.Fatalf("overflow[%d] = %d, want %d", k, gotOv[k], n)
-		}
-	}
-	for _, theta := range []float64{0.005, 0.02, 0.1} {
-		w := want.HeavyHitters(theta, nil)
-		g := got.HeavyHitters(theta, nil)
-		if len(w) != len(g) {
-			t.Fatalf("theta=%v: %d heavy hitters, want %d", theta, len(g), len(w))
-		}
-		wm := map[uint64]float64{}
-		for _, it := range w {
-			wm[it.Key] = it.Estimate
-		}
-		for _, it := range g {
-			if wm[it.Key] != it.Estimate {
-				t.Fatalf("theta=%v: %d estimate %g, want %g", theta, it.Key, it.Estimate, wm[it.Key])
-			}
-		}
-	}
-}
-
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	for _, tau := range []float64{1, 1.0 / 8} {
-		s := loadedSketch(t, tau, 31)
-		var snap Snapshot[uint64]
-		s.CheckpointInto(&snap)
-
-		blob := snap.AppendTo(nil, codec.Uint64Keys{})
-		dec, err := DecodeSnapshot[uint64](blob, codec.Uint64Keys{}, testHash)
-		if err != nil {
-			t.Fatalf("tau=%v: decode: %v", tau, err)
-		}
-		if !dec.Restorable() {
-			t.Fatal("decoded checkpoint lost the restore plane")
-		}
-		// The decoded snapshot answers exactly like the source sketch.
-		sameAnswers(t, any(s).(interface {
-			Query(uint64) float64
-			QueryBounds(uint64) (float64, float64)
-			Overflowed(func(uint64, int32) bool)
-			HeavyHitters(float64, []Item[uint64]) []Item[uint64]
-			EffectiveWindow() int
-			Updates() uint64
-		}), dec)
-		if au, al := (&snap).AbsentBounds(); func() bool { du, dl := dec.AbsentBounds(); return du != au || dl != al }() {
-			t.Fatal("AbsentBounds changed across the codec")
-		}
-
-		// Query-plane snapshots (no restore flag) round-trip too, and
-		// refuse RestoreFrom.
-		var qsnap Snapshot[uint64]
-		s.SnapshotInto(&qsnap)
-		qblob := qsnap.AppendTo(nil, codec.Uint64Keys{})
-		qdec, err := DecodeSnapshot[uint64](qblob, codec.Uint64Keys{}, testHash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qdec.Restorable() {
-			t.Fatal("query-plane snapshot claims to be restorable")
-		}
-		fresh := MustNew[uint64](Config{Window: 1 << 12, Counters: 64, Tau: tau, Seed: 99})
-		if err := fresh.RestoreFrom(qdec); !errors.Is(err, codec.ErrNotRestorable) {
-			t.Fatalf("RestoreFrom(query-plane) = %v, want ErrNotRestorable", err)
-		}
-	}
-}
-
 func TestRestoreFromContinuesSliding(t *testing.T) {
 	// τ = 1 (WCSS): no sampling randomness, so a restored sketch must
 	// track the original exactly — both at capture time and after any
@@ -163,16 +57,11 @@ func TestRestoreFromContinuesSliding(t *testing.T) {
 	s := loadedSketch(t, 1, 33)
 	var snap Snapshot[uint64]
 	s.CheckpointInto(&snap)
-	blob := snap.AppendTo(nil, codec.Uint64Keys{})
-	dec, err := DecodeSnapshot[uint64](blob, codec.Uint64Keys{}, testHash)
-	if err != nil {
-		t.Fatal(err)
-	}
 	restored, err := NewWithHash[uint64](Config{Window: 1 << 12, Counters: 64, Tau: 1, Seed: 77}, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreFrom(dec); err != nil {
+	if err := restored.RestoreFrom(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if restored.FullUpdates() != s.FullUpdates() {
@@ -212,7 +101,7 @@ func TestRestoreFromRejectsConfigMismatch(t *testing.T) {
 		{Window: 1 << 12, Counters: 32, Tau: 1},   // counters differ
 		{Window: 1 << 12, Counters: 64, Tau: 0.5}, // scale differs
 	} {
-		other := MustNew[uint64](cfg)
+		other := mustNew[uint64](cfg)
 		if err := other.RestoreFrom(&snap); !errors.Is(err, codec.ErrConfigMismatch) {
 			t.Fatalf("cfg %+v: RestoreFrom = %v, want ErrConfigMismatch", cfg, err)
 		}
@@ -270,7 +159,8 @@ func TestHHHSnapshotCodecRoundTrip(t *testing.T) {
 			probes = append(probes, p)
 			return true
 		})
-		probes = append(probes, tc.hier.Root(), tc.hier.Fully(hierarchy.Packet{Src: 5}))
+		root := tc.hier.Prefix(hierarchy.Packet{Src: 5}, tc.hier.H()-1)
+		probes = append(probes, root, tc.hier.Fully(hierarchy.Packet{Src: 5}))
 		if len(probes) < 3 {
 			t.Fatalf("%v: test vacuous: %d probes", tc.hier, len(probes))
 		}
@@ -280,7 +170,7 @@ func TestHHHSnapshotCodecRoundTrip(t *testing.T) {
 			}
 		}
 		wantOut := hh.Output(0.01)
-		gotOut := dec.OutputTo(0.01, nil)
+		gotOut := outputOf(dec, 0.01)
 		if len(wantOut) != len(gotOut) {
 			t.Fatalf("%v: Output: %d entries, want %d", tc.hier, len(gotOut), len(wantOut))
 		}
@@ -308,6 +198,30 @@ func TestHHHSnapshotCodecRoundTrip(t *testing.T) {
 			if wantOut[i] != restoredOut[i] {
 				t.Fatalf("%v: restored Output[%d] = %+v, want %+v", tc.hier, i, restoredOut[i], wantOut[i])
 			}
+		}
+
+		// Query-plane snapshots (no restore flag) round-trip too, and
+		// refuse RestoreFrom.
+		var qsnap HHHSnapshot
+		hh.SnapshotInto(&qsnap)
+		qblob, err := qsnap.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qdec, err := DecodeHHHSnapshot(qblob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qdec.Restorable() {
+			t.Fatalf("%v: query-plane snapshot claims to be restorable", tc.hier)
+		}
+		for _, p := range probes {
+			if w, g := hh.Query(p), qdec.Query(p); w != g {
+				t.Fatalf("%v: query-plane Query(%v) = %g, want %g", tc.hier, p, g, w)
+			}
+		}
+		if err := restored.RestoreFrom(qdec); !errors.Is(err, codec.ErrNotRestorable) {
+			t.Fatalf("%v: RestoreFrom(query-plane) = %v, want ErrNotRestorable", tc.hier, err)
 		}
 
 		// Hierarchy mismatch is rejected.
@@ -353,36 +267,60 @@ func TestHHHRestoreContinuesDeterministically(t *testing.T) {
 	}
 }
 
+// outputOf is the HHH set of snap alone at threshold theta: a
+// SnapshotSet over the one member at weight 1.
+func outputOf(snap *HHHSnapshot, theta float64) []HeavyPrefix {
+	var set SnapshotSet
+	set.Reset([]*HHHSnapshot{snap}, []float64{1})
+	return set.Output(snap.hier, theta*float64(snap.window), snap.comp, nil)
+}
+
 // specOf returns the SnapshotSpec a checkpoint-plane snapshot was (or
 // could have been) built from, sharing nothing with it.
-func specOf(snap *Snapshot[uint64]) SnapshotSpec[uint64] {
-	spec := SnapshotSpec[uint64]{
+func specOf(snap *HHHSnapshot) SnapshotSpec[hierarchy.Prefix] {
+	spec := SnapshotSpec[hierarchy.Prefix]{
 		Window: snap.window, Counters: snap.k, BlockCounts: snap.blockCounts, Scale: snap.scale,
 		Updates: snap.updates, Items: snap.Items(),
-		Overflow: new(keyidx.Counts[uint64]),
-		Restore: &RestoreSpec[uint64]{
+		Overflow: new(keyidx.Counts[hierarchy.Prefix]),
+		Restore: &RestoreSpec[hierarchy.Prefix]{
 			UntilBlock: snap.untilBlock, BlocksLeft: snap.blocksLeft,
 			FullUpdates: snap.fullCount, ForcedDrains: snap.forcedDrains,
 		},
 	}
 	snap.overflow.CopyInto(spec.Overflow)
-	snap.Monitored(func(c spacesaving.Counter[uint64]) bool { spec.Monitored = append(spec.Monitored, c); return true })
-	snap.Queues(func(q []uint64) bool { spec.Restore.Queues = append(spec.Restore.Queues, slices.Clone(q)); return true })
+	snap.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
+		spec.Monitored = append(spec.Monitored, c)
+		return true
+	})
+	snap.Queues(func(q []hierarchy.Prefix) bool {
+		spec.Restore.Queues = append(spec.Restore.Queues, slices.Clone(q))
+		return true
+	})
 	return spec
 }
 
-// encodeSpec writes spec as a format-v1 KindSketch record with no
-// validation at all — an independent statement of the body layout, and
-// the way to put a violated invariant on the wire.
-func encodeSpec(spec SnapshotSpec[uint64]) []byte {
+// appendPrefix appends p in the record's 10-byte key layout.
+func appendPrefix(b []byte, p hierarchy.Prefix) []byte {
+	b = binary.BigEndian.AppendUint32(b, p.Src)
+	b = binary.BigEndian.AppendUint32(b, p.Dst)
+	return append(b, p.SrcLen, p.DstLen)
+}
+
+// encodeSpec writes spec as a format-v1 KindHHH record over the 1D
+// hierarchy with compensation comp and no validation at all — an
+// independent statement of the body layout, and the way to put a
+// violated invariant on the wire.
+func encodeSpec(spec SnapshotSpec[hierarchy.Prefix], comp float64) []byte {
 	h := codec.Header{
-		Version: codec.Version, Kind: codec.KindSketch,
-		Digest: codec.SketchDigest(spec.Window, uint64(spec.Counters), spec.BlockCounts, spec.Scale),
+		Version: codec.Version, Kind: codec.KindHHH,
+		Digest: codec.HHHDigest(codec.HierOneD, spec.Window, uint64(spec.Counters), spec.BlockCounts, spec.Scale),
 	}
 	if spec.Restore != nil {
 		h.Flags = codec.FlagRestore
 	}
 	b := codec.AppendHeader(nil, h)
+	b = append(b, codec.HierOneD)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(comp))
 	b = binary.BigEndian.AppendUint64(b, spec.Window)
 	b = binary.BigEndian.AppendUint64(b, spec.Updates)
 	b = binary.BigEndian.AppendUint64(b, spec.BlockCounts)
@@ -390,12 +328,12 @@ func encodeSpec(spec SnapshotSpec[uint64]) []byte {
 	b = binary.AppendUvarint(b, uint64(spec.Counters))
 	b = binary.AppendUvarint(b, uint64(spec.Overflow.Len()))
 	for _, e := range spec.Overflow.Entries() {
-		b = binary.AppendUvarint(binary.BigEndian.AppendUint64(b, e.Key), uint64(e.Val))
+		b = binary.AppendUvarint(appendPrefix(b, e.Key), uint64(e.Val))
 	}
 	b = binary.AppendUvarint(b, uint64(len(spec.Monitored)))
 	b = binary.BigEndian.AppendUint64(b, spec.Items)
 	for _, c := range spec.Monitored {
-		b = binary.AppendUvarint(binary.AppendUvarint(binary.BigEndian.AppendUint64(b, c.Key), c.Count), c.Err)
+		b = binary.AppendUvarint(binary.AppendUvarint(appendPrefix(b, c.Key), c.Count), c.Err)
 	}
 	if r := spec.Restore; r != nil {
 		b = binary.BigEndian.AppendUint64(b, r.UntilBlock)
@@ -406,7 +344,7 @@ func encodeSpec(spec SnapshotSpec[uint64]) []byte {
 		for _, q := range r.Queues {
 			b = binary.AppendUvarint(b, uint64(len(q)))
 			for _, key := range q {
-				b = binary.BigEndian.AppendUint64(b, key)
+				b = appendPrefix(b, key)
 			}
 		}
 	}
@@ -414,117 +352,158 @@ func encodeSpec(spec SnapshotSpec[uint64]) []byte {
 }
 
 // TestDecodeSnapshotRejectsMalformed holds the two doors a snapshot
-// from outside the process comes through — bytes into DecodeSnapshot,
-// a spec into BuildSnapshot — to one validator: every violated sketch
-// invariant is refused by both with the same wrapped codec.ErrCorrupt
-// message. What only bytes can get wrong (truncation, framing, header)
-// is checked on the decoder alone.
+// from outside the process comes through — bytes into
+// DecodeHHHSnapshot, a spec into BuildHHHSnapshot — to one validator:
+// every violated sketch invariant is refused by both with the same
+// wrapped codec.ErrCorrupt message. What only bytes can get wrong
+// (truncation, framing, header) is checked on the decoder alone.
 func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
-	s := loadedSketch(t, 1.0/4, 51)
-	var snap Snapshot[uint64]
-	s.CheckpointInto(&snap)
-	valid := snap.AppendTo(nil, codec.Uint64Keys{})
-	if _, err := DecodeSnapshot[uint64](valid, codec.Uint64Keys{}, testHash); err != nil {
+	hier := hierarchy.OneD{}
+	hh := MustNewHHH(HHHConfig{Hierarchy: hier, Window: 1 << 12, Counters: 64, V: 4 * hier.H(), Seed: 51})
+	src := rng.New(52)
+	for i := 0; i < 3<<12|137; i++ {
+		a := uint32(src.Intn(1 << 14))
+		if src.Intn(3) > 0 {
+			a = uint32(src.Intn(16)) // heavy sources
+		}
+		hh.Update(hierarchy.Packet{Src: a})
+	}
+	var snap HHHSnapshot
+	hh.CheckpointInto(&snap)
+	valid, err := snap.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeHHHSnapshot(valid); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
-	if got := encodeSpec(specOf(&snap)); !bytes.Equal(got, valid) {
+	comp := snap.comp
+	if got := encodeSpec(specOf(&snap), comp); !bytes.Equal(got, valid) {
 		t.Fatal("encodeSpec(specOf(snap)) differs from snap.AppendTo: the test's layout is not format v1")
 	}
-	if _, err := BuildSnapshot(specOf(&snap), testHash); err != nil {
+	if _, err := BuildHHHSnapshot(hier, comp, specOf(&snap)); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	k, w := snap.k, snap.window
+	if k != 64 || w != 1<<12 {
+		t.Fatalf("geometry k=%d W=%d, the messages below assume 64 and 4096", k, w)
+	}
 	if len(specOf(&snap).Monitored) < 3 || snap.overflow.Len() == 0 {
 		t.Fatal("test vacuous: source sketch too empty to violate anything")
 	}
 
 	for _, tc := range []struct {
 		name    string
-		violate func(spec *SnapshotSpec[uint64])
+		violate func(spec *SnapshotSpec[hierarchy.Prefix])
 		want    string
 	}{
-		{"zero counter budget", func(sp *SnapshotSpec[uint64]) { sp.Counters = 0 }, "counter budget 0 out of range"},
-		{"counter budget past the cap", func(sp *SnapshotSpec[uint64]) { sp.Counters = 1<<28 + 1 }, "counter budget 268435457 out of range"},
-		{"zero block threshold", func(sp *SnapshotSpec[uint64]) { sp.BlockCounts = 0 }, "zero block threshold"},
-		{"zero window", func(sp *SnapshotSpec[uint64]) { sp.Window = 0 }, "window 0 not a multiple of 64 blocks"},
-		{"window not a multiple of k", func(sp *SnapshotSpec[uint64]) { sp.Window++ }, "window 4097 not a multiple of 64 blocks"},
-		{"scale below 1", func(sp *SnapshotSpec[uint64]) { sp.Scale = 0.5 }, "scale 0.5 below 1"},
-		{"zero overflow count", func(sp *SnapshotSpec[uint64]) { sp.Overflow.Put(sp.Overflow.Entries()[0].Key, 0) }, "overflow count 0 out of range"},
-		{"more monitored counters than budget", func(sp *SnapshotSpec[uint64]) {
+		{"zero counter budget", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Counters = 0 }, "counter budget 0 out of range"},
+		{"counter budget past the cap", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Counters = 1<<28 + 1 }, "counter budget 268435457 out of range"},
+		{"zero block threshold", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.BlockCounts = 0 }, "zero block threshold"},
+		{"zero window", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Window = 0 }, "window 0 not a multiple of 64 blocks"},
+		{"window not a multiple of k", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Window++ }, "window 4097 not a multiple of 64 blocks"},
+		{"scale below 1", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Scale = 0.5 }, "scale 0.5 below 1"},
+		{"zero overflow count", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Overflow.Put(sp.Overflow.Entries()[0].Key, 0) }, "overflow count 0 out of range"},
+		{"more monitored counters than budget", func(sp *SnapshotSpec[hierarchy.Prefix]) {
 			sp.Counters, sp.Window = 2, 2*(w/uint64(k))
 		}, "monitored counters exceed budget 2"},
-		{"counters not ascending", func(sp *SnapshotSpec[uint64]) {
+		{"counters not ascending", func(sp *SnapshotSpec[hierarchy.Prefix]) {
 			m := sp.Monitored
 			m[0], m[len(m)-1] = m[len(m)-1], m[0]
 		}, "counter order not ascending"},
-		{"zero monitored count", func(sp *SnapshotSpec[uint64]) { sp.Monitored[0].Count, sp.Monitored[0].Err = 0, 0 }, "restored count must be positive"},
-		{"error term not below count", func(sp *SnapshotSpec[uint64]) { sp.Monitored[0].Err = sp.Monitored[0].Count }, "not below count"},
-		{"duplicate monitored key", func(sp *SnapshotSpec[uint64]) {
+		{"zero monitored count", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Monitored[0].Count, sp.Monitored[0].Err = 0, 0 }, "restored count must be positive"},
+		{"error term not below count", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Monitored[0].Err = sp.Monitored[0].Count }, "not below count"},
+		{"duplicate monitored key", func(sp *SnapshotSpec[hierarchy.Prefix]) {
 			sp.Monitored[1].Key, sp.Monitored[1].Count = sp.Monitored[0].Key, sp.Monitored[0].Count
 		}, "duplicate restored key"},
-		{"zero frame position", func(sp *SnapshotSpec[uint64]) { sp.Restore.UntilBlock = 0 }, "frame position 0 outside block of 64"},
-		{"frame position past the block", func(sp *SnapshotSpec[uint64]) { sp.Restore.UntilBlock = w/uint64(k) + 1 }, "frame position 65 outside block of 64"},
-		{"zero blocks left", func(sp *SnapshotSpec[uint64]) { sp.Restore.BlocksLeft = 0 }, "blocks left 0 outside 1..64"},
-		{"blocks left past k", func(sp *SnapshotSpec[uint64]) { sp.Restore.BlocksLeft = k + 1 }, "blocks left 65 outside 1..64"},
-		{"one ring queue short", func(sp *SnapshotSpec[uint64]) { sp.Restore.Queues = sp.Restore.Queues[:k] }, "64 ring queues, want 65"},
-		{"one ring queue over", func(sp *SnapshotSpec[uint64]) { sp.Restore.Queues = append(sp.Restore.Queues, nil) }, "66 ring queues, want 65"},
+		{"zero frame position", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.UntilBlock = 0 }, "frame position 0 outside block of 64"},
+		{"frame position past the block", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.UntilBlock = w/uint64(k) + 1 }, "frame position 65 outside block of 64"},
+		{"zero blocks left", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.BlocksLeft = 0 }, "blocks left 0 outside 1..64"},
+		{"blocks left past k", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.BlocksLeft = k + 1 }, "blocks left 65 outside 1..64"},
+		{"one ring queue short", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.Queues = sp.Restore.Queues[:k] }, "64 ring queues, want 65"},
+		{"one ring queue over", func(sp *SnapshotSpec[hierarchy.Prefix]) { sp.Restore.Queues = append(sp.Restore.Queues, nil) }, "66 ring queues, want 65"},
 	} {
 		spec := specOf(&snap)
 		tc.violate(&spec)
-		_, specErr := BuildSnapshot(spec, testHash)
-		_, wireErr := DecodeSnapshot[uint64](encodeSpec(spec), codec.Uint64Keys{}, testHash)
+		_, specErr := BuildHHHSnapshot(hier, comp, spec)
+		_, wireErr := DecodeHHHSnapshot(encodeSpec(spec, comp))
 		if !errors.Is(specErr, codec.ErrCorrupt) || !strings.Contains(specErr.Error(), tc.want) {
-			t.Errorf("%s: BuildSnapshot = %v, want ErrCorrupt naming %q", tc.name, specErr, tc.want)
+			t.Errorf("%s: BuildHHHSnapshot = %v, want ErrCorrupt naming %q", tc.name, specErr, tc.want)
 		}
 		if wireErr == nil || specErr == nil || wireErr.Error() != specErr.Error() {
-			t.Errorf("%s: one invariant, two verdicts:\n  DecodeSnapshot: %v\n  BuildSnapshot:  %v", tc.name, wireErr, specErr)
+			t.Errorf("%s: one invariant, two verdicts:\n  DecodeHHHSnapshot: %v\n  BuildHHHSnapshot:  %v", tc.name, wireErr, specErr)
 		}
 	}
 
 	// What only bytes can get wrong. Every truncation fails cleanly.
 	for i := 0; i < len(valid); i += 3 {
-		if _, err := DecodeSnapshot[uint64](valid[:i], codec.Uint64Keys{}, testHash); err == nil {
+		if _, err := DecodeHHHSnapshot(valid[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
 	// Trailing junk fails.
-	if _, err := DecodeSnapshot[uint64](append(bytes.Clone(valid), 0), codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrCorrupt) {
+	if _, err := DecodeHHHSnapshot(append(bytes.Clone(valid), 0)); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("trailing junk: %v", err)
 	}
 	// A duplicate overflow key (a spec's table cannot hold one).
 	dup := specOf(&snap)
-	dupBytes := encodeSpec(dup)
-	ovStart := codec.HeaderSize + 4*8 + 2 // scalars, uvarint k = 64, one-byte overflow count
-	copy(dupBytes[ovStart+9:ovStart+17], dupBytes[ovStart:ovStart+8])
+	dupBytes := encodeSpec(dup, comp)
+	ovStart := codec.HeaderSize + 1 + 8 + 4*8 + 2 // hierarchy id, compensation, scalars, uvarint k = 64, one-byte overflow count
+	copy(dupBytes[ovStart+11:ovStart+21], dupBytes[ovStart:ovStart+10])
 	if dup.Overflow.Len() < 2 || dup.Overflow.Len() > 127 || dup.Overflow.Entries()[0].Val > 127 {
 		t.Fatal("duplicate-key offsets assume one-byte uvarints")
 	}
-	if _, err := DecodeSnapshot[uint64](dupBytes, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "duplicate overflow key") {
+	if _, err := DecodeHHHSnapshot(dupBytes); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "duplicate overflow key") {
 		t.Fatalf("duplicate overflow key: %v", err)
 	}
 	// Bad magic.
 	bad := bytes.Clone(valid)
 	bad[0] ^= 0xff
-	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrBadMagic) {
+	if _, err := DecodeHHHSnapshot(bad); !errors.Is(err, codec.ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Future version.
 	bad = bytes.Clone(valid)
 	bad[4] = codec.Version + 1
-	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrVersion) {
+	if _, err := DecodeHHHSnapshot(bad); !errors.Is(err, codec.ErrVersion) {
 		t.Fatalf("version skew: %v", err)
 	}
 	// Wrong kind.
 	bad = bytes.Clone(valid)
-	bad[5] = codec.KindHHH
-	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrKind) {
+	bad[5] = codec.KindHHHDelta
+	if _, err := DecodeHHHSnapshot(bad); !errors.Is(err, codec.ErrKind) {
 		t.Fatalf("wrong kind: %v", err)
 	}
 	// Config tampering that keeps every invariant breaks the digest.
 	bad = bytes.Clone(valid)
-	bad[codec.HeaderSize+16+7] ^= 0x01 // low byte of the block threshold
-	if _, err := DecodeSnapshot[uint64](bad, codec.Uint64Keys{}, testHash); !errors.Is(err, codec.ErrConfigMismatch) {
+	bad[codec.HeaderSize+1+8+16+7] ^= 0x01 // low byte of the block threshold
+	if _, err := DecodeHHHSnapshot(bad); !errors.Is(err, codec.ErrConfigMismatch) {
 		t.Fatalf("block threshold tamper: %v", err)
+	}
+}
+
+// TestDecodeHHHSnapshotRejectsRetiredKind pins kind 1's retirement: a
+// keyed-sketch record, whose header carries the configuration digest
+// without a hierarchy and whose body lacks the hierarchy id and the
+// compensation, fails with ErrKind before its body is read.
+func TestDecodeHHHSnapshotRejectsRetiredKind(t *testing.T) {
+	const retired = 1
+	hh := loadedHHH(t, hierarchy.OneD{}, 10, 53)
+	var snap HHHSnapshot
+	hh.CheckpointInto(&snap)
+	rec, err := snap.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := codec.AppendHeader(nil, codec.Header{
+		Version: codec.Version,
+		Kind:    retired,
+		Flags:   codec.FlagRestore,
+		Digest:  codec.Digest(snap.window, uint64(snap.k), snap.blockCounts, math.Float64bits(snap.scale)),
+	})
+	old = append(old, rec[codec.HeaderSize+1+8:]...)
+	if _, err := DecodeHHHSnapshot(old); !errors.Is(err, codec.ErrKind) {
+		t.Fatalf("kind 1: %v, want ErrKind", err)
 	}
 }
 
@@ -585,7 +564,7 @@ func TestHHHGoldenV1(t *testing.T) {
 	if dec.Updates() != hh.Sketch().Updates() {
 		t.Fatalf("golden Updates %d, want %d", dec.Updates(), hh.Sketch().Updates())
 	}
-	if got, want := dec.OutputTo(0.02, nil), hh.Output(0.02); len(got) != len(want) {
+	if got, want := outputOf(dec, 0.02), hh.Output(0.02); len(got) != len(want) {
 		t.Fatalf("golden Output has %d entries, want %d", len(got), len(want))
 	}
 }
@@ -626,46 +605,10 @@ func sameHHHState(t *testing.T, want, got *HHHSnapshot) {
 	}
 }
 
-func FuzzDecodeSnapshot(f *testing.F) {
+func FuzzDecodeHHHSnapshot(f *testing.F) {
 	// Small seed instances keep the engine's per-input minimization
 	// cheap; the size of the source sketch doesn't change the decode
 	// paths exercised.
-	s := MustNew[uint64](Config{Window: 1 << 8, Counters: 16, Tau: 1.0 / 4, Seed: 71})
-	src := rng.New(72)
-	for i := 0; i < 1<<10; i++ {
-		s.Update(uint64(src.Intn(64)))
-	}
-	var snap Snapshot[uint64]
-	s.CheckpointInto(&snap)
-	f.Add(snap.AppendTo(nil, codec.Uint64Keys{}))
-	var qsnap Snapshot[uint64]
-	s.SnapshotInto(&qsnap)
-	f.Add(qsnap.AppendTo(nil, codec.Uint64Keys{}))
-	f.Add([]byte{})
-	f.Add(codec.AppendHeader(nil, codec.Header{Version: codec.Version, Kind: codec.KindSketch}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic and never allocate beyond the record's own
-		// size class; a successful decode must re-encode to a record
-		// that decodes to the same answers.
-		dec, err := DecodeSnapshot[uint64](data, codec.Uint64Keys{}, testHash)
-		if err != nil {
-			return
-		}
-		re := dec.AppendTo(nil, codec.Uint64Keys{})
-		dec2, err := DecodeSnapshot[uint64](re, codec.Uint64Keys{}, testHash)
-		if err != nil {
-			t.Fatalf("re-encode of accepted record rejected: %v", err)
-		}
-		for k := uint64(0); k < 64; k++ {
-			if dec.Query(k) != dec2.Query(k) {
-				t.Fatalf("re-encode changed Query(%d)", k)
-			}
-		}
-	})
-}
-
-func FuzzDecodeHHHSnapshot(f *testing.F) {
 	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 8, Counters: 16 * 5, V: 10, Seed: 73})
 	src := rng.New(74)
 	for i := 0; i < 1<<10; i++ {
@@ -679,8 +622,19 @@ func FuzzDecodeHHHSnapshot(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add([]byte{})
+	var qsnap HHHSnapshot
+	hh.SnapshotInto(&qsnap)
+	qblob, err := qsnap.AppendTo(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(qblob)
+	f.Add(codec.AppendHeader(nil, codec.Header{Version: codec.Version, Kind: codec.KindHHH}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Must never panic and never allocate beyond the record's own
+		// size class; a successful decode must re-encode to a record
+		// that decodes to the same answers.
 		dec, err := DecodeHHHSnapshot(data)
 		if err != nil {
 			return
@@ -688,7 +642,21 @@ func FuzzDecodeHHHSnapshot(f *testing.F) {
 		if math.IsNaN(dec.Compensation()) {
 			t.Fatal("accepted NaN compensation")
 		}
-		_ = dec.OutputTo(0.05, nil) // must not panic on any accepted record
+		_ = outputOf(dec, 0.05) // must not panic on any accepted record
+		re, err := dec.AppendTo(nil)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		dec2, err := DecodeHHHSnapshot(re)
+		if err != nil {
+			t.Fatalf("re-encode of accepted record rejected: %v", err)
+		}
+		for a := uint32(0); a < 64; a++ {
+			p := dec.hier.Fully(hierarchy.Packet{Src: a})
+			if dec.Query(p) != dec2.Query(p) {
+				t.Fatalf("re-encode changed Query(%v)", p)
+			}
+		}
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"memento/internal/codec"
 	"memento/internal/hierarchy"
 	"memento/internal/keyidx"
 	"memento/internal/rng"
@@ -78,14 +77,36 @@ func readTable(r tableReader, keys uint64) tableAnswers {
 	return a
 }
 
+// rebuilt assembles cp's state anew through Snapshot.build, the
+// validator a decoded record passes through, with both indexes rebuilt
+// entry by entry under hash (nil: the keyidx default).
+func rebuilt(t testing.TB, cp *Snapshot[uint64], hash func(uint64) uint64) *Snapshot[uint64] {
+	t.Helper()
+	if hash == nil {
+		hash = keyidx.DefaultHasher[uint64]()
+	}
+	spec := cp.Spec(nil).detached()
+	ov := keyidx.MustNewCounts[uint64](max(spec.Overflow.Len(), 1), hash)
+	for _, e := range spec.Overflow.Entries() {
+		ov.Put(e.Key, e.Val)
+	}
+	spec.Overflow = ov
+	snap := new(Snapshot[uint64])
+	if err := snap.build(spec, hash); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestSnapshotMatchesLive pins the snapshot contract: at capture time
 // every read the table type defines answers as the live sketch's does,
 // and later mutations of the source leave the snapshot untouched. The
 // one implementation is checked against three differently built
 // tables: an in-process capture (SnapshotInto), a sketch rehydrated
 // from a checkpoint (CheckpointInto → RestoreFrom, re-inserted under
-// another hasher), and a snapshot built from bytes (AppendTo →
-// DecodeSnapshot, slabs sized by content).
+// another hasher), and a snapshot assembled from explicit state the
+// way a decoded record is (Spec → Snapshot.build, indexes rebuilt entry
+// by entry, slabs sized by content).
 func TestSnapshotMatchesLive(t *testing.T) {
 	for name, hash := range map[string]func(uint64) uint64{
 		"default-hashers": nil,
@@ -126,10 +147,7 @@ func TestSnapshotMatchesLive(t *testing.T) {
 			if err := restored.RestoreFrom(&cp); err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := DecodeSnapshot[uint64](cp.AppendTo(nil, codec.Uint64Keys{}), codec.Uint64Keys{}, hash)
-			if err != nil {
-				t.Fatal(err)
-			}
+			built := rebuilt(t, &cp, hash)
 
 			for i := 0; i < 3<<12; i++ { // mutate the source
 				s.Update(uint64(400 + src.Intn(400)))
@@ -139,7 +157,7 @@ func TestSnapshotMatchesLive(t *testing.T) {
 			}
 
 			for tag, r := range map[string]tableReader{
-				"SnapshotInto": &snap, "CheckpointInto": &cp, "RestoreFrom": restored, "DecodeSnapshot": decoded,
+				"SnapshotInto": &snap, "CheckpointInto": &cp, "RestoreFrom": restored, "build": built,
 			} {
 				if got := readTable(r, keys); !reflect.DeepEqual(got, live) {
 					t.Errorf("%s diverges from the capture-time live sketch:\n got %+v\nwant %+v", tag, got, live)
@@ -311,10 +329,10 @@ func (r *sweepReach) add(o sweepReach) {
 }
 
 // checkSnapshotAgainstLive captures s and holds every read the merged
-// query plane makes of the capture — Query, TrackedBounds, ForEachAbove
+// query plane makes of the capture — Query, trackedBoundsH, ForEachAbove
 // — to the live sketch's own answers, and ForEachAbove and
 // HeavyHitters on the capture, on a sketch restored from its checkpoint
-// and on a snapshot decoded from it to their full-range definitions. It
+// and on a snapshot built from its state to their full-range definitions. It
 // returns how many keys the sketch tracks and how far the sweeps took
 // the tier range (see sweepReach).
 func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys uint64) (int, sweepReach) {
@@ -322,14 +340,11 @@ func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys 
 	var snap, cp Snapshot[uint64]
 	s.SnapshotInto(&snap)
 	s.CheckpointInto(&cp)
-	restored := MustNew[uint64](Config{Window: s.EffectiveWindow(), Counters: s.Counters(), Tau: s.Tau()})
+	restored := mustNew[uint64](Config{Window: s.EffectiveWindow(), Counters: s.Counters(), Tau: s.Tau()})
 	if err := restored.RestoreFrom(&cp); err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	decoded, err := DecodeSnapshot[uint64](cp.AppendTo(nil, codec.Uint64Keys{}), codec.Uint64Keys{}, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
+	built := rebuilt(t, &cp, nil)
 	// entries counts table entries, so a key both overflowed and
 	// monitored counts twice — what ForEachAbove reports as swept.
 	tracked, entries := map[uint64]bool{}, s.Slots()
@@ -344,7 +359,7 @@ func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys 
 		if got := snap.Query(k); got != s.Query(k) {
 			t.Fatalf("%s: Query(%d) = %v, live %v", tag, k, got, s.Query(k))
 		}
-		tu, tl, ok := snap.TrackedBounds(k)
+		tu, tl, ok := snap.trackedBoundsH(k, snap.hash(k))
 		switch {
 		case ok != tracked[k]:
 			t.Fatalf("%s: TrackedBounds(%d) tracked=%v, live state %v", tag, k, ok, tracked[k])
@@ -372,7 +387,7 @@ func checkSnapshotAgainstLive(t *testing.T, tag string, s *Sketch[uint64], keys 
 		}
 	}
 	var reach sweepReach
-	for name, r := range map[string]sweepReader{"SnapshotInto": &snap, "RestoreFrom": restored, "DecodeSnapshot": decoded} {
+	for name, r := range map[string]sweepReader{"SnapshotInto": &snap, "RestoreFrom": restored, "build": built} {
 		reach.add(checkSweep(t, tag+"/"+name, r, uppers))
 	}
 	return len(tracked), reach
@@ -462,7 +477,7 @@ func TestSnapshotDifferentialAcrossResetAndRestore(t *testing.T) {
 // without allocating — the property the pooled shard query plane
 // relies on.
 func TestSnapshotIntoZeroAlloc(t *testing.T) {
-	s := MustNew[uint64](snapshotConfig)
+	s := mustNew[uint64](snapshotConfig)
 	src := rng.New(13)
 	for i := 0; i < 3<<12; i++ {
 		s.Update(uint64(src.Intn(300)))
@@ -485,7 +500,7 @@ func TestSnapshotIntoZeroAlloc(t *testing.T) {
 // under New's default hasher and one under a caller-supplied function,
 // answer alike.
 func TestSharedHasherQueryEquivalent(t *testing.T) {
-	bare := MustNew[uint64](snapshotConfig)
+	bare := mustNew[uint64](snapshotConfig)
 	shared, err := NewWithHash[uint64](snapshotConfig, testHash)
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +524,7 @@ func TestSharedHasherQueryEquivalent(t *testing.T) {
 }
 
 // TestHHHSnapshotOutputMatchesLive pins the hierarchical snapshot:
-// OutputTo from a snapshot equals the live Output element for
+// the HHH set of a snapshot equals the live Output element for
 // element, and candidate sets agree.
 func TestHHHSnapshotOutputMatchesLive(t *testing.T) {
 	hier := hierarchy.OneD{}
@@ -531,7 +546,7 @@ func TestHHHSnapshotOutputMatchesLive(t *testing.T) {
 	for i := 0; i < 1<<12; i++ { // mutate the source
 		hh.Update(hierarchy.Packet{Src: uint32(1 << 20)})
 	}
-	got := snap.OutputTo(0.02, nil)
+	got := outputOf(&snap, 0.02)
 	if len(got) != len(live) {
 		t.Fatalf("snapshot output has %d entries, capture-time live %d:\n%v\n%v",
 			len(got), len(live), got, live)

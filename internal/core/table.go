@@ -11,7 +11,6 @@ package core
 import (
 	"math"
 
-	"memento/internal/codec"
 	"memento/internal/keyidx"
 	"memento/internal/spacesaving"
 )
@@ -24,7 +23,7 @@ type table[K comparable] struct {
 	y        spacesaving.Sketch[K] // in-frame counts
 
 	// k is the number of blocks / counters. On a snapshot built from
-	// outside bytes it can exceed y's slab capacity: BuildSnapshot
+	// outside bytes it can exceed y's slab capacity: Snapshot.build
 	// sizes y by the entries actually present (bounding allocation by
 	// the record size) while preserving the saturated/unsaturated
 	// distinction Min() depends on, and keeps the declared budget here
@@ -51,11 +50,6 @@ func (t *table[K]) copyInto(dst *table[K]) {
 	t.y.CopyInto(&y)
 	*dst = *t
 	dst.overflow, dst.y = overflow, y
-}
-
-// digest returns the seed-independent configuration digest.
-func (t *table[K]) digest() uint64 {
-	return codec.SketchDigest(t.window, uint64(t.k), t.blockCounts, t.scale)
 }
 
 // EffectiveWindow returns the window actually maintained: Window
@@ -330,17 +324,12 @@ func (t *table[K]) forEachAboveH(floor float64, fn func(key K, h uint64, upper, 
 	return swept + t.y.Len()
 }
 
-// TrackedBounds returns QueryBounds(x) and true when the table has
+// trackedBoundsH returns QueryBounds(x) and true when the table has
 // state for x (an overflow entry or a monitored counter) — the keys
 // ForEachEstimate visits, with the bounds it reports — and false
-// otherwise, when QueryBounds(x) would be AbsentBounds.
-func (t *table[K]) TrackedBounds(x K) (upper, lower float64, ok bool) {
-	return t.trackedBoundsH(x, t.hash(x))
-}
-
-// trackedBoundsH is TrackedBounds with a caller-computed hash, which
-// must equal the table's hash of x: a read over several tables built
-// under one hasher hashes x once for all of them.
+// otherwise, when QueryBounds(x) would be AbsentBounds. h must equal
+// the table's hash of x: a read over several tables built under one
+// hasher hashes x once for all of them.
 //
 //memento:noalloc
 func (t *table[K]) trackedBoundsH(x K, h uint64) (upper, lower float64, ok bool) {

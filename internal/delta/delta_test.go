@@ -64,8 +64,8 @@ func snapshotEqualOutputs(t *testing.T, tag string, got, want *core.HHHSnapshot,
 		}
 	}
 	for _, theta := range []float64{0.01, 0.05, 0.2} {
-		g := got.OutputTo(theta, nil)
-		w := want.OutputTo(theta, nil)
+		g := outputOf(got, theta)
+		w := outputOf(want, theta)
 		if len(g) != len(w) {
 			t.Fatalf("%s: theta %g: %d entries vs %d", tag, theta, len(g), len(w))
 		}
@@ -136,8 +136,8 @@ func TestChainExactReplication(t *testing.T) {
 	if bases != 1 {
 		t.Fatalf("expected exactly one base, got %d", bases)
 	}
-	if st.Epoch() != tr.Epoch() {
-		t.Fatalf("epoch skew: state %d tracker %d", st.Epoch(), tr.Epoch())
+	if st.Epoch() != tr.epoch {
+		t.Fatalf("epoch skew: state %d tracker %d", st.Epoch(), tr.epoch)
 	}
 }
 
@@ -464,7 +464,7 @@ func TestResetForcesBase(t *testing.T) {
 }
 
 // TestTruncatedDeltaUnbasesState pins Apply's failure contract: a
-// delta that fails mid-application leaves Based() false so the
+// delta that fails mid-application leaves the chain unbased so the
 // follower must resync rather than query half-patched state.
 func TestTruncatedDeltaUnbasesState(t *testing.T) {
 	hh := newHHH(t, 1<<10, 32, 19)
@@ -493,7 +493,7 @@ func TestTruncatedDeltaUnbasesState(t *testing.T) {
 	if err := st.Apply(truncated); err == nil {
 		t.Fatal("truncated delta applied")
 	}
-	if st.Based() {
+	if st.based {
 		t.Fatal("state still based after failed mid-delta apply")
 	}
 	if _, err := st.Snapshot(); err == nil {
@@ -561,7 +561,7 @@ func TestInvalidDeltaLeavesReplica(t *testing.T) {
 		if err := st.Apply(c.rec); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("%s: Apply = %v, want ErrCorrupt", c.name, err)
 		}
-		if st.Based() {
+		if st.based {
 			t.Fatalf("%s: chain still based", c.name)
 		}
 		if err := st.Replica().Sketch().Validate(); err != nil {
@@ -615,8 +615,8 @@ func TestUnknownFlagsRejected(t *testing.T) {
 		if err := st.Apply(bad); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("flag %#x: Apply = %v, want ErrCorrupt", bit, err)
 		}
-		if !st.Based() || st.Epoch() != epoch {
-			t.Fatalf("flag %#x: based=%v epoch %d, want based at epoch %d", bit, st.Based(), st.Epoch(), epoch)
+		if !st.based || st.Epoch() != epoch {
+			t.Fatalf("flag %#x: based=%v epoch %d, want based at epoch %d", bit, st.based, st.Epoch(), epoch)
 		}
 		after, err := st.Snapshot()
 		if err != nil {
@@ -746,4 +746,12 @@ func TestBaseReleasesCapture(t *testing.T) {
 			t.Fatalf("restore=%v: %d bases, want the first and two forced", restore, bases)
 		}
 	}
+}
+
+// outputOf is the HHH set of snap alone at threshold theta: a
+// SnapshotSet over the one member at weight 1.
+func outputOf(snap *core.HHHSnapshot, theta float64) []core.HeavyPrefix {
+	var set core.SnapshotSet
+	set.Reset([]*core.HHHSnapshot{snap}, []float64{1})
+	return set.Output(snap.Hierarchy(), theta*float64(snap.EffectiveWindow()), snap.Compensation(), nil)
 }

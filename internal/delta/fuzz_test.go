@@ -83,7 +83,7 @@ func FuzzApplyDeltaChain(f *testing.F) {
 // sketch invariant — at most the base's budget of monitored counters,
 // each error term below its count, Space Saving's buckets strictly
 // ascending with an index consistent with the slab — and answers
-// QueryBounds and OutputTo exactly as the canonical copy does.
+// QueryBounds and the HHH set exactly as the canonical copy does.
 func checkReplica(t *testing.T, tag string, st *State) {
 	t.Helper()
 	rep := st.Replica()

@@ -51,10 +51,6 @@ type State struct {
 // NewState returns an empty follower state awaiting its first base.
 func NewState() *State { return &State{} }
 
-// Based reports whether a base has been applied and every record since
-// applied in order: whether the next delta can apply.
-func (st *State) Based() bool { return st.based }
-
 // Chain returns the applied chain identity (0 before any base).
 func (st *State) Chain() uint64 { return st.chain }
 
@@ -64,14 +60,6 @@ func (st *State) Epoch() uint64 { return st.epoch }
 // Restorable reports whether the chain carries the restore plane, so
 // the canonical snapshot can rehydrate a live instance.
 func (st *State) Restorable() bool { return st.rep != nil && st.rep.Restorable() }
-
-// Updates returns the replicated update count.
-func (st *State) Updates() uint64 {
-	if st.rep == nil {
-		return 0
-	}
-	return st.rep.Updates()
-}
 
 // Hierarchy returns the replicated prefix domain (nil before a base).
 func (st *State) Hierarchy() hierarchy.Hierarchy {
@@ -101,9 +89,9 @@ func (st *State) Reset() {
 // record that fails leaves the replica untouched. On ErrEpochGap,
 // codec.ErrConfigMismatch, or a header flag outside knownFlags
 // (codec.ErrCorrupt) the chain position is untouched too; a delta body
-// that fails validation unbases the chain (Based() turns false) while
-// the replica keeps answering with the last good state, so the
-// follower resyncs either way.
+// that fails validation unbases the chain, so the next delta is
+// refused, while the replica keeps answering with the last good state:
+// the follower resyncs either way.
 func (st *State) Apply(data []byte) error {
 	h, body, err := codec.ReadHeader(data)
 	if err != nil {
@@ -211,7 +199,7 @@ func (st *State) parsePatch(c *codec.Cursor, flags uint16, updates, items uint64
 	p.Entries = p.Entries[:0]
 	p.Restore = nil
 	for i := 0; i < nEntries; i++ {
-		key := codec.Key(c, prefixKeys)
+		key := c.Key()
 		count := c.Uvarint()
 		var errTerm uint64
 		if count > 0 {
@@ -265,7 +253,7 @@ func (st *State) parseRestorePlane(c *codec.Cursor) error {
 		}
 		q := r.Queues[i][:0]
 		for j := 0; j < qlen; j++ {
-			q = append(q, codec.Key(c, prefixKeys))
+			q = append(q, c.Key())
 		}
 		r.Queues[i] = q
 	}

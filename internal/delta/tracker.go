@@ -145,9 +145,6 @@ func NewTracker(hh *core.HHH, cfg TrackerConfig) (*Tracker, error) {
 // Chain returns the chain identity.
 func (t *Tracker) Chain() uint64 { return t.chain }
 
-// Epoch returns the epoch of the last emitted record.
-func (t *Tracker) Epoch() uint64 { return t.epoch }
-
 // ForceBase marks the chain broken on the follower's side — a record
 // was dropped before transmission, or the follower requested a resync
 // — so the next capture encodes as a fresh base. A capture already

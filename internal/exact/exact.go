@@ -16,7 +16,6 @@ type SlidingWindow[K comparable] struct {
 	pos    int
 	filled bool
 	counts map[K]int
-	n      uint64
 }
 
 // NewSlidingWindow returns an exact window oracle over the last w items.
@@ -41,7 +40,6 @@ func MustNewSlidingWindow[K comparable](w int) *SlidingWindow[K] {
 
 // Add appends one item, expiring the item that leaves the window.
 func (s *SlidingWindow[K]) Add(k K) {
-	s.n++
 	if s.filled {
 		old := s.ring[s.pos]
 		if c := s.counts[old]; c <= 1 {
@@ -73,9 +71,6 @@ func (s *SlidingWindow[K]) Len() int {
 	}
 	return s.pos
 }
-
-// Items returns the total number of items ever added.
-func (s *SlidingWindow[K]) Items() uint64 { return s.n }
 
 // Distinct returns the number of distinct keys currently in the window
 // (the table size an Aggregation report must ship).
@@ -110,7 +105,6 @@ func (s *SlidingWindow[K]) Reset() {
 	clear(s.counts)
 	s.pos = 0
 	s.filled = false
-	s.n = 0
 }
 
 // Interval counts key occurrences exactly within back-to-back
@@ -120,7 +114,6 @@ type Interval[K comparable] struct {
 	counts map[K]int
 	w      int
 	inCur  int
-	epochs uint64
 }
 
 // NewInterval returns an exact interval oracle with period w.
@@ -131,21 +124,11 @@ func NewInterval[K comparable](w int) (*Interval[K], error) {
 	return &Interval[K]{counts: make(map[K]int), w: w}, nil
 }
 
-// MustNewInterval panics on error; for tests and examples.
-func MustNewInterval[K comparable](w int) *Interval[K] {
-	s, err := NewInterval[K](w)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Add appends one item, resetting counts at interval boundaries.
 func (s *Interval[K]) Add(k K) {
 	if s.inCur == s.w {
 		clear(s.counts)
 		s.inCur = 0
-		s.epochs++
 	}
 	s.counts[k]++
 	s.inCur++
@@ -157,12 +140,8 @@ func (s *Interval[K]) Count(k K) int { return s.counts[k] }
 // Pos returns the number of items in the current interval.
 func (s *Interval[K]) Pos() int { return s.inCur }
 
-// Epochs returns the number of completed intervals.
-func (s *Interval[K]) Epochs() uint64 { return s.epochs }
-
 // Reset empties the oracle.
 func (s *Interval[K]) Reset() {
 	clear(s.counts)
 	s.inCur = 0
-	s.epochs = 0
 }

@@ -104,7 +104,7 @@ func TestHHHSetsGolden(t *testing.T) {
 		hh.UpdateBatch(stream)
 		emit("h-memento", h, hh.Output)
 
-		s := shard.MustNewHHH(shard.HHHConfig{Core: cfg, Shards: 2})
+		s := must(shard.NewHHH(shard.HHHConfig{Core: cfg, Shards: 2}))
 		b := s.NewBatcher(0)
 		for _, p := range stream {
 			b.Add(p)
@@ -112,9 +112,9 @@ func TestHHHSetsGolden(t *testing.T) {
 		b.Flush()
 		emit("sharded", h, s.Output)
 
-		mst := baseline.MustNewMST(h, 256)
-		rhhh := baseline.MustNewRHHH(baseline.RHHHConfig{Hierarchy: h, CountersPerInstance: 256, Delta: 0.49, Seed: seed})
-		win := baseline.MustNewWindow(h, window, 256)
+		mst := must(baseline.NewMST(h, 256))
+		rhhh := must(baseline.NewRHHH(baseline.RHHHConfig{Hierarchy: h, CountersPerInstance: 256, Delta: 0.49, Seed: seed}))
+		win := must(baseline.NewWindow(h, window, 256))
 		for _, p := range stream {
 			mst.Update(p)
 			rhhh.Update(p)
@@ -132,6 +132,15 @@ func TestHHHSetsGolden(t *testing.T) {
 	emit("h-memento-admit-all", hierarchy.TwoD{}, admitAll.Output)
 
 	checkGolden(t, "hhh_sets.golden", "HHH sets", out.Bytes())
+}
+
+// must returns v, panicking on err: for constructors the test knows
+// are given valid configurations.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // checkGolden compares got with testdata/name, rewriting the file

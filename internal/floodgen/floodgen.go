@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"memento/internal/hierarchy"
 	"memento/internal/rng"
 	"memento/internal/trace"
 )
@@ -174,7 +173,3 @@ func formatIPv4(a uint32) string {
 
 // FormatIPv4 is the exported formatting helper used by commands.
 func FormatIPv4(a uint32) string { return formatIPv4(a) }
-
-// PacketFor reproduces the hierarchy packet a request with the given
-// spoofed address represents (used in tests to cross-check counts).
-func PacketFor(ip uint32) hierarchy.Packet { return hierarchy.Packet{Src: ip} }

@@ -112,9 +112,6 @@ func TestFormatIPv4(t *testing.T) {
 	if got := FormatIPv4(hierarchy.IPv4(1, 2, 3, 4)); got != "1.2.3.4" {
 		t.Fatalf("FormatIPv4 = %q", got)
 	}
-	if PacketFor(5).Src != 5 {
-		t.Fatal("PacketFor wrong")
-	}
 }
 
 // roundTripFunc adapts a function to http.RoundTripper.

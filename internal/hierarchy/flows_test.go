@@ -27,8 +27,8 @@ func TestFlowsDegenerateHierarchy(t *testing.T) {
 	if h.PatternIndex(twoD) != -1 {
 		t.Fatal("2D prefixes must not belong to Flows")
 	}
-	if h.Root().SrcLen != AddrBytes {
-		t.Fatal("Flows root must be at full specification")
+	if h.Prefix(pkt, h.H()-1).SrcLen != AddrBytes {
+		t.Fatal("Flows' most general pattern must be at full specification")
 	}
 	if h.String() == "" {
 		t.Fatal("empty name")

@@ -210,8 +210,6 @@ type Hierarchy interface {
 	Depth(pr Prefix) int
 	// Fully returns the fully specified prefix of p.
 	Fully(p Packet) Prefix
-	// Root returns the fully general prefix (depth Levels()-1).
-	Root() Prefix
 	// String returns a human-readable name ("src" or "src×dst").
 	String() string
 }
@@ -248,9 +246,6 @@ func (OneD) Depth(pr Prefix) int { return pr.depth(1) }
 
 // Fully implements Hierarchy.
 func (OneD) Fully(p Packet) Prefix { return Prefix{Src: p.Src, SrcLen: AddrBytes} }
-
-// Root implements Hierarchy.
-func (OneD) Root() Prefix { return Prefix{} }
 
 // String implements Hierarchy.
 func (OneD) String() string { return "src" }
@@ -323,9 +318,6 @@ func (TwoD) Fully(p Packet) Prefix {
 	return Prefix{Src: p.Src, Dst: p.Dst, SrcLen: AddrBytes, DstLen: AddrBytes}
 }
 
-// Root implements Hierarchy.
-func (TwoD) Root() Prefix { return Prefix{} }
-
 // String implements Hierarchy.
 func (TwoD) String() string { return "src×dst" }
 
@@ -368,10 +360,6 @@ func (Flows) Depth(pr Prefix) int {
 
 // Fully implements Hierarchy.
 func (Flows) Fully(p Packet) Prefix { return Prefix{Src: p.Src, SrcLen: AddrBytes} }
-
-// Root implements Hierarchy; with a single level the root is the fully
-// specified pattern itself (there is no aggregation).
-func (Flows) Root() Prefix { return Prefix{SrcLen: AddrBytes} }
 
 // String implements Hierarchy.
 func (Flows) String() string { return "flows" }

@@ -217,7 +217,7 @@ func TestOneDPatterns(t *testing.T) {
 			t.Fatalf("pattern %d must generalize the full item", i)
 		}
 	}
-	if h.Depth(h.Root()) != h.Levels()-1 {
+	if h.Depth(h.Prefix(pkt, h.H()-1)) != h.Levels()-1 {
 		t.Fatal("root depth mismatch")
 	}
 }
@@ -251,7 +251,7 @@ func TestTwoDPatterns(t *testing.T) {
 	if h.Prefix(pkt, 0) != h.Fully(pkt) {
 		t.Fatal("pattern 0 must be fully specified")
 	}
-	if h.Depth(h.Root()) != 8 {
+	if h.Depth(Prefix{}) != 8 {
 		t.Fatal("2D root depth must be 8")
 	}
 	// Every (srcLen, dstLen) combination appears exactly once.

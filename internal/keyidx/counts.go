@@ -438,11 +438,8 @@ func (c *Counts[K]) put(key K, val int32, h uint64) {
 	c.place(i, key, val)
 }
 
-// Inc adds delta to key's count, inserting it at delta if absent, and
-// returns the new count.
-func (c *Counts[K]) Inc(key K, delta int32) int32 { return c.IncH(key, delta, c.hash(key)) }
-
-// IncH is Inc with a caller-computed hash.
+// IncH adds delta to key's count, inserting it at delta if absent, and
+// returns the new count; h is the caller-computed hash of key.
 //
 //memento:noalloc
 func (c *Counts[K]) IncH(key K, delta int32, h uint64) int32 {

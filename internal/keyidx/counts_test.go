@@ -12,6 +12,10 @@ import (
 // long and every delete shifts.
 func collide(k uint64) uint64 { return (k % 5) * 0x9e3779b97f4a7c15 }
 
+// Inc is IncH under the table's own hash, the form the oracle
+// differentials drive.
+func (c *Counts[K]) Inc(key K, delta int32) int32 { return c.IncH(key, delta, c.hash(key)) }
+
 // checkCounts verifies the table against the oracle: sizes agree, every
 // oracle key resolves to its count, Entries holds every live key
 // exactly once, every occupied bucket points at a distinct entry, and

@@ -284,26 +284,6 @@ func (x *Index[K]) reinsert(key K, val int32, h uint64) {
 	x.n++
 }
 
-// Insert adds key with value 0 if absent and reports whether it was
-// added — set semantics for dedup scratch.
-func (x *Index[K]) Insert(key K) bool { return x.InsertH(key, x.Hash(key)) }
-
-// InsertH is Insert with a caller-computed hash.
-//
-//memento:noalloc
-func (x *Index[K]) InsertH(key K, h uint64) bool {
-	for i := x.home(h); ; i = (i + 1) & x.mask {
-		s := &x.slots[i]
-		if s.gen != x.live {
-			x.place(i, key, 0, h)
-			return true
-		}
-		if s.hash == h && s.key == key {
-			return false
-		}
-	}
-}
-
 // Inc adds delta to key's value, inserting it with value delta if
 // absent, and returns the new value: a single-probe increment for
 // tallies kept in scratch sets.
@@ -348,25 +328,6 @@ func (x *Index[K]) DecH(key K, h uint64) bool {
 	}
 }
 
-// Delete removes key and reports whether it was present.
-func (x *Index[K]) Delete(key K) bool { return x.DeleteH(key, x.Hash(key)) }
-
-// DeleteH is Delete with a caller-computed hash.
-//
-//memento:noalloc
-func (x *Index[K]) DeleteH(key K, h uint64) bool {
-	for i := x.home(h); ; i = (i + 1) & x.mask {
-		s := &x.slots[i]
-		if s.gen != x.live {
-			return false
-		}
-		if s.hash == h && s.key == key {
-			x.unplace(i)
-			return true
-		}
-	}
-}
-
 // unplace empties slot i and backward-shifts the following cluster so
 // no tombstones are needed: each subsequent entry moves into the hole
 // unless it already sits at (or probes no further than) its home.
@@ -388,25 +349,4 @@ func (x *Index[K]) unplace(i uint64) {
 		}
 	}
 	x.slots[i].gen = x.live - 1 // mark empty (≠ live; wrap-safe until Flush scrubs)
-}
-
-// Iterate calls fn for every live entry until fn returns false. The
-// order is unspecified and changes across mutations. The index must
-// not be mutated during iteration. An empty index returns without
-// touching the slab — freshly Flushed scratch sets (query dedup, the
-// delta encoder's overflow-log scratch between quiet captures) are the
-// common case and cost nothing to walk.
-//
-//memento:noalloc
-func (x *Index[K]) Iterate(fn func(key K, val int32) bool) {
-	if x.n == 0 {
-		return
-	}
-	for i := range x.slots {
-		if x.slots[i].gen == x.live {
-			if !fn(x.slots[i].key, x.slots[i].val) {
-				return
-			}
-		}
-	}
 }

@@ -6,6 +6,54 @@ import (
 	"memento/internal/rng"
 )
 
+// Insert, Delete and Iterate complete the operation set the map-oracle
+// differentials drive: production indexes only Put, Inc, DecH and Flush
+// (the delta encoder's and the read plane's scratch), but the oracle
+// replays every sequence of inserts, deletions and walks the probing
+// and backward-shift code must survive.
+
+// Insert adds key with value 0 if absent and reports whether it was
+// added.
+func (x *Index[K]) Insert(key K) bool {
+	h := x.Hash(key)
+	for i := x.home(h); ; i = (i + 1) & x.mask {
+		s := &x.slots[i]
+		if s.gen != x.live {
+			x.place(i, key, 0, h)
+			return true
+		}
+		if s.hash == h && s.key == key {
+			return false
+		}
+	}
+}
+
+// Delete removes key and reports whether it was present.
+func (x *Index[K]) Delete(key K) bool {
+	h := x.Hash(key)
+	for i := x.home(h); ; i = (i + 1) & x.mask {
+		s := &x.slots[i]
+		if s.gen != x.live {
+			return false
+		}
+		if s.hash == h && s.key == key {
+			x.unplace(i)
+			return true
+		}
+	}
+}
+
+// Iterate calls fn for every live entry until fn returns false.
+func (x *Index[K]) Iterate(fn func(key K, val int32) bool) {
+	for i := range x.slots {
+		if x.slots[i].gen == x.live {
+			if !fn(x.slots[i].key, x.slots[i].val) {
+				return
+			}
+		}
+	}
+}
+
 // oracle mirrors an Index with the runtime map the Index replaces.
 type oracle map[uint64]int32
 
@@ -183,8 +231,8 @@ func TestHashedVariantsMatch(t *testing.T) {
 		}
 	}
 	for k := uint64(0); k < 32; k += 2 {
-		if !x.DeleteH(k, x.Hash(k)) {
-			t.Fatalf("DeleteH(%d) = false", k)
+		if !x.Delete(k) {
+			t.Fatalf("Delete(%d) = false", k)
 		}
 	}
 	for k := uint64(0); k < 32; k++ {

@@ -192,12 +192,11 @@ type Config struct {
 
 // Balancer is the HTTP reverse-proxy load balancer.
 type Balancer struct {
-	cfg       Config
-	proxies   []*httputil.ReverseProxy
-	rr        atomic.Uint64
-	served    atomic.Uint64
-	denied    atomic.Uint64
-	tarpitted atomic.Uint64
+	cfg     Config
+	proxies []*httputil.ReverseProxy
+	rr      atomic.Uint64
+	served  atomic.Uint64
+	denied  atomic.Uint64
 }
 
 // New validates cfg and builds a Balancer.
@@ -222,10 +221,9 @@ func New(cfg Config) (*Balancer, error) {
 	return b, nil
 }
 
-// Served, Denied and Tarpitted report request counts by outcome.
-func (b *Balancer) Served() uint64    { return b.served.Load() }
-func (b *Balancer) Denied() uint64    { return b.denied.Load() }
-func (b *Balancer) Tarpitted() uint64 { return b.tarpitted.Load() }
+// Served and Denied report request counts by outcome.
+func (b *Balancer) Served() uint64 { return b.served.Load() }
+func (b *Balancer) Denied() uint64 { return b.denied.Load() }
 
 // ClientIP extracts the request's client address per the balancer's
 // trust configuration.
@@ -276,7 +274,6 @@ func (b *Balancer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "denied by subnet ACL", http.StatusForbidden)
 			return
 		case netwide.ActionTarpit:
-			b.tarpitted.Add(1)
 			// Hold the connection to slow the attacker down, then fail.
 			select {
 			case <-time.After(b.cfg.TarpitDelay):

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -196,15 +197,19 @@ func TestACLTarpitDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if took := time.Since(start); took < 100*time.Millisecond {
 		t.Fatalf("tarpit answered in %v, want ≥ 100ms", took)
 	}
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("tarpit status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusForbidden || !strings.HasPrefix(string(body), "tarpitted") {
+		t.Fatalf("tarpit answered %d %q, want 403 tarpitted", resp.StatusCode, body)
 	}
-	if b.Tarpitted() != 1 {
-		t.Fatalf("Tarpitted = %d", b.Tarpitted())
+	if b.Denied() != 0 || b.Served() != 0 {
+		t.Fatalf("tarpitted request counted as denied (%d) or served (%d)", b.Denied(), b.Served())
 	}
 }
 
@@ -323,12 +328,15 @@ func TestBatchingObserverForwardsEverything(t *testing.T) {
 // sharded H-Memento behind a BatchingObserver — the concurrent
 // measurement pipeline the shard layer exists for.
 func TestBalancerWithShardedObserver(t *testing.T) {
-	hh := shard.MustNewHHH(shard.HHHConfig{
+	hh, err := shard.NewHHH(shard.HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 64 * 5, V: 5, Seed: 4,
 		},
 		Shards: 2,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := NewBatchingObserver(hh, 16)
 	b, _, cleanup := backendPair(t, 1, Config{Observer: obs, TrustForwardedFor: true})
 	defer cleanup()

@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"memento/internal/exact"
-	"memento/internal/hhhset"
 	"memento/internal/hierarchy"
 	"memento/internal/netwide"
 	"memento/internal/obs"
@@ -167,27 +166,8 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// MustNew panics on error; for tests and examples.
-func MustNew(cfg Config) *Sim {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Tau returns the budget-implied sampling probability (0 for
-// Aggregation, which does not sample).
-func (s *Sim) Tau() float64 { return s.tau }
-
 // Method returns the configured communication method.
 func (s *Sim) Method() Method { return s.cfg.Method }
-
-// Packets returns the number of packets fed so far.
-func (s *Sim) Packets() uint64 { return s.packets }
-
-// Reports returns the number of controller messages sent.
-func (s *Sim) Reports() uint64 { return s.reports }
 
 // BytesPerPacket returns the realized control bandwidth use.
 func (s *Sim) BytesPerPacket() float64 {
@@ -270,33 +250,5 @@ func (s *Sim) Estimate(p hierarchy.Prefix) float64 {
 			total += s.agents[i].view[p]
 		}
 		return total
-	}
-}
-
-// Bounds implements hhhset.Estimator against the controller state.
-func (s *Sim) Bounds(p hierarchy.Prefix) (upper, lower float64) {
-	switch s.cfg.Method {
-	case Sample, Batch:
-		return s.abs.Sketch().QueryBounds(p)
-	default:
-		e := s.Estimate(p)
-		return e, e
-	}
-}
-
-// Output returns the controller's HHH set at threshold theta (relative
-// to the window).
-func (s *Sim) Output(theta float64) []hhhset.Entry {
-	switch s.cfg.Method {
-	case Sample, Batch:
-		return s.abs.Sketch().Output(theta)
-	default:
-		var cands []hierarchy.Prefix
-		for i := range s.agents {
-			for p := range s.agents[i].view {
-				cands = append(cands, p)
-			}
-		}
-		return hhhset.Compute(s.hier, s, cands, theta*float64(s.cfg.Params.Window), 0)
 	}
 }

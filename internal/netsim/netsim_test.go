@@ -10,6 +10,15 @@ import (
 	"memento/internal/trace"
 )
 
+// mustNew is New for configurations the test knows are valid.
+func mustNew(cfg Config) *Sim {
+	s, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := Config{
 		Method: Sample, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
@@ -35,29 +44,29 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTauFromBudget(t *testing.T) {
-	s := MustNew(Config{
+	s := mustNew(Config{
 		Method: Sample, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
 		Params: netwide.Params{Budget: 1, Window: 1000},
 	})
 	// τ = B/(O+E) = 1/68.
-	if math.Abs(s.Tau()-1.0/68) > 1e-12 {
-		t.Fatalf("Sample tau = %v, want 1/68", s.Tau())
+	if math.Abs(s.tau-1.0/68) > 1e-12 {
+		t.Fatalf("Sample tau = %v, want 1/68", s.tau)
 	}
-	s = MustNew(Config{
+	s = mustNew(Config{
 		Method: Batch, Points: 10, Hier: hierarchy.OneD{}, Counters: 100,
 		Params: netwide.Params{Budget: 1, BatchSize: 100, Window: 1000},
 	})
 	// τ = B·b/(O+E·b) = 100/464.
-	if math.Abs(s.Tau()-100.0/464) > 1e-12 {
-		t.Fatalf("Batch tau = %v, want 100/464", s.Tau())
+	if math.Abs(s.tau-100.0/464) > 1e-12 {
+		t.Fatalf("Batch tau = %v, want 100/464", s.tau)
 	}
 	// 2D defaults E to 8.
-	s = MustNew(Config{
+	s = mustNew(Config{
 		Method: Sample, Points: 10, Hier: hierarchy.TwoD{}, Counters: 100,
 		Params: netwide.Params{Budget: 1, Window: 1000},
 	})
-	if math.Abs(s.Tau()-1.0/72) > 1e-12 {
-		t.Fatalf("2D Sample tau = %v, want 1/72", s.Tau())
+	if math.Abs(s.tau-1.0/72) > 1e-12 {
+		t.Fatalf("2D Sample tau = %v, want 1/72", s.tau)
 	}
 }
 
@@ -66,7 +75,7 @@ func TestBandwidthBudgetRespected(t *testing.T) {
 	// warmed up.
 	gen := trace.MustNewGenerator(trace.Backbone, 5)
 	for _, m := range []Method{Aggregation, Sample, Batch} {
-		s := MustNew(Config{
+		s := mustNew(Config{
 			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 1000, Seed: 3,
 			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: 1 << 15},
 		})
@@ -77,7 +86,7 @@ func TestBandwidthBudgetRespected(t *testing.T) {
 		if bpp > 1.05 {
 			t.Errorf("%v: %v bytes/packet exceeds budget", m, bpp)
 		}
-		if s.Reports() == 0 {
+		if s.reports == 0 {
 			t.Errorf("%v: no reports sent", m)
 		}
 		// The sampling methods should also *use* the budget (±20%),
@@ -95,14 +104,14 @@ func TestReportCadence(t *testing.T) {
 	const n = 1 << 17
 	counts := map[Method]uint64{}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
-		s := MustNew(Config{
+		s := mustNew(Config{
 			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 1000, Seed: 4,
 			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: 1 << 15},
 		})
 		for i := 0; i < n; i++ {
 			s.Feed(gen.Next())
 		}
-		counts[m] = s.Reports()
+		counts[m] = s.reports
 	}
 	wantSample := float64(n) / 68
 	if math.Abs(float64(counts[Sample])-wantSample) > 0.1*wantSample {
@@ -149,7 +158,7 @@ func TestEstimatesTrackTruth(t *testing.T) {
 	const n = 4 * window
 	heavy := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
-		s := MustNew(Config{
+		s := mustNew(Config{
 			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 2000, Seed: 9,
 			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 		})
@@ -168,24 +177,20 @@ func TestEstimatesTrackTruth(t *testing.T) {
 	}
 }
 
-func TestOutputFindsHeavySubnet(t *testing.T) {
+// TestEstimateFindsHeavySubnet: under every method the controller's
+// estimate of a subnet carrying a third of the traffic clears a 0.2·W
+// threshold.
+func TestEstimateFindsHeavySubnet(t *testing.T) {
 	const window = 1 << 15
 	heavy := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
 	for _, m := range []Method{Aggregation, Sample, Batch} {
-		s := MustNew(Config{
+		s := mustNew(Config{
 			Method: m, Points: 10, Hier: hierarchy.OneD{}, Counters: 2000, Seed: 10,
 			Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 		})
 		subnetShareWorkload(s, nil, 4*window)
-		out := s.Output(0.2)
-		found := false
-		for _, e := range out {
-			if e.Prefix == heavy {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%v: 33%% subnet missing from Output: %v", m, out)
+		if est := s.Estimate(heavy); est < 0.2*window {
+			t.Errorf("%v: 33%% subnet estimated at %v, below 0.2·W = %v", m, est, 0.2*window)
 		}
 	}
 }
@@ -194,7 +199,7 @@ func TestFlowsHierarchyDMemento(t *testing.T) {
 	// D-Memento = the Flows degenerate hierarchy. A single heavy flow
 	// must be tracked.
 	const window = 1 << 14
-	s := MustNew(Config{
+	s := mustNew(Config{
 		Method: Batch, Points: 5, Hier: hierarchy.Flows{}, Counters: 512, Seed: 11,
 		Params: netwide.Params{Budget: 1, BatchSize: 44, Window: window},
 	})
@@ -216,7 +221,7 @@ func TestFlowsHierarchyDMemento(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() float64 {
-		s := MustNew(Config{
+		s := mustNew(Config{
 			Method: Batch, Points: 4, Hier: hierarchy.OneD{}, Counters: 500, Seed: 13,
 			Params: netwide.Params{Budget: 1, BatchSize: 20, Window: 1 << 13},
 		})
@@ -224,7 +229,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 1<<15; i++ {
 			s.Feed(gen.Next())
 		}
-		return s.Estimate(hierarchy.Prefix{}) + float64(s.Reports())
+		return s.Estimate(hierarchy.Prefix{}) + float64(s.reports)
 	}
 	if mk() != mk() {
 		t.Fatal("simulation not deterministic")
@@ -235,7 +240,7 @@ func TestAggregationViewsReplaceNotAccumulate(t *testing.T) {
 	// Stale per-agent views must be replaced wholesale on each report,
 	// not summed forever.
 	const window = 1 << 12
-	s := MustNew(Config{
+	s := mustNew(Config{
 		Method: Aggregation, Points: 2, Hier: hierarchy.Flows{}, Seed: 15,
 		Params: netwide.Params{Budget: 4, Window: window},
 	})

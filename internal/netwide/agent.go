@@ -712,9 +712,6 @@ func (a *Agent) Name() string { return a.name }
 // Tau returns the derived sampling probability.
 func (a *Agent) Tau() float64 { return a.tau }
 
-// Mode returns the agent's report mode.
-func (a *Agent) Mode() ReportMode { return a.mode }
-
 // Observe records one observed packet. In ReportSampled mode the
 // sampler τ-samples it and, once a full batch accumulates, a report is
 // queued for transmission; in ReportDelta mode it feeds the local
@@ -828,10 +825,6 @@ func (a *Agent) enqueue(f outFrame) bool {
 
 // Dropped returns how many reports were discarded due to backpressure.
 func (a *Agent) Dropped() uint64 { return a.dropped.Load() }
-
-// Sent returns how many reports have been written to the connection
-// (heartbeat pings are counted separately, in Stats).
-func (a *Agent) Sent() uint64 { return a.sent.Load() }
 
 // Verdicts delivers mitigation commands pushed by the controller. The
 // channel closes when the agent terminates — for a reconnecting agent

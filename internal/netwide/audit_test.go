@@ -11,6 +11,7 @@ import (
 	"memento/internal/audit"
 	"memento/internal/core"
 	"memento/internal/hierarchy"
+	"memento/internal/obs"
 	"memento/internal/shard"
 )
 
@@ -47,8 +48,9 @@ func TestFleetAuditNoViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	reg := obs.NewRegistry()
 	ctrl, addr := startControllerCfg(t, ControllerConfig{
-		Hier: hier, Params: params, Counters: counters, Seed: 42,
+		Hier: hier, Params: params, Counters: counters, Seed: 42, Obs: reg,
 	})
 	fleet := make([]*Agent, agents)
 	for i := range fleet {
@@ -140,10 +142,10 @@ func TestFleetAuditNoViolations(t *testing.T) {
 	if v := aud.Violations(); v != 0 {
 		t.Fatalf("bound_violations_total = %d, want 0", v)
 	}
-	if ctrl.TracedReports() == 0 {
+	if tracedReports(reg) == 0 {
 		t.Fatal("controller applied no traced reports")
 	}
-	if fresh := ctrl.CaptureApply(); fresh.P99() == 0 {
+	if fresh := captureApply(reg); fresh.P99() == 0 {
 		t.Fatal("capture→apply p99 recorded as zero")
 	}
 }

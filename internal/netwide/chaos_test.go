@@ -187,8 +187,8 @@ func TestChaosFleetConverges(t *testing.T) {
 		entriesEqual(t, fmt.Sprintf("chaos theta %g", theta),
 			ctrl.OutputMerged(theta), ref.output(hierarchy.OneD{}, theta))
 	}
-	if ctrl.MergedWindow() != ref.m.Window() {
-		t.Fatalf("merged windows %d vs %d", ctrl.MergedWindow(), ref.m.Window())
+	if mergedWindow(ctrl) != ref.m.Window() {
+		t.Fatalf("merged windows %d vs %d", mergedWindow(ctrl), ref.m.Window())
 	}
 }
 
@@ -267,7 +267,7 @@ func TestFaultSampledResetsCoverExactly(t *testing.T) {
 	// Every report the agent counts as sent is one the controller must
 	// absorb exactly once: it gets there only by absorbing them all,
 	// and a re-sent frame takes it past.
-	sent := a.Sent()
+	sent := a.Stats().Sent
 	waitFor(t, "controller to absorb the sent reports", func() bool {
 		return ctrl.Reports() >= sent || ctrl.Rejected() > 0
 	})

@@ -628,8 +628,9 @@ func (c *Controller) completeTrace(name string, tc codec.TraceContext) {
 	st := c.agentLocked(name)
 	st.traced++
 	// Counted last, once the report applied and its span is in the
-	// histogram and the ledger: a reader that sees TracedReports() = n
-	// sees at least n spans in both.
+	// histogram and the ledger: a reader that sees
+	// memento_controller_traced_reports_total = n sees at least n spans
+	// in both.
 	c.tracedIn.Inc()
 	st.lastCapture = tc.CaptureNanos
 	register := !st.freshReg && c.cfg.Obs != nil
@@ -709,7 +710,8 @@ func (c *Controller) Output(theta float64) []hhhset.Entry {
 // number of agents reached. Each write runs under the configured
 // WriteTimeout: one stalled agent (dead TCP peer, full pipe) used to
 // block the loop — and so Mitigate — indefinitely; now it is dropped
-// (connection closed, handler cleans up, DroppedAgents counts it)
+// (connection closed, handler cleans up,
+// memento_controller_dropped_agents_total counts it)
 // while the rest of the fleet still receives the verdicts.
 func (c *Controller) Broadcast(vs []Verdict) (int, error) {
 	payload, err := encodeVerdicts(vs)
@@ -858,15 +860,6 @@ func (c *Controller) mergedFollowers(dst []*follower, quarantine bool) []*follow
 	return dst
 }
 
-// MergedWindow returns the merged effective window the latest
-// OutputMerged computed over (0 before any snapshot arrives or merge
-// runs).
-func (c *Controller) MergedWindow() int {
-	c.mergeMu.Lock()
-	defer c.mergeMu.Unlock()
-	return c.merger.Window()
-}
-
 // AgentStats returns the per-agent transfer ledger: reports, chain
 // records, wire bytes and covered packets, the controller-side half
 // of the accuracy-vs-bandwidth accounting. Entries survive
@@ -1006,21 +999,6 @@ func (c *Controller) Deltas() uint64 { return c.deltas.Load() }
 // Resyncs returns the number of chain re-bases requested from agents.
 func (c *Controller) Resyncs() uint64 { return c.resyncs.Load() }
 
-// Pings returns the number of heartbeat pings answered.
-func (c *Controller) Pings() uint64 { return c.pings.Load() }
-
-// TracedReports returns the number of traced reports applied: one per
-// span in CaptureApply.
-func (c *Controller) TracedReports() uint64 { return c.tracedIn.Load() }
-
-// CaptureApply snapshots the capture→apply latency histogram (traced
-// reports only; empty until an agent negotiates tracing).
-func (c *Controller) CaptureApply() obs.HistSnapshot {
-	var s obs.HistSnapshot
-	c.captureApply.Snapshot(&s)
-	return s
-}
-
 // StaleAgents returns how many delta agents are currently
 // quarantined out of OutputMerged by the stale TTL.
 func (c *Controller) StaleAgents() int {
@@ -1039,10 +1017,6 @@ func (c *Controller) StaleAgents() int {
 // BytesIn returns total payload bytes received from agents (including
 // per-frame framing overhead).
 func (c *Controller) BytesIn() uint64 { return c.bytesIn.Load() }
-
-// DroppedAgents returns how many agents were dropped for missing the
-// Broadcast write deadline.
-func (c *Controller) DroppedAgents() uint64 { return c.dropped.Load() }
 
 // Rejected returns the number of connections refused at handshake.
 func (c *Controller) Rejected() uint64 { return c.rejected.Load() }

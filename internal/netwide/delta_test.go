@@ -255,8 +255,8 @@ func TestDeltaMatchesSnapshotFleet(t *testing.T) {
 		entriesEqual(t, fmt.Sprintf("theta %g", theta),
 			chainCtrl.OutputMerged(theta), ref.output(hierarchy.OneD{}, theta))
 	}
-	if chainCtrl.MergedWindow() != ref.m.Window() {
-		t.Fatalf("merged windows %d vs %d", chainCtrl.MergedWindow(), ref.m.Window())
+	if mergedWindow(chainCtrl) != ref.m.Window() {
+		t.Fatalf("merged windows %d vs %d", mergedWindow(chainCtrl), ref.m.Window())
 	}
 
 	// The chain fleet must also be the cheaper one, even at exact

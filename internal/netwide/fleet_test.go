@@ -11,9 +11,18 @@ import (
 
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
+	"memento/internal/obs"
 	"memento/internal/rng"
 	"memento/internal/trace"
 )
+
+// mergedWindow returns the merged effective window c's latest
+// OutputMerged computed over (0 before any merge runs).
+func mergedWindow(c *Controller) int {
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
+	return c.merger.Window()
+}
 
 // TestSnapshotShippingEndToEnd drives a fleet shipping its sketch
 // state (as delta chains) over a skewed stream and pins the
@@ -72,19 +81,19 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 	waitFor(t, "chain records to drain", func() bool {
 		var sent uint64
 		for _, a := range as {
-			sent += a.Sent()
+			sent += a.Stats().Sent
 		}
 		return sent > 0 && ctrl.Deltas()+ctrl.Resyncs() >= sent
 	})
 
-	if got := ctrl.MergedWindow(); got != 0 {
-		t.Fatalf("MergedWindow %d before any merge, want 0", got)
+	if got := mergedWindow(ctrl); got != 0 {
+		t.Fatalf("merged window %d before any merge, want 0", got)
 	}
 	out := ctrl.OutputMerged(0.15)
 	if len(out) == 0 {
 		t.Fatal("merged output empty")
 	}
-	if got := ctrl.MergedWindow(); got != window {
+	if got := mergedWindow(ctrl); got != window {
 		t.Fatalf("merged window %d, want %d", got, window)
 	}
 	subnet := hierarchy.Prefix{Src: hierarchy.IPv4(10, 0, 0, 0), SrcLen: 1}
@@ -131,11 +140,13 @@ func TestSnapshotShippingEndToEnd(t *testing.T) {
 // receive the verdicts.
 func TestBroadcastDropsStalledAgent(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 4, Window: 1 << 10}
+	reg := obs.NewRegistry()
 	c, err := NewController(ControllerConfig{
 		Hier:         hierarchy.OneD{},
 		Params:       params,
 		Counters:     256,
 		WriteTimeout: 50 * time.Millisecond,
+		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +212,8 @@ func TestBroadcastDropsStalledAgent(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("healthy agent never received the verdicts")
 	}
-	if c.DroppedAgents() != 1 {
-		t.Fatalf("DroppedAgents = %d, want 1", c.DroppedAgents())
+	if n := reg.Counter("memento_controller_dropped_agents_total").Load(); n != 1 {
+		t.Fatalf("memento_controller_dropped_agents_total = %d, want 1", n)
 	}
 	waitFor(t, "stalled agent to be dropped", func() bool { return c.Agents() == 1 })
 }

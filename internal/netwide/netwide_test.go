@@ -328,7 +328,7 @@ func TestEndToEndReporting(t *testing.T) {
 	waitFor(t, "reports to drain", func() bool {
 		var sent uint64
 		for _, a := range as {
-			sent += a.Sent()
+			sent += a.Stats().Sent
 		}
 		return ctrl.Reports() >= sent && sent > 0
 	})
@@ -370,7 +370,7 @@ func TestMitigationBroadcast(t *testing.T) {
 	for ctrl.Reports() < 600 {
 		if time.Now().After(deadline) {
 			t.Fatalf("controller absorbed only %d reports (agent sent=%d dropped=%d)",
-				ctrl.Reports(), a.Sent(), a.Dropped())
+				ctrl.Reports(), a.Stats().Sent, a.Dropped())
 		}
 		for i := 0; i < 1000; i++ {
 			var p hierarchy.Packet

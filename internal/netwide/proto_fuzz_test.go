@@ -144,10 +144,10 @@ func FuzzDecodeDeltaReport(f *testing.F) {
 			return
 		}
 		st := delta.NewState()
-		if st.Apply(rep.Record) == nil && st.Based() {
+		if st.Apply(rep.Record) == nil {
 			if snap, err := st.Snapshot(); err == nil {
 				_ = snap.Query(hierarchy.Prefix{Src: 1, SrcLen: 4})
-				_ = snap.OutputTo(0.1, nil)
+				_ = outputOf(snap, 0.1)
 			}
 		}
 	})
@@ -292,4 +292,12 @@ func FuzzFrameStream(f *testing.F) {
 			t.Fatalf("clean stream of %d bytes re-encodes to %d different bytes", len(data), len(again))
 		}
 	})
+}
+
+// outputOf is the HHH set of snap alone at threshold theta: a
+// SnapshotSet over the one member at weight 1.
+func outputOf(snap *core.HHHSnapshot, theta float64) []core.HeavyPrefix {
+	var set core.SnapshotSet
+	set.Reset([]*core.HHHSnapshot{snap}, []float64{1})
+	return set.Output(snap.Hierarchy(), theta*float64(snap.EffectiveWindow()), snap.Compensation(), nil)
 }

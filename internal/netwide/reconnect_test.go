@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"memento/internal/hierarchy"
+	"memento/internal/obs"
 	"memento/internal/rng"
 )
 
@@ -63,7 +64,11 @@ func TestPingCodec(t *testing.T) {
 // back, and both sides count them.
 func TestFaultHeartbeatRoundTrip(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 10}
-	ctrl, addr := startController(t, params, 256)
+	reg := obs.NewRegistry()
+	_, addr := startControllerCfg(t, ControllerConfig{
+		Hier: hierarchy.OneD{}, Params: params, Counters: 256, Seed: 42, Obs: reg,
+	})
+	pings := reg.Counter("memento_controller_pings_total")
 	a, err := DialAgent(addr, AgentConfig{
 		Name: "hb", Params: params, HeartbeatEvery: 10 * time.Millisecond,
 	})
@@ -72,7 +77,7 @@ func TestFaultHeartbeatRoundTrip(t *testing.T) {
 	}
 	defer a.Close()
 	waitFor(t, "heartbeats to round-trip", func() bool {
-		return a.Stats().Pongs >= 3 && ctrl.Pings() >= 3
+		return a.Stats().Pongs >= 3 && pings.Load() >= 3
 	})
 	if a.Err() != nil {
 		t.Fatalf("agent error after heartbeats: %v", a.Err())
@@ -442,7 +447,7 @@ func TestShutdownDrainDeadlineExpiry(t *testing.T) {
 		t.Fatalf("drain gave up before the virtual deadline: clock advanced %v",
 			clk.Now().Sub(time.Unix(1000, 0)))
 	}
-	if a.Sent() >= a.Stats().Queued {
+	if a.Stats().Sent >= a.Stats().Queued {
 		t.Fatal("test premise broken: queue drained through a stalled pipe")
 	}
 }
@@ -467,10 +472,10 @@ func TestShutdownDrainsQueueHealthy(t *testing.T) {
 	if err := a.Shutdown(5 * time.Second); err != nil && !errors.Is(err, net.ErrClosed) {
 		t.Logf("shutdown: %v", err)
 	}
-	if sent, queued := a.Sent(), a.Stats().Queued; sent != queued {
+	if sent, queued := a.Stats().Sent, a.Stats().Queued; sent != queued {
 		t.Fatalf("shutdown left %d of %d reports unshipped", queued-sent, queued)
 	}
 	waitFor(t, "controller to absorb the tail", func() bool {
-		return ctrl.Deltas()+ctrl.Resyncs() >= a.Sent()
+		return ctrl.Deltas()+ctrl.Resyncs() >= a.Stats().Sent
 	})
 }

@@ -17,7 +17,8 @@ import (
 )
 
 // driveTraced dials one agent with the given trace preference, feeds
-// it a stream, and waits for the controller to apply its reports.
+// it a stream, and waits for the controller to apply its reports. The
+// controller must count them in a registry (ControllerConfig.Obs).
 func driveTraced(t *testing.T, ctrl *Controller, addr string, trace bool) *Agent {
 	t.Helper()
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
@@ -45,9 +46,22 @@ func driveTraced(t *testing.T, ctrl *Controller, addr string, trace bool) *Agent
 		t.Fatalf("agent transport error: %v", a.Err())
 	}
 	waitFor(t, "reports to drain", func() bool {
-		return drained(a, ctrl.Reports()) && ctrl.TracedReports() == a.Stats().TracedReports
+		return drained(a, ctrl.Reports()) && tracedReports(ctrl.cfg.Obs) == a.Stats().TracedReports
 	})
 	return a
+}
+
+// tracedReports and captureApply read a controller's traced-report
+// counter and capture→apply histogram by their memento_* names from
+// reg, the registry its ControllerConfig.Obs names.
+func tracedReports(reg *obs.Registry) uint64 {
+	return reg.Counter("memento_controller_traced_reports_total").Load()
+}
+
+func captureApply(reg *obs.Registry) obs.HistSnapshot {
+	var s obs.HistSnapshot
+	reg.Histogram("memento_controller_capture_apply_ns").Snapshot(&s)
+	return s
 }
 
 // drained reports whether everything a queued has been written and
@@ -66,9 +80,10 @@ func drained(a *Agent, handled uint64) bool {
 func TestTracedReportingRoundTrip(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
 	tr := obs.NewTrace(256)
+	reg := obs.NewRegistry()
 	ctrl, addr := startControllerCfg(t, ControllerConfig{
 		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
-		Trace: tr,
+		Trace: tr, Obs: reg,
 	})
 	a := driveTraced(t, ctrl, addr, true)
 
@@ -79,12 +94,12 @@ func TestTracedReportingRoundTrip(t *testing.T) {
 	if st.TracedReports == 0 {
 		t.Fatal("agent shipped no traced reports")
 	}
-	if got := ctrl.TracedReports(); got != st.TracedReports {
+	if got := tracedReports(reg); got != st.TracedReports {
 		t.Fatalf("controller applied %d traced reports, agent shipped %d", got, st.TracedReports)
 	}
-	snap := ctrl.CaptureApply()
-	if snap.Count != ctrl.TracedReports() {
-		t.Fatalf("capture→apply histogram holds %d spans, want %d", snap.Count, ctrl.TracedReports())
+	snap := captureApply(reg)
+	if snap.Count != tracedReports(reg) {
+		t.Fatalf("capture→apply histogram holds %d spans, want %d", snap.Count, tracedReports(reg))
 	}
 	if snap.Max() == 0 {
 		t.Fatal("capture→apply latency recorded as zero")
@@ -110,9 +125,10 @@ func TestTracedReportingRoundTrip(t *testing.T) {
 // that still apply — the no-flag-day contract.
 func TestTracedAgentUntracedController(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
+	reg := obs.NewRegistry()
 	ctrl, addr := startControllerCfg(t, ControllerConfig{
 		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
-		DisableTracing: true,
+		DisableTracing: true, Obs: reg,
 	})
 	a := driveTraced(t, ctrl, addr, true)
 
@@ -120,10 +136,10 @@ func TestTracedAgentUntracedController(t *testing.T) {
 	if st.Traced || st.TracedReports != 0 {
 		t.Fatalf("agent traced against a v1 controller: %+v", st)
 	}
-	if ctrl.TracedReports() != 0 {
-		t.Fatalf("v1 controller counted %d traced reports", ctrl.TracedReports())
+	if n := tracedReports(reg); n != 0 {
+		t.Fatalf("v1 controller counted %d traced reports", n)
 	}
-	if snap := ctrl.CaptureApply(); snap.Count != 0 {
+	if snap := captureApply(reg); snap.Count != 0 {
 		t.Fatalf("v1 controller recorded %d capture→apply spans", snap.Count)
 	}
 	if ctrl.Reports() == 0 {
@@ -135,8 +151,9 @@ func TestTracedAgentUntracedController(t *testing.T) {
 // so a tracing controller serves it bare reports untraced.
 func TestUntracedAgentTracedController(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
+	reg := obs.NewRegistry()
 	ctrl, addr := startControllerCfg(t, ControllerConfig{
-		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
+		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42, Obs: reg,
 	})
 	a := driveTraced(t, ctrl, addr, false)
 
@@ -144,8 +161,8 @@ func TestUntracedAgentTracedController(t *testing.T) {
 	if st.Traced || st.TracedReports != 0 {
 		t.Fatalf("untraced agent reports tracing: %+v", st)
 	}
-	if ctrl.TracedReports() != 0 {
-		t.Fatalf("controller counted %d traced reports from a v1 agent", ctrl.TracedReports())
+	if n := tracedReports(reg); n != 0 {
+		t.Fatalf("controller counted %d traced reports from a v1 agent", n)
 	}
 	if ctrl.Reports() == 0 {
 		t.Fatal("v1 reports did not apply")
@@ -162,8 +179,9 @@ func TestUntracedAgentTracedController(t *testing.T) {
 // and the per-agent ledger stay in step through the gap and the heal.
 func TestTracedDeltaGapCountsApplied(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
+	reg := obs.NewRegistry()
 	ctrl, addr := startControllerCfg(t, ControllerConfig{
-		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
+		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42, Obs: reg,
 	})
 	a, err := DialAgent(addr, AgentConfig{
 		Name: "edge-gap", Params: params, Seed: 3,
@@ -197,11 +215,11 @@ func TestTracedDeltaGapCountsApplied(t *testing.T) {
 	a.Flush()
 	waitFor(t, "chain to drain", func() bool {
 		return drained(a, ctrl.Deltas()+ctrl.Resyncs()) &&
-			ctrl.TracedReports()+ctrl.Resyncs() >= a.Stats().TracedReports
+			tracedReports(reg)+ctrl.Resyncs() >= a.Stats().TracedReports
 	})
 
 	st := a.Stats()
-	got := ctrl.TracedReports()
+	got := tracedReports(reg)
 	if got != ctrl.Deltas() {
 		t.Fatalf("controller counted %d traced reports, applied %d chain records", got, ctrl.Deltas())
 	}
@@ -209,8 +227,8 @@ func TestTracedDeltaGapCountsApplied(t *testing.T) {
 		t.Fatalf("controller counted %d traced reports; agent shipped %d, %d of them into a gap",
 			got, st.TracedReports, ctrl.Resyncs())
 	}
-	if n := ctrl.CaptureApply().Count; n != got {
-		t.Fatalf("capture→apply histogram holds %d spans, TracedReports %d", n, got)
+	if n := captureApply(reg).Count; n != got {
+		t.Fatalf("capture→apply histogram holds %d spans, traced reports %d", n, got)
 	}
 	var ledger uint64
 	for _, as := range ctrl.AgentStats() {

@@ -103,29 +103,6 @@ type HistSnapshot struct {
 	Buckets [HistBuckets]uint64
 }
 
-// Merge adds o into s (for cross-shard or cross-node aggregation).
-func (s *HistSnapshot) Merge(o *HistSnapshot) {
-	if o == nil {
-		return
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Sub removes o, an earlier snapshot of the same histogram, from s,
-// leaving the observations made between the two: a cumulative
-// histogram read at checkpoints yields each interval's own quantiles.
-func (s *HistSnapshot) Sub(o *HistSnapshot) {
-	s.Count -= o.Count
-	s.Sum -= o.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] -= o.Buckets[i]
-	}
-}
-
 // Mean returns the arithmetic mean of all observations (0 if empty).
 func (s *HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

@@ -70,16 +70,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by d (negative to decrease).
-//
-//memento:noalloc
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
 // Load returns the current value (0 when disabled).
 //
 //memento:noalloc

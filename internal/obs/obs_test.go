@@ -20,7 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	var g Gauge
 	g.Set(7)
-	g.Add(-10)
+	g.Set(-3)
 	if got := g.Load(); got != -3 {
 		t.Fatalf("gauge = %d, want -3", got)
 	}
@@ -34,7 +34,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(10)
 	tr.Record(EvConnect, "x", 1)
 	if c.Load() != 0 || g.Load() != 0 || tr.Seq() != 0 || tr.Dropped() != 0 {

@@ -152,9 +152,6 @@ func (b *Bernoulli) SetP(p float64) {
 	}
 }
 
-// P returns the configured probability.
-func (b *Bernoulli) P() float64 { return b.p }
-
 // Sample reports whether the event fires this trial.
 //
 //memento:noalloc
@@ -210,9 +207,6 @@ func (t *Table) SetP(p float64) {
 	}
 }
 
-// P returns the configured probability.
-func (t *Table) P() float64 { return t.p }
-
 // Sample reports whether the event fires this trial.
 //
 //memento:noalloc
@@ -223,17 +217,6 @@ func (t *Table) Sample() bool {
 	v := t.vals[t.pos]
 	t.pos = (t.pos + 1) & (len(t.vals) - 1)
 	return v < t.threshold
-}
-
-// Next returns the next raw 32-bit table value (used by callers that
-// fold the uniform draw into a different decision, e.g. picking one of
-// V outcomes).
-//
-//memento:noalloc
-func (t *Table) Next() uint32 {
-	v := t.vals[t.pos]
-	t.pos = (t.pos + 1) & (len(t.vals) - 1)
-	return v
 }
 
 // Geometric samples the number of failures before the first success of
@@ -269,9 +252,6 @@ func (g *Geometric) SetP(p float64) {
 		g.invLn = 1 / math.Log1p(-p)
 	}
 }
-
-// P returns the configured probability.
-func (g *Geometric) P() float64 { return g.p }
 
 // Next returns the number of failures preceding the next success
 // (0 means the very next trial succeeds).

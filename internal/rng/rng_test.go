@@ -155,12 +155,12 @@ func TestBernoulliRate(t *testing.T) {
 
 func TestBernoulliClamps(t *testing.T) {
 	b := NewBernoulli(New(6), 2)
-	if b.P() != 1 {
-		t.Fatalf("P clamped to %v, want 1", b.P())
+	if b.p != 1 {
+		t.Fatalf("P clamped to %v, want 1", b.p)
 	}
 	b.SetP(-3)
-	if b.P() != 0 {
-		t.Fatalf("P clamped to %v, want 0", b.P())
+	if b.p != 0 {
+		t.Fatalf("P clamped to %v, want 0", b.p)
 	}
 	for i := 0; i < 100; i++ {
 		if b.Sample() {
@@ -202,8 +202,11 @@ func TestTableSizeRounding(t *testing.T) {
 
 func TestTableNextCycles(t *testing.T) {
 	tab := NewTable(New(9), 4, 0.5)
-	first := []uint32{tab.Next(), tab.Next(), tab.Next(), tab.Next()}
-	second := []uint32{tab.Next(), tab.Next(), tab.Next(), tab.Next()}
+	first := []bool{tab.Sample(), tab.Sample(), tab.Sample(), tab.Sample()}
+	if tab.pos != 0 {
+		t.Fatalf("after one lap the table sits at %d, want 0", tab.pos)
+	}
+	second := []bool{tab.Sample(), tab.Sample(), tab.Sample(), tab.Sample()}
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("table did not cycle at %d", i)

@@ -38,7 +38,7 @@ func auditStream(seed uint64, n int) []hierarchy.Packet {
 // here.
 func TestAuditedIngestNoViolations(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		s := MustNewHHH(HHHConfig{
+		s := mustNewHHH(HHHConfig{
 			Core: core.HHHConfig{
 				Hierarchy: hierarchy.OneD{}, Window: 1 << 14, Counters: 512 * 5, V: 20, Seed: 11,
 			},
@@ -100,7 +100,7 @@ func newTestRegistry(t *testing.T, s *HHH, a *audit.Auditor) *obs.Registry {
 // sliding-window count of the stream fed to Add.
 func TestAuditedBatcherCounts(t *testing.T) {
 	const window = 1 << 12
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: window, Counters: 512 * 5, V: 20, Seed: 3,
 		},
@@ -154,7 +154,7 @@ func TestAuditedBatcherCounts(t *testing.T) {
 // OutputTo observes its wall time, and Instrument exports the
 // histogram under the dimensionality-split name.
 func TestQueryLatencyHistogram(t *testing.T) {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 512 * 5, V: 20, Seed: 7,
 		},
@@ -171,18 +171,13 @@ func TestQueryLatencyHistogram(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		out = s.OutputTo(0.05, out[:0])
 	}
-	snap := s.QueryLatency()
-	if snap.Count != 4 {
-		t.Fatalf("query histogram count = %d, want 4", snap.Count)
-	}
-	if snap.Max() == 0 {
-		t.Fatal("query histogram recorded zero max latency")
-	}
-	h := reg.Histogram("memento_shard_query_1d_ns")
 	var hs obs.HistSnapshot
-	h.Snapshot(&hs)
+	reg.Histogram("memento_shard_query_1d_ns").Snapshot(&hs)
 	if hs.Count != 4 {
-		t.Fatalf("exported histogram count = %d, want 4", hs.Count)
+		t.Fatalf("query histogram count = %d, want 4", hs.Count)
+	}
+	if hs.Max() == 0 {
+		t.Fatal("query histogram recorded zero max latency")
 	}
 	// The capture share is observed once per query and is part of it.
 	var capture obs.HistSnapshot
@@ -200,7 +195,7 @@ func TestQueryLatencyHistogram(t *testing.T) {
 	}
 
 	// 2D instances export under the 2D name.
-	s2 := MustNewHHH(HHHConfig{
+	s2 := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.TwoD{}, Window: 1 << 12, Counters: 512 * 25, V: 50, Seed: 7,
 		},

@@ -42,7 +42,7 @@ const benchAuditSalt = 160
 func benchIngestHHH() *HHH {
 	hier := hierarchy.OneD{}
 	ph := hierarchy.PrefixHasher(benchAuditSalt)
-	return MustNewHHH(HHHConfig{
+	return mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hier, Window: benchWindow, Counters: 512 * 5, V: 20, Seed: 6,
 		},
@@ -135,7 +135,7 @@ func BenchmarkAuditedIngest(b *testing.B) {
 // against, warmed with a skewed stream so the candidate set is
 // realistic.
 func benchHHH(tb testing.TB) *HHH {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: benchWindow, Counters: 512 * 5, V: 20, Seed: 6,
 		},
@@ -177,7 +177,7 @@ func BenchmarkOutputSteadyState(b *testing.B) {
 // subnets, so a few dozen of the ≈ 87 000 tracked prefixes (4 shards ×
 // ≈ 21 800) are heavy.
 func benchHHH2D(tb testing.TB) *HHH {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.TwoD{}, Window: benchWindow, Counters: 256 * 25, Seed: 6,
 		},

@@ -37,7 +37,7 @@ func hammerCfg(seed uint64) HHHConfig {
 // queries, bounds, and the full HHH set across thresholds.
 func sameHHHAnswers(t *testing.T, want, got *HHH) {
 	t.Helper()
-	probes := []hierarchy.Prefix{hierarchy.OneD{}.Root()}
+	probes := []hierarchy.Prefix{{}} // the 1D root
 	for a := uint32(0); a < 64; a++ {
 		probes = append(probes,
 			hierarchy.Prefix{Src: a, SrcLen: 4},
@@ -169,7 +169,7 @@ func TestHHHRestoreRejectsMismatch(t *testing.T) {
 	}
 
 	// A step with another shard count than its base.
-	two := MustNewHHH(HHHConfig{Core: hammerCfg(1).Core, Shards: 2})
+	two := mustNewHHH(HHHConfig{Core: hammerCfg(1).Core, Shards: 2})
 	var step bytes.Buffer
 	if err := two.Checkpoint(&step); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestHHHRestoreRejectsMismatch(t *testing.T) {
 	cfg.Core.Window = 1 << 12
 	var base, other, next bytes.Buffer
 	for i, c := range []HHHConfig{hammerCfg(1), cfg} {
-		h := MustNewHHH(c)
+		h := mustNewHHH(c)
 		if err := h.EnableDeltaCheckpoints(9); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestHostileRecordLengthAllocatesLittle(t *testing.T) {
 // checkpoints stream out, and every captured stream restores into a
 // working instance.
 func TestCheckpointUnderIngestion(t *testing.T) {
-	s := MustNewHHH(hammerCfg(141))
+	s := mustNewHHH(hammerCfg(141))
 	const writers = 4
 	const perWriter = 1 << 14
 	var wg sync.WaitGroup
@@ -377,8 +377,11 @@ func TestShardMembersMergeUnderOneHasher(t *testing.T) {
 		var set core.SnapshotSet
 		set.Reset(members, weights)
 		var probes []hierarchy.Prefix
-		for _, m := range members {
+		tracked := make([]map[hierarchy.Prefix]bool, len(members))
+		for i, m := range members {
+			tracked[i] = map[hierarchy.Prefix]bool{}
 			m.Sketch().ForEachEstimate(func(p hierarchy.Prefix, _, _ float64) bool {
+				tracked[i][p] = true
 				probes = p.Ancestors(append(probes, p))
 				return true
 			})
@@ -390,10 +393,10 @@ func TestShardMembersMergeUnderOneHasher(t *testing.T) {
 			var wu, wl, defU, defL float64
 			wok := false
 			for i, m := range members {
-				u, l, ok := m.TrackedBounds(p)
-				if !ok {
+				if !tracked[i][p] {
 					continue
 				}
+				u, l := m.QueryBounds(p)
 				wok = true
 				du, dl := m.AbsentBounds()
 				wu += u * weights[i]

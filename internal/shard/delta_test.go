@@ -48,7 +48,7 @@ func outputsEqual(t *testing.T, got, want []core.HeavyPrefix) {
 // base+delta chain written via the delta.Checkpointer and checks a
 // chain-restored instance answers identically to the live one.
 func TestShardDeltaChainRestore(t *testing.T) {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.Flows{}, Window: 1 << 12, Counters: 128, Seed: 5,
 		},
@@ -114,7 +114,7 @@ func TestShardDeltaChainRestore(t *testing.T) {
 // TestShardDeltaChainDetectsGap pins that a chain with a missing
 // delta file refuses to apply past the hole.
 func TestShardDeltaChainDetectsGap(t *testing.T) {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.Flows{}, Window: 1 << 10, Counters: 64, Seed: 9,
 		},

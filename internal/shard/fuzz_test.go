@@ -16,7 +16,7 @@ import (
 // step after a real base, never panic and never allocate more than
 // their own bytes can hold.
 func FuzzApplyHHHDeltaSet(f *testing.F) {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 10, Counters: 40, Seed: 3},
 		Shards: 2,
 	})

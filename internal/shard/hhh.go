@@ -244,15 +244,6 @@ func (s *HHH) initPools() {
 	}
 }
 
-// MustNewHHH is NewHHH for statically valid configurations.
-func MustNewHHH(cfg HHHConfig) *HHH {
-	s, err := NewHHH(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Shards returns N, the number of partitions.
 func (s *HHH) Shards() int { return len(s.shards) }
 
@@ -466,14 +457,6 @@ func (s *HHH) OutputTo(theta float64, dst []core.HeavyPrefix) []core.HeavyPrefix
 	s.putQuery(q)
 	s.queryHist.Observe(uint64(time.Since(start)))
 	return dst
-}
-
-// QueryLatency snapshots the query-plane SLO histogram (OutputTo wall
-// nanoseconds).
-func (s *HHH) QueryLatency() obs.HistSnapshot {
-	var snap obs.HistSnapshot
-	s.queryHist.Snapshot(&snap)
-	return snap
 }
 
 // Updates returns the total number of updates across shards.

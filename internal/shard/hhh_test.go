@@ -46,7 +46,7 @@ func TestHHHCountersDivided(t *testing.T) {
 		// the 2000 each shard would resolve from εa on its own.
 		{"epsilon", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, EpsilonA: 0.01}, 501},
 	} {
-		s := MustNewHHH(HHHConfig{Core: tc.cfg, Shards: 4})
+		s := mustNewHHH(HHHConfig{Core: tc.cfg, Shards: 4})
 		for i := range s.shards {
 			if got := s.shards[i].hh.Sketch().Counters(); got != tc.want {
 				t.Errorf("%s: shard %d counters = %d, want %d", tc.name, i, got, tc.want)
@@ -58,7 +58,7 @@ func TestHHHCountersDivided(t *testing.T) {
 // TestHHHConcurrent is the -race assertion for the sharded H-Memento:
 // concurrent batched writers, Observe calls and Query/Output readers.
 func TestHHHConcurrent(t *testing.T) {
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 64 * 5, V: 20, Seed: 2,
 		},
@@ -124,7 +124,7 @@ func TestPacketBatcherExactlyOnce(t *testing.T) {
 	const writers = 4
 	const perWriter = 1 << 14
 	hier := hierarchy.Flows{}
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hier, Window: 1 << 20, Counters: 4096, Seed: 13},
 		Shards: 4,
 	})
@@ -263,7 +263,7 @@ func grewOn(before, after []uint64) int {
 func TestPacketBatcherDealsEvenly(t *testing.T) {
 	const size = 16
 	newHHH := func(shards int) *HHH {
-		return MustNewHHH(HHHConfig{
+		return mustNewHHH(HHHConfig{
 			Core: core.HHHConfig{
 				Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 64 * 5, V: 20, Seed: 31,
 			},
@@ -394,7 +394,7 @@ func TestDealtBoundsHoldOnFlood(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := MustNewHHH(HHHConfig{
+			s := mustNewHHH(HHHConfig{
 				Core: core.HHHConfig{
 					Hierarchy: hier, Window: window, Counters: 256 * hier.H(), Seed: 41,
 				},
@@ -503,7 +503,7 @@ func TestHHHMergedAccuracy(t *testing.T) {
 	h := hier.H()
 	const window = 1 << 12
 	const counters = 512 * 5
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hier, Window: window, Counters: counters, V: h, Seed: 5,
 		},
@@ -559,7 +559,7 @@ func TestHHHMergedAccuracy(t *testing.T) {
 func TestHeavyHittersNoFalseNegatives(t *testing.T) {
 	hier := hierarchy.Flows{}
 	const window = 1 << 16
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hier, Window: window, Counters: 4096, Seed: 3},
 		Shards: 4,
 	})
@@ -600,7 +600,7 @@ func TestHeavyHittersNoFalseNegatives(t *testing.T) {
 // clearly exceeds.
 func TestHHHOutputFindsHeavyPrefix(t *testing.T) {
 	hier := hierarchy.OneD{}
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hier, Window: 1 << 12, Counters: 512 * 5, V: hier.H(), Seed: 9,
 		},

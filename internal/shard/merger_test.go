@@ -92,7 +92,7 @@ func TestMergerZeroUpdateShards(t *testing.T) {
 // TestMergerSingleShardDegenerate pins that merging exactly one
 // partition reproduces that partition's own HHH set: skew correction
 // collapses to 1, the compensation to the partition's own, and the
-// entries to OutputTo's.
+// entries to a SnapshotSet's over that partition alone.
 func TestMergerSingleShardDegenerate(t *testing.T) {
 	hh := newFlowsHHH(t, 1<<11, 64, 7)
 	for i, p := range chainPackets(1<<12, 11) {
@@ -102,7 +102,7 @@ func TestMergerSingleShardDegenerate(t *testing.T) {
 	snap := snapOf(hh)
 	var m Merger
 	got := m.Output(hierarchy.Flows{}, []*core.HHHSnapshot{snap}, 0.05, nil)
-	want := snap.OutputTo(0.05, nil)
+	want := outputOf(snap, 0.05)
 	outputsEqual(t, got, want)
 	if m.Window() != snap.EffectiveWindow() {
 		t.Fatalf("window %d vs %d", m.Window(), snap.EffectiveWindow())
@@ -174,4 +174,12 @@ func TestMergerSkewNoSlides(t *testing.T) {
 	if got := scaleOf(qs); got > 1 || got < 0.9 {
 		t.Fatalf("no-slide partition scale %g outside (0.9, 1]", got)
 	}
+}
+
+// outputOf is the HHH set of snap alone at threshold theta: a
+// SnapshotSet over the one member at weight 1.
+func outputOf(snap *core.HHHSnapshot, theta float64) []core.HeavyPrefix {
+	var set core.SnapshotSet
+	set.Reset([]*core.HHHSnapshot{snap}, []float64{1})
+	return set.Output(snap.Hierarchy(), theta*float64(snap.EffectiveWindow()), snap.Compensation(), nil)
 }

@@ -10,8 +10,18 @@ import (
 	"memento/internal/core"
 	"memento/internal/exact"
 	"memento/internal/hierarchy"
+	"memento/internal/obs"
 	"memento/internal/rng"
 )
+
+// mustNewHHH is NewHHH for configurations the test knows are valid.
+func mustNewHHH(cfg HHHConfig) *HHH {
+	s, err := NewHHH(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // TestConfigValidation covers the shard-level checks of NewHHH — the
 // shard count, the global window and the counter budget — and what an
@@ -28,7 +38,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
 	}
-	s := MustNewHHH(HHHConfig{Core: core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 64 * hier.H()}})
+	s := mustNewHHH(HHHConfig{Core: core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 64 * hier.H()}})
 	if got, want := s.Shards(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("default shards = %d, want GOMAXPROCS = %d", got, want)
 	}
@@ -44,12 +54,15 @@ func TestConfigValidation(t *testing.T) {
 // counted, so a lost update or an unrecorded query fails it too.
 func TestConcurrentWritersReaders(t *testing.T) {
 	hier := hierarchy.TwoD{}
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hier, Window: 1 << 14, Counters: 16 * hier.H(), V: 4 * hier.H(), Seed: 1,
 		},
 		Shards: 4,
 	})
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil, "test")
+	queryHist := reg.Histogram("memento_shard_query_2d_ns")
 	const writers = 4
 	const readers = 2
 	const perWriter = 1 << 14
@@ -102,7 +115,8 @@ func TestConcurrentWritersReaders(t *testing.T) {
 				_ = s.Output(0.05)
 				outputs[id] += 2
 				_ = s.Updates()
-				_ = s.QueryLatency()
+				var hs obs.HistSnapshot
+				queryHist.Snapshot(&hs)
 				if err := s.Checkpoint(io.Discard); err != nil {
 					t.Errorf("checkpoint under ingest: %v", err)
 					return
@@ -120,7 +134,9 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	for _, n := range outputs {
 		want += n
 	}
-	if got := s.QueryLatency().Count; got != want {
+	var hs obs.HistSnapshot
+	queryHist.Snapshot(&hs)
+	if got := hs.Count; got != want {
 		t.Fatalf("query histogram count = %d, want the %d outputs the readers ran", got, want)
 	}
 }
@@ -139,7 +155,7 @@ func TestBatcherExactlyOnce(t *testing.T) {
 	sizes := []int{1, 3, 0, 64}
 	const perWriter = 1 << 14
 	hier := hierarchy.Flows{}
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hier, Window: 1 << 20, Counters: 4096, Seed: 7},
 		Shards: 3,
 	})
@@ -222,7 +238,7 @@ func TestShardedAccuracy(t *testing.T) {
 	const counters = 1024
 	const v = 4
 	const shards = 4
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core:   core.HHHConfig{Hierarchy: hier, Window: window, Counters: counters, V: v, Seed: 7},
 		Shards: shards,
 	})

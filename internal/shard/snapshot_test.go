@@ -24,7 +24,7 @@ func hammerHHH(t testing.TB, seed uint64) *HHH { return hammerHHHDelta(t, seed, 
 // θ·W − compensation positive, the regime where the read plane filters.
 func hammerHHHDelta(t testing.TB, seed uint64, delta float64) *HHH {
 	t.Helper()
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 128 * 5, V: 10, Delta: delta, Seed: seed,
 		},
@@ -53,7 +53,7 @@ func hammerHHHDelta(t testing.TB, seed uint64, delta float64) *HHH {
 // smaller ones it is negative and the read plane admits everything.
 func hammerHHH2D(t testing.TB, seed uint64) *HHH {
 	t.Helper()
-	s := MustNewHHH(HHHConfig{
+	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.TwoD{}, Window: 1 << 14, Counters: 32 * 25, Delta: 0.4, Seed: seed,
 		},
@@ -218,7 +218,7 @@ func TestOutputMatchesLockPerBoundsReference(t *testing.T) {
 // query plane: OutputTo and the point probes hammered from several
 // readers while batched writers ingest at full rate.
 func TestReadPlaneUnderIngestion(t *testing.T) {
-	hh := MustNewHHH(HHHConfig{
+	hh := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
 			Hierarchy: hierarchy.OneD{}, Window: 1 << 13, Counters: 64 * 5, V: 15, Seed: 23,
 		},

@@ -1,6 +1,7 @@
 package spacesaving
 
 import (
+	"slices"
 	"testing"
 
 	"memento/internal/rng"
@@ -195,8 +196,7 @@ func (s *mapSketch[K]) queryBounds(key K) (upper, lower uint64) {
 	return s.min(), 0
 }
 
-// entries returns all monitored counters in descending count order,
-// mirroring Sketch.Entries.
+// entries returns all monitored counters in descending count order.
 func (s *mapSketch[K]) entries() []Counter[K] {
 	var out []Counter[K]
 	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
@@ -206,9 +206,16 @@ func (s *mapSketch[K]) entries() []Counter[K] {
 			out = append(out, Counter[K]{Key: c.key, Count: count, Err: c.err})
 		}
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
+	return out
+}
+
+// descending returns s's monitored counters in descending count order:
+// Iterate's walk, reversed.
+func descending[K comparable](s *Sketch[K]) []Counter[K] {
+	var out []Counter[K]
+	s.Iterate(func(c Counter[K]) bool { out = append(out, c); return true })
+	slices.Reverse(out)
 	return out
 }
 
@@ -216,13 +223,13 @@ func (s *mapSketch[K]) entries() []Counter[K] {
 // seed) through the flat-indexed Sketch and the map-indexed seed
 // implementation, interleaving flushes, and requires exact agreement:
 // same returned count per Add, same Min, same per-key bounds, same
-// Entries sequence. Returned Add counts increasing by exactly 1 per
+// counter sequence. Returned Add counts increasing by exactly 1 per
 // resident key is what Memento's overflow detection builds on, so
 // "exact" here means bit-for-bit.
 func TestDifferentialKeyidxVsMap(t *testing.T) {
 	for _, k := range []int{1, 7, 64, 257} {
 		src := rng.New(0xD1FF + uint64(k))
-		s := MustNew[uint64](k)
+		s := mustNew[uint64](k)
 		ref := newMapSketch[uint64](k)
 		const ops = 60000
 		for i := 0; i < ops; i++ {
@@ -248,7 +255,7 @@ func TestDifferentialKeyidxVsMap(t *testing.T) {
 					t.Fatalf("k=%d op %d: QueryBounds(%d) = (%d,%d), reference (%d,%d)",
 						k, i, key, gu, gl, wu, wl)
 				}
-				gotE := s.Entries(nil)
+				gotE := descending(s)
 				wantE := ref.entries()
 				if len(gotE) != len(wantE) {
 					t.Fatalf("k=%d op %d: %d entries, reference %d", k, i, len(gotE), len(wantE))
@@ -277,7 +284,7 @@ func TestDifferentialKeyidxVsMap(t *testing.T) {
 func TestDifferentialQueriesOverKeyspace(t *testing.T) {
 	const k = 32
 	src := rng.New(424242)
-	s := MustNew[uint64](k)
+	s := mustNew[uint64](k)
 	ref := newMapSketch[uint64](k)
 	for i := 0; i < 20000; i++ {
 		key := uint64(src.Intn(200))
@@ -294,32 +301,12 @@ func TestDifferentialQueriesOverKeyspace(t *testing.T) {
 // TestAddZeroAlloc pins the allocation-free guarantee of Add under
 // heavy eviction churn.
 func TestAddZeroAlloc(t *testing.T) {
-	s := MustNew[uint64](256)
+	s := mustNew[uint64](256)
 	src := rng.New(11)
 	allocs := testing.AllocsPerRun(20000, func() {
 		s.Add(uint64(src.Intn(1 << 16)))
 	})
 	if allocs != 0 {
 		t.Fatalf("Add allocs/op = %v, want 0", allocs)
-	}
-}
-
-// TestMergeReusesScratch: after the first Merge sizes the scratch,
-// further Merges of same-capacity sketches allocate nothing.
-func TestMergeReusesScratch(t *testing.T) {
-	src := rng.New(12)
-	s := MustNew[uint64](64)
-	fill := func(dst *Sketch[uint64]) {
-		for i := 0; i < 4096; i++ {
-			dst.Add(uint64(src.Intn(512)))
-		}
-	}
-	fill(s)
-	other := MustNew[uint64](64)
-	fill(other)
-	s.Merge(other) // sizes the scratch
-	allocs := testing.AllocsPerRun(20, func() { s.Merge(other) })
-	if allocs != 0 {
-		t.Fatalf("Merge allocs/op = %v, want 0", allocs)
 	}
 }

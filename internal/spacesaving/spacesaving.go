@@ -29,11 +29,9 @@
 package spacesaving
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"memento/internal/keyidx"
@@ -78,7 +76,7 @@ type posBucket struct {
 }
 
 // Sketch is a Space Saving instance with a fixed number of counters.
-// Construct with New or NewWithHash.
+// Construct with NewWithHash.
 type Sketch[K comparable] struct {
 	counters []counter[K] //memento:reused (k counters from construction; a capture destination sizes once)
 	buckets  []bucket     //memento:reused (k+2 buckets from construction; a capture destination sizes once)
@@ -108,10 +106,6 @@ type Sketch[K comparable] struct {
 	shift uint
 	hash  func(K) uint64
 
-	// Merge scratch, lazily sized on first Merge and reused after.
-	mergeBuf []mergeEntry[K]
-	mergeIdx *keyidx.Index[K]
-
 	// onEvict, when set, observes the key each saturated Add evicts
 	// (before it is replaced); nil costs the eviction branch one compare.
 	onEvict func(K)
@@ -134,20 +128,11 @@ type Sketch[K comparable] struct {
 // whatever addresses the sketches have.
 var stateIDs atomic.Uint64
 
-// mergeEntry accumulates one key's merged count during Merge.
-type mergeEntry[K comparable] struct {
-	key        K
-	count, err uint64
-}
-
-// New returns a Sketch with capacity k counters. k must be positive.
-func New[K comparable](k int) (*Sketch[K], error) { return NewWithHash[K](k, nil) }
-
-// NewWithHash is New with a caller-supplied key hash for the internal
-// index. Layers that already hash every key (internal/shard partitions
-// by hash) pass the same function here so one hash computation serves
-// both, via AddHashed. hash may be nil, selecting
-// keyidx.DefaultHasher.
+// NewWithHash returns a Sketch with capacity k counters (k positive)
+// whose internal index hashes keys with hash. Layers that already hash
+// every key (internal/shard partitions by hash) pass the same function
+// here so one hash computation serves both, via AddHashed. hash may be
+// nil, selecting keyidx.DefaultHasher.
 func NewWithHash[K comparable](k int, hash func(K) uint64) (*Sketch[K], error) {
 	if k <= 0 {
 		return nil, errors.New("spacesaving: capacity must be positive")
@@ -174,15 +159,6 @@ func NewWithHash[K comparable](k int, hash func(K) uint64) (*Sketch[K], error) {
 // Hash returns the sketch's hash of key, for callers feeding the
 // hashed fast paths.
 func (s *Sketch[K]) Hash(key K) uint64 { return s.hash(key) }
-
-// MustNew is New for statically valid capacities; it panics on error.
-func MustNew[K comparable](k int) *Sketch[K] {
-	s, err := New[K](k)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // reset rebuilds the free lists without allocating.
 func (s *Sketch[K]) reset() {
@@ -472,14 +448,13 @@ func (s *Sketch[K]) QueryHashed(key K, h uint64) uint64 {
 // SetEvictHook installs fn as the eviction observer: every saturated
 // Add that replaces a monitored key first passes the outgoing key to
 // fn. Pass nil to remove the hook. CopyInto does not propagate it
-// (copies are read-only snapshots), and Merge bypasses it.
+// (copies are read-only snapshots), and RestoreEntry bypasses it.
 func (s *Sketch[K]) SetEvictHook(fn func(K)) { s.onEvict = fn }
 
 // TrackSlots switches on slot marking: from now on every Add sets the
 // bit of the counter slot it incremented, allocated or re-keyed.
 // Idempotent. CopyInto does not propagate the marks (copies are
-// read-only snapshots); Merge and RestoreEntry do not mark — a sketch
-// whose slots are being tracked must not be merged into, and a restore
+// read-only snapshots); RestoreEntry does not mark — a restore
 // invalidates whatever the marks described.
 func (s *Sketch[K]) TrackSlots() {
 	if s.marks == nil {
@@ -522,15 +497,10 @@ func (s *Sketch[K]) SlotOfHashed(key K, h uint64) int { return int(s.lookup(key,
 // observability composes with delta tracking.
 func (s *Sketch[K]) SetEvictCounter(c *obs.Counter) { s.evictObs = c }
 
-// Lookup returns key's monitored counter, if any — unlike Query it
-// distinguishes "monitored with count c" from "absent, Min() = c" and
-// carries the per-counter error term.
-func (s *Sketch[K]) Lookup(key K) (Counter[K], bool) {
-	return s.LookupHashed(key, s.hash(key))
-}
-
-// LookupHashed is Lookup with a caller-computed hash (which must
-// equal Hash(key)).
+// LookupHashed returns key's monitored counter, if any, given its hash
+// h (which must equal Hash(key)). Unlike Query it distinguishes
+// "monitored with count c" from "absent, Min() = c" and carries the
+// per-counter error term.
 //
 //memento:noalloc
 func (s *Sketch[K]) LookupHashed(key K, h uint64) (Counter[K], bool) {
@@ -562,9 +532,8 @@ func (s *Sketch[K]) QueryBoundsHashed(key K, h uint64) (upper, lower uint64) {
 
 // CopyInto overwrites dst with a point-in-time copy of s, reusing
 // dst's slabs when they are large enough, after which the copy answers
-// Query/QueryBounds/Min/Iterate/Entries/Slot lock-free exactly as s did
-// at copy time. dst may be a zero Sketch. Merge scratch is not copied;
-// merging on a copy allocates its own.
+// Query/QueryBounds/Min/Iterate/Slot lock-free exactly as s did at copy
+// time. dst may be a zero Sketch.
 //
 // When dst was last copied from s's current state and has not been
 // mutated since, its slabs already hold that state and only the
@@ -668,89 +637,8 @@ func (s *Sketch[K]) iterateFrom(bi int32, fn func(Counter[K]) bool) {
 	}
 }
 
-// Entries appends all monitored counters to dst and returns it,
-// ordered by descending count (useful for top-k reporting and the
-// Aggregation communication method).
-//
-//memento:noalloc
-func (s *Sketch[K]) Entries(dst []Counter[K]) []Counter[K] {
-	start := len(dst)
-	// Open-coded Iterate: appending through a callback would capture
-	// dst in a closure, and this runs inside the snapshot encode path.
-	for bi := s.headB; bi != nilIdx; bi = s.buckets[bi].next {
-		count := s.buckets[bi].count
-		for ci := s.buckets[bi].head; ci != nilIdx; ci = s.counters[ci].next {
-			dst = append(dst, Counter[K]{Key: s.counters[ci].key, Count: count, Err: s.counters[ci].err})
-		}
-	}
-	// Buckets ascend by count; reverse for descending.
-	out := dst[start:]
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return dst
-}
-
-// Merge folds other into s: for every key monitored in either sketch
-// the merged estimate is the sum of the two estimates (using Min() for
-// absent keys), and the k largest merged entries are retained. This is
-// the standard mergeability property of counter-based sketches the
-// paper's Aggregation method relies on (Section 4.3). Merge is a
-// control-plane operation; it runs through scratch buffers owned by s
-// that are sized on first use and reused by every later Merge.
-func (s *Sketch[K]) Merge(other *Sketch[K]) {
-	want := s.Len() + other.Len()
-	if s.mergeIdx == nil || s.mergeIdx.Cap() < want {
-		s.mergeIdx = keyidx.MustNew[K](max(want, 1), nil)
-	} else {
-		s.mergeIdx.Flush()
-	}
-	buf := s.mergeBuf[:0]
-	sMin, oMin := s.Min(), other.Min()
-	s.Iterate(func(c Counter[K]) bool {
-		s.mergeIdx.Put(c.Key, int32(len(buf)))
-		buf = append(buf, mergeEntry[K]{c.Key, c.Count, c.Err})
-		return true
-	})
-	other.Iterate(func(c Counter[K]) bool {
-		if pos, ok := s.mergeIdx.Get(c.Key); ok {
-			buf[pos].count += c.Count
-			buf[pos].err += c.Err
-		} else {
-			s.mergeIdx.Put(c.Key, int32(len(buf)))
-			buf = append(buf, mergeEntry[K]{c.Key, c.Count + sMin, c.Err + sMin})
-		}
-		return true
-	})
-	s.Iterate(func(c Counter[K]) bool {
-		if other.lookup(c.Key, other.hash(c.Key)) < 0 {
-			pos, _ := s.mergeIdx.Get(c.Key)
-			buf[pos].count += oMin
-			buf[pos].err += oMin
-		}
-		return true
-	})
-	items := s.items + other.items
-	// Select the k largest while preserving the additive error
-	// semantics: evicted keys raise nothing here because queries for
-	// absent keys already return Min().
-	s.Flush()
-	s.items = items
-	// Ascending by count, so inserting back-to-front fills the sketch
-	// with the largest entries; control-plane cost is fine.
-	slices.SortFunc(buf, func(a, b mergeEntry[K]) int { return cmp.Compare(a.count, b.count) })
-	limit := len(s.counters)
-	if limit > len(buf) {
-		limit = len(buf)
-	}
-	for i := len(buf) - limit; i < len(buf); i++ {
-		s.insertAt(buf[i].key, buf[i].count, buf[i].err, s.hash(buf[i].key))
-	}
-	s.mergeBuf = buf[:0]
-}
-
-// insertAt installs key (with hash h) at an explicit count; Merge and
-// RestoreEntry build sketches with it.
+// insertAt installs key (with hash h) at an explicit count;
+// RestoreEntry builds sketches with it.
 func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 	if int(s.used) >= len(s.counters) {
 		return
@@ -809,7 +697,7 @@ func (s *Sketch[K]) insertAt(key K, count, err, h uint64) {
 // leaving the sketch unchanged, on a zero count, an error term not
 // below the count, or a new key when every counter is in use. It
 // serves followers that patch a replica in place (internal/delta); like
-// Merge and RestoreEntry it does not mark slots.
+// RestoreEntry it does not mark slots.
 //
 //memento:noalloc
 func (s *Sketch[K]) SetHashed(key K, h uint64, count, err uint64) error {

@@ -10,24 +10,33 @@ import (
 	"memento/internal/rng"
 )
 
+// mustNew returns a sketch of k counters under the default hasher.
+func mustNew[K comparable](k int) *Sketch[K] {
+	s, err := NewWithHash[K](k, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New[int](0); err == nil {
+	if _, err := NewWithHash[int](0, nil); err == nil {
 		t.Error("capacity 0 should fail")
 	}
-	if _, err := New[int](-5); err == nil {
+	if _, err := NewWithHash[int](-5, nil); err == nil {
 		t.Error("negative capacity should fail")
 	}
-	if _, err := New[int](1 << 29); err == nil {
+	if _, err := NewWithHash[int](1<<29, nil); err == nil {
 		t.Error("absurd capacity should fail")
 	}
-	s, err := New[int](4)
+	s, err := NewWithHash[int](4, nil)
 	if err != nil || s.Cap() != 4 || s.Len() != 0 {
 		t.Fatalf("New(4): %v, cap=%d len=%d", err, s.Cap(), s.Len())
 	}
 }
 
 func TestExactUnderCapacity(t *testing.T) {
-	s := MustNew[string](8)
+	s := mustNew[string](8)
 	feed := []string{"a", "b", "a", "c", "a", "b"}
 	for _, k := range feed {
 		s.Add(k)
@@ -48,7 +57,7 @@ func TestExactUnderCapacity(t *testing.T) {
 func TestPaperEvictionExample(t *testing.T) {
 	// Section 2: minimal counter is flow x with value 4, flow y has no
 	// counter. When y arrives, x's counter is reallocated to y at 5.
-	s := MustNew[string](2)
+	s := mustNew[string](2)
 	for i := 0; i < 6; i++ {
 		s.Add("big")
 	}
@@ -76,7 +85,7 @@ func TestPaperEvictionExample(t *testing.T) {
 func TestAddReturnsNewCount(t *testing.T) {
 	// Memento's overflow detection requires Add to return a value that
 	// advances by exactly 1 for a resident key.
-	s := MustNew[int](2)
+	s := mustNew[int](2)
 	prev := uint64(0)
 	for i := 0; i < 10; i++ {
 		c := s.Add(7)
@@ -105,7 +114,7 @@ func TestErrorBoundProperty(t *testing.T) {
 	// f(x) ≤ Query(x) ≤ f(x) + N/k.
 	f := func(keys []uint8, capRaw uint8) bool {
 		k := int(capRaw%16) + 1
-		s := MustNew[uint8](k)
+		s := mustNew[uint8](k)
 		truth := map[uint8]uint64{}
 		for _, key := range keys {
 			s.Add(key)
@@ -132,7 +141,7 @@ func TestErrorBoundProperty(t *testing.T) {
 func TestBoundsBracketTruth(t *testing.T) {
 	// Count − Err ≤ f(x) ≤ Count for monitored keys, under heavy churn.
 	r := rng.New(99)
-	s := MustNew[int](16)
+	s := mustNew[int](16)
 	truth := map[int]uint64{}
 	for i := 0; i < 20000; i++ {
 		k := int(r.Uint64() % 200)
@@ -160,7 +169,7 @@ func TestHeavyHitterSurvives(t *testing.T) {
 	// A flow holding 30% of a stream must survive eviction pressure in
 	// a sketch with k=16 counters (error 1/16 < 30%).
 	r := rng.New(7)
-	s := MustNew[uint64](16)
+	s := mustNew[uint64](16)
 	var heavyCount uint64
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -181,7 +190,7 @@ func TestHeavyHitterSurvives(t *testing.T) {
 }
 
 func TestFlushReuses(t *testing.T) {
-	s := MustNew[int](4)
+	s := mustNew[int](4)
 	for i := 0; i < 100; i++ {
 		s.Add(i % 6)
 	}
@@ -202,29 +211,8 @@ func TestFlushReuses(t *testing.T) {
 	}
 }
 
-func TestEntriesDescending(t *testing.T) {
-	s := MustNew[string](8)
-	for i, k := range []string{"a", "b", "c"} {
-		for j := 0; j <= i*3; j++ {
-			s.Add(k)
-		}
-	}
-	es := s.Entries(nil)
-	if len(es) != 3 {
-		t.Fatalf("Entries = %v", es)
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i].Count > es[i-1].Count {
-			t.Fatalf("Entries not descending: %v", es)
-		}
-	}
-	if es[0].Key != "c" || es[0].Count != 7 {
-		t.Fatalf("top entry = %+v", es[0])
-	}
-}
-
 func TestIterateEarlyStop(t *testing.T) {
-	s := MustNew[int](8)
+	s := mustNew[int](8)
 	for i := 0; i < 5; i++ {
 		s.Add(i)
 	}
@@ -235,56 +223,6 @@ func TestIterateEarlyStop(t *testing.T) {
 	})
 	if seen != 2 {
 		t.Fatalf("early stop visited %d", seen)
-	}
-}
-
-func TestMergeDominates(t *testing.T) {
-	// After Merge, each key's estimate must dominate the sum of true
-	// counts fed to either sketch.
-	r := rng.New(123)
-	a := MustNew[int](32)
-	b := MustNew[int](32)
-	truth := map[int]uint64{}
-	for i := 0; i < 5000; i++ {
-		k := int(r.Uint64() % 100)
-		if i%2 == 0 {
-			a.Add(k)
-		} else {
-			b.Add(k)
-		}
-		truth[k]++
-	}
-	itemsWant := a.Items() + b.Items()
-	a.Merge(b)
-	if a.Items() != itemsWant {
-		t.Fatalf("merged Items = %d, want %d", a.Items(), itemsWant)
-	}
-	if a.Len() > a.Cap() {
-		t.Fatalf("merged Len %d exceeds capacity", a.Len())
-	}
-	for k, f := range truth {
-		if est := a.Query(k); est < f {
-			t.Fatalf("merged estimate for %d: %d < truth %d", k, est, f)
-		}
-	}
-}
-
-func TestMergeKeepsLargest(t *testing.T) {
-	a := MustNew[int](2)
-	b := MustNew[int](2)
-	for i := 0; i < 10; i++ {
-		a.Add(1)
-	}
-	for i := 0; i < 20; i++ {
-		b.Add(2)
-	}
-	for i := 0; i < 3; i++ {
-		b.Add(3)
-	}
-	a.Merge(b)
-	// Keys 2 (20) and 1 (10) must be retained over 3 (3 + min slack).
-	if a.Query(2) < 20 || a.Query(1) < 10 {
-		t.Fatalf("merged sketch lost a large key: q1=%d q2=%d", a.Query(1), a.Query(2))
 	}
 }
 
@@ -317,7 +255,7 @@ func checkStructure[K comparable](t *testing.T, s *Sketch[K]) {
 }
 
 func BenchmarkAddHit(b *testing.B) {
-	s := MustNew[uint64](1024)
+	s := mustNew[uint64](1024)
 	for i := uint64(0); i < 1024; i++ {
 		s.Add(i)
 	}
@@ -328,7 +266,7 @@ func BenchmarkAddHit(b *testing.B) {
 }
 
 func BenchmarkAddChurn(b *testing.B) {
-	s := MustNew[uint64](1024)
+	s := mustNew[uint64](1024)
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -340,7 +278,7 @@ func BenchmarkAddChurn(b *testing.B) {
 // answers Query/QueryBounds/Min/Iterate exactly like the source at
 // copy time and is unaffected by later source mutations.
 func TestCopyIntoMatchesSource(t *testing.T) {
-	s := MustNew[uint64](8)
+	s := mustNew[uint64](8)
 	src := rng.New(33)
 	for i := 0; i < 5000; i++ {
 		s.Add(uint64(src.Intn(40)))
@@ -379,7 +317,7 @@ func TestCopyIntoMatchesSource(t *testing.T) {
 // TestCopyIntoReusesSlabs asserts steady-state CopyInto is
 // allocation-free once the destination slabs fit.
 func TestCopyIntoReusesSlabs(t *testing.T) {
-	s := MustNew[uint64](32)
+	s := mustNew[uint64](32)
 	for i := 0; i < 1000; i++ {
 		s.Add(uint64(i % 50))
 	}
@@ -427,7 +365,7 @@ func sameCopy(t *testing.T, tag string, got, want *Sketch[uint64]) {
 // copyIdentityOps replays ops as a capture-identity op stream over two
 // sources and three destinations, each destination copying from one
 // source. A byte's low four bits pick the op and its high four bits are
-// the operand: Add, Flush, RestoreEntry, Merge and SetItems on a
+// the operand: Add, Flush, RestoreEntry, SetHashed and SetItems on a
 // source; a source replaced by a copy by assignment of the other (own
 // slabs, shared identity fields) that then adds a key; a write to a
 // destination; switching a destination's source; zeroing a
@@ -459,13 +397,13 @@ func copyIdentityOps(t *testing.T, ops []byte) (skipped, full int) {
 		case 6:
 			_ = s.RestoreEntry(uint64(8+arg>>1), uint64(1+arg), uint64(arg>>2)) // full or duplicate: no-op
 		case 7:
-			s.Merge(srcs[1-arg&1])
+			key := uint64(arg >> 1)
+			_ = s.SetHashed(key, s.hash(key), uint64(2+arg), 1) // a new key on a full sketch: no-op
 		case 8:
 			s.SetItems(uint64(arg) * 3)
 		case 9:
 			cp := *srcs[1-arg&1]
 			cp.counters, cp.buckets, cp.pos = slices.Clone(cp.counters), slices.Clone(cp.buckets), slices.Clone(cp.pos)
-			cp.mergeBuf, cp.mergeIdx = nil, nil
 			cp.Add(uint64(arg >> 1))
 			srcs[arg&1] = &cp
 		case 10:
@@ -534,7 +472,7 @@ func FuzzCopyIntoIdentity(f *testing.F) {
 // TestHashedQueryVariantsMatch pins QueryHashed/QueryBoundsHashed
 // against their hashing counterparts.
 func TestHashedQueryVariantsMatch(t *testing.T) {
-	s := MustNew[uint64](8)
+	s := mustNew[uint64](8)
 	src := rng.New(34)
 	for i := 0; i < 2000; i++ {
 		s.Add(uint64(src.Intn(30)))
@@ -558,7 +496,7 @@ func TestHashedQueryVariantsMatch(t *testing.T) {
 // until it is evicted, and Slot/SlotOfHashed agree with Lookup.
 func TestSlotMarksNameTouchedSlots(t *testing.T) {
 	r := rng.New(11)
-	s := MustNew[uint64](16)
+	s := mustNew[uint64](16)
 	s.TrackSlots()
 	var marks []uint64
 	prev := make([]Counter[uint64], s.Cap())
@@ -583,7 +521,7 @@ func TestSlotMarksNameTouchedSlots(t *testing.T) {
 			if got := s.SlotOfHashed(cur.Key, s.Hash(cur.Key)); got != i {
 				t.Fatalf("round %d: SlotOfHashed(%d) = %d, key sits in slot %d", round, cur.Key, got, i)
 			}
-			if c, ok := s.Lookup(cur.Key); !ok || c != cur {
+			if c, ok := s.LookupHashed(cur.Key, s.hash(cur.Key)); !ok || c != cur {
 				t.Fatalf("round %d: Lookup %+v vs Slot %+v", round, c, cur)
 			}
 			prev[i] = cur
@@ -608,7 +546,7 @@ func TestRestoreEntryAnyOrder(t *testing.T) {
 		entries[i] = Counter[uint64]{Key: uint64(i), Count: count, Err: r.Uint64() % count}
 	}
 	build := func(in []Counter[uint64]) *Sketch[uint64] {
-		s := MustNew[uint64](len(in))
+		s := mustNew[uint64](len(in))
 		for _, e := range in {
 			if err := s.RestoreEntry(e.Key, e.Count, e.Err); err != nil {
 				t.Fatal(err)
@@ -623,7 +561,7 @@ func TestRestoreEntryAnyOrder(t *testing.T) {
 	ascending := build(sorted)
 	for _, e := range entries {
 		for _, s := range []*Sketch[uint64]{shuffled, ascending} {
-			if c, ok := s.Lookup(e.Key); !ok || c != e {
+			if c, ok := s.LookupHashed(e.Key, s.hash(e.Key)); !ok || c != e {
 				t.Fatalf("restored %+v, want %+v", c, e)
 			}
 		}
@@ -668,11 +606,11 @@ func checkIterateAtLeast(t *testing.T, tag string, s *Sketch[uint64]) {
 }
 
 // TestIterateAtLeastFiltersIterate walks the top-down start through a
-// sketch's whole life: filling, saturated and evicting, merged into,
-// restored entry by entry, flushed, and copied.
+// sketch's whole life: filling, saturated and evicting, restored entry
+// by entry, flushed, and copied.
 func TestIterateAtLeastFiltersIterate(t *testing.T) {
 	r := rng.New(33)
-	s := MustNew[uint64](48)
+	s := mustNew[uint64](48)
 	checkIterateAtLeast(t, "empty", s)
 	for i := 0; i < 20000; i++ {
 		k := r.Uint64() % 200
@@ -687,16 +625,8 @@ func TestIterateAtLeastFiltersIterate(t *testing.T) {
 	checkStructure(t, s)
 	checkIterateAtLeast(t, "evicting", s)
 
-	other := MustNew[uint64](48)
-	for i := 0; i < 5000; i++ {
-		other.Add(r.Uint64() % 90)
-	}
-	s.Merge(other)
-	checkStructure(t, s)
-	checkIterateAtLeast(t, "merged", s)
-
-	restored := MustNew[uint64](64)
-	for _, c := range s.Entries(nil) { // descending: the walk from the minimum
+	restored := mustNew[uint64](64)
+	for _, c := range descending(s) { // the walk from the minimum
 		if err := restored.RestoreEntry(c.Key, c.Count, c.Err); err != nil {
 			t.Fatal(err)
 		}
@@ -767,7 +697,7 @@ func TestSetRemoveMatchModel(t *testing.T) {
 			t.Fatalf("Len %d, model holds %d", s.Len(), len(model))
 		}
 		for key := uint64(0); key < 80; key++ {
-			got, ok := s.Lookup(key)
+			got, ok := s.LookupHashed(key, s.hash(key))
 			if want, in := model[key]; ok != in || (in && got != want) {
 				t.Fatalf("Lookup(%d) = %+v %v, model %+v %v", key, got, ok, want, in)
 			}
@@ -790,7 +720,7 @@ func TestSetRemoveMatchModel(t *testing.T) {
 		checkStructure(t, s)
 		checkStructure(t, &cp)
 		for key, want := range model {
-			if got, _ := cp.Lookup(key); got != want {
+			if got, _ := cp.LookupHashed(key, cp.hash(key)); got != want {
 				t.Fatalf("copy Lookup(%d) = %+v, want %+v", key, got, want)
 			}
 		}

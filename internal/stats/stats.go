@@ -3,16 +3,12 @@
 //
 //   - Z — the inverse CDF of the standard normal distribution, used in
 //     Theorems 5.2–5.5 to size sampling probabilities and error bounds.
-//   - Student-t quantiles — the paper reports 95% confidence intervals
-//     from 5 runs with two-sided Student t-tests (Section 6).
-//   - Poisson confidence limits (Schwertman–Martinez), used by the
-//     accuracy analysis in Appendix A (Lemma A.3).
-//   - Running mean/variance and RMSE accumulators for the On-Arrival
-//     evaluation model (Section 6: RMSE(Alg) = sqrt(1/N Σ (f̂ − f)²)).
+//   - An RMSE accumulator for the On-Arrival evaluation model
+//     (Section 6: RMSE(Alg) = sqrt(1/N Σ (f̂ − f)²)).
 //
 // Everything is pure computation on float64 and safe for concurrent use
-// by construction (no shared state), except the accumulator types which
-// are single-writer like the sketches they instrument.
+// by construction (no shared state), except the accumulator, which is
+// single-writer like the sketches it instruments.
 package stats
 
 import (
@@ -44,16 +40,6 @@ func Z(p float64) (float64, error) {
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x, nil
-}
-
-// MustZ is Z for statically known valid probabilities; it panics on
-// error and exists for test and table-driven configuration code.
-func MustZ(p float64) float64 {
-	z, err := Z(p)
-	if err != nil {
-		panic(err)
-	}
-	return z
 }
 
 // acklam computes Peter Acklam's rational approximation to the inverse
@@ -97,197 +83,6 @@ func acklam(p float64) float64 {
 	}
 }
 
-// lgamma returns the natural log of the absolute value of Γ(x).
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-// RegIncBeta returns the regularized incomplete beta function
-// I_x(a, b), computed with the continued fraction expansion (Lentz's
-// algorithm), as in Numerical Recipes.
-func RegIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	ln := lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x)
-	front := math.Exp(ln)
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
-	}
-	return 1 - front*betaCF(b, a, 1-x)/b
-}
-
-// betaCF evaluates the continued fraction for the incomplete beta
-// function by the modified Lentz method.
-func betaCF(a, b, x float64) float64 {
-	const maxIter = 300
-	const eps = 3e-15
-	const fpmin = 1e-300
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		m2 := 2 * m
-		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
-// TCDF returns the CDF of Student's t distribution with df degrees of
-// freedom evaluated at t.
-func TCDF(t, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// TQuantile returns the p-quantile of Student's t distribution with df
-// degrees of freedom, by monotone bisection on TCDF (the evaluation
-// only needs a handful of quantiles, so robustness beats speed here).
-func TQuantile(p, df float64) (float64, error) {
-	if !(p > 0 && p < 1) {
-		return 0, ErrBadProbability
-	}
-	if df <= 0 {
-		return 0, errors.New("stats: degrees of freedom must be positive")
-	}
-	if p == 0.5 {
-		return 0, nil
-	}
-	// Bracket using the normal quantile inflated for small df.
-	z0, _ := Z(p)
-	lo, hi := -1.0, 1.0
-	scale := 4 + 40/df
-	lo = math.Min(z0*scale-1, -1)
-	hi = math.Max(z0*scale+1, 1)
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if TCDF(mid, df) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-12*(1+math.Abs(hi)) {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// PoissonCI returns an approximate two-sided 1-conf confidence interval
-// for the mean of a Poisson variable observed as count, following
-// Schwertman & Martinez (1994) — the approximation the paper cites for
-// Lemma A.3's confidence machinery.
-func PoissonCI(count float64, conf float64) (lo, hi float64, err error) {
-	if count < 0 {
-		return 0, 0, errors.New("stats: negative count")
-	}
-	if !(conf > 0 && conf < 1) {
-		return 0, 0, ErrBadProbability
-	}
-	z, err := Z(1 - (1-conf)/2)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Normal approximation with continuity correction on the sqrt scale.
-	s := math.Sqrt(count)
-	lo = s - z/2
-	if lo < 0 {
-		lo = 0
-	}
-	lo = lo * lo
-	hiS := s + z/2
-	hi = hiS*hiS + 1
-	return lo, hi, nil
-}
-
-// Mean tracks a running mean and variance with Welford's algorithm.
-// The zero value is ready to use.
-type Mean struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (m *Mean) Add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations so far.
-func (m *Mean) N() int { return m.n }
-
-// Value returns the current mean (0 for an empty accumulator).
-func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CI returns the half-width of the two-sided Student-t confidence
-// interval at level conf (e.g. 0.95) for the mean. It returns 0 when
-// fewer than two observations have been added.
-func (m *Mean) CI(conf float64) float64 {
-	if m.n < 2 {
-		return 0
-	}
-	t, err := TQuantile(1-(1-conf)/2, float64(m.n-1))
-	if err != nil {
-		return math.NaN()
-	}
-	return t * m.StdDev() / math.Sqrt(float64(m.n))
-}
-
 // RMSE accumulates squared errors and reports the root mean square
 // error, the paper's On-Arrival accuracy metric. The zero value is
 // ready to use.
@@ -303,12 +98,6 @@ func (r *RMSE) Add(estimate, truth float64) {
 	r.sum += d * d
 }
 
-// AddErr incorporates one already-computed error term.
-func (r *RMSE) AddErr(err float64) {
-	r.n++
-	r.sum += err * err
-}
-
 // N returns the number of observations.
 func (r *RMSE) N() int { return r.n }
 
@@ -318,11 +107,4 @@ func (r *RMSE) Value() float64 {
 		return 0
 	}
 	return math.Sqrt(r.sum / float64(r.n))
-}
-
-// Merge folds another accumulator into r (used to combine per-run
-// accumulators across repetitions).
-func (r *RMSE) Merge(o RMSE) {
-	r.n += o.n
-	r.sum += o.sum
 }

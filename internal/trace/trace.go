@@ -67,7 +67,6 @@ func ProfileByName(name string) (Profile, error) {
 
 // Generator produces a deterministic packet stream for a profile.
 type Generator struct {
-	profile Profile
 	src     *rng.Source
 	flows   []hierarchy.Packet
 	popular *rng.Alias
@@ -83,9 +82,8 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 	}
 	src := rng.New(seed ^ 0x74726163652e2e2e) // "trace..."
 	g := &Generator{
-		profile: p,
-		src:     src,
-		flows:   make([]hierarchy.Packet, p.Flows),
+		src:   src,
+		flows: make([]hierarchy.Packet, p.Flows),
 	}
 	// Per-octet skewed distributions with independent random
 	// permutations per position, so heavy subnets land on arbitrary
@@ -129,9 +127,6 @@ func MustNewGenerator(p Profile, seed uint64) *Generator {
 	}
 	return g
 }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.profile }
 
 // Next returns the next packet of the stream.
 func (g *Generator) Next() hierarchy.Packet {
