@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -232,6 +233,133 @@ func TestHHHSnapshotCodecRoundTrip(t *testing.T) {
 		other := MustNewHHH(HHHConfig{Hierarchy: wrong, Window: 1 << 12, Counters: 128 * wrong.H(), V: wrong.H() * 4, Seed: 98})
 		if err := other.RestoreFrom(dec); !errors.Is(err, codec.ErrConfigMismatch) {
 			t.Fatalf("%v: cross-hierarchy restore = %v, want ErrConfigMismatch", tc.hier, err)
+		}
+	}
+}
+
+// sketchPlane is the read surface a live sketch and a snapshot share:
+// the table methods every query path runs.
+type sketchPlane interface {
+	Query(hierarchy.Prefix) float64
+	QueryBounds(hierarchy.Prefix) (float64, float64)
+	Overflowed(func(hierarchy.Prefix, int32) bool)
+	HeavyHitters(float64, []Item[hierarchy.Prefix]) []Item[hierarchy.Prefix]
+	AbsentBounds() (float64, float64)
+	EffectiveWindow() int
+	Updates() uint64
+}
+
+// sameSketchAnswers asserts two sketch planes agree on every probe
+// that matters: point estimates and bounds at every level, the absent
+// bound, the overflow set and the heavy hitters.
+func sameSketchAnswers(t *testing.T, tag string, hier hierarchy.Hierarchy, want, got sketchPlane) {
+	t.Helper()
+	if want.EffectiveWindow() != got.EffectiveWindow() || want.Updates() != got.Updates() {
+		t.Fatalf("%s: (window, updates) = (%d, %d), want (%d, %d)", tag,
+			got.EffectiveWindow(), got.Updates(), want.EffectiveWindow(), want.Updates())
+	}
+	wu, wl := want.AbsentBounds()
+	if gu, gl := got.AbsentBounds(); gu != wu || gl != wl {
+		t.Fatalf("%s: AbsentBounds = (%g,%g), want (%g,%g)", tag, gu, gl, wu, wl)
+	}
+	var srcs []uint32 // the stream's hot sources, then a spread of cold ones
+	for a := uint32(0); a < 24; a++ {
+		srcs = append(srcs, a)
+	}
+	for a := uint32(24); a < 1<<16; a += 97 {
+		srcs = append(srcs, a)
+	}
+	for _, a := range srcs {
+		for l := 0; l < hier.H(); l++ {
+			p := hier.Prefix(hierarchy.Packet{Src: a}, l)
+			if w, g := want.Query(p), got.Query(p); w != g {
+				t.Fatalf("%s: Query(%v) = %g, want %g", tag, p, g, w)
+			}
+			wu, wl := want.QueryBounds(p)
+			if gu, gl := got.QueryBounds(p); gu != wu || gl != wl {
+				t.Fatalf("%s: QueryBounds(%v) = (%g,%g), want (%g,%g)", tag, p, gu, gl, wu, wl)
+			}
+		}
+	}
+	wantOv := map[hierarchy.Prefix]int32{}
+	want.Overflowed(func(p hierarchy.Prefix, n int32) bool { wantOv[p] = n; return true })
+	gotOv := map[hierarchy.Prefix]int32{}
+	got.Overflowed(func(p hierarchy.Prefix, n int32) bool { gotOv[p] = n; return true })
+	if len(wantOv) == 0 {
+		t.Fatalf("%s: test vacuous: empty overflow table", tag)
+	}
+	if len(wantOv) != len(gotOv) {
+		t.Fatalf("%s: overflow table: %d entries, want %d", tag, len(gotOv), len(wantOv))
+	}
+	for p, n := range wantOv {
+		if gotOv[p] != n {
+			t.Fatalf("%s: overflow[%v] = %d, want %d", tag, p, gotOv[p], n)
+		}
+	}
+	for _, theta := range []float64{0.005, 0.02, 0.1} {
+		w := want.HeavyHitters(theta, nil)
+		g := got.HeavyHitters(theta, nil)
+		if len(w) == 0 || len(w) != len(g) {
+			t.Fatalf("%s: theta=%v: %d heavy hitters, want %d (> 0)", tag, theta, len(g), len(w))
+		}
+		wm := map[hierarchy.Prefix]float64{}
+		for _, it := range w {
+			wm[it.Key] = it.Estimate
+		}
+		for _, it := range g {
+			if e, ok := wm[it.Key]; !ok || e != it.Estimate {
+				t.Fatalf("%s: theta=%v: %v estimate %g, want %g (present %v)", tag, theta, it.Key, it.Estimate, e, ok)
+			}
+		}
+	}
+}
+
+// TestSnapshotCodecRoundTrip holds the sketch section of a record: the
+// decoded snapshot's Memento plane answers exactly like the source
+// sketch, with and without sampling, for checkpoint- and query-plane
+// captures, and only the checkpoint keeps the restore plane.
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	hier := hierarchy.OneD{}
+	for _, v := range []int{hier.H(), 8 * hier.H()} { // τ = 1 and τ = 1/8
+		hh := loadedHHH(t, hier, v, 31)
+		for _, checkpoint := range []bool{true, false} {
+			var snap HHHSnapshot
+			if checkpoint {
+				hh.CheckpointInto(&snap)
+			} else {
+				hh.SnapshotInto(&snap)
+			}
+			blob, err := snap.AppendTo(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeHHHSnapshot(blob)
+			if err != nil {
+				t.Fatalf("V=%d checkpoint=%v: decode: %v", v, checkpoint, err)
+			}
+			tag := fmt.Sprintf("V=%d checkpoint=%v", v, checkpoint)
+			if dec.Restorable() != checkpoint {
+				t.Fatalf("%s: decoded Restorable() = %v", tag, dec.Restorable())
+			}
+			sameSketchAnswers(t, tag, hier, hh.Sketch(), dec.Sketch())
+			// The monitored counters as a set: the decoder rebuilds each
+			// count bucket, so order within a bucket may differ.
+			mon := map[hierarchy.Prefix]spacesaving.Counter[hierarchy.Prefix]{}
+			hh.Sketch().Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool { mon[c.Key] = c; return true })
+			n := 0
+			dec.Monitored(func(c spacesaving.Counter[hierarchy.Prefix]) bool {
+				if mon[c.Key] != c {
+					t.Fatalf("%s: monitored %+v, want %+v", tag, c, mon[c.Key])
+				}
+				n++
+				return true
+			})
+			if n != len(mon) || dec.Items() != hh.Sketch().Items() {
+				t.Fatalf("%s: %d monitored over %d items, want %d over %d", tag, n, dec.Items(), len(mon), hh.Sketch().Items())
+			}
+			if !slices.EqualFunc(dec.queues, snap.queues, slices.Equal[[]hierarchy.Prefix]) {
+				t.Fatalf("%s: ring queues differ", tag)
+			}
 		}
 	}
 }
@@ -603,6 +731,71 @@ func sameHHHState(t *testing.T, want, got *HHHSnapshot) {
 	if !slices.EqualFunc(w.queues, g.queues, slices.Equal[[]hierarchy.Prefix]) {
 		t.Fatal("ring queues differ")
 	}
+}
+
+// decodeBody parses and validates a record's sketch section alone, as
+// DecodeHHHSnapshot does after the header, hierarchy and compensation.
+func decodeBody(restore bool, body []byte) (*Snapshot[hierarchy.Prefix], error) {
+	var flags uint16
+	if restore {
+		flags = codec.FlagRestore
+	}
+	spec, err := parseBody(codec.NewCursor(body), flags)
+	if err != nil {
+		return nil, err
+	}
+	snap := new(Snapshot[hierarchy.Prefix])
+	if err := snap.build(spec, prefixHash); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// FuzzDecodeSnapshot spends every mutation on the sketch section of a
+// record — parseBody and the Snapshot.build validator — rather than on
+// the header and hierarchy bytes in front of it.
+func FuzzDecodeSnapshot(f *testing.F) {
+	// Small seed instances keep the engine's per-input minimization
+	// cheap; the size of the source sketch doesn't change the decode
+	// paths exercised.
+	hh := MustNewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 1 << 8, Counters: 16 * 5, V: 20, Seed: 71})
+	src := rng.New(72)
+	for i := 0; i < 1<<10; i++ {
+		hh.Update(hierarchy.Packet{Src: uint32(src.Intn(64))})
+	}
+	var snap, qsnap HHHSnapshot
+	hh.CheckpointInto(&snap)
+	hh.SnapshotInto(&qsnap)
+	body := appendBody(nil, &snap.Snapshot)
+	f.Add(true, body)
+	f.Add(false, appendBody(nil, &qsnap.Snapshot))
+	f.Add(false, []byte{})
+	f.Add(true, body[:4*8+1]) // the scalars alone
+
+	f.Fuzz(func(t *testing.T, restore bool, data []byte) {
+		// Must never panic and never allocate beyond the body's own
+		// size class; a successful decode must re-encode to a body
+		// that decodes to the same answers.
+		dec, err := decodeBody(restore, data)
+		if err != nil {
+			return
+		}
+		if dec.Restorable() != restore {
+			t.Fatalf("Restorable() = %v for restore=%v", dec.Restorable(), restore)
+		}
+		dec2, err := decodeBody(restore, appendBody(nil, dec))
+		if err != nil {
+			t.Fatalf("re-encode of accepted body rejected: %v", err)
+		}
+		for a := uint32(0); a < 64; a++ {
+			for l := 0; l < 5; l++ {
+				p := hierarchy.OneD{}.Prefix(hierarchy.Packet{Src: a}, l)
+				if dec.Query(p) != dec2.Query(p) {
+					t.Fatalf("re-encode changed Query(%v)", p)
+				}
+			}
+		}
+	})
 }
 
 func FuzzDecodeHHHSnapshot(f *testing.F) {
