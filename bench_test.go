@@ -296,33 +296,6 @@ func BenchmarkFig10_FloodDetection(b *testing.B) {
 	b.ReportMetric(lastMiss, "miss-frac")
 }
 
-// BenchmarkAblation_Sampling isolates the design choice the paper
-// credits for beating RHHH at moderate τ (Section 6.2): Bernoulli
-// coin flips from a fresh PRNG draw versus the precomputed
-// random-number table. Both run the identical Memento configuration.
-func BenchmarkAblation_Sampling(b *testing.B) {
-	keys := keysFor(b, trace.Backbone, 1<<20)
-	for _, mode := range []struct {
-		name  string
-		table bool
-	}{{"prng", false}, {"table", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s, err := core.New[uint64](core.Config{
-				Window: benchWindow, Counters: 512, Tau: 1.0 / 64,
-				Seed: 9, TableSampling: mode.table,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Update(keys[i&(len(keys)-1)])
-			}
-			reportMpps(b)
-		})
-	}
-}
-
 // BenchmarkAblation_WindowVsFull decomposes Memento's update cost into
 // its two halves — the cheap Window update and the expensive Full
 // update — quantifying exactly what the τ-sampling amortizes away.

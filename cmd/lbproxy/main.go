@@ -330,11 +330,6 @@ func superviseDegraded(log *slog.Logger, agent *netwide.Agent, acl *lb.ACL,
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for range tick.C {
-		if agent.Err() != nil && !wasDegraded {
-			// Terminal agent failure (retry budget exhausted): local
-			// verdicts are all this proxy will ever have again.
-			log.Error("agent permanently failed; staying on local verdicts", "err", agent.Err())
-		}
 		switch degraded := agent.Degraded(); {
 		case degraded:
 			if !wasDegraded {

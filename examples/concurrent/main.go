@@ -41,7 +41,7 @@ func main() {
 		Core: core.HHHConfig{
 			Hierarchy: hier,
 			Window:    window, // global window, split across shards
-			EpsilonA:  0.005,  // 801 counters, split across shards
+			Counters:  801,    // εa = 0.005: 4·H/εa + 1, split across shards
 			V:         8,      // full update for ~12% of packets
 			Seed:      42,
 		},

@@ -27,7 +27,7 @@ func main() {
 	)
 	sketch, err := core.New[string](core.Config{
 		Window:   window,
-		EpsilonA: 0.01,     // 400 counters
+		Counters: 400,      // εa = 0.01: k = 4/εa
 		Tau:      1.0 / 16, // full update for ~6% of packets
 		Seed:     42,
 	})

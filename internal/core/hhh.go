@@ -26,12 +26,8 @@ type HHHConfig struct {
 
 	// Counters is the total number of counters across all prefix
 	// patterns (the paper's 64H/512H/4096H notation multiplies out to
-	// this). When zero, ⌈4·H/EpsilonA⌉ is used.
+	// this; an algorithmic error bound εa stands for 4·H/εa). Required.
 	Counters int
-
-	// EpsilonA is the algorithmic error bound; ignored when Counters is
-	// set.
-	EpsilonA float64
 
 	// V is the sampling ratio: each specific prefix of a packet is
 	// sampled with probability 1/V, so a packet triggers a Full update
@@ -101,10 +97,7 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 	}
 	k := cfg.Counters
 	if k <= 0 {
-		if !(cfg.EpsilonA > 0 && cfg.EpsilonA <= 1) {
-			return nil, errors.New("core: need Counters > 0 or EpsilonA in (0, 1]")
-		}
-		k = int(math.Ceil(4 * float64(h) / cfg.EpsilonA))
+		return nil, errors.New("core: HHHConfig.Counters must be positive")
 	}
 	delta := cfg.Delta
 	if delta == 0 {

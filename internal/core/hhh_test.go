@@ -18,12 +18,12 @@ func TestHHHConfigValidation(t *testing.T) {
 		t.Error("V < H should fail")
 	}
 	if _, err := NewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 100}); err == nil {
-		t.Error("missing counters/epsilon should fail")
+		t.Error("missing counters should fail")
 	}
 	if _, err := NewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 100, Counters: 10, Delta: 2}); err == nil {
 		t.Error("bad delta should fail")
 	}
-	h, err := NewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 100, EpsilonA: 0.1})
+	h, err := NewHHH(HHHConfig{Hierarchy: hierarchy.OneD{}, Window: 100, Counters: 200})
 	if err != nil {
 		t.Fatalf("valid config failed: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestHHHConfigValidation(t *testing.T) {
 		t.Fatalf("default V = %d, want H = 5", h.v)
 	}
 	if h.Sketch().Counters() != 200 {
-		t.Fatalf("k = %d, want ⌈4·5/0.1⌉ = 200", h.Sketch().Counters())
+		t.Fatalf("k = %d, want Counters = 200", h.Sketch().Counters())
 	}
 }
 

@@ -52,13 +52,9 @@ type Config struct {
 	// Window is W, the sliding window size in packets. Required.
 	Window int
 
-	// EpsilonA is the algorithmic error bound εa; the sketch uses
-	// k = ⌈4/εa⌉ counters. Ignored when Counters > 0. One of EpsilonA
-	// and Counters must be set.
-	EpsilonA float64
-
-	// Counters overrides the counter count k directly (the evaluation
-	// sweeps 64/512/4096 counters).
+	// Counters is the counter count k; an algorithmic error bound εa
+	// stands for k = 4/εa (the evaluation sweeps 64/512/4096 counters).
+	// Required.
 	Counters int
 
 	// Tau is the Full-update sampling probability τ ∈ (0, 1]. Zero
@@ -73,11 +69,6 @@ type Config struct {
 	// Seed makes the sampling deterministic; 0 selects a fixed default
 	// so runs are reproducible by default.
 	Seed uint64
-
-	// TableSampling selects the random-number-table Bernoulli sampler
-	// (Section 6.2: faster than geometric sampling at moderate τ) for
-	// Update's coin flips instead of drawing fresh PRNG values.
-	TableSampling bool
 }
 
 // Item is a reported heavy hitter.
@@ -99,9 +90,8 @@ type Sketch[K comparable] struct {
 	blockPackets uint64 // block length in real packets (W/k)
 	tau          float64
 
-	src       *rng.Source
-	bern      *rng.Bernoulli
-	coinTable *rng.Table
+	src  *rng.Source
+	bern *rng.Bernoulli
 
 	// Delta plane (nil until EnableDeltaTracking); see delta.go.
 	track *deltaPlane[K]
@@ -164,10 +154,7 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 	}
 	k := cfg.Counters
 	if k <= 0 {
-		if !(cfg.EpsilonA > 0 && cfg.EpsilonA <= 1) {
-			return nil, errors.New("core: need Counters > 0 or EpsilonA in (0, 1]")
-		}
-		k = int(math.Ceil(4 / cfg.EpsilonA))
+		return nil, errors.New("core: Counters must be positive")
 	}
 	tau := cfg.Tau
 	if tau == 0 {
@@ -233,31 +220,19 @@ func NewWithHash[K comparable](cfg Config, hash func(K) uint64) (*Sketch[K], err
 		src:          rng.New(seed),
 	}
 	s.ring.init(k + 1)
-	if cfg.TableSampling {
-		s.coinTable = rng.NewTable(s.src, 1<<16, tau)
-	} else {
-		s.bern = rng.NewBernoulli(s.src, tau)
-	}
+	s.bern = rng.NewBernoulli(s.src, tau)
 	return s, nil
 }
 
 // Tau returns the configured sampling probability.
 func (s *Sketch[K]) Tau() float64 { return s.tau }
 
-// sample flips Update's τ-coin.
-func (s *Sketch[K]) sample() bool {
-	if s.coinTable != nil {
-		return s.coinTable.Sample()
-	}
-	return s.bern.Sample()
-}
-
 // Update processes one packet: with probability τ a Full update,
 // otherwise a Window update (Algorithm 1, lines 19-21).
 //
 //memento:noalloc
 func (s *Sketch[K]) Update(x K) {
-	if s.sample() {
+	if s.bern.Sample() {
 		s.FullUpdate(x)
 	} else {
 		s.WindowUpdate()

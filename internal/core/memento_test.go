@@ -46,9 +46,8 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{},                                   // no window
 		{Window: -1, Counters: 4},            // bad window
-		{Window: 100},                        // neither counters nor epsilon
-		{Window: 100, EpsilonA: -0.1},        // bad epsilon
-		{Window: 100, EpsilonA: 2},           // bad epsilon
+		{Window: 100},                        // no counters
+		{Window: 100, Counters: -8},          // bad counters
 		{Window: 100, Counters: 8, Tau: 1.5}, // bad tau
 		{Window: 100, Counters: 8, Tau: -1},  // bad tau
 		{Window: 100, Counters: 8, Tau: 0.5, Scale: 0.1}, // bad scale
@@ -58,19 +57,15 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d (%+v) should fail", i, cfg)
 		}
 	}
-	if _, err := New[int](Config{Window: 100, EpsilonA: 0.1}); err != nil {
-		t.Errorf("valid epsilon config failed: %v", err)
+	if _, err := New[int](Config{Window: 100, Counters: 40}); err != nil {
+		t.Errorf("valid config failed: %v", err)
 	}
 }
 
 func TestCounterSizing(t *testing.T) {
-	s := mustNew[int](Config{Window: 1000, EpsilonA: 0.1})
-	if s.Counters() != 40 {
-		t.Fatalf("k = %d, want ⌈4/0.1⌉ = 40", s.Counters())
-	}
-	s = mustNew[int](Config{Window: 1000, Counters: 64, EpsilonA: 0.5})
+	s := mustNew[int](Config{Window: 1000, Counters: 64})
 	if s.Counters() != 64 {
-		t.Fatal("Counters must override EpsilonA")
+		t.Fatalf("k = %d, want Counters = 64", s.Counters())
 	}
 }
 
@@ -355,18 +350,6 @@ func TestDeterminism(t *testing.T) {
 		if a.Query(q) != b.Query(q) {
 			t.Fatalf("same seed, different estimates for key %d", q)
 		}
-	}
-}
-
-func TestTableSamplingMode(t *testing.T) {
-	s := mustNew[uint64](Config{Window: 1024, Counters: 32, Tau: 1.0 / 8, Seed: 3, TableSampling: true})
-	const n = 100000
-	for i := uint64(0); i < n; i++ {
-		s.Update(i % 64)
-	}
-	got := float64(s.FullUpdates()) / float64(n)
-	if math.Abs(got-1.0/8) > 0.02 {
-		t.Fatalf("table-sampled full update fraction %v, want ≈ 1/8", got)
 	}
 }
 

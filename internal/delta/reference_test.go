@@ -46,7 +46,7 @@ func newRefTracker(t testing.TB, hh *core.HHH, cfg TrackerConfig) *refTracker {
 	}
 	hh.EnableDeltaTracking()
 	return &refTracker{
-		hh: hh, cfg: cfg, epoch: cfg.Epoch, hierID: id,
+		hh: hh, cfg: cfg, hierID: id,
 		mon:  map[hierarchy.Prefix]refCounter{},
 		over: map[hierarchy.Prefix]int32{},
 	}

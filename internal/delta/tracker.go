@@ -61,9 +61,6 @@ type TrackerConfig struct {
 	// guaranteed count of ~0. 0 replicates exactly. See the package
 	// comment.
 	Floor uint64
-	// Epoch is the starting epoch of the first base; chains restarted
-	// by a new process can begin past their predecessor.
-	Epoch uint64
 }
 
 // slotShadow is what the encoder knows about the key in one Space
@@ -136,7 +133,6 @@ func NewTracker(hh *core.HHH, cfg TrackerConfig) (*Tracker, error) {
 		hh:     hh,
 		cfg:    cfg,
 		chain:  cfg.Chain,
-		epoch:  cfg.Epoch,
 		shadow: make([]slotShadow, hh.Sketch().Counters()),
 		moved:  keyidx.MustNew(64, hierarchy.PrefixHasher(0)),
 	}, nil

@@ -185,10 +185,11 @@ type Config struct {
 	// TrustForwardedFor accepts the client IP from X-Forwarded-For
 	// (testbed mode; see the package comment).
 	TrustForwardedFor bool
-	// TarpitDelay is how long tarpitted requests are held before the
-	// error response (HAProxy's timeout tarpit; default 500ms).
-	TarpitDelay time.Duration
 }
+
+// tarpitDelay is how long a tarpitted request is held before the error
+// response (HAProxy's timeout tarpit).
+const tarpitDelay = 500 * time.Millisecond
 
 // Balancer is the HTTP reverse-proxy load balancer.
 type Balancer struct {
@@ -203,9 +204,6 @@ type Balancer struct {
 func New(cfg Config) (*Balancer, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("lb: at least one backend required")
-	}
-	if cfg.TarpitDelay == 0 {
-		cfg.TarpitDelay = 500 * time.Millisecond
 	}
 	b := &Balancer{cfg: cfg}
 	for _, raw := range cfg.Backends {
@@ -276,7 +274,7 @@ func (b *Balancer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case netwide.ActionTarpit:
 			// Hold the connection to slow the attacker down, then fail.
 			select {
-			case <-time.After(b.cfg.TarpitDelay):
+			case <-time.After(tarpitDelay):
 			case <-r.Context().Done():
 				return
 			}

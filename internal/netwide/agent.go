@@ -14,7 +14,7 @@
 //
 // Transport fault tolerance (DESIGN.md §10): an agent built with
 // DialAgent and Reconnect redials through a supervised loop with
-// exponential backoff, jitter and an optional retry budget. Reports
+// exponential backoff and jitter, for as long as it lives. Reports
 // queued before an outage survive it (the writer retries the frames
 // in hand on the next connection generation); reports that overflow the
 // bounded queue during it are dropped and counted, and because chain
@@ -67,9 +67,6 @@ type AgentConfig struct {
 	// Params are the shared deployment constants; the agent derives its
 	// sampling probability from them.
 	Params Params
-	// Dims is the hierarchy dimensionality (1 or 2), used only to
-	// default the per-sample payload size.
-	Dims int
 	// Seed fixes the sampling randomness; 0 derives one from the name.
 	Seed uint64
 	// QueueLen bounds the outbound report queue; when the network
@@ -79,9 +76,11 @@ type AgentConfig struct {
 
 	// Report selects the reporting mode (default ReportSampled).
 	Report ReportMode
-	// Hier is the prefix domain of ReportDelta's local sketch; defaults
-	// to OneD (TwoD when Dims == 2). Use hierarchy.Flows for plain
-	// network-wide heavy hitters.
+	// Hier is the prefix domain; defaults to OneD. In both report
+	// modes its dimensionality sizes one sample (the default
+	// Params.SampleBytes, hence τ), exactly as the controller's Hier
+	// does, and in ReportDelta it is the local sketch's domain. Use
+	// hierarchy.Flows for plain network-wide heavy hitters.
 	Hier hierarchy.Hierarchy
 	// SnapshotWindow is the local sketch's sliding window
 	// (ReportDelta). With m agents splitting the traffic,
@@ -105,22 +104,13 @@ type AgentConfig struct {
 	// replication. See internal/delta.
 	DeltaFloor int
 
-	// DialTimeout bounds each connection attempt, including the first
-	// (DialAgent only). Default 5s.
-	DialTimeout time.Duration
-	// HandshakeTimeout bounds the Hello write on a fresh connection.
-	// Default: DialTimeout.
-	HandshakeTimeout time.Duration
 	// Reconnect enables the supervised redial loop: when the transport
 	// breaks, the agent backs off, redials, re-Hellos and (in delta
 	// mode) re-bases its chain, transparently to Observe. Requires
 	// DialAgent (only a dialed agent knows its address); NewAgent
-	// rejects it.
+	// rejects it. A reconnecting agent redials until it is closed,
+	// with backoff capped at BackoffMax.
 	Reconnect bool
-	// RetryBudget caps consecutive failed redial attempts before the
-	// agent gives up permanently (Err() turns non-nil, the agent
-	// closes). <= 0 retries forever, with backoff capped at BackoffMax.
-	RetryBudget int
 	// BackoffBase and BackoffMax bound the exponential redial backoff
 	// (defaults 100ms and 5s). Each delay is jittered to [d/2, d).
 	BackoffBase time.Duration
@@ -175,13 +165,10 @@ type Agent struct {
 	clk        Clock
 	handshake  []byte // pre-encoded Hello frame, then the trace probe if asked; re-sent every generation
 
-	dialTimeout   time.Duration
-	hsTimeout     time.Duration
 	backoffBase   time.Duration
 	backoffMax    time.Duration
 	hbEvery       time.Duration
 	degradedAfter time.Duration
-	retryBudget   int
 	bsrc          *rng.Source // backoff jitter; supervisor goroutine only
 
 	mu        sync.Mutex
@@ -204,7 +191,6 @@ type Agent struct {
 	disconnects uint64        // guarded by stateMu
 	lastContact time.Time     // guarded by stateMu
 	lastErr     error         // guarded by stateMu
-	permErr     error         // guarded by stateMu
 	degraded    bool          // guarded by stateMu
 	degEnters   uint64        // guarded by stateMu
 	degExits    uint64        // guarded by stateMu
@@ -235,6 +221,10 @@ type Agent struct {
 	wbuf         []byte      // writer goroutine only: the recycled coalesced write
 	marks        []frameMark // writer goroutine only: where each frame in wbuf ends
 }
+
+// dialTimeout bounds each connection attempt, including the first
+// (DialAgent only), and the Hello write on a fresh connection.
+const dialTimeout = 5 * time.Second
 
 // wireCap bounds a coalesced write: the writer stops draining the
 // queue once this many bytes of frames are in hand. A single larger
@@ -273,7 +263,7 @@ type outFrame struct {
 }
 
 // DialAgent connects to the controller at addr (bounded by
-// DialTimeout) and performs the Hello exchange. With cfg.Reconnect the
+// dialTimeout) and performs the Hello exchange. With cfg.Reconnect the
 // returned agent survives transport failures: it redials under
 // supervision and re-Hellos, invisibly to Observe. The first dial
 // fails fast — a misconfigured address should surface at startup, not
@@ -319,7 +309,11 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("netwide: agent needs a name")
 	}
-	if err := cfg.Params.Normalize(cfg.Dims); err != nil {
+	hier := cfg.Hier
+	if hier == nil {
+		hier = hierarchy.OneD{}
+	}
+	if err := cfg.Params.Normalize(hier.Dims()); err != nil {
 		return nil, err
 	}
 	seed := cfg.Seed
@@ -358,25 +352,16 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 		tracedRpt:     &obs.Counter{},
 		trace:         cfg.Trace,
 		traceReports:  cfg.TraceReports,
-		dialTimeout:   cfg.DialTimeout,
-		hsTimeout:     cfg.HandshakeTimeout,
 		backoffBase:   cfg.BackoffBase,
 		backoffMax:    cfg.BackoffMax,
 		hbEvery:       cfg.HeartbeatEvery,
 		degradedAfter: cfg.DegradedAfter,
-		retryBudget:   cfg.RetryBudget,
 		bsrc:          rng.New(seed + 0xb0ff),
 		upCh:          make(chan struct{}),
 		redial:        make(chan struct{}, 1),
 		sendq:         make(chan outFrame, qlen),
 		verdicts:      make(chan []Verdict, 16),
 		done:          make(chan struct{}),
-	}
-	if a.dialTimeout <= 0 {
-		a.dialTimeout = 5 * time.Second
-	}
-	if a.hsTimeout <= 0 {
-		a.hsTimeout = a.dialTimeout
 	}
 	if a.backoffBase <= 0 {
 		a.backoffBase = 100 * time.Millisecond
@@ -393,14 +378,6 @@ func buildAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Report != ReportDelta {
 		a.sampler = NewSampler(cfg.Params, rng.New(seed))
 	} else {
-		hier := cfg.Hier
-		if hier == nil {
-			if cfg.Dims == 2 {
-				hier = hierarchy.TwoD{}
-			} else {
-				hier = hierarchy.OneD{}
-			}
-		}
 		window := cfg.SnapshotWindow
 		if window <= 0 {
 			window = cfg.Params.Window
@@ -509,7 +486,7 @@ func (a *Agent) start(conn net.Conn) {
 
 // dialOnce makes one bounded connection attempt including the Hello.
 func (a *Agent) dialOnce() (net.Conn, error) {
-	conn, err := a.dial(a.addr, a.dialTimeout)
+	conn, err := a.dial(a.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netwide: dialing controller: %w", err)
 	}
@@ -525,10 +502,8 @@ func (a *Agent) dialOnce() (net.Conn, error) {
 // it here, before the generation installs, guarantees the probe
 // precedes every report of the generation on the wire.
 func (a *Agent) sendHello(conn net.Conn) error {
-	if a.hsTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(a.hsTimeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
+	conn.SetWriteDeadline(time.Now().Add(dialTimeout))
+	defer conn.SetWriteDeadline(time.Time{})
 	if _, err := conn.Write(a.handshake); err != nil {
 		return fmt.Errorf("netwide: sending hello: %w", err)
 	}
@@ -635,17 +610,9 @@ func (a *Agent) supervise() {
 }
 
 // reconnectLoop redials with backoff until a connection installs;
-// false ends supervision (agent closed, or retry budget exhausted).
+// false ends supervision (agent closed).
 func (a *Agent) reconnectLoop() bool {
 	for attempt := 0; ; attempt++ {
-		if a.retryBudget > 0 && attempt >= a.retryBudget {
-			a.stateMu.Lock()
-			a.permErr = fmt.Errorf("netwide: reconnect retry budget (%d) exhausted, last error: %w",
-				a.retryBudget, a.lastErr)
-			a.stateMu.Unlock()
-			a.Close()
-			return false
-		}
 		select {
 		case <-a.done:
 			return false
@@ -828,7 +795,7 @@ func (a *Agent) Dropped() uint64 { return a.dropped.Load() }
 
 // Verdicts delivers mitigation commands pushed by the controller. The
 // channel closes when the agent terminates — for a reconnecting agent
-// that is final closure or budget exhaustion, not a transient drop.
+// that is final closure, not a transient drop.
 func (a *Agent) Verdicts() <-chan []Verdict { return a.verdicts }
 
 // Degraded reports whether the controller has been unreachable past
@@ -927,20 +894,16 @@ func (a *Agent) Stats() AgentStats {
 }
 
 // Err reports the agent's standing error: a report that failed to
-// encode, or a terminal transport state. For a reconnecting agent a
-// transient outage is not an error (Err stays nil while the
-// supervisor redials; see Degraded and Stats) — only an exhausted
-// retry budget is. For a fail-fast agent any transport error is
-// terminal, as before.
+// encode, or a terminal transport state. A reconnecting agent has no
+// terminal transport state: an outage is not an error (Err stays nil
+// while the supervisor redials; see Degraded and Stats). For a
+// fail-fast agent any transport error is terminal.
 func (a *Agent) Err() error {
 	if e, ok := a.dataErr.Load().(error); ok {
 		return e
 	}
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	if a.permErr != nil {
-		return a.permErr
-	}
 	if !a.redialable && a.lastErr != nil {
 		return a.lastErr
 	}

@@ -46,11 +46,6 @@ type ControllerConfig struct {
 	Seed uint64
 	// Log receives connection-level events; nil discards them.
 	Log *slog.Logger
-	// WriteTimeout bounds each per-agent verdict write in Broadcast;
-	// an agent that cannot absorb a frame within it is dropped (its
-	// connection closed) instead of stalling mitigation for everyone.
-	// Default 2s.
-	WriteTimeout time.Duration
 	// HandshakeTimeout bounds the wait for a new connection's Hello
 	// frame: a connection that dials and then says nothing used to
 	// park its handler goroutine forever. Default 10s; negative
@@ -69,12 +64,6 @@ type ControllerConfig struct {
 	// — merged outputs then serve stale state forever, the
 	// pre-fault-plane behavior.
 	StaleTTL time.Duration
-	// DisableTracing makes the controller behave like a pre-tracing
-	// peer: trace probes are echoed verbatim instead of acked, so
-	// probing agents stay untraced (their reports ship bare). The
-	// interop tests use it to pin the no-flag-day contract; production
-	// controllers leave it false and trace whenever agents ask.
-	DisableTracing bool
 	// Obs, when set, registers the controller's transfer ledger and
 	// fleet gauges (memento_controller_*). One controller per registry:
 	// names are flat.
@@ -140,6 +129,12 @@ type Controller struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 }
+
+// writeTimeout bounds each frame the controller writes to an agent (a
+// verdict, a pong, a resync request): an agent that cannot absorb a
+// frame within it is dropped (its connection closed) instead of
+// stalling mitigation for everyone.
+const writeTimeout = 2 * time.Second
 
 // agentConn wraps one agent's connection with a write mutex: the
 // connection's handler (resync requests) and Broadcast (verdicts)
@@ -240,9 +235,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	abs, err := NewAbsorber(cfg.Hier, cfg.Params, cfg.Counters, cfg.Delta, seed+1, rng.New(seed))
 	if err != nil {
 		return nil, err
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 2 * time.Second
 	}
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
@@ -462,16 +454,15 @@ func (c *Controller) handle(conn net.Conn) {
 			c.bytesIn.Add(frameBytes)
 			c.accountBytes(hello.Name, frameBytes)
 			pong := payload
-			if seq == traceProbeSeq && !c.cfg.DisableTracing {
+			if seq == traceProbeSeq {
 				// Trace probe: ack it so the agent starts wrapping reports.
-				// A pre-tracing controller would echo the probe verbatim —
-				// exactly what DisableTracing emulates below by falling
-				// through to the ordinary heartbeat path.
+				// A pre-tracing controller echoes the probe verbatim, as it
+				// does every ping, and the agent stays untraced.
 				pong = encodePing(traceProbeAck)
 			} else {
 				c.pings.Inc()
 			}
-			if werr := wc.writeFrameTimeout(c.cfg.WriteTimeout, MsgPong, pong); werr != nil {
+			if werr := wc.writeFrameTimeout(writeTimeout, MsgPong, pong); werr != nil {
 				log.Warn("pong write failed", "agent", hello.Name, "err", werr)
 				return
 			}
@@ -537,7 +528,7 @@ func (c *Controller) handle(conn net.Conn) {
 				c.accountResync(hello.Name)
 				c.trace.Record(obs.EvResync, hello.Name, 0)
 				log.Info("chain gap, requesting resync", "agent", hello.Name, "err", err)
-				if werr := wc.writeFrameTimeout(c.cfg.WriteTimeout, MsgResync, nil); werr != nil {
+				if werr := wc.writeFrameTimeout(writeTimeout, MsgResync, nil); werr != nil {
 					log.Warn("resync request failed", "agent", hello.Name, "err", werr)
 					return
 				}
@@ -707,12 +698,11 @@ func (c *Controller) Output(theta float64) []hhhset.Entry {
 }
 
 // Broadcast pushes verdicts to every connected agent, returning the
-// number of agents reached. Each write runs under the configured
-// WriteTimeout: one stalled agent (dead TCP peer, full pipe) used to
-// block the loop — and so Mitigate — indefinitely; now it is dropped
-// (connection closed, handler cleans up,
-// memento_controller_dropped_agents_total counts it)
-// while the rest of the fleet still receives the verdicts.
+// number of agents reached. Each write runs under writeTimeout, so a
+// stalled agent (dead TCP peer, full pipe) cannot block the loop — and
+// so Mitigate: it is dropped (connection closed, handler cleans up,
+// memento_controller_dropped_agents_total counts it) while the rest of
+// the fleet still receives the verdicts.
 func (c *Controller) Broadcast(vs []Verdict) (int, error) {
 	payload, err := encodeVerdicts(vs)
 	if err != nil {
@@ -731,7 +721,7 @@ func (c *Controller) Broadcast(vs []Verdict) (int, error) {
 	c.connMu.Unlock()
 	n := 0
 	for i, conn := range conns {
-		if err := conn.writeFrameTimeout(c.cfg.WriteTimeout, MsgVerdict, payload); err != nil {
+		if err := conn.writeFrameTimeout(writeTimeout, MsgVerdict, payload); err != nil {
 			c.dropped.Inc()
 			c.cfg.Log.Warn("dropping agent: verdict write failed",
 				"agent", names[i], "err", err)

@@ -1,9 +1,10 @@
-// Fleet tests: state shipping end to end, mixed fleets, duplicate
-// names and the Broadcast write-deadline fix.
+// Fleet tests: state shipping end to end, mixed fleets, a 2D fleet,
+// duplicate names and the Broadcast write-deadline fix.
 
 package netwide
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -142,11 +143,10 @@ func TestBroadcastDropsStalledAgent(t *testing.T) {
 	params := Params{Budget: 4, BatchSize: 4, Window: 1 << 10}
 	reg := obs.NewRegistry()
 	c, err := NewController(ControllerConfig{
-		Hier:         hierarchy.OneD{},
-		Params:       params,
-		Counters:     256,
-		WriteTimeout: 50 * time.Millisecond,
-		Obs:          reg,
+		Hier:     hierarchy.OneD{},
+		Params:   params,
+		Counters: 256,
+		Obs:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +198,11 @@ func TestBroadcastDropsStalledAgent(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("broadcast reached %d agents, want exactly the healthy one", n)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(writeTimeout + 5*time.Second):
 		t.Fatal("broadcast still blocked on the stalled agent")
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("broadcast took %v despite the 50ms write deadline", elapsed)
+	if elapsed := time.Since(start); elapsed > writeTimeout+2*time.Second {
+		t.Fatalf("broadcast took %v despite the %v write deadline", elapsed, writeTimeout)
 	}
 	select {
 	case got := <-healthy.Verdicts():
@@ -309,5 +309,65 @@ func TestMixedFleet(t *testing.T) {
 	}
 	if byName["chainer"].Deltas == 0 || byName["chainer"].Reports != 0 {
 		t.Fatalf("chainer ledger wrong: %+v", byName["chainer"])
+	}
+}
+
+// TestTwoDFleetJoinsByHier: a 2D fleet configured the obvious way —
+// ControllerConfig{Hier: TwoD} and AgentConfig{Hier: TwoD}, no other
+// hierarchy field — sizes a sample at 8 bytes on both sides, so agent
+// and controller derive the same τ: every Hello is accepted and every
+// observed packet is covered, in both report modes.
+func TestTwoDFleetJoinsByHier(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		report ReportMode
+	}{{"sampled", ReportSampled}, {"delta", ReportDelta}} {
+		t.Run(mode.name, func(t *testing.T) {
+			const agents, perAgent = 2, 1 << 10
+			params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
+			ctrl, addr := startControllerCfg(t, ControllerConfig{
+				Hier: hierarchy.TwoD{}, Params: params, Counters: 64 * hierarchy.TwoD{}.H(), Seed: 42,
+			})
+			var as []*Agent
+			for i := 0; i < agents; i++ {
+				a, err := DialAgent(addr, AgentConfig{
+					Name: fmt.Sprintf("edge-%d", i), Params: params, Seed: uint64(i + 1),
+					Report: mode.report, Hier: hierarchy.TwoD{},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { a.Close() })
+				as = append(as, a)
+			}
+			waitFor(t, "agents to join", func() bool { return ctrl.Agents() == agents })
+			src := rng.New(7)
+			for _, a := range as {
+				for i := 0; i < perAgent; i++ {
+					a.Observe(hierarchy.Packet{Src: src.Uint32() >> 8, Dst: src.Uint32() >> 8})
+				}
+				a.Flush()
+			}
+			waitFor(t, "every packet to be covered", func() bool {
+				var covered uint64
+				for _, st := range ctrl.AgentStats() {
+					covered += st.Covered
+				}
+				return covered == agents*perAgent
+			})
+			if n := ctrl.Rejected(); n != 0 {
+				t.Fatalf("controller rejected %d Hellos", n)
+			}
+			for _, a := range as {
+				if err := a.Err(); err != nil {
+					t.Fatalf("agent %s: %v", a.Name(), err)
+				}
+			}
+			for _, st := range ctrl.AgentStats() {
+				if mode.report == ReportDelta && st.Deltas == 0 || mode.report == ReportSampled && st.Reports == 0 {
+					t.Fatalf("agent %s: no %s report applied: %+v", st.Name, mode.name, st)
+				}
+			}
+		})
 	}
 }

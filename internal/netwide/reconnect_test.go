@@ -151,43 +151,6 @@ func TestFaultReconnectHealsDeltaChain(t *testing.T) {
 	}
 }
 
-// TestFaultReconnectRetryBudget: an agent whose controller never comes
-// back gives up after its budget and surfaces a terminal error.
-func TestFaultReconnectRetryBudget(t *testing.T) {
-	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 10}
-	_, addr := startController(t, params, 256)
-	fail := &atomic.Bool{}
-	a, err := DialAgent(addr, AgentConfig{
-		Name: "budgeted", Params: params,
-		Reconnect:   true,
-		RetryBudget: 3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-			if fail.Load() {
-				return nil, errors.New("injected dial failure")
-			}
-			return net.DialTimeout("tcp", addr, timeout)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	fail.Store(true)
-	dropConn(t, a)
-	waitFor(t, "budget exhaustion", func() bool { return a.Err() != nil })
-	// Terminal: the verdicts channel closes, like any final Close.
-	select {
-	case _, ok := <-a.Verdicts():
-		if ok {
-			t.Fatal("got a verdict from an exhausted agent")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("verdicts channel never closed after budget exhaustion")
-	}
-}
-
 // TestFaultDegradedModeFlipsAndRecovers: losing the controller past
 // DegradedAfter flips Degraded() on; contact flips it back off, with
 // both transitions counted.

@@ -8,6 +8,8 @@
 package netwide
 
 import (
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +35,7 @@ func driveTraced(t *testing.T, ctrl *Controller, addr string, trace bool) *Agent
 	}
 	t.Cleanup(func() { a.Close() })
 	waitFor(t, "agent to join", func() bool { return ctrl.Agents() == 1 })
-	if trace && !ctrl.cfg.DisableTracing {
+	if trace {
 		// The probe's ack races the stream: without this wait a fast
 		// enough agent ships every report before tracing is on.
 		waitFor(t, "tracing to be negotiated", func() bool { return a.Stats().Traced })
@@ -120,30 +122,114 @@ func TestTracedReportingRoundTrip(t *testing.T) {
 	}
 }
 
+// preTracingPeer is a controller as it was before report tracing, as
+// far as one agent can see: it reads the Hello, echoes every ping
+// verbatim as a pong (the trace probe included, which is all a v1 peer
+// knows to do with it) and decodes every report it receives. After
+// echoing the probe it sends one ordinary pong, so an agent that has
+// counted that pong has read the echo before it.
+type preTracingPeer struct {
+	batches, traced, bad atomic.Uint64
+}
+
+func startPreTracingPeer(t *testing.T) (*preTracingPeer, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &preTracingPeer{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fr := newFrameReader(conn)
+		if typ, _, err := fr.next(); err != nil || typ != MsgHello {
+			p.bad.Add(1)
+			return
+		}
+		for {
+			typ, payload, err := fr.next()
+			if err != nil {
+				return
+			}
+			switch typ {
+			case MsgPing:
+				seq, err := decodePing(payload)
+				if err != nil || sendFrame(conn, MsgPong, payload) != nil {
+					p.bad.Add(1)
+					return
+				}
+				if seq == traceProbeSeq && sendFrame(conn, MsgPong, encodePing(1)) != nil {
+					return
+				}
+			case MsgBatch:
+				if _, err := decodeBatch(payload, nil); err != nil {
+					p.bad.Add(1)
+				}
+				p.batches.Add(1)
+			case MsgTraced:
+				p.traced.Add(1)
+			default:
+				p.bad.Add(1)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return p, ln.Addr().String()
+}
+
 // TestTracedAgentUntracedController: against a pre-tracing controller
 // (probe echoed verbatim) the agent must fall back to bare reports
-// that still apply — the no-flag-day contract.
+// that still decode — the no-flag-day contract.
 func TestTracedAgentUntracedController(t *testing.T) {
-	params := Params{Budget: 4, BatchSize: 8, Window: 1 << 12}
-	reg := obs.NewRegistry()
-	ctrl, addr := startControllerCfg(t, ControllerConfig{
-		Hier: hierarchy.OneD{}, Params: params, Counters: 1024, Seed: 42,
-		DisableTracing: true, Obs: reg,
+	peer, addr := startPreTracingPeer(t)
+	a, err := DialAgent(addr, AgentConfig{
+		Name:           "edge-1",
+		Params:         Params{Budget: 4, BatchSize: 8, Window: 1 << 12},
+		Seed:           3,
+		HeartbeatEvery: -1, // the probe is the only ping
+		TraceReports:   true,
 	})
-	a := driveTraced(t, ctrl, addr, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the agent ends the peer's read loop, so it runs before the
+	// peer's own cleanup waits for that loop.
+	t.Cleanup(func() { a.Close() })
+	waitFor(t, "the probe echo to be read", func() bool { return a.Stats().Pongs == 1 })
+	src := rng.New(9)
+	for i := 0; i < 50000; i++ {
+		a.Observe(hierarchy.Packet{Src: src.Uint32() >> 12})
+	}
+	a.Flush()
+	waitFor(t, "reports to drain", func() bool {
+		st := a.Stats()
+		return st.Sent > 0 && st.Sent == st.Queued && peer.batches.Load()+peer.traced.Load() >= st.Sent
+	})
+	if a.Err() != nil {
+		t.Fatalf("agent transport error: %v", a.Err())
+	}
 
 	st := a.Stats()
 	if st.Traced || st.TracedReports != 0 {
 		t.Fatalf("agent traced against a v1 controller: %+v", st)
 	}
-	if n := tracedReports(reg); n != 0 {
-		t.Fatalf("v1 controller counted %d traced reports", n)
+	if n := peer.traced.Load(); n != 0 {
+		t.Fatalf("v1 controller received %d traced envelopes", n)
 	}
-	if snap := captureApply(reg); snap.Count != 0 {
-		t.Fatalf("v1 controller recorded %d capture→apply spans", snap.Count)
+	if n := peer.bad.Load(); n != 0 {
+		t.Fatalf("v1 controller could not handle %d frames", n)
 	}
-	if ctrl.Reports() == 0 {
-		t.Fatal("untraced fallback reports did not apply")
+	if got := peer.batches.Load(); got != st.Sent {
+		t.Fatalf("v1 controller decoded %d bare reports, agent sent %d", got, st.Sent)
 	}
 }
 

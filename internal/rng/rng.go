@@ -6,9 +6,7 @@
 //
 //   - A raw xoshiro256** generator (Source) for general use.
 //   - A Bernoulli sampler implemented as a single 32-bit compare against
-//     a precomputed threshold, optionally fed from a random-number table
-//     (the paper notes H-Memento's sampling "is performed using a random
-//     number table", which beats geometric sampling at small τ).
+//     a precomputed threshold (Memento's τ-coin).
 //   - A geometric sampler (inversion method) as used by RHHH to skip
 //     packets between updates.
 //
@@ -160,63 +158,6 @@ func (b *Bernoulli) Sample() bool {
 		return true
 	}
 	return b.src.Uint32() < b.threshold
-}
-
-// Table is a random-number table sampler: a precomputed ring of uniform
-// 32-bit values consumed with a single load + compare per trial. This is
-// the mechanism the paper credits for H-Memento outperforming RHHH's
-// geometric sampling at moderate sampling ratios.
-type Table struct {
-	vals      []uint32
-	pos       int
-	threshold uint32
-	p         float64
-}
-
-// NewTable builds a table of size entries filled from src. Size must be
-// a power of two for the cheap wrap-around mask; it is rounded up if not.
-func NewTable(src *Source, size int, p float64) *Table {
-	if size < 2 {
-		size = 2
-	}
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	t := &Table{vals: make([]uint32, n)}
-	for i := range t.vals {
-		t.vals[i] = src.Uint32()
-	}
-	t.SetP(p)
-	return t
-}
-
-// SetP changes the sampling probability.
-func (t *Table) SetP(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	t.p = p
-	if p >= 1 {
-		t.threshold = math.MaxUint32
-	} else {
-		t.threshold = uint32(p * (1 << 32))
-	}
-}
-
-// Sample reports whether the event fires this trial.
-//
-//memento:noalloc
-func (t *Table) Sample() bool {
-	if t.p >= 1 {
-		return true
-	}
-	v := t.vals[t.pos]
-	t.pos = (t.pos + 1) & (len(t.vals) - 1)
-	return v < t.threshold
 }
 
 // Geometric samples the number of failures before the first success of

@@ -169,51 +169,6 @@ func TestBernoulliClamps(t *testing.T) {
 	}
 }
 
-func TestTableRate(t *testing.T) {
-	for _, p := range []float64{0.01, 0.25, 1} {
-		tab := NewTable(New(7), 1<<14, p)
-		const trials = 400000
-		hits := 0
-		for i := 0; i < trials; i++ {
-			if tab.Sample() {
-				hits++
-			}
-		}
-		got := float64(hits) / trials
-		// The table cycles, so tolerance is on the table's own sample
-		// size, not the trial count.
-		tol := 6 * math.Sqrt(p*(1-p)/float64(1<<14))
-		if math.Abs(got-p) > tol+1e-9 {
-			t.Fatalf("Table(%v) empirical rate %v beyond tolerance %v", p, got, tol)
-		}
-	}
-}
-
-func TestTableSizeRounding(t *testing.T) {
-	tab := NewTable(New(8), 1000, 0.5)
-	if len(tab.vals) != 1024 {
-		t.Fatalf("table size %d, want next power of two 1024", len(tab.vals))
-	}
-	tab = NewTable(New(8), 0, 0.5)
-	if len(tab.vals) < 2 {
-		t.Fatalf("degenerate table size %d", len(tab.vals))
-	}
-}
-
-func TestTableNextCycles(t *testing.T) {
-	tab := NewTable(New(9), 4, 0.5)
-	first := []bool{tab.Sample(), tab.Sample(), tab.Sample(), tab.Sample()}
-	if tab.pos != 0 {
-		t.Fatalf("after one lap the table sits at %d, want 0", tab.pos)
-	}
-	second := []bool{tab.Sample(), tab.Sample(), tab.Sample(), tab.Sample()}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("table did not cycle at %d", i)
-		}
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	for _, p := range []float64{0.5, 0.1, 0.01} {
 		g := NewGeometric(New(10), p)
@@ -275,17 +230,6 @@ func BenchmarkUint64(b *testing.B) {
 
 func BenchmarkBernoulli(b *testing.B) {
 	s := NewBernoulli(New(1), 0.01)
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if s.Sample() {
-			n++
-		}
-	}
-	_ = n
-}
-
-func BenchmarkTable(b *testing.B) {
-	s := NewTable(New(1), 1<<16, 0.01)
 	n := 0
 	for i := 0; i < b.N; i++ {
 		if s.Sample() {

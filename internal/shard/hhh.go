@@ -177,9 +177,6 @@ func NewHHH(cfg HHHConfig) (*HHH, error) {
 	shardCfg := cfg.Core
 	shardCfg.Window = (cfg.Core.Window + n - 1) / n
 	h := cfg.Core.Hierarchy.H()
-	if shardCfg.Counters == 0 && shardCfg.EpsilonA > 0 {
-		shardCfg.Counters = int(4*float64(h)/shardCfg.EpsilonA) + 1
-	}
 	if shardCfg.Counters > 0 {
 		shardCfg.Counters = (shardCfg.Counters + n - 1) / n
 		if shardCfg.Counters < minShardCounters*h {

@@ -29,9 +29,8 @@ func TestHHHConfigValidation(t *testing.T) {
 }
 
 // TestHHHCountersDivided pins the memory contract: the global counter
-// budget is split across shards, floored at minShardCounters per
-// hierarchy level, and a budget given as EpsilonA is resolved to
-// counters for the global window before the split.
+// budget is split across shards and floored at minShardCounters per
+// hierarchy level.
 func TestHHHCountersDivided(t *testing.T) {
 	hier := hierarchy.OneD{}
 	h := hier.H()
@@ -42,9 +41,7 @@ func TestHHHCountersDivided(t *testing.T) {
 	}{
 		{"divided", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 4096 * h}, 1024 * h},
 		{"floored", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 64}, minShardCounters * h},
-		// 4·H/εa + 1 = 2001 global counters, ⌈2001/4⌉ per shard — not
-		// the 2000 each shard would resolve from εa on its own.
-		{"epsilon", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, EpsilonA: 0.01}, 501},
+		{"rounded up", core.HHHConfig{Hierarchy: hier, Window: 1 << 16, Counters: 2001}, 501},
 	} {
 		s := mustNewHHH(HHHConfig{Core: tc.cfg, Shards: 4})
 		for i := range s.shards {
