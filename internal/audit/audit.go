@@ -222,17 +222,18 @@ func (a *Auditor) Observe(p hierarchy.Packet) {
 }
 
 // ObservePacket is the batcher tee's fast path: callers hand the
-// packet plus any key-deterministic hash (shard.PacketBatcher passes
-// its HHHConfig.Hash, the one hash an audited packet costs). The
-// fully-specified key
-// is only materialized for the 2^-shift sampled fraction, keeping the
-// common case to one increment, one mask test and one cadence test.
+// packet plus any key-deterministic hash (shard.PacketBatcher's Flush
+// passes its HHHConfig.Hash for each packet it is about to deal, the
+// one hash an audited packet costs). The fully-specified key is only
+// materialized for the 2^-shift sampled fraction, keeping the common
+// case to one increment and one mask test.
 //
 // The sync cadence is evaluated when a sampled packet stages (and
 // when the stage fills), not per packet: the unsampled fast path must
-// inline into the batcher's Add, and the extra apply lag this costs —
-// the expected gap between sampled packets, 2^shift positions — is
-// noise against SyncEvery. Quiesced audits Flush first regardless.
+// inline into the batcher's tee loop (internal/analyzers/inline.sh
+// holds it there), and the extra apply lag this costs — the expected
+// gap between sampled packets, 2^shift positions — is noise against
+// SyncEvery. Quiesced audits Flush first regardless.
 //
 //memento:noalloc
 func (a *Auditor) ObservePacket(p hierarchy.Packet, h uint64) {

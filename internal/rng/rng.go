@@ -15,7 +15,10 @@
 // data structures they drive.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 advances the seed-expansion generator used to initialize
 // xoshiro state. It is the standard SplitMix64 step.
@@ -93,28 +96,11 @@ func (r *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + hiPart + t>>32
-	return hi, lo
 }
 
 // Bernoulli samples independent events with a fixed probability using a

@@ -7,6 +7,8 @@
 package shard
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"memento/internal/audit"
@@ -208,5 +210,136 @@ func TestQueryLatencyHistogram(t *testing.T) {
 	reg2.Histogram("memento_shard_query_2d_ns").Snapshot(&hs2)
 	if hs2.Count != 1 {
 		t.Fatalf("2D exported histogram count = %d, want 1", hs2.Count)
+	}
+}
+
+// newTeeAuditor returns an auditor over s's window that samples every
+// key (SampleShift 0), so each packet it observes is one sampled
+// occurrence and Sampled counts its position.
+func newTeeAuditor(t *testing.T, s *HHH) *audit.Auditor {
+	t.Helper()
+	a, err := audit.New(audit.Config{
+		Hier:           hierarchy.OneD{},
+		Window:         s.EffectiveWindow(),
+		MaxKeys:        1 << 12,
+		MaxOccurrences: 1 << 14,
+		Seed:           41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestAuditTeeLeavesShardsAlone feeds one stream and seed to an
+// audited batcher and an unaudited one: the tee observes at flush and
+// must change nothing the shards get, so every shard's update count
+// and the merged HHH set agree to the bit.
+func TestAuditTeeLeavesShardsAlone(t *testing.T) {
+	cfg := HHHConfig{
+		Core: core.HHHConfig{
+			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 512 * 5, V: 20, Delta: 0.4, Seed: 19,
+		},
+		Shards: 4,
+	}
+	plain, audited := mustNewHHH(cfg), mustNewHHH(cfg)
+	a := newTeeAuditor(t, audited)
+	pb, ab := plain.NewBatcher(128), audited.NewBatcher(128)
+	ab.Audit(a)
+	stream := auditStream(37, 3<<12+77)
+	for _, p := range stream {
+		pb.Add(p)
+		ab.Add(p)
+	}
+	pb.Flush()
+	ab.Flush()
+	if got := a.Sampled(); got != uint64(len(stream)) {
+		t.Fatalf("auditor observed %d packets, want %d", got, len(stream))
+	}
+	if pu, au := shardUpdates(plain), shardUpdates(audited); !slices.Equal(pu, au) {
+		t.Fatalf("shard updates: unaudited %v, audited %v", pu, au)
+	}
+	po, ao := plain.OutputTo(0.05, nil), audited.OutputTo(0.05, nil)
+	if len(po) == 0 {
+		t.Fatal("test vacuous: OutputTo reported nothing")
+	}
+	same := len(po) == len(ao)
+	for i := 0; same && i < len(po); i++ {
+		same = po[i].Prefix == ao[i].Prefix &&
+			math.Float64bits(po[i].Estimate) == math.Float64bits(ao[i].Estimate) &&
+			math.Float64bits(po[i].Conditioned) == math.Float64bits(ao[i].Conditioned)
+	}
+	if !same {
+		t.Fatalf("OutputTo: unaudited %v, audited %v", po, ao)
+	}
+}
+
+// TestAuditTeePosition checks that the tee runs at the flush: the
+// auditor's position counts the packets dealt so far, not those
+// staged, and after Flush it equals the packets added.
+func TestAuditTeePosition(t *testing.T) {
+	s := mustNewHHH(HHHConfig{
+		Core: core.HHHConfig{
+			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 512 * 5, V: 20, Seed: 23,
+		},
+		Shards: 4,
+	})
+	a := newTeeAuditor(t, s)
+	bt := s.NewBatcher(64)
+	bt.Audit(a)
+	stream := auditStream(43, 2*cap(bt.buf)+101)
+	for _, p := range stream {
+		bt.Add(p)
+	}
+	if got, want := a.Sampled(), uint64(2*cap(bt.buf)); got != want {
+		t.Fatalf("before Flush the auditor observed %d packets, want the %d dealt", got, want)
+	}
+	bt.Flush()
+	if got := a.Sampled(); got != uint64(len(stream)) {
+		t.Fatalf("after Flush the auditor observed %d packets, want %d", got, len(stream))
+	}
+}
+
+// TestAuditAttachedWhileStaged attaches an auditor to a batcher that
+// holds staged packets: it must observe exactly the packets later
+// flushes deal — the staged ones and those added after, not the ones
+// an earlier flush dealt — and nothing once detached.
+func TestAuditAttachedWhileStaged(t *testing.T) {
+	s := mustNewHHH(HHHConfig{
+		Core: core.HHHConfig{
+			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 512 * 5, V: 20, Seed: 29,
+		},
+		Shards: 4,
+	})
+	a := newTeeAuditor(t, s)
+	bt := s.NewBatcher(64)
+	c := cap(bt.buf)
+	src := uint32(0)
+	add := func(n int) {
+		for range n {
+			src++
+			bt.Add(hierarchy.Packet{Src: src})
+		}
+	}
+	add(c + 100) // one unaudited deal, 100 staged
+	bt.Audit(a)
+	add(50)
+	bt.Flush()
+	add(30)
+	bt.Audit(nil)
+	bt.Flush()
+	a.Flush()
+	if got := a.Sampled(); got != 150 {
+		t.Fatalf("auditor observed %d packets, want the 150 dealt while attached", got)
+	}
+	for k := uint32(1); k <= src; k++ {
+		want := uint64(0)
+		if k > uint32(c) && k <= uint32(c+150) {
+			want = 1
+		}
+		key := hierarchy.Prefix{Src: k, SrcLen: hierarchy.AddrBytes}
+		if got := a.Count(key); got != want {
+			t.Fatalf("Count(%d) = %d, want %d", k, got, want)
+		}
 	}
 }

@@ -100,10 +100,11 @@ func BenchmarkHHHIngestParallel(b *testing.B) {
 // BenchmarkAuditedIngest is BenchmarkHHHIngestBatched with the
 // accuracy-plane tee attached: every packet advances the shadow
 // oracle's window position and sampled keys stage for the amortized
-// exact-count apply. The audited Add hashes each packet once, with the
-// instance's sampling hash (the unaudited Add hashes nothing), and the
-// unsampled fast path — one position increment and one mask test —
-// inlines into Add. CI alloc-gates this at 0 allocs/op.
+// exact-count apply. The audited Flush hashes each packet once, with
+// the instance's sampling hash (an unaudited batcher hashes nothing),
+// and the unsampled fast path — one position increment and one mask
+// test — inlines into its tee loop. CI alloc-gates this at 0
+// allocs/op.
 func BenchmarkAuditedIngest(b *testing.B) {
 	pkts := benchPackets(1 << 20)
 	s := benchIngestHHH()

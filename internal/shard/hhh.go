@@ -369,13 +369,16 @@ func (s *HHH) snapshotAll(q *hhhQuery) {
 // a single lock pass — the point-query analog of snapshotAll: no slab
 // copies (a point probe is O(1) per shard, so capturing whole
 // snapshots would cost more than the read), but the same
-// skew-correction-from-one-pass semantics. Results land in q.probes.
+// skew-correction-from-one-pass semantics. Every shard indexes under
+// core's one prefix hasher, so p is hashed once, outside the locks,
+// and that value probes each shard. Results land in q.probes.
 func (s *HHH) probeAll(q *hhhQuery, p hierarchy.Prefix) {
+	h := core.PrefixHash(p)
 	var total uint64
 	for i := range s.shards {
 		sl := &s.shards[i]
 		s.lockShardRead(sl)
-		u, l := sl.hh.QueryBounds(p)
+		u, l := sl.hh.QueryBoundsHashed(p, h)
 		upd := sl.hh.Sketch().Updates()
 		win := sl.hh.EffectiveWindow()
 		sl.mu.Unlock()
@@ -598,23 +601,26 @@ func (s *HHH) NewBatcher(size int) *PacketBatcher {
 	}
 }
 
-// Audit tees every packet this batcher ingests into a (the shadow
-// oracle of the accuracy plane); nil detaches. The tee rides the
-// batcher's single-writer contract — one auditor per batcher, and the
-// auditor must not be shared across batchers. An audited Add hashes
-// the packet once with HHHConfig.Hash, the auditor's sampling hash, so
-// the per-packet overhead is that hash, one masked compare and, for
-// sampled keys, a staged append (BenchmarkAuditedIngest gates it at 0
-// allocs/op). Set HHHConfig.Hash for a replayable sample.
+// Audit tees every packet this batcher deals into a (the shadow
+// oracle of the accuracy plane); nil detaches. The tee runs in Flush,
+// so the auditor sees the packets in the order and at the moment the
+// shards get them: packets staged when a is attached are teed with
+// the flush that deals them, and packets staged when it is detached
+// are not. The tee rides the batcher's single-writer contract — one
+// auditor per batcher, and the auditor must not be shared across
+// batchers. An audited flush hashes each packet once with
+// HHHConfig.Hash, the auditor's sampling hash, so the per-packet
+// overhead is that hash, one masked compare and, for sampled keys, a
+// staged append (BenchmarkAuditedIngest gates it at 0 allocs/op). Set
+// HHHConfig.Hash for a replayable sample.
 func (b *PacketBatcher) Audit(a *audit.Auditor) { b.aud = a }
 
-// Add buffers one packet, dealing the buffer to a shard when full.
+// Add buffers one packet, dealing the buffer to a shard when full: one
+// append and one compare, inlined into the caller
+// (internal/analyzers/inline.sh holds it there).
 //
 //memento:noalloc
 func (b *PacketBatcher) Add(p hierarchy.Packet) {
-	if b.aud != nil {
-		b.aud.ObservePacket(p, b.s.hash(p))
-	}
 	b.buf = append(b.buf, p)
 	if len(b.buf) == cap(b.buf) {
 		b.Flush()
@@ -623,7 +629,8 @@ func (b *PacketBatcher) Add(p hierarchy.Packet) {
 
 // Flush deals the staged packets: into the batcher's allotment if it
 // has one, else to the first free shard from its cursor, which moves
-// past the shard that took them. The flush that completes an epoch
+// past the shard that took them. An attached auditor first observes
+// each staged packet, in order. The flush that completes an epoch
 // derives every batcher's allotment for the next one.
 //
 //memento:noalloc
@@ -632,6 +639,11 @@ func (b *PacketBatcher) Flush() {
 		return
 	}
 	s := b.s
+	if b.aud != nil {
+		for _, p := range b.buf {
+			b.aud.ObservePacket(p, s.hash(p))
+		}
+	}
 	if s.dealing.epoch.Load() != b.epoch {
 		b.join()
 	}
