@@ -82,10 +82,6 @@ type HHH struct {
 // snapshot would cost every materialized one an allocation.
 var prefixHash = hierarchy.PrefixHasher(0)
 
-// PrefixHash returns the value every H-Memento table probes p with
-// (prefixHash), for QueryBoundsHashed.
-func PrefixHash(p hierarchy.Prefix) uint64 { return prefixHash(p) }
-
 // NewHHH validates cfg and returns a ready H-Memento.
 func NewHHH(cfg HHHConfig) (*HHH, error) {
 	if cfg.Hierarchy == nil {
@@ -230,12 +226,6 @@ func (hh *HHH) Query(p hierarchy.Prefix) float64 { return hh.mem.Query(p) }
 // QueryBounds returns conservative upper/lower bounds for prefix p.
 func (hh *HHH) QueryBounds(p hierarchy.Prefix) (upper, lower float64) {
 	return hh.mem.QueryBounds(p)
-}
-
-// QueryBoundsHashed is QueryBounds for a caller holding h =
-// PrefixHash(p): a read over several instances hashes p once.
-func (hh *HHH) QueryBoundsHashed(p hierarchy.Prefix, h uint64) (upper, lower float64) {
-	return hh.mem.boundsFrom(hh.mem.queryHashed(p, h))
 }
 
 // Output computes the approximate HHH set for threshold theta

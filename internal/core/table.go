@@ -125,12 +125,8 @@ func (t *table[K]) OverflowEntries() int { return t.overflow.Len() }
 // packet), so the saved hash is measurable.
 //
 //memento:noalloc
-func (t *table[K]) Query(x K) float64 { return t.queryHashed(x, t.hash(x)) }
-
-// queryHashed is Query for a caller holding h, the table's hash of x.
-//
-//memento:noalloc
-func (t *table[K]) queryHashed(x K, h uint64) float64 {
+func (t *table[K]) Query(x K) float64 {
+	h := t.hash(x)
 	c := t.y.QueryHashed(x, h)
 	if b, ok := t.overflow.GetH(x, h); ok {
 		return t.overflowUpper(b, c)

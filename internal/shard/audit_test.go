@@ -108,16 +108,7 @@ func TestAuditedBatcherCounts(t *testing.T) {
 		},
 		Shards: 4,
 	})
-	a, err := audit.New(audit.Config{
-		Hier:           hierarchy.OneD{},
-		Window:         s.EffectiveWindow(),
-		MaxKeys:        1 << 12,
-		MaxOccurrences: 1 << 14,
-		Seed:           5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTeeAuditor(t, s)
 	bt := s.NewBatcher(128)
 	bt.Audit(a)
 	stream := auditStream(23, 3*window)
@@ -274,36 +265,12 @@ func TestAuditTeeLeavesShardsAlone(t *testing.T) {
 	}
 }
 
-// TestAuditTeePosition checks that the tee runs at the flush: the
-// auditor's position counts the packets dealt so far, not those
-// staged, and after Flush it equals the packets added.
-func TestAuditTeePosition(t *testing.T) {
-	s := mustNewHHH(HHHConfig{
-		Core: core.HHHConfig{
-			Hierarchy: hierarchy.OneD{}, Window: 1 << 12, Counters: 512 * 5, V: 20, Seed: 23,
-		},
-		Shards: 4,
-	})
-	a := newTeeAuditor(t, s)
-	bt := s.NewBatcher(64)
-	bt.Audit(a)
-	stream := auditStream(43, 2*cap(bt.buf)+101)
-	for _, p := range stream {
-		bt.Add(p)
-	}
-	if got, want := a.Sampled(), uint64(2*cap(bt.buf)); got != want {
-		t.Fatalf("before Flush the auditor observed %d packets, want the %d dealt", got, want)
-	}
-	bt.Flush()
-	if got := a.Sampled(); got != uint64(len(stream)) {
-		t.Fatalf("after Flush the auditor observed %d packets, want %d", got, len(stream))
-	}
-}
-
 // TestAuditAttachedWhileStaged attaches an auditor to a batcher that
 // holds staged packets: it must observe exactly the packets later
 // flushes deal — the staged ones and those added after, not the ones
-// an earlier flush dealt — and nothing once detached.
+// an earlier flush dealt — and nothing once detached. The tee runs at
+// the flush, so until Flush the auditor's position counts the packets
+// dealt, not those staged.
 func TestAuditAttachedWhileStaged(t *testing.T) {
 	s := mustNewHHH(HHHConfig{
 		Core: core.HHHConfig{
@@ -323,18 +290,21 @@ func TestAuditAttachedWhileStaged(t *testing.T) {
 	}
 	add(c + 100) // one unaudited deal, 100 staged
 	bt.Audit(a)
-	add(50)
+	add(c + 20) // one audited deal, 120 staged
+	if got, want := a.Sampled(), uint64(c); got != want {
+		t.Fatalf("before Flush the auditor observed %d packets, want the %d dealt", got, want)
+	}
 	bt.Flush()
 	add(30)
 	bt.Audit(nil)
 	bt.Flush()
 	a.Flush()
-	if got := a.Sampled(); got != 150 {
-		t.Fatalf("auditor observed %d packets, want the 150 dealt while attached", got)
+	if got, want := a.Sampled(), uint64(c+120); got != want {
+		t.Fatalf("auditor observed %d packets, want the %d dealt while attached", got, want)
 	}
 	for k := uint32(1); k <= src; k++ {
 		want := uint64(0)
-		if k > uint32(c) && k <= uint32(c+150) {
+		if k > uint32(c) && k <= uint32(2*c+120) {
 			want = 1
 		}
 		key := hierarchy.Prefix{Src: k, SrcLen: hierarchy.AddrBytes}

@@ -369,16 +369,13 @@ func (s *HHH) snapshotAll(q *hhhQuery) {
 // a single lock pass — the point-query analog of snapshotAll: no slab
 // copies (a point probe is O(1) per shard, so capturing whole
 // snapshots would cost more than the read), but the same
-// skew-correction-from-one-pass semantics. Every shard indexes under
-// core's one prefix hasher, so p is hashed once, outside the locks,
-// and that value probes each shard. Results land in q.probes.
+// skew-correction-from-one-pass semantics. Results land in q.probes.
 func (s *HHH) probeAll(q *hhhQuery, p hierarchy.Prefix) {
-	h := core.PrefixHash(p)
 	var total uint64
 	for i := range s.shards {
 		sl := &s.shards[i]
 		s.lockShardRead(sl)
-		u, l := sl.hh.QueryBoundsHashed(p, h)
+		u, l := sl.hh.QueryBounds(p)
 		upd := sl.hh.Sketch().Updates()
 		win := sl.hh.EffectiveWindow()
 		sl.mu.Unlock()

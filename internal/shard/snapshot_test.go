@@ -110,59 +110,6 @@ func TestOutputOneLockPassPerShard(t *testing.T) {
 	}
 }
 
-// TestPointQueryMatchesPerShardSum holds Query and QueryBounds, which
-// hash a prefix once and probe every shard with that value, to a
-// reference that asks each shard through its own QueryBounds (its own
-// hash of the prefix) and sums the skew-corrected results in shard
-// order: equal to the bit on every prefix a shard tracks and on each
-// of its ancestors, in one and two dimensions. A batch sent straight
-// to one shard skews the traffic split, so the corrections are not
-// all 1.
-func TestPointQueryMatchesPerShardSum(t *testing.T) {
-	for k, s := range []*HHH{hammerHHH(t, 31), hammerHHH2D(t, 32)} {
-		dims := k + 1
-		skew := make([]hierarchy.Packet, 512)
-		for i := range skew {
-			skew[i] = hierarchy.Packet{Src: hierarchy.IPv4(10, 1, 1, byte(i%3)), Dst: hierarchy.IPv4(20, 0, 0, 1)}
-		}
-		s.UpdateBatch(skew)
-
-		var total uint64
-		scales := make([]float64, len(s.shards))
-		var probes []hierarchy.Prefix
-		for i := range s.shards {
-			total += s.shards[i].hh.Sketch().Updates()
-			for _, p := range s.shards[i].hh.Candidates(nil) {
-				probes = p.Ancestors(append(probes, p))
-			}
-		}
-		skewed := false
-		for i := range s.shards {
-			hh := s.shards[i].hh
-			scales[i] = scaleFrom(hh.Sketch().Updates(), hh.EffectiveWindow(), total, s.window)
-			skewed = skewed || scales[i] != 1
-		}
-		if len(probes) == 0 || !skewed {
-			t.Fatalf("%dD: test vacuous: %d probes, scales %v", dims, len(probes), scales)
-		}
-		for _, p := range probes {
-			var wu, wl float64
-			for i := range s.shards {
-				u, l := s.shards[i].hh.QueryBounds(p)
-				wu += u * scales[i]
-				wl += l * scales[i]
-			}
-			gu, gl := s.QueryBounds(p)
-			if math.Float64bits(gu) != math.Float64bits(wu) || math.Float64bits(gl) != math.Float64bits(wl) {
-				t.Fatalf("%dD: QueryBounds(%v) = (%v, %v), per-shard sum (%v, %v)", dims, p, gu, gl, wu, wl)
-			}
-			if q := s.Query(p); math.Float64bits(q) != math.Float64bits(wu) {
-				t.Fatalf("%dD: Query(%v) = %v, per-shard sum %v", dims, p, q, wu)
-			}
-		}
-	}
-}
-
 // lockPerBounds reproduces the pre-snapshot read plane for the
 // differential test: every Bounds call locks all N shards and
 // re-derives each shard's skew correction in place.
